@@ -29,7 +29,7 @@ pub fn check_packs(f: &Function, desc: &TargetDesc, packs: &PackSet) -> Vec<Diag
     // No value may be produced by two packs.
     let mut producer: HashMap<ValueId, SetPackId> = HashMap::new();
     for (pid, pack) in packs.iter() {
-        for v in pack.defined_values() {
+        for v in pack.defined() {
             if let Some(prev) = producer.insert(v, pid) {
                 diags.push(Diagnostic::error(
                     Location::Pack { pack: pid.0, lane: None },

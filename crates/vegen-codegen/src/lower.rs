@@ -101,7 +101,7 @@ pub fn try_lower(ctx: &VectorizerCtx<'_>, packs: &PackSet) -> Result<VmProgram, 
     let f = ctx.f;
     let mut vector_home = HashMap::new();
     for (id, p) in packs.iter() {
-        for (lane, v) in p.values().into_iter().enumerate() {
+        for (lane, v) in p.lane_values().enumerate() {
             if let Some(v) = v {
                 vector_home.insert(v, (id, lane));
             }
@@ -174,7 +174,7 @@ impl<'c, 'a> Lowering<'c, 'a> {
     /// interior / constant) values.
     fn unit_deps(&self, u: Unit) -> Vec<Unit> {
         let owned: Vec<ValueId> = match u {
-            Unit::Pack(p) => self.packs.get(p).defined_values(),
+            Unit::Pack(p) => self.packs.get(p).defined().collect(),
             Unit::Scalar(v) => vec![v],
         };
         let mut out: Vec<Unit> = Vec::new();
@@ -209,14 +209,9 @@ impl<'c, 'a> Lowering<'c, 'a> {
         // Stable ordering key: the earliest original index a unit touches.
         let key = |u: &Unit| -> usize {
             match u {
-                Unit::Pack(p) => self
-                    .packs
-                    .get(*p)
-                    .defined_values()
-                    .iter()
-                    .map(|v| v.index())
-                    .min()
-                    .unwrap_or(usize::MAX),
+                Unit::Pack(p) => {
+                    self.packs.get(*p).defined().map(|v| v.index()).min().unwrap_or(usize::MAX)
+                }
                 Unit::Scalar(v) => v.index(),
             }
         };

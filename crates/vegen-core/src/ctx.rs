@@ -4,13 +4,13 @@
 use crate::cost::CostModel;
 use crate::intern::{InternSnapshot, InternStats, Interner, OperandId, PackData, PackId};
 use crate::operand::OperandVec;
-use crate::pack::{Pack, PackedMatch};
+use crate::pack::Pack;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, Type, ValueId};
-use vegen_match::{MatchTable, TargetDesc};
+use vegen_match::{Match, MatchTable, TargetDesc};
 
 /// Everything the pack-selection heuristics need about one function.
 #[derive(Debug)]
@@ -31,6 +31,10 @@ pub struct VectorizerCtx<'a> {
     pub max_bits: u32,
     /// Load instruction at each `(base, offset)`.
     loads_at: HashMap<(usize, i64), ValueId>,
+    /// Indices into `desc.insts` by output shape `(out_lanes, out_elem)`,
+    /// each list in description order — Algorithm 1 only ever considers
+    /// the instructions whose shape fits the operand.
+    insts_by_shape: HashMap<(usize, Type), Vec<usize>>,
     /// Operand/pack arenas + memoized candidate indices (interior-mutable:
     /// enumeration lazily fills the memos through `&self`).
     interner: RefCell<Interner>,
@@ -51,6 +55,10 @@ impl<'a> VectorizerCtx<'a> {
             }
         }
         let max_bits = desc.insts.iter().map(|i| i.def.bits).max().unwrap_or(128);
+        let mut insts_by_shape: HashMap<(usize, Type), Vec<usize>> = HashMap::new();
+        for (di, inst) in desc.insts.iter().enumerate() {
+            insts_by_shape.entry((inst.out_lanes(), inst.def.sem.out_elem)).or_default().push(di);
+        }
         VectorizerCtx {
             f,
             desc,
@@ -60,6 +68,7 @@ impl<'a> VectorizerCtx<'a> {
             cost,
             max_bits,
             loads_at,
+            insts_by_shape,
             interner: RefCell::new(Interner::default()),
         }
     }
@@ -199,21 +208,23 @@ impl<'a> VectorizerCtx<'a> {
         let mut out = Vec::new();
 
         // Compute packs: one candidate per instruction description whose
-        // shape fits (lines 5-17).
-        'inst: for (di, inst) in self.desc.insts.iter().enumerate() {
-            if inst.out_lanes() != x.len() || inst.def.sem.out_elem != ty {
-                continue;
-            }
-            let mut matches: Vec<Option<PackedMatch>> = Vec::with_capacity(x.len());
+        // shape fits (lines 5-17), in description order. Matches are
+        // copied into the pack only once every lane has one.
+        let fitting = self.insts_by_shape.get(&(x.len(), ty)).map_or(&[][..], Vec::as_slice);
+        let mut lane_matches: Vec<Option<&Match>> = Vec::with_capacity(x.len());
+        'inst: for &di in fitting {
+            let inst = &self.desc.insts[di];
+            lane_matches.clear();
             for (lane, want) in x.lanes().iter().enumerate() {
                 match want {
-                    None => matches.push(None),
+                    None => lane_matches.push(None),
                     Some(v) => match self.table.lookup(*v, inst.lane_ops[lane]) {
-                        Some(m) => matches.push(Some(m.clone().into())),
+                        Some(m) => lane_matches.push(Some(m)),
                         None => continue 'inst,
                     },
                 }
             }
+            let matches = lane_matches.iter().map(|m| m.map(|m| m.clone().into())).collect();
             let pack = Pack::Compute { inst: di, matches };
             // The lane bindings must agree on the vector operands.
             if let Some(operands) = self.pack_operands(&pack) {
@@ -461,78 +472,77 @@ impl<'a> VectorizerCtx<'a> {
 }
 
 /// [`VectorizerCtx::packs_legal`] as a free function over the pieces it
-/// actually reads — so the frozen, thread-shared selection context (which
-/// has no live `VectorizerCtx`) runs the identical check.
+/// actually reads. This is the from-scratch check: it contracts every pack
+/// to one node and searches the whole contracted graph for a cycle. The
+/// beam search decides the same question incrementally from precomputed
+/// masks (see `crate::frozen`) and asserts agreement with this function in
+/// debug builds and in the differential tests, so keep it simple and
+/// obviously right rather than fast.
 pub fn packs_legal(n: usize, deps: &DepGraph, packs: &[&Pack]) -> bool {
     // group[v] = pack index + 1, or 0 for scalar singleton.
     let mut group = vec![0usize; n];
     for (pi, p) in packs.iter().enumerate() {
-        for v in p.defined_values() {
+        for v in p.defined() {
             if group[v.index()] != 0 {
                 return false; // a value in two packs is illegal
             }
             group[v.index()] = pi + 1;
         }
     }
-    // Contracted nodes: packs 1..=k, scalars keyed by value.
-    // DFS cycle detection over contracted edges.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
+    let mut graph = Contracted { deps, packs, group, marks: vec![Mark::White; packs.len() + n] };
+    (0..packs.len()).all(|start| graph.acyclic_from(start))
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Mark {
+    White,
+    Grey,
+    Black,
+}
+
+/// The dependence graph with every pack contracted to one node: packs are
+/// nodes `0..k`, scalars `k + value index`. Edges run from a node to the
+/// nodes it depends on; edges inside one pack are dropped.
+struct Contracted<'a> {
+    deps: &'a DepGraph,
+    packs: &'a [&'a Pack],
+    group: Vec<usize>,
+    marks: Vec<Mark>,
+}
+
+impl Contracted<'_> {
+    fn node_of(&self, v: ValueId) -> usize {
+        match self.group[v.index()] {
+            0 => self.packs.len() + v.index(),
+            g => g - 1,
+        }
     }
-    let node_of = |v: ValueId| -> usize {
-        if group[v.index()] != 0 {
-            group[v.index()] - 1
-        } else {
-            packs.len() + v.index()
-        }
-    };
-    let total = packs.len() + n;
-    let mut marks = vec![Mark::White; total];
-    // Edges from node -> nodes it depends on.
-    let succ = |node: usize| -> Vec<usize> {
-        let mut out = Vec::new();
-        let push_deps_of = |v: ValueId, out: &mut Vec<usize>| {
-            for &d in deps.direct_deps(v) {
-                let dn = node_of(d);
-                if dn != node {
-                    out.push(dn);
-                }
-            }
-        };
-        if node < packs.len() {
-            for v in packs[node].defined_values() {
-                push_deps_of(v, &mut out);
-            }
-        } else {
-            let v = ValueId::from_raw((node - packs.len()) as u32);
-            push_deps_of(v, &mut out);
-        }
-        out
-    };
-    fn dfs(node: usize, marks: &mut [Mark], succ: &dyn Fn(usize) -> Vec<usize>) -> bool {
-        match marks[node] {
+
+    /// Depth-first search: false if a cycle is reachable from `node`.
+    fn acyclic_from(&mut self, node: usize) -> bool {
+        match self.marks[node] {
             Mark::Black => return true,
             Mark::Grey => return false,
             Mark::White => {}
         }
-        marks[node] = Mark::Grey;
-        for s in succ(node) {
-            if !dfs(s, marks, succ) {
-                return false;
-            }
+        self.marks[node] = Mark::Grey;
+        let (deps, packs) = (self.deps, self.packs);
+        let through = |this: &mut Self, v: ValueId| {
+            deps.direct_deps(v).iter().all(|&d| {
+                let dn = this.node_of(d);
+                dn == node || this.acyclic_from(dn)
+            })
+        };
+        let ok = if node < packs.len() {
+            packs[node].defined().all(|v| through(self, v))
+        } else {
+            through(self, ValueId::from_raw((node - packs.len()) as u32))
+        };
+        if ok {
+            self.marks[node] = Mark::Black;
         }
-        marks[node] = Mark::Black;
-        true
+        ok
     }
-    for start in 0..packs.len() {
-        if !dfs(start, &mut marks, &succ) {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 //! order never depends on the worker count.
 
 use crate::beam::{BeamConfig, SearchBudget, SelectError};
+use crate::bits::{bit, intersects, set_bit, BitMatrix};
 use crate::cost::CostModel;
 use crate::ctx::VectorizerCtx;
 use crate::intern::{InternSnapshot, OperandId, PackData, PackId};
@@ -31,13 +32,42 @@ use crate::operand::OperandVec;
 use crate::pack::Pack;
 use crate::seeds::{enumerate_seeds, AffinityParams};
 use std::time::Instant;
+#[cfg(any(test, debug_assertions))]
 use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, ValueId};
 
 /// An immutable snapshot of everything `select_packs` reads: the function,
 /// its dependence/use structure, the cost model, the fully populated
 /// interner arenas and candidate indexes, per-pack costs, the
-/// per-value scalar-closure cost table, and the resolved seed packs.
+/// per-value scalar-closure cost table, the resolved seed packs, and the
+/// bit masks of the transition kernel.
+///
+/// ## Transition-kernel masks
+///
+/// Every mask is a row of `words` `u64`s indexed by value
+/// index, computed once here so one beam transition is a few word-ANDs:
+///
+/// * per value `v`: `users_mask[v]` (its use-def users) — "all users of
+///   `v` are decided" is `users_mask[v] & free == 0`;
+/// * per pack `p`: `dep_mask[p]` (OR of the dependence-closure rows of
+///   the values it defines), a `static_illegal` bit, and its matches'
+///   interior values in descending index order. The values a pack defines
+///   are not stored as a row: they are the (at most vector-length)
+///   `PackData::defined` list, tested bit by bit against a row — a third
+///   of the per-pack mask memory for the same answers.
+///
+/// Pack-set legality (§4.4: the dependence graph with every pack
+/// contracted to one node stays acyclic) is decided from these alone. Write
+/// `def[B]` for the values pack `B` defines and `A ⇒ B` iff
+/// `dep_mask[A] ∩ def[B] ≠ ∅`. A set of packs is legal
+/// iff (a) no pack is `static_illegal` — defines one value twice, or has a
+/// dependence path that leaves the pack and re-enters it: some `a ∈ P`
+/// with a direct dependence `d ∉ P` whose closure meets `P` — (b) no value
+/// is in two packs, and (c) `⇒` restricted to *distinct* packs is acyclic.
+/// Edges inside one pack are not cycles (the from-scratch check in
+/// [`crate::ctx::packs_legal`] drops them too), which is why `A ⇒ A` is
+/// never consulted. DESIGN.md §6 gives the argument that (a)–(c) are
+/// exact.
 ///
 /// A `FrozenCtx` owns all of its data (the function is cloned out of the
 /// borrowed context), so an `Arc<FrozenCtx>` outlives the `VectorizerCtx`
@@ -46,8 +76,24 @@ use vegen_ir::{Function, InstKind, ValueId};
 #[derive(Debug)]
 pub struct FrozenCtx {
     pub(crate) f: Function,
+    /// For the from-scratch legality oracle the search asserts against in
+    /// debug builds and tests; the search itself reads only the masks.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) deps: DepGraph,
+    /// Length of every value-indexed bit row.
+    pub(crate) words: usize,
+    /// Use lists as lists, for the reference sweep the tests compare with.
+    #[cfg(test)]
     pub(crate) users: Vec<Vec<ValueId>>,
+    users_mask: BitMatrix,
+    /// The constants of `f` (never charged, never demanded).
+    pub(crate) const_mask: Vec<u64>,
+    dep_mask: BitMatrix,
+    static_illegal: Vec<bool>,
+    /// Interior values of each compute pack's matches (covered, not
+    /// defined), descending, as `interior[interior_at[p]..interior_at[p+1]]`.
+    interior: Vec<ValueId>,
+    interior_at: Vec<u32>,
     pub(crate) cost: CostModel,
     /// `desc.insts[i].def.name` — all the target description the search
     /// output (pack descriptions) needs.
@@ -157,9 +203,73 @@ impl FrozenCtx {
         let pack_costs: Vec<f64> = snap.packs.iter().map(|p| ctx.pack_cost(p)).collect();
         let scalar_one = ctx.cost.scalar_one_costs(&f);
         let scalar_cost: f64 = f.value_ids().map(|v| ctx.cost.scalar_inst_cost(&f, v)).sum();
+
+        let n = f.insts.len();
+        let words = n.div_ceil(64).max(1);
+        let mut users_mask = BitMatrix::new(n, words);
+        for (v, users) in ctx.users.iter().enumerate() {
+            for u in users {
+                set_bit(users_mask.row_mut(v), u.index());
+            }
+        }
+        let mut const_mask = vec![0u64; words];
+        for (v, inst) in f.iter() {
+            if matches!(inst.kind, InstKind::Const(_)) {
+                set_bit(&mut const_mask, v.index());
+            }
+        }
+        let n_packs = snap.packs.len();
+        let mut dep_mask = BitMatrix::new(n_packs, words);
+        let mut def = vec![0u64; words];
+        let mut static_illegal = vec![false; n_packs];
+        let mut interior: Vec<ValueId> = Vec::new();
+        let mut interior_at: Vec<u32> = Vec::with_capacity(n_packs + 1);
+        let mut covered: Vec<ValueId> = Vec::new();
+        for (pi, data) in snap.pack_data.iter().enumerate() {
+            def.fill(0);
+            for &v in &data.defined {
+                // A value defined twice by one pack.
+                static_illegal[pi] |= !set_bit(&mut def, v.index());
+                for (acc, w) in dep_mask.row_mut(pi).iter_mut().zip(ctx.deps.closure_row(v)) {
+                    *acc |= w;
+                }
+            }
+            // A dependence path that leaves the pack and comes back.
+            static_illegal[pi] |= data.defined.iter().any(|&a| {
+                ctx.deps
+                    .direct_deps(a)
+                    .iter()
+                    .any(|&d| !bit(&def, d.index()) && intersects(ctx.deps.closure_row(d), &def))
+            });
+            interior_at.push(interior.len() as u32);
+            if let Pack::Compute { matches, .. } = &*snap.packs[pi] {
+                covered.clear();
+                covered.extend(
+                    matches
+                        .iter()
+                        .flatten()
+                        .flat_map(|m| m.covered.iter().copied())
+                        .filter(|v| !bit(&def, v.index())),
+                );
+                covered.sort_unstable();
+                covered.dedup();
+                interior.extend(covered.iter().rev());
+            }
+        }
+        interior_at.push(interior.len() as u32);
+
         Ok(FrozenCtx {
+            #[cfg(any(test, debug_assertions))]
             deps: ctx.deps.clone(),
+            words,
+            #[cfg(test)]
             users: ctx.users.clone(),
+            users_mask,
+            const_mask,
+            dep_mask,
+            static_illegal,
+            interior,
+            interior_at,
             cost: ctx.cost,
             inst_names: ctx.desc.insts.iter().map(|i| i.def.name.clone()).collect(),
             snap,
@@ -225,6 +335,35 @@ impl FrozenCtx {
 
     pub(crate) fn scalar_one(&self, v: ValueId) -> f64 {
         self.scalar_one[v.index()]
+    }
+
+    /// Whether every user of `v` is decided (absent from `free`). Users
+    /// follow their operand in program order, so words below `v`'s own
+    /// hold none.
+    pub(crate) fn users_decided(&self, free: &[u64], v: ValueId) -> bool {
+        let w0 = v.index() / 64;
+        !intersects(&self.users_mask.row(v.index())[w0..], &free[w0..])
+    }
+
+    /// Whether pack `id` defines a value in `row`.
+    pub(crate) fn defines_any(&self, id: PackId, row: &[u64]) -> bool {
+        self.pack_data(id).defined.iter().any(|v| bit(row, v.index()))
+    }
+
+    /// Everything the values pack `id` defines transitively depend on.
+    pub(crate) fn dep_mask(&self, id: PackId) -> &[u64] {
+        self.dep_mask.row(id.0 as usize)
+    }
+
+    /// Whether pack `id` is illegal in every pack set (see the type docs).
+    pub(crate) fn static_illegal(&self, id: PackId) -> bool {
+        self.static_illegal[id.0 as usize]
+    }
+
+    /// The interior values of pack `id`'s matches, descending.
+    pub(crate) fn interior(&self, id: PackId) -> &[ValueId] {
+        let i = id.0 as usize;
+        &self.interior[self.interior_at[i] as usize..self.interior_at[i + 1] as usize]
     }
 
     /// The insertion arm of the Fig. 7 recurrence (see

@@ -20,6 +20,7 @@
 //! program.
 
 pub mod beam;
+mod bits;
 pub mod cost;
 pub mod ctx;
 pub mod frozen;

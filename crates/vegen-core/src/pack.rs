@@ -46,8 +46,11 @@ pub enum Pack {
 }
 
 /// A match embedded in a pack. Equality on `(op, root, live_ins)` mirrors
-/// [`vegen_match::Match`]; this copy exists so packs are hashable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// [`vegen_match::Match`]; this copy exists so packs are hashable. The hash
+/// covers `(op, root)` only: a match table holds one match per
+/// `(root, op)`, so the rest never tells two packed matches apart and
+/// interning a pack need not walk every `live_ins`/`covered` list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedMatch {
     /// Operation id in the registry.
     pub op: vegen_match::OpId,
@@ -58,6 +61,13 @@ pub struct PackedMatch {
     /// Matched interior instructions (root included) — dead-code candidates
     /// once the pack is selected.
     pub covered: Vec<ValueId>,
+}
+
+impl std::hash::Hash for PackedMatch {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.op.hash(state);
+        self.root.hash(state);
+    }
 }
 
 impl From<Match> for PackedMatch {
@@ -77,18 +87,26 @@ impl Pack {
     /// per-lane independence and don't-care placement against exactly
     /// this layout.
     pub fn values(&self) -> Vec<Option<ValueId>> {
-        match self {
-            Pack::Compute { matches, .. } => {
-                matches.iter().map(|m| m.as_ref().map(|m| m.root)).collect()
-            }
-            Pack::Load { loads, .. } => loads.clone(),
-            Pack::Store { stores, .. } => stores.iter().copied().map(Some).collect(),
-        }
+        self.lane_values().collect()
+    }
+
+    /// [`Pack::values`] as a non-allocating iterator, in lane order.
+    pub fn lane_values(&self) -> impl Iterator<Item = Option<ValueId>> + '_ {
+        (0..self.lanes()).map(move |lane| match self {
+            Pack::Compute { matches, .. } => matches[lane].as_ref().map(|m| m.root),
+            Pack::Load { loads, .. } => loads[lane],
+            Pack::Store { stores, .. } => Some(stores[lane]),
+        })
+    }
+
+    /// The defined produced values, in lane order, without allocating.
+    pub fn defined(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.lane_values().flatten()
     }
 
     /// The defined produced values.
     pub fn defined_values(&self) -> Vec<ValueId> {
-        self.values().into_iter().flatten().collect()
+        self.defined().collect()
     }
 
     /// Number of output lanes.
@@ -173,7 +191,7 @@ impl PackSet {
     /// lane index.
     pub fn producer_of(&self, v: ValueId) -> Option<(SetPackId, usize)> {
         for (id, p) in self.iter() {
-            if let Some(lane) = p.values().iter().position(|l| *l == Some(v)) {
+            if let Some(lane) = p.lane_values().position(|l| l == Some(v)) {
                 return Some((id, lane));
             }
         }

@@ -1434,9 +1434,7 @@ fn check_schema(report: &Json, which: &str) -> Result<(), String> {
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| format!("{which}: missing schema field"))?;
-    // `BENCH_suite.json` (the suite bench artifact) embeds the same
-    // per-run kernel rows, so diff accepts either document.
-    if !schema.starts_with("vegen-engine-report/") && !schema.starts_with("vegen-bench-suite/") {
+    if !schema.starts_with("vegen-engine-report/") {
         return Err(format!("{which}: unrecognized schema {schema:?}"));
     }
     Ok(())

@@ -378,8 +378,7 @@ impl RunReport {
         }
     }
 
-    /// Render as a JSON document (public so the suite bench can write
-    /// per-run rows into `BENCH_suite.json`).
+    /// Render as a JSON document.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("label", Json::str(&self.label)),

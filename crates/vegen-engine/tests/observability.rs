@@ -192,6 +192,13 @@ fn diff_of_identical_reports_is_clean_and_regressions_are_caught() {
     drop_first_kernel(&mut missing);
     let (regressions, _) = diff_reports(&doc, &missing, &DiffConfig::default()).unwrap();
     assert!(regressions.iter().any(|r| r.what.contains("missing")), "{regressions:?}");
+
+    // Only engine reports diff: the retired suite-bench schema is refused.
+    let mut foreign = doc.clone();
+    let Json::Obj(top) = &mut foreign else { panic!("report is an object") };
+    top.iter_mut().find(|(k, _)| k == "schema").unwrap().1 = Json::str("vegen-bench-suite/v1");
+    let err = diff_reports(&doc, &foreign, &DiffConfig::default()).unwrap_err();
+    assert!(err.contains("unrecognized schema"), "{err}");
 }
 
 fn with_first_kernel(doc: &mut Json, f: impl FnOnce(&mut Vec<Json>)) {

@@ -103,6 +103,13 @@ impl DepGraph {
         &self.direct[v.index()]
     }
 
+    /// The closure row of `v`: a bitset over value indices (bit `i` of
+    /// word `i / 64` = `ValueId` `i`) of everything `v` transitively
+    /// depends on. Rows are `len().div_ceil(64).max(1)` words long.
+    pub fn closure_row(&self, v: ValueId) -> &[u64] {
+        &self.closed[v.index() * self.words..(v.index() + 1) * self.words]
+    }
+
     /// True if `user` transitively depends on `dep`.
     pub fn depends(&self, user: ValueId, dep: ValueId) -> bool {
         let ui = user.index();
