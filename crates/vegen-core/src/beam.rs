@@ -19,19 +19,24 @@
 //!
 //! The hot path works entirely on interned ids (see [`crate::intern`]):
 //!
+//! * `F`, `S` and the per-value producer table live in one flat word
+//!   buffer per state, laid out `[free | S | prod]` (see `State`), so a
+//!   successor is one buffer copy; `F` and `S` are bitsets by value index
+//!   — ascending-bit iteration is ascending `ValueId` order — and `prod`
+//!   packs one 32-bit lane per value;
 //! * `V` is a sorted vector of [`OperandId`]s (each paired with its
 //!   resolved operand so iteration order stays the operand-lexicographic
-//!   order the search has always used), `S` and `F` are bitsets by value
-//!   index — ascending-bit iteration is ascending `ValueId` order;
+//!   order the search has always used);
 //! * the pack path is a persistent cons list of [`PackId`]s shared between
 //!   a state and its successors, so a transition is O(1) instead of
 //!   cloning the whole path;
 //! * the (F, V, S) identity is maintained as an incrementally-updated
 //!   128-bit XOR hash — applying a transition folds the changed elements
-//!   in and out instead of materializing a key. Deduplication buckets by
-//!   that hash and falls back to a full component comparison only on
-//!   collision (counted in [`BeamStats::hash_collisions`]). A second
-//!   (V, S)-only hash keys the [`TranspositionTable`].
+//!   in and out instead of materializing a key. Deduplication indexes the
+//!   pool by that hash (one map entry per distinct hash, a side chain for
+//!   true collisions) and a full component comparison arbitrates every
+//!   hash match (collisions are counted in
+//!   [`BeamStats::hash_collisions`]).
 //!
 //! ## Parallel search
 //!
@@ -42,11 +47,13 @@
 //! chunks, one per worker; workers run `expand` + transition scoring into
 //! thread-local buffers, and the main thread concatenates the buffers *in
 //! chunk order* before the (order-preserving) dedup, the total-order
-//! sort, and the truncation — so selections are byte-identical at any
-//! thread count, including every f64 accumulation order. Completion
-//! estimates (`costSLP`) stay on the main thread, memoized in
-//! [`FrozenSlp`] and the transposition table, both reusable across
-//! searches via [`SelectionReuse`].
+//! top-k selection, and the truncation — so selections are byte-identical
+//! at any thread count, including every f64 accumulation order. Completion
+//! estimates (`costSLP`) stay on the main thread, memoized per operand in
+//! [`FrozenSlp`], which is reusable across searches via
+//! [`SelectionReuse`]. A state's estimate is a sum of memo reads and is
+//! recomputed every time — there is no per-state estimate table, because
+//! a table lookup costs more than the sum it would save.
 
 use crate::bits::{bit, clear_bit, ones, set_bit};
 use crate::ctx::VectorizerCtx;
@@ -57,8 +64,10 @@ use crate::pack::{Pack, PackSet};
 use crate::seeds::AffinityParams;
 use std::any::Any;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -226,8 +235,7 @@ impl BeamConfig {
 /// Producer-cache counters are deltas over the call (the underlying memo
 /// lives in the context and is shared across calls; under snapshot reuse
 /// both are zero, since a reused search never touches the live context);
-/// interner sizes are the frozen snapshot's totals. Transposition counters
-/// are deltas over the call against the (possibly reused) table.
+/// interner sizes are the frozen snapshot's totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BeamStats {
     /// States popped from the beam and expanded.
@@ -254,9 +262,11 @@ pub struct BeamStats {
     pub workers: usize,
     /// Iterations whose frontier was fanned across more than one worker.
     pub fanouts: u64,
-    /// Completion estimates served from the transposition table.
+    /// Always 0: the search keeps no per-state estimate table (an estimate
+    /// is a sum of `costSLP` memo reads, cheaper than any lookup). The
+    /// field remains because reports and cache entries carry it.
     pub tt_hits: u64,
-    /// Completion estimates computed and inserted into the table.
+    /// Always 0; see [`BeamStats::tt_hits`].
     pub tt_misses: u64,
     /// Wall time spent concatenating and deduplicating worker buffers on
     /// the main thread.
@@ -276,8 +286,6 @@ fn record_search_metrics(stats: &BeamStats) {
     use vegen_trace::metrics;
     metrics::counter("beam_states_expanded_total").add(stats.states_expanded as u64);
     metrics::counter("beam_transitions_total").add(stats.transitions);
-    metrics::counter("beam_tt_hits_total").add(stats.tt_hits);
-    metrics::counter("beam_tt_misses_total").add(stats.tt_misses);
     metrics::counter("beam_fanouts_total").add(stats.fanouts);
     if stats.frozen_reused {
         metrics::counter("beam_frozen_reuses_total").inc();
@@ -285,10 +293,6 @@ fn record_search_metrics(stats: &BeamStats) {
     metrics::histogram("beam_select_us").record_duration(stats.beam_wall);
     metrics::histogram("beam_freeze_us").record_duration(stats.freeze_wall);
     metrics::histogram("beam_merge_us").record_duration(stats.merge_wall);
-    let tt_total = stats.tt_hits + stats.tt_misses;
-    if tt_total > 0 {
-        metrics::gauge("beam_tt_hit_ratio").set(stats.tt_hits as f64 / tt_total as f64);
-    }
 }
 
 /// The outcome of pack selection.
@@ -339,7 +343,7 @@ pub struct IterationLog {
 
 /// One ranked candidate state: the transition that created it and its
 /// Fig. 9 score breakdown (`score = g + est`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateLog {
     /// Human-readable transition: `"pack <desc>"`, `"scalar v<n>"`, or
     /// `"init"` for a carried state.
@@ -421,6 +425,33 @@ enum Prod {
     Dead,
 }
 
+impl Prod {
+    /// The 32-bit lane stored in a state's `prod` region: a variant tag in
+    /// the high half, the full `u16` path index in the low half. `Free` is
+    /// lane 0, so a zeroed region is the search root's table.
+    fn to_lane(self) -> u32 {
+        match self {
+            Prod::Free => 0,
+            Prod::Scalar => 1 << 16,
+            Prod::Pack(i) => 2 << 16 | i as u32,
+            Prod::PackX(i) => 3 << 16 | i as u32,
+            Prod::Dead => 4 << 16,
+        }
+    }
+
+    fn from_lane(lane: u32) -> Prod {
+        let i = lane as u16;
+        match lane >> 16 {
+            0 => Prod::Free,
+            1 => Prod::Scalar,
+            2 => Prod::Pack(i),
+            3 => Prod::PackX(i),
+            4 => Prod::Dead,
+            tag => unreachable!("corrupt prod lane tag {tag}"),
+        }
+    }
+}
+
 /// A requested vector operand: the interned id plus the resolved operand.
 /// Ordered by the operand's lane values so `vset` iterates in the same
 /// lexicographic order as the pre-interning `BTreeSet<OperandVec>` (the
@@ -487,75 +518,117 @@ const TAG_FREE: u64 = 0xA076_1D64_78BD_642F;
 const TAG_S: u64 = 0xE703_7ED1_A0B4_28DB;
 const TAG_V: u64 = 0x8EBC_6AF0_9C88_C6E3;
 
+/// One (V, S, F) search state.
+///
+/// `F`, `S` and the producer table share one buffer, `[free | S | prod]`:
+/// `words` words of the free bitset, `words` words of the scalar-demand
+/// bitset, then one 32-bit [`Prod`] lane per value, two to a word. Every
+/// transition writes all three, so a successor copies them in one
+/// allocation; the accessors below are the only code that knows the
+/// layout.
 #[derive(Clone)]
 struct State {
-    free: Arc<Vec<u64>>,
-    prod: Arc<Vec<Prod>>,
+    buf: Vec<u64>,
+    /// Length of each bitset region of `buf`.
+    words: u32,
     /// `V`, sorted under [`VOp`]'s order.
     vset: Vec<VOp>,
-    /// `S`, as a bitset by value index.
-    sset: Vec<u64>,
     g: f64,
     packs: Option<Arc<PackNode>>,
     /// Incremental 128-bit hash of the (F, V, S) identity.
     hash: u128,
-    /// Incremental 128-bit hash of the (V, S) identity only — the
-    /// transposition-table key. Completion estimates depend on what is
-    /// still demanded, never on which instructions are free, so states
-    /// differing only in `F` share an estimate entry.
-    vs_hash: u128,
     /// The transition that created this state (decision logging only; not
     /// part of the state identity).
     action: Action,
 }
 
 impl State {
+    /// A state over `n` values with nothing free, nothing demanded and an
+    /// all-[`Prod::Free`] producer table.
+    fn zeroed(n: usize, words: usize) -> State {
+        State {
+            buf: vec![0; 2 * words + n.div_ceil(2)],
+            words: words as u32,
+            vset: Vec::new(),
+            g: 0.0,
+            packs: None,
+            hash: 0,
+            action: Action::Init,
+        }
+    }
+
+    /// `F`, as a bitset by value index.
+    fn free(&self) -> &[u64] {
+        &self.buf[..self.words as usize]
+    }
+
+    fn free_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[..self.words as usize]
+    }
+
+    /// `S`, as a bitset by value index.
+    fn sset(&self) -> &[u64] {
+        &self.buf[self.words as usize..2 * self.words as usize]
+    }
+
+    fn sset_mut(&mut self) -> &mut [u64] {
+        let w = self.words as usize;
+        &mut self.buf[w..2 * w]
+    }
+
+    /// The (F, S) words — the buffer-resident part of the state identity.
+    fn key_words(&self) -> &[u64] {
+        &self.buf[..2 * self.words as usize]
+    }
+
+    /// How value `v` was produced.
+    fn prod(&self, v: ValueId) -> Prod {
+        let i = v.index();
+        let word = self.buf[2 * self.words as usize + i / 2];
+        Prod::from_lane((word >> (i % 2 * 32)) as u32)
+    }
+
+    fn set_prod(&mut self, v: ValueId, p: Prod) {
+        let i = v.index();
+        let shift = i % 2 * 32;
+        let word = &mut self.buf[2 * self.words as usize + i / 2];
+        *word = *word & !(0xFFFF_FFFF << shift) | (p.to_lane() as u64) << shift;
+    }
+
     fn is_free(&self, v: ValueId) -> bool {
-        bit(&self.free, v.index())
+        bit(self.free(), v.index())
     }
 
     fn terminal(&self) -> bool {
-        self.vset.is_empty() && self.sset.iter().all(|w| *w == 0)
+        self.vset.is_empty() && self.sset().iter().all(|w| *w == 0)
     }
 
     /// `S` in ascending `ValueId` order.
     fn sset_iter(&self) -> impl Iterator<Item = ValueId> + '_ {
-        ones(&self.sset).map(|i| ValueId::from_raw(i as u32))
+        ones(self.sset()).map(|i| ValueId::from_raw(i as u32))
     }
 
     fn clear_free(&mut self, v: ValueId) {
-        clear_bit(Arc::make_mut(&mut self.free).as_mut_slice(), v.index());
+        clear_bit(self.free_mut(), v.index());
         self.hash ^= mix128(TAG_FREE, v.index() as u64);
     }
 
-    fn set_prod(&mut self, v: ValueId, p: Prod) {
-        Arc::make_mut(&mut self.prod)[v.index()] = p;
-    }
-
-    fn toggle_s_hash(&mut self, v: ValueId) {
-        let h = mix128(TAG_S, v.index() as u64);
-        self.hash ^= h;
-        self.vs_hash ^= h;
-    }
-
     fn sset_insert(&mut self, v: ValueId) {
-        if set_bit(&mut self.sset, v.index()) {
-            self.toggle_s_hash(v);
+        if set_bit(self.sset_mut(), v.index()) {
+            self.hash ^= mix128(TAG_S, v.index() as u64);
         }
     }
 
     fn sset_remove(&mut self, v: ValueId) -> bool {
-        let removed = clear_bit(&mut self.sset, v.index());
+        let removed = clear_bit(self.sset_mut(), v.index());
         if removed {
-            self.toggle_s_hash(v);
+            self.hash ^= mix128(TAG_S, v.index() as u64);
         }
         removed
     }
 
     fn toggle_v_hash(&mut self, id: OperandId) {
-        let h = mix128(TAG_V, id.0 as u64);
-        self.hash ^= h;
-        self.vs_hash ^= h;
+        self.hash ^= mix128(TAG_V, id.0 as u64);
     }
 
     fn vset_insert(&mut self, x: VOp) {
@@ -574,7 +647,7 @@ impl State {
     fn vset_drop_satisfied(&mut self) {
         let mut at = 0;
         while at < self.vset.len() {
-            if self.vset[at].vec.defined().all(|l| !bit(&self.free, l.index())) {
+            if self.vset[at].vec.defined().all(|l| !bit(self.free(), l.index())) {
                 self.vset_remove_at(at);
             } else {
                 at += 1;
@@ -604,7 +677,7 @@ impl State {
 
 /// Full (F, V, S) equality — the collision fallback behind the hash.
 fn same_key(a: &State, b: &State) -> bool {
-    a.free == b.free && a.sset == b.sset && a.vset == b.vset
+    a.key_words() == b.key_words() && a.vset == b.vset
 }
 
 /// The deterministic (F, V, S) tie-break order: free words, then the
@@ -612,131 +685,84 @@ fn same_key(a: &State, b: &State) -> bool {
 /// ascending value sequences — exactly the tuple order of the former
 /// materialized state key, compared lazily.
 fn key_cmp(a: &State, b: &State) -> Ordering {
-    a.free
-        .cmp(&b.free)
+    a.free()
+        .cmp(b.free())
         .then_with(|| a.vset.iter().cmp(b.vset.iter()))
         .then_with(|| a.sset_iter().cmp(b.sset_iter()))
 }
 
+/// Hasher for the dedup index: a state hash is already a 128-bit mix, so
+/// folding its halves is all the hashing the map needs.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the dedup index hashes u128 state hashes only");
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.0 = x as u64 ^ (x >> 64) as u64;
+    }
+}
+
+/// End of a collision chain in [`dedup_pool`].
+const CHAIN_END: u32 = u32::MAX;
+
 /// Deduplicate identical (F, V, S) states, keeping the cheapest path
-/// (first-seen wins ties). States are bucketed by their incremental hash;
-/// a full-key comparison resolves collisions. The output preserves
-/// first-seen pool order — a deterministic order, unlike hash-map
-/// iteration — so every downstream consumer (estimate evaluation, the
-/// stable sort) sees a reproducible sequence.
+/// (first-seen wins ties). The index maps each incremental hash to the
+/// first output position carrying it; distinct states under one hash (a
+/// true 128-bit collision) are linked through `chain`, and [`same_key`]
+/// arbitrates every hash match. The output preserves first-seen pool
+/// order — a deterministic order, unlike hash-map iteration — so every
+/// downstream consumer (estimate evaluation, ranking) sees a reproducible
+/// sequence.
 fn dedup_pool(pool: Vec<State>, dedup_hits: &mut u64, hash_collisions: &mut u64) -> Vec<State> {
-    let mut index: HashMap<u128, Vec<usize>> = HashMap::new();
+    let mut index: HashMap<u128, u32, BuildHasherDefault<FoldHasher>> =
+        HashMap::with_capacity_and_hasher(pool.len(), BuildHasherDefault::default());
+    // `chain[i]`: the next output position sharing `out[i]`'s hash.
+    let mut chain: Vec<u32> = Vec::with_capacity(pool.len());
     let mut out: Vec<State> = Vec::with_capacity(pool.len());
     for st in pool {
-        let bucket = index.entry(st.hash).or_default();
-        match bucket.iter().copied().find(|&i| same_key(&out[i], &st)) {
-            Some(i) => {
-                *dedup_hits += 1;
-                if st.g < out[i].g {
-                    out[i] = st;
-                }
-            }
-            None => {
-                if !bucket.is_empty() {
-                    *hash_collisions += 1;
-                }
-                bucket.push(out.len());
+        let mut at = match index.entry(st.hash) {
+            Entry::Vacant(e) => {
+                e.insert(out.len() as u32);
+                chain.push(CHAIN_END);
                 out.push(st);
+                continue;
             }
+            Entry::Occupied(e) => *e.get() as usize,
+        };
+        loop {
+            if same_key(&out[at], &st) {
+                *dedup_hits += 1;
+                if st.g < out[at].g {
+                    out[at] = st;
+                }
+                break;
+            }
+            if chain[at] == CHAIN_END {
+                *hash_collisions += 1;
+                chain[at] = out.len() as u32;
+                chain.push(CHAIN_END);
+                out.push(st);
+                break;
+            }
+            at = chain[at] as usize;
         }
     }
     out
 }
 
-/// One memoized (V, S) state: the compact identity (for collision-proof
-/// matching) plus the completion estimate and the best path cost seen.
-#[derive(Debug)]
-struct TtEntry {
-    vset: Box<[OperandId]>,
-    sset: Box<[ValueId]>,
-    est: f64,
-    /// Cheapest `g` that has reached this (V, S) — recorded for
-    /// diagnostics only; pruning on it would change beam contents.
-    best_g: f64,
-}
-
-impl TtEntry {
-    fn matches(&self, st: &State) -> bool {
-        self.vset.len() == st.vset.len()
-            && self.vset.iter().zip(st.vset.iter()).all(|(a, b)| *a == b.id)
-            && self.sset.iter().copied().eq(st.sset_iter())
-    }
-}
-
-/// A transposition table: (V, S) identity → memoized completion estimate.
-///
-/// The estimate `Σ costSLP(v) + Σ costscalar(s)` is a pure function of
-/// (V, S) given a frozen context and a `costSLP` memo, so a stored value
-/// is bit-identical to recomputation — serving it from the table changes
-/// wall time, never the selection. The table survives across iterations,
-/// across searches in one [`SelectionReuse`] (the degradation ladder's
-/// width-1 retry, the bench's width sweep), and is keyed by the
-/// incremental (V, S) hash with a compact-identity comparison resolving
-/// collisions, exactly like frontier dedup.
-#[derive(Debug, Default)]
-pub struct TranspositionTable {
-    map: HashMap<u128, Vec<TtEntry>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl TranspositionTable {
-    /// An empty table.
-    pub fn new() -> TranspositionTable {
-        TranspositionTable::default()
-    }
-
-    /// Drop all entries (the backing snapshot changed, so every key's id
-    /// space is stale). Lifetime hit/miss counters are preserved.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn lookup(&mut self, st: &State) -> Option<f64> {
-        let entries = self.map.get_mut(&st.vs_hash)?;
-        for e in entries {
-            if e.matches(st) {
-                if st.g < e.best_g {
-                    e.best_g = st.g;
-                }
-                self.hits += 1;
-                return Some(e.est);
-            }
-        }
-        None
-    }
-
-    fn insert(&mut self, st: &State, est: f64) {
-        self.misses += 1;
-        self.map.entry(st.vs_hash).or_default().push(TtEntry {
-            vset: st.vset.iter().map(|x| x.id).collect(),
-            sset: st.sset_iter().collect(),
-            est,
-            best_g: st.g,
-        });
-    }
-}
-
 /// Cross-search state carried between `select_packs_reusing` calls: the
-/// frozen context snapshot, the `costSLP` memo, and the transposition
-/// table. The degradation ladder threads one of these through its rungs
-/// so a width-1 retry after a budget trip pays neither the freeze nor the
-/// estimates again; the bench reuses one across beam widths.
+/// frozen context snapshot and the `costSLP` memo. The degradation ladder
+/// threads one of these through its rungs so a width-1 retry after a
+/// budget trip pays neither the freeze nor the `costSLP` recursion again;
+/// the bench reuses one across beam widths.
 ///
 /// A snapshot is reused only when [`FrozenCtx`] deems the new call
 /// compatible (same function, same seed configuration); otherwise
@@ -749,7 +775,6 @@ impl TranspositionTable {
 pub struct SelectionReuse {
     frozen: Option<Arc<FrozenCtx>>,
     slp: FrozenSlp,
-    tt: TranspositionTable,
     frozen_reuses: u64,
 }
 
@@ -764,19 +789,11 @@ impl SelectionReuse {
         self.frozen_reuses
     }
 
-    /// Cumulative transposition-table (hits, misses) across all searches
-    /// run through this reuse state.
-    pub fn tt_counters(&self) -> (u64, u64) {
-        (self.tt.hits, self.tt.misses)
-    }
-
-    /// Drop the snapshot, the `costSLP` memo, and the transposition
-    /// table. Required after catching a panic out of a search; otherwise
-    /// only useful to force a re-freeze.
+    /// Drop the snapshot and the `costSLP` memo. Required after catching a
+    /// panic out of a search; otherwise only useful to force a re-freeze.
     pub fn reset(&mut self) {
         self.frozen = None;
         self.slp.reset();
-        self.tt.clear();
     }
 }
 
@@ -805,17 +822,19 @@ struct Search<'f> {
 
 impl<'f> Search<'f> {
     /// Charge for operand lanes that were decided before the operand was
-    /// requested. Returns `None` if a lane is dead (unmaterializable).
-    fn join_cost(&self, st: &State, x: &OperandVec, scratch: &mut Scratch) -> Option<f64> {
+    /// requested: free if a chosen pack produces `x` exactly, otherwise one
+    /// insertion per distinct scalar (or swept-dead) lane plus one shuffle
+    /// per distinct source pack.
+    fn join_cost(&self, st: &State, x: &OperandVec, scratch: &mut Scratch) -> f64 {
         let fz = self.fz;
         let decided = |v: ValueId| !st.is_free(v) && !bit(&fz.const_mask, v.index());
         if !x.defined().any(decided) {
-            return Some(0.0);
+            return 0.0;
         }
         // If an existing pack produces x exactly, joining is free.
         for pid in st.packs_iter() {
             if x.produced_by(&fz.pack_data(pid).values) {
-                return Some(0.0);
+                return 0.0;
             }
         }
         let mut cost = 0.0;
@@ -826,7 +845,7 @@ impl<'f> Search<'f> {
             if !decided(v) || x.lanes()[..lane].contains(&Some(v)) {
                 continue;
             }
-            match st.prod[v.index()] {
+            match st.prod(v) {
                 // A swept-dead value revives as a scalar at lowering time
                 // (codegen re-derives scalar demands from the final packs);
                 // estimate it like a scalar insertion.
@@ -837,8 +856,7 @@ impl<'f> Search<'f> {
         }
         scratch.sources.sort_unstable();
         scratch.sources.dedup();
-        cost += fz.cost.c_shuffle * scratch.sources.len() as f64;
-        Some(cost)
+        cost + fz.cost.c_shuffle * scratch.sources.len() as f64
     }
 
     /// Whether the state's pack path stays legal with `pid` appended (see
@@ -894,7 +912,7 @@ impl<'f> Search<'f> {
         let fz = self.fz;
         let data = fz.pack_data(pid);
         // All produced values must be free with all users decided.
-        if !data.defined.iter().all(|&v| st.is_free(v) && fz.users_decided(&st.free, v)) {
+        if !data.defined.iter().all(|&v| st.is_free(v) && fz.users_decided(st.free(), v)) {
             return None;
         }
         // Legality: no contracted cycle with already-chosen packs.
@@ -937,14 +955,14 @@ impl<'f> Search<'f> {
         let mut at = 0;
         while at < next.vset.len() {
             let x = &next.vset[at].vec;
-            if !x.defined().any(|l| ours(next.prod[l.index()])) {
+            if !x.defined().any(|l| ours(next.prod(l))) {
                 at += 1;
                 continue;
             }
             if !x.produced_by(&data.values) {
                 next.g += fz.cost.c_shuffle;
             }
-            if x.defined().all(|l| !bit(&next.free, l.index())) {
+            if x.defined().all(|l| !bit(next.free(), l.index())) {
                 next.vset_remove_at(at);
             } else {
                 at += 1;
@@ -955,7 +973,7 @@ impl<'f> Search<'f> {
         // users are all decided. Interiors use each other, and a user
         // follows its operand, so one descending pass is the fixpoint.
         for &v in fz.interior(pid) {
-            if next.is_free(v) && fz.users_decided(&next.free, v) {
+            if next.is_free(v) && fz.users_decided(next.free(), v) {
                 next.clear_free(v);
                 next.set_prod(v, Prod::Dead);
             }
@@ -968,8 +986,8 @@ impl<'f> Search<'f> {
             if x.defined().all(|v| bit(&fz.const_mask, v.index())) {
                 continue;
             }
-            next.g += self.join_cost(&next, x, scratch)?;
-            if x.defined().any(|l| bit(&next.free, l.index())) {
+            next.g += self.join_cost(&next, x, scratch);
+            if x.defined().any(|l| bit(next.free(), l.index())) {
                 next.vset_insert(VOp { id: oid, vec: x.clone() });
             }
         }
@@ -993,19 +1011,19 @@ impl<'f> Search<'f> {
         let reference = tests::reference_sweep(self.fz, st);
         let demanded = &mut scratch.demanded;
         demanded.clear();
-        demanded.extend_from_slice(&st.sset);
+        demanded.extend_from_slice(st.sset());
         for x in &st.vset {
             for v in x.vec.defined() {
                 set_bit(demanded, v.index());
             }
         }
         for w in (0..self.fz.words).rev() {
-            let mut candidates = st.free[w] & !demanded[w];
+            let mut candidates = st.free()[w] & !demanded[w];
             while candidates != 0 {
                 let b = 63 - candidates.leading_zeros() as usize;
                 candidates &= !(1u64 << b);
                 let v = ValueId::from_raw((w * 64 + b) as u32);
-                if self.fz.users_decided(&st.free, v) {
+                if self.fz.users_decided(st.free(), v) {
                     st.clear_free(v);
                     st.set_prod(v, Prod::Dead);
                 }
@@ -1018,7 +1036,7 @@ impl<'f> Search<'f> {
     /// Transition: fix `v` as a scalar instruction.
     fn apply_scalar(&self, st: &State, v: ValueId, scratch: &mut Scratch) -> Option<State> {
         let fz = self.fz;
-        if !st.is_free(v) || !fz.users_decided(&st.free, v) {
+        if !st.is_free(v) || !fz.users_decided(st.free(), v) {
             return None;
         }
         let f = &fz.f;
@@ -1043,7 +1061,7 @@ impl<'f> Search<'f> {
                 next.sset_insert(o);
             } else {
                 // (Dead operands revive as scalars at lowering time.)
-                if let Prod::Pack(i) = next.prod[o.index()] {
+                if let Prod::Pack(i) = next.prod(o) {
                     next.g += fz.cost.c_extract;
                     next.set_prod(o, Prod::PackX(i));
                 }
@@ -1092,7 +1110,7 @@ impl<'f> Search<'f> {
         //    in ascending value order.
         let mut fix = std::mem::take(&mut scratch.fix);
         fix.clear();
-        fix.extend_from_slice(&st.sset);
+        fix.extend_from_slice(st.sset());
         for x in &st.vset {
             for v in x.vec.defined() {
                 if st.is_free(v) {
@@ -1118,7 +1136,9 @@ impl<'f> Search<'f> {
 /// path looks locally cheaper (and mirrors the paper's own
 /// characterization of costSLP as optimistic, §5.1). Evaluated on the
 /// main thread only, so the `costSLP` memo needs no synchronization and
-/// fills in a reproducible order.
+/// fills in a reproducible order. Once the memo is warm this is |V| reads
+/// and one add per member of S — less than hashing the state to look the
+/// answer up would cost, so the answer is not cached per state.
 fn estimate(fz: &FrozenCtx, slp: &mut FrozenSlp, st: &State) -> f64 {
     let mut h = 0.0;
     for x in &st.vset {
@@ -1128,6 +1148,54 @@ fn estimate(fz: &FrozenCtx, slp: &mut FrozenSlp, st: &State) -> f64 {
         h += fz.scalar_one(s);
     }
     h
+}
+
+/// A deduplicated state with its ranking keys: `(score, estimate, state)`.
+type Ranked = (f64, f64, State);
+
+/// The beam's ranking order: score; then prefer the more-progressed state
+/// (smaller heuristic remainder — its cost is more certain); then the
+/// (F, V, S) key — a total order on distinct states, so neither pool order
+/// nor thread count can leak into the result.
+fn rank_cmp(a: &Ranked, b: &Ranked) -> Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)).then_with(|| key_cmp(&a.2, &b.2))
+}
+
+/// Move the `keep` best-ranked entries to the front of `pool`, in rank
+/// order; the rest follow in no particular order. [`rank_cmp`] is total on
+/// a deduplicated pool, so the prefix is exactly the first `keep` entries
+/// of a full sort.
+fn rank_prefix(pool: &mut [Ranked], keep: usize) {
+    if pool.len() > keep {
+        pool.select_nth_unstable_by(keep - 1, rank_cmp);
+    }
+    let keep = keep.min(pool.len());
+    pool[..keep].sort_unstable_by(rank_cmp);
+}
+
+/// The candidates around the keep/prune boundary of a ranked pool: the
+/// best kept and the best pruned, [`MAX_LOGGED_CANDIDATES`] of each at
+/// most — which is why [`rank_prefix`] orders that many past `width`.
+fn candidate_logs(fz: &FrozenCtx, ranked: &[Ranked], width: usize) -> Vec<CandidateLog> {
+    let logged = |rank: usize| rank < MAX_LOGGED_CANDIDATES || rank >= width;
+    ranked
+        .iter()
+        .enumerate()
+        .take(width + MAX_LOGGED_CANDIDATES)
+        .filter(|(rank, _)| logged(*rank))
+        .map(|(rank, (score, h, st))| CandidateLog {
+            action: match st.action {
+                Action::Init => "init".to_string(),
+                Action::Pack(pid) => format!("pack {}", describe_pack_frozen(fz, fz.pack(pid))),
+                Action::Scalar(v) => format!("scalar v{}", v.index()),
+            },
+            g: st.g,
+            est: *h,
+            score: *score,
+            packs: st.pack_len() as usize,
+            kept: rank < width,
+        })
+        .collect()
 }
 
 /// One worker's share of an iteration: the successor pool for its chunk
@@ -1205,9 +1273,8 @@ pub fn select_packs(
     select_packs_reusing(ctx, cfg, &mut SelectionReuse::new())
 }
 
-/// [`select_packs`] with cross-search reuse: the frozen snapshot, the
-/// `costSLP` memo, and the transposition table in `reuse` are consulted
-/// first and updated after. Reuse affects wall time only — a reused
+/// [`select_packs`] with cross-search reuse: the frozen snapshot and the
+/// `costSLP` memo in `reuse` are consulted first and updated after. Reuse affects wall time only — a reused
 /// search selects byte-identical packs to a fresh one, because every
 /// cached value is a pure function of the (compatibility-checked) frozen
 /// context.
@@ -1238,7 +1305,6 @@ pub fn select_packs_reusing(
             // Different function or seed config: everything keyed by the
             // old snapshot's ids is stale.
             reuse.slp.reset();
-            reuse.tt.clear();
             Arc::new(FrozenCtx::freeze(ctx, cfg, t0)?)
         }
     };
@@ -1248,7 +1314,6 @@ pub fn select_packs_reusing(
         fz: &fz,
         cfg,
         slp: &mut reuse.slp,
-        tt: &mut reuse.tt,
         t0,
         freeze_wall,
         frozen_reused,
@@ -1265,22 +1330,11 @@ pub fn select_packs_reusing(
 /// The search root: everything free, nothing requested, `S` = the stores.
 fn initial_state(fz: &FrozenCtx) -> State {
     let n = fz.f.insts.len();
-    let mut free = vec![u64::MAX; fz.words];
-    // Clear bits beyond n.
-    for i in n..fz.words * 64 {
-        clear_bit(&mut free, i);
+    let mut init = State::zeroed(n, fz.words);
+    let free = init.free_mut();
+    for i in 0..n {
+        set_bit(free, i);
     }
-    let mut init = State {
-        free: Arc::new(free),
-        prod: Arc::new(vec![Prod::Free; n]),
-        vset: Vec::new(),
-        sset: vec![0; fz.words],
-        g: 0.0,
-        packs: None,
-        hash: 0,
-        vs_hash: 0,
-        action: Action::Init,
-    };
     for s in fz.f.stores() {
         init.sset_insert(s);
     }
@@ -1292,7 +1346,6 @@ struct RunInputs<'r, 'c, 'a> {
     fz: &'r FrozenCtx,
     cfg: &'r BeamConfig,
     slp: &'r mut FrozenSlp,
-    tt: &'r mut TranspositionTable,
     t0: Instant,
     freeze_wall: Duration,
     frozen_reused: bool,
@@ -1301,12 +1354,11 @@ struct RunInputs<'r, 'c, 'a> {
 }
 
 fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectError> {
-    let RunInputs { fz, cfg, slp, tt, t0, freeze_wall, frozen_reused, intern0, ctx } = inputs;
+    let RunInputs { fz, cfg, slp, t0, freeze_wall, frozen_reused, intern0, ctx } = inputs;
     let n = fz.f.insts.len();
     let scalar_cost = fz.scalar_cost;
     let threads = resolve_threads(cfg.beam_threads);
     let search = Search { fz, cfg: cfg.clone() };
-    let (tt_hits0, tt_misses0) = (tt.hits, tt.misses);
 
     let max_iters = cfg.max_iters.unwrap_or(2 * n + 32);
     let mut beam: Vec<State> = vec![initial_state(fz)];
@@ -1446,74 +1498,39 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
                 pool.extend(o.pool);
             }
             let raw_pool = pool.len();
+            #[cfg(test)]
+            let reference = tests::reference_dedup(&pool, (dedup_hits, hash_collisions));
             let deduped = dedup_pool(pool, &mut dedup_hits, &mut hash_collisions);
+            #[cfg(test)]
+            tests::assert_same_dedup(&reference, &deduped, (dedup_hits, hash_collisions));
             merge_wall += merge_t.elapsed();
             let deduped_len = deduped.len();
-            let mut pool: Vec<(f64, f64, State)> = deduped
+            let mut pool: Vec<Ranked> = deduped
                 .into_iter()
                 .map(|st| {
-                    let h = match tt.lookup(&st) {
-                        Some(est) => est,
-                        None => {
-                            let est = estimate(fz, slp, &st);
-                            tt.insert(&st, est);
-                            est
-                        }
-                    };
+                    let h = estimate(fz, slp, &st);
                     (st.g + h, h, st)
                 })
                 .collect();
-            // Deterministic order: score; then prefer the more-progressed
-            // state (smaller heuristic remainder — its cost is more
-            // certain); then the (F, V, S) key — a total order on distinct
-            // states, so neither pool order nor thread count can leak into
-            // the result.
-            pool.sort_by(|a, b| {
-                a.0.total_cmp(&b.0)
-                    .then_with(|| a.1.total_cmp(&b.1))
-                    .then_with(|| key_cmp(&a.2, &b.2))
-            });
             let width = cfg.width.max(1);
+            #[cfg(test)]
+            let reference = tests::reference_ranking(&pool);
+            rank_prefix(&mut pool, width + MAX_LOGGED_CANDIDATES);
+            #[cfg(test)]
+            tests::assert_same_ranking(fz, &reference, &pool, width);
             if vegen_trace::enabled() {
                 vegen_trace::counter("beam", "pool", raw_pool as f64);
                 vegen_trace::counter("beam", "deduped", deduped_len as f64);
                 vegen_trace::counter("beam", "pruned", pool.len().saturating_sub(width) as f64);
             }
             if let Some(log) = decisions.as_mut() {
-                // Log the candidates around the keep/prune boundary: the
-                // best kept and the best pruned (ranking is already final
-                // here — the log reads the sorted pool, it never reorders
-                // it).
-                let mut candidates = Vec::new();
-                for (rank, (score, h, st)) in pool.iter().enumerate() {
-                    let kept = rank < width;
-                    if (kept && rank >= MAX_LOGGED_CANDIDATES)
-                        || (!kept && rank >= width + MAX_LOGGED_CANDIDATES)
-                    {
-                        continue;
-                    }
-                    candidates.push(CandidateLog {
-                        action: match st.action {
-                            Action::Init => "init".to_string(),
-                            Action::Pack(pid) => {
-                                format!("pack {}", describe_pack_frozen(fz, fz.pack(pid)))
-                            }
-                            Action::Scalar(v) => format!("scalar v{}", v.index()),
-                        },
-                        g: st.g,
-                        est: *h,
-                        score: *score,
-                        packs: st.pack_len() as usize,
-                        kept,
-                    });
-                }
                 log.iterations.push(IterationLog {
                     index: iter,
                     beam_in,
                     pool: raw_pool,
                     deduped: deduped_len,
                     kept: pool.len().min(width),
-                    candidates,
+                    candidates: candidate_logs(fz, &pool, width),
                 });
             }
             pool.truncate(width);
@@ -1544,8 +1561,8 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
             beam_wall: t0.elapsed(),
             workers: threads,
             fanouts,
-            tt_hits: tt.hits - tt_hits0,
-            tt_misses: tt.misses - tt_misses0,
+            tt_hits: 0,
+            tt_misses: 0,
             merge_wall,
             freeze_wall,
             frozen_reused,
@@ -1595,11 +1612,11 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::testutil::{avx2_desc, corpus_and_soak_seed_kernels, suite_kernels};
     use std::cell::Cell;
     use std::collections::BTreeSet;
-    use vegen_ir::canon::{add_narrow_constants, canonicalize};
+    use vegen_ir::canon::canonicalize;
     use vegen_ir::{Function, FunctionBuilder, Type};
-    use vegen_isa::{InstDb, TargetIsa};
     use vegen_match::TargetDesc;
 
     thread_local! {
@@ -1609,6 +1626,9 @@ mod tests {
         /// Transitions whose dead sweep was compared with
         /// [`reference_sweep`], on this thread.
         static SWEEP_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Iterations whose dedup was compared with [`bucketed_dedup`] and
+        /// whose ranked prefix with a full sort, on this thread.
+        static POOL_CHECKS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// The sweep the search used before the bitset kernel: a `BTreeSet` of
@@ -1641,15 +1661,95 @@ mod tests {
     }
 
     pub(super) fn assert_same_sweep(reference: &State, st: &State) {
-        assert_eq!(reference.free, st.free, "sweep: free words diverge from the reference");
-        assert!(reference.prod == st.prod, "sweep: prod table diverges from the reference");
+        assert_eq!(reference.free(), st.free(), "sweep: free words diverge from the reference");
+        assert!(reference.buf == st.buf, "sweep: S or prod table diverges from the reference");
         assert_eq!(reference.hash, st.hash, "sweep: state hash diverges from the reference");
-        assert_eq!(reference.vs_hash, st.vs_hash, "sweep: (V, S) hash diverges");
         SWEEP_CHECKS.with(|c| c.set(c.get() + 1));
     }
 
-    fn avx2_desc() -> TargetDesc {
-        TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true)
+    /// The dedup the search used before the hash-indexed one: a bucket of
+    /// output positions per hash. Kept as the reference [`dedup_pool`] is
+    /// compared with on every iteration any test of this crate runs.
+    fn bucketed_dedup(
+        pool: Vec<State>,
+        dedup_hits: &mut u64,
+        hash_collisions: &mut u64,
+    ) -> Vec<State> {
+        let mut index: HashMap<u128, Vec<usize>> = HashMap::new();
+        let mut out: Vec<State> = Vec::with_capacity(pool.len());
+        for st in pool {
+            let bucket = index.entry(st.hash).or_default();
+            match bucket.iter().copied().find(|&i| same_key(&out[i], &st)) {
+                Some(i) => {
+                    *dedup_hits += 1;
+                    if st.g < out[i].g {
+                        out[i] = st;
+                    }
+                }
+                None => {
+                    if !bucket.is_empty() {
+                        *hash_collisions += 1;
+                    }
+                    bucket.push(out.len());
+                    out.push(st);
+                }
+            }
+        }
+        out
+    }
+
+    /// What two pipelines must agree on about a state: its identity hash,
+    /// its path cost, and the transition that made it.
+    fn fingerprint(st: &State) -> (u128, u64, Action) {
+        (st.hash, st.g.to_bits(), st.action)
+    }
+
+    /// [`bucketed_dedup`]'s output for a pool, and the search's two running
+    /// counters as that dedup leaves them.
+    pub(super) struct DedupReference {
+        out: Vec<(u128, u64, Action)>,
+        counters: (u64, u64),
+    }
+
+    pub(super) fn reference_dedup(pool: &[State], counters: (u64, u64)) -> DedupReference {
+        let (mut hits, mut collisions) = counters;
+        let out = bucketed_dedup(pool.to_vec(), &mut hits, &mut collisions);
+        DedupReference { out: out.iter().map(fingerprint).collect(), counters: (hits, collisions) }
+    }
+
+    pub(super) fn assert_same_dedup(
+        reference: &DedupReference,
+        deduped: &[State],
+        counters: (u64, u64),
+    ) {
+        let got: Vec<_> = deduped.iter().map(fingerprint).collect();
+        assert_eq!(reference.out, got, "dedup: output sequence diverges from the reference");
+        assert_eq!(reference.counters, counters, "dedup: hit/collision counts diverge");
+    }
+
+    /// `pool` fully sorted under [`rank_cmp`].
+    pub(super) fn reference_ranking(pool: &[Ranked]) -> Vec<Ranked> {
+        let mut sorted = pool.to_vec();
+        sorted.sort_by(rank_cmp);
+        sorted
+    }
+
+    pub(super) fn assert_same_ranking(
+        fz: &FrozenCtx,
+        sorted: &[Ranked],
+        pool: &[Ranked],
+        width: usize,
+    ) {
+        let keep = (width + MAX_LOGGED_CANDIDATES).min(sorted.len());
+        let key = |r: &Ranked| (r.0.to_bits(), r.1.to_bits(), fingerprint(&r.2));
+        assert_eq!(sorted.len(), pool.len());
+        assert_eq!(
+            sorted[..keep].iter().map(key).collect::<Vec<_>>(),
+            pool[..keep].iter().map(key).collect::<Vec<_>>(),
+            "ranking: the selected prefix diverges from a full sort"
+        );
+        assert_eq!(candidate_logs(fz, sorted, width), candidate_logs(fz, pool, width));
+        POOL_CHECKS.with(|c| c.set(c.get() + 1));
     }
 
     fn simd_add_kernel(lanes: i64) -> Function {
@@ -1817,18 +1917,10 @@ mod tests {
     }
 
     fn tiny_state(store: u32, g: f64, hash: u128) -> State {
-        let mut st = State {
-            free: Arc::new(vec![0b11]),
-            prod: Arc::new(vec![Prod::Free; 2]),
-            vset: Vec::new(),
-            sset: vec![0],
-            g,
-            packs: None,
-            hash: 0,
-            vs_hash: 0,
-            action: Action::Init,
-        };
-        set_bit(&mut st.sset, store as usize);
+        let mut st = State::zeroed(2, 1);
+        st.free_mut()[0] = 0b11;
+        set_bit(st.sset_mut(), store as usize);
+        st.g = g;
         st.hash = hash; // forced, to exercise the collision path
         st
     }
@@ -1837,12 +1929,18 @@ mod tests {
     fn colliding_hashes_keep_distinct_states() {
         // Two states with different (F, V, S) but the same (forced) hash
         // must both survive dedup via the full-key comparison.
-        let pool = vec![tiny_state(0, 1.0, 42), tiny_state(1, 2.0, 42)];
+        let pool = vec![tiny_state(0, 1.0, 42), tiny_state(1, 2.0, 42), tiny_state(1, 1.5, 42)];
         let (mut hits, mut collisions) = (0u64, 0u64);
         let out = dedup_pool(pool, &mut hits, &mut collisions);
         assert_eq!(out.len(), 2, "a collision must not merge distinct states");
+        // First-seen order, and the duplicate found down the chain merges
+        // into its own state, not the chain head.
+        let stores: Vec<usize> =
+            out.iter().map(|st| st.sset_iter().next().unwrap().index()).collect();
+        assert_eq!(stores, vec![0, 1]);
+        assert_eq!((out[0].g, out[1].g), (1.0, 1.5));
         assert_eq!(collisions, 1);
-        assert_eq!(hits, 0);
+        assert_eq!(hits, 1);
     }
 
     #[test]
@@ -1890,7 +1988,6 @@ mod tests {
         b.clear_free(ValueId::from_raw(0));
         b.sset_insert(ValueId::from_raw(1));
         assert_eq!(a.hash, b.hash);
-        assert_eq!(a.vs_hash, b.vs_hash);
         // Insert/remove round-trips back to the original hash.
         let h0 = a.hash;
         a.sset_insert(ValueId::from_raw(1)); // already present: no-op
@@ -1901,42 +1998,44 @@ mod tests {
     }
 
     #[test]
-    fn vs_hash_tracks_v_and_s_only() {
-        let mut a = tiny_state(0, 0.0, 0);
-        let vs0 = a.vs_hash;
-        let h0 = a.hash;
-        // Deciding an instruction changes the full state identity but not
-        // the (V, S) transposition key.
-        a.clear_free(ValueId::from_raw(0));
-        assert_eq!(a.vs_hash, vs0, "free-set changes must not touch vs_hash");
-        assert_ne!(a.hash, h0, "free-set changes must touch the full hash");
-        // S changes move both.
-        let vs1 = a.vs_hash;
-        a.sset_insert(ValueId::from_raw(1));
-        assert_ne!(a.vs_hash, vs1);
-    }
-
-    #[test]
-    fn transposition_table_matches_on_identity_not_just_hash() {
-        let mut tt = TranspositionTable::new();
-        let mut a = tiny_state(0, 1.0, 0);
-        a.sset_insert(ValueId::from_raw(1));
-        tt.insert(&a, 5.0);
-        assert_eq!(tt.len(), 1);
-        // Same (V, S): served.
-        assert_eq!(tt.lookup(&a.clone()), Some(5.0));
-        // Different S under a forced-identical hash: rejected by the
-        // compact-identity comparison.
-        let mut b = tiny_state(0, 1.0, 0);
-        set_bit(&mut b.sset, 2); // raw insert: hash not updated
-        b.vs_hash = a.vs_hash;
-        assert_eq!(tt.lookup(&b), None, "hash aliasing must not serve a wrong estimate");
-        assert_eq!(tt.tt_counters_for_test(), (1, 1));
-    }
-
-    impl TranspositionTable {
-        fn tt_counters_for_test(&self) -> (u64, u64) {
-            (self.hits, self.misses)
+    fn prod_lanes_round_trip_every_variant_at_the_buffer_edges() {
+        let all = [
+            Prod::Free,
+            Prod::Scalar,
+            Prod::Dead,
+            Prod::Pack(0),
+            Prod::Pack(u16::MAX),
+            Prod::PackX(0),
+            Prod::PackX(u16::MAX),
+        ];
+        for p in all {
+            assert_eq!(Prod::from_lane(p.to_lane()), p);
+        }
+        // Odd and even value counts, one and two bitset words.
+        for n in [2usize, 5, 64, 129] {
+            let words = n.div_ceil(64);
+            let lanes = [0, 1, n - 1].map(|i| ValueId::from_raw(i as u32));
+            for p in all {
+                for q in all {
+                    let mut st = State::zeroed(n, words);
+                    st.free_mut().fill(u64::MAX);
+                    st.sset_mut().fill(u64::MAX);
+                    for v in lanes {
+                        st.set_prod(v, q);
+                    }
+                    // Overwriting one lane leaves its neighbours and the
+                    // bitset regions alone.
+                    for v in lanes {
+                        st.set_prod(v, p);
+                        assert_eq!(st.prod(v), p, "n={n} {v}");
+                        for other in lanes.into_iter().filter(|o| *o != v) {
+                            assert_eq!(st.prod(other), q, "n={n}: {v} clobbered {other}");
+                        }
+                        st.set_prod(v, q);
+                    }
+                    assert!(st.key_words().iter().all(|w| *w == u64::MAX));
+                }
+            }
         }
     }
 
@@ -2083,22 +2182,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_transposition_reuse_across_widths() {
+    fn snapshot_reuse_across_widths() {
         let desc = avx2_desc();
         let f = dot4();
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let mut reuse = SelectionReuse::new();
         let r1 = select_packs_reusing(&ctx, &BeamConfig::slp(), &mut reuse).unwrap();
         assert!(!r1.stats.frozen_reused, "first search must freeze");
-        assert!(r1.stats.tt_misses > 0, "first search populates the table");
         assert_eq!(reuse.frozen_reuses(), 0);
 
-        // A wider search over the same snapshot: frozen + TT both reused,
-        // and the selection matches a fresh, reuse-free search exactly.
+        // A wider search over the same snapshot: the selection matches a
+        // fresh, reuse-free search exactly.
         let r64 = select_packs_reusing(&ctx, &BeamConfig::with_width(64), &mut reuse).unwrap();
         assert!(r64.stats.frozen_reused, "compatible call must reuse the snapshot");
         assert_eq!(reuse.frozen_reuses(), 1);
-        assert!(r64.stats.tt_hits > 0, "shared iteration-one states must hit the table");
+        assert_eq!((r64.stats.tt_hits, r64.stats.tt_misses), (0, 0), "there is no table");
         let fresh = select_packs(&ctx, &BeamConfig::with_width(64)).unwrap();
         assert_eq!(pack_list(&fresh), pack_list(&r64), "reuse must not perturb the selection");
         assert_eq!(fresh.vector_cost.to_bits(), r64.vector_cost.to_bits());
@@ -2138,67 +2236,55 @@ mod tests {
     }
 
     /// Search `f` at `width` on this thread and return how many legality
-    /// verdicts and sweeps were compared with their references on the way
-    /// (the comparisons themselves are in `apply_pack` and `sweep_dead`).
-    fn checked_search(desc: &TargetDesc, f: &Function, width: usize) -> (u64, u64) {
-        let before = (LEGALITY_CHECKS.get(), SWEEP_CHECKS.get());
+    /// verdicts, sweeps and pools (dedup + ranking) were compared with
+    /// their references on the way (the comparisons themselves are in
+    /// `apply_pack`, `sweep_dead` and `run_search`). The decision log is on
+    /// so every iteration also compares the log a full sort would give.
+    fn checked_search(desc: &TargetDesc, f: &Function, width: usize) -> [u64; 3] {
+        let counts = || [LEGALITY_CHECKS.get(), SWEEP_CHECKS.get(), POOL_CHECKS.get()];
+        let before = counts();
         let ctx = VectorizerCtx::new(f, desc, CostModel::default());
-        let cfg = BeamConfig { beam_threads: 1, ..BeamConfig::with_width(width) };
+        let cfg =
+            BeamConfig { beam_threads: 1, log_decisions: true, ..BeamConfig::with_width(width) };
         let r = select_packs(&ctx, &cfg).unwrap();
-        let (legality, sweeps) = (LEGALITY_CHECKS.get() - before.0, SWEEP_CHECKS.get() - before.1);
+        let after = counts();
+        let [legality, sweeps, pools] = std::array::from_fn(|i| after[i] - before[i]);
         assert_eq!(sweeps, r.stats.transitions, "{}: every transition sweeps once", f.name);
-        (legality, sweeps)
+        let iterations = r.decisions.expect("logging is on").iterations.len() as u64;
+        assert_eq!(pools, iterations, "{}: every iteration checks its pool", f.name);
+        [legality, sweeps, pools]
+    }
+
+    /// Run [`checked_search`] over `kernels` at widths 16 and 1.
+    fn assert_pipeline_matches_the_references(kernels: &[Function]) {
+        let desc = avx2_desc();
+        let mut totals = [0u64; 3];
+        for f in kernels {
+            for width in [16, 1] {
+                for (total, n) in totals.iter_mut().zip(checked_search(&desc, f, width)) {
+                    *total += n;
+                }
+            }
+        }
+        let [legality, sweeps, pools] = totals;
+        assert!(legality > 10_000, "only {legality} legality verdicts compared");
+        assert!(sweeps > 100_000, "only {sweeps} sweeps compared");
+        assert!(pools > 1_000, "only {pools} pools compared");
     }
 
     #[test]
     fn suite_transitions_match_the_reference_kernel() {
-        // Every candidate pack the width-16 search considers on the paper
-        // suite gets the incremental verdict compared with `packs_legal`,
-        // and every transition's sweep with the ascending reference.
-        let desc = avx2_desc();
-        let (mut legality, mut sweeps) = (0, 0);
-        for k in vegen_kernels::all() {
-            let f = add_narrow_constants(&canonicalize(&(k.build)()));
-            let (l, s) = checked_search(&desc, &f, 16);
-            legality += l;
-            sweeps += s;
-        }
-        assert!(legality > 10_000, "only {legality} legality verdicts compared");
-        assert!(sweeps > 100_000, "only {sweeps} sweeps compared");
+        // Every candidate pack the search considers on the paper suite gets
+        // the incremental verdict compared with `packs_legal`, every
+        // transition's sweep with the ascending reference, and every
+        // iteration's dedup and ranked prefix with the bucketed dedup and
+        // a full sort.
+        assert_pipeline_matches_the_references(&suite_kernels());
     }
 
     #[test]
     fn corpus_and_soak_seed_transitions_match_the_reference_kernel() {
-        let desc = avx2_desc();
-        let mut kernels: Vec<(u64, u64)> = (0..200).map(|i| (42, i)).collect();
-        // The committed soak regression seeds, by their two integers.
-        let seeds_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../vegen-engine/tests/soak_seeds");
-        let mut seeds = 0;
-        for entry in std::fs::read_dir(seeds_dir).expect("soak seed corpus") {
-            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
-            let int = |key: &str| -> u64 {
-                let at = text.find(key).unwrap_or_else(|| panic!("seed file lacks {key}"));
-                let digits: String = text[at + key.len()..]
-                    .chars()
-                    .skip_while(|c| !c.is_ascii_digit())
-                    .take_while(char::is_ascii_digit)
-                    .collect();
-                digits.parse().unwrap()
-            };
-            kernels.push((int("\"corpus_seed\""), int("\"index\"")));
-            seeds += 1;
-        }
-        assert_eq!(seeds, 6, "six committed soak seeds");
-        let (mut legality, mut sweeps) = (0, 0);
-        for (seed, index) in kernels {
-            let g = vegen_kernels::gen::generate(seed, index);
-            let f = add_narrow_constants(&canonicalize(&g.function));
-            let (l, s) = checked_search(&desc, &f, 16);
-            legality += l;
-            sweeps += s;
-        }
-        assert!(legality > 10_000, "only {legality} legality verdicts compared");
-        assert!(sweeps > 100_000, "only {sweeps} sweeps compared");
+        assert_pipeline_matches_the_references(&corpus_and_soak_seed_kernels());
     }
 
     /// A pack over arbitrary values (a store pack abused as a value group,
@@ -2341,7 +2427,7 @@ mod tests {
         search.sweep_dead(&mut st, &mut Scratch::default());
         for v in [x, c1, c2, c3] {
             assert!(!st.is_free(v), "{v} must be swept");
-            assert_eq!(st.prod[v.index()], Prod::Dead);
+            assert_eq!(st.prod(v), Prod::Dead);
         }
         for v in [y, st_y] {
             assert!(st.is_free(v), "{v} is demanded (or feeds a demand) and must stay");

@@ -29,11 +29,13 @@ pub mod operand;
 pub mod pack;
 pub mod seeds;
 pub mod slp;
+#[cfg(test)]
+mod testutil;
 
 pub use beam::{
     describe_pack, select_packs, select_packs_reusing, BeamConfig, BeamStats, CancelToken,
     CandidateLog, CommittedPack, DecisionLog, IterationLog, SearchBudget, SelectError,
-    SelectionResult, SelectionReuse, TranspositionTable,
+    SelectionResult, SelectionReuse,
 };
 pub use cost::CostModel;
 pub use ctx::VectorizerCtx;

@@ -116,12 +116,9 @@ fn affinity_uncached(
     score
 }
 
-/// Enumerate seed operand vectors (§5.1): for each non-memory instruction
-/// used by a store and each vector length, the top-k affinity-chained lane
-/// sequences starting at that instruction.
-pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<OperandVec> {
-    let mut memo = HashMap::new();
-    // Candidate lane values: non-memory compute instructions.
+/// Candidate lane values (non-memory compute instructions) and first lanes
+/// (those with a store user), both in program order.
+fn lane_candidates(ctx: &VectorizerCtx<'_>) -> (Vec<ValueId>, Vec<ValueId>) {
     let compute: Vec<ValueId> = ctx
         .f
         .iter()
@@ -130,7 +127,6 @@ pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<
         })
         .map(|(v, _)| v)
         .collect();
-    // First lanes: instructions with a store user.
     let firsts: Vec<ValueId> = compute
         .iter()
         .copied()
@@ -140,48 +136,63 @@ pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<
                 .any(|&u| matches!(ctx.f.inst(u).kind, InstKind::Store { .. }))
         })
         .collect();
+    (compute, firsts)
+}
 
+/// The longest seed vector enumerated, in lanes.
+const MAX_SEED_LANES: usize = 16;
+
+/// Enumerate seed operand vectors (§5.1): for each non-memory instruction
+/// used by a store and each power-of-two vector length the target holds,
+/// the top-k affinity-chained lane sequences starting at that instruction.
+///
+/// The top-k beam over lane sequences does not depend on the length it is
+/// heading for, so one run to the longest length serves every shorter one:
+/// the frontier is emitted as seeds each time its length reaches a power
+/// of two.
+pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<OperandVec> {
+    let mut memo = HashMap::new();
+    let (compute, firsts) = lane_candidates(ctx);
     let mut seeds = Vec::new();
-    let max_vl = 16usize;
+    // Extensions of the current frontier: (score, frontier index, new lane).
+    let mut scored: Vec<(f64, usize, ValueId)> = Vec::new();
     for &first in &firsts {
         let ty = ctx.f.ty(first);
         let lane_budget = (ctx.max_bits / ty.bits().max(1)).max(2) as usize;
-        let mut vl = 2usize;
-        while vl <= max_vl.min(lane_budget) {
-            // Beam over lane sequences, scored by summed adjacent affinity.
-            let mut frontier: Vec<(f64, Vec<ValueId>)> = vec![(0.0, vec![first])];
-            for _ in 1..vl {
-                let mut next: Vec<(f64, Vec<ValueId>)> = Vec::new();
-                for (score, seq) in &frontier {
-                    let last = *seq.last().unwrap();
-                    for &cand in &compute {
-                        if seq.contains(&cand) || ctx.f.ty(cand) != ty {
-                            continue;
-                        }
-                        if !seq.iter().all(|&s| ctx.deps.independent(s, cand)) {
-                            continue;
-                        }
-                        let a = affinity_rec(ctx, params, last, cand, params.max_depth, &mut memo);
-                        next.push((score + a, {
-                            let mut s = seq.clone();
-                            s.push(cand);
-                            s
-                        }));
+        let mut frontier: Vec<(f64, Vec<ValueId>)> = vec![(0.0, vec![first])];
+        for len in 2..=MAX_SEED_LANES.min(lane_budget) {
+            scored.clear();
+            for (at, (score, seq)) in frontier.iter().enumerate() {
+                let last = *seq.last().unwrap();
+                for &cand in &compute {
+                    if seq.contains(&cand) || ctx.f.ty(cand) != ty {
+                        continue;
                     }
-                }
-                next.sort_by(|a, b| b.0.total_cmp(&a.0));
-                next.truncate(params.top_k);
-                frontier = next;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            for (_, seq) in frontier {
-                if seq.len() == vl {
-                    seeds.push(OperandVec::from_values(seq));
+                    if !seq.iter().all(|&s| ctx.deps.independent(s, cand)) {
+                        continue;
+                    }
+                    let a = affinity_rec(ctx, params, last, cand, params.max_depth, &mut memo);
+                    scored.push((score + a, at, cand));
                 }
             }
-            vl *= 2;
+            // Stable, so equal scores keep (frontier, candidate) order.
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+            scored.truncate(params.top_k);
+            if scored.is_empty() {
+                break;
+            }
+            frontier = scored
+                .iter()
+                .map(|&(score, at, cand)| {
+                    let mut seq = Vec::with_capacity(len);
+                    seq.extend_from_slice(&frontier[at].1);
+                    seq.push(cand);
+                    (score, seq)
+                })
+                .collect();
+            if len.is_power_of_two() {
+                seeds.extend(frontier.iter().map(|(_, seq)| OperandVec::from_values(seq.clone())));
+            }
         }
     }
     seeds.sort();
@@ -265,6 +276,78 @@ mod tests {
             .collect();
         let want = OperandVec::from_values(muls);
         assert!(seeds.contains(&want), "expected in-order mul seed among {} seeds", seeds.len());
+    }
+
+    /// The enumeration this module used before the one-pass version: the
+    /// lane beam restarted from `[first]` for every vector length, cloning
+    /// a sequence per candidate. Kept as the reference.
+    fn restarting_enumerate_seeds(
+        ctx: &VectorizerCtx<'_>,
+        params: &AffinityParams,
+    ) -> Vec<OperandVec> {
+        let mut memo = HashMap::new();
+        let (compute, firsts) = lane_candidates(ctx);
+        let mut seeds = Vec::new();
+        for &first in &firsts {
+            let ty = ctx.f.ty(first);
+            let lane_budget = (ctx.max_bits / ty.bits().max(1)).max(2) as usize;
+            let mut vl = 2usize;
+            while vl <= MAX_SEED_LANES.min(lane_budget) {
+                let mut frontier: Vec<(f64, Vec<ValueId>)> = vec![(0.0, vec![first])];
+                for _ in 1..vl {
+                    let mut next: Vec<(f64, Vec<ValueId>)> = Vec::new();
+                    for (score, seq) in &frontier {
+                        let last = *seq.last().unwrap();
+                        for &cand in &compute {
+                            if seq.contains(&cand) || ctx.f.ty(cand) != ty {
+                                continue;
+                            }
+                            if !seq.iter().all(|&s| ctx.deps.independent(s, cand)) {
+                                continue;
+                            }
+                            let a =
+                                affinity_rec(ctx, params, last, cand, params.max_depth, &mut memo);
+                            next.push((score + a, {
+                                let mut s = seq.clone();
+                                s.push(cand);
+                                s
+                            }));
+                        }
+                    }
+                    next.sort_by(|a, b| b.0.total_cmp(&a.0));
+                    next.truncate(params.top_k);
+                    frontier = next;
+                    if frontier.is_empty() {
+                        break;
+                    }
+                }
+                for (_, seq) in frontier {
+                    if seq.len() == vl {
+                        seeds.push(OperandVec::from_values(seq));
+                    }
+                }
+                vl *= 2;
+            }
+        }
+        seeds.sort();
+        seeds.dedup();
+        seeds
+    }
+
+    #[test]
+    fn one_pass_enumeration_matches_the_restarting_reference() {
+        let desc = crate::testutil::avx2_desc();
+        let params = AffinityParams::default();
+        let mut kernels = crate::testutil::suite_kernels();
+        kernels.extend(crate::testutil::corpus_and_soak_seed_kernels());
+        let mut total = 0;
+        for f in &kernels {
+            let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
+            let seeds = enumerate_seeds(&ctx, &params);
+            assert_eq!(seeds, restarting_enumerate_seeds(&ctx, &params), "{}", f.name);
+            total += seeds.len();
+        }
+        assert!(total > 1_000, "only {total} seeds compared");
     }
 
     #[test]

@@ -345,11 +345,10 @@ pub struct EngineCounters {
     /// Typed `CacheIo` faults recorded (corrupt entries, I/O failures,
     /// failed self-checks). The jobs themselves still succeeded.
     pub cache_io_errors: u64,
-    /// Beam-search estimate lookups served by the transposition table
-    /// across all cache-miss compilations.
+    /// Always 0: the beam search no longer keeps a per-state estimate
+    /// table. Kept because the report schema carries the field.
     pub tt_hits: u64,
-    /// Transposition-table lookups that computed (and memoized) a fresh
-    /// estimate.
+    /// Always 0; see [`EngineCounters::tt_hits`].
     pub tt_misses: u64,
     /// Compiles that reused a frozen interned context instead of running
     /// the freeze pre-pass — nonzero exactly when the degradation
@@ -527,8 +526,8 @@ impl Engine {
     /// the driver becomes a typed [`CompileError`] attributed to the
     /// stage that was live when it fired.
     ///
-    /// `reuse` carries the frozen interned context and transposition
-    /// table across ladder rungs on the same kernel. Typed errors leave
+    /// `reuse` carries the frozen interned context and `costSLP` memo
+    /// across ladder rungs on the same kernel. Typed errors leave
     /// it warm (the retry skips the freeze pre-pass); a caught panic
     /// resets it — the panic may have torn mid-update, leaving stranded
     /// in-progress markers that must not leak into the retry.
@@ -854,8 +853,8 @@ impl Engine {
         vegen_trace::instant("engine", "cache_miss");
 
         // One reuse handle for the whole ladder: the width-1 retry (rung
-        // 2) recycles rung 1's frozen interned context and transposition
-        // table instead of re-freezing. `attempt` resets it after a
+        // 2) recycles rung 1's frozen interned context and `costSLP`
+        // memo instead of re-freezing. `attempt` resets it after a
         // caught panic.
         let mut reuse = SelectionReuse::new();
 

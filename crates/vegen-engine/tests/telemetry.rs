@@ -70,7 +70,9 @@ impl Daemon {
             .stderr(Stdio::null())
             .spawn()
             .expect("binary must run");
-        let stream = (0..400)
+        // A debug-build daemon needs ~1.6 s to come up on an idle core and
+        // three of them start next to two compiling tests: allow 10 s.
+        let stream = (0..2000)
             .find_map(|_| {
                 UnixStream::connect(socket).ok().or_else(|| {
                     std::thread::sleep(Duration::from_millis(5));
@@ -386,9 +388,11 @@ fn injected_panic_produces_a_flight_dump_naming_the_faulted_corr() {
 
     // Panic on every search attempt: both search rungs crash (caught by
     // the ladder), the scalar fallback recovers the job — and the caught
-    // panics must still trigger a flight dump.
-    vegen::fault::install(vegen::fault::FaultPlan::parse("pmaddwd:selection:panic!").unwrap());
-    let results = engine.compile_batch(&jobs_for(&["pmaddwd"], &pipeline(4)));
+    // panics must still trigger a flight dump. The fault plan is
+    // process-wide, so it names a kernel no parallel test of this binary
+    // compiles.
+    vegen::fault::install(vegen::fault::FaultPlan::parse("hsub_i32:selection:panic!").unwrap());
+    let results = engine.compile_batch(&jobs_for(&["hsub_i32"], &pipeline(4)));
     vegen::fault::clear();
     let corr = results[0].corr.clone();
     assert_eq!(results[0].rung.name(), "scalar", "faults: {:?}", results[0].faults);

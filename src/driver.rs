@@ -224,9 +224,9 @@ pub fn try_compile_prepared_timed(
 
 /// [`try_compile_prepared_timed`] threading a [`SelectionReuse`] through
 /// pack selection, so the caller (the engine's degradation ladder) can
-/// carry the frozen interned context and the transposition table from a
+/// carry the frozen interned context and the `costSLP` memo from a
 /// failed wide search into its width-1 retry — the retry skips the freeze
-/// pre-pass entirely and starts with a warm estimate table.
+/// pre-pass entirely and starts with warm `costSLP` values.
 ///
 /// The reuse handle is only consulted by the selection stage; on any typed
 /// error it still holds the parked snapshot, so a retry on the *same*
