@@ -37,7 +37,9 @@
 //! * a [resident compile service](serve): `vegen-engine serve` accepts
 //!   newline-delimited JSON requests over a Unix socket (or stdio),
 //!   with bounded-queue admission control, per-request deadlines, live
-//!   metrics, and graceful drain on shutdown;
+//!   metrics, and graceful drain on shutdown — and a request-alias tier
+//!   that resolves a request spelled like an earlier one to its content
+//!   address before parsing it;
 //! * a `vegen-engine` binary that pushes the whole `vegen-kernels` suite
 //!   through the engine, cold and warm, and emits the JSON report — with
 //!   `--deadline-ms`, `--fail-fast`, `--cache-dir`, and deterministic
@@ -84,7 +86,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cache::{content_hash, CacheStats, CachedCompile, CompileCache, ContentHash};
+use cache::{
+    content_hash, AliasHit, AliasStats, AliasTable, CacheStats, CachedCompile, CompileCache,
+    ContentHash, RequestSource, SourceKind,
+};
 use diskcache::{isa_fingerprint, DiskCache, DiskCacheStats};
 use events::EventLog;
 use flight::FlightRecorder;
@@ -175,8 +180,9 @@ impl Default for EngineConfig {
 pub struct Job {
     /// Display name (kernel name in reports; not part of the cache key).
     pub name: String,
-    /// The scalar function to compile.
-    pub function: Function,
+    /// What to compile: a scalar function, or — from the serve reader — a
+    /// content address the alias tier already resolved.
+    pub(crate) input: JobInput,
     /// Target + search configuration.
     pub pipeline: PipelineConfig,
     /// Per-job deadline override; `None` uses the engine-wide
@@ -192,12 +198,65 @@ pub struct Job {
     pub(crate) pre_admitted: bool,
 }
 
+/// What a [`Job`] compiles.
+#[derive(Debug, Clone)]
+pub(crate) enum JobInput {
+    /// A function the engine canonicalizes and hashes. `source` is the
+    /// request bytes that spelled it, when it came off the wire: a primary
+    /// result records them in the alias tier.
+    Function { function: Function, source: Option<RequestSource> },
+    /// A request the alias tier resolved before it was parsed: looked up
+    /// by address, and parsed from `source` only if neither tier has it.
+    Resolved { hash: ContentHash, source: RequestSource },
+}
+
+/// [`JobInput`] as the compile path borrows it.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Function(&'a Function),
+    Resolved(ContentHash, &'a RequestSource),
+}
+
+impl RequestSource {
+    /// The function these bytes spell (for `Function` bytes, decoded but
+    /// not verified: the serve reader verifies before it records any).
+    pub(crate) fn function(&self) -> Result<Function, String> {
+        match self.kind {
+            SourceKind::Kernel => vegen_kernels::find(&self.text)
+                .map(|k| (k.build)())
+                .ok_or_else(|| format!("unknown kernel {:?}", &*self.text)),
+            SourceKind::Function => serdes::function_from_json(&Json::parse_member(&self.text)?),
+        }
+    }
+}
+
 impl Job {
     /// Convenience constructor. Assigns a fresh correlation id.
     pub fn new(name: impl Into<String>, function: Function, pipeline: PipelineConfig) -> Job {
+        Job::with_input(name.into(), JobInput::Function { function, source: None }, pipeline)
+    }
+
+    /// A job for the function a serve request described, named after it;
+    /// `source` is the request's own spelling, when the reader kept it.
+    pub(crate) fn from_request(
+        function: Function,
+        source: Option<RequestSource>,
+        pipeline: PipelineConfig,
+    ) -> Job {
+        let name = function.name.clone();
+        Job::with_input(name, JobInput::Function { function, source }, pipeline)
+    }
+
+    /// A job for a request the alias tier resolved.
+    pub(crate) fn resolved(hit: AliasHit, pipeline: PipelineConfig) -> Job {
+        let input = JobInput::Resolved { hash: hit.hash, source: hit.source };
+        Job::with_input(hit.name.to_string(), input, pipeline)
+    }
+
+    fn with_input(name: String, input: JobInput, pipeline: PipelineConfig) -> Job {
         Job {
-            name: name.into(),
-            function,
+            name,
+            input,
             pipeline,
             deadline: None,
             corr: events::next_corr(),
@@ -360,6 +419,7 @@ pub struct EngineCounters {
 pub struct Engine {
     cfg: EngineConfig,
     cache: CompileCache,
+    aliases: AliasTable,
     disk: Option<DiskCache>,
     disk_open_error: Option<String>,
     events: Option<Arc<EventLog>>,
@@ -435,6 +495,7 @@ impl Engine {
         Engine {
             cfg,
             cache: CompileCache::new(capacity),
+            aliases: AliasTable::new(capacity),
             disk,
             disk_open_error,
             events,
@@ -630,7 +691,7 @@ impl Engine {
         if let Some(log) = &self.events {
             log.emit("admitted", &corr, name, vec![]);
         }
-        self.compile_instrumented(&corr, name, function, pipeline, deadline)
+        self.compile_instrumented(&corr, name, Input::Function(function), pipeline, deadline)
     }
 
     /// The telemetry wrapper around one ladder run: `started` →
@@ -642,7 +703,7 @@ impl Engine {
         &self,
         corr: &str,
         name: &str,
-        function: &Function,
+        input: Input<'_>,
         pipeline: &PipelineConfig,
         deadline: Option<Duration>,
     ) -> JobResult {
@@ -659,7 +720,7 @@ impl Engine {
         let mut result = {
             let _job_span = vegen_trace::enabled()
                 .then(|| vegen_trace::span_owned("engine", format!("job:{name}#{corr}")));
-            self.compile_one_inner(name, function, pipeline, deadline)
+            self.compile_one_inner(name, input, pipeline, deadline)
         };
         result.corr = corr.to_string();
 
@@ -747,18 +808,103 @@ impl Engine {
         result
     }
 
+    /// A hit result for `value`, found in the memory tier or on disk.
+    fn hit_result(
+        name: &str,
+        hash: ContentHash,
+        value: CachedCompile,
+        disk_hit: bool,
+        faults: Vec<CompileError>,
+        t0: Instant,
+    ) -> JobResult {
+        JobResult {
+            name: name.to_string(),
+            corr: String::new(),
+            hash: Some(hash),
+            kernel: Some(value.kernel),
+            rung: Rung::Primary,
+            faults,
+            stages: value.stages,
+            cache_hit: true,
+            disk_hit,
+            verify_time: Duration::ZERO,
+            verify_error: None,
+            wall: t0.elapsed(),
+        }
+    }
+
+    /// The disk tier and this build's fingerprint for `pipeline`'s
+    /// entries, when a cache directory is configured.
+    fn disk_tier(&self, pipeline: &PipelineConfig) -> Option<(&DiskCache, String)> {
+        let disk = self.disk.as_ref()?;
+        Some((disk, isa_fingerprint(&pipeline.target, pipeline.canonicalize_patterns)))
+    }
+
+    /// Both cache tiers, by address: the memory tier, then the disk tier
+    /// with promotion. Entries were verified when written, so a hit from
+    /// either skips re-verification; a corrupt disk entry becomes a typed
+    /// fault in `faults` and reads as absent. The one lookup both the
+    /// hashed path and the alias-resolved path go through.
+    fn lookup_tiers(
+        &self,
+        name: &str,
+        hash: ContentHash,
+        pipeline: &PipelineConfig,
+        faults: &mut Vec<CompileError>,
+        t0: Instant,
+    ) -> Option<JobResult> {
+        if let Some(hit) = self.cache.get(hash) {
+            vegen_trace::instant("engine", "cache_hit");
+            return Some(Engine::hit_result(name, hash, hit, false, std::mem::take(faults), t0));
+        }
+        let (disk, fingerprint) = self.disk_tier(pipeline)?;
+        match disk.load(hash, &fingerprint) {
+            Ok(Some(found)) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                vegen_trace::instant("engine", "disk_hit");
+                let value = self.cache.insert(hash, found.value);
+                Some(Engine::hit_result(name, hash, value, true, std::mem::take(faults), t0))
+            }
+            Ok(None) => None,
+            Err(detail) => {
+                self.note_cache_io(name, detail, faults);
+                None
+            }
+        }
+    }
+
     /// The degradation-ladder body: cache lookup, then requested config →
     /// width 1 → scalar → `Failed`. Telemetry-free except trace
     /// instants; [`Engine::compile_instrumented`] wraps it.
     fn compile_one_inner(
         &self,
         name: &str,
-        function: &Function,
+        input: Input<'_>,
         pipeline: &PipelineConfig,
         deadline: Option<Duration>,
     ) -> JobResult {
         let t0 = Instant::now();
         let mut faults: Vec<CompileError> = Vec::new();
+
+        // A request the alias tier resolved is answered by address. Only
+        // when neither tier holds it (evicted from memory and gone, stale
+        // or corrupt on disk) is its source parsed, and the job runs the
+        // ordinary path below — same corr id, same single `completed`.
+        let recovered;
+        let (function, resolved) = match input {
+            Input::Function(function) => (function, None),
+            Input::Resolved(hash, source) => {
+                if let Some(hit) = self.lookup_tiers(name, hash, pipeline, &mut faults, t0) {
+                    return hit;
+                }
+                self.aliases.note_fallback();
+                vegen_trace::instant("engine", "alias_fallback");
+                recovered = source
+                    .function()
+                    .expect("an alias entry's source parsed when the entry was recorded");
+                (&recovered, Some(hash))
+            }
+        };
 
         // Preparation (canonicalize) with its own panic isolation: if we
         // cannot even canonicalize, there is no scalar fallback either.
@@ -799,55 +945,10 @@ impl Engine {
         };
         let hash = content_hash(&canonical, pipeline);
 
-        if let Some(hit) = self.cache.get(hash) {
-            vegen_trace::instant("engine", "cache_hit");
-            return JobResult {
-                name: name.to_string(),
-                corr: String::new(),
-                hash: Some(hash),
-                kernel: Some(hit.kernel),
-                rung: Rung::Primary,
-                faults,
-                stages: hit.stages,
-                cache_hit: true,
-                disk_hit: false,
-                verify_time: Duration::ZERO,
-                verify_error: None,
-                wall: t0.elapsed(),
-            };
-        }
-
-        // Memory miss: fall through to the disk cache. Entries were
-        // verified when written, so disk hits skip re-verification just
-        // like memory hits; corrupt entries become typed faults and the
-        // job recompiles.
-        let fingerprint = self
-            .disk
-            .as_ref()
-            .map(|_| isa_fingerprint(&pipeline.target, pipeline.canonicalize_patterns));
-        if let (Some(disk), Some(fp)) = (&self.disk, &fingerprint) {
-            match disk.load(hash, fp) {
-                Ok(Some(found)) => {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    vegen_trace::instant("engine", "disk_hit");
-                    let value = self.cache.insert(hash, found.value);
-                    return JobResult {
-                        name: name.to_string(),
-                        corr: String::new(),
-                        hash: Some(hash),
-                        kernel: Some(value.kernel),
-                        rung: Rung::Primary,
-                        faults,
-                        stages: value.stages,
-                        cache_hit: true,
-                        disk_hit: true,
-                        verify_time: Duration::ZERO,
-                        verify_error: None,
-                        wall: t0.elapsed(),
-                    };
-                }
-                Ok(None) => {}
-                Err(detail) => self.note_cache_io(name, detail, &mut faults),
+        // An alias-resolved job already looked this address up.
+        if resolved != Some(hash) {
+            if let Some(hit) = self.lookup_tiers(name, hash, pipeline, &mut faults, t0) {
+                return hit;
             }
         }
         vegen_trace::instant("engine", "cache_miss");
@@ -868,10 +969,10 @@ impl Engine {
                 // Failed compilations are not poisoned into the cache;
                 // only clean primary-rung results are shareable.
                 let value = if verify_error.is_none() {
-                    if let (Some(disk), Some(fp)) = (&self.disk, &fingerprint) {
+                    if let Some((disk, fingerprint)) = self.disk_tier(pipeline) {
                         match disk.store(
                             hash,
-                            fp,
+                            &fingerprint,
                             &pipeline.target.name,
                             pipeline.canonicalize_patterns,
                             &kernel,
@@ -1064,13 +1165,28 @@ impl Engine {
                     }
                     return Engine::skipped_result(&job.name, &job.corr);
                 }
+                let input = match &job.input {
+                    JobInput::Function { function, .. } => Input::Function(function),
+                    JobInput::Resolved { hash, source } => Input::Resolved(*hash, source),
+                };
                 let result = self.compile_instrumented(
                     &job.corr,
                     &job.name,
-                    &job.function,
+                    input,
                     &job.pipeline,
                     job.deadline.or(self.cfg.deadline),
                 );
+                // First sight of these request bytes: remember where they
+                // led, so the next request spelled the same way is looked
+                // up by address.
+                if let (
+                    JobInput::Function { source: Some(source), .. },
+                    Rung::Primary,
+                    Some(hash),
+                ) = (&job.input, result.rung, result.hash)
+                {
+                    self.aliases.record(source, &job.pipeline, &job.name, hash);
+                }
                 if self.cfg.fail_fast && result.rung != Rung::Primary {
                     abort.store(true, Ordering::Relaxed);
                 }
@@ -1128,6 +1244,11 @@ impl Engine {
         self.cache.stats()
     }
 
+    /// Current counters of the request-alias tier.
+    pub fn alias_stats(&self) -> AliasStats {
+        self.aliases.stats()
+    }
+
     /// Engine-lifetime pipeline counters.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
@@ -1157,6 +1278,7 @@ impl Engine {
     /// measurements).
     pub fn clear_cache(&self) {
         self.cache.clear();
+        self.aliases.clear();
     }
 }
 

@@ -27,6 +27,15 @@
 //! format when `"format":"prometheus"` is given (the text lands in the
 //! response as `{"prometheus": "<text>"}` so the framing stays NDJSON).
 //!
+//! Request identity: a request is read by a borrowing scanner that leaves
+//! the `function` member as raw text; if the engine's alias tier has seen
+//! exactly those bytes under the same settings, the job is enqueued by
+//! content address and never parsed, canonicalized or hashed (DESIGN §13,
+//! "Request identity and the alias tier"). Everything below — admission,
+//! deadlines, draining, events, metrics, framing — is the same for such a
+//! job. A request line may be at most 16 MiB; a longer one is discarded
+//! and answered with a typed `protocol` error.
+//!
 //! Admission control: compile requests land in a bounded queue. A full
 //! queue sheds the request immediately with a typed
 //! [`ErrorCause::Overloaded`] error instead of blocking the client or
@@ -43,10 +52,11 @@
 //! arriving on *other* connections during the drain are rejected with
 //! tag `"draining"`.
 
-use crate::json::Json;
+use crate::cache::{RequestSource, SourceKind};
+use crate::json::{scan_members, Json};
 use crate::{report, serdes, Engine, Job, JobResult};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -186,6 +196,140 @@ fn parse_target(name: &str) -> Option<TargetIsa> {
     }
 }
 
+/// Longest request line a client may send. `BufRead::lines` would buffer
+/// a line of any length, so one client that never sends `\n` could take
+/// the daemon's memory; this is far above any real kernel (6 000× the
+/// median request of the perf corpus) and still a bounded allocation.
+const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Capacity the per-connection line buffer is trimmed back to after a
+/// large request.
+const LINE_BUFFER_KEEP: usize = 64 << 10;
+
+/// What [`read_line_capped`] found.
+enum LineRead {
+    /// A line (terminator dropped) is in the buffer.
+    Line,
+    /// The line ran past the cap; all of it was consumed and discarded.
+    TooLong,
+    /// End of input with nothing left to return.
+    Eof,
+}
+
+/// Read one `\n`-terminated line (or the unterminated tail at EOF) into
+/// `line`, never holding more than `cap` bytes of it.
+fn read_line_capped<R: BufRead>(
+    input: &mut R,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<LineRead> {
+    line.clear();
+    let (mut any, mut too_long) = (false, false);
+    let ended = |too_long| if too_long { LineRead::TooLong } else { LineRead::Line };
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(if any { ended(too_long) } else { LineRead::Eof });
+        }
+        any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if !too_long && line.len() + take > cap {
+            too_long = true;
+            line.clear();
+        }
+        if !too_long {
+            line.extend_from_slice(&chunk[..take]);
+        }
+        input.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(ended(too_long));
+        }
+    }
+}
+
+/// One request line, read once: every top-level member parsed except a
+/// scanned `function`, which stays the client's bytes until something
+/// needs the tree (an alias hit never does).
+struct Request<'a> {
+    /// The top-level members, parsed: all of them after a whole-line
+    /// parse, all but `function` after a scan.
+    doc: Json,
+    /// The `function` member's raw text, when the scanner read the line.
+    raw_function: Option<&'a str>,
+}
+
+/// A request's `function` member, as far as it has been read.
+enum FunctionMember<'r> {
+    Raw(&'r str),
+    Parsed(&'r Json),
+}
+
+impl<'a> Request<'a> {
+    /// Read `line` with the borrowing scanner: the small members go
+    /// through the ordinary value parser, `function` is kept as a span.
+    /// `None` when the scanner declines the line or a member does not
+    /// parse — the whole-line parser then decides what the line is.
+    fn scan(line: &'a str) -> Option<Request<'a>> {
+        let members = scan_members(line)?;
+        // Only a compile request may leave `function` unread: there it is
+        // either resolved by alias (bytes that parsed before) or parsed
+        // on the way to a job. Any other op parses it here, so a line is
+        // never answered without all of it having been read by a parser.
+        let compile = members.iter().any(|(key, span)| *key == "op" && *span == "\"compile\"");
+        let mut raw_function = None;
+        let mut pairs = Vec::with_capacity(members.len());
+        for (key, span) in members {
+            if compile && key == "function" {
+                raw_function = Some(span);
+            } else {
+                pairs.push((key.to_string(), Json::parse_member(span).ok()?));
+            }
+        }
+        Some(Request { doc: Json::Obj(pairs), raw_function })
+    }
+
+    fn get(&self, key: &str) -> Option<&Json> {
+        self.doc.get(key)
+    }
+
+    fn function(&self) -> Option<FunctionMember<'_>> {
+        match self.raw_function {
+            Some(span) => Some(FunctionMember::Raw(span)),
+            None => self.get("function").map(FunctionMember::Parsed),
+        }
+    }
+}
+
+/// Target, search configuration and deadline of a compile request.
+type CompileSettings = (vegen::driver::PipelineConfig, Option<Duration>);
+
+/// The function an inline `function` member describes: decoded, then
+/// checked by the IR verifier. Request bytes are untrusted, and the
+/// compiler assumes what the verifier guarantees — an out-of-bounds load
+/// offset, for one, sends pack enumeration into an unbounded loop.
+fn inline_function(doc: &Json) -> Result<vegen_ir::Function, String> {
+    let function = serdes::function_from_json(doc).map_err(|e| format!("function: {e}"))?;
+    vegen_ir::verify::verify(&function).map_err(|e| format!("function: {e}"))?;
+    Ok(function)
+}
+
+/// The job for a request whose function had to be built: the function's
+/// own error first, then the settings', as requests were always checked.
+fn new_job(
+    function: Result<vegen_ir::Function, String>,
+    source: Option<RequestSource>,
+    settings: Result<CompileSettings, String>,
+) -> Result<Job, String> {
+    let function = function?;
+    let (pipeline, deadline) = settings?;
+    Ok(Job::from_request(function, source, pipeline).with_deadline(deadline))
+}
+
 /// One admitted compile request.
 struct QueuedJob {
     id: Json,
@@ -212,6 +356,10 @@ struct ServeState<'e> {
     expired: AtomicU64,
     rejected_draining: AtomicU64,
     protocol_errors: AtomicU64,
+    /// Read every line with the whole-line parser and never the scanner:
+    /// the reference reader the fuzz test compares the real one against.
+    #[cfg(test)]
+    full_parse_only: bool,
 }
 
 impl<'e> ServeState<'e> {
@@ -227,6 +375,8 @@ impl<'e> ServeState<'e> {
             expired: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            #[cfg(test)]
+            full_parse_only: false,
         }
     }
 
@@ -268,19 +418,7 @@ impl<'e> ServeState<'e> {
         ])
     }
 
-    /// Build the [`Job`] a compile request describes.
-    fn parse_compile(&self, req: &Json) -> Result<Job, String> {
-        let function = match (req.get("kernel"), req.get("function")) {
-            (Some(k), None) => {
-                let name = k.as_str().ok_or("\"kernel\" must be a string")?;
-                let kernel = vegen_kernels::find(name).ok_or(format!("unknown kernel {name:?}"))?;
-                (kernel.build)()
-            }
-            (None, Some(f)) => {
-                serdes::function_from_json(f).map_err(|e| format!("function: {e}"))?
-            }
-            _ => return Err("need exactly one of \"kernel\" or \"function\"".into()),
-        };
+    fn compile_settings(&self, req: &Request<'_>) -> Result<CompileSettings, String> {
         let target = match req.get("target") {
             Some(t) => {
                 let name = t.as_str().ok_or("\"target\" must be a string")?;
@@ -306,8 +444,50 @@ impl<'e> ServeState<'e> {
         if let Some(Json::Bool(true)) = req.get("decisions") {
             pipeline.beam.log_decisions = true;
         }
-        let name = function.name.clone();
-        Ok(Job::new(name, function, pipeline).with_deadline(deadline))
+        Ok((pipeline, deadline))
+    }
+
+    /// Build the [`Job`] a compile request describes: by address when the
+    /// alias tier has seen these bytes under these settings, from the
+    /// parsed function otherwise. `None` when the raw `function` span is
+    /// not JSON — then neither is the line, and the whole-line parser
+    /// owns the error.
+    fn parse_compile(&self, req: &Request<'_>) -> Option<Result<Job, String>> {
+        // Resolved first because the alias probe needs them, reported last
+        // because a bad function has always been the first complaint.
+        let settings = self.compile_settings(req);
+        let (kind, text) = match (req.get("kernel"), req.function()) {
+            (Some(k), None) => match k.as_str() {
+                Some(name) => (SourceKind::Kernel, name),
+                None => return Some(Err("\"kernel\" must be a string".into())),
+            },
+            (None, Some(FunctionMember::Raw(span))) => (SourceKind::Function, span),
+            // Read by the whole-line parser: there are no request bytes
+            // to look up or remember.
+            (None, Some(FunctionMember::Parsed(doc))) => {
+                return Some(new_job(inline_function(doc), None, settings));
+            }
+            (_, function) => {
+                // Nothing to compile, but still a line to vouch for.
+                if let Some(FunctionMember::Raw(span)) = function {
+                    Json::parse_member(span).ok()?;
+                }
+                return Some(Err("need exactly one of \"kernel\" or \"function\"".into()));
+            }
+        };
+        let settings = match settings {
+            Ok((pipeline, deadline)) => match self.engine.aliases.lookup(kind, text, &pipeline) {
+                Some(hit) => return Some(Ok(Job::resolved(hit, pipeline).with_deadline(deadline))),
+                None => Ok((pipeline, deadline)),
+            },
+            Err(e) => Err(e),
+        };
+        let source = RequestSource { kind, text: text.into() };
+        let function = match kind {
+            SourceKind::Kernel => source.function(),
+            SourceKind::Function => inline_function(&Json::parse_member(text).ok()?),
+        };
+        Some(new_job(function, Some(source), settings))
     }
 
     /// Admit a compile job or shed it. The response for shed/draining is
@@ -354,21 +534,46 @@ impl<'e> ServeState<'e> {
 
     /// Handle one request line from a client. Returns `true` when the
     /// request asked the daemon to shut down.
+    ///
+    /// There is one request reader: the borrowing scanner, with the
+    /// whole-line parser as the authority on every line the scanner (or
+    /// the value parser, on one of its spans) will not vouch for — so a
+    /// malformed line is answered exactly as it always was.
     fn handle_line(&self, line: &str, sink: &Sink) -> bool {
         let line = line.trim();
         if line.is_empty() {
             return false;
         }
-        let req = match Json::parse(line) {
-            Ok(req) => req,
+        if let Some(shutdown) = self.scan(line).and_then(|req| self.handle_request(&req, sink)) {
+            return shutdown;
+        }
+        match Json::parse(line) {
+            Ok(doc) => self
+                .handle_request(&Request { doc, raw_function: None }, sink)
+                .expect("a fully parsed request has no raw span left to decline"),
             Err(e) => {
                 self.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 send_line(sink, &protocol_error(&Json::Null, format!("unparseable request: {e}")));
-                return false;
+                false
             }
-        };
+        }
+    }
+
+    fn scan<'a>(&self, line: &'a str) -> Option<Request<'a>> {
+        #[cfg(test)]
+        if self.full_parse_only {
+            return None;
+        }
+        Request::scan(line)
+    }
+
+    /// Answer one well-formed request. `None` — before anything has been
+    /// counted or sent — when its raw `function` span turns out not to
+    /// parse (see [`ServeState::parse_compile`]).
+    fn handle_request(&self, req: &Request<'_>, sink: &Sink) -> Option<bool> {
         let id = req.get("id").cloned().unwrap_or(Json::Null);
         let op = req.get("op").and_then(Json::as_str).unwrap_or("");
+        let compile = if op == "compile" { Some(self.parse_compile(req)?) } else { None };
         self.requests.fetch_add(1, Ordering::Relaxed);
         let _sp =
             vegen_trace::enabled().then(|| vegen_trace::span_owned("serve", format!("op:{op}")));
@@ -383,7 +588,7 @@ impl<'e> ServeState<'e> {
                     Some(other) => {
                         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
                         send_line(sink, &protocol_error(&id, format!("unknown format {other:?}")));
-                        return false;
+                        return Some(false);
                     }
                     None => report::metrics_registry_json(),
                 };
@@ -395,9 +600,9 @@ impl<'e> ServeState<'e> {
             }
             "shutdown" => {
                 send_line(sink, &ok_response(&id, Json::obj([("draining", Json::Bool(true))])));
-                return true;
+                return Some(true);
             }
-            "compile" => match self.parse_compile(&req) {
+            "compile" => match compile.expect("parsed above for this op") {
                 Ok(job) => self.enqueue(id, job, sink),
                 Err(message) => {
                     self.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -409,19 +614,35 @@ impl<'e> ServeState<'e> {
                 send_line(sink, &protocol_error(&id, format!("unknown op {other:?}")));
             }
         }
-        false
+        Some(false)
     }
 
     /// Read a client stream to EOF (or shutdown). Returns `true` on
-    /// shutdown.
-    fn read_client<R: BufRead>(&self, input: R, sink: &Sink) -> bool {
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            if self.handle_line(&line, sink) {
-                return true;
+    /// shutdown. One buffer serves every line of the connection, and no
+    /// line may grow it past [`MAX_LINE_BYTES`].
+    fn read_client<R: BufRead>(&self, mut input: R, sink: &Sink) -> bool {
+        let mut line = Vec::new();
+        loop {
+            match read_line_capped(&mut input, &mut line, MAX_LINE_BYTES) {
+                Ok(LineRead::Line) => {
+                    // As `BufRead::lines` did: bytes that are not UTF-8
+                    // end the connection's input.
+                    let Ok(text) = std::str::from_utf8(&line) else { return false };
+                    if self.handle_line(text, sink) {
+                        return true;
+                    }
+                }
+                Ok(LineRead::TooLong) => {
+                    self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    let message =
+                        format!("request line longer than {MAX_LINE_BYTES} bytes; discarded");
+                    send_line(sink, &protocol_error(&Json::Null, message));
+                }
+                Ok(LineRead::Eof) | Err(_) => return false,
             }
+            line.clear();
+            line.shrink_to(LINE_BUFFER_KEEP);
         }
-        false
     }
 
     /// The dispatcher: drain whatever is queued as one micro-batch onto
@@ -586,4 +807,336 @@ pub fn serve_socket(
     let _ = std::fs::remove_file(path);
     shutdown_dump(engine);
     Ok(state.summary())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineConfig;
+    use vegen_ir::rng::XorShift;
+    use vegen_ir::{FunctionBuilder, Type};
+
+    /// A small inline function, as its wire JSON.
+    fn tiny_function_json() -> String {
+        let mut b = FunctionBuilder::new("tiny");
+        let (a, c) = (b.param("A", Type::I32, 4), b.param("C", Type::I32, 4));
+        for i in 0..4 {
+            let x = b.load(a, i);
+            let y = b.add(x, x);
+            b.store(c, i, y);
+        }
+        serdes::function_to_json(&b.finish()).render()
+    }
+
+    fn engine() -> Engine {
+        Engine::new(EngineConfig { threads: 1, verify_trials: 1, ..Default::default() })
+    }
+
+    /// A sink that keeps what it is sent.
+    fn capture() -> (Sink, Arc<Mutex<Vec<u8>>>) {
+        #[derive(Clone)]
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl Write for Buf {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        (Arc::new(Mutex::new(Buf(buf.clone()))), buf)
+    }
+
+    /// Response lines with what legitimately differs between two runs
+    /// removed: `corr`, `wall_us`, and the bodies of `stats` / `metrics`
+    /// (the registry is process-wide and other tests write to it).
+    fn normalized(buf: &Mutex<Vec<u8>>) -> Vec<Json> {
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        text.lines()
+            .map(|line| {
+                let Json::Obj(mut response) = Json::parse(line).unwrap() else {
+                    panic!("response is not an object: {line}")
+                };
+                for (key, value) in &mut response {
+                    if let ("result", Json::Obj(result)) = (key.as_str(), &mut *value) {
+                        result.retain(|(k, _)| k != "corr" && k != "wall_us");
+                        if result.iter().any(|(k, _)| {
+                            matches!(k.as_str(), "registry" | "histograms" | "prometheus")
+                        }) {
+                            *value = Json::Null;
+                        }
+                    }
+                }
+                Json::Obj(response)
+            })
+            .collect()
+    }
+
+    /// One line through a daemon of its own over `engine`: read, drained,
+    /// answered. Returns `(responses, summary, asked to shut down)`.
+    fn answer(
+        engine: &Engine,
+        cfg: &ServeConfig,
+        line: &str,
+        full_parse_only: bool,
+    ) -> (Vec<Json>, ServeSummary, bool) {
+        let mut state = ServeState::new(engine, cfg.clone());
+        state.full_parse_only = full_parse_only;
+        let (sink, buf) = capture();
+        let shutdown = state.handle_line(line, &sink);
+        state.start_drain();
+        state.dispatch();
+        (normalized(&buf), state.summary(), shutdown)
+    }
+
+    /// The request lines the fuzz mutates. `flips` says whether random
+    /// byte edits are allowed: not on a line with a deadline, where a
+    /// flipped digit would make the answer depend on the clock.
+    fn seed_lines() -> Vec<(String, bool)> {
+        let f = tiny_function_json();
+        let mut lines = vec![
+            (format!(r#"{{"op":"compile","id":1,"function":{f}}}"#), true),
+            (format!(r#"{{"op":"compile","id":"two","function":{f},"beam":2}}"#), true),
+            (
+                format!(
+                    r#"{{"id":{{"k":[3,null]}},"beam":2,"target":"sse4","function":{f},"op":"compile"}}"#
+                ),
+                true,
+            ),
+            (
+                format!(r#"{{"op":"compile","id":4,"function":{f},"decisions":true,"beam":3}}"#),
+                true,
+            ),
+            (format!(r#"{{"op":"compile","id":5,"function":{f},"deadline_ms":0}}"#), false),
+            (r#"{"op":"compile","id":6,"kernel":"max_pd","beam":2}"#.to_string(), true),
+            (r#"{"op":"compile","id":7,"kernel":"max_pd","deadline_ms":0}"#.to_string(), false),
+            (r#"{"op":"compile","id":8,"kernel":"max_pd","function":{}}"#.to_string(), true),
+            (r#"{"op":"compile","id":9}"#.to_string(), true),
+        ];
+        for line in [
+            r#"{"op":"ping","id":10}"#,
+            r#"{"op":"ping"}"#,
+            r#"{"op":"stats","id":[11]}"#,
+            r#"{"op":"stats","id":12,"format":"prometheus"}"#,
+            r#"{"op":"stats","id":13,"format":"xml"}"#,
+            r#"{"op":"metrics","id":14}"#,
+            r#"{"op":"kernels","id":15}"#,
+            r#"{"op":"shutdown","id":16}"#,
+            r#"{"op":"frobnicate","id":"a \" quote, a ] and a } in a string"}"#,
+        ] {
+            lines.push((line.to_string(), true));
+        }
+        lines
+    }
+
+    /// One seeded edit of `line`. Lines are ASCII and stay ASCII.
+    fn mutate(rng: &mut XorShift, line: &str, flips: bool, seeds: &[(String, bool)]) -> String {
+        let mut s = line.to_string();
+        let at = |rng: &mut XorShift, s: &str| rng.below(s.len().max(1)).min(s.len());
+        let members = |s: &str| -> Option<Vec<(String, String)>> {
+            Some(scan_members(s)?.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect())
+        };
+        let assemble = |m: &[(String, String)]| {
+            let body: Vec<String> = m.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("{{{}}}", body.join(","))
+        };
+        match rng.below(if flips { 14 } else { 8 }) {
+            // Structure-level edits, safe on every line.
+            0 => {}
+            1 => {
+                // Reorder the members.
+                if let Some(mut m) = members(&s) {
+                    for i in (1..m.len()).rev() {
+                        m.swap(i, rng.below(i + 1));
+                    }
+                    s = assemble(&m);
+                }
+            }
+            2 => {
+                // Duplicate a member (first or last position).
+                if let Some(mut m) = members(&s).filter(|m| !m.is_empty()) {
+                    let dup = m[rng.below(m.len())].clone();
+                    if rng.bool() {
+                        m.insert(0, dup);
+                    } else {
+                        m.push(dup);
+                    }
+                    s = assemble(&m);
+                }
+            }
+            3 => {
+                // Whitespace at a structural position of the top level.
+                if let Some(m) = members(&s) {
+                    let pad = [" ", "\t", "  ", "\r"][rng.below(4)];
+                    let body: Vec<String> =
+                        m.iter().map(|(k, v)| format!("{pad}\"{k}\"{pad}:{pad}{v}{pad}")).collect();
+                    s = format!("{pad}{{{}}}{pad}", body.join(","));
+                }
+            }
+            4 => s.push_str([" x", "}", ",", "]", " null", "\"", "\\"][rng.below(7)]),
+            5 => {
+                // A second object on the line.
+                s.push_str([" ", ",", ""][rng.below(3)]);
+                s.push_str(&seeds[rng.below(seeds.len())].0);
+            }
+            6 => {
+                // A `\u` escape (or a plain escape) in a key.
+                let key = ["op", "id", "function", "kernel", "beam"][rng.below(5)];
+                let escaped = format!("\\u{:04x}{}", key.as_bytes()[0], &key[1..]);
+                s = s.replacen(&format!("\"{key}\""), &format!("\"{escaped}\""), 1);
+            }
+            7 => {
+                // Deep (and sometimes lopsided) nesting as the id.
+                let depth = [1, 7, 255, 256, 257, 400][rng.below(6)];
+                let (open, close) = if rng.bool() { ("[", "]") } else { ("{\"a\":", "}") };
+                let closes = depth - usize::from(rng.below(8) == 0);
+                let id = format!("{}0{}", open.repeat(depth), close.repeat(closes));
+                if let Some(mut m) = members(&s) {
+                    m.retain(|(k, _)| k != "id");
+                    m.push(("id".into(), id));
+                    s = assemble(&m);
+                }
+            }
+            // Byte-level edits.
+            8 => s.truncate(at(rng, &s)),
+            9 | 10 => {
+                // Overwrite one byte with one that matters to a parser.
+                const BYTES: &[u8] = b"\"\\{}[],: \t0123456789-+.eEtfnulxa\x01\x7f";
+                if !s.is_empty() {
+                    let i = at(rng, &s).min(s.len() - 1);
+                    s.replace_range(i..=i, &(BYTES[rng.below(BYTES.len())] as char).to_string());
+                }
+            }
+            11 => {
+                // Quotes, escapes and brackets dropped into the text
+                // (often inside a string).
+                let i = at(rng, &s);
+                s.insert_str(
+                    i,
+                    ["\\\"", "\"", "\\", "]", "}", "{", "[", "\\u00e9", "\\ud800"][rng.below(9)],
+                );
+            }
+            12 if !s.is_empty() => {
+                s.remove(at(rng, &s).min(s.len() - 1));
+            }
+            _ => {
+                let (i, j) = (at(rng, &s), at(rng, &s));
+                s.replace_range(i.min(j)..i.max(j), "");
+            }
+        }
+        s
+    }
+
+    /// Differential fuzz of the request reader. Per line: the scanner
+    /// does not panic; when it lists members, parsing each span and
+    /// reassembling is `Json::parse` of the whole line (and a span that
+    /// does not parse means the line does not); and a daemon reading with
+    /// the scanner answers exactly as one that always parses the whole
+    /// line.
+    #[test]
+    fn the_scanning_reader_is_indistinguishable_from_the_parsing_reader() {
+        const LINES: usize = 20_000;
+        let seed = 0x5ca9_0001_u64;
+        let seeds = seed_lines();
+        let (scanning, parsing) = (engine(), engine());
+        let cfg = ServeConfig::default();
+        let mut rng = XorShift::new(seed);
+        let (mut scanned, mut resolved_before) = (0usize, 0u64);
+        for n in 0..LINES {
+            let (base, flips) = &seeds[rng.below(seeds.len())];
+            let mut line = base.clone();
+            for _ in 0..[0, 1, 1, 1, 2, 3][rng.below(6)] {
+                line = mutate(&mut rng, &line, *flips, &seeds);
+            }
+            let context = || format!("seed {seed:#x}, line {n}: {line:?}");
+
+            let whole = Json::parse(line.trim());
+            if let Some(members) = scan_members(line.trim()) {
+                scanned += 1;
+                let parsed: Result<Vec<(String, Json)>, String> = members
+                    .iter()
+                    .map(|(k, span)| Ok((k.to_string(), Json::parse_member(span)?)))
+                    .collect();
+                match parsed {
+                    Ok(pairs) => assert_eq!(whole, Ok(Json::Obj(pairs)), "{}", context()),
+                    Err(_) => {
+                        assert!(whole.is_err(), "a span fails, the line parses: {}", context())
+                    }
+                }
+            }
+
+            let with_scanner = answer(&scanning, &cfg, &line, false);
+            let with_parser = answer(&parsing, &cfg, &line, true);
+            assert_eq!(with_scanner, with_parser, "{}", context());
+            assert_eq!(
+                (scanning.cache_stats(), scanning.counters()),
+                (parsing.cache_stats(), parsing.counters()),
+                "{}",
+                context()
+            );
+            // Resolved requests are part of what is being compared.
+            resolved_before = scanning.alias_stats().hits.max(resolved_before);
+        }
+        assert!(scanned > LINES / 4, "the scanner vouched for only {scanned} of {LINES} lines");
+        assert!(resolved_before > LINES as u64 / 20, "only {resolved_before} alias hits");
+        assert_eq!(parsing.alias_stats().fallbacks + scanning.alias_stats().fallbacks, 0);
+    }
+
+    /// Identity test (e): a zero deadline, a full queue and a draining
+    /// daemon treat a request resolved by alias as they treat any other.
+    #[test]
+    fn admission_control_does_not_tell_resolved_requests_apart() {
+        let f = tiny_function_json();
+        let respelled = f.replace(',', ", ");
+        let script = |f: &str| {
+            [
+                format!(r#"{{"op":"compile","id":1,"function":{f},"deadline_ms":0}}"#),
+                format!(r#"{{"op":"compile","id":2,"function":{f}}}"#),
+                format!(r#"{{"op":"compile","id":3,"function":{f}}}"#),
+                format!(r#"{{"op":"compile","id":4,"function":{f}}}"#),
+            ]
+        };
+        let run = |spelling: &str, hits: u64| {
+            let engine = engine();
+            let cfg = ServeConfig { queue_capacity: 2, ..Default::default() };
+            // The alias tier knows `f`, and only `f`.
+            let (primed, ..) =
+                answer(&engine, &cfg, &format!(r#"{{"op":"compile","function":{f}}}"#), false);
+            assert_eq!(primed[0].get("ok"), Some(&Json::Bool(true)));
+            // No dispatcher yet: the queue keeps what it admits.
+            let state = ServeState::new(&engine, cfg);
+            let (sink, buf) = capture();
+            let [expiring, queued, shed, late] = script(spelling);
+            state.handle_line(&expiring, &sink);
+            state.handle_line(&queued, &sink);
+            state.handle_line(&shed, &sink);
+            state.start_drain();
+            state.handle_line(&late, &sink);
+            state.dispatch();
+            assert_eq!(engine.alias_stats().hits, hits, "{spelling}");
+            (normalized(&buf), state.summary())
+        };
+        let (resolved, resolved_summary) = run(&f, 4);
+        let (parsed, parsed_summary) = run(&respelled, 0);
+        assert_eq!(resolved, parsed);
+        assert_eq!(resolved_summary, parsed_summary);
+        let tags: Vec<Option<&str>> = (1..=4)
+            .map(|id| {
+                let r = resolved.iter().find(|r| r.get("id") == Some(&Json::int(id))).unwrap();
+                r.get("error").and_then(|e| e.get("tag")).and_then(Json::as_str)
+            })
+            .collect();
+        assert_eq!(tags, [Some("deadline"), None, Some("overloaded"), Some("protocol")]);
+        let expected = ServeSummary {
+            requests: 4,
+            compiles: 1,
+            shed: 1,
+            expired: 1,
+            rejected_draining: 1,
+            protocol_errors: 0,
+        };
+        assert_eq!(resolved_summary, expected);
+    }
 }

@@ -104,7 +104,22 @@ impl Json {
     ///
     /// Returns a byte-offset-annotated message on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        Json::parse_nested(text, 0)
+    }
+
+    /// Parse one value span listed by [`scan_members`]: [`Json::parse`]
+    /// with the nesting bound counted from the enclosing object, so a
+    /// span is accepted exactly when it would be as part of its line.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::parse`], with byte offsets relative to the span.
+    pub fn parse_member(span: &str) -> Result<Json, String> {
+        Json::parse_nested(span, 1)
+    }
+
+    fn parse_nested(text: &str, depth: usize) -> Result<Json, String> {
+        let mut p = Parser { b: text.as_bytes(), i: 0, depth };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -177,6 +192,108 @@ impl Json {
     }
 }
 
+/// Most members [`scan_members`] will list; past this the line is not a
+/// request anyone sends, and the duplicate-key check below is quadratic.
+const MAX_SCANNED_MEMBERS: usize = 16;
+
+/// The top-level members of one JSON object as `(key, raw value text)`,
+/// both borrowed from `text`: one pass that knows strings, escapes and
+/// bracket balance, and builds no tree. A caller parses the values it
+/// needs with [`Json::parse_member`] and may leave a large one unparsed.
+///
+/// The scan vouches only for the top level — `{ "key" : value , … }`
+/// closed, with nothing but whitespace after it — and for each value
+/// span ending where [`Json::parse`] would stop reading that value *if*
+/// the value is well-formed. Whether it is well-formed is for
+/// `Json::parse_member(span)` to say. Returns `None` for everything
+/// else: not an object, a key with an escape in it, a duplicate key, more
+/// than 16 members (`MAX_SCANNED_MEMBERS`), unbalanced input, trailing
+/// bytes. On `None` — or on a span that does not parse —
+/// `Json::parse(text)` is the authority, so a malformed line keeps the
+/// error it always had.
+pub fn scan_members(text: &str) -> Option<Vec<(&str, &str)>> {
+    let b = text.as_bytes();
+    let ws = |mut i: usize| {
+        while matches!(b.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            i += 1;
+        }
+        i
+    };
+    // `i` is at an opening quote; the index just past the closing one.
+    let string_end = |mut i: usize| loop {
+        i += 1;
+        match b.get(i)? {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 1,
+            _ => {}
+        }
+    };
+    let mut members: Vec<(&str, &str)> = Vec::new();
+    let mut i = ws(0);
+    if b.get(i) != Some(&b'{') {
+        return None;
+    }
+    i = ws(i + 1);
+    if b.get(i) == Some(&b'}') {
+        return (ws(i + 1) == b.len()).then_some(members);
+    }
+    loop {
+        if b.get(i) != Some(&b'"') {
+            return None;
+        }
+        let key_end = string_end(i)?;
+        let key = &text[i + 1..key_end - 1];
+        if key.contains('\\')
+            || members.len() == MAX_SCANNED_MEMBERS
+            || members.iter().any(|(k, _)| *k == key)
+        {
+            return None;
+        }
+        i = ws(key_end);
+        if b.get(i) != Some(&b':') {
+            return None;
+        }
+        i = ws(i + 1);
+        let start = i;
+        match *b.get(i)? {
+            b'"' => i = string_end(i)?,
+            b'{' | b'[' => {
+                let mut depth = 0usize;
+                loop {
+                    match *b.get(i)? {
+                        b'"' => {
+                            i = string_end(i)?;
+                            continue;
+                        }
+                        b'{' | b'[' => depth += 1,
+                        b'}' | b']' => depth -= 1,
+                        _ => {}
+                    }
+                    i += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+            }
+            _ => {
+                while !matches!(b.get(i), None | Some(b',' | b'}' | b' ' | b'\t' | b'\n' | b'\r')) {
+                    i += 1;
+                }
+                if i == start {
+                    return None;
+                }
+            }
+        }
+        members.push((key, &text[start..i]));
+        i = ws(i);
+        match b.get(i)? {
+            b',' => i = ws(i + 1),
+            b'}' => return (ws(i + 1) == b.len()).then_some(members),
+            _ => return None,
+        }
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -195,9 +312,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] follows. The parser is
+/// recursive and reads untrusted lines (serve requests, cache files); the
+/// bound turns a line of a million `[` into an error instead of a stack
+/// overflow. Reports and cache entries nest under ten levels.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,8 +359,15 @@ impl Parser<'_> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => self.string().map(Json::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' | b'{' if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i))
+            }
+            open @ (b'[' | b'{') => {
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(format!("unexpected character {:?} at byte {}", c as char, self.i)),
         }
@@ -460,6 +591,76 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"\\q\"", "1 2", "{\"a\":1,}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper than"), "{e}");
+        // Unclosed, and far past any stack: still an error, not a crash.
+        assert!(Json::parse(&"[{\"a\":".repeat(200_000)).is_err());
+        // A member span is one level down from its line.
+        let line = format!("{{\"id\":{}}}", deep(MAX_DEPTH));
+        let (_, span) = scan_members(&line).unwrap()[0];
+        assert!(Json::parse(span).is_ok() && Json::parse(&line).is_err());
+        assert!(Json::parse_member(span).is_err());
+    }
+
+    #[test]
+    fn scan_members_borrows_the_top_level() {
+        let line = r#" { "op" : "compile", "id":[1,{"a":"}"}], "function":{"s":"a\"]b","n":[[]]} ,"beam":4 } "#;
+        let members = scan_members(line).expect("a well-formed object scans");
+        assert_eq!(
+            members,
+            vec![
+                ("op", r#""compile""#),
+                ("id", r#"[1,{"a":"}"}]"#),
+                ("function", r#"{"s":"a\"]b","n":[[]]}"#),
+                ("beam", "4"),
+            ]
+        );
+        // Re-parsing each span and reassembling is the whole-line parse.
+        let rebuilt = Json::Obj(
+            members.iter().map(|(k, v)| (k.to_string(), Json::parse_member(v).unwrap())).collect(),
+        );
+        assert_eq!(rebuilt, Json::parse(line).unwrap());
+        assert_eq!(scan_members("{}"), Some(vec![]));
+        assert_eq!(scan_members(" { } "), Some(vec![]));
+    }
+
+    #[test]
+    fn scan_members_declines_what_it_will_not_vouch_for() {
+        for line in [
+            "",
+            "[1,2]",
+            "\"op\"",
+            "{",
+            r#"{"a":1"#,
+            r#"{"a":1,}"#,
+            r#"{"a":1} x"#,
+            r#"{"a":1}{"b":2}"#,
+            r#"{"a":1 2}"#,
+            r#"{"a":}"#,
+            r#"{"a" 1}"#,
+            r#"{a:1}"#,
+            r#"{"a":1,"a":2}"#,
+            r#"{"\u0061":1}"#,
+            r#"{"a":[1,2}"#,
+            r#"{"a":"unterminated}"#,
+            r#"{"a":"escape at end\"#,
+        ] {
+            assert_eq!(scan_members(line), None, "{line:?}");
+        }
+        // A balanced span whose brackets do not pair is the span parser's
+        // to reject, not the scan's.
+        let mispaired = scan_members(r#"{"a":[1}}"#).expect("balanced");
+        assert_eq!(mispaired, vec![("a", "[1}")]);
+        assert!(Json::parse_member(mispaired[0].1).is_err());
+        let many: String =
+            (0..=MAX_SCANNED_MEMBERS).map(|i| format!("\"k{i}\":0")).collect::<Vec<_>>().join(",");
+        assert_eq!(scan_members(&format!("{{{many}}}")), None);
     }
 
     #[test]
