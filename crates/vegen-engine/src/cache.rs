@@ -457,7 +457,7 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegen::driver::compile_timed;
+    use vegen::driver::compile;
     use vegen_core::BeamConfig;
     use vegen_ir::canon::{add_narrow_constants, canonicalize};
     use vegen_ir::{FunctionBuilder, Type};
@@ -476,8 +476,7 @@ mod tests {
     }
 
     fn cached(f: &vegen_ir::Function, cfg: &PipelineConfig) -> CachedCompile {
-        let (kernel, stages) = compile_timed(f, cfg);
-        CachedCompile { kernel: Arc::new(kernel), stages }
+        CachedCompile { kernel: Arc::new(compile(f, cfg)), stages: StageTimes::default() }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::serve::{self, ServeConfig};
 use crate::{Engine, EngineConfig, Job, JobResult, Rung};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use vegen::driver::{prepare, target_desc, PipelineConfig};
+use vegen::driver::{prepare, target_desc, CompileCtx, PipelineConfig};
 use vegen::fault::FaultPlan;
 use vegen_core::slp::SlpCost;
 use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
@@ -119,13 +119,8 @@ fn env_beam_threads() -> usize {
     std::env::var("VEGEN_BEAM_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
-fn parse_target(s: &str) -> Result<TargetIsa, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "avx2" => Ok(TargetIsa::avx2()),
-        "avx512vnni" | "avx512-vnni" | "vnni" => Ok(TargetIsa::avx512vnni()),
-        "sse4" | "sse4.1" => Ok(TargetIsa::sse4()),
-        other => Err(format!("unknown target {other:?}")),
-    }
+pub(crate) fn parse_target(s: &str) -> Result<TargetIsa, String> {
+    TargetIsa::from_name(s).ok_or_else(|| format!("unknown target {:?}", s.to_ascii_lowercase()))
 }
 
 struct SuiteOptions {
@@ -974,7 +969,13 @@ fn run_explain(args: &[String]) -> i32 {
         return 2;
     };
 
-    let f = prepare(&(kernel.build)());
+    let f = match prepare(&(kernel.build)(), &mut CompileCtx::default()) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("vegen-engine explain: {e}");
+            return 1;
+        }
+    };
     let desc = target_desc(&target, true);
     let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
 

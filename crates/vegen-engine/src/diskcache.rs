@@ -104,18 +104,6 @@ pub fn isa_fingerprint(target: &TargetIsa, canon: bool) -> String {
     fp
 }
 
-/// Resolve a target name as stored in a cache entry back to its
-/// [`TargetIsa`] (used by warm-start, where the entry is the only record
-/// of which target it was compiled for).
-pub fn target_by_name(name: &str) -> Option<TargetIsa> {
-    match name {
-        "AVX2" => Some(TargetIsa::avx2()),
-        "AVX512-VNNI" => Some(TargetIsa::avx512vnni()),
-        "SSE4" => Some(TargetIsa::sse4()),
-        _ => None,
-    }
-}
-
 /// Point-in-time counters of a [`DiskCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
@@ -477,7 +465,7 @@ impl DiskCache {
                 self.reject(&path, &self.corrupt, ());
                 continue;
             };
-            let Some(target) = target_by_name(&target_name) else { continue };
+            let Some(target) = TargetIsa::from_name(&target_name) else { continue };
             let fp = isa_fingerprint(&target, canon);
             if let Ok(Some(hit)) = self.decode_entry(&path, &text, Some(hash), &fp) {
                 out.push((hash, hit.value));
@@ -565,13 +553,5 @@ mod tests {
         assert_eq!(unbounded.stats().evicted, 0);
         assert_eq!(cache.stats().entries, 2);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn target_names_resolve() {
-        for t in [TargetIsa::avx2(), TargetIsa::avx512vnni(), TargetIsa::sse4()] {
-            assert_eq!(target_by_name(&t.name).as_ref().map(|x| &x.name), Some(&t.name));
-        }
-        assert!(target_by_name("Z80").is_none());
     }
 }

@@ -82,8 +82,8 @@ pub use vegen_trace::json;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cache::{
@@ -95,11 +95,11 @@ use events::EventLog;
 use flight::FlightRecorder;
 use json::Json;
 use vegen::driver::{
-    compile_scalar_fallback, try_compile_prepared_reusing, try_prepare, CompiledKernel,
-    PipelineConfig, StageTimes,
+    compile_prepared, prepare, record_stage, CompileCtx, CompiledKernel, PipelineConfig, Plan,
+    StageTimes,
 };
 use vegen::error::{panic_message, take_panic_stage, CompileError, ErrorCause, Stage};
-use vegen_core::{BeamConfig, SelectionReuse};
+use vegen_core::BeamConfig;
 use vegen_ir::Function;
 
 /// Engine construction parameters.
@@ -343,6 +343,26 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// A kernel-less, unhashed result on `rung` with every measurement
+    /// zeroed — the one literal; each outcome (hit, compiled, failed,
+    /// skipped, escaped panic) fills in what it knows.
+    fn new(name: &str, rung: Rung) -> JobResult {
+        JobResult {
+            name: name.to_string(),
+            corr: String::new(),
+            hash: None,
+            kernel: None,
+            rung,
+            faults: Vec::new(),
+            stages: StageTimes::default(),
+            cache_hit: false,
+            disk_hit: false,
+            verify_time: Duration::ZERO,
+            verify_error: None,
+            wall: Duration::ZERO,
+        }
+    }
+
     /// Did this job fail outright (no program at all)?
     pub fn failed(&self) -> bool {
         !self.rung.produced_kernel()
@@ -426,42 +446,54 @@ pub struct Engine {
     event_open_error: Option<String>,
     flight: Option<Arc<FlightRecorder>>,
     flight_open_error: Option<String>,
-    states_expanded: AtomicU64,
-    transitions: AtomicU64,
-    dedup_hits: AtomicU64,
-    producer_cache_hits: AtomicU64,
-    producer_cache_misses: AtomicU64,
-    packs_committed: AtomicU64,
-    compilations: AtomicU64,
-    analyses: AtomicU64,
-    analysis_errors: AtomicU64,
-    failures: AtomicU64,
-    retries: AtomicU64,
-    degradations: AtomicU64,
-    deadline_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_stores: AtomicU64,
-    cache_io_errors: AtomicU64,
-    tt_hits: AtomicU64,
-    tt_misses: AtomicU64,
-    frozen_reuses: AtomicU64,
+    counters: Mutex<EngineCounters>,
 }
 
-/// Outcome of one isolated compile attempt.
-type Attempt = Result<(CompiledKernel, StageTimes), CompileError>;
+/// The beam a ladder rung hands the driver.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Search {
+    /// The job's own beam configuration.
+    Requested,
+    /// Width 1 (the SLP heuristic) under the job's budget and thread count.
+    Width1,
+    /// No search: [`Plan::Scalar`], which fires no injected fault, observes
+    /// no deadline, and runs no selection, analysis or baseline.
+    Scalar,
+}
 
-/// `(stage name, duration)` pairs of a [`StageTimes`], in pipeline order
-/// — the iteration the event log and reports share.
-fn stage_durations(st: &StageTimes) -> impl Iterator<Item = (&'static str, Duration)> {
-    [
-        ("canonicalize", st.canonicalize),
-        ("target_desc", st.target_desc),
-        ("selection", st.selection),
-        ("lowering", st.lowering),
-        ("analysis", st.analysis),
-        ("baseline", st.baseline),
-    ]
-    .into_iter()
+/// One rung of the degradation ladder.
+struct RungPlan {
+    /// What a success here is reported as.
+    rung: Rung,
+    /// What the driver runs.
+    search: Search,
+    /// Whether a verify-clean result enters the memory tier and is written
+    /// through to disk (`compile_batch` likewise records request aliases
+    /// for [`Rung::Primary`] only). A degraded result is never shared: the
+    /// next identical job gets its own try at the requested configuration.
+    shared: bool,
+}
+
+/// The ladder, top to bottom. A job walks it until a rung succeeds; each
+/// rung runs isolated (`Engine::attempt`) under a fresh deadline window,
+/// a failure is one entry in the result's `faults`, and whatever a rung
+/// serves is verified first. The width-1 rung always runs after a primary
+/// failure — even when the job asked for width 1 itself, since a one-shot
+/// fault or a tripped deadline is gone on the retry.
+const LADDER: [RungPlan; 3] = [
+    RungPlan { rung: Rung::Primary, search: Search::Requested, shared: true },
+    RungPlan { rung: Rung::Width1, search: Search::Width1, shared: false },
+    RungPlan { rung: Rung::Scalar, search: Search::Scalar, shared: false },
+];
+
+/// The event-log line for one failed ladder attempt.
+fn emit_faulted(log: &EventLog, corr: &str, name: &str, fault: &CompileError) {
+    let fields = vec![
+        ("stage", Json::str(fault.stage.name())),
+        ("tag", Json::str(fault.cause.tag())),
+        ("message", Json::str(fault.cause.to_string())),
+    ];
+    log.emit("faulted", corr, name, fields);
 }
 
 impl Engine {
@@ -502,25 +534,7 @@ impl Engine {
             event_open_error,
             flight,
             flight_open_error,
-            states_expanded: AtomicU64::new(0),
-            transitions: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            producer_cache_hits: AtomicU64::new(0),
-            producer_cache_misses: AtomicU64::new(0),
-            packs_committed: AtomicU64::new(0),
-            compilations: AtomicU64::new(0),
-            analyses: AtomicU64::new(0),
-            analysis_errors: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            degradations: AtomicU64::new(0),
-            deadline_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk_stores: AtomicU64::new(0),
-            cache_io_errors: AtomicU64::new(0),
-            tt_hits: AtomicU64::new(0),
-            tt_misses: AtomicU64::new(0),
-            frozen_reuses: AtomicU64::new(0),
+            counters: Mutex::default(),
         }
     }
 
@@ -576,122 +590,110 @@ impl Engine {
         n
     }
 
+    /// Update the engine-lifetime counters. The lock is taken once per
+    /// ladder attempt or disk access — never on a memory hit — and only
+    /// plain additions run under it, so a poisoned lock still holds
+    /// consistent counts.
+    fn count(&self, update: impl FnOnce(&mut EngineCounters)) {
+        update(&mut self.counters.lock().unwrap_or_else(|e| e.into_inner()));
+    }
+
     /// Record a recoverable cache-I/O failure as a typed fault.
     fn note_cache_io(&self, name: &str, detail: String, faults: &mut Vec<CompileError>) {
-        self.cache_io_errors.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| c.cache_io_errors += 1);
         vegen_trace::instant("engine", "cache_io_error");
         faults.push(CompileError::new(Stage::Cache, name, ErrorCause::CacheIo { detail }));
     }
 
-    /// One pipeline attempt with panic isolation: a panic anywhere inside
-    /// the driver becomes a typed [`CompileError`] attributed to the
-    /// stage that was live when it fired.
+    /// One driver call with panic isolation: a panic anywhere inside
+    /// becomes a typed [`CompileError`] attributed to the stage that was
+    /// live when it fired (the driver runs no code outside a stage; were
+    /// one to panic there, it reads as canonicalize, like a panic that
+    /// escapes to the pool).
     ///
-    /// `reuse` carries the frozen interned context and `costSLP` memo
-    /// across ladder rungs on the same kernel. Typed errors leave
-    /// it warm (the retry skips the freeze pre-pass); a caught panic
-    /// resets it — the panic may have torn mid-update, leaving stranded
-    /// in-progress markers that must not leak into the retry.
-    fn attempt(
-        &self,
+    /// Typed errors leave `ctx.reuse` warm, so the next rung skips the
+    /// freeze pre-pass; a caught panic resets it — the panic may have torn
+    /// mid-update, leaving stranded in-progress markers that must not
+    /// leak into the retry.
+    fn attempt<T>(
         name: &str,
-        canonical: &Function,
-        pipeline: &PipelineConfig,
-        deadline: Option<Duration>,
-        reuse: &mut SelectionReuse,
-    ) -> Attempt {
-        let deadline = deadline.map(|d| (Instant::now() + d, d));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            try_compile_prepared_reusing(canonical.clone(), pipeline, deadline, reuse)
-        }));
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                reuse.reset();
-                let stage = take_panic_stage().unwrap_or(Stage::Selection);
-                Err(CompileError::new(
-                    stage,
-                    name,
-                    ErrorCause::Panic { message: panic_message(payload.as_ref()) },
-                ))
-            }
-        }
+        ctx: &mut CompileCtx,
+        run: impl FnOnce(&mut CompileCtx) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        catch_unwind(AssertUnwindSafe(|| run(ctx))).unwrap_or_else(|payload| {
+            ctx.reuse.reset();
+            let stage = take_panic_stage().unwrap_or(Stage::Canonicalize);
+            let message = panic_message(payload.as_ref());
+            Err(CompileError::new(stage, name, ErrorCause::Panic { message }))
+        })
     }
 
     /// Record a failed attempt in the counters and fault log.
     fn note_failure(&self, error: CompileError, faults: &mut Vec<CompileError>) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        if error.cause.is_timeout() {
-            self.deadline_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(|c| {
+            c.failures += 1;
+            c.deadline_hits += u64::from(error.cause.is_timeout());
+        });
         vegen_trace::instant("engine", "attempt_failed");
         faults.push(error);
     }
 
     /// Fold one successful compile's search statistics into the counters.
     fn note_compilation(&self, kernel: &CompiledKernel) {
-        let stats = kernel.selection.stats;
-        self.states_expanded.fetch_add(kernel.selection.states_expanded as u64, Ordering::Relaxed);
-        self.transitions.fetch_add(stats.transitions, Ordering::Relaxed);
-        self.dedup_hits.fetch_add(stats.dedup_hits, Ordering::Relaxed);
-        self.producer_cache_hits.fetch_add(stats.producer_cache_hits, Ordering::Relaxed);
-        self.producer_cache_misses.fetch_add(stats.producer_cache_misses, Ordering::Relaxed);
-        self.packs_committed.fetch_add(kernel.selection.packs.len() as u64, Ordering::Relaxed);
-        self.tt_hits.fetch_add(stats.tt_hits, Ordering::Relaxed);
-        self.tt_misses.fetch_add(stats.tt_misses, Ordering::Relaxed);
-        self.frozen_reuses.fetch_add(stats.frozen_reused as u64, Ordering::Relaxed);
-        self.compilations.fetch_add(1, Ordering::Relaxed);
-        self.analyses.fetch_add(1, Ordering::Relaxed);
-        self.analysis_errors.fetch_add(kernel.analysis.error_count() as u64, Ordering::Relaxed);
+        let (selection, stats) = (&kernel.selection, kernel.selection.stats);
+        self.count(|c| {
+            c.states_expanded += selection.states_expanded as u64;
+            c.transitions += stats.transitions;
+            c.dedup_hits += stats.dedup_hits;
+            c.producer_cache_hits += stats.producer_cache_hits;
+            c.producer_cache_misses += stats.producer_cache_misses;
+            c.packs_committed += selection.packs.len() as u64;
+            c.tt_hits += stats.tt_hits;
+            c.tt_misses += stats.tt_misses;
+            c.frozen_reuses += u64::from(stats.frozen_reused);
+            c.compilations += 1;
+            c.analyses += 1;
+            c.analysis_errors += kernel.analysis.error_count() as u64;
+        });
     }
 
     /// Verify `kernel`, returning `(verify_time, verify_error)`.
     fn verify(&self, kernel: &CompiledKernel) -> (Duration, Option<String>) {
+        if self.cfg.verify_trials == 0 {
+            return (Duration::ZERO, None);
+        }
         let verify_start = Instant::now();
-        let verify_error = if self.cfg.verify_trials > 0 {
+        let verify_error = {
             let _sp = vegen_trace::span("engine", "verify");
             kernel.verify(self.cfg.verify_trials).err()
-        } else {
-            None
         };
-        (verify_start.elapsed(), verify_error)
+        let verify_time = verify_start.elapsed();
+        record_stage(Stage::Verify, verify_time);
+        (verify_time, verify_error)
     }
 
     /// Compile one function, through the cache and down the degradation
     /// ladder: requested config → beam width 1 → scalar fallback →
     /// `Failed`. Panics anywhere in the pipeline are caught and typed;
     /// this method itself never panics on a malformed kernel. Uses the
-    /// engine-wide deadline; see [`Engine::compile_one_with_deadline`]
-    /// for a per-call override.
+    /// engine-wide deadline (batch jobs can carry their own).
+    ///
+    /// Assigns a fresh correlation id (batch jobs carry their own via
+    /// [`Job::corr`]) and runs the full telemetry wrapper: event-log
+    /// lifecycle lines, service metrics, and fault-triggered flight
+    /// dumps.
     pub fn compile_one(
         &self,
         name: &str,
         function: &Function,
         pipeline: &PipelineConfig,
     ) -> JobResult {
-        self.compile_one_with_deadline(name, function, pipeline, self.cfg.deadline)
-    }
-
-    /// [`Engine::compile_one`] with an explicit per-call deadline (each
-    /// degradation rung still gets a fresh window). Serve mode routes
-    /// per-request `deadline_ms` through here.
-    ///
-    /// Assigns a fresh correlation id (batch jobs carry their own via
-    /// [`Job::corr`]) and runs the full telemetry wrapper: event-log
-    /// lifecycle lines, service metrics, and fault-triggered flight
-    /// dumps.
-    pub fn compile_one_with_deadline(
-        &self,
-        name: &str,
-        function: &Function,
-        pipeline: &PipelineConfig,
-        deadline: Option<Duration>,
-    ) -> JobResult {
         let corr = events::next_corr();
         if let Some(log) = &self.events {
             log.emit("admitted", &corr, name, vec![]);
         }
-        self.compile_instrumented(&corr, name, Input::Function(function), pipeline, deadline)
+        let input = Input::Function(function);
+        self.compile_instrumented(&corr, name, input, pipeline, self.cfg.deadline)
     }
 
     /// The telemetry wrapper around one ladder run: `started` →
@@ -745,14 +747,14 @@ impl Engine {
 
         if let Some(log) = &self.events {
             if !result.cache_hit {
-                for (stage, dur) in stage_durations(&result.stages) {
+                for (stage, dur) in result.stages.iter() {
                     if !dur.is_zero() {
                         log.emit(
                             "stage_done",
                             corr,
                             name,
                             vec![
-                                ("stage", Json::str(stage)),
+                                ("stage", Json::str(stage.name())),
                                 ("dur_us", Json::int(dur.as_micros() as u64)),
                             ],
                         );
@@ -760,16 +762,7 @@ impl Engine {
                 }
             }
             for fault in &result.faults {
-                log.emit(
-                    "faulted",
-                    corr,
-                    name,
-                    vec![
-                        ("stage", Json::str(fault.stage.name())),
-                        ("tag", Json::str(fault.cause.tag())),
-                        ("message", Json::str(fault.cause.to_string())),
-                    ],
-                );
+                emit_faulted(log, corr, name, fault);
             }
             if matches!(result.rung, Rung::Width1 | Rung::Scalar) {
                 log.emit("degraded", corr, name, vec![("rung", Json::str(result.rung.name()))]);
@@ -785,8 +778,9 @@ impl Engine {
                     (
                         "stages",
                         Json::obj(
-                            stage_durations(&result.stages)
-                                .map(|(stage, dur)| (stage, Json::int(dur.as_micros() as u64))),
+                            result.stages.iter().map(|(stage, dur)| {
+                                (stage.name(), Json::int(dur.as_micros() as u64))
+                            }),
                         ),
                     ),
                 ],
@@ -806,31 +800,6 @@ impl Engine {
             }
         }
         result
-    }
-
-    /// A hit result for `value`, found in the memory tier or on disk.
-    fn hit_result(
-        name: &str,
-        hash: ContentHash,
-        value: CachedCompile,
-        disk_hit: bool,
-        faults: Vec<CompileError>,
-        t0: Instant,
-    ) -> JobResult {
-        JobResult {
-            name: name.to_string(),
-            corr: String::new(),
-            hash: Some(hash),
-            kernel: Some(value.kernel),
-            rung: Rung::Primary,
-            faults,
-            stages: value.stages,
-            cache_hit: true,
-            disk_hit,
-            verify_time: Duration::ZERO,
-            verify_error: None,
-            wall: t0.elapsed(),
-        }
     }
 
     /// The disk tier and this build's fingerprint for `pipeline`'s
@@ -853,24 +822,33 @@ impl Engine {
         faults: &mut Vec<CompileError>,
         t0: Instant,
     ) -> Option<JobResult> {
-        if let Some(hit) = self.cache.get(hash) {
+        let (value, disk_hit) = if let Some(value) = self.cache.get(hash) {
             vegen_trace::instant("engine", "cache_hit");
-            return Some(Engine::hit_result(name, hash, hit, false, std::mem::take(faults), t0));
-        }
-        let (disk, fingerprint) = self.disk_tier(pipeline)?;
-        match disk.load(hash, &fingerprint) {
-            Ok(Some(found)) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                vegen_trace::instant("engine", "disk_hit");
-                let value = self.cache.insert(hash, found.value);
-                Some(Engine::hit_result(name, hash, value, true, std::mem::take(faults), t0))
+            (value, false)
+        } else {
+            let (disk, fingerprint) = self.disk_tier(pipeline)?;
+            match disk.load(hash, &fingerprint) {
+                Ok(Some(found)) => {
+                    self.count(|c| c.disk_hits += 1);
+                    vegen_trace::instant("engine", "disk_hit");
+                    (self.cache.insert(hash, found.value), true)
+                }
+                Ok(None) => return None,
+                Err(detail) => {
+                    self.note_cache_io(name, detail, faults);
+                    return None;
+                }
             }
-            Ok(None) => None,
-            Err(detail) => {
-                self.note_cache_io(name, detail, faults);
-                None
-            }
-        }
+        };
+        let mut hit = JobResult::new(name, Rung::Primary);
+        hit.hash = Some(hash);
+        hit.kernel = Some(value.kernel);
+        hit.faults = std::mem::take(faults);
+        hit.stages = value.stages;
+        hit.cache_hit = true;
+        hit.disk_hit = disk_hit;
+        hit.wall = t0.elapsed();
+        Some(hit)
     }
 
     /// The degradation-ladder body: cache lookup, then requested config →
@@ -906,24 +884,12 @@ impl Engine {
             }
         };
 
-        // Preparation (canonicalize) with its own panic isolation: if we
-        // cannot even canonicalize, there is no scalar fallback either.
-        let prep_start = Instant::now();
-        let prepared = catch_unwind(AssertUnwindSafe(|| try_prepare(function)));
-        let canonicalize_time = prep_start.elapsed();
-        let canonical = match prepared {
-            Ok(Ok(f)) => f,
-            Ok(Err(e)) => {
-                self.note_failure(e, &mut faults);
-                return self.failed_result(name, None, faults, t0);
-            }
-            Err(payload) => {
-                let stage = take_panic_stage().unwrap_or(Stage::Canonicalize);
-                let e = CompileError::new(
-                    stage,
-                    name,
-                    ErrorCause::Panic { message: panic_message(payload.as_ref()) },
-                );
+        // Canonicalize. If even that fails there is nothing to hash and
+        // nothing the scalar rung could lower.
+        let mut ctx = CompileCtx::default();
+        let canonical = match Engine::attempt(name, &mut ctx, |ctx| prepare(function, ctx)) {
+            Ok(f) => f,
+            Err(e) => {
                 self.note_failure(e, &mut faults);
                 return self.failed_result(name, None, faults, t0);
             }
@@ -953,138 +919,73 @@ impl Engine {
         }
         vegen_trace::instant("engine", "cache_miss");
 
-        // One reuse handle for the whole ladder: the width-1 retry (rung
-        // 2) recycles rung 1's frozen interned context and `costSLP`
-        // memo instead of re-freezing. `attempt` resets it after a
-        // caught panic.
-        let mut reuse = SelectionReuse::new();
-
-        // Rung 1: the requested configuration.
-        match self.attempt(name, &canonical, pipeline, deadline, &mut reuse) {
-            Ok((kernel, mut stages)) => {
-                stages.canonicalize = canonicalize_time;
+        for plan in &LADDER {
+            let narrow;
+            let driver_plan = match plan.search {
+                Search::Requested => Plan::Full(&pipeline.beam),
+                Search::Width1 => {
+                    self.count(|c| c.retries += 1);
+                    vegen_trace::instant("engine", "retry_width1");
+                    narrow = BeamConfig {
+                        budget: pipeline.beam.budget.clone(),
+                        beam_threads: pipeline.beam.beam_threads,
+                        ..BeamConfig::slp()
+                    };
+                    Plan::Full(&narrow)
+                }
+                Search::Scalar => Plan::Scalar,
+            };
+            ctx.deadline = deadline.map(|d| (Instant::now() + d, d));
+            let attempt = Engine::attempt(name, &mut ctx, |ctx| {
+                compile_prepared(&canonical, pipeline, driver_plan, ctx)
+            });
+            let (kernel, stages) = match attempt {
+                Ok(compiled) => compiled,
+                Err(e) => {
+                    self.note_failure(e, &mut faults);
+                    continue;
+                }
+            };
+            if plan.search != Search::Scalar {
                 self.note_compilation(&kernel);
-                let (verify_time, verify_error) = self.verify(&kernel);
-                let kernel = Arc::new(kernel);
-                // Failed compilations are not poisoned into the cache;
-                // only clean primary-rung results are shareable.
-                let value = if verify_error.is_none() {
-                    if let Some((disk, fingerprint)) = self.disk_tier(pipeline) {
-                        match disk.store(
-                            hash,
-                            &fingerprint,
-                            &pipeline.target.name,
-                            pipeline.canonicalize_patterns,
-                            &kernel,
-                            &stages,
-                        ) {
-                            Ok(()) => {
-                                self.disk_stores.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(detail) => self.note_cache_io(name, detail, &mut faults),
-                        }
-                    }
-                    self.cache.insert(hash, CachedCompile { kernel: kernel.clone(), stages })
-                } else {
-                    CachedCompile { kernel: kernel.clone(), stages }
-                };
-                return JobResult {
-                    name: name.to_string(),
-                    corr: String::new(),
-                    hash: Some(hash),
-                    kernel: Some(value.kernel),
-                    rung: Rung::Primary,
-                    faults,
-                    stages: value.stages,
-                    cache_hit: false,
-                    disk_hit: false,
-                    verify_time,
-                    verify_error,
-                    wall: t0.elapsed(),
-                };
             }
-            Err(e) => self.note_failure(e, &mut faults),
-        }
-
-        // Rung 2: beam width 1 (the SLP heuristic) — cheap, deterministic,
-        // and with a fresh deadline window. Skipped when the primary
-        // config already *was* width 1 (retrying it changes nothing
-        // unless the failure was an injected one-shot fault, which is
-        // exactly what the harness wants to exercise).
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        vegen_trace::instant("engine", "retry_width1");
-        let narrow = PipelineConfig {
-            beam: BeamConfig {
-                budget: pipeline.beam.budget.clone(),
-                beam_threads: pipeline.beam.beam_threads,
-                ..BeamConfig::slp()
-            },
-            ..pipeline.clone()
-        };
-        match self.attempt(name, &canonical, &narrow, deadline, &mut reuse) {
-            Ok((kernel, mut stages)) => {
-                stages.canonicalize = canonicalize_time;
-                self.note_compilation(&kernel);
-                self.degradations.fetch_add(1, Ordering::Relaxed);
-                vegen_trace::instant("engine", "degraded_width1");
-                let (verify_time, verify_error) = self.verify(&kernel);
-                return JobResult {
-                    name: name.to_string(),
-                    corr: String::new(),
-                    hash: Some(hash),
-                    kernel: Some(Arc::new(kernel)),
-                    rung: Rung::Width1,
-                    faults,
-                    stages,
-                    cache_hit: false,
-                    disk_hit: false,
-                    verify_time,
-                    verify_error,
-                    wall: t0.elapsed(),
-                };
-            }
-            Err(e) => self.note_failure(e, &mut faults),
-        }
-
-        // Rung 3: the verified scalar lowering — always correct by
-        // construction, no search, no baseline; isolated all the same.
-        let scalar = catch_unwind(AssertUnwindSafe(|| compile_scalar_fallback(canonical.clone())));
-        match scalar {
-            Ok(Ok((kernel, mut stages))) => {
-                stages.canonicalize = canonicalize_time;
-                self.degradations.fetch_add(1, Ordering::Relaxed);
-                vegen_trace::instant("engine", "degraded_scalar");
-                let (verify_time, verify_error) = self.verify(&kernel);
-                JobResult {
-                    name: name.to_string(),
-                    corr: String::new(),
-                    hash: Some(hash),
-                    kernel: Some(Arc::new(kernel)),
-                    rung: Rung::Scalar,
-                    faults,
-                    stages,
-                    cache_hit: false,
-                    disk_hit: false,
-                    verify_time,
-                    verify_error,
-                    wall: t0.elapsed(),
+            if plan.rung != Rung::Primary {
+                self.count(|c| c.degradations += 1);
+                if vegen_trace::enabled() {
+                    vegen_trace::instant_owned("engine", format!("degraded_{}", plan.rung.name()));
                 }
             }
-            Ok(Err(e)) => {
-                self.note_failure(e, &mut faults);
-                self.failed_result(name, Some(hash), faults, t0)
+            let (verify_time, verify_error) = self.verify(&kernel);
+            let mut value = CachedCompile { kernel: Arc::new(kernel), stages };
+            // A program that failed verification is not poisoned into
+            // either tier.
+            if plan.shared && verify_error.is_none() {
+                if let Some((disk, fingerprint)) = self.disk_tier(pipeline) {
+                    match disk.store(
+                        hash,
+                        &fingerprint,
+                        &pipeline.target.name,
+                        pipeline.canonicalize_patterns,
+                        &value.kernel,
+                        &value.stages,
+                    ) {
+                        Ok(()) => self.count(|c| c.disk_stores += 1),
+                        Err(detail) => self.note_cache_io(name, detail, &mut faults),
+                    }
+                }
+                value = self.cache.insert(hash, value);
             }
-            Err(payload) => {
-                let stage = take_panic_stage().unwrap_or(Stage::Lowering);
-                let e = CompileError::new(
-                    stage,
-                    name,
-                    ErrorCause::Panic { message: panic_message(payload.as_ref()) },
-                );
-                self.note_failure(e, &mut faults);
-                self.failed_result(name, Some(hash), faults, t0)
-            }
+            let mut result = JobResult::new(name, plan.rung);
+            result.hash = Some(hash);
+            result.kernel = Some(value.kernel);
+            result.faults = faults;
+            result.stages = value.stages;
+            result.verify_time = verify_time;
+            result.verify_error = verify_error;
+            result.wall = t0.elapsed();
+            return result;
         }
+        self.failed_result(name, Some(hash), faults, t0)
     }
 
     /// A terminal [`Rung::Failed`] result.
@@ -1096,38 +997,11 @@ impl Engine {
         t0: Instant,
     ) -> JobResult {
         vegen_trace::instant("engine", "job_failed");
-        JobResult {
-            name: name.to_string(),
-            corr: String::new(),
-            hash,
-            kernel: None,
-            rung: Rung::Failed,
-            faults,
-            stages: StageTimes::default(),
-            cache_hit: false,
-            disk_hit: false,
-            verify_time: Duration::ZERO,
-            verify_error: None,
-            wall: t0.elapsed(),
-        }
-    }
-
-    /// A [`Rung::Skipped`] result (fail-fast aborted the batch).
-    fn skipped_result(name: &str, corr: &str) -> JobResult {
-        JobResult {
-            name: name.to_string(),
-            corr: corr.to_string(),
-            hash: None,
-            kernel: None,
-            rung: Rung::Skipped,
-            faults: Vec::new(),
-            stages: StageTimes::default(),
-            cache_hit: false,
-            disk_hit: false,
-            verify_time: Duration::ZERO,
-            verify_error: None,
-            wall: Duration::ZERO,
-        }
+        let mut failed = JobResult::new(name, Rung::Failed);
+        failed.hash = hash;
+        failed.faults = faults;
+        failed.wall = t0.elapsed();
+        failed
     }
 
     /// Compile a batch in parallel. Results are input-ordered and
@@ -1163,7 +1037,9 @@ impl Engine {
                             vec![("rung", Json::str(Rung::Skipped.name()))],
                         );
                     }
-                    return Engine::skipped_result(&job.name, &job.corr);
+                    let mut skipped = JobResult::new(&job.name, Rung::Skipped);
+                    skipped.corr = job.corr.clone();
+                    return skipped;
                 }
                 let input = match &job.input {
                     JobInput::Function { function, .. } => Input::Function(function),
@@ -1196,20 +1072,11 @@ impl Engine {
             // own isolation (engine bookkeeping, cache code) still only
             // fails its job, not the batch.
             |_, job, message| {
-                self.failures.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.failures += 1);
                 let stage = take_panic_stage().unwrap_or(Stage::Canonicalize);
                 let fault = CompileError::new(stage, &job.name, ErrorCause::Panic { message });
                 if let Some(log) = &self.events {
-                    log.emit(
-                        "faulted",
-                        &job.corr,
-                        &job.name,
-                        vec![
-                            ("stage", Json::str(fault.stage.name())),
-                            ("tag", Json::str(fault.cause.tag())),
-                            ("message", Json::str(fault.cause.to_string())),
-                        ],
-                    );
+                    emit_faulted(log, &job.corr, &job.name, &fault);
                     log.emit(
                         "completed",
                         &job.corr,
@@ -1221,20 +1088,10 @@ impl Engine {
                     let tail = self.events.as_ref().map(|l| l.tail()).unwrap_or_default();
                     let _ = flight.dump("escaped_panic", &tail);
                 }
-                JobResult {
-                    name: job.name.clone(),
-                    corr: job.corr.clone(),
-                    hash: None,
-                    kernel: None,
-                    rung: Rung::Failed,
-                    faults: vec![fault],
-                    stages: StageTimes::default(),
-                    cache_hit: false,
-                    disk_hit: false,
-                    verify_time: Duration::ZERO,
-                    verify_error: None,
-                    wall: Duration::ZERO,
-                }
+                let mut failed = JobResult::new(&job.name, Rung::Failed);
+                failed.corr = job.corr.clone();
+                failed.faults = vec![fault];
+                failed
             },
         )
     }
@@ -1251,27 +1108,7 @@ impl Engine {
 
     /// Engine-lifetime pipeline counters.
     pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            states_expanded: self.states_expanded.load(Ordering::Relaxed),
-            transitions: self.transitions.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            producer_cache_hits: self.producer_cache_hits.load(Ordering::Relaxed),
-            producer_cache_misses: self.producer_cache_misses.load(Ordering::Relaxed),
-            packs_committed: self.packs_committed.load(Ordering::Relaxed),
-            compilations: self.compilations.load(Ordering::Relaxed),
-            analyses: self.analyses.load(Ordering::Relaxed),
-            analysis_errors: self.analysis_errors.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            deadline_hits: self.deadline_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_stores: self.disk_stores.load(Ordering::Relaxed),
-            cache_io_errors: self.cache_io_errors.load(Ordering::Relaxed),
-            tt_hits: self.tt_hits.load(Ordering::Relaxed),
-            tt_misses: self.tt_misses.load(Ordering::Relaxed),
-            frozen_reuses: self.frozen_reuses.load(Ordering::Relaxed),
-        }
+        *self.counters.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Drop every cache entry (counters are kept; useful for cold-run

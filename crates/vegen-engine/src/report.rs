@@ -14,6 +14,7 @@ use crate::json::Json;
 use crate::{EngineCounters, JobResult};
 use std::time::Duration;
 use vegen::driver::StageTimes;
+use vegen::error::Stage;
 
 fn micros(d: Duration) -> Json {
     Json::Num(d.as_secs_f64() * 1e6)
@@ -103,17 +104,16 @@ pub struct StageReport {
 }
 
 impl StageReport {
+    /// One `<stage>_us` member per pipeline stage, then verify and the total.
     fn to_json(self) -> Json {
-        Json::obj([
-            ("canonicalize_us", micros(self.stages.canonicalize)),
-            ("target_desc_us", micros(self.stages.target_desc)),
-            ("selection_us", micros(self.stages.selection)),
-            ("lowering_us", micros(self.stages.lowering)),
-            ("analysis_us", micros(self.stages.analysis)),
-            ("baseline_us", micros(self.stages.baseline)),
-            ("verify_us", micros(self.verify)),
-            ("total_us", micros(self.stages.total() + self.verify)),
-        ])
+        let mut pairs: Vec<(String, Json)> = self
+            .stages
+            .iter()
+            .chain([(Stage::Verify, self.verify)])
+            .map(|(stage, d)| (format!("{stage}_us"), micros(d)))
+            .collect();
+        pairs.push(("total_us".to_string(), micros(self.stages.total() + self.verify)));
+        Json::Obj(pairs)
     }
 }
 

@@ -28,7 +28,7 @@
 use crate::json::Json;
 use std::time::Duration;
 use vegen::analysis::{AnalysisReport, Diagnostic, Location, Severity};
-use vegen::driver::{CompiledKernel, StageTimes};
+use vegen::driver::{CompiledKernel, StageTimes, PIPELINE};
 use vegen_core::beam::{
     BeamStats, CandidateLog, CommittedPack, DecisionLog, IterationLog, SelectionResult,
 };
@@ -916,16 +916,10 @@ fn analysis_from(j: &Json) -> Result<AnalysisReport, String> {
 // Stage times + the compiled kernel
 // ---------------------------------------------------------------------------
 
-/// Encode per-stage wall times (integer nanoseconds).
+/// Encode per-stage wall times (integer nanoseconds, one `<stage>_ns`
+/// member per pipeline stage).
 pub fn stage_times_to_json(t: &StageTimes) -> Json {
-    Json::obj([
-        ("canonicalize_ns", duration_json(t.canonicalize)),
-        ("target_desc_ns", duration_json(t.target_desc)),
-        ("selection_ns", duration_json(t.selection)),
-        ("lowering_ns", duration_json(t.lowering)),
-        ("analysis_ns", duration_json(t.analysis)),
-        ("baseline_ns", duration_json(t.baseline)),
-    ])
+    Json::Obj(t.iter().map(|(stage, d)| (format!("{stage}_ns"), duration_json(d))).collect())
 }
 
 /// Decode per-stage wall times.
@@ -934,14 +928,11 @@ pub fn stage_times_to_json(t: &StageTimes) -> Json {
 ///
 /// Returns a message naming the malformed field.
 pub fn stage_times_from_json(j: &Json) -> Result<StageTimes, String> {
-    Ok(StageTimes {
-        canonicalize: nanos(j, "canonicalize_ns")?,
-        target_desc: nanos(j, "target_desc_ns")?,
-        selection: nanos(j, "selection_ns")?,
-        lowering: nanos(j, "lowering_ns")?,
-        analysis: nanos(j, "analysis_ns")?,
-        baseline: nanos(j, "baseline_ns")?,
-    })
+    let mut t = StageTimes::default();
+    for stage in PIPELINE {
+        *t.slot_mut(stage) = nanos(j, &format!("{stage}_ns"))?;
+    }
+    Ok(t)
 }
 
 /// Encode a full compiled kernel: the canonical function, all three
@@ -979,11 +970,11 @@ pub fn kernel_from_json(j: &Json) -> Result<CompiledKernel, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegen::driver::{compile_timed, PipelineConfig};
+    use vegen::driver::{compile, PipelineConfig};
     use vegen_ir::FunctionBuilder;
     use vegen_isa::TargetIsa;
 
-    fn sample() -> (CompiledKernel, StageTimes) {
+    fn sample() -> CompiledKernel {
         let mut b = FunctionBuilder::new("serdes_dot");
         let a = b.param("A", Type::I16, 8);
         let bb = b.param("B", Type::I16, 8);
@@ -1001,12 +992,12 @@ mod tests {
             b.store(c, lane, s);
         }
         let cfg = PipelineConfig::new(TargetIsa::avx2(), 8);
-        compile_timed(&b.finish(), &cfg)
+        compile(&b.finish(), &cfg)
     }
 
     #[test]
     fn kernel_round_trips_byte_for_byte() {
-        let (kernel, _) = sample();
+        let kernel = sample();
         let doc = kernel_to_json(&kernel);
         let text = doc.render();
         let parsed = Json::parse(&text).expect("rendered JSON parses");

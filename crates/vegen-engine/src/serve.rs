@@ -187,15 +187,6 @@ fn result_json(r: &JobResult) -> Json {
     Json::obj(pairs)
 }
 
-fn parse_target(name: &str) -> Option<TargetIsa> {
-    match name.to_ascii_lowercase().as_str() {
-        "avx2" => Some(TargetIsa::avx2()),
-        "avx512vnni" | "avx512-vnni" | "vnni" => Some(TargetIsa::avx512vnni()),
-        "sse4" => Some(TargetIsa::sse4()),
-        _ => None,
-    }
-}
-
 /// Longest request line a client may send. `BufRead::lines` would buffer
 /// a line of any length, so one client that never sends `\n` could take
 /// the daemon's memory; this is far above any real kernel (6 000× the
@@ -422,7 +413,7 @@ impl<'e> ServeState<'e> {
         let target = match req.get("target") {
             Some(t) => {
                 let name = t.as_str().ok_or("\"target\" must be a string")?;
-                parse_target(name).ok_or(format!("unknown target {name:?}"))?
+                TargetIsa::from_name(name).ok_or(format!("unknown target {name:?}"))?
             }
             None => self.cfg.target.clone(),
         };
@@ -889,6 +880,33 @@ mod tests {
         state.start_drain();
         state.dispatch();
         (normalized(&buf), state.summary(), shutdown)
+    }
+
+    /// Every spelling of a target means the same ISA to `--target` (the
+    /// CLI, and so the daemon's default) and to a request's `"target"`
+    /// member, and both refuse what the other refuses.
+    #[test]
+    fn target_names_resolve_identically_through_cli_and_serve() {
+        let engine = engine();
+        let state = ServeState::new(&engine, ServeConfig::default());
+        let served = |name: &str| {
+            let doc = Json::obj([("target", Json::str(name))]);
+            state.compile_settings(&Request { doc, raw_function: None }).map(|(p, _)| p.target.name)
+        };
+        for (names, isa) in [
+            (&["avx2", "AVX2"][..], TargetIsa::avx2()),
+            (&["avx512vnni", "avx512-vnni", "vnni", "AVX512-VNNI"][..], TargetIsa::avx512vnni()),
+            (&["sse4", "sse4.1", "SSE4.1"][..], TargetIsa::sse4()),
+        ] {
+            for name in names {
+                assert_eq!(crate::cli::parse_target(name).map(|t| t.name), Ok(isa.name.clone()));
+                assert_eq!(served(name), Ok(isa.name.clone()), "{name}");
+            }
+        }
+        for name in ["neon", "sse4.2", ""] {
+            assert_eq!(crate::cli::parse_target(name), Err(format!("unknown target {name:?}")));
+            assert_eq!(served(name), Err(format!("unknown target {name:?}")));
+        }
     }
 
     /// The request lines the fuzz mutates. `flips` says whether random

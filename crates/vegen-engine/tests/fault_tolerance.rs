@@ -203,3 +203,89 @@ fn fail_fast_skips_later_jobs_after_a_degradation() {
         results.iter().map(|r| r.rung).collect::<Vec<_>>()
     );
 }
+
+const PARITY_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/ladder_parity.txt");
+
+/// One fault spec through a fresh single-job engine, rendered as the
+/// observable ladder outcome: rung, faults, counters, which stage slots
+/// were timed, and the event-log sequence.
+fn render_ladder_case(spec: &str, events: &std::path::Path) -> String {
+    use vegen_engine::json::Json;
+    let eng = engine(EngineConfig {
+        threads: 1,
+        event_log: Some(events.to_path_buf()),
+        ..EngineConfig::default()
+    });
+    let job = jobs().swap_remove(0);
+    let plan = FaultPlan::parse(spec).unwrap();
+    let r = with_plan(plan, || eng.compile_batch(std::slice::from_ref(&job))).swap_remove(0);
+    assert_eq!(r.kernel.is_some(), r.rung.produced_kernel(), "{spec}");
+    assert!(r.verify_error.is_none(), "{spec}: every served program verifies");
+
+    let faults: Vec<String> =
+        r.faults.iter().map(|f| format!("{}/{}", f.stage, f.cause.tag())).collect();
+    let timed: Vec<&str> =
+        r.stages.iter().filter(|(_, d)| !d.is_zero()).map(|(s, _)| s.name()).collect();
+    let log: Vec<String> = eng
+        .event_log()
+        .expect("event log opens")
+        .tail()
+        .iter()
+        .map(|line| {
+            let ev = Json::parse(line).expect("event lines are JSON");
+            assert_eq!(ev.get("corr").and_then(Json::as_str), Some(r.corr.as_str()), "{spec}");
+            let field = |k: &str| ev.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
+            match field("event").as_str() {
+                "stage_done" => format!("stage_done:{}", field("stage")),
+                "faulted" => format!("faulted:{}/{}", field("stage"), field("tag")),
+                e @ ("degraded" | "completed") => format!("{e}:{}", field("rung")),
+                e => e.to_string(),
+            }
+        })
+        .collect();
+    let c = eng.counters();
+    format!(
+        "{spec}\n  rung={} hashed={} faults=[{}]\n  failures={} retries={} degradations={} \
+         compilations={} frozen_reuses={}\n  timed=[{}]\n  events=[{}]\n",
+        r.rung.name(),
+        r.hash.is_some(),
+        faults.join(","),
+        c.failures,
+        c.retries,
+        c.degradations,
+        c.compilations,
+        c.frozen_reuses,
+        timed.join(","),
+        log.join(","),
+    )
+}
+
+#[test]
+fn ladder_outcomes_match_the_committed_fixture() {
+    // Every driver stage × {typed error, panic} × {one-shot, persistent}.
+    // The fixture was recorded before the driver's stages and the engine's
+    // rungs became tables; regenerate with VEGEN_UPDATE_GOLDEN=1 only for
+    // an intended change of ladder semantics.
+    let dir = std::env::temp_dir().join(format!("vegen-ladder-parity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut got = String::new();
+    for stage in vegen::driver::PIPELINE {
+        for kind in ["error", "panic"] {
+            for bang in ["", "!"] {
+                let spec = format!("pmaddwd:{stage}:{kind}{bang}");
+                let events = dir.join(format!("{stage}-{kind}{}.ndjson", bang.len()));
+                got.push_str(&render_ladder_case(&spec, &events));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    if std::env::var_os("VEGEN_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(PARITY_FIXTURE).parent().unwrap()).unwrap();
+        std::fs::write(PARITY_FIXTURE, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(PARITY_FIXTURE)
+        .expect("fixture missing — run with VEGEN_UPDATE_GOLDEN=1 to create it");
+    assert_eq!(got, want, "ladder outcomes diverge from the fixture; got:\n{got}");
+}

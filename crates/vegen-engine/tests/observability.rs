@@ -226,8 +226,13 @@ fn drop_first_kernel(doc: &mut Json) {
     });
 }
 
+/// The trace session is process-global; the tests that toggle it must not
+/// interleave.
+static TRACE_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn trace_session_captures_all_three_layers_without_perturbing_codegen() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let batch_names = ["pmaddwd", "int32x8", "hadd_i16", "max_pd"];
     // Reference run, tracing off.
     let plain = Engine::new(EngineConfig { threads: 2, verify_trials: 4, ..Default::default() })
@@ -263,6 +268,58 @@ fn trace_session_captures_all_three_layers_without_perturbing_codegen() {
         folded.lines().any(|l| l.contains("select_packs")),
         "folded stacks must contain beam frames:\n{folded}"
     );
+}
+
+#[test]
+fn every_miss_traces_each_driver_stage_once_inside_its_job_span() {
+    use vegen::error::Stage;
+    use vegen_trace::{EventKind, TraceEvent};
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(EngineConfig { threads: 2, verify_trials: 4, ..Default::default() });
+    let names = ["pmaddwd", "int32x8", "hadd_i16", "max_pd"];
+
+    vegen_trace::enable(vegen_trace::DEFAULT_CAPACITY);
+    let cold = engine.compile_batch(&jobs_for(&names, &pipeline(4)));
+    let warm = engine.compile_batch(&jobs_for(&names, &pipeline(4)));
+    let data = vegen_trace::drain();
+    vegen_trace::disable();
+    assert_eq!(data.dropped(), 0);
+
+    // The driver-category spans recorded on `job`'s thread within its
+    // `job:<name>#<corr>` span, in the order they closed.
+    let driver_spans_of = |job: &vegen_engine::JobResult| -> Vec<String> {
+        let interval = |e: &TraceEvent| match e.kind {
+            EventKind::Span { dur_us } => Some((e.ts_us, e.ts_us + dur_us)),
+            _ => None,
+        };
+        let label = format!("job:{}#{}", job.name, job.corr);
+        let (thread, (start, end)) = data
+            .threads
+            .iter()
+            .find_map(|t| Some((t, interval(t.events.iter().find(|e| e.name == label.as_str())?)?)))
+            .unwrap_or_else(|| panic!("{label} has a span"));
+        thread
+            .events
+            .iter()
+            .filter(|e| e.cat == "driver")
+            .filter(|e| interval(e).is_some_and(|(s, t)| start <= s && t <= end))
+            .map(|e| e.name.to_string())
+            .collect()
+    };
+    // Every stage the driver runs, canonicalize included, then its verify:
+    // `Stage::ALL` without the two service stages.
+    let want: Vec<&str> = Stage::ALL
+        .into_iter()
+        .filter(|s| !matches!(s, Stage::Admission | Stage::Cache))
+        .map(Stage::name)
+        .collect();
+    for (miss, hit) in cold.iter().zip(&warm) {
+        assert!(!miss.cache_hit && hit.cache_hit, "{}", miss.name);
+        assert_eq!(driver_spans_of(miss), want, "{}", miss.name);
+        // A hit still canonicalizes — the content address is a hash of
+        // the canonical form — and runs nothing after it.
+        assert_eq!(driver_spans_of(hit), want[..1], "{}", hit.name);
+    }
 }
 
 #[test]

@@ -97,6 +97,17 @@ impl TargetIsa {
         }
     }
 
+    /// The target a front end's `--target` flag or `"target"` request
+    /// member names, case-insensitively; `None` for an unknown name.
+    pub fn from_name(name: &str) -> Option<TargetIsa> {
+        match name.to_ascii_lowercase().as_str() {
+            "avx2" => Some(TargetIsa::avx2()),
+            "avx512vnni" | "avx512-vnni" | "vnni" => Some(TargetIsa::avx512vnni()),
+            "sse4" | "sse4.1" => Some(TargetIsa::sse4()),
+            _ => None,
+        }
+    }
+
     /// True if the target has `ext` enabled.
     pub fn has(&self, ext: Extension) -> bool {
         self.extensions.contains(&ext)
@@ -195,6 +206,16 @@ mod tests {
     fn database_builds_and_validates() {
         let db = full_database();
         assert!(db.len() >= 60, "expected a substantial database, got {}", db.len());
+    }
+
+    /// A target's own name resolves back to it: the disk cache's warm
+    /// start has only the stored name to go on.
+    #[test]
+    fn every_target_resolves_from_its_own_name() {
+        for t in [TargetIsa::avx2(), TargetIsa::avx512vnni(), TargetIsa::sse4()] {
+            assert_eq!(TargetIsa::from_name(&t.name), Some(t));
+        }
+        assert_eq!(TargetIsa::from_name("Z80"), None);
     }
 
     #[test]

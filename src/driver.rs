@@ -6,6 +6,13 @@
 //! baseline SLP crate) and "the VeGen-generated vectorizer" (the core
 //! pipeline) — all lowered to the same vector VM so they can be executed
 //! (correctness) and costed (performance).
+//!
+//! The pipeline is one straight line, [`PIPELINE`], and every stage of it
+//! runs through one private executor (`run_stage`) that owns the deadline
+//! check, trace span, panic attribution, fault injection and timing; the
+//! stages own only their bodies. The compile surface is [`target_desc`],
+//! [`prepare`], [`compile_prepared`] under a [`Plan`], and the infallible
+//! convenience [`compile`].
 
 use crate::error::{enter_stage, CompileError, ErrorCause, Stage};
 use crate::fault;
@@ -22,6 +29,7 @@ use vegen_ir::canon::{add_narrow_constants, canonicalize};
 use vegen_ir::Function;
 use vegen_isa::{InstDb, TargetIsa};
 use vegen_match::TargetDesc;
+use vegen_trace::metrics::{self, Histogram};
 use vegen_vm::{static_cycles, VmProgram};
 
 /// Pipeline configuration.
@@ -87,7 +95,21 @@ pub fn target_desc(target: &TargetIsa, canonicalize_patterns: bool) -> Arc<Targe
     cache.lock().unwrap_or_else(|e| e.into_inner()).entry(key).or_insert(built).clone()
 }
 
-/// Wall time of each pipeline stage of one [`compile_timed`] call.
+/// The driver's stages, in pipeline order (§4–§5, Fig. 3, then the §7
+/// comparator). Everything keyed by stage — `driver/<stage>` spans,
+/// `driver_stage_<stage>_us` histograms, [`StageTimes`] slots, the engine's
+/// `stage_done` events, report and cache-entry keys — derives from this
+/// list and [`Stage::name`].
+pub const PIPELINE: [Stage; 6] = [
+    Stage::Canonicalize,
+    Stage::TargetDesc,
+    Stage::Selection,
+    Stage::Lowering,
+    Stage::Analysis,
+    Stage::Baseline,
+];
+
+/// Wall time of each [`PIPELINE`] stage of one compile.
 ///
 /// These are the stage boundaries the engine's telemetry hooks into: the §6
 /// offline phase shows up as `target_desc` (amortized to ~0 by the process
@@ -110,233 +132,228 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
+    /// The slot of a [`PIPELINE`] stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stage the driver does not run (admission, verify,
+    /// cache) — a programming error, not a runtime condition.
+    pub fn slot_mut(&mut self, stage: Stage) -> &mut Duration {
+        match stage {
+            Stage::Canonicalize => &mut self.canonicalize,
+            Stage::TargetDesc => &mut self.target_desc,
+            Stage::Selection => &mut self.selection,
+            Stage::Lowering => &mut self.lowering,
+            Stage::Analysis => &mut self.analysis,
+            Stage::Baseline => &mut self.baseline,
+            Stage::Admission | Stage::Verify | Stage::Cache => {
+                panic!("{stage} is not a driver stage")
+            }
+        }
+    }
+
+    /// `(stage, wall time)` of every [`PIPELINE`] stage, in order — the one
+    /// iteration totals, events, reports and cache entries all read.
+    pub fn iter(&self) -> impl Iterator<Item = (Stage, Duration)> {
+        let mut times = *self;
+        PIPELINE.map(|stage| (stage, *times.slot_mut(stage))).into_iter()
+    }
+
     /// Sum of all stages.
     pub fn total(&self) -> Duration {
-        self.canonicalize
-            + self.target_desc
-            + self.selection
-            + self.lowering
-            + self.analysis
-            + self.baseline
+        self.iter().map(|(_, d)| d).sum()
     }
+}
+
+/// Per-compile state threaded through [`prepare`] and every
+/// [`compile_prepared`] run on the function it prepared.
+#[derive(Debug, Default)]
+pub struct CompileCtx {
+    /// Job budget `(expiry, configured limit)`: checked at every stage
+    /// boundary, and the *remaining* window is threaded into the beam
+    /// search as a wall budget so the selection loop (the only unbounded
+    /// stage) observes it cooperatively. The engine opens a fresh window
+    /// per ladder rung.
+    pub deadline: Option<(Instant, Duration)>,
+    /// The frozen interned context and `costSLP` memo of the last search,
+    /// so a retry on the *same* prepared function skips the freeze
+    /// pre-pass. A typed error leaves it consistent; after a caught panic
+    /// the caller must [`SelectionReuse::reset`] it.
+    pub reuse: SelectionReuse,
+    /// Stage times recorded so far: `canonicalize` by [`prepare`], the rest
+    /// by the latest [`compile_prepared`].
+    times: StageTimes,
+}
+
+/// What [`compile_prepared`] runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Plan<'a> {
+    /// The whole pipeline, selecting packs with this beam.
+    Full(&'a BeamConfig),
+    /// Scalar lowering only — no selection, analysis or baseline; all three
+    /// program slots hold the 1:1 scalar lowering, which is correct by
+    /// construction and cheap even for adversarial inputs. It is what a
+    /// caller falls back to when [`Plan::Full`] keeps failing, so it fires
+    /// no injected fault and observes no deadline.
+    Scalar,
+}
+
+/// Record one stage's wall time in its `driver_stage_<stage>_us` histogram.
+/// Unconditional (unlike trace spans): stage boundaries are per-kernel, far
+/// off any hot loop. Public for the one stage timed outside the driver, the
+/// engine's verify.
+pub fn record_stage(stage: Stage, d: Duration) {
+    const N: usize = Stage::ALL.len();
+    static HISTOGRAMS: [OnceLock<Arc<Histogram>>; N] = [const { OnceLock::new() }; N];
+    HISTOGRAMS[stage as usize]
+        .get_or_init(|| {
+            let name = format!("driver_stage_{stage}_us");
+            metrics::histogram(Box::leak(name.into_boxed_str()))
+        })
+        .record_duration(d);
+}
+
+/// The one executor every stage runs through: deadline check, then — inside
+/// the `driver/<stage>` span and the [`StageGuard`](crate::error::StageGuard)
+/// that attributes a panic — the injected fault and `body`; on success the
+/// wall time goes to the stage's histogram and its [`StageTimes`] slot. A
+/// failure comes back typed with the stage, kernel and cause. `guarded`
+/// is false only for [`Plan::Scalar`], which skips the deadline and the
+/// fault.
+fn run_stage<T>(
+    stage: Stage,
+    kernel: &str,
+    ctx: &mut CompileCtx,
+    guarded: bool,
+    body: impl FnOnce(&mut CompileCtx) -> Result<T, ErrorCause>,
+) -> Result<T, CompileError> {
+    let fail = |cause| CompileError::new(stage, kernel, cause);
+    let t = Instant::now();
+    match ctx.deadline {
+        Some((at, limit)) if guarded && Instant::now() >= at => {
+            vegen_trace::instant("driver", "deadline");
+            return Err(fail(ErrorCause::Deadline { limit }));
+        }
+        _ => {}
+    }
+    let out = {
+        let _sp = vegen_trace::span("driver", stage.name());
+        let _st = enter_stage(stage);
+        if guarded {
+            fault::fire(stage, kernel).map_err(fail)?;
+        }
+        body(ctx).map_err(fail)?
+    };
+    let elapsed = t.elapsed();
+    record_stage(stage, elapsed);
+    *ctx.times.slot_mut(stage) = elapsed;
+    Ok(out)
 }
 
 /// Canonicalize and annotate a scalar function — the front half of the
 /// pipeline, exposed so callers (the engine's content-addressed cache) can
 /// hash the canonical form before deciding whether to compile at all.
-pub fn prepare(f: &Function) -> Function {
-    add_narrow_constants(&canonicalize(f))
-}
-
-/// Record one stage's wall time into the service metrics registry.
-/// Unconditional (unlike trace spans): stage boundaries are per-kernel,
-/// so the registry lookup is far off any hot loop.
-fn record_stage(metric: &'static str, d: Duration) {
-    vegen_trace::metrics::histogram(metric).record_duration(d);
-}
-
-/// [`prepare`] with stage attribution and fault injection — the form the
-/// engine uses so canonicalize-stage faults and panics are typed.
 ///
 /// # Errors
 ///
 /// Returns an injected canonicalize-stage fault, if one is installed.
-pub fn try_prepare(f: &Function) -> Result<Function, CompileError> {
-    let _st = enter_stage(Stage::Canonicalize);
-    fault::fire(Stage::Canonicalize, &f.name)
-        .map_err(|c| CompileError::new(Stage::Canonicalize, &f.name, c))?;
-    let t = Instant::now();
-    let prepared = prepare(f);
-    record_stage("driver_stage_canonicalize_us", t.elapsed());
-    Ok(prepared)
+pub fn prepare(f: &Function, ctx: &mut CompileCtx) -> Result<Function, CompileError> {
+    run_stage(Stage::Canonicalize, &f.name, ctx, true, |_| {
+        Ok(add_narrow_constants(&canonicalize(f)))
+    })
 }
 
 /// Compile `f` three ways (scalar / baseline / VeGen).
-pub fn compile(f: &Function, cfg: &PipelineConfig) -> CompiledKernel {
-    compile_timed(f, cfg).0
-}
-
-/// [`compile`], also reporting per-stage wall times.
-pub fn compile_timed(f: &Function, cfg: &PipelineConfig) -> (CompiledKernel, StageTimes) {
-    let t = Instant::now();
-    let prepared = {
-        let _sp = vegen_trace::span("driver", "canonicalize");
-        prepare(f)
-    };
-    let canonicalize_time = t.elapsed();
-    record_stage("driver_stage_canonicalize_us", canonicalize_time);
-    let (kernel, mut times) = compile_prepared_timed(prepared, cfg);
-    times.canonicalize = canonicalize_time;
-    (kernel, times)
-}
-
-/// Compile an already-[`prepare`]d function, reporting per-stage wall
-/// times (with `canonicalize` zero, since that stage was the caller's).
 ///
 /// # Panics
 ///
-/// Panics on any pipeline failure; use [`try_compile_prepared_timed`] on
-/// fault-tolerant paths (the engine) to get a typed [`CompileError`].
-pub fn compile_prepared_timed(
-    prepared: Function,
-    cfg: &PipelineConfig,
-) -> (CompiledKernel, StageTimes) {
-    try_compile_prepared_timed(prepared, cfg, None).unwrap_or_else(|e| panic!("{e}"))
+/// Panics on any pipeline failure; fault-tolerant callers (the engine) use
+/// [`prepare`] + [`compile_prepared`] and get a typed [`CompileError`].
+pub fn compile(f: &Function, cfg: &PipelineConfig) -> CompiledKernel {
+    let mut ctx = CompileCtx::default();
+    prepare(f, &mut ctx)
+        .and_then(|prepared| compile_prepared(&prepared, cfg, Plan::Full(&cfg.beam), &mut ctx))
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
-/// Check an engine-level deadline at a stage boundary.
-fn check_deadline(
-    stage: Stage,
-    kernel: &str,
-    deadline: Option<(Instant, Duration)>,
-) -> Result<(), CompileError> {
-    if let Some((at, limit)) = deadline {
-        if Instant::now() >= at {
-            vegen_trace::instant("driver", "deadline");
-            return Err(CompileError::new(stage, kernel, ErrorCause::Deadline { limit }));
-        }
-    }
-    Ok(())
-}
-
-/// Fallible form of [`compile_prepared_timed`]: every stage failure —
-/// budget exhaustion, malformed input, injected fault — comes back as a
-/// typed [`CompileError`] naming the stage, kernel, and cause.
-///
-/// `deadline` is an engine-level per-job budget `(expiry, configured
-/// limit)`: it is checked at every stage boundary, and the *remaining*
-/// window is threaded into the beam search as a wall budget so the
-/// selection loop (the only unbounded stage) observes it cooperatively.
+/// Run `plan` on an already-[`prepare`]d function, reporting per-stage wall
+/// times (`canonicalize` is what [`prepare`] recorded on this `ctx`, zero if
+/// that stage was the caller's).
 ///
 /// # Errors
 ///
-/// Returns the first stage failure. Panics are *not* caught here — that
-/// is the engine boundary's job (`catch_unwind` around the whole call) —
-/// but stage attribution for caught panics is recorded via
-/// [`crate::error::StageGuard`].
-pub fn try_compile_prepared_timed(
-    prepared: Function,
+/// Returns the first stage failure — budget exhaustion, expired deadline,
+/// malformed input, injected fault — naming the stage, kernel and cause.
+/// Panics are *not* caught here; that is the engine boundary's job, and the
+/// stage a panic unwound through is left for it in
+/// [`crate::error::take_panic_stage`].
+pub fn compile_prepared(
+    prepared: &Function,
     cfg: &PipelineConfig,
-    deadline: Option<(Instant, Duration)>,
+    plan: Plan<'_>,
+    ctx: &mut CompileCtx,
 ) -> Result<(CompiledKernel, StageTimes), CompileError> {
-    try_compile_prepared_reusing(prepared, cfg, deadline, &mut SelectionReuse::new())
-}
+    let name = &prepared.name;
+    ctx.times = StageTimes { canonicalize: ctx.times.canonicalize, ..StageTimes::default() };
 
-/// [`try_compile_prepared_timed`] threading a [`SelectionReuse`] through
-/// pack selection, so the caller (the engine's degradation ladder) can
-/// carry the frozen interned context and the `costSLP` memo from a
-/// failed wide search into its width-1 retry — the retry skips the freeze
-/// pre-pass entirely and starts with warm `costSLP` values.
-///
-/// The reuse handle is only consulted by the selection stage; on any typed
-/// error it still holds the parked snapshot, so a retry on the *same*
-/// prepared function is cheap. After a caught panic the caller must
-/// [`SelectionReuse::reset`] it instead.
-///
-/// # Errors
-///
-/// Same contract as [`try_compile_prepared_timed`].
-pub fn try_compile_prepared_reusing(
-    prepared: Function,
-    cfg: &PipelineConfig,
-    deadline: Option<(Instant, Duration)>,
-    reuse: &mut SelectionReuse,
-) -> Result<(CompiledKernel, StageTimes), CompileError> {
-    let name = prepared.name.clone();
-    let mut times = StageTimes::default();
-
-    let t = Instant::now();
-    check_deadline(Stage::TargetDesc, &name, deadline)?;
-    let desc = {
-        let _sp = vegen_trace::span("driver", "target_desc");
-        let _st = enter_stage(Stage::TargetDesc);
-        fault::fire(Stage::TargetDesc, &name)
-            .map_err(|c| CompileError::new(Stage::TargetDesc, &name, c))?;
-        target_desc(&cfg.target, cfg.canonicalize_patterns)
-    };
-    times.target_desc = t.elapsed();
-    record_stage("driver_stage_target_desc_us", times.target_desc);
-
-    let t = Instant::now();
-    check_deadline(Stage::Selection, &name, deadline)?;
-    let (ctx, selection) = {
-        let _sp = vegen_trace::span("driver", "selection");
-        let _st = enter_stage(Stage::Selection);
-        fault::fire(Stage::Selection, &name)
-            .map_err(|c| CompileError::new(Stage::Selection, &name, c))?;
-        // Thread the remaining job window into the beam as a wall budget
-        // (tightening any caller-set budget, never loosening it).
-        let beam = match deadline {
-            Some((at, _)) => {
-                let remaining = at.saturating_duration_since(Instant::now());
-                let wall = match cfg.beam.budget.wall {
-                    Some(w) => w.min(remaining),
-                    None => remaining,
-                };
-                let mut beam = cfg.beam.clone();
-                beam.budget.wall = Some(wall);
-                beam
-            }
-            None => cfg.beam.clone(),
+    let Plan::Full(beam) = plan else {
+        let scalar = run_stage(Stage::Lowering, name, ctx, false, |_| {
+            try_lower_scalar(prepared).map_err(ErrorCause::Lowering)
+        })?;
+        let kernel = CompiledKernel {
+            function: prepared.clone(),
+            vegen: scalar.clone(),
+            baseline: scalar.clone(),
+            scalar,
+            selection: SelectionResult::default(),
+            baseline_trees: 0,
+            analysis: AnalysisReport::default(),
         };
-        let ctx = VectorizerCtx::new(&prepared, &desc, CostModel::default());
-        let selection = select_packs_reusing(&ctx, &beam, reuse)
-            .map_err(|e| CompileError::new(Stage::Selection, &name, ErrorCause::Search(e)))?;
-        (ctx, selection)
+        return Ok((kernel, ctx.times));
     };
-    times.selection = t.elapsed();
-    record_stage("driver_stage_selection_us", times.selection);
 
-    let t = Instant::now();
-    check_deadline(Stage::Lowering, &name, deadline)?;
-    let (scalar, vegen) = {
-        let _sp = vegen_trace::span("driver", "lowering");
-        let _st = enter_stage(Stage::Lowering);
-        fault::fire(Stage::Lowering, &name)
-            .map_err(|c| CompileError::new(Stage::Lowering, &name, c))?;
-        let scalar = try_lower_scalar(&prepared)
-            .map_err(|e| CompileError::new(Stage::Lowering, &name, ErrorCause::Lowering(e)))?;
-        let mut vegen = try_lower(&ctx, &selection.packs)
-            .map_err(|e| CompileError::new(Stage::Lowering, &name, ErrorCause::Lowering(e)))?;
+    let desc = run_stage(Stage::TargetDesc, name, ctx, true, |_| {
+        Ok(target_desc(&cfg.target, cfg.canonicalize_patterns))
+    })?;
+
+    let (vctx, selection) = run_stage(Stage::Selection, name, ctx, true, |ctx| {
+        // The remaining job window tightens any caller-set wall budget,
+        // never loosens it.
+        let mut beam = beam.clone();
+        if let Some((at, _)) = ctx.deadline {
+            let remaining = at.saturating_duration_since(Instant::now());
+            beam.budget.wall = Some(beam.budget.wall.map_or(remaining, |w| w.min(remaining)));
+        }
+        let vctx = VectorizerCtx::new(prepared, &desc, CostModel::default());
+        let selection =
+            select_packs_reusing(&vctx, &beam, &mut ctx.reuse).map_err(ErrorCause::Search)?;
+        Ok((vctx, selection))
+    })?;
+
+    let (scalar, vegen) = run_stage(Stage::Lowering, name, ctx, true, |_| {
+        let scalar = try_lower_scalar(prepared).map_err(ErrorCause::Lowering)?;
+        let mut vegen = try_lower(&vctx, &selection.packs).map_err(ErrorCause::Lowering)?;
         // Profitability backstop: like any production vectorizer, keep the
         // scalar code when the vectorized program does not actually win
         // under the (more precise) program-level cost model.
         if static_cycles(&vegen) >= static_cycles(&scalar) {
             vegen = scalar.clone();
         }
-        (scalar, vegen)
-    };
-    times.lowering = t.elapsed();
-    record_stage("driver_stage_lowering_us", times.lowering);
+        Ok((scalar, vegen))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Analysis, &name, deadline)?;
-    let analysis = {
-        let _sp = vegen_trace::span("driver", "analysis");
-        let _st = enter_stage(Stage::Analysis);
-        fault::fire(Stage::Analysis, &name)
-            .map_err(|c| CompileError::new(Stage::Analysis, &name, c))?;
-        analyze_kernel(&prepared, &desc, &selection.packs, &vegen, cfg.canonicalize_patterns)
-    };
-    times.analysis = t.elapsed();
-    record_stage("driver_stage_analysis_us", times.analysis);
+    let analysis = run_stage(Stage::Analysis, name, ctx, true, |_| {
+        Ok(analyze_kernel(prepared, &desc, &selection.packs, &vegen, cfg.canonicalize_patterns))
+    })?;
 
-    let t = Instant::now();
-    check_deadline(Stage::Baseline, &name, deadline)?;
-    let bl = {
-        let _sp = vegen_trace::span("driver", "baseline");
-        let _st = enter_stage(Stage::Baseline);
-        fault::fire(Stage::Baseline, &name)
-            .map_err(|c| CompileError::new(Stage::Baseline, &name, c))?;
+    let bl = run_stage(Stage::Baseline, name, ctx, true, |_| {
         let bl_cfg = BaselineConfig { max_bits: cfg.target.max_bits, ..BaselineConfig::default() };
-        try_vectorize_baseline(&prepared, &bl_cfg)
-            .map_err(|e| CompileError::new(Stage::Baseline, &name, ErrorCause::Baseline(e)))?
-    };
-    times.baseline = t.elapsed();
-    record_stage("driver_stage_baseline_us", times.baseline);
+        try_vectorize_baseline(prepared, &bl_cfg).map_err(ErrorCause::Baseline)
+    })?;
 
     let kernel = CompiledKernel {
-        function: prepared,
+        function: prepared.clone(),
         scalar,
         vegen,
         baseline: bl.program,
@@ -344,36 +361,7 @@ pub fn try_compile_prepared_reusing(
         baseline_trees: bl.trees_vectorized,
         analysis,
     };
-    Ok((kernel, times))
-}
-
-/// Lower `prepared` scalar-only — the bottom rung of the engine's
-/// degradation ladder. No selection, no baseline, no analysis: all three
-/// program slots hold the 1:1 scalar lowering, which is always correct
-/// by construction and cheap to produce even for adversarial inputs.
-pub fn compile_scalar_fallback(
-    prepared: Function,
-) -> Result<(CompiledKernel, StageTimes), CompileError> {
-    let name = prepared.name.clone();
-    let mut times = StageTimes::default();
-    let t = Instant::now();
-    let scalar = {
-        let _sp = vegen_trace::span("driver", "scalar_fallback");
-        let _st = enter_stage(Stage::Lowering);
-        try_lower_scalar(&prepared)
-            .map_err(|e| CompileError::new(Stage::Lowering, &name, ErrorCause::Lowering(e)))?
-    };
-    times.lowering = t.elapsed();
-    let kernel = CompiledKernel {
-        function: prepared,
-        vegen: scalar.clone(),
-        baseline: scalar.clone(),
-        scalar,
-        selection: SelectionResult::default(),
-        baseline_trees: 0,
-        analysis: AnalysisReport::default(),
-    };
-    Ok((kernel, times))
+    Ok((kernel, ctx.times))
 }
 
 impl CompiledKernel {
@@ -417,6 +405,22 @@ impl CompiledKernel {
 mod tests {
     use super::*;
     use vegen_ir::{FunctionBuilder, Type};
+
+    #[test]
+    fn stage_times_iterate_named_fields_in_pipeline_order() {
+        let ns = Duration::from_nanos;
+        let t = StageTimes {
+            canonicalize: ns(1),
+            target_desc: ns(2),
+            selection: ns(3),
+            lowering: ns(4),
+            analysis: ns(5),
+            baseline: ns(6),
+        };
+        let want: Vec<_> = PIPELINE.into_iter().zip((1..=6).map(ns)).collect();
+        assert_eq!(t.iter().collect::<Vec<_>>(), want);
+        assert_eq!(t.total(), ns(21));
+    }
 
     #[test]
     fn driver_compiles_and_verifies_dot_kernel() {
