@@ -1,6 +1,6 @@
-//! `vegen-engine` — suite runner, `explain`, and `diff` (see
-//! [`vegen_engine::cli`] for the full usage; all logic lives in the
-//! library so tests can drive it).
+//! `vegen-engine` — the suite runner and every subcommand in
+//! [`vegen_engine::cli::COMMANDS`] (`vegen-engine --help` lists them; all
+//! logic lives in the library so tests can drive it).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

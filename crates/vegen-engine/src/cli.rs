@@ -1,29 +1,21 @@
-//! Command-line front end of the `vegen-engine` binary.
+//! Command-line front end of the `vegen-engine` binary: a table plus one
+//! parser.
 //!
-//! Five entry points behind one executable:
+//! Every flag is declared once (a [`Flag`] constant: name, value
+//! placeholder or switch, value kind, one-line help); every subcommand is
+//! one row of [`COMMANDS`] (its positionals, the flags it accepts, an
+//! epilogue and its `run` function); [`main_with_args`] looks the first
+//! argument up in that table and the one `parse` function does "unknown
+//! argument", "needs a value", the typed conversion of every value and
+//! `--help` / `-h` for all of them. The usage text — [`usage`] per
+//! subcommand, and the overview the bare `--help` prints — is generated
+//! from the same rows, so it cannot describe a flag the parser does not
+//! take. A `run` function reads checked values with its own defaults and
+//! keeps only the checks that are not syntax.
 //!
-//! * the default **suite** mode — batch-compile the full `vegen-kernels`
-//!   suite (cold + warm runs) and emit an [`EngineReport`]; `--trace` /
-//!   `--folded` capture a [`vegen_trace`] session alongside;
-//!   `--cache-dir` persists compiles to disk so a restarted run replays
-//!   from the cache;
-//! * **`serve`** — the resident compile daemon (`--socket PATH` or
-//!   `--stdio`): newline-delimited JSON requests, bounded-queue
-//!   admission, per-request deadlines, live metrics, graceful drain (see
-//!   [`crate::serve`]);
-//! * **`explain <kernel>`** — recompile one kernel with the beam search's
-//!   decision log on and print why each pack was committed (and what was
-//!   pruned against it), plus the static-validation verdict;
-//! * **`lint`** — run the static validators (pack legality, lane
-//!   provenance, VM lint) over the whole suite and fail on any
-//!   error-severity finding, for CI gating without execution;
-//! * **`check-specs`** — audit the *offline* artifact chain (pseudocode →
-//!   VIDL → match table) with [`vegen_analysis::speccheck`] and fail on
-//!   any error-severity finding; `--corrupt KIND` injects a deliberate
-//!   corruption so CI can prove the gate actually rejects;
-//! * **`diff <old.json> <new.json>`** — compare two reports
-//!   kernel-by-kernel with configurable regression thresholds, for CI
-//!   gating.
+//! Exit codes are the contract: `0` success; `1` verification failure,
+//! regression, unexplained soak failure, lint or spec error; `2` usage or
+//! I/O error. Requested help goes to stdout, a usage error to stderr.
 //!
 //! Everything lives in the library (the binary is a one-line wrapper) so
 //! tests can drive the exact code paths, including exit codes.
@@ -31,30 +23,425 @@
 use crate::report::{EngineReport, RunReport, TraceSummary};
 use crate::serve::{self, ServeConfig};
 use crate::{Engine, EngineConfig, Job, JobResult, Rung};
+use std::fmt::Write as _;
+use std::num::ParseIntError;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vegen::driver::{prepare, target_desc, CompileCtx, PipelineConfig};
 use vegen::fault::FaultPlan;
+use vegen_analysis::speccheck::MatchTableStats;
 use vegen_core::slp::SlpCost;
 use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
 use vegen_isa::TargetIsa;
 use vegen_trace::json::Json;
 
+// ---------------------------------------------------------------------------
+// The tables
+// ---------------------------------------------------------------------------
+
+/// What a flag's value must parse as. `parse` converts, so a `run`
+/// function only ever sees checked values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Switch,
+    Text,
+    Uint,
+    Target,
+}
+
+/// One command-line flag, declared once and listed by every subcommand
+/// that accepts it.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The spelling on the command line, dashes included.
+    pub name: &'static str,
+    /// Name of the value in usage text; empty for a switch.
+    placeholder: &'static str,
+    kind: Kind,
+    help: &'static str,
+    /// Accepted but left out of usage text (test-only knobs).
+    pub hidden: bool,
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag { name, placeholder: "", kind: Kind::Switch, help, hidden: false }
+}
+
+const fn uint(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
+    Flag { name, placeholder, kind: Kind::Uint, help, hidden: false }
+}
+
+const fn text(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
+    Flag { name, placeholder, kind: Kind::Text, help, hidden: false }
+}
+
+const TARGET: Flag =
+    Flag { kind: Kind::Target, ..text("--target", "T", "target ISA: sse4, avx2 or avx512vnni") };
+const TARGET_OR_ALL: Flag = Flag { placeholder: "T|all", kind: Kind::Text, ..TARGET };
+const BEAM: Flag = uint("--beam", "N", "beam width of the pack search");
+const THREADS: Flag = uint("--threads", "N", "worker threads (0 = one per core)");
+const BEAM_THREADS: Flag =
+    uint("--beam-threads", "N", "threads inside one search (0 = auto; env VEGEN_BEAM_THREADS)");
+const RUNS: Flag = uint("--runs", "N", "passes over the suite: cold, then warm");
+const NO_VERIFY: Flag = switch("--no-verify", "skip the random-trial equivalence check");
+const COMPACT: Flag = switch("--compact", "render the report on one line");
+const OUT: Flag = text("--out", "FILE", "write the JSON report to FILE");
+const TRACE: Flag = text("--trace", "FILE", "capture a Chrome trace of the run");
+const FOLDED: Flag = text("--folded", "FILE", "capture folded stacks of the run");
+const DECISIONS: Flag = switch("--decisions", "carry the search's decision log in the report");
+const DEADLINE_MS: Flag = uint("--deadline-ms", "N", "deadline per compile, in milliseconds");
+const FAIL_FAST: Flag = switch("--fail-fast", "skip the rest of a batch after a degraded job");
+const FAULTS: Flag =
+    text("--faults", "SPEC", "inject kernel:stage:kind[,...] faults (env VEGEN_FAULTS)");
+const FAULT_SEED: Flag = uint("--fault-seed", "N", "inject a seeded random fault plan");
+const FAULT_COUNT: Flag = uint("--fault-count", "N", "faults in the seeded plan");
+const CACHE_DIR: Flag = text("--cache-dir", "DIR", "persist compiles to a disk cache");
+const CACHE_MAX_BYTES: Flag =
+    uint("--cache-max-bytes", "N", "bound the disk cache (oldest evicted)");
+const WARM_START: Flag = switch("--warm-start", "load the disk cache into memory first");
+const EVENT_LOG: Flag = text("--event-log", "FILE", "append NDJSON job events to FILE");
+const FLIGHT_DIR: Flag = text("--flight-dir", "DIR", "dump the flight recorder to DIR on a fault");
+const SEED: Flag = uint("--seed", "N", "corpus seed");
+const COUNT: Flag = uint("--count", "N", "corpus size, before sharding");
+const SHARD: Flag = text("--shard", "I/N", "run only kernels with index = I mod N");
+const TRIALS: Flag = uint("--trials", "N", "random memory images per differential check");
+const FAULT_EVERY: Flag = uint("--fault-every", "K", "fault every Kth job of the shard (0 = off)");
+const SEEDS_OUT: Flag = text("--seeds-out", "DIR", "write a replayable seed file per failure");
+const NO_MINIMIZE: Flag = switch("--no-minimize", "report failing kernels without minimizing");
+const MINIMIZE_BUDGET: Flag = uint("--minimize-budget", "N", "candidates tried per minimization");
+// Test-only: deterministically corrupt every compiled vegen program so
+// the differential check must catch it.
+const INJECT_MISCOMPILE: Flag =
+    Flag { hidden: true, ..uint("--inject-miscompile", "N", "plant a seeded miscompile") };
+const STDIO: Flag = switch("--stdio", "serve stdin/stdout (exactly one transport must be given)");
+const SOCKET: Flag = text("--socket", "PATH", "Unix socket of the daemon");
+const QUEUE: Flag = uint("--queue", "N", "admission queue capacity, at least 1");
+const PROMETHEUS: Flag = switch("--prometheus", "print Prometheus text, not the table");
+const JSON: Flag = switch("--json", "print the JSON document, not the table");
+const MAX_ITERS: Flag = uint("--max-iters", "N", "stop the search after N iterations");
+const CORRUPT: Flag = text("--corrupt", "KIND", "corrupt the database first; must be rejected");
+const NO_CANON: Flag = switch("--no-canon", "audit without pattern canonicalization");
+const MAX_REGRESS: Flag = text("--max-regress", "PCT", "allowed worsening, in percent");
+const STRICT_COUNTERS: Flag = switch("--strict-counters", "gate on search-effort counters too");
+
+/// One subcommand: the syntax `parse` accepts for it, the text `usage`
+/// prints for it, and the function that runs it.
+pub struct Command {
+    /// First argument that selects the row; empty for the default (suite)
+    /// mode.
+    pub name: &'static str,
+    /// Required positional arguments, as usage text spells them.
+    positionals: &'static [&'static str],
+    /// Every flag the subcommand accepts (`--help` / `-h` is implicit).
+    pub flags: &'static [Flag],
+    epilogue: &'static str,
+    run: fn(&Parsed) -> Result<i32, String>,
+}
+
+/// The command table; the first row is the mode no subcommand selects.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "",
+        positionals: &[],
+        flags: &[
+            TARGET,
+            BEAM,
+            THREADS,
+            BEAM_THREADS,
+            RUNS,
+            NO_VERIFY,
+            COMPACT,
+            OUT,
+            TRACE,
+            FOLDED,
+            DECISIONS,
+            DEADLINE_MS,
+            FAIL_FAST,
+            FAULTS,
+            FAULT_SEED,
+            FAULT_COUNT,
+            CACHE_DIR,
+            CACHE_MAX_BYTES,
+            WARM_START,
+            EVENT_LOG,
+            FLIGHT_DIR,
+        ],
+        epilogue:
+            "fault kind is panic|error|delay=<ms>; a `!` suffix fires on every ladder attempt\n",
+        run: run_suite,
+    },
+    Command {
+        name: "soak",
+        positionals: &[],
+        flags: &[
+            SEED,
+            COUNT,
+            SHARD,
+            TRIALS,
+            FAULT_EVERY,
+            TARGET,
+            BEAM,
+            BEAM_THREADS,
+            DEADLINE_MS,
+            CACHE_DIR,
+            CACHE_MAX_BYTES,
+            SEEDS_OUT,
+            NO_MINIMIZE,
+            MINIMIZE_BUDGET,
+            INJECT_MISCOMPILE,
+            OUT,
+            COMPACT,
+        ],
+        epilogue: "kernel i is generate(seed, i): any kernel replays from the two integers\n",
+        run: run_soak_cmd,
+    },
+    Command {
+        name: "serve",
+        positionals: &[],
+        flags: &[
+            STDIO,
+            SOCKET,
+            CACHE_DIR,
+            CACHE_MAX_BYTES,
+            WARM_START,
+            THREADS,
+            BEAM_THREADS,
+            QUEUE,
+            DEADLINE_MS,
+            NO_VERIFY,
+            TARGET,
+            BEAM,
+            EVENT_LOG,
+            FLIGHT_DIR,
+        ],
+        epilogue: "",
+        run: run_serve,
+    },
+    Command {
+        name: "stats",
+        positionals: &[],
+        flags: &[SOCKET, PROMETHEUS, JSON],
+        epilogue: "",
+        run: run_stats,
+    },
+    Command {
+        name: "explain",
+        positionals: &["<kernel>"],
+        flags: &[TARGET, BEAM, MAX_ITERS],
+        epilogue: "",
+        run: run_explain,
+    },
+    Command {
+        name: "lint",
+        positionals: &[],
+        flags: &[TARGET, BEAM, THREADS, OUT],
+        epilogue: "",
+        run: run_lint,
+    },
+    Command {
+        name: "check-specs",
+        positionals: &[],
+        flags: &[TARGET_OR_ALL, JSON, OUT, CORRUPT, NO_CANON],
+        epilogue: "corruption KIND is lane-swap|widen|flip-cmp|dup-rule|neg-cost|rename-op\n",
+        run: run_check_specs,
+    },
+    Command {
+        name: "diff",
+        positionals: &["<old.json>", "<new.json>"],
+        flags: &[MAX_REGRESS, STRICT_COUNTERS],
+        epilogue: "",
+        run: run_diff,
+    },
+];
+
+impl Command {
+    /// What diagnostics of this subcommand start with.
+    fn who(&self) -> String {
+        format!("vegen-engine {}", self.name).trim_end().to_string()
+    }
+
+    /// The one-paragraph synopsis: positionals, then every visible flag.
+    fn synopsis(&self) -> String {
+        let words = self.positionals.iter().map(|p| p.to_string()).chain(
+            self.flags
+                .iter()
+                .filter(|f| !f.hidden)
+                .map(|f| format!("[{} {}]", f.name, f.placeholder).replace(" ]", "]")),
+        );
+        let mut text = format!("usage: {}", self.who());
+        let mut column = text.len();
+        for word in words {
+            if column + 1 + word.len() > 78 {
+                text.push_str("\n                   ");
+                column = 19;
+            }
+            let _ = write!(text, " {word}");
+            column += 1 + word.len();
+        }
+        text
+    }
+
+    /// Synopsis, one line per visible flag, epilogue.
+    fn usage(&self) -> String {
+        let mut text = self.synopsis() + "\n";
+        for f in self.flags.iter().filter(|f| !f.hidden) {
+            let _ = writeln!(text, "  {:<22} {}", format!("{} {}", f.name, f.placeholder), f.help);
+        }
+        text + self.epilogue
+    }
+}
+
+/// The generated usage text of one subcommand (`""` is the suite mode);
+/// `None` for a name that is not in [`COMMANDS`].
+pub fn usage(subcommand: &str) -> Option<String> {
+    COMMANDS.iter().find(|c| c.name == subcommand).map(Command::usage)
+}
+
+/// What the bare `--help` prints: the suite mode in full, then the
+/// synopsis of every subcommand.
+fn overview() -> String {
+    let mut text = COMMANDS[0].usage();
+    text.push_str("subcommands (`vegen-engine <subcommand> --help` describes one):\n");
+    for cmd in &COMMANDS[1..] {
+        let _ = writeln!(text, "{}", cmd.synopsis());
+    }
+    text
+}
+
+// ---------------------------------------------------------------------------
+// The parser
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    Switch,
+    Text(String),
+    Uint(u64),
+    Target(TargetIsa),
+}
+
+/// A command line that passed `parse`: the positionals in order and the
+/// converted value of every flag that was given (the last occurrence
+/// wins). A flag that was not given — or that the subcommand does not
+/// accept — reads as `None`, and the `run` function supplies the default.
+#[derive(Debug, Default, PartialEq)]
+struct Parsed {
+    positionals: Vec<String>,
+    values: Vec<(&'static str, Value)>,
+}
+
+impl Parsed {
+    fn get(&self, flag: &Flag, kind: Kind) -> Option<&Value> {
+        debug_assert_eq!(flag.kind, kind, "{} read as the wrong kind", flag.name);
+        self.values.iter().find(|(name, _)| *name == flag.name).map(|(_, v)| v)
+    }
+
+    fn has(&self, flag: &Flag) -> bool {
+        self.get(flag, Kind::Switch).is_some()
+    }
+
+    fn text(&self, flag: &Flag) -> Option<&str> {
+        match self.get(flag, Kind::Text)? {
+            Value::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn path(&self, flag: &Flag) -> Option<PathBuf> {
+        self.text(flag).map(PathBuf::from)
+    }
+
+    fn num<T: TryFrom<u64>>(&self, flag: &Flag) -> Option<T> {
+        match self.get(flag, Kind::Uint)? {
+            Value::Uint(n) => T::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    fn target(&self) -> Option<TargetIsa> {
+        match self.get(&TARGET, Kind::Target)? {
+            Value::Target(t) => Some(t.clone()),
+            _ => None,
+        }
+    }
+}
+
+pub(crate) fn parse_target(s: &str) -> Result<TargetIsa, String> {
+    TargetIsa::from_name(s).ok_or_else(|| format!("unknown target {:?}", s.to_ascii_lowercase()))
+}
+
+/// Convert one flag value to the type its declaration names.
+fn convert(kind: Kind, raw: &str) -> Result<Value, String> {
+    match kind {
+        Kind::Switch | Kind::Text => Ok(Value::Text(raw.to_string())),
+        Kind::Uint => raw.parse().map(Value::Uint).map_err(|e: ParseIntError| e.to_string()),
+        Kind::Target => parse_target(raw).map(Value::Target),
+    }
+}
+
+/// Check `args` against one row of the command table. Pure: no I/O, no
+/// environment. `Ok(None)` means help was requested.
+fn parse(cmd: &Command, args: &[String]) -> Result<Option<Parsed>, String> {
+    let mut parsed = Parsed::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        if !arg.starts_with('-') && parsed.positionals.len() < cmd.positionals.len() {
+            parsed.positionals.push(arg.clone());
+            continue;
+        }
+        let flag = cmd
+            .flags
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+        let value = if flag.kind == Kind::Switch {
+            Value::Switch
+        } else {
+            let raw = args.next().ok_or_else(|| format!("{} needs a value", flag.name))?;
+            convert(flag.kind, raw).map_err(|e| format!("{}: {e}", flag.name))?
+        };
+        parsed.values.retain(|(name, _)| *name != flag.name);
+        parsed.values.push((flag.name, value));
+    }
+    match cmd.positionals.get(parsed.positionals.len()) {
+        Some(missing) => Err(format!("missing {missing}")),
+        None => Ok(Some(parsed)),
+    }
+}
+
+/// Write to stdout without panicking when it is a closed pipe (`stats |
+/// head` and `--help | less` must exit cleanly).
+fn write_stdout(text: &str) {
+    use std::io::Write as _;
+    let _ = std::io::stdout().write_all(text.as_bytes());
+}
+
 /// Run the CLI with pre-split arguments (everything after the program
 /// name) and return the process exit code: `0` success, `1` verification
 /// failure or regression, `2` usage/I-O error.
 pub fn main_with_args(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("explain") => run_explain(&args[1..]),
-        Some("lint") => run_lint(&args[1..]),
-        Some("check-specs") => run_check_specs(&args[1..]),
-        Some("diff") => run_diff(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("stats") => run_stats(&args[1..]),
-        Some("soak") => run_soak_cmd(&args[1..]),
-        _ => run_suite(args),
-    }
+    let named = args.first().and_then(|a| COMMANDS[1..].iter().find(|c| c.name == a));
+    let (cmd, rest) = named.map_or((&COMMANDS[0], args), |cmd| (cmd, &args[1..]));
+    let outcome = match parse(cmd, rest) {
+        Ok(None) => {
+            write_stdout(&if cmd.name.is_empty() { overview() } else { cmd.usage() });
+            Ok(0)
+        }
+        Ok(Some(parsed)) => (cmd.run)(&parsed),
+        Err(e) => Err(format!("{e}\n{}", cmd.synopsis())),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{}: {e}", cmd.who());
+        2
+    })
 }
+
+// ---------------------------------------------------------------------------
+// Shared by the subcommands
+// ---------------------------------------------------------------------------
 
 /// Names of jobs whose compiled kernels failed verification, in input
 /// order (the suite prints each to stderr and exits nonzero).
@@ -92,16 +479,12 @@ pub fn print_failure_table(results: &[JobResult]) -> (usize, usize) {
 
 /// Resolve the fault plan from explicit CLI options or the `VEGEN_FAULTS`
 /// environment variable (CLI wins). `None` means no injection.
-fn resolve_fault_plan(
-    spec: &Option<String>,
-    seed: Option<u64>,
-    count: usize,
-    kernel_names: &[&str],
-) -> Result<Option<FaultPlan>, String> {
-    if let Some(spec) = spec {
-        return FaultPlan::parse(spec).map(Some).map_err(|e| format!("--faults: {e}"));
+fn resolve_fault_plan(p: &Parsed, kernel_names: &[&str]) -> Result<Option<FaultPlan>, String> {
+    if let Some(spec) = p.text(&FAULTS) {
+        return FaultPlan::parse(spec).map(Some).map_err(|e| format!("{}: {e}", FAULTS.name));
     }
-    if let Some(seed) = seed {
+    if let Some(seed) = p.num(&FAULT_SEED) {
+        let count = p.num(&FAULT_COUNT).unwrap_or(3);
         return Ok(Some(FaultPlan::seeded(kernel_names, seed, count)));
     }
     match std::env::var("VEGEN_FAULTS") {
@@ -112,231 +495,118 @@ fn resolve_fault_plan(
     }
 }
 
-/// Default intra-kernel beam-search thread count from the
-/// `VEGEN_BEAM_THREADS` environment variable (`0`/unset/unparseable =
-/// auto). An explicit `--beam-threads` always wins over the environment.
-fn env_beam_threads() -> usize {
-    std::env::var("VEGEN_BEAM_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+/// Intra-kernel beam-search thread count: the flag, else the
+/// `VEGEN_BEAM_THREADS` environment variable, else `0` (auto).
+fn beam_threads(p: &Parsed) -> usize {
+    p.num(&BEAM_THREADS).unwrap_or_else(|| {
+        std::env::var("VEGEN_BEAM_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+    })
 }
 
-pub(crate) fn parse_target(s: &str) -> Result<TargetIsa, String> {
-    TargetIsa::from_name(s).ok_or_else(|| format!("unknown target {:?}", s.to_ascii_lowercase()))
-}
-
-struct SuiteOptions {
-    target: TargetIsa,
-    beam: usize,
-    threads: usize,
-    beam_threads: usize,
-    runs: usize,
-    verify_trials: u64,
-    compact: bool,
-    out: Option<String>,
-    trace: Option<String>,
-    folded: Option<String>,
-    decisions: bool,
-    deadline_ms: Option<u64>,
-    fail_fast: bool,
-    faults: Option<String>,
-    fault_seed: Option<u64>,
-    fault_count: usize,
-    cache_dir: Option<String>,
-    cache_max_bytes: Option<u64>,
-    warm_start: bool,
-    event_log: Option<String>,
-    flight_dir: Option<String>,
-}
-
-fn parse_suite_args(args: &[String]) -> Result<Option<SuiteOptions>, String> {
-    let mut opts = SuiteOptions {
-        target: TargetIsa::avx2(),
-        beam: 16,
-        threads: 0,
-        beam_threads: env_beam_threads(),
-        runs: 2,
-        verify_trials: 16,
-        compact: false,
-        out: None,
-        trace: None,
-        folded: None,
-        decisions: false,
-        deadline_ms: None,
-        fail_fast: false,
-        faults: None,
-        fault_seed: None,
-        fault_count: 3,
-        cache_dir: None,
-        cache_max_bytes: None,
-        warm_start: false,
-        event_log: None,
-        flight_dir: None,
-    };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().cloned().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--target" => opts.target = parse_target(&value("--target")?)?,
-            "--beam" => opts.beam = value("--beam")?.parse().map_err(|e| format!("--beam: {e}"))?,
-            "--threads" => {
-                opts.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--beam-threads" => {
-                opts.beam_threads =
-                    value("--beam-threads")?.parse().map_err(|e| format!("--beam-threads: {e}"))?
-            }
-            "--runs" => {
-                opts.runs =
-                    value("--runs")?.parse::<usize>().map_err(|e| format!("--runs: {e}"))?.max(1)
-            }
-            "--no-verify" => opts.verify_trials = 0,
-            "--compact" => opts.compact = true,
-            "--out" => opts.out = Some(value("--out")?),
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--folded" => opts.folded = Some(value("--folded")?),
-            "--decisions" => opts.decisions = true,
-            "--deadline-ms" => {
-                opts.deadline_ms = Some(
-                    value("--deadline-ms")?.parse().map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
-            "--fail-fast" => opts.fail_fast = true,
-            "--faults" => opts.faults = Some(value("--faults")?),
-            "--fault-seed" => {
-                opts.fault_seed =
-                    Some(value("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?)
-            }
-            "--fault-count" => {
-                opts.fault_count =
-                    value("--fault-count")?.parse().map_err(|e| format!("--fault-count: {e}"))?
-            }
-            "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--cache-max-bytes" => {
-                opts.cache_max_bytes = Some(
-                    value("--cache-max-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-bytes: {e}"))?,
-                )
-            }
-            "--warm-start" => opts.warm_start = true,
-            "--event-log" => opts.event_log = Some(value("--event-log")?),
-            "--flight-dir" => opts.flight_dir = Some(value("--flight-dir")?),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine [--target avx2|avx512vnni] [--beam N] [--threads N]\n\
-                     \x20                   [--beam-threads N] [--runs N] [--no-verify]\n\
-                     \x20                   [--compact] [--out FILE]\n\
-                     \x20                   [--trace FILE] [--folded FILE] [--decisions]\n\
-                     \x20                   [--deadline-ms N] [--fail-fast]\n\
-                     \x20                   [--faults SPEC] [--fault-seed N] [--fault-count N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N] [--warm-start]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]\n\
-                     \x20      vegen-engine soak --seed N --count N [--shard I/N] [--trials N]\n\
-                     \x20                   [--fault-every K] [--target T] [--beam N]\n\
-                     \x20                   [--beam-threads N] [--deadline-ms N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N]\n\
-                     \x20                   [--seeds-out DIR] [--no-minimize] [--out FILE]\n\
-                     \x20      vegen-engine serve (--stdio | --socket PATH) [--cache-dir DIR]\n\
-                     \x20                   [--warm-start] [--threads N] [--queue N] [--target T]\n\
-                     \x20                   [--beam N] [--deadline-ms N] [--no-verify]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]\n\
-                     \x20      vegen-engine stats --socket PATH [--prometheus | --json]\n\
-                     \x20      vegen-engine explain <kernel> [--target T] [--beam N] [--max-iters N]\n\
-                     \x20      vegen-engine lint [--target T] [--beam N] [--threads N] [--out FILE]\n\
-                     \x20      vegen-engine check-specs [--target T|all] [--json] [--out FILE]\n\
-                     \x20                   [--corrupt KIND] [--no-canon]\n\
-                     \x20      vegen-engine diff <old.json> <new.json> [--max-regress PCT]\n\
-                     \x20                   [--strict-counters]\n\
-                     fault SPEC is kernel:stage:kind[,...], kind = panic|error|delay=<ms>,\n\
-                     `!` suffix fires on every ladder attempt; VEGEN_FAULTS env is the fallback"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+/// Build the engine of a suite or serve run from the flags given (one the
+/// subcommand does not accept reads as its default), say what could not
+/// be opened, and replay the disk cache when asked.
+fn bring_up(who: &str, p: &Parsed) -> Engine {
+    // When `--trace`/`--folded` own the trace session, the flight
+    // recorder must not reset it out from under them.
+    let tracing = p.text(&TRACE).is_some() || p.text(&FOLDED).is_some();
+    let engine = Engine::new(EngineConfig {
+        threads: p.num(&THREADS).unwrap_or(0),
+        verify_trials: if p.has(&NO_VERIFY) { 0 } else { 16 },
+        deadline: p.num(&DEADLINE_MS).map(Duration::from_millis),
+        fail_fast: p.has(&FAIL_FAST),
+        cache_dir: p.path(&CACHE_DIR),
+        cache_max_bytes: p.num(&CACHE_MAX_BYTES),
+        beam_threads: beam_threads(p),
+        event_log: p.path(&EVENT_LOG),
+        flight_dir: p.path(&FLIGHT_DIR),
+        flight_rotate: !tracing,
+        ..EngineConfig::default()
+    });
+    for (what, error) in [
+        ("disk cache", engine.disk_open_error()),
+        ("event log", engine.event_open_error()),
+        ("flight recorder", engine.flight_open_error()),
+    ] {
+        if let Some(e) = error {
+            eprintln!("{who}: {what} disabled: {e}");
         }
     }
-    Ok(Some(opts))
+    if p.has(&WARM_START) {
+        let loaded = engine.warm_start();
+        eprintln!("{who}: warm start loaded {loaded} cached compile(s)");
+    }
+    engine
 }
 
-fn run_suite(args: &[String]) -> i32 {
-    let opts = match parse_suite_args(args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return 0,
-        Err(e) => {
-            eprintln!("vegen-engine: {e}");
-            return 2;
-        }
-    };
+/// One job per suite kernel. Built per run (not cloned across runs) so
+/// every execution gets its own correlation id in the event log.
+fn suite_jobs(pipeline: &PipelineConfig) -> Vec<Job> {
+    vegen_kernels::all()
+        .into_iter()
+        .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
+        .collect()
+}
 
-    let tracing = opts.trace.is_some() || opts.folded.is_some();
+/// Publish a match table's structural statistics to the metrics registry
+/// (the report's metrics block and `vegen-engine stats` read them there).
+fn publish_match_table_stats(table: &MatchTableStats) {
+    vegen_trace::metrics::counter("speccheck_rules_total").add(table.rules as u64);
+    vegen_trace::metrics::gauge("speccheck_dead_rules").set(table.dead_rules as f64);
+    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(table.max_overlap_class as f64);
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Deliver a JSON artifact (on one line under `--compact`): to stdout when
+/// `print`, and to the `--out` file when one was given.
+fn write_artifact(who: &str, p: &Parsed, doc: &Json, print: bool) -> Result<(), String> {
+    let text = if p.has(&COMPACT) { doc.render() } else { doc.render_pretty() };
+    if print {
+        println!("{text}");
+    }
+    if let Some(path) = p.text(&OUT) {
+        write_file(path, &text)?;
+        eprintln!("{who}: report written to {path}");
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// suite
+// ---------------------------------------------------------------------------
+
+fn run_suite(p: &Parsed) -> Result<i32, String> {
+    let target = p.target().unwrap_or_else(TargetIsa::avx2);
+    let beam = p.num(&BEAM).unwrap_or(16);
+    let (trace, folded) = (p.text(&TRACE), p.text(&FOLDED));
+    let tracing = trace.is_some() || folded.is_some();
     if tracing {
         vegen_trace::enable(vegen_trace::DEFAULT_CAPACITY);
     }
 
-    let engine = Engine::new(EngineConfig {
-        threads: opts.threads,
-        verify_trials: opts.verify_trials,
-        deadline: opts.deadline_ms.map(Duration::from_millis),
-        fail_fast: opts.fail_fast,
-        cache_dir: opts.cache_dir.clone().map(PathBuf::from),
-        cache_max_bytes: opts.cache_max_bytes,
-        beam_threads: opts.beam_threads,
-        event_log: opts.event_log.clone().map(PathBuf::from),
-        flight_dir: opts.flight_dir.clone().map(PathBuf::from),
-        // When `--trace`/`--folded` own the trace session, the flight
-        // recorder must not reset it out from under them.
-        flight_rotate: !tracing,
-        ..EngineConfig::default()
-    });
-    if let Some(e) = engine.disk_open_error() {
-        eprintln!("vegen-engine: disk cache disabled: {e}");
-    }
-    if let Some(e) = engine.event_open_error() {
-        eprintln!("vegen-engine: event log disabled: {e}");
-    }
-    if let Some(e) = engine.flight_open_error() {
-        eprintln!("vegen-engine: flight recorder disabled: {e}");
-    }
-    if opts.warm_start {
-        let loaded = engine.warm_start();
-        eprintln!("vegen-engine: warm start loaded {loaded} cached compile(s)");
-    }
-    let pipeline = PipelineConfig {
-        target: opts.target.clone(),
-        beam: BeamConfig { log_decisions: opts.decisions, ..BeamConfig::with_width(opts.beam) },
-        canonicalize_patterns: true,
-    };
-    // Jobs are rebuilt per run (not cloned across runs) so every
-    // execution gets its own correlation id in the event log.
-    let make_jobs = || -> Vec<Job> {
-        vegen_kernels::all()
-            .into_iter()
-            .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
-            .collect()
-    };
+    let engine = bring_up("vegen-engine", p);
+    let cfg = engine.config();
+    let mut pipeline = PipelineConfig::new(target.clone(), beam);
+    pipeline.beam.log_decisions = p.has(&DECISIONS);
     let kernel_names: Vec<&str> = vegen_kernels::all().iter().map(|k| k.name).collect();
-    match resolve_fault_plan(&opts.faults, opts.fault_seed, opts.fault_count, &kernel_names) {
-        Ok(Some(plan)) => {
-            let targets: Vec<String> = plan
-                .specs()
-                .map(|s| format!("{}:{}:{}", s.kernel, s.stage, s.kind.tag()))
-                .collect();
-            eprintln!("vegen-engine: fault injection active — {}", targets.join(", "));
-            vegen::fault::install(plan);
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("vegen-engine: {e}");
-            return 2;
-        }
+    if let Some(plan) = resolve_fault_plan(p, &kernel_names)? {
+        let targets: Vec<String> =
+            plan.specs().map(|s| format!("{}:{}:{}", s.kernel, s.stage, s.kind.tag())).collect();
+        eprintln!("vegen-engine: fault injection active — {}", targets.join(", "));
+        vegen::fault::install(plan);
     }
-    let job_count = vegen_kernels::all().len();
-    let resolved_threads =
-        if opts.threads == 0 { crate::pool::default_threads(job_count) } else { opts.threads };
+    let resolved_threads = match cfg.threads {
+        0 => crate::pool::default_threads(kernel_names.len()),
+        n => n,
+    };
 
     let mut runs = Vec::new();
     let mut failed = false;
     let mut hard_failures = 0usize;
-    for i in 0..opts.runs {
+    for i in 0..p.num(&RUNS).unwrap_or(2).max(1) {
         let label = match i {
             0 => "cold".to_string(),
             1 => "warm".to_string(),
@@ -344,7 +614,7 @@ fn run_suite(args: &[String]) -> i32 {
         };
         let _run_span = vegen_trace::enabled()
             .then(|| vegen_trace::span_owned("engine", format!("run:{label}")));
-        let jobs = make_jobs();
+        let jobs = suite_jobs(&pipeline);
         let t0 = Instant::now();
         let results = engine.compile_batch(&jobs);
         let wall = t0.elapsed();
@@ -366,7 +636,7 @@ fn run_suite(args: &[String]) -> i32 {
         // with *no* program at all (or a fail-fast abort) gates.
         let (_, run_failed) = print_failure_table(&results);
         hard_failures += run_failed;
-        if opts.fail_fast && results.iter().any(|r| r.rung != Rung::Primary) {
+        if cfg.fail_fast && results.iter().any(|r| r.rung != Rung::Primary) {
             hard_failures += 1;
         }
         runs.push(RunReport::new(label, wall, &results));
@@ -382,25 +652,18 @@ fn run_suite(args: &[String]) -> i32 {
             events: data.event_count(),
             dropped: data.dropped(),
             threads: data.threads.len(),
-            file: opts.trace.clone(),
-            folded_file: opts.folded.clone(),
+            file: trace.map(str::to_string),
+            folded_file: folded.map(str::to_string),
         };
-        if let Some(path) = &opts.trace {
-            let text = vegen_trace::export::chrome_trace(&data).render();
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
+        if let Some(path) = trace {
+            write_file(path, &vegen_trace::export::chrome_trace(&data).render())?;
             eprintln!(
                 "vegen-engine: trace written to {path} ({} events, {} dropped)",
                 trace_summary.events, trace_summary.dropped
             );
         }
-        if let Some(path) = &opts.folded {
-            if let Err(e) = std::fs::write(path, vegen_trace::export::folded_stacks(&data)) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
+        if let Some(path) = folded {
+            write_file(path, &vegen_trace::export::folded_stacks(&data))?;
             eprintln!("vegen-engine: folded stacks written to {path}");
         }
     }
@@ -408,17 +671,15 @@ fn run_suite(args: &[String]) -> i32 {
     // Structural match-table statistics (cheap: the table is already
     // cached process-wide after the first compile). The full speccheck
     // audit stays out of the suite path — that is `check-specs`' job.
-    let table = vegen_analysis::match_table_stats(&target_desc(&opts.target, true));
-    vegen_trace::metrics::counter("speccheck_rules_total").add(table.rules as u64);
-    vegen_trace::metrics::gauge("speccheck_dead_rules").set(table.dead_rules as f64);
-    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(table.max_overlap_class as f64);
+    let table = vegen_analysis::match_table_stats(&target_desc(&target, true));
+    publish_match_table_stats(&table);
 
     let report = EngineReport {
-        target: opts.target.name.clone(),
-        beam_width: opts.beam,
+        target: target.name.clone(),
+        beam_width: beam,
         threads: resolved_threads,
-        beam_threads: opts.beam_threads,
-        verify_trials: opts.verify_trials,
+        beam_threads: cfg.beam_threads,
+        verify_trials: cfg.verify_trials,
         runs,
         cache: engine.cache_stats(),
         disk: engine.disk_stats(),
@@ -427,23 +688,8 @@ fn run_suite(args: &[String]) -> i32 {
         match_table: table,
         soak: None,
     };
-    let doc = report.to_json();
-    let text = if opts.compact { doc.render() } else { doc.render_pretty() };
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("vegen-engine: report written to {path}");
-        }
-        None => println!("{text}"),
-    }
-    if failed || hard_failures > 0 {
-        1
-    } else {
-        0
-    }
+    write_artifact("vegen-engine", p, &report.to_json(), p.text(&OUT).is_none())?;
+    Ok(i32::from(failed || hard_failures > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -454,94 +700,37 @@ fn run_suite(args: &[String]) -> i32 {
 /// code 0 when every non-faulted kernel passes the differential check
 /// and provenance audit (degradations allowed), 1 on any unexplained
 /// failure, 2 on usage errors.
-fn run_soak_cmd(args: &[String]) -> i32 {
+fn run_soak_cmd(p: &Parsed) -> Result<i32, String> {
     use crate::soak::{run_soak, SoakConfig, SoakStatus};
 
-    let mut cfg = SoakConfig { beam_threads: env_beam_threads(), ..SoakConfig::default() };
-    let mut out: Option<String> = None;
-    let mut compact = false;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--seed" => value("--seed")
-                .and_then(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-                .map(|n| cfg.seed = n),
-            "--count" => value("--count")
-                .and_then(|v| v.parse().map_err(|e| format!("--count: {e}")))
-                .map(|n| cfg.count = n),
-            "--shard" => value("--shard").and_then(|v| {
-                let (i, n) =
-                    v.split_once('/').ok_or_else(|| format!("--shard: want I/N, got {v:?}"))?;
-                cfg.shard_index = i.parse().map_err(|e| format!("--shard index: {e}"))?;
-                cfg.shard_count = n.parse().map_err(|e| format!("--shard count: {e}"))?;
-                Ok(())
-            }),
-            "--trials" => value("--trials")
-                .and_then(|v| v.parse().map_err(|e| format!("--trials: {e}")))
-                .map(|n| cfg.trials = n),
-            "--fault-every" => value("--fault-every")
-                .and_then(|v| v.parse().map_err(|e| format!("--fault-every: {e}")))
-                .map(|n| cfg.fault_every = n),
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| cfg.target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|n| cfg.beam = n),
-            "--beam-threads" => value("--beam-threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam-threads: {e}")))
-                .map(|n| cfg.beam_threads = n),
-            "--deadline-ms" => value("--deadline-ms")
-                .and_then(|v| v.parse().map_err(|e| format!("--deadline-ms: {e}")))
-                .map(|n| cfg.deadline = Some(Duration::from_millis(n))),
-            "--cache-dir" => value("--cache-dir").map(|v| cfg.cache_dir = Some(PathBuf::from(v))),
-            "--cache-max-bytes" => value("--cache-max-bytes")
-                .and_then(|v| v.parse().map_err(|e| format!("--cache-max-bytes: {e}")))
-                .map(|n| cfg.cache_max_bytes = Some(n)),
-            "--seeds-out" => value("--seeds-out").map(|v| cfg.seeds_out = Some(PathBuf::from(v))),
-            "--no-minimize" => {
-                cfg.minimize = false;
-                Ok(())
-            }
-            "--minimize-budget" => value("--minimize-budget")
-                .and_then(|v| v.parse().map_err(|e| format!("--minimize-budget: {e}")))
-                .map(|n| cfg.minimize_budget = n),
-            // Test-only: deterministically corrupt every compiled vegen
-            // program so the differential check must catch it.
-            "--inject-miscompile" => value("--inject-miscompile")
-                .and_then(|v| v.parse().map_err(|e| format!("--inject-miscompile: {e}")))
-                .map(|n| cfg.corrupt_vegen = Some(n)),
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--compact" => {
-                compact = true;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine soak --seed N --count N [--shard I/N] [--trials N]\n\
-                     \x20                   [--fault-every K] [--target T] [--beam N]\n\
-                     \x20                   [--beam-threads N] [--deadline-ms N]\n\
-                     \x20                   [--cache-dir DIR] [--cache-max-bytes N]\n\
-                     \x20                   [--seeds-out DIR] [--no-minimize]\n\
-                     \x20                   [--minimize-budget N] [--out FILE] [--compact]\n\
-                     kernel i is generate(seed, i): any kernel replays from the two integers"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine soak: {e}");
-            return 2;
-        }
-    }
-
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine soak: {e}");
-            return 2;
-        }
+    let defaults = SoakConfig::default();
+    let (shard_index, shard_count) = match p.text(&SHARD) {
+        None => (defaults.shard_index, defaults.shard_count),
+        Some(v) => match v.split_once('/').map(|(i, n)| (i.parse(), n.parse())) {
+            Some((Ok(i), Ok(n))) => (i, n),
+            _ => return Err(format!("{}: want I/N, got {v:?}", SHARD.name)),
+        },
     };
+    let cfg = SoakConfig {
+        seed: p.num(&SEED).unwrap_or(defaults.seed),
+        count: p.num(&COUNT).unwrap_or(defaults.count),
+        shard_index,
+        shard_count,
+        trials: p.num(&TRIALS).unwrap_or(defaults.trials),
+        fault_every: p.num(&FAULT_EVERY).unwrap_or(defaults.fault_every),
+        target: p.target().unwrap_or(defaults.target),
+        beam: p.num(&BEAM).unwrap_or(defaults.beam),
+        beam_threads: beam_threads(p),
+        deadline: p.num(&DEADLINE_MS).map(Duration::from_millis),
+        cache_dir: p.path(&CACHE_DIR),
+        cache_max_bytes: p.num(&CACHE_MAX_BYTES),
+        minimize: !p.has(&NO_MINIMIZE),
+        minimize_budget: p.num(&MINIMIZE_BUDGET).unwrap_or(defaults.minimize_budget),
+        seeds_out: p.path(&SEEDS_OUT),
+        corrupt_vegen: p.num(&INJECT_MISCOMPILE),
+    };
+
+    let report = run_soak(&cfg)?;
     let count = |s: SoakStatus| report.results.iter().filter(|r| r.status == s).count();
     eprintln!(
         "vegen-engine soak: seed {} — {} kernel(s) (shard {}/{}) in {:.2?}: \
@@ -589,22 +778,8 @@ fn run_soak_cmd(args: &[String]) -> i32 {
         soak: Some(report.soak_json()),
     }
     .to_json();
-    let text = if compact { doc.render() } else { doc.render_pretty() };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("vegen-engine soak: cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("vegen-engine soak: report written to {path}");
-        }
-        None => println!("{text}"),
-    }
-    if report.unexplained_failures() > 0 {
-        1
-    } else {
-        0
-    }
+    write_artifact("vegen-engine soak", p, &doc, p.text(&OUT).is_none())?;
+    Ok(i32::from(report.unexplained_failures() > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -613,134 +788,31 @@ fn run_soak_cmd(args: &[String]) -> i32 {
 
 /// Run the resident compile daemon over stdio or a Unix socket. Exit code
 /// 0 on clean drain, 2 on usage or bind errors.
-fn run_serve(args: &[String]) -> i32 {
-    let mut stdio = false;
-    let mut socket: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut warm_start = false;
-    let mut threads = 0usize;
-    let mut beam_threads = env_beam_threads();
-    let mut queue = 64usize;
-    let mut deadline_ms: Option<u64> = None;
-    let mut verify_trials = 16u64;
-    let mut target = TargetIsa::avx2();
-    let mut beam = 16usize;
-    let mut event_log: Option<String> = None;
-    let mut flight_dir: Option<String> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--stdio" => {
-                stdio = true;
-                Ok(())
-            }
-            "--socket" => value("--socket").map(|v| socket = Some(v)),
-            "--cache-dir" => value("--cache-dir").map(|v| cache_dir = Some(v)),
-            "--cache-max-bytes" => value("--cache-max-bytes")
-                .and_then(|v| v.parse().map_err(|e| format!("--cache-max-bytes: {e}")))
-                .map(|n| cache_max_bytes = Some(n)),
-            "--warm-start" => {
-                warm_start = true;
-                Ok(())
-            }
-            "--threads" => value("--threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--threads: {e}")))
-                .map(|n| threads = n),
-            "--beam-threads" => value("--beam-threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam-threads: {e}")))
-                .map(|n| beam_threads = n),
-            "--queue" => value("--queue")
-                .and_then(|v| v.parse().map_err(|e| format!("--queue: {e}")))
-                .and_then(|n: usize| {
-                    if n == 0 {
-                        Err("--queue: capacity must be at least 1".to_string())
-                    } else {
-                        queue = n;
-                        Ok(())
-                    }
-                }),
-            "--deadline-ms" => value("--deadline-ms")
-                .and_then(|v| v.parse().map_err(|e| format!("--deadline-ms: {e}")))
-                .map(|n| deadline_ms = Some(n)),
-            "--no-verify" => {
-                verify_trials = 0;
-                Ok(())
-            }
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|w| beam = w),
-            "--event-log" => value("--event-log").map(|v| event_log = Some(v)),
-            "--flight-dir" => value("--flight-dir").map(|v| flight_dir = Some(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine serve (--stdio | --socket PATH) [--cache-dir DIR]\n\
-                     \x20                   [--warm-start] [--threads N] [--beam-threads N]\n\
-                     \x20                   [--queue N] [--target T] [--beam N]\n\
-                     \x20                   [--deadline-ms N] [--no-verify]\n\
-                     \x20                   [--event-log FILE] [--flight-dir DIR]"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine serve: {e}");
-            return 2;
-        }
+fn run_serve(p: &Parsed) -> Result<i32, String> {
+    let socket = p.text(&SOCKET);
+    if p.has(&STDIO) == socket.is_some() {
+        return Err(format!("pass exactly one of {} or {} PATH", STDIO.name, SOCKET.name));
     }
-    if stdio == socket.is_some() {
-        eprintln!("vegen-engine serve: pass exactly one of --stdio or --socket PATH");
-        return 2;
+    let cfg = ServeConfig {
+        queue_capacity: p.num(&QUEUE).unwrap_or(64),
+        target: p.target().unwrap_or_else(TargetIsa::avx2),
+        beam_width: p.num(&BEAM).unwrap_or(16),
+    };
+    if cfg.queue_capacity == 0 {
+        return Err(format!("{}: capacity must be at least 1", QUEUE.name));
     }
 
-    let engine = Engine::new(EngineConfig {
-        threads,
-        verify_trials,
-        deadline: deadline_ms.map(Duration::from_millis),
-        cache_dir: cache_dir.map(PathBuf::from),
-        cache_max_bytes,
-        beam_threads,
-        event_log: event_log.map(PathBuf::from),
-        flight_dir: flight_dir.map(PathBuf::from),
-        ..EngineConfig::default()
-    });
-    if let Some(e) = engine.disk_open_error() {
-        eprintln!("vegen-engine serve: disk cache disabled: {e}");
-    }
-    if let Some(e) = engine.event_open_error() {
-        eprintln!("vegen-engine serve: event log disabled: {e}");
-    }
-    if let Some(e) = engine.flight_open_error() {
-        eprintln!("vegen-engine serve: flight recorder disabled: {e}");
-    }
-    if warm_start {
-        let loaded = engine.warm_start();
-        eprintln!("vegen-engine serve: warm start loaded {loaded} cached compile(s)");
-    }
+    let engine = bring_up("vegen-engine serve", p);
     // Publish the match table's structural statistics up front so
     // `vegen-engine stats` can read them live (and the first compile
     // finds the table already built).
-    let table = vegen_analysis::match_table_stats(&target_desc(&target, true));
-    vegen_trace::metrics::counter("speccheck_rules_total").add(table.rules as u64);
-    vegen_trace::metrics::gauge("speccheck_dead_rules").set(table.dead_rules as f64);
-    vegen_trace::metrics::gauge("speccheck_max_overlap_class").set(table.max_overlap_class as f64);
+    publish_match_table_stats(&vegen_analysis::match_table_stats(&target_desc(&cfg.target, true)));
 
-    let cfg = ServeConfig { queue_capacity: queue, target, beam_width: beam };
-
-    let summary = if stdio {
-        serve::serve_lines(&engine, &cfg, std::io::stdin().lock(), std::io::stdout())
-    } else {
-        let path = socket.expect("checked above");
-        eprintln!("vegen-engine serve: listening on {path}");
-        match serve::serve_socket(&engine, &cfg, std::path::Path::new(&path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("vegen-engine serve: {e}");
-                return 2;
-            }
+    let summary = match socket {
+        None => serve::serve_lines(&engine, &cfg, std::io::stdin().lock(), std::io::stdout()),
+        Some(path) => {
+            eprintln!("vegen-engine serve: listening on {path}");
+            serve::serve_socket(&engine, &cfg, std::path::Path::new(path))?
         }
     };
     eprintln!(
@@ -753,7 +825,7 @@ fn run_serve(args: &[String]) -> i32 {
         summary.rejected_draining,
         summary.protocol_errors
     );
-    0
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +836,6 @@ fn run_serve(args: &[String]) -> i32 {
 /// body) as a human-readable table: histograms with their percentiles,
 /// then counters, then gauges.
 fn render_stats_table(snapshot: &Json) -> String {
-    use std::fmt::Write as _;
     let entries = |key: &str| -> Vec<(&str, &Json)> {
         match snapshot.get(key) {
             Some(Json::Obj(pairs)) => pairs.iter().map(|(k, v)| (k.as_str(), v)).collect(),
@@ -809,171 +880,67 @@ fn render_stats_table(snapshot: &Json) -> String {
     out
 }
 
-/// Write scrape output without panicking when stdout is a closed pipe
-/// (`stats | head` must exit cleanly — it is the command built to be
-/// piped).
-fn write_stats_output(text: &str) {
-    use std::io::Write as _;
-    let _ = std::io::stdout().write_all(text.as_bytes());
-}
-
 /// Scrape a running serve daemon's metrics registry over its Unix socket
 /// and print it: a human table by default, raw Prometheus text with
 /// `--prometheus`, or the JSON snapshot with `--json`. Exit code 2 on
 /// usage, connect, or protocol errors.
-fn run_stats(args: &[String]) -> i32 {
+fn run_stats(p: &Parsed) -> Result<i32, String> {
     use std::io::{BufRead as _, BufReader, Write as _};
-    let mut socket: Option<String> = None;
-    let mut prometheus = false;
-    let mut json = false;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--socket" => match args.next() {
-                Some(v) => socket = Some(v.clone()),
-                None => {
-                    eprintln!("vegen-engine stats: --socket needs a value");
-                    return 2;
-                }
-            },
-            "--prometheus" => prometheus = true,
-            "--json" => json = true,
-            "--help" | "-h" => {
-                eprintln!("usage: vegen-engine stats --socket PATH [--prometheus | --json]");
-                return 0;
-            }
-            other => {
-                eprintln!("vegen-engine stats: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let Some(path) = socket else {
-        eprintln!("usage: vegen-engine stats --socket PATH [--prometheus | --json]");
-        return 2;
-    };
+    let path = p.text(&SOCKET).ok_or_else(|| format!("{} PATH is required", SOCKET.name))?;
+    let (prometheus, json) = (p.has(&PROMETHEUS), p.has(&JSON));
     if prometheus && json {
-        eprintln!("vegen-engine stats: pass at most one of --prometheus or --json");
-        return 2;
+        return Err(format!("pass at most one of {} or {}", PROMETHEUS.name, JSON.name));
     }
-    let stream = match std::os::unix::net::UnixStream::connect(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vegen-engine stats: cannot connect to {path}: {e}");
-            return 2;
-        }
-    };
+    let stream = std::os::unix::net::UnixStream::connect(path)
+        .map_err(|e| format!("cannot connect to {path}: {e}"))?;
     let mut request = vec![("op", Json::str("stats")), ("id", Json::str("stats-cli"))];
     if prometheus {
         request.push(("format", Json::str("prometheus")));
     }
-    let mut write_half = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("vegen-engine stats: {e}");
-            return 2;
-        }
-    };
-    if let Err(e) = writeln!(write_half, "{}", Json::obj(request).render()) {
-        eprintln!("vegen-engine stats: cannot send request: {e}");
-        return 2;
-    }
+    let mut write_half = stream.try_clone().map_err(|e| e.to_string())?;
+    writeln!(write_half, "{}", Json::obj(request).render())
+        .map_err(|e| format!("cannot send request: {e}"))?;
     let mut line = String::new();
-    if let Err(e) = BufReader::new(stream).read_line(&mut line) {
-        eprintln!("vegen-engine stats: cannot read response: {e}");
-        return 2;
-    }
-    let response = match Json::parse(&line) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine stats: malformed response: {e}");
-            return 2;
-        }
-    };
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("cannot read response: {e}"))?;
+    let response = Json::parse(&line).map_err(|e| format!("malformed response: {e}"))?;
     if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        eprintln!("vegen-engine stats: daemon error: {}", response.render());
-        return 2;
+        return Err(format!("daemon error: {}", response.render()));
     }
-    let Some(result) = response.get("result") else {
-        eprintln!("vegen-engine stats: response has no result");
-        return 2;
-    };
+    let result = response.get("result").ok_or("response has no result")?;
     if prometheus {
-        match result.get("prometheus").and_then(Json::as_str) {
-            Some(text) => write_stats_output(text),
-            None => {
-                eprintln!("vegen-engine stats: response has no prometheus text");
-                return 2;
-            }
-        }
+        let text = result.get("prometheus").and_then(Json::as_str);
+        write_stdout(text.ok_or("response has no prometheus text")?);
     } else if json {
-        write_stats_output(&format!("{}\n", result.render_pretty()));
+        write_stdout(&format!("{}\n", result.render_pretty()));
     } else {
-        write_stats_output(&render_stats_table(result));
+        write_stdout(&render_stats_table(result));
     }
-    0
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
 // explain
 // ---------------------------------------------------------------------------
 
-fn run_explain(args: &[String]) -> i32 {
-    let mut name: Option<String> = None;
-    let mut target = TargetIsa::avx2();
-    let mut beam = 64usize;
-    let mut max_iters: Option<usize> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        match arg.as_str() {
-            "--target" => match value("--target").and_then(|v| parse_target(&v)) {
-                Ok(t) => target = t,
-                Err(e) => {
-                    eprintln!("vegen-engine explain: {e}");
-                    return 2;
-                }
-            },
-            "--beam" => match value("--beam").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                Ok(w) => beam = w,
-                Err(e) => {
-                    eprintln!("vegen-engine explain: --beam: {e}");
-                    return 2;
-                }
-            },
-            "--max-iters" => {
-                match value("--max-iters").and_then(|v| v.parse().map_err(|e| format!("{e}"))) {
-                    Ok(n) => max_iters = Some(n),
-                    Err(e) => {
-                        eprintln!("vegen-engine explain: --max-iters: {e}");
-                        return 2;
-                    }
-                }
-            }
-            other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
-            other => {
-                eprintln!("vegen-engine explain: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("usage: vegen-engine explain <kernel> [--target T] [--beam N] [--max-iters N]");
-        return 2;
-    };
-    let Some(kernel) = vegen_kernels::find(&name) else {
-        eprintln!("vegen-engine explain: unknown kernel {name:?}; available:");
+fn run_explain(p: &Parsed) -> Result<i32, String> {
+    let name = &p.positionals[0];
+    let target = p.target().unwrap_or_else(TargetIsa::avx2);
+    let beam = p.num(&BEAM).unwrap_or(64);
+    let Some(kernel) = vegen_kernels::find(name) else {
+        let mut message = format!("unknown kernel {name:?}; available:");
         for k in vegen_kernels::all() {
-            eprintln!("  {} ({:?})", k.name, k.suite);
+            let _ = write!(message, "\n  {} ({:?})", k.name, k.suite);
         }
-        return 2;
+        return Err(message);
     };
 
     let f = match prepare(&(kernel.build)(), &mut CompileCtx::default()) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("vegen-engine explain: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let desc = target_desc(&target, true);
@@ -992,17 +959,15 @@ fn run_explain(args: &[String]) -> i32 {
         }
     }
 
-    let cfg = BeamConfig { log_decisions: true, max_iters, ..BeamConfig::with_width(beam) };
+    let cfg = BeamConfig {
+        log_decisions: true,
+        max_iters: p.num(&MAX_ITERS),
+        ..BeamConfig::with_width(beam)
+    };
     let t0 = Instant::now();
     // No budget is set here, so the search cannot fail — but surface a
     // typed error cleanly rather than panicking if that ever changes.
-    let r = match select_packs(&ctx, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vegen-engine explain: selection failed: {e}");
-            return 2;
-        }
-    };
+    let r = select_packs(&ctx, &cfg).map_err(|e| format!("selection failed: {e}"))?;
     let wall = t0.elapsed();
     println!(
         "selection: scalar {:.1} → vector {:.1} ({:.2}x estimated), {} states expanded in {wall:.2?}",
@@ -1040,12 +1005,8 @@ fn run_explain(args: &[String]) -> i32 {
     // (so the profitability backstop and lowering are the real ones, and
     // the printed job carries the correlation id and cache source that
     // cross-reference the event log and any flight dump).
-    let pipeline = PipelineConfig {
-        target: target.clone(),
-        beam: BeamConfig::with_width(beam),
-        canonicalize_patterns: true,
-    };
     let engine = Engine::new(EngineConfig { threads: 1, verify_trials: 0, ..Default::default() });
+    let pipeline = PipelineConfig::new(target, beam);
     let result = engine.compile_one(kernel.name, &(kernel.build)(), &pipeline);
     println!(
         "job: corr {} rung {} cache {}",
@@ -1058,13 +1019,13 @@ fn run_explain(args: &[String]) -> i32 {
         for fault in &result.faults {
             eprintln!("  {fault}");
         }
-        return 1;
+        return Ok(1);
     };
     println!("static validation: {}", compiled.analysis.verdict());
     for d in compiled.analysis.all() {
         println!("  {d}");
     }
-    0
+    Ok(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,50 +1035,17 @@ fn run_explain(args: &[String]) -> i32 {
 /// Run the static validators over the whole suite. Exit code 1 when any
 /// kernel has an error-severity finding; warnings are reported but do not
 /// gate. `--out` writes the diagnostics as a JSON artifact.
-fn run_lint(args: &[String]) -> i32 {
-    let mut target = TargetIsa::avx2();
-    let mut beam = 16usize;
-    let mut threads = 0usize;
-    let mut out: Option<String> = None;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--target" => value("--target").and_then(|v| parse_target(&v)).map(|t| target = t),
-            "--beam" => value("--beam")
-                .and_then(|v| v.parse().map_err(|e| format!("--beam: {e}")))
-                .map(|w| beam = w),
-            "--threads" => value("--threads")
-                .and_then(|v| v.parse().map_err(|e| format!("--threads: {e}")))
-                .map(|n| threads = n),
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine lint [--target avx2|avx512vnni] [--beam N] \
-                     [--threads N] [--out FILE]"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine lint: {e}");
-            return 2;
-        }
-    }
-
+fn run_lint(p: &Parsed) -> Result<i32, String> {
+    let target = p.target().unwrap_or_else(TargetIsa::avx2);
+    let beam = p.num(&BEAM).unwrap_or(16);
     // Verification trials off: this gate is purely static; the suite mode
     // covers dynamic checking.
-    let engine = Engine::new(EngineConfig { threads, verify_trials: 0, ..EngineConfig::default() });
-    let pipeline = PipelineConfig {
-        target: target.clone(),
-        beam: BeamConfig::with_width(beam),
-        canonicalize_patterns: true,
-    };
-    let jobs: Vec<Job> = vegen_kernels::all()
-        .into_iter()
-        .map(|k| Job::new(k.name, (k.build)(), pipeline.clone()))
-        .collect();
+    let engine = Engine::new(EngineConfig {
+        threads: p.num(&THREADS).unwrap_or(0),
+        verify_trials: 0,
+        ..EngineConfig::default()
+    });
+    let jobs = suite_jobs(&PipelineConfig::new(target.clone(), beam));
     let t0 = Instant::now();
     let results = engine.compile_batch(&jobs);
     let wall = t0.elapsed();
@@ -1126,53 +1054,39 @@ fn run_lint(args: &[String]) -> i32 {
     let mut total_warnings = 0usize;
     let mut rows = Vec::new();
     for r in &results {
+        let head = format!("{:<24} {:<8} {:<6}", r.name, r.corr, r.cache_source());
         // A job that produced no program at all is an error-severity
         // finding in its own right; degraded rungs still carry a real
         // analysis (or an empty one for the scalar rung) and lint it.
-        let Some(kernel) = r.kernel.as_deref() else {
-            total_errors += 1;
-            let fault =
-                r.faults.first().map(|e| e.to_string()).unwrap_or_else(|| "no program".into());
-            println!(
-                "{:<24} {:<8} {:<6} {} — {fault}",
-                r.name,
-                r.corr,
-                r.cache_source(),
-                r.rung.name()
-            );
-            rows.push(Json::obj([
-                ("name", Json::str(&r.name)),
-                ("corr", Json::str(&r.corr)),
-                ("cache", Json::str(r.cache_source())),
-                ("rung", Json::str(r.rung.name())),
-                ("errors", Json::int(1)),
-                ("warnings", Json::int(0)),
-                ("packs_checked", Json::int(0)),
-                ("lanes_proved", Json::int(0)),
-                (
-                    "diagnostics",
-                    Json::Arr(r.faults.iter().map(|e| Json::str(e.to_string())).collect()),
-                ),
-            ]));
-            continue;
+        let (errors, warnings, packs_checked, lanes_proved, diagnostics) = match &r.kernel {
+            None => {
+                let fault =
+                    r.faults.first().map(|e| e.to_string()).unwrap_or_else(|| "no program".into());
+                println!("{head} {} — {fault}", r.rung.name());
+                (1, 0, 0, 0, r.faults.iter().map(|e| Json::str(e.to_string())).collect())
+            }
+            Some(kernel) => {
+                let a = &kernel.analysis;
+                println!("{head} {}", a.verdict());
+                for d in a.all() {
+                    println!("    {d}");
+                }
+                let diagnostics = a.all().map(|d| Json::str(d.to_string())).collect();
+                (a.error_count(), a.warning_count(), a.packs_checked, a.lanes_proved, diagnostics)
+            }
         };
-        let a = &kernel.analysis;
-        total_errors += a.error_count();
-        total_warnings += a.warning_count();
-        println!("{:<24} {:<8} {:<6} {}", r.name, r.corr, r.cache_source(), a.verdict());
-        for d in a.all() {
-            println!("    {d}");
-        }
+        total_errors += errors;
+        total_warnings += warnings;
         rows.push(Json::obj([
             ("name", Json::str(&r.name)),
             ("corr", Json::str(&r.corr)),
             ("cache", Json::str(r.cache_source())),
             ("rung", Json::str(r.rung.name())),
-            ("errors", Json::int(a.error_count() as u64)),
-            ("warnings", Json::int(a.warning_count() as u64)),
-            ("packs_checked", Json::int(a.packs_checked as u64)),
-            ("lanes_proved", Json::int(a.lanes_proved as u64)),
-            ("diagnostics", Json::Arr(a.all().map(|d| Json::str(d.to_string())).collect())),
+            ("errors", Json::int(errors as u64)),
+            ("warnings", Json::int(warnings as u64)),
+            ("packs_checked", Json::int(packs_checked as u64)),
+            ("lanes_proved", Json::int(lanes_proved as u64)),
+            ("diagnostics", Json::Arr(diagnostics)),
         ]));
     }
     print_failure_table(&results);
@@ -1185,26 +1099,16 @@ fn run_lint(args: &[String]) -> i32 {
         total_warnings
     );
 
-    if let Some(path) = &out {
-        let doc = Json::obj([
-            ("schema", Json::str("vegen-engine-lint/v1")),
-            ("target", Json::str(&target.name)),
-            ("beam_width", Json::int(beam as u64)),
-            ("errors", Json::int(total_errors as u64)),
-            ("warnings", Json::int(total_warnings as u64)),
-            ("kernels", Json::Arr(rows)),
-        ]);
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("vegen-engine lint: cannot write {path}: {e}");
-            return 2;
-        }
-        eprintln!("vegen-engine lint: report written to {path}");
-    }
-    if total_errors > 0 {
-        1
-    } else {
-        0
-    }
+    let doc = Json::obj([
+        ("schema", Json::str("vegen-engine-lint/v1")),
+        ("target", Json::str(&target.name)),
+        ("beam_width", Json::int(beam as u64)),
+        ("errors", Json::int(total_errors as u64)),
+        ("warnings", Json::int(total_warnings as u64)),
+        ("kernels", Json::Arr(rows)),
+    ]);
+    write_artifact("vegen-engine lint", p, &doc, false)?;
+    Ok(i32::from(total_errors > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1216,51 +1120,16 @@ fn run_lint(args: &[String]) -> i32 {
 /// finding; warnings are reported but do not gate. `--corrupt KIND`
 /// injects a deliberate corruption first, so CI can assert the gate
 /// rejects a broken database and names the mutated instruction.
-fn run_check_specs(args: &[String]) -> i32 {
+fn run_check_specs(p: &Parsed) -> Result<i32, String> {
     use vegen_analysis::speccheck::{check_database, corrupt_database};
     use vegen_isa::{specs::all_specs, InstDb};
 
-    let mut targets = vec![TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()];
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut corrupt: Option<String> = None;
-    let mut canonicalize = true;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value = |n: &str| args.next().cloned().ok_or(format!("{n} needs a value"));
-        let parsed = match arg.as_str() {
-            "--target" => value("--target").and_then(|v| {
-                if v.eq_ignore_ascii_case("all") {
-                    Ok(())
-                } else {
-                    parse_target(&v).map(|t| targets = vec![t])
-                }
-            }),
-            "--json" => {
-                json = true;
-                Ok(())
-            }
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--corrupt" => value("--corrupt").map(|v| corrupt = Some(v)),
-            "--no-canon" => {
-                canonicalize = false;
-                Ok(())
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vegen-engine check-specs [--target sse4|avx2|avx512vnni|all] \
-                     [--json] [--out FILE] [--corrupt KIND] [--no-canon]\n\
-                     corruption KIND is lane-swap|widen|flip-cmp|dup-rule|neg-cost|rename-op"
-                );
-                return 0;
-            }
-            other => Err(format!("unknown argument {other:?}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("vegen-engine check-specs: {e}");
-            return 2;
-        }
-    }
+    let targets = match p.text(&TARGET_OR_ALL) {
+        Some(one) if !one.eq_ignore_ascii_case("all") => vec![parse_target(one)?],
+        _ => vec![TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()],
+    };
+    let json = p.has(&JSON);
+    let corrupt = p.text(&CORRUPT);
 
     let t0 = Instant::now();
     let mut total_errors = 0usize;
@@ -1274,24 +1143,17 @@ fn run_check_specs(args: &[String]) -> i32 {
             .collect();
         let mut db = InstDb::for_target(target);
         let mut corrupted_inst: Option<String> = None;
-        if let Some(kind) = &corrupt {
-            match corrupt_database(&db, kind) {
-                Ok((bad, name)) => {
-                    eprintln!(
-                        "vegen-engine check-specs: injected {kind} corruption into {name} \
-                         ({})",
-                        target.name
-                    );
-                    db = bad;
-                    corrupted_inst = Some(name);
-                }
-                Err(e) => {
-                    eprintln!("vegen-engine check-specs: --corrupt {kind}: {e}");
-                    return 2;
-                }
-            }
+        if let Some(kind) = corrupt {
+            let (bad, name) =
+                corrupt_database(&db, kind).map_err(|e| format!("{} {kind}: {e}", CORRUPT.name))?;
+            eprintln!(
+                "vegen-engine check-specs: injected {kind} corruption into {name} ({})",
+                target.name
+            );
+            db = bad;
+            corrupted_inst = Some(name);
         }
-        let report = check_database(&target.name, &specs, &db, canonicalize);
+        let report = check_database(&target.name, &specs, &db, !p.has(&NO_CANON));
         total_errors += report.error_count();
         total_warnings += report.warning_count();
         if !json {
@@ -1300,10 +1162,7 @@ fn run_check_specs(args: &[String]) -> i32 {
                 println!("    {d}");
             }
         }
-        vegen_trace::metrics::counter("speccheck_rules_total").add(report.stats.rules as u64);
-        vegen_trace::metrics::gauge("speccheck_dead_rules").set(report.stats.dead_rules as f64);
-        vegen_trace::metrics::gauge("speccheck_max_overlap_class")
-            .set(report.stats.max_overlap_class as f64);
+        publish_match_table_stats(&report.stats);
         rows.push(Json::obj([
             ("target", Json::str(&report.target)),
             ("insts_checked", Json::int(report.insts_checked as u64)),
@@ -1324,21 +1183,12 @@ fn run_check_specs(args: &[String]) -> i32 {
     }
     let doc = Json::obj([
         ("schema", Json::str("vegen-engine-speccheck/v1")),
-        ("corruption", corrupt.as_deref().map_or(Json::Null, Json::str)),
+        ("corruption", corrupt.map_or(Json::Null, Json::str)),
         ("errors", Json::int(total_errors as u64)),
         ("warnings", Json::int(total_warnings as u64)),
         ("targets", Json::Arr(rows)),
     ]);
-    if json {
-        println!("{}", doc.render_pretty());
-    }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, doc.render_pretty()) {
-            eprintln!("vegen-engine check-specs: cannot write {path}: {e}");
-            return 2;
-        }
-        eprintln!("vegen-engine check-specs: report written to {path}");
-    }
+    write_artifact("vegen-engine check-specs", p, &doc, json)?;
     if !json {
         println!(
             "vegen-engine check-specs: {} target(s) in {:.2?} — {} error(s), {} warning(s)",
@@ -1348,11 +1198,7 @@ fn run_check_specs(args: &[String]) -> i32 {
             total_warnings
         );
     }
-    if total_errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(i32::from(total_errors > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1511,69 +1357,32 @@ pub fn diff_reports(
     Ok((regressions, info))
 }
 
-fn run_diff(args: &[String]) -> i32 {
-    let mut files = Vec::new();
-    let mut cfg = DiffConfig::default();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--max-regress" => {
-                match args.next().map(|v| v.parse::<f64>()) {
-                    Some(Ok(pct)) if pct >= 0.0 => cfg.max_regress_pct = pct,
-                    _ => {
-                        eprintln!("vegen-engine diff: --max-regress needs a percentage");
-                        return 2;
-                    }
-                };
-            }
-            "--strict-counters" => cfg.strict_counters = true,
-            other if !other.starts_with('-') => files.push(other.to_string()),
-            other => {
-                eprintln!("vegen-engine diff: unknown argument {other:?}");
-                return 2;
-            }
-        }
+fn run_diff(p: &Parsed) -> Result<i32, String> {
+    let mut cfg = DiffConfig { strict_counters: p.has(&STRICT_COUNTERS), ..DiffConfig::default() };
+    match p.text(&MAX_REGRESS).map(str::parse::<f64>) {
+        Some(Ok(pct)) if pct >= 0.0 => cfg.max_regress_pct = pct,
+        Some(_) => return Err(format!("{} needs a percentage", MAX_REGRESS.name)),
+        None => {}
     }
-    let [old_path, new_path] = files.as_slice() else {
-        eprintln!(
-            "usage: vegen-engine diff <old.json> <new.json> [--max-regress PCT] \
-             [--strict-counters]"
-        );
-        return 2;
-    };
     let load = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("vegen-engine diff: {e}");
-            return 2;
-        }
-    };
-    match diff_reports(&old, &new, &cfg) {
-        Ok((regressions, info)) => {
-            for line in &info {
-                println!("info: {line}");
-            }
-            for r in &regressions {
-                println!("REGRESSION {}: {}", r.kernel, r.what);
-            }
-            if regressions.is_empty() {
-                println!(
-                    "vegen-engine diff: no regressions (threshold {:.1}%)",
-                    cfg.max_regress_pct
-                );
-                0
-            } else {
-                println!("vegen-engine diff: {} regression(s)", regressions.len());
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("vegen-engine diff: {e}");
-            2
-        }
+    let (old, new) = (load(&p.positionals[0])?, load(&p.positionals[1])?);
+    let (regressions, info) = diff_reports(&old, &new, &cfg)?;
+    for line in &info {
+        println!("info: {line}");
     }
+    for r in &regressions {
+        println!("REGRESSION {}: {}", r.kernel, r.what);
+    }
+    if regressions.is_empty() {
+        println!("vegen-engine diff: no regressions (threshold {:.1}%)", cfg.max_regress_pct);
+    } else {
+        println!("vegen-engine diff: {} regression(s)", regressions.len());
+    }
+    Ok(i32::from(!regressions.is_empty()))
 }
+
+#[cfg(test)]
+mod tests;

@@ -95,61 +95,20 @@ fn duration_json(d: Duration) -> Json {
 // IR scalars
 // ---------------------------------------------------------------------------
 
-fn type_name(ty: Type) -> &'static str {
-    match ty {
-        Type::I1 => "i1",
-        Type::I8 => "i8",
-        Type::I16 => "i16",
-        Type::I32 => "i32",
-        Type::I64 => "i64",
-        Type::F32 => "f32",
-        Type::F64 => "f64",
-        Type::Void => "void",
-    }
-}
-
-fn parse_type(s: &str) -> Result<Type, String> {
-    match s {
-        "i1" => Ok(Type::I1),
-        "i8" => Ok(Type::I8),
-        "i16" => Ok(Type::I16),
-        "i32" => Ok(Type::I32),
-        "i64" => Ok(Type::I64),
-        "f32" => Ok(Type::F32),
-        "f64" => Ok(Type::F64),
-        "void" => Ok(Type::Void),
-        other => Err(format!("unknown type {other:?}")),
-    }
+/// A member that names an IR scalar through `vegen_ir`'s one name table;
+/// `what` is the vocabulary, for the error.
+fn named<T>(j: &Json, key: &str, what: &str, find: fn(&str) -> Option<T>) -> Result<T, String> {
+    let s = string(j, key)?;
+    find(s).ok_or_else(|| format!("unknown {what} {s:?}"))
 }
 
 fn ty_of(j: &Json, key: &str) -> Result<Type, String> {
-    parse_type(string(j, key)?)
-}
-
-fn parse_binop(s: &str) -> Result<BinOp, String> {
-    use BinOp::*;
-    let all = [
-        Add, Sub, Mul, SDiv, UDiv, SRem, URem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul,
-        FDiv,
-    ];
-    all.into_iter().find(|op| op.name() == s).ok_or_else(|| format!("unknown binop {s:?}"))
-}
-
-fn parse_castop(s: &str) -> Result<CastOp, String> {
-    use CastOp::*;
-    let all = [SExt, ZExt, Trunc, FPExt, FPTrunc, SIToFP, UIToFP, FPToSI];
-    all.into_iter().find(|op| op.name() == s).ok_or_else(|| format!("unknown cast op {s:?}"))
-}
-
-fn parse_cmppred(s: &str) -> Result<CmpPred, String> {
-    use CmpPred::*;
-    let all = [Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge, Feq, Fne, Flt, Fle, Fgt, Fge];
-    all.into_iter().find(|p| p.name() == s).ok_or_else(|| format!("unknown predicate {s:?}"))
+    named(j, key, "type", Type::from_name)
 }
 
 fn constant_json(c: Constant) -> Json {
     Json::obj([
-        ("ty", Json::str(type_name(c.ty()))),
+        ("ty", Json::str(c.ty().name())),
         ("bits", Json::str(format!("{:x}", c.raw_bits()))),
     ])
 }
@@ -197,7 +156,7 @@ fn opt_value_from(j: &Json) -> Result<Option<ValueId>, String> {
 fn param_json(p: &Param) -> Json {
     Json::obj([
         ("name", Json::str(&p.name)),
-        ("ty", Json::str(type_name(p.elem_ty))),
+        ("ty", Json::str(p.elem_ty.name())),
         ("len", Json::int(p.len as u64)),
     ])
 }
@@ -211,7 +170,7 @@ fn param_from(j: &Json) -> Result<Param, String> {
 }
 
 fn inst_json(inst: &Inst) -> Json {
-    let mut pairs: Vec<(&'static str, Json)> = vec![("ty", Json::str(type_name(inst.ty)))];
+    let mut pairs: Vec<(&'static str, Json)> = vec![("ty", Json::str(inst.ty.name()))];
     match &inst.kind {
         InstKind::Const(c) => {
             pairs.push(("k", Json::str("const")));
@@ -265,14 +224,17 @@ fn inst_from(j: &Json) -> Result<Inst, String> {
     let kind = match string(j, "k")? {
         "const" => InstKind::Const(constant_from(field(j, "c")?)?),
         "bin" => InstKind::Bin {
-            op: parse_binop(string(j, "op")?)?,
+            op: named(j, "op", "binop", BinOp::from_name)?,
             lhs: value_of("lhs")?,
             rhs: value_of("rhs")?,
         },
         "fneg" => InstKind::FNeg { arg: value_of("arg")? },
-        "cast" => InstKind::Cast { op: parse_castop(string(j, "op")?)?, arg: value_of("arg")? },
+        "cast" => InstKind::Cast {
+            op: named(j, "op", "cast op", CastOp::from_name)?,
+            arg: value_of("arg")?,
+        },
         "cmp" => InstKind::Cmp {
-            pred: parse_cmppred(string(j, "pred")?)?,
+            pred: named(j, "pred", "predicate", CmpPred::from_name)?,
             lhs: value_of("lhs")?,
             rhs: value_of("rhs")?,
         },
@@ -340,7 +302,7 @@ fn scalar_op_json(op: &ScalarOp) -> Json {
         ScalarOp::Cast { op, to, arg } => Json::obj([
             ("k", Json::str("cast")),
             ("op", Json::str(op.name())),
-            ("to", Json::str(type_name(*to))),
+            ("to", Json::str(to.name())),
             ("arg", reg_json(*arg)),
         ]),
         ScalarOp::Cmp { pred, lhs, rhs } => Json::obj([
@@ -362,18 +324,18 @@ fn scalar_op_from(j: &Json) -> Result<ScalarOp, String> {
     Ok(match string(j, "k")? {
         "const" => ScalarOp::Const(constant_from(field(j, "c")?)?),
         "bin" => ScalarOp::Bin {
-            op: parse_binop(string(j, "op")?)?,
+            op: named(j, "op", "binop", BinOp::from_name)?,
             lhs: reg_of(j, "lhs")?,
             rhs: reg_of(j, "rhs")?,
         },
         "fneg" => ScalarOp::FNeg { arg: reg_of(j, "arg")? },
         "cast" => ScalarOp::Cast {
-            op: parse_castop(string(j, "op")?)?,
+            op: named(j, "op", "cast op", CastOp::from_name)?,
             to: ty_of(j, "to")?,
             arg: reg_of(j, "arg")?,
         },
         "cmp" => ScalarOp::Cmp {
-            pred: parse_cmppred(string(j, "pred")?)?,
+            pred: named(j, "pred", "predicate", CmpPred::from_name)?,
             lhs: reg_of(j, "lhs")?,
             rhs: reg_of(j, "rhs")?,
         },
@@ -434,7 +396,7 @@ fn vm_inst_json(i: &VmInst) -> Json {
             ("base", Json::int(*base as u64)),
             ("start", Json::Num(*start as f64)),
             ("lanes", Json::int(*lanes as u64)),
-            ("elem", Json::str(type_name(*elem))),
+            ("elem", Json::str(elem.name())),
         ]),
         VmInst::VecStore { base, start, src } => Json::obj([
             ("k", Json::str("vec_store")),
@@ -451,7 +413,7 @@ fn vm_inst_json(i: &VmInst) -> Json {
         VmInst::Build { dst, elem, lanes } => Json::obj([
             ("k", Json::str("build")),
             ("dst", reg_json(*dst)),
-            ("elem", Json::str(type_name(*elem))),
+            ("elem", Json::str(elem.name())),
             ("lanes", Json::Arr(lanes.iter().map(lane_src_json).collect())),
         ]),
         VmInst::Extract { dst, src, lane } => Json::obj([
@@ -600,7 +562,7 @@ fn pack_json(p: &Pack) -> Json {
             ("base", Json::int(*base as u64)),
             ("start", Json::Num(*start as f64)),
             ("loads", Json::Arr(loads.iter().map(|v| opt_value_json(*v)).collect())),
-            ("elem", Json::str(type_name(*elem))),
+            ("elem", Json::str(elem.name())),
         ]),
         Pack::Store { base, start, stores, values, elem } => Json::obj([
             ("k", Json::str("store")),
@@ -608,7 +570,7 @@ fn pack_json(p: &Pack) -> Json {
             ("start", Json::Num(*start as f64)),
             ("stores", Json::Arr(stores.iter().map(|v| value_json(*v)).collect())),
             ("values", Json::Arr(values.iter().map(|v| value_json(*v)).collect())),
-            ("elem", Json::str(type_name(*elem))),
+            ("elem", Json::str(elem.name())),
         ]),
     }
 }
@@ -1056,6 +1018,7 @@ mod tests {
             .contains("params"));
         let bad_kind = Json::obj([("ty", Json::str("i32")), ("k", Json::str("frobnicate"))]);
         assert!(inst_from(&bad_kind).unwrap_err().contains("frobnicate"));
-        assert!(parse_type("i128").is_err());
+        let bad_ty = Json::obj([("ty", Json::str("i128"))]);
+        assert_eq!(ty_of(&bad_ty, "ty"), Err("unknown type \"i128\"".to_string()));
     }
 }

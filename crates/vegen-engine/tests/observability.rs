@@ -421,3 +421,26 @@ fn lint_subcommand_gates_and_writes_artifact() {
     assert_eq!(bad.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Help is generated from the command table, so every subcommand has it
+/// and it names exactly the flags that subcommand takes.
+#[test]
+fn every_subcommand_has_help_that_lists_its_own_flags_and_no_others() {
+    use vegen_engine::cli::{usage, COMMANDS};
+    for cmd in COMMANDS {
+        for help in ["--help", "-h"] {
+            let args: Vec<String> =
+                [cmd.name, help].iter().filter(|s| !s.is_empty()).map(|s| s.to_string()).collect();
+            assert_eq!(main_with_args(&args), 0, "{args:?}");
+        }
+        let text = usage(cmd.name).expect("every row has usage text");
+        let mentioned: std::collections::BTreeSet<&str> = text
+            .split(|c: char| !(c == '-' || c.is_ascii_alphanumeric()))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let visible: std::collections::BTreeSet<&str> =
+            cmd.flags.iter().filter(|f| !f.hidden).map(|f| f.name).collect();
+        assert_eq!(mentioned, visible, "usage of {:?}:\n{text}", cmd.name);
+    }
+    assert_eq!(usage("no-such-subcommand"), None);
+}

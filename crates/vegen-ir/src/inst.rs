@@ -33,6 +33,42 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every opcode, in declaration order.
+    pub const ALL: [BinOp; 17] = {
+        use BinOp::*;
+        [
+            Add, Sub, Mul, SDiv, UDiv, SRem, URem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul,
+            FDiv,
+        ]
+    };
+
+    /// The opcode [`BinOp::name`] spells `name`: the inverse every text
+    /// format (VIDL, cache entries) reads opcode names with. A `match`, as
+    /// the parsers it replaced were; `tests/names.rs` holds the two
+    /// directions together.
+    pub fn from_name(name: &str) -> Option<BinOp> {
+        Some(match name {
+            "add" => BinOp::Add,
+            "sub" => BinOp::Sub,
+            "mul" => BinOp::Mul,
+            "sdiv" => BinOp::SDiv,
+            "udiv" => BinOp::UDiv,
+            "srem" => BinOp::SRem,
+            "urem" => BinOp::URem,
+            "and" => BinOp::And,
+            "or" => BinOp::Or,
+            "xor" => BinOp::Xor,
+            "shl" => BinOp::Shl,
+            "lshr" => BinOp::LShr,
+            "ashr" => BinOp::AShr,
+            "fadd" => BinOp::FAdd,
+            "fsub" => BinOp::FSub,
+            "fmul" => BinOp::FMul,
+            "fdiv" => BinOp::FDiv,
+            _ => return None,
+        })
+    }
+
     /// True if `op(a, b) == op(b, a)`.
     pub fn is_commutative(self) -> bool {
         matches!(
@@ -99,6 +135,27 @@ pub enum CastOp {
 }
 
 impl CastOp {
+    /// Every cast, in declaration order.
+    pub const ALL: [CastOp; 8] = {
+        use CastOp::*;
+        [SExt, ZExt, Trunc, FPExt, FPTrunc, SIToFP, UIToFP, FPToSI]
+    };
+
+    /// The cast [`CastOp::name`] spells `name`.
+    pub fn from_name(name: &str) -> Option<CastOp> {
+        Some(match name {
+            "sext" => CastOp::SExt,
+            "zext" => CastOp::ZExt,
+            "trunc" => CastOp::Trunc,
+            "fpext" => CastOp::FPExt,
+            "fptrunc" => CastOp::FPTrunc,
+            "sitofp" => CastOp::SIToFP,
+            "uitofp" => CastOp::UIToFP,
+            "fptosi" => CastOp::FPToSI,
+            _ => return None,
+        })
+    }
+
     /// Mnemonic used by the printer.
     pub fn name(self) -> &'static str {
         match self {
@@ -137,6 +194,36 @@ pub enum CmpPred {
 }
 
 impl CmpPred {
+    /// Every predicate, in declaration order.
+    pub const ALL: [CmpPred; 16] = {
+        use CmpPred::*;
+        [Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge, Feq, Fne, Flt, Fle, Fgt, Fge]
+    };
+
+    /// The predicate [`CmpPred::name`] spells `name`.
+    pub fn from_name(name: &str) -> Option<CmpPred> {
+        use CmpPred::*;
+        Some(match name {
+            "eq" => Eq,
+            "ne" => Ne,
+            "slt" => Slt,
+            "sle" => Sle,
+            "sgt" => Sgt,
+            "sge" => Sge,
+            "ult" => Ult,
+            "ule" => Ule,
+            "ugt" => Ugt,
+            "uge" => Uge,
+            "feq" => Feq,
+            "fne" => Fne,
+            "flt" => Flt,
+            "fle" => Fle,
+            "fgt" => Fgt,
+            "fge" => Fge,
+            _ => return None,
+        })
+    }
+
     /// The predicate with operands swapped: `a pred b == b swap(pred) a`.
     pub fn swapped(self) -> CmpPred {
         use CmpPred::*;

@@ -28,6 +28,40 @@ pub enum Type {
 }
 
 impl Type {
+    /// Every type, in declaration order.
+    pub const ALL: [Type; 8] =
+        [Type::I1, Type::I8, Type::I16, Type::I32, Type::I64, Type::F32, Type::F64, Type::Void];
+
+    /// The name the printer and every text format spell this type with.
+    pub fn name(self) -> &'static str {
+        match self {
+            Type::I1 => "i1",
+            Type::I8 => "i8",
+            Type::I16 => "i16",
+            Type::I32 => "i32",
+            Type::I64 => "i64",
+            Type::F32 => "f32",
+            Type::F64 => "f64",
+            Type::Void => "void",
+        }
+    }
+
+    /// The type [`Type::name`] spells `name` (`void` included: a reader
+    /// that must not accept it filters it out).
+    pub fn from_name(name: &str) -> Option<Type> {
+        Some(match name {
+            "i1" => Type::I1,
+            "i8" => Type::I8,
+            "i16" => Type::I16,
+            "i32" => Type::I32,
+            "i64" => Type::I64,
+            "f32" => Type::F32,
+            "f64" => Type::F64,
+            "void" => Type::Void,
+            _ => return None,
+        })
+    }
+
     /// Bit width of the type. `Void` has width 0.
     ///
     /// ```
@@ -88,17 +122,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Type::I1 => "i1",
-            Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
-            Type::I64 => "i64",
-            Type::F32 => "f32",
-            Type::F64 => "f64",
-            Type::Void => "void",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

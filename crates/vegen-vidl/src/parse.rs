@@ -273,79 +273,15 @@ impl Parser {
     }
 }
 
+/// VIDL has no `void`: a lane is always a value.
 fn parse_type(s: &str) -> Option<Type> {
-    Some(match s {
-        "i1" => Type::I1,
-        "i8" => Type::I8,
-        "i16" => Type::I16,
-        "i32" => Type::I32,
-        "i64" => Type::I64,
-        "f32" => Type::F32,
-        "f64" => Type::F64,
-        _ => return None,
-    })
-}
-
-fn parse_binop(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "sdiv" => BinOp::SDiv,
-        "udiv" => BinOp::UDiv,
-        "srem" => BinOp::SRem,
-        "urem" => BinOp::URem,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "lshr" => BinOp::LShr,
-        "ashr" => BinOp::AShr,
-        "fadd" => BinOp::FAdd,
-        "fsub" => BinOp::FSub,
-        "fmul" => BinOp::FMul,
-        "fdiv" => BinOp::FDiv,
-        _ => return None,
-    })
-}
-
-fn parse_pred(s: &str) -> Option<CmpPred> {
-    Some(match s {
-        "eq" => CmpPred::Eq,
-        "ne" => CmpPred::Ne,
-        "slt" => CmpPred::Slt,
-        "sle" => CmpPred::Sle,
-        "sgt" => CmpPred::Sgt,
-        "sge" => CmpPred::Sge,
-        "ult" => CmpPred::Ult,
-        "ule" => CmpPred::Ule,
-        "ugt" => CmpPred::Ugt,
-        "uge" => CmpPred::Uge,
-        "feq" => CmpPred::Feq,
-        "fne" => CmpPred::Fne,
-        "flt" => CmpPred::Flt,
-        "fle" => CmpPred::Fle,
-        "fgt" => CmpPred::Fgt,
-        "fge" => CmpPred::Fge,
-        _ => return None,
-    })
+    Type::from_name(s).filter(|ty| *ty != Type::Void)
 }
 
 /// `sext_i32` -> (SExt, I32), etc.
 fn parse_cast_name(s: &str) -> Option<(CastOp, Type)> {
     let (op_name, ty_name) = s.split_once('_')?;
-    let op = match op_name {
-        "sext" => CastOp::SExt,
-        "zext" => CastOp::ZExt,
-        "trunc" => CastOp::Trunc,
-        "fpext" => CastOp::FPExt,
-        "fptrunc" => CastOp::FPTrunc,
-        "sitofp" => CastOp::SIToFP,
-        "uitofp" => CastOp::UIToFP,
-        "fptosi" => CastOp::FPToSI,
-        _ => return None,
-    };
-    Some((op, parse_type(ty_name)?))
+    Some((CastOp::from_name(op_name)?, parse_type(ty_name)?))
 }
 
 impl Parser {
@@ -400,7 +336,7 @@ impl Parser {
             }
         }
         self.expect(Tok::RParen)?;
-        if let Some(op) = parse_binop(name) {
+        if let Some(op) = BinOp::from_name(name) {
             let [lhs, rhs] = self.args_n(name, args)?;
             return Ok(Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
         }
@@ -409,7 +345,7 @@ impl Parser {
             return Ok(Expr::Cast { op, to, arg: Box::new(arg) });
         }
         if let Some(pred_name) = name.strip_prefix("cmp_") {
-            if let Some(pred) = parse_pred(pred_name) {
+            if let Some(pred) = CmpPred::from_name(pred_name) {
                 let [lhs, rhs] = self.args_n(name, args)?;
                 return Ok(Expr::Cmp { pred, lhs: Box::new(lhs), rhs: Box::new(rhs) });
             }
@@ -675,6 +611,23 @@ mod tests {
         let src = "op s (x: i8) -> i8 = frobnicate(x)";
         let e = parse_operation(src).unwrap_err();
         assert!(e.message.contains("unknown function"));
+    }
+
+    #[test]
+    fn rejects_void_everywhere_a_type_is_spelled() {
+        // The shared name table knows `void` (stores have it); VIDL text
+        // must not.
+        for src in [
+            "op s (x: void) -> i8 = add(x, x)",
+            "op s (x: i8) -> void = add(x, x)",
+            "op s (x: i8) -> i8 = add(x, 1:void)",
+            "op s (x: i9) -> i8 = add(x, x)",
+        ] {
+            let e = parse_operation(src).unwrap_err();
+            assert!(e.message.starts_with("unknown type `"), "{src}: {e}");
+        }
+        let e = parse_operation("op s (x: i8) -> i8 = sext_void(x)").unwrap_err();
+        assert!(e.message.contains("unknown function"), "{e}");
     }
 
     #[test]
