@@ -1,13 +1,13 @@
 //! Independent re-check of pack legality (§4.4) on a selected pack set.
 //!
 //! The beam search only ever *constructs* legal packs
-//! (`VectorizerCtx::producers_for` filters candidates and
+//! (`VectorizerCtx::producers` filters candidates and
 //! `packs_legal` guards every transition), so this pass re-derives the
 //! legality conditions from first principles — its own [`DepGraph`], the
 //! VIDL-level [`InstSemantics::operand_bindings`] instead of the context's
 //! cached binding tables, and Kahn's algorithm instead of the context's
 //! tricolor DFS — and checks the *output* of selection. A bug anywhere in
-//! the matcher, the interner, or the search that lets an illegal pack
+//! the matcher, the candidate arena, or the search that lets an illegal pack
 //! through is caught here instead of surfacing as miscompiled code.
 
 use crate::diag::{Diagnostic, Location};

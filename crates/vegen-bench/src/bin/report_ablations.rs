@@ -6,7 +6,9 @@
 
 use vegen::driver::target_desc;
 use vegen_bench::print_table;
-use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
+use vegen_core::{
+    select_packs, select_packs_reusing, BeamConfig, CostModel, SelectionReuse, VectorizerCtx,
+};
 use vegen_ir::canon::{add_narrow_constants, canonicalize};
 use vegen_isa::TargetIsa;
 
@@ -21,6 +23,7 @@ fn main() {
         let f = add_narrow_constants(&canonicalize(&(k.build)()));
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let mut cells = vec![name.to_string()];
+        // The seeds decide the candidates, so each column freezes.
         for seeds in [true, false] {
             let cfg = BeamConfig { use_affinity_seeds: seeds, ..BeamConfig::with_width(64) };
             let r = select_packs(&ctx, &cfg).unwrap();
@@ -40,6 +43,7 @@ fn main() {
         let k = vegen_kernels::find(name).unwrap();
         let f = add_narrow_constants(&canonicalize(&(k.build)()));
         let mut cells = vec![name.to_string()];
+        // So does the cost model: a context, and a freeze, per column.
         for shuffle in [1.0, 2.0, 4.0, 8.0] {
             let cost = CostModel { c_shuffle: shuffle, ..CostModel::default() };
             let ctx = VectorizerCtx::new(&f, &desc, cost);
@@ -60,9 +64,11 @@ fn main() {
         let k = vegen_kernels::find(name).unwrap();
         let f = add_narrow_constants(&canonicalize(&(k.build)()));
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+        // The candidates do not depend on the width: freeze once per kernel.
+        let mut reuse = SelectionReuse::new();
         let mut cells = vec![name.to_string()];
         for width in [1usize, 4, 16, 64, 128, 256] {
-            let r = select_packs(&ctx, &BeamConfig::with_width(width)).unwrap();
+            let r = select_packs_reusing(&ctx, &BeamConfig::with_width(width), &mut reuse).unwrap();
             cells.push(format!("{:.1}", r.vector_cost));
         }
         rows.push(cells);

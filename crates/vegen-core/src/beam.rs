@@ -41,11 +41,11 @@
 //! ## Parallel search
 //!
 //! The search runs over an immutable [`FrozenCtx`] snapshot (see
-//! [`crate::frozen`]): a freeze pre-pass populates every candidate index
-//! up front, so expansion never interns and workers share the snapshot
-//! by reference. Each iteration's frontier is split into contiguous
-//! chunks, one per worker; workers run `expand` + transition scoring into
-//! thread-local buffers, and the main thread concatenates the buffers *in
+//! [`crate::frozen`]): freezing enumerates every candidate up front, so
+//! expansion never interns and workers share the snapshot by reference.
+//! Each iteration's frontier is split into contiguous chunks, one per
+//! worker; workers run `expand` + transition scoring into thread-local
+//! buffers, and the main thread concatenates the buffers *in
 //! chunk order* before the (order-preserving) dedup, the total-order
 //! top-k selection, and the truncation — so selections are byte-identical
 //! at any thread count, including every f64 accumulation order. Completion
@@ -58,7 +58,7 @@
 use crate::bits::{bit, clear_bit, ones, set_bit};
 use crate::ctx::VectorizerCtx;
 use crate::frozen::{FrozenCtx, FrozenSlp};
-use crate::intern::{InternStats, OperandId, PackId};
+use crate::intern::{OperandId, PackId};
 use crate::operand::OperandVec;
 use crate::pack::{Pack, PackSet};
 use crate::seeds::AffinityParams;
@@ -232,10 +232,9 @@ impl BeamConfig {
 
 /// Search-effort and cache statistics for one `select_packs` call.
 ///
-/// Producer-cache counters are deltas over the call (the underlying memo
-/// lives in the context and is shared across calls; under snapshot reuse
-/// both are zero, since a reused search never touches the live context);
-/// interner sizes are the frozen snapshot's totals.
+/// Producer-cache counters are those of the freeze this call ran (under
+/// snapshot reuse both are zero, since a reused search enumerates
+/// nothing); arena sizes are the frozen snapshot's totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BeamStats {
     /// States popped from the beam and expanded.
@@ -247,9 +246,10 @@ pub struct BeamStats {
     /// Distinct states whose 128-bit hashes collided (resolved by the
     /// full-key comparison).
     pub hash_collisions: u64,
-    /// Producer-index lookups served from the context memo.
+    /// Freeze requests for an operand whose producers were already
+    /// enumerated (an affinity seed the sweep came back to).
     pub producer_cache_hits: u64,
-    /// Producer-index lookups that enumerated Algorithm 1.
+    /// Algorithm-1 enumerations (one per distinct operand).
     pub producer_cache_misses: u64,
     /// Distinct operands in the frozen snapshot backing this call.
     pub interned_operands: usize,
@@ -376,17 +376,9 @@ pub struct CommittedPack {
 /// letting wide beams balloon the log.
 const MAX_LOGGED_CANDIDATES: usize = 8;
 
-/// Render a pack for decision logs and `explain` output.
-pub fn describe_pack(ctx: &VectorizerCtx<'_>, pack: &Pack) -> String {
-    describe_pack_with(|di| ctx.desc.insts[di].def.name.as_str(), pack)
-}
-
-/// [`describe_pack`] against a frozen snapshot's instruction names.
-fn describe_pack_frozen(fz: &FrozenCtx, pack: &Pack) -> String {
-    describe_pack_with(|di| fz.inst_name(di), pack)
-}
-
-fn describe_pack_with<'n>(inst_name: impl Fn(usize) -> &'n str, pack: &Pack) -> String {
+/// Render a pack for decision logs and `explain` output; `inst_name`
+/// resolves an index into the target description's instructions.
+pub fn describe_pack<'n>(inst_name: impl Fn(usize) -> &'n str, pack: &Pack) -> String {
     match pack {
         Pack::Compute { inst, matches } => {
             let lanes: Vec<String> = matches
@@ -789,6 +781,15 @@ impl SelectionReuse {
         self.frozen_reuses
     }
 
+    /// `costSLP(x)` (Fig. 7) under the parked snapshot, from the memo the
+    /// last search ranked states with. `None` before the first search and
+    /// for an operand outside the snapshot's candidate closure (the
+    /// operands of store-chain packs are always inside).
+    pub fn cost_slp(&mut self, x: &OperandVec) -> Option<f64> {
+        let fz = self.frozen.as_deref()?;
+        Some(self.slp.cost_id(fz, fz.arena.operand_id(x)?))
+    }
+
     /// Drop the snapshot and the `costSLP` memo. Required after catching a
     /// panic out of a search; otherwise only useful to force a re-freeze.
     pub fn reset(&mut self) {
@@ -833,7 +834,7 @@ impl<'f> Search<'f> {
         }
         // If an existing pack produces x exactly, joining is free.
         for pid in st.packs_iter() {
-            if x.produced_by(&fz.pack_data(pid).values) {
+            if x.produced_by(&fz.arena.pack_data(pid).values) {
                 return 0.0;
             }
         }
@@ -901,16 +902,16 @@ impl<'f> Search<'f> {
     /// The from-scratch oracle for [`Self::extends_legally`].
     #[cfg(any(test, debug_assertions))]
     fn legal_from_scratch(&self, st: &State, pid: PackId) -> bool {
-        let mut refs: Vec<&Pack> = st.packs_iter().map(|p| self.fz.pack(p)).collect();
+        let mut refs: Vec<&Pack> = st.packs_iter().map(|p| self.fz.arena.pack(p)).collect();
         refs.reverse();
-        refs.push(self.fz.pack(pid));
+        refs.push(self.fz.arena.pack(pid));
         crate::ctx::packs_legal(self.fz.f.insts.len(), &self.fz.deps, &refs)
     }
 
     /// Transition: apply a pack.
     fn apply_pack(&self, st: &State, pid: PackId, scratch: &mut Scratch) -> Option<State> {
         let fz = self.fz;
-        let data = fz.pack_data(pid);
+        let data = fz.arena.pack_data(pid);
         // All produced values must be free with all users decided.
         if !data.defined.iter().all(|&v| st.is_free(v) && fz.users_decided(st.free(), v)) {
             return None;
@@ -923,7 +924,7 @@ impl<'f> Search<'f> {
                 legal,
                 self.legal_from_scratch(st, pid),
                 "incremental legality diverged from packs_legal on {}",
-                describe_pack_frozen(fz, fz.pack(pid))
+                describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid))
             );
             #[cfg(test)]
             tests::LEGALITY_CHECKS.with(|c| c.set(c.get() + 1));
@@ -931,8 +932,8 @@ impl<'f> Search<'f> {
         if !legal {
             return None;
         }
-        let operand_ids = fz.pack_operand_ids(pid)?;
-        let is_store = fz.pack(pid).is_store();
+        let operand_ids = fz.arena.pack_operands(pid)?;
+        let is_store = fz.arena.pack(pid).is_store();
         let mut next = st.clone();
         next.action = Action::Pack(pid);
         let pidx = next.pack_len();
@@ -982,7 +983,7 @@ impl<'f> Search<'f> {
         // Request the pack's operands (all-constant ones fold to constant
         // vectors).
         for &oid in operand_ids {
-            let x = fz.operand(oid);
+            let x = fz.arena.operand(oid);
             if x.defined().all(|v| bit(&fz.const_mask, v.index())) {
                 continue;
             }
@@ -1085,16 +1086,14 @@ impl<'f> Search<'f> {
             if n >= self.cfg.max_transitions {
                 break;
             }
-            for &pid in self.fz.producers_for(x.id) {
-                push(self.apply_pack(st, pid, scratch), out, &mut n);
-            }
-            for &pid in self.fz.covering_for(x.id) {
+            let candidates = self.fz.arena.candidates(x.id);
+            for &pid in candidates.producers.iter().chain(&candidates.covering) {
                 push(self.apply_pack(st, pid, scratch), out, &mut n);
             }
             // Mixed-opcode operands: packs producing one opcode group each
             // (blended at a shuffle cost when they meet).
-            for &g in self.fz.groups_for(x.id) {
-                for &pid in self.fz.producers_for(g) {
+            for &g in &candidates.groups {
+                for &pid in &self.fz.arena.candidates(g).producers {
                     push(self.apply_pack(st, pid, scratch), out, &mut n);
                 }
             }
@@ -1186,7 +1185,9 @@ fn candidate_logs(fz: &FrozenCtx, ranked: &[Ranked], width: usize) -> Vec<Candid
         .map(|(rank, (score, h, st))| CandidateLog {
             action: match st.action {
                 Action::Init => "init".to_string(),
-                Action::Pack(pid) => format!("pack {}", describe_pack_frozen(fz, fz.pack(pid))),
+                Action::Pack(pid) => {
+                    format!("pack {}", describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)))
+                }
                 Action::Scalar(v) => format!("scalar v{}", v.index()),
             },
             g: st.g,
@@ -1291,7 +1292,6 @@ pub fn select_packs_reusing(
 ) -> Result<SelectionResult, SelectError> {
     let _sp = vegen_trace::span("beam", "select_packs");
     let t0 = Instant::now();
-    let intern0 = ctx.intern_stats();
 
     let freeze_t = Instant::now();
     let mut frozen_reused = false;
@@ -1310,16 +1310,7 @@ pub fn select_packs_reusing(
     };
     let freeze_wall = freeze_t.elapsed();
 
-    let result = run_search(RunInputs {
-        fz: &fz,
-        cfg,
-        slp: &mut reuse.slp,
-        t0,
-        freeze_wall,
-        frozen_reused,
-        intern0,
-        ctx,
-    });
+    let result = run_search(&fz, cfg, &mut reuse.slp, t0, freeze_wall, frozen_reused);
     // Park the snapshot even on a typed error: the caller's retry reuses
     // it. (A panic unwinds past this — the engine resets the reuse state
     // when it catches one.)
@@ -1341,20 +1332,14 @@ fn initial_state(fz: &FrozenCtx) -> State {
     init
 }
 
-/// Everything `run_search` needs, bundled to keep the call site readable.
-struct RunInputs<'r, 'c, 'a> {
-    fz: &'r FrozenCtx,
-    cfg: &'r BeamConfig,
-    slp: &'r mut FrozenSlp,
+fn run_search(
+    fz: &FrozenCtx,
+    cfg: &BeamConfig,
+    slp: &mut FrozenSlp,
     t0: Instant,
     freeze_wall: Duration,
     frozen_reused: bool,
-    intern0: InternStats,
-    ctx: &'c VectorizerCtx<'a>,
-}
-
-fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectError> {
-    let RunInputs { fz, cfg, slp, t0, freeze_wall, frozen_reused, intern0, ctx } = inputs;
+) -> Result<SelectionResult, SelectError> {
     let n = fz.f.insts.len();
     let scalar_cost = fz.scalar_cost;
     let threads = resolve_threads(cfg.beam_threads);
@@ -1548,16 +1533,17 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
             }
         }
 
-        let intern1 = ctx.intern_stats();
+        let (producer_cache_hits, producer_cache_misses) =
+            if frozen_reused { (0, 0) } else { fz.arena.producer_lookups() };
         let stats = BeamStats {
             states_expanded: expanded,
             transitions,
             dedup_hits,
             hash_collisions,
-            producer_cache_hits: intern1.producer_hits - intern0.producer_hits,
-            producer_cache_misses: intern1.producer_misses - intern0.producer_misses,
-            interned_operands: fz.snap.operands.len(),
-            interned_packs: fz.snap.packs.len(),
+            producer_cache_hits,
+            producer_cache_misses,
+            interned_operands: fz.arena.operand_count(),
+            interned_packs: fz.arena.pack_count(),
             beam_wall: t0.elapsed(),
             workers: threads,
             fanouts,
@@ -1575,17 +1561,16 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
                 ids.reverse();
                 if let Some(log) = decisions.as_mut() {
                     for (step, &pid) in ids.iter().enumerate() {
-                        let pack = fz.pack(pid);
                         log.committed.push(CommittedPack {
                             step,
-                            pack: describe_pack_frozen(fz, pack),
+                            pack: describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)),
                             cost: fz.pack_cost_of(pid),
                         });
                     }
                 }
                 let mut packs = PackSet::new();
                 for pid in ids {
-                    packs.insert(fz.pack(pid).clone());
+                    packs.insert(fz.arena.pack(pid).clone());
                 }
                 SelectionResult {
                     packs,
@@ -1612,7 +1597,8 @@ fn run_search(inputs: RunInputs<'_, '_, '_>) -> Result<SelectionResult, SelectEr
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::testutil::{avx2_desc, corpus_and_soak_seed_kernels, suite_kernels};
+    use crate::intern::Arena;
+    use crate::testutil::{avx2_desc, corpus_and_soak_seed_kernels, dot_kernel, suite_kernels};
     use std::cell::Cell;
     use std::collections::BTreeSet;
     use vegen_ir::canon::canonicalize;
@@ -1766,28 +1752,6 @@ mod tests {
         canonicalize(&b.finish())
     }
 
-    fn dot4() -> Function {
-        let mut b = FunctionBuilder::new("dot4");
-        let a = b.param("A", Type::I16, 8);
-        let bb = b.param("B", Type::I16, 8);
-        let c = b.param("C", Type::I32, 4);
-        for lane in 0..4i64 {
-            let a0 = b.load(a, lane * 2);
-            let b0 = b.load(bb, lane * 2);
-            let a1 = b.load(a, lane * 2 + 1);
-            let b1 = b.load(bb, lane * 2 + 1);
-            let a0w = b.sext(a0, Type::I32);
-            let b0w = b.sext(b0, Type::I32);
-            let a1w = b.sext(a1, Type::I32);
-            let b1w = b.sext(b1, Type::I32);
-            let m0 = b.mul(a0w, b0w);
-            let m1 = b.mul(a1w, b1w);
-            let t = b.add(m0, m1);
-            b.store(c, lane, t);
-        }
-        canonicalize(&b.finish())
-    }
-
     fn pack_list(r: &SelectionResult) -> Vec<Pack> {
         r.packs.iter().map(|(_, p)| p.clone()).collect()
     }
@@ -1809,7 +1773,7 @@ mod tests {
     #[test]
     fn vectorizes_dot4_with_pmaddwd() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let r = select_packs(&ctx, &BeamConfig::slp()).unwrap();
         assert!(
@@ -1824,7 +1788,7 @@ mod tests {
     #[test]
     fn beam_1_is_never_better_than_beam_64() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let r1 = select_packs(&ctx, &BeamConfig::slp()).unwrap();
         let r64 = select_packs(&ctx, &BeamConfig::with_width(64)).unwrap();
@@ -2042,7 +2006,7 @@ mod tests {
     #[test]
     fn decision_log_is_off_by_default_and_observation_only() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let plain = select_packs(&ctx, &BeamConfig::with_width(8)).unwrap();
         assert!(plain.decisions.is_none(), "logging must be opt-in");
@@ -2076,7 +2040,7 @@ mod tests {
     #[test]
     fn step_budget_exhaustion_is_a_typed_error() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let cfg = BeamConfig {
             budget: SearchBudget { max_steps: Some(1), ..SearchBudget::default() },
@@ -2107,7 +2071,7 @@ mod tests {
     #[test]
     fn zero_wall_budget_trips_deadline() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let cfg = BeamConfig {
             budget: SearchBudget { wall: Some(Duration::ZERO), ..SearchBudget::default() },
@@ -2119,7 +2083,7 @@ mod tests {
     #[test]
     fn cancelled_token_stops_the_search() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let token = CancelToken::new();
         token.cancel();
@@ -2139,7 +2103,7 @@ mod tests {
     #[test]
     fn selection_reports_search_stats() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let r1 = select_packs(&ctx, &BeamConfig::slp()).unwrap();
         assert!(r1.stats.states_expanded > 0);
@@ -2149,18 +2113,21 @@ mod tests {
         assert!(r1.stats.interned_packs > 0);
         assert!(r1.stats.producer_cache_misses > 0, "first run must enumerate");
         assert!(r1.stats.workers >= 1);
-        // A second run on the same context is served from the producer
-        // memo entirely (the freeze fixpoint re-walks warm memos).
-        let r2 = select_packs(&ctx, &BeamConfig::slp()).unwrap();
-        assert_eq!(r2.stats.producer_cache_misses, 0, "second run must hit the memo");
-        assert!(r2.stats.producer_cache_hits > 0);
-        assert_eq!(pack_list(&r1), pack_list(&r2), "memoized run must select identical packs");
+        // A second run through the same reuse state enumerates nothing: it
+        // is served by the snapshot the first one froze.
+        let mut reuse = SelectionReuse::new();
+        let cold = select_packs_reusing(&ctx, &BeamConfig::slp(), &mut reuse).unwrap();
+        assert_eq!(cold.stats.producer_cache_misses, r1.stats.producer_cache_misses);
+        let r2 = select_packs_reusing(&ctx, &BeamConfig::slp(), &mut reuse).unwrap();
+        assert!(r2.stats.frozen_reused);
+        assert_eq!((r2.stats.producer_cache_hits, r2.stats.producer_cache_misses), (0, 0));
+        assert_eq!(pack_list(&r1), pack_list(&r2), "reused run must select identical packs");
     }
 
     #[test]
     fn thread_count_never_changes_the_selection() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let base = select_packs(&ctx, &BeamConfig { beam_threads: 1, ..BeamConfig::with_width(8) })
             .unwrap();
@@ -2184,7 +2151,7 @@ mod tests {
     #[test]
     fn snapshot_reuse_across_widths() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let mut reuse = SelectionReuse::new();
         let r1 = select_packs_reusing(&ctx, &BeamConfig::slp(), &mut reuse).unwrap();
@@ -2212,7 +2179,7 @@ mod tests {
     #[test]
     fn typed_error_parks_the_snapshot_for_retry() {
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let mut reuse = SelectionReuse::new();
         // Warm the snapshot, then trip a step budget mid-search.
@@ -2304,9 +2271,10 @@ mod tests {
     fn verdicts(f: &Function, packs: &[Pack], chosen: &[usize], new: usize) -> (bool, bool) {
         let desc = avx2_desc();
         let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
-        let ids: Vec<PackId> = packs.iter().map(|p| ctx.intern_pack(p.clone())).collect();
+        let mut arena = Arena::default();
+        let ids: Vec<PackId> = packs.iter().map(|p| arena.intern_pack(p.clone())).collect();
         let cfg = BeamConfig::default();
-        let fz = FrozenCtx::freeze(&ctx, &cfg, Instant::now()).unwrap();
+        let fz = FrozenCtx::freeze_from(arena, &ctx, &cfg, Instant::now()).unwrap();
         let search = Search { fz: &fz, cfg };
         let mut st = initial_state(&fz);
         for &i in chosen {

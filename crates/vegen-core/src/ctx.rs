@@ -1,13 +1,15 @@
 //! The vectorizer context: match table, dependences, producer enumeration
 //! (Algorithm 1), memory packs, and pack-set legality.
+//!
+//! Every enumerator here is a pure function of the context: nothing is
+//! interned or memoized on it. `FrozenCtx::freeze` calls each once per
+//! distinct operand or pack and keeps the answers in its candidate arena
+//! (see [`crate::intern`]).
 
 use crate::cost::CostModel;
-use crate::intern::{InternSnapshot, InternStats, Interner, OperandId, PackData, PackId};
 use crate::operand::OperandVec;
 use crate::pack::Pack;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
 use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, Type, ValueId};
 use vegen_match::{Match, MatchTable, TargetDesc};
@@ -35,9 +37,6 @@ pub struct VectorizerCtx<'a> {
     /// each list in description order — Algorithm 1 only ever considers
     /// the instructions whose shape fits the operand.
     insts_by_shape: HashMap<(usize, Type), Vec<usize>>,
-    /// Operand/pack arenas + memoized candidate indices (interior-mutable:
-    /// enumeration lazily fills the memos through `&self`).
-    interner: RefCell<Interner>,
 }
 
 impl<'a> VectorizerCtx<'a> {
@@ -59,117 +58,7 @@ impl<'a> VectorizerCtx<'a> {
         for (di, inst) in desc.insts.iter().enumerate() {
             insts_by_shape.entry((inst.out_lanes(), inst.def.sem.out_elem)).or_default().push(di);
         }
-        VectorizerCtx {
-            f,
-            desc,
-            table,
-            deps,
-            users,
-            cost,
-            max_bits,
-            loads_at,
-            insts_by_shape,
-            interner: RefCell::new(Interner::default()),
-        }
-    }
-
-    // ---- interning layer -------------------------------------------------
-
-    /// Intern an operand (same operand → same id).
-    pub fn intern_operand(&self, x: &OperandVec) -> OperandId {
-        self.interner.borrow_mut().intern_operand(x)
-    }
-
-    /// Resolve an interned operand.
-    pub fn operand(&self, id: OperandId) -> Arc<OperandVec> {
-        self.interner.borrow().operand(id)
-    }
-
-    /// Intern a pack (same pack → same id).
-    pub fn intern_pack(&self, p: Pack) -> PackId {
-        self.interner.borrow_mut().intern_pack(p)
-    }
-
-    /// Resolve an interned pack.
-    pub fn pack(&self, id: PackId) -> Arc<Pack> {
-        self.interner.borrow().pack(id)
-    }
-
-    /// Cached lane data (`values` / `defined_values`) of an interned pack.
-    pub fn pack_data(&self, id: PackId) -> Arc<PackData> {
-        self.interner.borrow().pack_data(id)
-    }
-
-    /// Sizes and producer-index counters of the interning layer.
-    pub fn intern_stats(&self) -> InternStats {
-        self.interner.borrow().stats()
-    }
-
-    /// Copy the (fully populated) interner arenas and memos out — the raw
-    /// material of a [`crate::frozen::FrozenCtx`]. Panics unless the
-    /// freeze pre-pass has computed every memo (see
-    /// [`Interner::snapshot`]).
-    pub(crate) fn intern_snapshot(&self) -> InternSnapshot {
-        self.interner.borrow().snapshot()
-    }
-
-    /// Memoized Algorithm 1: producers of the interned operand `id`,
-    /// computed once per distinct operand. Candidate packs are interned and
-    /// their operand lists cached as a side effect, so applying a produced
-    /// pack never re-derives lane bindings.
-    pub fn producers_for(&self, id: OperandId) -> Arc<[PackId]> {
-        if let Some(hit) = self.interner.borrow().producers_get(id) {
-            return hit;
-        }
-        let x = self.operand(id);
-        let mut ids = Vec::new();
-        for (pack, operands) in self.producers_raw(&x) {
-            let pid = self.intern_pack(pack);
-            let operand_ids: Vec<OperandId> =
-                operands.iter().map(|o| self.intern_operand(o)).collect();
-            let mut interner = self.interner.borrow_mut();
-            interner.pack_operands_set(pid, Some(operand_ids));
-            ids.push(pid);
-        }
-        self.interner.borrow_mut().producers_set(id, ids)
-    }
-
-    /// Memoized covering load packs for the interned operand `id`.
-    pub fn covering_for(&self, id: OperandId) -> Arc<[PackId]> {
-        if let Some(hit) = self.interner.borrow().covering_get(id) {
-            return hit;
-        }
-        let x = self.operand(id);
-        let ids: Vec<PackId> =
-            self.covering_load_packs_raw(&x).into_iter().map(|p| self.intern_pack(p)).collect();
-        self.interner.borrow_mut().covering_set(id, ids)
-    }
-
-    /// Memoized opcode-group split of the interned operand `id`.
-    pub fn groups_for(&self, id: OperandId) -> Arc<[OperandId]> {
-        if let Some(hit) = self.interner.borrow().groups_get(id) {
-            return hit;
-        }
-        let x = self.operand(id);
-        let ids: Vec<OperandId> = self
-            .opcode_group_subvectors_raw(&x)
-            .into_iter()
-            .map(|g| self.intern_operand(&g))
-            .collect();
-        self.interner.borrow_mut().groups_set(id, ids)
-    }
-
-    /// Memoized [`Self::pack_operands`] for an interned pack: `None` if the
-    /// lane bindings conflict.
-    pub fn pack_operand_ids(&self, id: PackId) -> Option<Arc<[OperandId]>> {
-        if let Some(cached) = self.interner.borrow().pack_operands_get(id) {
-            return cached;
-        }
-        let pack = self.pack(id);
-        let operands = self.pack_operands(&pack);
-        let operand_ids =
-            operands.map(|ops| ops.iter().map(|o| self.intern_operand(o)).collect::<Vec<_>>());
-        self.interner.borrow_mut().pack_operands_set(id, operand_ids)
+        VectorizerCtx { f, desc, table, deps, users, cost, max_bits, loads_at, insts_by_shape }
     }
 
     /// The element type shared by the defined lanes of `x`, if consistent.
@@ -185,17 +74,9 @@ impl<'a> VectorizerCtx<'a> {
     }
 
     /// Algorithm 1 extended with load packs: all packs that produce the
-    /// vector operand `x`. Served from the memoized producer index — the
-    /// enumeration itself runs once per distinct operand.
-    pub fn producers(&self, x: &OperandVec) -> Vec<Pack> {
-        let id = self.intern_operand(x);
-        self.producers_for(id).iter().map(|&pid| (*self.pack(pid)).clone()).collect()
-    }
-
-    /// The uncached Algorithm-1 enumeration, yielding each feasible pack
-    /// together with the operands its lane bindings derived (so the caller
-    /// can memoize both without recomputation).
-    fn producers_raw(&self, x: &OperandVec) -> Vec<(Pack, Vec<OperandVec>)> {
+    /// vector operand `x`, each with the operands its lane bindings derived
+    /// (feasibility needs them, so the caller gets them for free).
+    pub fn producers(&self, x: &OperandVec) -> Vec<(Pack, Vec<OperandVec>)> {
         let defined: Vec<ValueId> = x.defined().collect();
         if defined.is_empty() {
             return Vec::new();
@@ -272,13 +153,8 @@ impl<'a> VectorizerCtx<'a> {
     /// producing it exactly. Deciding these loads as vector loads and then
     /// paying one shuffle is how VeGen forms operands like the interleaved
     /// `src[4+j], src[12+j]` vector of idct4 (Fig. 12's `vpermi2d` before
-    /// `vpmaddwd`). Served from the per-operand memo.
+    /// `vpmaddwd`).
     pub fn covering_load_packs(&self, x: &OperandVec) -> Vec<Pack> {
-        let id = self.intern_operand(x);
-        self.covering_for(id).iter().map(|&pid| (*self.pack(pid)).clone()).collect()
-    }
-
-    fn covering_load_packs_raw(&self, x: &OperandVec) -> Vec<Pack> {
         use std::collections::BTreeMap;
         let mut by_base: BTreeMap<usize, Vec<i64>> = BTreeMap::new();
         for v in x.defined() {
@@ -327,14 +203,8 @@ impl<'a> VectorizerCtx<'a> {
     /// don't-care). An operand like fft4's `[add, add, add, sub]` final
     /// stage has no single producer, but each opcode group may — the two
     /// packs are then blended, paying `Cshuffle` (§5's cost formulation
-    /// explicitly prices operands produced by several packs). Served from
-    /// the per-operand memo.
+    /// explicitly prices operands produced by several packs).
     pub fn opcode_group_subvectors(&self, x: &OperandVec) -> Vec<OperandVec> {
-        let id = self.intern_operand(x);
-        self.groups_for(id).iter().map(|&gid| (*self.operand(gid)).clone()).collect()
-    }
-
-    fn opcode_group_subvectors_raw(&self, x: &OperandVec) -> Vec<OperandVec> {
         use std::collections::BTreeMap;
         let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, lane) in x.lanes().iter().enumerate() {
@@ -548,65 +418,24 @@ impl Contracted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{avx2_desc, dot_kernel, loads_of, stored_values};
     use vegen_ir::canon::canonicalize;
     use vegen_ir::{FunctionBuilder, Type};
-    use vegen_isa::{InstDb, TargetIsa};
-    use vegen_match::TargetDesc;
 
-    fn avx2_desc() -> TargetDesc {
-        TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true)
-    }
-
-    /// The Fig. 4(d) dot-product kernel (two output lanes).
-    fn dot_prod() -> Function {
-        let mut b = FunctionBuilder::new("dot_prod");
-        let a = b.param("A", Type::I16, 4);
-        let bb = b.param("B", Type::I16, 4);
-        let c = b.param("C", Type::I32, 2);
-        for lane in 0..2i64 {
-            let a0 = b.load(a, lane * 2);
-            let b0 = b.load(bb, lane * 2);
-            let a1 = b.load(a, lane * 2 + 1);
-            let b1 = b.load(bb, lane * 2 + 1);
-            let a0w = b.sext(a0, Type::I32);
-            let b0w = b.sext(b0, Type::I32);
-            let a1w = b.sext(a1, Type::I32);
-            let b1w = b.sext(b1, Type::I32);
-            let m0 = b.mul(a0w, b0w);
-            let m1 = b.mul(a1w, b1w);
-            let t = b.add(m0, m1);
-            b.store(c, lane, t);
-        }
-        canonicalize(&b.finish())
+    /// The packs of Algorithm 1 for `x` (operands dropped).
+    fn producer_packs(ctx: &VectorizerCtx<'_>, x: &OperandVec) -> Vec<Pack> {
+        ctx.producers(x).into_iter().map(|(p, _)| p).collect()
     }
 
     #[test]
-    fn finds_pmaddwd_producer_for_dot_lanes() {
+    fn two_lane_producers_have_two_lanes() {
+        // AVX2 has no 64-bit `pmaddwd`, so the two dot lanes may have no
+        // compute producer at all; whatever is enumerated must fit them.
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        // The two stored values form the seed operand.
-        let stores = f.stores();
-        let values: Vec<ValueId> = stores
-            .iter()
-            .map(|&s| match f.inst(s).kind {
-                InstKind::Store { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        let x = OperandVec::from_values(values);
-        let producers = ctx.producers(&x);
-        let has_pmaddwd = producers.iter().any(|p| match p {
-            Pack::Compute { inst, .. } => desc.insts[*inst].def.name == "pmaddwd_64",
-            _ => false,
-        });
-        // pmaddwd_128 has 4 output lanes; our operand has 2 — the 64-bit
-        // variant doesn't exist, so expect NO pmaddwd here; widen the test:
-        // at least one compute producer must exist if any instruction has
-        // 2 lanes of i32... phaddd_128? It has 4 lanes. So producers may be
-        // empty for width 2 on this target; assert that gracefully.
-        let _ = has_pmaddwd;
-        for p in &producers {
+        let x = OperandVec::from_values(stored_values(&f));
+        for p in producer_packs(&ctx, &x) {
             assert_eq!(p.lanes(), 2);
         }
     }
@@ -614,19 +443,11 @@ mod tests {
     #[test]
     fn load_pack_enumeration() {
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        // Collect the four loads of A in offset order.
-        let mut loads: Vec<(i64, ValueId)> = f
-            .iter()
-            .filter_map(|(v, i)| match i.kind {
-                InstKind::Load { loc } if loc.base == 0 => Some((loc.offset, v)),
-                _ => None,
-            })
-            .collect();
-        loads.sort();
-        let x = OperandVec::from_values(loads.iter().map(|l| l.1));
-        let producers = ctx.producers(&x);
+        // The four loads of A in offset order.
+        let x = OperandVec::from_values(loads_of(&f, 0));
+        let producers = producer_packs(&ctx, &x);
         let load_packs: Vec<_> = producers.iter().filter(|p| p.is_load()).collect();
         assert_eq!(load_packs.len(), 1);
         let Pack::Load { base, start, loads: ls, .. } = load_packs[0] else { panic!() };
@@ -637,60 +458,39 @@ mod tests {
     #[test]
     fn jumbled_loads_have_no_load_pack() {
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let mut loads: Vec<(i64, ValueId)> = f
-            .iter()
-            .filter_map(|(v, i)| match i.kind {
-                InstKind::Load { loc } if loc.base == 0 => Some((loc.offset, v)),
-                _ => None,
-            })
-            .collect();
-        loads.sort();
+        let mut loads = loads_of(&f, 0);
         loads.swap(0, 1);
-        let x = OperandVec::from_values(loads.iter().map(|l| l.1));
-        assert!(ctx.producers(&x).iter().all(|p| !p.is_load()));
+        let x = OperandVec::from_values(loads);
+        assert!(producer_packs(&ctx, &x).iter().all(|p| !p.is_load()));
     }
 
     #[test]
     fn dont_care_lanes_reuse_existing_loads() {
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let mut loads: Vec<(i64, ValueId)> = f
-            .iter()
-            .filter_map(|(v, i)| match i.kind {
-                InstKind::Load { loc } if loc.base == 0 => Some((loc.offset, v)),
-                _ => None,
-            })
-            .collect();
-        loads.sort();
+        let loads = loads_of(&f, 0);
         // Operand wants lanes 0 and 2 only.
-        let x = OperandVec::new(vec![Some(loads[0].1), None, Some(loads[2].1), None]);
-        let producers = ctx.producers(&x);
+        let x = OperandVec::new(vec![Some(loads[0]), None, Some(loads[2]), None]);
+        let producers = producer_packs(&ctx, &x);
         let lp = producers.iter().find(|p| p.is_load()).expect("load pack");
         let Pack::Load { loads: ls, .. } = lp else { panic!() };
         // Don't-care lanes got filled with the existing loads at offsets 1, 3.
-        assert_eq!(ls[1], Some(loads[1].1));
-        assert_eq!(ls[3], Some(loads[3].1));
+        assert_eq!(ls[1], Some(loads[1]));
+        assert_eq!(ls[3], Some(loads[3]));
     }
 
     #[test]
     fn out_of_bounds_dont_care_run_is_rejected() {
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let mut loads: Vec<(i64, ValueId)> = f
-            .iter()
-            .filter_map(|(v, i)| match i.kind {
-                InstKind::Load { loc } if loc.base == 0 => Some((loc.offset, v)),
-                _ => None,
-            })
-            .collect();
-        loads.sort();
+        let loads = loads_of(&f, 0);
         // Lanes [a1, _, a3, _] imply a load of A[1..5), out of bounds (len 4).
-        let x = OperandVec::new(vec![Some(loads[1].1), None, Some(loads[3].1), None]);
-        assert!(ctx.producers(&x).iter().all(|p| !p.is_load()));
+        let x = OperandVec::new(vec![Some(loads[1]), None, Some(loads[3]), None]);
+        assert!(producer_packs(&ctx, &x).iter().all(|p| !p.is_load()));
     }
 
     #[test]
@@ -706,23 +506,15 @@ mod tests {
         b.store(p, 3, t);
         let f = canonicalize(&b.finish());
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        // Recover s and t (the two stored values).
-        let vals: Vec<ValueId> = f
-            .stores()
-            .iter()
-            .map(|&st| match f.inst(st).kind {
-                InstKind::Store { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        let x = OperandVec::from_values(vals);
+        // s and t, the two stored values.
+        let x = OperandVec::from_values(stored_values(&f));
         assert!(ctx.producers(&x).is_empty());
     }
 
     #[test]
     fn store_chains_enumerate_chunks() {
         let desc = avx2_desc();
-        let f = dot_prod();
+        let f = dot_kernel(2);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let chains = ctx.store_chain_packs();
         // C[0..2): exactly one 2-wide chunk.
@@ -733,53 +525,27 @@ mod tests {
 
     #[test]
     fn pack_operands_of_pmaddwd_pack() {
-        // Build a 4-lane dot kernel so pmaddwd_128 applies.
+        // Four lanes, so pmaddwd_128 applies.
         let desc = avx2_desc();
-        let mut b = FunctionBuilder::new("dot4");
-        let a = b.param("A", Type::I16, 8);
-        let bb = b.param("B", Type::I16, 8);
-        let c = b.param("C", Type::I32, 4);
-        for lane in 0..4i64 {
-            let a0 = b.load(a, lane * 2);
-            let b0 = b.load(bb, lane * 2);
-            let a1 = b.load(a, lane * 2 + 1);
-            let b1 = b.load(bb, lane * 2 + 1);
-            let a0w = b.sext(a0, Type::I32);
-            let b0w = b.sext(b0, Type::I32);
-            let a1w = b.sext(a1, Type::I32);
-            let b1w = b.sext(b1, Type::I32);
-            let m0 = b.mul(a0w, b0w);
-            let m1 = b.mul(a1w, b1w);
-            let t = b.add(m0, m1);
-            b.store(c, lane, t);
-        }
-        let f = canonicalize(&b.finish());
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let vals: Vec<ValueId> = f
-            .stores()
-            .iter()
-            .map(|&st| match f.inst(st).kind {
-                InstKind::Store { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        let x = OperandVec::from_values(vals);
-        let producers = ctx.producers(&x);
-        let pm = producers
-            .iter()
-            .find(|p| {
+        let x = OperandVec::from_values(stored_values(&f));
+        let (pm, operands) = ctx
+            .producers(&x)
+            .into_iter()
+            .find(|(p, _)| {
                 matches!(p, Pack::Compute { inst, .. }
                 if desc.insts[*inst].def.name == "pmaddwd_128")
             })
             .expect("pmaddwd_128 must produce the 4 dot lanes");
-        let operands = ctx.pack_operands(pm).unwrap();
+        assert_eq!(ctx.pack_operands(&pm).as_ref(), Some(&operands));
         assert_eq!(operands.len(), 2);
         // Each operand is 8 lanes of loads from one array, fully defined,
         // and is itself producible by a single vector load.
         for op in &operands {
             assert_eq!(op.len(), 8);
             assert_eq!(op.defined_count(), 8);
-            let prods = ctx.producers(op);
+            let prods = producer_packs(&ctx, op);
             assert!(prods.iter().any(|p| p.is_load()), "operand {op} needs a load pack");
         }
     }

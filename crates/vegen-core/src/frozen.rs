@@ -1,33 +1,39 @@
 //! Frozen, thread-shareable selection context.
 //!
-//! The live [`VectorizerCtx`] interns operands/packs lazily through a
-//! `RefCell`, which is single-threaded by construction. The parallel beam
-//! search instead runs a *freeze pre-pass*: a closure fixpoint that
-//! populates every producer/covering/group/pack-operand memo up front
-//! (still through the live context, so its memos stay warm for later
-//! calls), then snapshots the arenas into an immutable [`FrozenCtx`] that
-//! workers share by reference — no locks, no interior mutability, and
-//! byte-identical data on every thread.
+//! Pack selection starts with a *freeze*: every candidate the search could
+//! reach is enumerated once, into a candidate [`Arena`], and the result is
+//! an immutable [`FrozenCtx`] that beam workers share by reference — no
+//! locks, no interior mutability, and byte-identical data on every thread.
 //!
-//! The closure is the transitive reachable set from the seed packs: every
-//! pack's operands are interned, every operand's producers / covering
-//! loads / opcode groups are enumerated, and every pack those yield is
-//! processed in turn, in ascending id order until both arenas stop
-//! growing. After the fixpoint the search itself interns nothing, so the
-//! snapshot can never go stale mid-search.
+//! The candidates are the closure of the seed packs: every pack's operands
+//! are interned, every operand's producers / covering loads / opcode
+//! groups are enumerated, and every pack those yield is processed in turn,
+//! in ascending id order until both arenas stop growing. The search itself
+//! interns nothing, so a frozen context can never go stale mid-search, and
+//! the search and its estimator read one candidate set.
 //!
-//! [`FrozenSlp`] is the Fig. 7 `costSLP` evaluator over a frozen context.
-//! It mirrors [`crate::slp::SlpCost`] *exactly* — same arms, same
-//! recursion order, same cycle guard — so its memoized values are
-//! bit-identical to the live evaluator's; the beam keeps this evaluation
-//! on the main thread (see `crate::beam`) precisely so f64 accumulation
-//! order never depends on the worker count.
+//! [`FrozenSlp`] is the `costSLP` dynamic program of Fig. 7 over a frozen
+//! context:
+//!
+//! ```text
+//! costSLP(v) = min( min_{p in producers(v)} costop(p) + Σ_i costSLP(operand_i(p)),
+//!                   Cinsert·|v| + costscalar(v) )
+//! ```
+//!
+//! It decides whether to produce a vector operand `v` directly via a
+//! producer pack (recursively costing that pack's operands) or to build it
+//! with vector insertions from scalar values — "the main modification we
+//! added to the original SLP algorithm — in SLP-based vectorization, there
+//! is at most one pack that can produce any given operand" (§5.1). The
+//! beam ranks states by the same quantity (§5.2) and keeps the evaluation
+//! on the main thread (see `crate::beam`), so f64 accumulation order never
+//! depends on the worker count.
 
 use crate::beam::{BeamConfig, SearchBudget, SelectError};
 use crate::bits::{bit, intersects, set_bit, BitMatrix};
 use crate::cost::CostModel;
 use crate::ctx::VectorizerCtx;
-use crate::intern::{InternSnapshot, OperandId, PackData, PackId};
+use crate::intern::{Arena, OperandId, PackId};
 use crate::operand::OperandVec;
 use crate::pack::Pack;
 use crate::seeds::{enumerate_seeds, AffinityParams};
@@ -37,10 +43,9 @@ use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, ValueId};
 
 /// An immutable snapshot of everything `select_packs` reads: the function,
-/// its dependence/use structure, the cost model, the fully populated
-/// interner arenas and candidate indexes, per-pack costs, the
-/// per-value scalar-closure cost table, the resolved seed packs, and the
-/// bit masks of the transition kernel.
+/// its dependence/use structure, the cost model, the candidate arena,
+/// per-pack costs, the per-value scalar-closure cost table, the resolved
+/// seed packs, and the bit masks of the transition kernel.
 ///
 /// ## Transition-kernel masks
 ///
@@ -72,7 +77,7 @@ use vegen_ir::{Function, InstKind, ValueId};
 /// A `FrozenCtx` owns all of its data (the function is cloned out of the
 /// borrowed context), so an `Arc<FrozenCtx>` outlives the `VectorizerCtx`
 /// it was frozen from — that is what lets the engine's degradation ladder
-/// reuse one snapshot across rungs that each build a fresh live context.
+/// reuse one snapshot across rungs that each build a fresh context.
 #[derive(Debug)]
 pub struct FrozenCtx {
     pub(crate) f: Function,
@@ -98,7 +103,9 @@ pub struct FrozenCtx {
     /// `desc.insts[i].def.name` — all the target description the search
     /// output (pack descriptions) needs.
     pub(crate) inst_names: Vec<String>,
-    pub(crate) snap: InternSnapshot,
+    /// Every operand and pack the search can reach, with their candidate
+    /// lists.
+    pub(crate) arena: Arena,
     /// `pack_cost` by [`PackId`] index.
     pub(crate) pack_costs: Vec<f64>,
     /// `scalar_closure_cost(f, [v])` by `ValueId` index (bit-identical to
@@ -135,13 +142,8 @@ fn budget_ok(budget: &SearchBudget, t0: Instant) -> Result<(), SelectError> {
 }
 
 impl FrozenCtx {
-    /// Run the closure fixpoint against the live context, then snapshot.
-    ///
-    /// Seed packs are resolved first — in exactly the order the search
-    /// preamble always used, so interned ids of the seed phase are
-    /// unchanged — then every operand id gets its producers, covering
-    /// loads, and opcode groups enumerated and every pack id its operand
-    /// bindings, in ascending id order, until the arenas stop growing.
+    /// Enumerate the candidate closure of `ctx` under `cfg`'s seeds and
+    /// derive the search's tables from it.
     ///
     /// # Errors
     ///
@@ -153,54 +155,48 @@ impl FrozenCtx {
         cfg: &BeamConfig,
         t0: Instant,
     ) -> Result<FrozenCtx, SelectError> {
+        FrozenCtx::freeze_from(Arena::default(), ctx, cfg, t0)
+    }
+
+    /// [`Self::freeze`] on top of what `arena` already holds (the legality
+    /// tests intern packs no seed would reach).
+    ///
+    /// Seed packs are resolved first — store chains, then the producers of
+    /// each affinity seed — and then [`Arena::close`] sweeps to the
+    /// fixpoint. Ids are assigned in interning order, so this order is what
+    /// makes a freeze reproducible.
+    pub(crate) fn freeze_from(
+        mut arena: Arena,
+        ctx: &VectorizerCtx<'_>,
+        cfg: &BeamConfig,
+        t0: Instant,
+    ) -> Result<FrozenCtx, SelectError> {
         let _sp = vegen_trace::span("beam", "freeze");
         budget_ok(&cfg.budget, t0)?;
 
         // Seed packs: store chains always; affinity seeds resolved through
         // Algorithm 1 into concrete packs.
         let mut seed_packs: Vec<PackId> =
-            ctx.store_chain_packs().into_iter().map(|p| ctx.intern_pack(p)).collect();
+            ctx.store_chain_packs().into_iter().map(|p| arena.intern_pack(p)).collect();
         if cfg.use_affinity_seeds {
             for x in enumerate_seeds(ctx, &cfg.seeds) {
-                let id = ctx.intern_operand(&x);
-                seed_packs.extend(ctx.producers_for(id).iter().copied());
+                seed_packs.extend(arena.seed_producers(ctx, &x));
             }
         }
         seed_packs.dedup();
 
         // Closure fixpoint over the arenas.
-        let mut next_op = 0u32;
-        let mut next_pack = 0u32;
         let mut stride = 0u32;
-        loop {
-            let stats = ctx.intern_stats();
-            if next_op >= stats.operands as u32 && next_pack >= stats.packs as u32 {
-                break;
+        arena.close(ctx, || {
+            stride += 1;
+            if stride.is_multiple_of(FREEZE_BUDGET_STRIDE) {
+                budget_ok(&cfg.budget, t0)?;
             }
-            while next_pack < ctx.intern_stats().packs as u32 {
-                let _ = ctx.pack_operand_ids(PackId(next_pack));
-                next_pack += 1;
-                stride += 1;
-                if stride.is_multiple_of(FREEZE_BUDGET_STRIDE) {
-                    budget_ok(&cfg.budget, t0)?;
-                }
-            }
-            while next_op < ctx.intern_stats().operands as u32 {
-                let id = OperandId(next_op);
-                let _ = ctx.producers_for(id);
-                let _ = ctx.covering_for(id);
-                let _ = ctx.groups_for(id);
-                next_op += 1;
-                stride += 1;
-                if stride.is_multiple_of(FREEZE_BUDGET_STRIDE) {
-                    budget_ok(&cfg.budget, t0)?;
-                }
-            }
-        }
+            Ok(())
+        })?;
 
         let f = ctx.f.clone();
-        let snap = ctx.intern_snapshot();
-        let pack_costs: Vec<f64> = snap.packs.iter().map(|p| ctx.pack_cost(p)).collect();
+        let pack_costs: Vec<f64> = arena.packs().map(|(p, _)| ctx.pack_cost(p)).collect();
         let scalar_one = ctx.cost.scalar_one_costs(&f);
         let scalar_cost: f64 = f.value_ids().map(|v| ctx.cost.scalar_inst_cost(&f, v)).sum();
 
@@ -218,14 +214,14 @@ impl FrozenCtx {
                 set_bit(&mut const_mask, v.index());
             }
         }
-        let n_packs = snap.packs.len();
+        let n_packs = arena.pack_count();
         let mut dep_mask = BitMatrix::new(n_packs, words);
         let mut def = vec![0u64; words];
         let mut static_illegal = vec![false; n_packs];
         let mut interior: Vec<ValueId> = Vec::new();
         let mut interior_at: Vec<u32> = Vec::with_capacity(n_packs + 1);
         let mut covered: Vec<ValueId> = Vec::new();
-        for (pi, data) in snap.pack_data.iter().enumerate() {
+        for (pi, (pack, data)) in arena.packs().enumerate() {
             def.fill(0);
             for &v in &data.defined {
                 // A value defined twice by one pack.
@@ -242,7 +238,7 @@ impl FrozenCtx {
                     .any(|&d| !bit(&def, d.index()) && intersects(ctx.deps.closure_row(d), &def))
             });
             interior_at.push(interior.len() as u32);
-            if let Pack::Compute { matches, .. } = &*snap.packs[pi] {
+            if let Pack::Compute { matches, .. } = pack {
                 covered.clear();
                 covered.extend(
                     matches
@@ -272,7 +268,7 @@ impl FrozenCtx {
             interior_at,
             cost: ctx.cost,
             inst_names: ctx.desc.insts.iter().map(|i| i.def.name.clone()).collect(),
-            snap,
+            arena,
             pack_costs,
             scalar_one,
             scalar_cost,
@@ -297,34 +293,6 @@ impl FrozenCtx {
         &self.f
     }
 
-    pub(crate) fn operand(&self, id: OperandId) -> &std::sync::Arc<OperandVec> {
-        &self.snap.operands[id.0 as usize]
-    }
-
-    pub(crate) fn pack(&self, id: PackId) -> &Pack {
-        &self.snap.packs[id.0 as usize]
-    }
-
-    pub(crate) fn pack_data(&self, id: PackId) -> &PackData {
-        &self.snap.pack_data[id.0 as usize]
-    }
-
-    pub(crate) fn producers_for(&self, id: OperandId) -> &[PackId] {
-        &self.snap.producers[id.0 as usize]
-    }
-
-    pub(crate) fn covering_for(&self, id: OperandId) -> &[PackId] {
-        &self.snap.covering[id.0 as usize]
-    }
-
-    pub(crate) fn groups_for(&self, id: OperandId) -> &[OperandId] {
-        &self.snap.groups[id.0 as usize]
-    }
-
-    pub(crate) fn pack_operand_ids(&self, id: PackId) -> Option<&[OperandId]> {
-        self.snap.pack_operands[id.0 as usize].as_deref()
-    }
-
     pub(crate) fn pack_cost_of(&self, id: PackId) -> f64 {
         self.pack_costs[id.0 as usize]
     }
@@ -347,7 +315,7 @@ impl FrozenCtx {
 
     /// Whether pack `id` defines a value in `row`.
     pub(crate) fn defines_any(&self, id: PackId, row: &[u64]) -> bool {
-        self.pack_data(id).defined.iter().any(|v| bit(row, v.index()))
+        self.arena.pack_data(id).defined.iter().any(|v| bit(row, v.index()))
     }
 
     /// Everything the values pack `id` defines transitively depend on.
@@ -366,19 +334,17 @@ impl FrozenCtx {
         &self.interior[self.interior_at[i] as usize..self.interior_at[i + 1] as usize]
     }
 
-    /// The insertion arm of the Fig. 7 recurrence (see
-    /// [`crate::slp::SlpCost::insert_arm`]).
+    /// The insertion arm of the Fig. 7 recurrence: build `x` from scalars.
     pub(crate) fn insert_arm(&self, x: &OperandVec) -> f64 {
         self.cost.operand_insert_cost(&self.f, x)
             + self.cost.scalar_closure_cost(&self.f, x.defined())
     }
 }
 
-/// The `costSLP` DP of Fig. 7 over a [`FrozenCtx`] — the exact mirror of
-/// [`crate::slp::SlpCost`], with the `RefCell`s replaced by `&mut self`
-/// (the beam evaluates estimates on the main thread only, so no interior
-/// mutability is needed) and the arena already fully populated (so the
-/// recursion interns nothing).
+/// The memoized `costSLP` DP of Fig. 7 over a [`FrozenCtx`]. The memo is
+/// keyed by interned [`OperandId`] in a flat vector — a lookup is one
+/// bounds check and one load — and the arena is complete, so the recursion
+/// interns nothing.
 ///
 /// The memo survives across searches when carried in a
 /// `crate::beam::SelectionReuse`: `costSLP` depends only on the frozen
@@ -417,19 +383,19 @@ impl FrozenSlp {
             return f64::INFINITY;
         }
         self.in_progress[i] = true;
-        let x = fz.operand(id).clone();
-        let mut best = fz.insert_arm(&x);
-        if let Some(c) = self.cover_arm_id(fz, id, &x) {
+        let x = fz.arena.operand(id);
+        let mut best = fz.insert_arm(x);
+        if let Some(c) = self.cover_arm_id(fz, id, x) {
             best = best.min(c);
         }
-        for &pid in fz.producers_for(id) {
+        for &pid in &fz.arena.candidates(id).producers {
             if let Some(c) = self.pack_arm_id(fz, pid) {
                 best = best.min(c);
             }
         }
         // Blend arm: a mixed-opcode operand produced by one pack per
         // opcode group plus shuffles to merge them.
-        let groups = fz.groups_for(id);
+        let groups = &fz.arena.candidates(id).groups;
         if !groups.is_empty() {
             let mut c = fz.cost.c_shuffle * (groups.len() - 1) as f64;
             for &g in groups {
@@ -445,6 +411,9 @@ impl FrozenSlp {
         best
     }
 
+    /// The covering-loads arm: jumbled load lanes produced by one or two
+    /// wide vector loads plus a shuffle (the strategy behind Fig. 12's
+    /// `vpermi2d` and Fig. 14's `vpshufd`).
     fn cover_arm_id(&mut self, fz: &FrozenCtx, id: OperandId, x: &OperandVec) -> Option<f64> {
         let f = &fz.f;
         if x.defined_count() == 0
@@ -452,12 +421,13 @@ impl FrozenSlp {
         {
             return None;
         }
-        let packs = fz.covering_for(id);
+        let packs = &fz.arena.candidates(id).covering;
         if packs.is_empty() {
             return None;
         }
         // Every defined lane must actually be inside some covering pack.
-        let covered = |v| packs.iter().any(|&pid| fz.pack_data(pid).values.contains(&Some(v)));
+        let covered =
+            |v| packs.iter().any(|&pid| fz.arena.pack_data(pid).values.contains(&Some(v)));
         if !x.defined().all(covered) {
             return None;
         }
@@ -465,11 +435,12 @@ impl FrozenSlp {
         Some(loads + fz.cost.c_shuffle * packs.len() as f64)
     }
 
+    /// Cost of producing via a specific pack: `costop + Σ costSLP(operands)`.
     fn pack_arm_id(&mut self, fz: &FrozenCtx, pid: PackId) -> Option<f64> {
-        let operand_ids = fz.pack_operand_ids(pid)?;
+        let operand_ids = fz.arena.pack_operands(pid)?;
         let mut c = fz.pack_cost_of(pid);
         for &oid in operand_ids {
-            if fz.operand(oid).defined_count() == 0 {
+            if fz.arena.operand(oid).defined_count() == 0 {
                 continue;
             }
             c += self.cost_id(fz, oid);
@@ -481,66 +452,150 @@ impl FrozenSlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slp::SlpCost;
+    use crate::testutil::{avx2_desc, dot_kernel, loads_of, stored_values};
     use vegen_ir::canon::canonicalize;
     use vegen_ir::{FunctionBuilder, Type};
-    use vegen_isa::{InstDb, TargetIsa};
-    use vegen_match::TargetDesc;
 
-    fn avx2_desc() -> TargetDesc {
-        TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true)
+    fn frozen(ctx: &VectorizerCtx<'_>) -> FrozenCtx {
+        FrozenCtx::freeze(ctx, &BeamConfig::default(), Instant::now()).unwrap()
     }
 
-    fn dot4() -> Function {
-        let mut b = FunctionBuilder::new("dot4");
-        let a = b.param("A", Type::I16, 8);
-        let bb = b.param("B", Type::I16, 8);
-        let c = b.param("C", Type::I32, 4);
-        for lane in 0..4i64 {
-            let a0 = b.load(a, lane * 2);
-            let b0 = b.load(bb, lane * 2);
-            let a1 = b.load(a, lane * 2 + 1);
-            let b1 = b.load(bb, lane * 2 + 1);
-            let a0w = b.sext(a0, Type::I32);
-            let b0w = b.sext(b0, Type::I32);
-            let a1w = b.sext(a1, Type::I32);
-            let b1w = b.sext(b1, Type::I32);
-            let m0 = b.mul(a0w, b0w);
-            let m1 = b.mul(a1w, b1w);
-            let t = b.add(m0, m1);
-            b.store(c, lane, t);
-        }
-        canonicalize(&b.finish())
+    /// `costSLP(x)` for an operand of the frozen closure.
+    fn cost(slp: &mut FrozenSlp, fz: &FrozenCtx, x: &OperandVec) -> f64 {
+        slp.cost_id(fz, fz.arena.operand_id(x).expect("operand is in the closure"))
     }
 
     #[test]
-    fn frozen_slp_matches_live_slp_bit_for_bit() {
+    fn dot_lanes_are_cheaper_via_pmaddwd() {
         let desc = avx2_desc();
-        let f = dot4();
-        let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let cfg = BeamConfig::default();
-        let fz = FrozenCtx::freeze(&ctx, &cfg, Instant::now()).unwrap();
-        let live = SlpCost::new(&ctx);
-        let mut frozen = FrozenSlp::new();
-        // Every interned operand must cost identically under both
-        // evaluators (same arms, same recursion, same memo discipline) —
-        // evaluated in the same ascending-id order so cycle-guard entry
-        // order matches too.
-        for i in 0..fz.snap.operands.len() as u32 {
+        let f = dot_kernel(4);
+        let fz = frozen(&VectorizerCtx::new(&f, &desc, CostModel::default()));
+        let mut slp = FrozenSlp::new();
+        let x = OperandVec::from_values(stored_values(&f));
+        let vector_cost = cost(&mut slp, &fz, &x);
+        let scalar_cost = fz.insert_arm(&x);
+        assert!(
+            vector_cost < scalar_cost,
+            "pmaddwd chain ({vector_cost}) must beat scalar+insert ({scalar_cost})"
+        );
+        // The winning arm is the pmaddwd pack's.
+        let id = fz.arena.operand_id(&x).unwrap();
+        let pmaddwd = fz
+            .arena
+            .candidates(id)
+            .producers
+            .iter()
+            .copied()
+            .find(|&pid| {
+                matches!(fz.arena.pack(pid), Pack::Compute { inst, .. }
+                if fz.inst_name(*inst) == "pmaddwd_128")
+            })
+            .expect("pmaddwd_128 produces the four dot lanes");
+        assert_eq!(slp.pack_arm_id(&fz, pmaddwd), Some(vector_cost));
+    }
+
+    #[test]
+    fn load_operand_costs_one_vector_load() {
+        let desc = avx2_desc();
+        let f = dot_kernel(4);
+        let fz = frozen(&VectorizerCtx::new(&f, &desc, CostModel::default()));
+        let x = OperandVec::from_values(loads_of(&f, 0));
+        assert_eq!(cost(&mut FrozenSlp::new(), &fz, &x), fz.cost.c_vload);
+    }
+
+    #[test]
+    fn unproducible_operand_falls_back_to_insertion() {
+        let desc = avx2_desc();
+        let mut b = FunctionBuilder::new("t");
+        let p = b.param("A", Type::I32, 4);
+        let x = b.load(p, 0);
+        let y = b.load(p, 1);
+        let s = b.add(x, y);
+        let t = b.add(s, y); // depends on s: never packable with it
+        b.store(p, 2, s);
+        b.store(p, 3, t);
+        let f = canonicalize(&b.finish());
+        let fz = frozen(&VectorizerCtx::new(&f, &desc, CostModel::default()));
+        // The store chain's operand: in the closure, with no producers.
+        let dependent = OperandVec::from_values(stored_values(&f));
+        let id = fz.arena.operand_id(&dependent).unwrap();
+        assert!(fz.arena.candidates(id).producers.is_empty());
+        assert_eq!(cost(&mut FrozenSlp::new(), &fz, &dependent), fz.insert_arm(&dependent));
+    }
+
+    #[test]
+    fn memoization_is_consistent() {
+        let desc = avx2_desc();
+        let f = dot_kernel(4);
+        let fz = frozen(&VectorizerCtx::new(&f, &desc, CostModel::default()));
+        let mut slp = FrozenSlp::new();
+        let x = OperandVec::from_values(stored_values(&f));
+        let c1 = cost(&mut slp, &fz, &x);
+        let c2 = cost(&mut slp, &fz, &x);
+        assert_eq!(c1, c2);
+        // A fresh evaluator agrees with the warm one on every operand.
+        let mut fresh = FrozenSlp::new();
+        for i in (0..fz.arena.operand_count() as u32).rev() {
             let id = OperandId(i);
-            let a = live.cost_id(id);
-            let b = frozen.cost_id(&fz, id);
-            assert_eq!(a.to_bits(), b.to_bits(), "operand {i}: live {a} != frozen {b}");
+            assert_eq!(slp.cost_id(&fz, id).to_bits(), fresh.cost_id(&fz, id).to_bits());
         }
+    }
+
+    /// Per kernel and width, the arena sizes and the producer-enumeration
+    /// and state-hash counters of one cold search.
+    fn render_intern_counts() -> String {
+        use crate::beam::select_packs;
+        use std::collections::BTreeMap;
+        let desc = avx2_desc();
+        let mut kernels = crate::testutil::suite_kernels();
+        kernels.extend(crate::testutil::corpus_and_soak_seed_kernels());
+        // Keyed by name: the soak seeds repeat corpus kernels, and the
+        // seed directory lists in file-system order.
+        let mut lines = BTreeMap::new();
+        for f in &kernels {
+            for width in [1usize, 16] {
+                let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
+                let cfg = BeamConfig { beam_threads: 1, ..BeamConfig::with_width(width) };
+                let s = select_packs(&ctx, &cfg).unwrap().stats;
+                lines.insert(
+                    (f.name.clone(), width),
+                    format!(
+                        "{} width {width}: operands {} packs {} producer_hits {} producer_misses {} hash_collisions {}\n",
+                        f.name,
+                        s.interned_operands,
+                        s.interned_packs,
+                        s.producer_cache_hits,
+                        s.producer_cache_misses,
+                        s.hash_collisions
+                    ),
+                );
+            }
+        }
+        lines.into_values().collect()
+    }
+
+    #[test]
+    fn cold_search_intern_counts_match_the_fixture() {
+        const FIXTURE: &str =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/intern_counts.txt");
+        let got = render_intern_counts();
+        if std::env::var_os("VEGEN_UPDATE_GOLDEN").is_some() {
+            std::fs::write(FIXTURE, &got).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(FIXTURE).expect("intern-counts fixture");
+        for (g, w) in got.lines().zip(want.lines()) {
+            assert_eq!(g, w);
+        }
+        assert_eq!(got.lines().count(), want.lines().count());
     }
 
     #[test]
     fn freeze_is_compatible_with_same_function_and_seeds() {
         let desc = avx2_desc();
-        let f = dot4();
-        let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+        let f = dot_kernel(4);
         let cfg = BeamConfig::default();
-        let fz = FrozenCtx::freeze(&ctx, &cfg, Instant::now()).unwrap();
+        let fz = frozen(&VectorizerCtx::new(&f, &desc, CostModel::default()));
         // Same function, fresh context, different width: compatible.
         let ctx2 = VectorizerCtx::new(&f, &desc, CostModel::default());
         assert!(fz.compatible(&ctx2, &BeamConfig::slp()));
@@ -561,7 +616,7 @@ mod tests {
     fn freeze_honours_wall_budget() {
         use std::time::Duration;
         let desc = avx2_desc();
-        let f = dot4();
+        let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let cfg = BeamConfig {
             budget: SearchBudget { wall: Some(Duration::ZERO), ..SearchBudget::default() },

@@ -1,39 +1,39 @@
-//! Arena interners for the pack-selection hot path.
+//! The candidate arena of pack selection.
 //!
 //! The beam search (Fig. 9) and the `costSLP` DP (Fig. 7) revisit the same
-//! vector operands and candidate packs thousands of times per kernel. This
-//! module gives [`crate::ctx::VectorizerCtx`] an interning/indexing layer:
+//! vector operands and candidate packs thousands of times per kernel, so
+//! both work on handles into one [`Arena`]:
 //!
-//! * [`OperandId`] / [`PackId`] — arena handles, so operands and packs are
+//! * [`OperandId`] / [`PackId`] — operands and packs are hash-consed, then
 //!   compared, hashed, and stored as `u32`s instead of heap-allocated
 //!   vectors;
-//! * a memoized producer index (`producers(OperandId) -> Arc<[PackId]>`,
-//!   with hit/miss counters) computed once per distinct operand and shared
-//!   by the beam search, the SLP cost DP, and seed resolution;
-//! * per-pack cached lane data ([`PackData`]) and memoized pack operands,
-//!   so transitions never re-derive lane bindings.
+//! * per operand, its Algorithm-1 producers, covering load packs and
+//!   opcode-group subvectors; per pack, its operands and cached lane data
+//!   ([`PackData`]) — each enumerated once, so the search never re-derives
+//!   a lane binding.
 //!
-//! Arena entries and memo lists are `Arc`-shared (not `Rc`) so a fully
-//! populated interner can be snapshotted into an immutable
-//! [`crate::frozen::FrozenCtx`] and handed to beam-search worker threads;
-//! the producer hit/miss counters are atomics for the same reason — the
-//! frozen read path must not race stats through a `Cell`.
+//! An arena is filled once, by `FrozenCtx::freeze` — seed operands first,
+//! then a packs-then-operands ascending sweep to the fixpoint
+//! ([`Arena::close`]) — and only read afterwards. The sweep *pushes* the
+//! lists of the id it passes, so every list vector is exactly as long as
+//! the swept prefix of its arena and a finished arena has no unpopulated
+//! entry to check for.
 //!
-//! Note: [`PackId`] here is the context-level arena handle; the selection
-//! *output* keeps its own insertion-ordered [`crate::pack::SetPackId`].
+//! Note: [`PackId`] here is the arena handle; the selection *output* keeps
+//! its own insertion-ordered [`crate::pack::SetPackId`].
 
+use crate::ctx::VectorizerCtx;
 use crate::operand::OperandVec;
 use crate::pack::Pack;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vegen_ir::ValueId;
 
-/// Handle of an interned [`OperandVec`] in a context's arena.
+/// Handle of an interned [`OperandVec`] in an arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OperandId(pub u32);
 
-/// Handle of an interned [`Pack`] in a context's arena.
+/// Handle of an interned [`Pack`] in an arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PackId(pub u32);
 
@@ -47,80 +47,50 @@ pub struct PackData {
     pub defined: Vec<ValueId>,
 }
 
-/// Snapshot of interner sizes and producer-index counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InternStats {
-    /// Distinct operands interned.
-    pub operands: usize,
-    /// Distinct packs interned.
-    pub packs: usize,
-    /// Producer-index lookups served from the memo.
-    pub producer_hits: u64,
-    /// Producer-index lookups that had to enumerate (Algorithm 1).
-    pub producer_misses: u64,
-}
-
-/// An immutable copy of a *fully populated* interner: every arena entry
-/// plus every candidate-index memo, with the lazy `Option` layer stripped.
-/// This is the raw material of [`crate::frozen::FrozenCtx`] — taking it
-/// requires that a closure pre-pass has computed producers, covering
-/// loads, opcode groups, and pack operands for every id.
+/// What the sweep enumerates for one operand.
 #[derive(Debug)]
-pub struct InternSnapshot {
-    /// Interned operands, by [`OperandId`] index.
-    pub operands: Vec<Arc<OperandVec>>,
-    /// Interned packs, by [`PackId`] index.
-    pub packs: Vec<Arc<Pack>>,
-    /// Cached lane data, by [`PackId`] index.
-    pub pack_data: Vec<Arc<PackData>>,
-    /// Algorithm-1 producers, by [`OperandId`] index.
-    pub producers: Vec<Arc<[PackId]>>,
-    /// Covering load packs, by [`OperandId`] index.
-    pub covering: Vec<Arc<[PackId]>>,
-    /// Opcode-group subvectors, by [`OperandId`] index.
-    pub groups: Vec<Arc<[OperandId]>>,
-    /// Pack operands, by [`PackId`] index (`None` = infeasible bindings).
-    pub pack_operands: Vec<Option<Arc<[OperandId]>>>,
+pub(crate) struct Candidates {
+    /// Algorithm-1 producers.
+    pub(crate) producers: Vec<PackId>,
+    /// Load packs covering the operand's (jumbled) load lanes.
+    pub(crate) covering: Vec<PackId>,
+    /// Per-opcode subvectors of a mixed-opcode operand.
+    pub(crate) groups: Vec<OperandId>,
 }
 
-/// The arena + memo state. Owned by `VectorizerCtx` behind a `RefCell`;
-/// all public access goes through the context's wrapper methods.
+/// Hash-consed operands and packs plus the candidate lists per id.
+///
+/// Operands are `Arc`s because beam states hold them (a state's `V` set
+/// orders by operand contents); packs are `Arc`s only so each is stored
+/// once between its arena slot and its id-map key.
 #[derive(Debug, Default)]
-pub struct Interner {
+pub(crate) struct Arena {
     operands: Vec<Arc<OperandVec>>,
     operand_ids: HashMap<Arc<OperandVec>, OperandId>,
     packs: Vec<Arc<Pack>>,
-    pack_data: Vec<Arc<PackData>>,
     pack_ids: HashMap<Arc<Pack>, PackId>,
-    /// `OperandId`-indexed memo of Algorithm-1 producers.
-    producers: Vec<Option<Arc<[PackId]>>>,
-    /// `OperandId`-indexed memo of covering load packs.
-    covering: Vec<Option<Arc<[PackId]>>>,
-    /// `OperandId`-indexed memo of opcode-group subvectors.
-    groups: Vec<Option<Arc<[OperandId]>>>,
-    /// `PackId`-indexed memo of pack operands (`None` = not yet computed,
-    /// `Some(None)` = infeasible lane bindings).
-    pack_operands: Vec<Option<Option<Arc<[OperandId]>>>>,
-    /// Atomic so stat updates on the (shared, `&self`) lookup path never
-    /// race; relaxed ordering — these are counters, not synchronization.
-    producer_hits: AtomicU64,
-    producer_misses: AtomicU64,
+    /// By [`PackId`], pushed when the pack is interned.
+    pack_data: Vec<PackData>,
+    /// By [`OperandId`], one entry per swept operand.
+    candidates: Vec<Candidates>,
+    /// By [`PackId`], one entry per swept pack (`None` = the lane bindings
+    /// conflict).
+    pack_operands: Vec<Option<Vec<OperandId>>>,
+    /// Lists enumerated ahead of the sweep and taken when it reaches their
+    /// id: the producers of seed operands, and the operands of every pack
+    /// Algorithm 1 yielded (it derives them to check feasibility), queued
+    /// in interning order, which is ascending id order — the sweep's.
+    seeded: HashMap<OperandId, Vec<PackId>>,
+    bound: VecDeque<(PackId, Vec<OperandId>)>,
+    /// Sweep requests for an operand whose producers were already
+    /// enumerated (a seed), and Algorithm-1 enumerations.
+    producer_hits: u64,
+    producer_misses: u64,
 }
 
-fn slot<T: Clone>(memo: &[Option<T>], i: usize) -> Option<T> {
-    memo.get(i).cloned().flatten()
-}
-
-fn set_slot<T>(memo: &mut Vec<Option<T>>, i: usize, value: T) {
-    if memo.len() <= i {
-        memo.resize_with(i + 1, || None);
-    }
-    memo[i] = Some(value);
-}
-
-impl Interner {
+impl Arena {
     /// Intern `x`, returning its stable id (same operand → same id).
-    pub fn intern_operand(&mut self, x: &OperandVec) -> OperandId {
+    pub(crate) fn intern_operand(&mut self, x: &OperandVec) -> OperandId {
         if let Some(&id) = self.operand_ids.get(x) {
             return id;
         }
@@ -131,13 +101,8 @@ impl Interner {
         id
     }
 
-    /// Resolve an operand id (cheap `Arc` clone).
-    pub fn operand(&self, id: OperandId) -> Arc<OperandVec> {
-        self.operands[id.0 as usize].clone()
-    }
-
     /// Intern `p`, returning its stable id (same pack → same id).
-    pub fn intern_pack(&mut self, p: Pack) -> PackId {
+    pub(crate) fn intern_pack(&mut self, p: Pack) -> PackId {
         if let Some(&id) = self.pack_ids.get(&p) {
             return id;
         }
@@ -146,124 +111,135 @@ impl Interner {
         let defined = values.iter().copied().flatten().collect();
         let rc = Arc::new(p);
         self.packs.push(rc.clone());
-        self.pack_data.push(Arc::new(PackData { values, defined }));
+        self.pack_data.push(PackData { values, defined });
         self.pack_ids.insert(rc, id);
         id
     }
 
-    /// Resolve a pack id (cheap `Arc` clone).
-    pub fn pack(&self, id: PackId) -> Arc<Pack> {
-        self.packs[id.0 as usize].clone()
+    /// Run Algorithm 1 on `x`, interning every producer pack and, at a
+    /// pack's first sighting, the operands its lane bindings derived (they
+    /// are a function of the pack, so a pack seen before has them bound).
+    fn enumerate_producers(&mut self, ctx: &VectorizerCtx<'_>, x: &OperandVec) -> Vec<PackId> {
+        self.producer_misses += 1;
+        let mut ids = Vec::new();
+        for (pack, operands) in ctx.producers(x) {
+            let unseen = self.packs.len();
+            let pid = self.intern_pack(pack);
+            if pid.0 as usize == unseen {
+                let operand_ids = operands.iter().map(|o| self.intern_operand(o)).collect();
+                self.bound.push_back((pid, operand_ids));
+            }
+            ids.push(pid);
+        }
+        ids
     }
 
-    /// Cached lane data of a pack.
-    pub fn pack_data(&self, id: PackId) -> Arc<PackData> {
-        self.pack_data[id.0 as usize].clone()
+    /// Intern the seed operand `x` and enumerate its producers now, ahead
+    /// of the sweep (which takes the list over when it reaches `x`).
+    pub(crate) fn seed_producers(&mut self, ctx: &VectorizerCtx<'_>, x: &OperandVec) -> &[PackId] {
+        let id = self.intern_operand(x);
+        let producers = self.enumerate_producers(ctx, x);
+        self.seeded.entry(id).or_insert(producers)
     }
 
-    /// Memoized producers: `None` means not yet computed (counted as a
-    /// miss; the caller computes and stores). Takes `&self` — the counters
-    /// are atomic, so a fully populated interner can serve lookups through
-    /// a shared borrow.
-    pub fn producers_get(&self, id: OperandId) -> Option<Arc<[PackId]>> {
-        let hit = slot(&self.producers, id.0 as usize);
-        match hit {
-            Some(_) => self.producer_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.producer_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Store the producer list for `id`.
-    pub fn producers_set(&mut self, id: OperandId, packs: Vec<PackId>) -> Arc<[PackId]> {
-        let rc: Arc<[PackId]> = packs.into();
-        set_slot(&mut self.producers, id.0 as usize, rc.clone());
-        rc
-    }
-
-    /// Memoized covering load packs.
-    pub fn covering_get(&self, id: OperandId) -> Option<Arc<[PackId]>> {
-        slot(&self.covering, id.0 as usize)
-    }
-
-    /// Store the covering-load list for `id`.
-    pub fn covering_set(&mut self, id: OperandId, packs: Vec<PackId>) -> Arc<[PackId]> {
-        let rc: Arc<[PackId]> = packs.into();
-        set_slot(&mut self.covering, id.0 as usize, rc.clone());
-        rc
-    }
-
-    /// Memoized opcode-group subvectors.
-    pub fn groups_get(&self, id: OperandId) -> Option<Arc<[OperandId]>> {
-        slot(&self.groups, id.0 as usize)
-    }
-
-    /// Store the opcode-group list for `id`.
-    pub fn groups_set(&mut self, id: OperandId, groups: Vec<OperandId>) -> Arc<[OperandId]> {
-        let rc: Arc<[OperandId]> = groups.into();
-        set_slot(&mut self.groups, id.0 as usize, rc.clone());
-        rc
-    }
-
-    /// Memoized pack operands (outer `None` = not computed).
-    pub fn pack_operands_get(&self, id: PackId) -> Option<Option<Arc<[OperandId]>>> {
-        slot(&self.pack_operands, id.0 as usize)
-    }
-
-    /// Store the operand list (or infeasibility) for pack `id`.
-    pub fn pack_operands_set(
+    /// Sweep to the fixpoint: every interned pack gets its operands bound,
+    /// every interned operand its producers, covering loads and opcode
+    /// groups enumerated (and interned, in that order) — packs before
+    /// operands, each in ascending id order, until both arenas stop
+    /// growing. `poll` runs after every id and may abort the sweep.
+    pub(crate) fn close<E>(
         &mut self,
-        id: PackId,
-        operands: Option<Vec<OperandId>>,
-    ) -> Option<Arc<[OperandId]>> {
-        let rc = operands.map(|o| -> Arc<[OperandId]> { o.into() });
-        set_slot(&mut self.pack_operands, id.0 as usize, rc.clone());
-        rc
-    }
-
-    /// Current sizes and counters.
-    pub fn stats(&self) -> InternStats {
-        InternStats {
-            operands: self.operands.len(),
-            packs: self.packs.len(),
-            producer_hits: self.producer_hits.load(Ordering::Relaxed),
-            producer_misses: self.producer_misses.load(Ordering::Relaxed),
+        ctx: &VectorizerCtx<'_>,
+        mut poll: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            let swept = (self.pack_operands.len(), self.candidates.len());
+            while let Some(pack) = self.packs.get(self.pack_operands.len()).cloned() {
+                let id = PackId(self.pack_operands.len() as u32);
+                let operands = if self.bound.front().is_some_and(|(bound, _)| *bound == id) {
+                    self.bound.pop_front().map(|(_, operands)| operands)
+                } else {
+                    ctx.pack_operands(&pack)
+                        .map(|operands| operands.iter().map(|o| self.intern_operand(o)).collect())
+                };
+                self.pack_operands.push(operands);
+                poll()?;
+            }
+            while let Some(x) = self.operands.get(self.candidates.len()).cloned() {
+                let id = OperandId(self.candidates.len() as u32);
+                let producers = match self.seeded.remove(&id) {
+                    Some(producers) => {
+                        self.producer_hits += 1;
+                        producers
+                    }
+                    None => self.enumerate_producers(ctx, &x),
+                };
+                let covering =
+                    ctx.covering_load_packs(&x).into_iter().map(|p| self.intern_pack(p)).collect();
+                let groups = ctx
+                    .opcode_group_subvectors(&x)
+                    .iter()
+                    .map(|g| self.intern_operand(g))
+                    .collect();
+                self.candidates.push(Candidates { producers, covering, groups });
+                poll()?;
+            }
+            if swept == (self.pack_operands.len(), self.candidates.len()) {
+                return Ok(());
+            }
         }
     }
 
-    /// Copy out every arena and memo, stripping the laziness layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any memo slot is unpopulated — callers must run the
-    /// freeze pre-pass (closure fixpoint) first; a partially populated
-    /// snapshot would silently change search results.
-    pub fn snapshot(&self) -> InternSnapshot {
-        let n_ops = self.operands.len();
-        let n_packs = self.packs.len();
-        InternSnapshot {
-            operands: self.operands.clone(),
-            packs: self.packs.clone(),
-            pack_data: self.pack_data.clone(),
-            producers: (0..n_ops)
-                .map(|i| slot(&self.producers, i).expect("freeze: producers unpopulated"))
-                .collect(),
-            covering: (0..n_ops)
-                .map(|i| slot(&self.covering, i).expect("freeze: covering unpopulated"))
-                .collect(),
-            groups: (0..n_ops)
-                .map(|i| slot(&self.groups, i).expect("freeze: groups unpopulated"))
-                .collect(),
-            pack_operands: (0..n_packs)
-                .map(|i| slot(&self.pack_operands, i).expect("freeze: pack operands unpopulated"))
-                .collect(),
-        }
+    /// The id of `x`, if it is interned.
+    pub(crate) fn operand_id(&self, x: &OperandVec) -> Option<OperandId> {
+        self.operand_ids.get(x).copied()
+    }
+
+    pub(crate) fn operand(&self, id: OperandId) -> &Arc<OperandVec> {
+        &self.operands[id.0 as usize]
+    }
+
+    pub(crate) fn operand_count(&self) -> usize {
+        self.operands.len()
+    }
+
+    pub(crate) fn pack(&self, id: PackId) -> &Pack {
+        &self.packs[id.0 as usize]
+    }
+
+    /// Every interned pack with its lane data, in id order.
+    pub(crate) fn packs(&self) -> impl Iterator<Item = (&Pack, &PackData)> {
+        self.packs.iter().map(|p| &**p).zip(&self.pack_data)
+    }
+
+    pub(crate) fn pack_count(&self) -> usize {
+        self.packs.len()
+    }
+
+    pub(crate) fn pack_data(&self, id: PackId) -> &PackData {
+        &self.pack_data[id.0 as usize]
+    }
+
+    pub(crate) fn candidates(&self, id: OperandId) -> &Candidates {
+        &self.candidates[id.0 as usize]
+    }
+
+    /// The operands of pack `id`: `None` if its lane bindings conflict.
+    pub(crate) fn pack_operands(&self, id: PackId) -> Option<&[OperandId]> {
+        self.pack_operands[id.0 as usize].as_deref()
+    }
+
+    /// `(hits, misses)` of the producer enumeration that filled this arena.
+    pub(crate) fn producer_lookups(&self) -> (u64, u64) {
+        (self.producer_hits, self.producer_misses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
+    use crate::testutil::{avx2_desc, dot_kernel, stored_values};
     use vegen_ir::Type;
 
     fn v(i: u32) -> ValueId {
@@ -272,83 +248,53 @@ mod tests {
 
     #[test]
     fn operand_round_trip_and_dedup() {
-        let mut it = Interner::default();
+        let mut arena = Arena::default();
         let a = OperandVec::from_values([v(1), v(2)]);
         let b = OperandVec::new(vec![Some(v(1)), None, Some(v(3))]);
-        let ia = it.intern_operand(&a);
-        let ib = it.intern_operand(&b);
+        let ia = arena.intern_operand(&a);
+        let ib = arena.intern_operand(&b);
         assert_ne!(ia, ib);
         // Round trip: resolve returns the interned operand.
-        assert_eq!(*it.operand(ia), a);
-        assert_eq!(*it.operand(ib), b);
+        assert_eq!(**arena.operand(ia), a);
+        assert_eq!(**arena.operand(ib), b);
         // Dedup: the same operand (a fresh allocation) maps to the same id.
-        assert_eq!(it.intern_operand(&OperandVec::from_values([v(1), v(2)])), ia);
-        assert_eq!(it.stats().operands, 2);
+        assert_eq!(arena.intern_operand(&OperandVec::from_values([v(1), v(2)])), ia);
+        assert_eq!(arena.operand_id(&a), Some(ia));
+        assert_eq!(arena.operand_count(), 2);
     }
 
     #[test]
     fn pack_round_trip_dedup_and_lane_data() {
-        let mut it = Interner::default();
+        let mut arena = Arena::default();
         let p = Pack::Load { base: 0, start: 0, loads: vec![Some(v(4)), None], elem: Type::I32 };
-        let id = it.intern_pack(p.clone());
-        assert_eq!(it.intern_pack(p.clone()), id, "same pack must dedup to one id");
-        assert_eq!(*it.pack(id), p);
-        let data = it.pack_data(id);
+        let id = arena.intern_pack(p.clone());
+        assert_eq!(arena.intern_pack(p.clone()), id, "same pack must dedup to one id");
+        assert_eq!(*arena.pack(id), p);
+        let data = arena.pack_data(id);
         assert_eq!(data.values, vec![Some(v(4)), None]);
         assert_eq!(data.defined, vec![v(4)]);
-        assert_eq!(it.stats().packs, 1);
+        assert_eq!(arena.pack_count(), 1);
     }
 
     #[test]
-    fn producer_memo_counts_hits_and_misses() {
-        let mut it = Interner::default();
-        let x = OperandVec::from_values([v(1), v(2)]);
-        let id = it.intern_operand(&x);
-        assert!(it.producers_get(id).is_none());
-        let stored = it.producers_set(id, vec![PackId(0), PackId(7)]);
-        assert_eq!(&*stored, &[PackId(0), PackId(7)]);
-        let again = it.producers_get(id).expect("memo must hit after set");
-        assert_eq!(&*again, &[PackId(0), PackId(7)]);
-        let s = it.stats();
-        assert_eq!((s.producer_hits, s.producer_misses), (1, 1));
-    }
-
-    #[test]
-    fn pack_operand_memo_distinguishes_infeasible_from_unknown() {
-        let mut it = Interner::default();
-        let p = Pack::Load { base: 0, start: 0, loads: vec![Some(v(1))], elem: Type::I8 };
-        let id = it.intern_pack(p);
-        assert_eq!(it.pack_operands_get(id), None, "nothing computed yet");
-        it.pack_operands_set(id, None);
-        assert_eq!(it.pack_operands_get(id), Some(None), "cached infeasibility");
-        let ops = it.pack_operands_set(id, Some(vec![OperandId(3)]));
-        assert_eq!(&*ops.unwrap(), &[OperandId(3)]);
-    }
-
-    #[test]
-    fn snapshot_copies_fully_populated_memos() {
-        let mut it = Interner::default();
-        let x = OperandVec::from_values([v(1), v(2)]);
-        let id = it.intern_operand(&x);
-        let p =
-            Pack::Load { base: 0, start: 0, loads: vec![Some(v(1)), Some(v(2))], elem: Type::I32 };
-        let pid = it.intern_pack(p);
-        it.producers_set(id, vec![pid]);
-        it.covering_set(id, vec![]);
-        it.groups_set(id, vec![]);
-        it.pack_operands_set(pid, Some(vec![]));
-        let snap = it.snapshot();
-        assert_eq!(snap.operands.len(), 1);
-        assert_eq!(snap.packs.len(), 1);
-        assert_eq!(&*snap.producers[0], &[pid]);
-        assert_eq!(snap.pack_operands[0].as_deref(), Some(&[][..]));
-    }
-
-    #[test]
-    #[should_panic(expected = "freeze: producers unpopulated")]
-    fn snapshot_rejects_partial_memos() {
-        let mut it = Interner::default();
-        it.intern_operand(&OperandVec::from_values([v(1)]));
-        let _ = it.snapshot();
+    fn sweep_enumerates_each_operand_once_and_hits_on_a_seed() {
+        let desc = avx2_desc();
+        let f = dot_kernel(4);
+        let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+        let mut arena = Arena::default();
+        let x = OperandVec::from_values(stored_values(&f));
+        let seeded = arena.seed_producers(&ctx, &x).to_vec();
+        assert!(!seeded.is_empty());
+        assert_eq!(arena.producer_lookups(), (0, 1));
+        let polled = arena.close(&ctx, || Ok::<(), ()>(()));
+        assert_eq!(polled, Ok(()));
+        // The sweep took the seed's list over instead of enumerating again,
+        // and enumerated every other operand exactly once.
+        let id = arena.operand_id(&x).unwrap();
+        assert_eq!(arena.candidates(id).producers, seeded);
+        assert_eq!(arena.producer_lookups(), (1, arena.operand_count() as u64));
+        assert_eq!(arena.candidates.len(), arena.operand_count());
+        assert_eq!(arena.pack_operands.len(), arena.pack_count());
+        assert!(arena.seeded.is_empty() && arena.bound.is_empty());
     }
 }

@@ -8,12 +8,13 @@
 //!
 //! 1. builds the match table and dependence graph
 //!    ([`ctx::VectorizerCtx`]),
-//! 2. enumerates *producer packs* for vector operands (Algorithm 1,
-//!    [`ctx::VectorizerCtx::producers`]),
+//! 2. enumerates affinity-scored seed packs (Fig. 8, [`seeds`]) and, from
+//!    them, every *producer pack* the search can reach (Algorithm 1,
+//!    [`ctx::VectorizerCtx::producers`]) into one frozen candidate arena
+//!    ([`frozen::FrozenCtx`], [`intern`]),
 //! 3. scores alternatives with the cost model of §6.2 ([`cost`]) and the
-//!    `costSLP` dynamic program of Fig. 7 ([`slp`]),
-//! 4. enumerates affinity-scored seed packs (Fig. 8, [`seeds`]), and
-//! 5. selects the final pack set with beam search over (V, S, F) states
+//!    `costSLP` dynamic program of Fig. 7 ([`frozen::FrozenSlp`]), and
+//! 4. selects the final pack set with beam search over (V, S, F) states
 //!    (Fig. 9, [`beam`]) — beam width 1 being exactly the SLP heuristic.
 //!
 //! The output is a [`PackSet`] the code generator lowers to a vector
@@ -28,7 +29,6 @@ pub mod intern;
 pub mod operand;
 pub mod pack;
 pub mod seeds;
-pub mod slp;
 #[cfg(test)]
 mod testutil;
 
@@ -40,6 +40,6 @@ pub use beam::{
 pub use cost::CostModel;
 pub use ctx::VectorizerCtx;
 pub use frozen::{FrozenCtx, FrozenSlp};
-pub use intern::{InternStats, OperandId, PackId};
+pub use intern::{OperandId, PackId};
 pub use operand::OperandVec;
 pub use pack::{Pack, PackSet, SetPackId};

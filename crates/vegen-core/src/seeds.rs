@@ -204,9 +204,9 @@ pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::testutil::avx2_desc;
     use vegen_ir::canon::canonicalize;
     use vegen_ir::{FunctionBuilder, Type};
-    use vegen_isa::{InstDb, TargetIsa};
     use vegen_match::TargetDesc;
 
     fn setup() -> (vegen_ir::Function, TargetDesc) {
@@ -221,8 +221,7 @@ mod tests {
             b.store(o, i, m);
         }
         let f = canonicalize(&b.finish());
-        let desc = TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true);
-        (f, desc)
+        (f, avx2_desc())
     }
 
     #[test]
@@ -336,7 +335,7 @@ mod tests {
 
     #[test]
     fn one_pass_enumeration_matches_the_restarting_reference() {
-        let desc = crate::testutil::avx2_desc();
+        let desc = avx2_desc();
         let params = AffinityParams::default();
         let mut kernels = crate::testutil::suite_kernels();
         kernels.extend(crate::testutil::corpus_and_soak_seed_kernels());
@@ -361,7 +360,7 @@ mod tests {
         b.store(p, 2, s);
         b.store(p, 3, t);
         let f = canonicalize(&b.finish());
-        let desc = TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true);
+        let desc = avx2_desc();
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let seeds = enumerate_seeds(&ctx, &AffinityParams::default());
         for seed in &seeds {

@@ -1,13 +1,63 @@
-//! Inputs shared by the differential tests of this crate: the AVX2 target
-//! description and the three kernel populations every oracle runs over.
+//! Inputs shared by the tests of this crate: the AVX2 target description,
+//! the dot-product kernel the unit tests probe, and the three kernel
+//! populations every oracle runs over.
 
 use vegen_ir::canon::{add_narrow_constants, canonicalize};
-use vegen_ir::Function;
+use vegen_ir::{Function, FunctionBuilder, InstKind, Type, ValueId};
 use vegen_isa::{InstDb, TargetIsa};
 use vegen_match::TargetDesc;
 
 pub(crate) fn avx2_desc() -> TargetDesc {
     TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true)
+}
+
+/// The Fig. 4(d) dot-product kernel with `lanes` output lanes:
+/// `C[i] = A[2i]·B[2i] + A[2i+1]·B[2i+1]`, i16 inputs widened to i32. Four
+/// lanes is what `pmaddwd_128` produces.
+pub(crate) fn dot_kernel(lanes: i64) -> Function {
+    let mut b = FunctionBuilder::new("dot");
+    let a = b.param("A", Type::I16, 2 * lanes as usize);
+    let bb = b.param("B", Type::I16, 2 * lanes as usize);
+    let c = b.param("C", Type::I32, lanes as usize);
+    for lane in 0..lanes {
+        let a0 = b.load(a, lane * 2);
+        let b0 = b.load(bb, lane * 2);
+        let a1 = b.load(a, lane * 2 + 1);
+        let b1 = b.load(bb, lane * 2 + 1);
+        let a0w = b.sext(a0, Type::I32);
+        let b0w = b.sext(b0, Type::I32);
+        let a1w = b.sext(a1, Type::I32);
+        let b1w = b.sext(b1, Type::I32);
+        let m0 = b.mul(a0w, b0w);
+        let m1 = b.mul(a1w, b1w);
+        let t = b.add(m0, m1);
+        b.store(c, lane, t);
+    }
+    canonicalize(&b.finish())
+}
+
+/// The values `f` stores, in store order.
+pub(crate) fn stored_values(f: &Function) -> Vec<ValueId> {
+    f.stores()
+        .iter()
+        .map(|&s| match f.inst(s).kind {
+            InstKind::Store { value, .. } => value,
+            _ => unreachable!(),
+        })
+        .collect()
+}
+
+/// The loads of parameter `base`, in offset order.
+pub(crate) fn loads_of(f: &Function, base: usize) -> Vec<ValueId> {
+    let mut loads: Vec<(i64, ValueId)> = f
+        .iter()
+        .filter_map(|(v, i)| match i.kind {
+            InstKind::Load { loc } if loc.base == base => Some((loc.offset, v)),
+            _ => None,
+        })
+        .collect();
+    loads.sort();
+    loads.into_iter().map(|l| l.1).collect()
 }
 
 fn prepared(f: &Function) -> Function {

@@ -7,8 +7,9 @@
 //! allocator and holds `select_packs` (freeze included) to a budget of
 //! allocations per transition over the generated corpus, where per-state
 //! costs dominate, and over the paper suite, where freeze interning does.
-//! A release build reads 3.33 and 13.18; a debug build 3.49 and 14.34,
+//! A release build reads 3.16 and 12.14; a debug build 3.33 and 13.30,
 //! because the from-scratch legality oracle it asserts against allocates.
+//! Each budget is its profile's reading plus 10%.
 //!
 //! One test only: nothing else may allocate while the count is read.
 
@@ -79,13 +80,15 @@ fn selection_stays_inside_its_allocation_budget() {
 
     let corpus: Vec<Function> =
         (0..200).map(|i| prepared(&vegen_kernels::gen::generate(42, i).function)).collect();
+    let (corpus_budget, suite_budget) =
+        if cfg!(debug_assertions) { (3.67, 14.7) } else { (3.48, 13.4) };
     let per = allocations_per_transition(&desc, &corpus);
     println!("corpus: {per:.2} allocations per transition");
-    assert!(per <= 4.0, "corpus: {per:.2} allocations per transition (budget 4.0)");
+    assert!(per <= corpus_budget, "corpus: {per:.2} allocations per transition ({corpus_budget})");
 
     let suite: Vec<Function> =
         vegen_kernels::all().into_iter().map(|k| prepared(&(k.build)())).collect();
     let per = allocations_per_transition(&desc, &suite);
     println!("suite: {per:.2} allocations per transition");
-    assert!(per <= 15.0, "suite: {per:.2} allocations per transition (budget 15.0)");
+    assert!(per <= suite_budget, "suite: {per:.2} allocations per transition ({suite_budget})");
 }

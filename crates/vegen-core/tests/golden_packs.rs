@@ -12,7 +12,9 @@
 //! ```
 
 use std::fmt::Write as _;
-use vegen_core::{select_packs, BeamConfig, CostModel, Pack, VectorizerCtx};
+use vegen_core::{
+    select_packs_reusing, BeamConfig, CostModel, Pack, SelectionReuse, VectorizerCtx,
+};
 use vegen_ir::canon::{add_narrow_constants, canonicalize};
 use vegen_ir::ValueId;
 use vegen_isa::{InstDb, TargetIsa};
@@ -79,8 +81,10 @@ fn render_suite() -> String {
     for k in vegen_kernels::all() {
         let f = add_narrow_constants(&canonicalize(&(k.build)()));
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+        // One freeze per kernel: the candidates do not depend on the width.
+        let mut reuse = SelectionReuse::new();
         for width in WIDTHS {
-            let r = select_packs(&ctx, &BeamConfig::with_width(width)).unwrap();
+            let r = select_packs_reusing(&ctx, &BeamConfig::with_width(width), &mut reuse).unwrap();
             writeln!(out, "kernel {} width {}", k.name, width).unwrap();
             writeln!(out, "  vector_cost {:?} scalar_cost {:?}", r.vector_cost, r.scalar_cost)
                 .unwrap();

@@ -30,8 +30,9 @@ use std::time::{Duration, Instant};
 use vegen::driver::{prepare, target_desc, CompileCtx, PipelineConfig};
 use vegen::fault::FaultPlan;
 use vegen_analysis::speccheck::MatchTableStats;
-use vegen_core::slp::SlpCost;
-use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
+use vegen_core::{
+    describe_pack, select_packs_reusing, BeamConfig, CostModel, SelectionReuse, VectorizerCtx,
+};
 use vegen_isa::TargetIsa;
 use vegen_trace::json::Json;
 
@@ -949,16 +950,6 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     println!("explain {} (target {}, beam {beam})", kernel.name, target.name);
     println!("function: {} instructions, {} stores", f.insts.len(), f.stores().len());
 
-    // costSLP of each store chain's value operand — the Σ costSLP(v) terms
-    // the search starts from (this is the diagnostic the old scratch `dbg`
-    // binary printed for fft8's output chunks, generalized).
-    let slp = SlpCost::new(&ctx);
-    for chain in ctx.store_chain_packs() {
-        if let Some(x) = chain.store_operand() {
-            println!("costSLP({}) = {:.1}", vegen_core::describe_pack(&ctx, &chain), slp.cost(&x));
-        }
-    }
-
     let cfg = BeamConfig {
         log_decisions: true,
         max_iters: p.num(&MAX_ITERS),
@@ -967,8 +958,23 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     let t0 = Instant::now();
     // No budget is set here, so the search cannot fail — but surface a
     // typed error cleanly rather than panicking if that ever changes.
-    let r = select_packs(&ctx, &cfg).map_err(|e| format!("selection failed: {e}"))?;
+    let mut reuse = SelectionReuse::new();
+    let r = select_packs_reusing(&ctx, &cfg, &mut reuse)
+        .map_err(|e| format!("selection failed: {e}"))?;
     let wall = t0.elapsed();
+
+    // costSLP of each store chain's value operand — the Σ costSLP(v) terms
+    // the search starts from, read from the evaluator it just ranked with
+    // (this is the diagnostic the old scratch `dbg` binary printed for
+    // fft8's output chunks, generalized).
+    for chain in ctx.store_chain_packs() {
+        if let Some(x) = chain.store_operand() {
+            let cost = reuse.cost_slp(&x).expect("store-chain operands are frozen candidates");
+            let chain = describe_pack(|di| desc.insts[di].def.name.as_str(), &chain);
+            println!("costSLP({chain}) = {cost:.1}");
+        }
+    }
+
     println!(
         "selection: scalar {:.1} → vector {:.1} ({:.2}x estimated), {} states expanded in {wall:.2?}",
         r.scalar_cost,
