@@ -186,8 +186,9 @@ impl InstDb {
 }
 
 /// Build and cache the full (all-extensions) database once per process.
-/// Running ~80 instructions through parse → symeval → simplify → lift →
-/// validate takes a moment; everything downstream shares this.
+/// Running the 207 specs through parse → symeval → simplify → lift →
+/// validate takes tens of milliseconds in release; everything downstream
+/// shares this.
 pub fn full_database() -> &'static [InstDef] {
     static DB: OnceLock<Vec<InstDef>> = OnceLock::new();
     DB.get_or_init(|| {

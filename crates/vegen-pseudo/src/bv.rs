@@ -74,7 +74,7 @@ impl FpBinOp {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant and field names are the documentation
 pub enum Bv {
-    /// Constant of the given width (`width <= 64`).
+    /// Constant of the given width; `bits` zero-extends past 64.
     Const { width: u32, bits: u64 },
     /// A slice `name[hi:lo]` (inclusive) of an input register.
     Input { name: String, hi: u32, lo: u32 },
@@ -168,23 +168,40 @@ impl fmt::Display for BvError {
 
 impl std::error::Error for BvError {}
 
-/// A concrete bit-vector of arbitrary width (LSB-first 64-bit words).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A concrete bit-vector of up to [`BigBits::MAX_WIDTH`] bits, held inline
+/// as LSB-first 64-bit words (no register in the database is wider, so
+/// evaluation never touches the heap).
+///
+/// Bits at and above `width` are always zero, which is what lets equality
+/// and hashing be derived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BigBits {
     width: u32,
-    words: Vec<u64>,
+    words: [u64; WORDS],
 }
 
+const WORDS: usize = 8;
+
 impl BigBits {
+    /// The widest representable value, in bits (one AVX-512 register).
+    pub const MAX_WIDTH: u32 = 64 * WORDS as u32;
+
     /// A zero value of the given width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds [`BigBits::MAX_WIDTH`].
     pub fn zero(width: u32) -> BigBits {
-        BigBits { width, words: vec![0; width.div_ceil(64).max(1) as usize] }
+        assert!(width <= Self::MAX_WIDTH, "width {width} exceeds {}", Self::MAX_WIDTH);
+        BigBits { width, words: [0; WORDS] }
     }
 
     /// Build from a `u64` (width at most 64); excess bits are masked off.
     pub fn from_u64(width: u32, bits: u64) -> BigBits {
         assert!(width <= 64 && width > 0);
-        BigBits { width, words: vec![bits & mask(width)] }
+        let mut out = BigBits::zero(width);
+        out.words[0] = bits & mask(width);
+        out
     }
 
     /// Width in bits.
@@ -199,7 +216,7 @@ impl BigBits {
     /// Panics if the width exceeds 64.
     pub fn to_u64(&self) -> u64 {
         assert!(self.width <= 64, "to_u64 on width {}", self.width);
-        self.words[0] & mask(self.width)
+        self.words[0]
     }
 
     /// Read a single bit.
@@ -219,6 +236,25 @@ impl BigBits {
         }
     }
 
+    /// The `bits`-wide field (1 to 64 bits, inside the value) at bit `off`.
+    fn field(&self, off: u32, bits: u32) -> u64 {
+        let (w, sh) = ((off / 64) as usize, off % 64);
+        let mut v = self.words[w] >> sh;
+        if sh + bits > 64 {
+            v |= self.words[w + 1] << (64 - sh);
+        }
+        v & mask(bits)
+    }
+
+    /// OR the `bits`-wide value `v` (no bits above that) in at bit `off`.
+    fn or_field(&mut self, off: u32, bits: u32, v: u64) {
+        let (w, sh) = ((off / 64) as usize, off % 64);
+        self.words[w] |= v << sh;
+        if sh + bits > 64 {
+            self.words[w + 1] |= v >> (64 - sh);
+        }
+    }
+
     /// Extract bits `[hi:lo]` inclusive.
     ///
     /// # Panics
@@ -228,34 +264,48 @@ impl BigBits {
         assert!(hi >= lo && hi < self.width, "extract [{hi}:{lo}] of width {}", self.width);
         let w = hi - lo + 1;
         let mut out = BigBits::zero(w);
-        for i in 0..w {
-            out.set_bit(i, self.bit(lo + i));
+        for (word, off) in out.words.iter_mut().zip((0..w).step_by(64)) {
+            *word = self.field(lo + off, (w - off).min(64));
         }
+        #[cfg(test)]
+        assert_eq!(out, tests::extract_bitwise(self, hi, lo), "extract [{hi}:{lo}] of {self:?}");
         out
     }
 
     /// Concatenate with `high` above `self` (self stays least significant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result would exceed [`BigBits::MAX_WIDTH`].
     pub fn concat_above(&self, high: &BigBits) -> BigBits {
-        let w = self.width + high.width;
-        let mut out = BigBits::zero(w);
-        for i in 0..self.width {
-            out.set_bit(i, self.bit(i));
+        let mut out = *self;
+        out.width = self.width + high.width;
+        assert!(out.width <= Self::MAX_WIDTH, "concat to width {}", out.width);
+        for (&word, off) in high.words.iter().zip((0..high.width).step_by(64)) {
+            out.or_field(self.width + off, (high.width - off).min(64), word);
         }
-        for i in 0..high.width {
-            out.set_bit(self.width + i, high.bit(i));
-        }
+        #[cfg(test)]
+        assert_eq!(out, tests::concat_above_bitwise(self, high), "{self:?} below {high:?}");
         out
     }
 
     /// Build a register image from element values (element 0 least
     /// significant), each `elem_bits` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element exceeds 64 bits or the image exceeds
+    /// [`BigBits::MAX_WIDTH`].
     pub fn from_elems(elem_bits: u32, elems: &[u64]) -> BigBits {
-        let mut out = BigBits::zero(elem_bits * elems.len() as u32);
+        assert!(elem_bits <= 64);
+        let width = u64::from(elem_bits) * elems.len() as u64;
+        assert!(width <= u64::from(Self::MAX_WIDTH), "register image of {width} bits");
+        let mut out = BigBits::zero(width as u32);
         for (i, &e) in elems.iter().enumerate() {
-            for b in 0..elem_bits {
-                out.set_bit(i as u32 * elem_bits + b, (e >> b) & 1 != 0);
-            }
+            out.or_field(i as u32 * elem_bits, elem_bits, e & mask(elem_bits));
         }
+        #[cfg(test)]
+        assert_eq!(out, tests::from_elems_bitwise(elem_bits, elems), "{elem_bits}-bit {elems:?}");
         out
     }
 
@@ -267,27 +317,40 @@ impl BigBits {
     /// exceeds 64 bits.
     pub fn to_elems(&self, elem_bits: u32) -> Vec<u64> {
         assert!(elem_bits <= 64 && self.width.is_multiple_of(elem_bits));
-        (0..self.width / elem_bits)
-            .map(|i| self.extract((i + 1) * elem_bits - 1, i * elem_bits).to_u64())
-            .collect()
+        let out: Vec<u64> =
+            (0..self.width / elem_bits).map(|i| self.field(i * elem_bits, elem_bits)).collect();
+        #[cfg(test)]
+        assert_eq!(out, tests::to_elems_bitwise(self, elem_bits), "{elem_bits}-bit {self:?}");
+        out
     }
 }
 
-/// Evaluate a formula concretely with inputs bound by name.
+/// Evaluate a formula concretely with inputs bound by name (a register
+/// file has at most a handful of inputs, so the binding is a slice).
 ///
 /// # Errors
 ///
 /// Returns [`BvError`] if a referenced input is missing, widths are
-/// inconsistent, or arithmetic is attempted at width above 64.
-pub fn eval_concrete(
-    e: &Bv,
-    env: &std::collections::HashMap<String, BigBits>,
-) -> Result<BigBits, BvError> {
+/// inconsistent or outside `1..=`[`BigBits::MAX_WIDTH`], or arithmetic is
+/// attempted at width above 64.
+pub fn eval_concrete(e: &Bv, env: &[(&str, BigBits)]) -> Result<BigBits, BvError> {
     match e {
-        Bv::Const { width, bits } => Ok(BigBits::from_u64(*width, *bits)),
+        Bv::Const { width, bits } => {
+            if *width == 0 || *width > BigBits::MAX_WIDTH {
+                return Err(BvError(format!("constant of width {width}")));
+            }
+            // `bits` zero-extends: a wide constant (the register-zeroing
+            // idiom) only ever has its low word set.
+            let mut v = BigBits::zero(*width);
+            v.words[0] = bits & mask(*width);
+            Ok(v)
+        }
         Bv::Input { name, hi, lo } => {
-            let reg = env.get(name).ok_or_else(|| BvError(format!("unbound input `{name}`")))?;
-            if *hi >= reg.width() {
+            let (_, reg) = env
+                .iter()
+                .find(|(n, _)| n == name)
+                .ok_or_else(|| BvError(format!("unbound input `{name}`")))?;
+            if *hi >= reg.width() || hi < lo {
                 return Err(BvError(format!(
                     "slice {name}[{hi}:{lo}] out of range for width {}",
                     reg.width()
@@ -358,7 +421,8 @@ pub fn eval_concrete(
                     FpBinOp::Div => x / y,
                     // IEEE-style: min/max as the comparison-select form used
                     // by the x86 MINPD/MAXPD family (second operand returned
-                    // on ties/NaN is not modelled; inputs in tests avoid NaN).
+                    // on ties/NaN is not modelled; `validate::draw_elem`
+                    // only draws finite floats, so validation never asks).
                     FpBinOp::Min => {
                         if x < y {
                             x
@@ -416,15 +480,18 @@ pub fn eval_concrete(
             Ok(v.extract(*hi, *lo))
         }
         Bv::Concat(parts) => {
-            let mut acc: Option<BigBits> = None;
+            if parts.is_empty() {
+                return Err(BvError("empty concat".into()));
+            }
+            let mut acc = BigBits::zero(0);
             for p in parts {
                 let v = eval_concrete(p, env)?;
-                acc = Some(match acc {
-                    None => v,
-                    Some(lo) => lo.concat_above(&v),
-                });
+                if acc.width() + v.width() > BigBits::MAX_WIDTH {
+                    return Err(BvError(format!("concat wider than {} bits", BigBits::MAX_WIDTH)));
+                }
+                acc = acc.concat_above(&v);
             }
-            acc.ok_or_else(|| BvError("empty concat".into()))
+            Ok(acc)
         }
         Bv::Ite { cond, on_true, on_false } => {
             let c = eval_concrete(cond, env)?;
@@ -486,12 +553,128 @@ pub fn eval_concrete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use vegen_ir::rng::XorShift;
 
-    fn env1(name: &str, v: BigBits) -> HashMap<String, BigBits> {
-        let mut m = HashMap::new();
-        m.insert(name.to_string(), v);
-        m
+    // The bit-at-a-time kernel the word-level one replaced, kept as the
+    // reference every `extract` / `concat_above` / `from_elems` /
+    // `to_elems` call is compared against in this crate's unit tests.
+
+    pub(super) fn extract_bitwise(v: &BigBits, hi: u32, lo: u32) -> BigBits {
+        let mut out = BigBits::zero(hi - lo + 1);
+        for i in 0..=hi - lo {
+            out.set_bit(i, v.bit(lo + i));
+        }
+        out
+    }
+
+    pub(super) fn concat_above_bitwise(low: &BigBits, high: &BigBits) -> BigBits {
+        let mut out = BigBits::zero(low.width + high.width);
+        for i in 0..low.width {
+            out.set_bit(i, low.bit(i));
+        }
+        for i in 0..high.width {
+            out.set_bit(low.width + i, high.bit(i));
+        }
+        out
+    }
+
+    pub(super) fn from_elems_bitwise(elem_bits: u32, elems: &[u64]) -> BigBits {
+        let mut out = BigBits::zero(elem_bits * elems.len() as u32);
+        for (i, &e) in elems.iter().enumerate() {
+            for b in 0..elem_bits {
+                out.set_bit(i as u32 * elem_bits + b, (e >> b) & 1 != 0);
+            }
+        }
+        out
+    }
+
+    pub(super) fn to_elems_bitwise(v: &BigBits, elem_bits: u32) -> Vec<u64> {
+        (0..v.width / elem_bits)
+            .map(|i| {
+                (0..elem_bits).fold(0, |acc, b| acc | u64::from(v.bit(i * elem_bits + b)) << b)
+            })
+            .collect()
+    }
+
+    fn random_bits(r: &mut XorShift, width: u32) -> BigBits {
+        let mut v = BigBits::zero(width);
+        for i in 0..width {
+            v.set_bit(i, r.bool());
+        }
+        v
+    }
+
+    /// Word-level kernel against the bit-at-a-time oracle. The product
+    /// functions assert the comparison themselves under `cfg(test)`; this
+    /// test's job is to drive them across every width and word boundary.
+    #[test]
+    fn word_level_kernel_matches_bitwise_oracle() {
+        const SEED: u64 = 0xB175_0024;
+        let mut r = XorShift::new(SEED);
+        for width in 1..=BigBits::MAX_WIDTH {
+            let v = random_bits(&mut r, width);
+            // Ranges that start, end on or straddle each word boundary,
+            // plus the 1-bit and full-width edges and a few random ones.
+            let mut ranges = vec![(width - 1, 0), (0, 0), (width - 1, width - 1)];
+            for b in (64..width).step_by(64) {
+                ranges.extend([(b, b), (b - 1, b - 1), (b, b - 1), (width - 1, b), (b - 1, 0)]);
+                ranges.push(((b + 63).min(width - 1), b));
+                ranges.push(((b + 70).min(width - 1), b - 7));
+            }
+            for _ in 0..4 {
+                let lo = r.below(width as usize) as u32;
+                ranges.push((lo + r.below((width - lo) as usize) as u32, lo));
+            }
+            for (hi, lo) in ranges {
+                assert_eq!(
+                    v.extract(hi, lo),
+                    extract_bitwise(&v, hi, lo),
+                    "seed {SEED:#x}: extract [{hi}:{lo}] of width {width}"
+                );
+            }
+            // Concat at several splits of this width: offsets off the word
+            // grid are the common case, multiples of 64 the edge.
+            for low_w in [0, 1, width / 2, width - 1, width, r.below(width as usize + 1) as u32] {
+                let (low, high) = (random_bits(&mut r, low_w), random_bits(&mut r, width - low_w));
+                assert_eq!(
+                    low.concat_above(&high),
+                    concat_above_bitwise(&low, &high),
+                    "seed {SEED:#x}: concat {low_w} below {}",
+                    width - low_w
+                );
+            }
+        }
+        for elem_bits in [1, 8, 16, 32, 64, 24] {
+            for lanes in [1, 2, 3, 7, BigBits::MAX_WIDTH / elem_bits] {
+                let lanes = lanes.min(BigBits::MAX_WIDTH / elem_bits);
+                // Unmasked draws: `from_elems` must drop the excess bits.
+                let elems: Vec<u64> = (0..lanes).map(|_| r.next_u64()).collect();
+                let v = BigBits::from_elems(elem_bits, &elems);
+                let what = format!("seed {SEED:#x}: {lanes} x {elem_bits} bits");
+                assert_eq!(v, from_elems_bitwise(elem_bits, &elems), "{what}: from_elems");
+                assert_eq!(
+                    v.to_elems(elem_bits),
+                    to_elems_bitwise(&v, elem_bits),
+                    "{what}: to_elems"
+                );
+                let masked: Vec<u64> = elems.iter().map(|e| e & mask(elem_bits)).collect();
+                assert_eq!(v.to_elems(elem_bits), masked, "{what}: round trip");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_and_empty_constants_are_typed() {
+        // The register-zeroing idiom: a constant wider than a word.
+        let z = eval_concrete(&Bv::Const { width: 128, bits: 5 }, &[]).unwrap();
+        assert_eq!(z.width(), 128);
+        assert_eq!(z.to_elems(64), vec![5, 0]);
+        let full = eval_concrete(&Bv::Const { width: 512, bits: u64::MAX }, &[]).unwrap();
+        assert_eq!(full.to_elems(64), vec![u64::MAX, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(eval_concrete(&Bv::Const { width: 0, bits: 0 }, &[]).is_err());
+        assert!(eval_concrete(&Bv::Const { width: 513, bits: 0 }, &[]).is_err());
+        let too_wide = Bv::Concat(vec![Bv::Const { width: 512, bits: 0 }; 2]);
+        assert!(eval_concrete(&too_wide, &[]).is_err());
     }
 
     #[test]
@@ -526,14 +709,14 @@ mod tests {
             lhs: Box::new(Bv::Const { width: 8, bits: 0xff }),
             rhs: Box::new(Bv::Const { width: 8, bits: 2 }),
         };
-        let v = eval_concrete(&e, &HashMap::new()).unwrap();
+        let v = eval_concrete(&e, &[]).unwrap();
         assert_eq!(v.to_u64(), 1);
     }
 
     #[test]
     fn eval_input_slice() {
         let e = Bv::Input { name: "a".into(), hi: 15, lo: 8 };
-        let v = eval_concrete(&e, &env1("a", BigBits::from_u64(16, 0xab12))).unwrap();
+        let v = eval_concrete(&e, &[("a", BigBits::from_u64(16, 0xab12))]).unwrap();
         assert_eq!(v.to_u64(), 0xab);
     }
 
@@ -548,7 +731,7 @@ mod tests {
             rhs: Box::new(Bv::Const { width: 32, bits: 100 }),
         };
         let v =
-            eval_concrete(&e, &env1("a", BigBits::from_u64(16, (-3i64 as u64) & 0xffff))).unwrap();
+            eval_concrete(&e, &[("a", BigBits::from_u64(16, (-3i64 as u64) & 0xffff))]).unwrap();
         assert_eq!(sext(v.to_u64(), 32), -300);
     }
 
@@ -559,7 +742,7 @@ mod tests {
             lhs: Box::new(Bv::Const { width: 64, bits: 2.5f64.to_bits() }),
             rhs: Box::new(Bv::Const { width: 64, bits: 4.0f64.to_bits() }),
         };
-        let v = eval_concrete(&e, &HashMap::new()).unwrap();
+        let v = eval_concrete(&e, &[]).unwrap();
         assert_eq!(f64::from_bits(v.to_u64()), 10.0);
     }
 
@@ -575,7 +758,7 @@ mod tests {
             on_true: Box::new(Bv::Const { width: 8, bits: 1 }),
             on_false: Box::new(Bv::Const { width: 8, bits: 0 }),
         };
-        assert_eq!(eval_concrete(&e, &HashMap::new()).unwrap().to_u64(), 0);
+        assert_eq!(eval_concrete(&e, &[]).unwrap().to_u64(), 0);
     }
 
     #[test]
@@ -583,7 +766,7 @@ mod tests {
         let wide =
             Bv::Concat(vec![Bv::Const { width: 64, bits: 1 }, Bv::Const { width: 64, bits: 2 }]);
         let e = Bv::Bin { op: BvBinOp::Add, lhs: Box::new(wide.clone()), rhs: Box::new(wide) };
-        assert!(eval_concrete(&e, &HashMap::new()).is_err());
+        assert!(eval_concrete(&e, &[]).is_err());
     }
 
     #[test]

@@ -419,12 +419,9 @@ impl Evaluator {
                         }
                     }
                 };
-                let old = env.regs.get(base).cloned().unwrap_or({
-                    // First write creates the register, zero-filled up to hi.
-                    Bv::Const { width: 0, bits: 0 }
-                });
-                let updated = write_slice(old, hi, lo, new);
-                env.regs.insert(base.clone(), updated);
+                // First write creates the register, zero-filled up to hi.
+                let old = env.regs.remove(base).unwrap_or(Bv::Const { width: 0, bits: 0 });
+                env.regs.insert(base.clone(), write_slice(old, hi, lo, new));
                 Ok(())
             }
             Stmt::For { var, from, to, body } => {
@@ -519,20 +516,23 @@ fn extract(b: Bv, hi: u32, lo: u32) -> Bv {
 /// extending with zeros if `hi` is past the current width.
 fn write_slice(old: Bv, hi: u32, lo: u32, new: Bv) -> Bv {
     let old_w = old.width();
-    let mut parts: Vec<Bv> = Vec::new();
-    if lo > 0 {
-        if old_w >= lo {
-            parts.push(extract(old.clone(), lo - 1, 0));
-        } else {
-            if old_w > 0 {
-                parts.push(old.clone());
-            }
-            parts.push(Bv::Const { width: lo - old_w, bits: 0 });
-        }
+    // `old` survives below the update, above it, or both; only a write
+    // into the middle needs it twice.
+    let (low_src, high_src) = match (lo > 0 && old_w > 0, old_w > hi + 1) {
+        (true, true) => (Some(old.clone()), Some(old)),
+        (true, false) => (Some(old), None),
+        (false, keeps_high) => (None, keeps_high.then_some(old)),
+    };
+    let mut parts: Vec<Bv> = Vec::with_capacity(3);
+    if let Some(src) = low_src {
+        parts.push(if old_w >= lo { extract(src, lo - 1, 0) } else { src });
+    }
+    if old_w < lo {
+        parts.push(Bv::Const { width: lo - old_w, bits: 0 });
     }
     parts.push(new);
-    if old_w > hi + 1 {
-        parts.push(extract(old, old_w - 1, hi + 1));
+    if let Some(src) = high_src {
+        parts.push(extract(src, old_w - 1, hi + 1));
     }
     if parts.len() == 1 {
         parts.pop().unwrap()
@@ -575,7 +575,6 @@ mod tests {
     use super::*;
     use crate::bv::{eval_concrete, BigBits};
     use crate::lang::parse_program;
-    use std::collections::HashMap;
 
     fn run_concrete(
         src: &str,
@@ -586,9 +585,7 @@ mod tests {
     ) -> BigBits {
         let p = parse_program(src).unwrap();
         let formula = eval_program(&p, inputs, dst_bits, fp).unwrap();
-        let env: HashMap<String, BigBits> =
-            bindings.iter().map(|(n, v)| (n.to_string(), v.clone())).collect();
-        eval_concrete(&formula, &env).unwrap()
+        eval_concrete(&formula, bindings).unwrap()
     }
 
     #[test]

@@ -126,3 +126,23 @@ pub fn translate(
     validate_description(&formula, inputs, &desc, 64).map_err(TranslateError::Validate)?;
     Ok(desc)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The register-zeroing idiom puts a constant wider than a word into
+    /// the formula; the simplifier's constant folding used to unwind on it.
+    #[test]
+    fn wide_zero_constants_translate_without_unwinding() {
+        for (src, zero_lanes) in
+            [("dst[127:0] := 0", 4), ("dst[127:0] := a[127:0]\ndst[95:0] := 0", 3)]
+        {
+            let r = translate("z", &[("a", 128)], 128, 32, FpMode::Int, src);
+            let d = r.unwrap_or_else(|e| panic!("{src:?}: {e}"));
+            assert_eq!(d.out_lanes(), 4, "{src:?}");
+            let consts = d.lanes.iter().filter(|l| l.args.is_empty()).count();
+            assert_eq!(consts, zero_lanes, "{src:?}: lanes bound to the zero constant");
+        }
+    }
+}

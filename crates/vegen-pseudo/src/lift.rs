@@ -10,7 +10,6 @@
 use crate::bv::{Bv, BvBinOp, FpBinOp};
 use crate::eval::FpMode;
 use crate::simplify::simplify;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Type};
@@ -55,18 +54,23 @@ fn type_for(kind: Kind, bits: u32) -> Result<Type, LiftError> {
 
 /// Per-lane abstraction state.
 struct Abstraction<'a> {
-    input_order: &'a [String],
-    elem_bits: &'a HashMap<String, u32>,
+    inputs: &'a [(&'a str, u32)],
+    /// Element width of each input, by input position.
+    elem_bits: &'a [u32],
     /// Parameters discovered so far: (lane ref, type).
     params: Vec<(LaneRef, Type)>,
 }
 
+fn input_index(inputs: &[(&str, u32)], name: &str) -> Option<usize> {
+    inputs.iter().position(|(n, _)| *n == name)
+}
+
 impl<'a> Abstraction<'a> {
     fn param_for(&mut self, name: &str, hi: u32, lo: u32, kind: Kind) -> Result<Expr, LiftError> {
-        let Some(input) = self.input_order.iter().position(|n| n == name) else {
+        let Some(input) = input_index(self.inputs, name) else {
             return err(format!("unknown input register `{name}`"));
         };
-        let eb = self.elem_bits[name];
+        let eb = self.elem_bits[input];
         // The slice must lie within a single element of the grid; narrower
         // reads (e.g. the truncating arm of a saturation) become
         // trunc/lshr of the element parameter.
@@ -258,43 +262,49 @@ fn remap_params(e: &Expr, remap: &[usize]) -> Expr {
     }
 }
 
-/// Collect each input register's element width: the unique width of the
-/// aligned slices referencing it.
+/// Each input register's element width, by input position: the unique
+/// width of the aligned slices referencing it.
 fn infer_elem_bits(
     formula: &Bv,
     inputs: &[(&str, u32)],
     default_bits: u32,
-) -> Result<HashMap<String, u32>, LiftError> {
-    fn visit(e: &Bv, m: &mut HashMap<String, Vec<(u32, u32)>>) {
+) -> Result<Vec<u32>, LiftError> {
+    fn visit(e: &Bv, inputs: &[(&str, u32)], slices: &mut [Vec<(u32, u32)>]) {
         match e {
-            Bv::Input { name, hi, lo } => m.entry(name.clone()).or_default().push((*hi, *lo)),
+            Bv::Input { name, hi, lo } => {
+                // An undeclared name is reported where it is abstracted.
+                if let Some(i) = input_index(inputs, name) {
+                    slices[i].push((*hi, *lo));
+                }
+            }
             Bv::Const { .. } => {}
             Bv::Bin { lhs, rhs, .. } | Bv::FBin { lhs, rhs, .. } | Bv::Cmp { lhs, rhs, .. } => {
-                visit(lhs, m);
-                visit(rhs, m);
+                visit(lhs, inputs, slices);
+                visit(rhs, inputs, slices);
             }
-            Bv::FNeg(a) => visit(a, m),
-            Bv::SExt { arg, .. } | Bv::ZExt { arg, .. } | Bv::Extract { arg, .. } => visit(arg, m),
-            Bv::Concat(parts) => parts.iter().for_each(|p| visit(p, m)),
+            Bv::FNeg(a) => visit(a, inputs, slices),
+            Bv::SExt { arg, .. } | Bv::ZExt { arg, .. } | Bv::Extract { arg, .. } => {
+                visit(arg, inputs, slices)
+            }
+            Bv::Concat(parts) => parts.iter().for_each(|p| visit(p, inputs, slices)),
             Bv::Ite { cond, on_true, on_false } => {
-                visit(cond, m);
-                visit(on_true, m);
-                visit(on_false, m);
+                visit(cond, inputs, slices);
+                visit(on_true, inputs, slices);
+                visit(on_false, inputs, slices);
             }
         }
     }
-    let mut slices: HashMap<String, Vec<(u32, u32)>> = HashMap::new();
-    visit(formula, &mut slices);
-    let mut out = HashMap::new();
-    for (name, total) in inputs {
-        let Some(ss) = slices.get(*name) else {
-            out.insert(name.to_string(), default_bits);
-            continue;
-        };
+    let mut slices: Vec<Vec<(u32, u32)>> = vec![Vec::new(); inputs.len()];
+    visit(formula, inputs, &mut slices);
+    let mut out = Vec::with_capacity(inputs.len());
+    for ((name, total), ss) in inputs.iter().zip(&slices) {
         // Element width = the widest slice; it must be grid-aligned, and
         // every other slice must lie within a single element of that grid
         // (narrower reads lower to trunc/lshr of the element parameter).
-        let w = ss.iter().map(|(hi, lo)| hi - lo + 1).max().unwrap();
+        let Some(w) = ss.iter().map(|(hi, lo)| hi - lo + 1).max() else {
+            out.push(default_bits);
+            continue;
+        };
         if total % w != 0 {
             return err(format!("input `{name}` width {total} not divisible by element {w}"));
         }
@@ -305,9 +315,63 @@ fn infer_elem_bits(
                 ));
             }
         }
-        out.insert(name.to_string(), w);
+        out.push(w);
     }
     Ok(out)
+}
+
+/// The simplified formula of every `elem_bits`-wide lane of `formula`, lane
+/// 0 (least significant) first — what [`lift_to_vidl`] abstracts.
+///
+/// A register formula is a `Concat` of per-lane (or merged multi-lane)
+/// parts, so each lane is cut from just the parts that overlap it: the
+/// work is linear in the formula rather than lanes × formula. Cutting from
+/// the overlapping parts or from the whole register simplifies to the same
+/// thing, because the first rule to fire on `Extract(Concat(..))` discards
+/// the parts outside the range (`vegen-isa`'s `lane_slices` test holds
+/// every lane of every spec to that).
+///
+/// # Panics
+///
+/// Panics if the formula's width is not a positive multiple of `elem_bits`.
+pub fn lane_formulas(formula: &Bv, elem_bits: u32) -> Vec<Bv> {
+    let parts = match formula {
+        Bv::Concat(parts) => parts.as_slice(),
+        whole => std::slice::from_ref(whole),
+    };
+    let widths: Vec<u32> = parts.iter().map(Bv::width).collect();
+    let total: u32 = widths.iter().sum();
+    assert!(
+        elem_bits > 0 && total.is_multiple_of(elem_bits),
+        "{total} bits in {elem_bits}-bit lanes"
+    );
+    // `parts[first]` starts at bit `base`; lanes ascend, so neither goes back.
+    let (mut first, mut base) = (0usize, 0u32);
+    (0..total / elem_bits)
+        .map(|lane| {
+            let (lo, hi) = (lane * elem_bits, (lane + 1) * elem_bits - 1);
+            while base + widths[first] <= lo {
+                base += widths[first];
+                first += 1;
+            }
+            let (mut end, mut top) = (first, base);
+            while top <= hi {
+                top += widths[end];
+                end += 1;
+            }
+            let cut = |from: Bv| {
+                simplify(&Bv::Extract { hi: hi - base, lo: lo - base, arg: Box::new(from) })
+            };
+            let out = match &parts[first..end] {
+                [part] if base == lo && top == hi + 1 => simplify(part),
+                [part] => cut(part.clone()),
+                run => cut(Bv::Concat(run.to_vec())),
+            };
+            #[cfg(test)]
+            assert_eq!(out, tests::lane_by_clone_and_extract(formula, hi, lo), "lane {lane}");
+            out
+        })
+        .collect()
 }
 
 /// Lift a (simplified) output formula to a checked VIDL description.
@@ -328,7 +392,6 @@ pub fn lift_to_vidl(
     if !dst_bits.is_multiple_of(out_elem_bits) {
         return err(format!("dst width {dst_bits} not divisible by element {out_elem_bits}"));
     }
-    let n_lanes = (dst_bits / out_elem_bits) as usize;
     let lane_kind = match fp {
         FpMode::Int => Kind::Int,
         FpMode::Float => Kind::Float,
@@ -336,7 +399,6 @@ pub fn lift_to_vidl(
     let out_elem = type_for(lane_kind, out_elem_bits)?;
 
     let elem_bits = infer_elem_bits(formula, inputs, out_elem_bits)?;
-    let input_order: Vec<String> = inputs.iter().map(|(n, _)| n.to_string()).collect();
 
     // Infer each input's element kind from the lanes' use contexts; in
     // float mode inputs are floats, in int mode ints. (Mixed-kind
@@ -345,12 +407,8 @@ pub fn lift_to_vidl(
 
     let mut ops: Vec<Operation> = Vec::new();
     let mut lanes: Vec<LaneBinding> = Vec::new();
-    for lane_idx in 0..n_lanes {
-        let hi = (lane_idx as u32 + 1) * out_elem_bits - 1;
-        let lo = lane_idx as u32 * out_elem_bits;
-        let lane_formula = simplify(&Bv::Extract { hi, lo, arg: Box::new(formula.clone()) });
-        let mut abs =
-            Abstraction { input_order: &input_order, elem_bits: &elem_bits, params: Vec::new() };
+    for lane_formula in lane_formulas(formula, out_elem_bits) {
+        let mut abs = Abstraction { inputs, elem_bits: &elem_bits, params: Vec::new() };
         let expr = abs.convert(&lane_formula, lane_kind)?;
         // Canonical parameter order: by (input register, lane) rather than
         // first use. This keeps the generated patterns' operand vectors in
@@ -386,8 +444,8 @@ pub fn lift_to_vidl(
 
     let shapes: Vec<VecShape> = inputs
         .iter()
-        .map(|(n, total)| -> Result<VecShape, LiftError> {
-            let eb = elem_bits[*n];
+        .zip(&elem_bits)
+        .map(|((_, total), &eb)| -> Result<VecShape, LiftError> {
             Ok(VecShape { lanes: (*total / eb) as usize, elem: type_for(in_kind, eb)? })
         })
         .collect::<Result<_, _>>()?;
@@ -400,6 +458,12 @@ mod tests {
     use super::*;
     use crate::eval::eval_program;
     use crate::lang::parse_program;
+
+    /// The lane path [`lane_formulas`] replaced, kept as its reference:
+    /// clone the whole register formula under an `Extract` and simplify.
+    pub(super) fn lane_by_clone_and_extract(formula: &Bv, hi: u32, lo: u32) -> Bv {
+        simplify(&Bv::Extract { hi, lo, arg: Box::new(formula.clone()) })
+    }
 
     fn pipeline(
         name: &str,

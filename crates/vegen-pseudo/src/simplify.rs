@@ -9,7 +9,6 @@
 //! lane becomes a clean per-lane expression the lifter can abstract.
 
 use crate::bv::{eval_concrete, Bv};
-use std::collections::HashMap;
 
 /// Simplify a formula to a fixpoint (bounded; the rules terminate because
 /// every rewrite reduces a well-founded measure, but we cap iterations
@@ -17,65 +16,120 @@ use std::collections::HashMap;
 pub fn simplify(e: &Bv) -> Bv {
     let mut cur = e.clone();
     for _ in 0..32 {
-        let next = walk(&cur);
-        if next == cur {
-            return next;
+        let mut fired = false;
+        cur = walk(cur, &mut fired).0;
+        if !fired {
+            break;
         }
-        cur = next;
     }
     cur
 }
 
-/// One bottom-up pass.
-fn walk(e: &Bv) -> Bv {
-    let node = match e {
-        Bv::Const { .. } | Bv::Input { .. } => e.clone(),
-        Bv::Bin { op, lhs, rhs } => {
-            Bv::Bin { op: *op, lhs: Box::new(walk(lhs)), rhs: Box::new(walk(rhs)) }
-        }
-        Bv::FBin { op, lhs, rhs } => {
-            Bv::FBin { op: *op, lhs: Box::new(walk(lhs)), rhs: Box::new(walk(rhs)) }
-        }
-        Bv::FNeg(a) => Bv::FNeg(Box::new(walk(a))),
-        Bv::SExt { width, arg } => Bv::SExt { width: *width, arg: Box::new(walk(arg)) },
-        Bv::ZExt { width, arg } => Bv::ZExt { width: *width, arg: Box::new(walk(arg)) },
-        Bv::Extract { hi, lo, arg } => Bv::Extract { hi: *hi, lo: *lo, arg: Box::new(walk(arg)) },
-        Bv::Concat(parts) => Bv::Concat(parts.iter().map(walk).collect()),
-        Bv::Ite { cond, on_true, on_false } => Bv::Ite {
-            cond: Box::new(walk(cond)),
-            on_true: Box::new(walk(on_true)),
-            on_false: Box::new(walk(on_false)),
-        },
-        Bv::Cmp { pred, lhs, rhs } => {
-            Bv::Cmp { pred: *pred, lhs: Box::new(walk(lhs)), rhs: Box::new(walk(rhs)) }
-        }
-    };
-    rewrite(node)
+/// Stands in for a child while it is being rewritten in its own box.
+const HOLE: Bv = Bv::Const { width: 0, bits: 0 };
+
+fn walk_box(mut b: Box<Bv>, fired: &mut bool) -> (Box<Bv>, bool) {
+    let (v, foldable) = walk(std::mem::replace(&mut *b, HOLE), fired);
+    *b = v;
+    (b, foldable)
 }
 
-/// Rewrite one node whose children are already simplified.
-fn rewrite(e: Bv) -> Bv {
+/// One bottom-up pass over an owned tree. Sets `fired` if any rule changed
+/// anything, and returns whether the result has only constant leaves, so
+/// that neither the fixpoint test nor constant folding re-reads a subtree.
+fn walk(e: Bv, fired: &mut bool) -> (Bv, bool) {
+    let (node, foldable) = match e {
+        Bv::Const { .. } => return (e, true),
+        Bv::Input { .. } => return (e, false),
+        Bv::Bin { op, lhs, rhs } => {
+            let ((lhs, l), (rhs, r)) = (walk_box(lhs, fired), walk_box(rhs, fired));
+            (Bv::Bin { op, lhs, rhs }, l && r)
+        }
+        Bv::FBin { op, lhs, rhs } => {
+            let ((lhs, l), (rhs, r)) = (walk_box(lhs, fired), walk_box(rhs, fired));
+            (Bv::FBin { op, lhs, rhs }, l && r)
+        }
+        Bv::Cmp { pred, lhs, rhs } => {
+            let ((lhs, l), (rhs, r)) = (walk_box(lhs, fired), walk_box(rhs, fired));
+            (Bv::Cmp { pred, lhs, rhs }, l && r)
+        }
+        Bv::FNeg(a) => {
+            let (a, f) = walk_box(a, fired);
+            (Bv::FNeg(a), f)
+        }
+        Bv::SExt { width, arg } => {
+            let (arg, f) = walk_box(arg, fired);
+            (Bv::SExt { width, arg }, f)
+        }
+        Bv::ZExt { width, arg } => {
+            let (arg, f) = walk_box(arg, fired);
+            (Bv::ZExt { width, arg }, f)
+        }
+        Bv::Extract { hi, lo, arg } => {
+            let (arg, f) = walk_box(arg, fired);
+            (Bv::Extract { hi, lo, arg }, f)
+        }
+        Bv::Concat(mut parts) => {
+            let mut all = true;
+            for p in &mut parts {
+                let (v, f) = walk(std::mem::replace(p, HOLE), fired);
+                *p = v;
+                all &= f;
+            }
+            (Bv::Concat(parts), all)
+        }
+        Bv::Ite { cond, on_true, on_false } => {
+            let (cond, c) = walk_box(cond, fired);
+            let ((on_true, t), (on_false, f)) =
+                (walk_box(on_true, fired), walk_box(on_false, fired));
+            (Bv::Ite { cond, on_true, on_false }, c && t && f)
+        }
+    };
+    let mut fired_here = false;
+    let out = rewrite(node, foldable, &mut fired_here);
+    if !fired_here {
+        return (out, foldable);
+    }
+    *fired = true;
+    // A rule never adds an input, but it can drop the only ones there were.
+    let foldable = foldable || is_foldable(&out);
+    (out, foldable)
+}
+
+/// Rewrite one node whose children are already simplified; `foldable` is
+/// [`is_foldable`] of it, which `walk` already knows.
+fn rewrite(e: Bv, foldable: bool, fired: &mut bool) -> Bv {
     // Constant folding: any arithmetic node with all-constant leaves and
     // width <= 64 evaluates directly.
-    if is_foldable(&e) && e.width() <= 64 && !matches!(e, Bv::Const { .. }) {
-        if let Ok(v) = eval_concrete(&e, &HashMap::new()) {
+    if foldable && !matches!(e, Bv::Const { .. }) && e.width() <= 64 {
+        if let Ok(v) = eval_concrete(&e, &[]) {
+            *fired = true;
             return Bv::Const { width: v.width(), bits: v.to_u64() };
         }
     }
     match e {
-        Bv::Extract { hi, lo, arg } => rewrite_extract(hi, lo, *arg),
-        Bv::Concat(parts) => rewrite_concat(parts),
+        Bv::Extract { hi, lo, arg } => rewrite_extract(hi, lo, *arg, fired),
+        Bv::Concat(parts) => rewrite_concat(parts, fired),
         Bv::Ite { cond, on_true, on_false } => {
             if let Bv::Const { bits, .. } = &*cond {
+                *fired = true;
                 return if *bits != 0 { *on_true } else { *on_false };
             }
             if on_true == on_false {
+                *fired = true;
                 return *on_true;
             }
             Bv::Ite { cond, on_true, on_false }
         }
         other => other,
     }
+}
+
+/// [`rewrite`] for a node a rule has just built, whose foldability nobody
+/// has computed yet.
+fn rewrite_built(e: Bv, fired: &mut bool) -> Bv {
+    let foldable = is_foldable(&e);
+    rewrite(e, foldable, fired)
 }
 
 fn is_foldable(e: &Bv) -> bool {
@@ -94,13 +148,14 @@ fn is_foldable(e: &Bv) -> bool {
     }
 }
 
-fn rewrite_extract(hi: u32, lo: u32, arg: Bv) -> Bv {
+/// Every arm but the three that hand back `Extract { hi, lo, arg }` as it
+/// came changes the node.
+fn rewrite_extract(hi: u32, lo: u32, arg: Bv, fired: &mut bool) -> Bv {
     let w = arg.width();
-    // Identity.
-    if lo == 0 && hi + 1 == w {
-        return arg;
-    }
-    match arg {
+    let mut unchanged = false;
+    let out = match arg {
+        // Identity.
+        arg if lo == 0 && hi + 1 == w => arg,
         // extract of extract composes.
         Bv::Extract { hi: _ihi, lo: ilo, arg: inner } => {
             Bv::Extract { hi: ilo + hi, lo: ilo + lo, arg: inner }
@@ -129,9 +184,9 @@ fn rewrite_extract(hi: u32, lo: u32, arg: Bv) -> Bv {
             }
             if pieces.len() == 1 {
                 // Re-simplify: the piece may itself be an extract chain.
-                rewrite(pieces.pop().unwrap())
+                rewrite_built(pieces.pop().unwrap(), fired)
             } else {
-                rewrite_concat(pieces)
+                rewrite_concat(pieces, fired)
             }
         }
         // extract of zext/sext: inside the original width it's an extract of
@@ -139,20 +194,20 @@ fn rewrite_extract(hi: u32, lo: u32, arg: Bv) -> Bv {
         Bv::ZExt { width: _zw, arg: inner } => {
             let iw = inner.width();
             if hi < iw {
-                rewrite(Bv::Extract { hi, lo, arg: inner })
+                rewrite_built(Bv::Extract { hi, lo, arg: inner }, fired)
             } else if lo >= iw {
                 Bv::Const { width: hi - lo + 1, bits: 0 }
             } else {
                 // Straddles: keep low part + zero top.
-                let low = rewrite(Bv::Extract { hi: iw - 1, lo, arg: inner });
+                let low = rewrite_built(Bv::Extract { hi: iw - 1, lo, arg: inner }, fired);
                 let zeros = Bv::Const { width: hi - iw + 1, bits: 0 };
-                rewrite_concat(vec![low, zeros])
+                rewrite_concat(vec![low, zeros], fired)
             }
         }
         Bv::SExt { width: sw, arg: inner } => {
             let iw = inner.width();
             if hi < iw {
-                rewrite(Bv::Extract { hi, lo, arg: inner })
+                rewrite_built(Bv::Extract { hi, lo, arg: inner }, fired)
             } else if lo == 0 {
                 // Truncating a sign-extension from the bottom is a narrower
                 // sign-extension (or the value itself).
@@ -162,15 +217,16 @@ fn rewrite_extract(hi: u32, lo: u32, arg: Bv) -> Bv {
                     Bv::SExt { width: hi + 1, arg: inner }
                 }
             } else {
+                unchanged = true;
                 Bv::Extract { hi, lo, arg: Box::new(Bv::SExt { width: sw, arg: inner }) }
             }
         }
         // Push extraction into ite arms: predicated partial updates nest
         // lane values under Ite, and the lifter wants per-lane formulas.
         Bv::Ite { cond, on_true, on_false } => {
-            let t = rewrite(Bv::Extract { hi, lo, arg: on_true });
-            let f = rewrite(Bv::Extract { hi, lo, arg: on_false });
-            rewrite(Bv::Ite { cond, on_true: Box::new(t), on_false: Box::new(f) })
+            let t = rewrite_built(Bv::Extract { hi, lo, arg: on_true }, fired);
+            let f = rewrite_built(Bv::Extract { hi, lo, arg: on_false }, fired);
+            rewrite_built(Bv::Ite { cond, on_true: Box::new(t), on_false: Box::new(f) }, fired)
         }
         Bv::Const { bits, .. } => {
             // Caught by folding when <= 64; handle wide constants (only
@@ -179,37 +235,47 @@ fn rewrite_extract(hi: u32, lo: u32, arg: Bv) -> Bv {
             if ww <= 64 && hi < 64 {
                 Bv::Const { width: ww, bits: (bits >> lo) & vegen_ir::constant::mask(ww) }
             } else {
+                unchanged = true;
                 Bv::Extract { hi, lo, arg: Box::new(Bv::Const { width: w, bits }) }
             }
         }
-        other => Bv::Extract { hi, lo, arg: Box::new(other) },
-    }
+        other => {
+            unchanged = true;
+            Bv::Extract { hi, lo, arg: Box::new(other) }
+        }
+    };
+    *fired |= !unchanged;
+    out
 }
 
-fn rewrite_concat(parts: Vec<Bv>) -> Bv {
-    // Flatten nested concats, drop zero-width parts.
-    let mut flat: Vec<Bv> = Vec::new();
-    for p in parts {
-        if p.width() == 0 {
-            continue;
-        }
-        match p {
-            Bv::Concat(inner) => flat.extend(inner.into_iter().filter(|q| q.width() > 0)),
-            other => flat.push(other),
-        }
-    }
-    // Merge adjacent pieces: consecutive extracts/input-slices of the same
+fn rewrite_concat(parts: Vec<Bv>, fired: &mut bool) -> Bv {
+    // Flatten nested concats, drop zero-width parts, and merge adjacent
+    // pieces as they arrive: consecutive extracts/input-slices of the same
     // source with touching ranges, and adjacent constants.
-    let mut merged: Vec<Bv> = Vec::new();
-    for p in flat {
+    fn push(merged: &mut Vec<Bv>, p: Bv) {
         if let Some(last) = merged.last_mut() {
             if let Some(m) = merge_adjacent(last, &p) {
                 *last = m;
-                continue;
+                return;
             }
         }
         merged.push(p);
     }
+    let n_in = parts.len();
+    let mut reshaped = n_in < 2;
+    let mut merged: Vec<Bv> = Vec::with_capacity(n_in);
+    for p in parts {
+        match p {
+            Bv::Concat(inner) => {
+                reshaped = true;
+                inner.into_iter().filter(|q| q.width() > 0).for_each(|q| push(&mut merged, q));
+            }
+            p if p.width() == 0 => reshaped = true,
+            p => push(&mut merged, p),
+        }
+    }
+    // With nothing flattened or dropped, a shorter list means a merge.
+    *fired |= reshaped || merged.len() != n_in;
     match merged.len() {
         0 => Bv::Const { width: 0, bits: 0 },
         1 => merged.pop().unwrap(),
@@ -247,7 +313,6 @@ fn merge_adjacent(low: &Bv, high: &Bv) -> Option<Bv> {
 mod tests {
     use super::*;
     use crate::bv::{BigBits, BvBinOp};
-    use std::collections::HashMap;
     use vegen_ir::CmpPred;
 
     fn inp(name: &str, hi: u32, lo: u32) -> Bv {
@@ -412,9 +477,10 @@ mod tests {
         let mut state = 7u64;
         for _ in 0..100 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let mut env = HashMap::new();
-            env.insert("a".to_string(), BigBits::from_u64(16, state & 0xffff));
-            env.insert("b".to_string(), BigBits::from_u64(16, (state >> 16) & 0xffff));
+            let env = [
+                ("a", BigBits::from_u64(16, state & 0xffff)),
+                ("b", BigBits::from_u64(16, (state >> 16) & 0xffff)),
+            ];
             assert_eq!(
                 eval_concrete(&formula, &env).unwrap(),
                 eval_concrete(&simplified, &env).unwrap()

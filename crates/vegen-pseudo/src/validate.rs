@@ -9,7 +9,6 @@
 //! lifting bug (or an ambiguous helper semantics) shows up as a divergence.
 
 use crate::bv::{eval_concrete, BigBits, Bv};
-use std::collections::HashMap;
 use vegen_ir::{Constant, Type};
 use vegen_vidl::{eval_inst, InstSemantics};
 
@@ -80,7 +79,8 @@ pub fn validate_description(
 ) -> Result<(), String> {
     // A malformed description is a typed error, not a panic: the offline
     // auditor feeds deliberately corrupted descriptions through here and
-    // must get a report back.
+    // must get a report back. None of this depends on the drawn values, so
+    // it is settled once, before the first trial.
     if desc.inputs.len() != inputs.len() {
         return Err(format!(
             "description {} has {} inputs but the spec declares {}",
@@ -89,42 +89,65 @@ pub fn validate_description(
             inputs.len()
         ));
     }
+    for ((name, total), shape) in inputs.iter().zip(&desc.inputs) {
+        if shape.bits() != *total {
+            return Err(format!(
+                "shape mismatch for input {name}: description has {} bits but the spec \
+                 declares {total}",
+                shape.bits()
+            ));
+        }
+    }
+    if desc.out_bits() != formula.width() {
+        return Err(format!(
+            "description {} produces {} bits but the formula has {}",
+            desc.name,
+            desc.out_bits(),
+            formula.width()
+        ));
+    }
+    let widest = inputs.iter().map(|(_, total)| *total).fold(desc.out_bits(), u32::max);
+    if widest > BigBits::MAX_WIDTH {
+        return Err(format!(
+            "description {} has a {widest}-bit register; the evaluator holds at most {}",
+            desc.name,
+            BigBits::MAX_WIDTH
+        ));
+    }
+    let out_elem_bits = desc.out_elem.bits();
+    // Both evaluators' inputs live in buffers the trials overwrite; names
+    // are bound to register positions here, once.
+    let mut regs: Vec<(&str, BigBits)> =
+        inputs.iter().map(|(name, total)| (*name, BigBits::zero(*total))).collect();
+    let mut vidl_inputs: Vec<Vec<Constant>> =
+        desc.inputs.iter().map(|shape| Vec::with_capacity(shape.lanes)).collect();
+    let mut elems: Vec<u64> = Vec::new();
     let mut rng = Rng(0x5eed_0001);
     for trial in 0..iters {
         // Draw concrete input registers.
-        let mut reg_env: HashMap<String, BigBits> = HashMap::new();
-        let mut vidl_inputs: Vec<Vec<Constant>> = Vec::new();
-        for (idx, (name, total)) in inputs.iter().enumerate() {
-            let shape = desc.inputs[idx];
-            if shape.bits() != *total {
-                return Err(format!(
-                    "shape mismatch for input {name}: description has {} bits but the spec \
-                     declares {total}",
-                    shape.bits()
-                ));
-            }
-            let elems: Vec<u64> =
-                (0..shape.lanes).map(|_| draw_elem(&mut rng, shape.elem)).collect();
-            reg_env.insert(name.to_string(), BigBits::from_elems(shape.elem.bits(), &elems));
-            vidl_inputs.push(elems.iter().map(|&b| constant_from_bits(shape.elem, b)).collect());
+        for ((shape, reg), lanes) in desc.inputs.iter().zip(&mut regs).zip(&mut vidl_inputs) {
+            elems.clear();
+            elems.extend((0..shape.lanes).map(|_| draw_elem(&mut rng, shape.elem)));
+            reg.1 = BigBits::from_elems(shape.elem.bits(), &elems);
+            lanes.clear();
+            lanes.extend(elems.iter().map(|&b| constant_from_bits(shape.elem, b)));
         }
         // Pseudocode side.
-        let expected = eval_concrete(formula, &reg_env)
+        let expected = eval_concrete(formula, &regs)
             .map_err(|e| format!("trial {trial}: formula evaluation failed: {e}"))?;
         // VIDL side.
         let got = eval_inst(desc, &vidl_inputs)
             .map_err(|e| format!("trial {trial}: VIDL evaluation failed: {e}"))?;
-        let got_bits = BigBits::from_elems(
-            desc.out_elem.bits(),
-            &got.iter().map(|c| bits_from_constant(*c)).collect::<Vec<_>>(),
-        );
+        elems.clear();
+        elems.extend(got.iter().map(|c| bits_from_constant(*c)));
+        let got_bits = BigBits::from_elems(out_elem_bits, &elems);
         if expected != got_bits {
             return Err(format!(
                 "trial {trial}: divergence on {}\n  inputs: {:?}\n  pseudocode: {:?}\n  VIDL: {:?}",
                 desc.name,
                 vidl_inputs,
-                expected.to_elems(desc.out_elem.bits()),
-                got_bits.to_elems(desc.out_elem.bits()),
+                expected.to_elems(out_elem_bits),
+                got_bits.to_elems(out_elem_bits),
             ));
         }
     }

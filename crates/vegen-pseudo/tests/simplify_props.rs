@@ -4,7 +4,6 @@
 //! Formulas are generated with the in-tree deterministic [`XorShift`]
 //! stream (the repo builds offline; see `vegen_ir::rng`).
 
-use std::collections::HashMap;
 use vegen_ir::rng::XorShift;
 use vegen_pseudo::bv::{eval_concrete, BigBits, Bv, BvBinOp};
 use vegen_pseudo::simplify::simplify;
@@ -99,9 +98,7 @@ fn simplify_preserves_semantics() {
         let b = r.next_u64();
         let s = simplify(&e);
         assert_eq!(s.width(), e.width(), "case {case}: width must be preserved");
-        let mut env = HashMap::new();
-        env.insert("a".to_string(), BigBits::from_u64(64, a));
-        env.insert("b".to_string(), BigBits::from_u64(64, b));
+        let env = [("a", BigBits::from_u64(64, a)), ("b", BigBits::from_u64(64, b))];
         let before = eval_concrete(&e, &env);
         let after = eval_concrete(&s, &env);
         assert_eq!(
