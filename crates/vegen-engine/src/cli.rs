@@ -508,9 +508,6 @@ fn beam_threads(p: &Parsed) -> usize {
 /// subcommand does not accept reads as its default), say what could not
 /// be opened, and replay the disk cache when asked.
 fn bring_up(who: &str, p: &Parsed) -> Engine {
-    // When `--trace`/`--folded` own the trace session, the flight
-    // recorder must not reset it out from under them.
-    let tracing = p.text(&TRACE).is_some() || p.text(&FOLDED).is_some();
     let engine = Engine::new(EngineConfig {
         threads: p.num(&THREADS).unwrap_or(0),
         verify_trials: if p.has(&NO_VERIFY) { 0 } else { 16 },
@@ -521,7 +518,6 @@ fn bring_up(who: &str, p: &Parsed) -> Engine {
         beam_threads: beam_threads(p),
         event_log: p.path(&EVENT_LOG),
         flight_dir: p.path(&FLIGHT_DIR),
-        flight_rotate: !tracing,
         ..EngineConfig::default()
     });
     for (what, error) in [

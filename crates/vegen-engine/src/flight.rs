@@ -5,11 +5,13 @@
 //! per-thread trace rings of [`vegen_trace`] recording at all times. The
 //! rings are bounded and *drop* on overflow (they never wrap — that is
 //! what makes concurrent snapshotting sound), so "the last N seconds" is
-//! implemented by **double-buffer rotation**: every `window`, the current
-//! session is drained into a held *previous* snapshot and the rings are
-//! reset ([`vegen_trace::enable`] bumps the session generation, so every
-//! thread re-registers into fresh buffers). A dump therefore always
-//! covers between one and two windows of history.
+//! implemented by **double-buffer rotation**: every [`FLIGHT_WINDOW`], the
+//! current session is drained into a held *previous* snapshot and the
+//! rings are reset ([`vegen_trace::enable`] bumps the session generation,
+//! so every thread re-registers into fresh buffers). A dump therefore
+//! always covers between one and two windows of history. A recorder that
+//! found a session already running (the suite's `--trace`) records into
+//! it and never rotates, so it cannot truncate that trace.
 //!
 //! Dump triggers (wired in the engine and the serve loop):
 //!
@@ -34,6 +36,10 @@ use vegen_trace::TraceData;
 /// default because the rings run continuously between rotations.
 const FLIGHT_CAPACITY: usize = 1 << 16;
 
+/// Rotation window: a dump covers between one and two windows of trace
+/// history.
+pub const FLIGHT_WINDOW: Duration = Duration::from_secs(30);
+
 struct State {
     /// The previous window's drained events.
     prev: TraceData,
@@ -45,9 +51,9 @@ struct State {
 /// the module docs).
 pub struct FlightRecorder {
     dir: PathBuf,
-    window: Duration,
-    /// When false, the rings are never reset — for callers (the suite's
-    /// `--trace`) that will drain the session themselves at exit.
+    /// Whether this recorder started the trace session and so may reset
+    /// it. One that attached to a live session (the suite's `--trace`,
+    /// which drains it at exit) never does.
     rotate: bool,
     state: Mutex<State>,
     dumps: AtomicU64,
@@ -57,30 +63,29 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("dir", &self.dir)
-            .field("window", &self.window)
+            .field("rotate", &self.rotate)
             .field("dumps", &self.dumps.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl FlightRecorder {
-    /// Create the dump directory and start recording (enables tracing at
+    /// Create the dump directory and start recording: enables tracing at
     /// [`FLIGHT_CAPACITY`] unless a session is already running, which is
-    /// left untouched — and `rotate` should then be `false` so this
-    /// recorder never resets someone else's session).
+    /// left untouched — this recorder then never resets it.
     ///
     /// # Errors
     ///
     /// Returns a description when the directory cannot be created.
-    pub fn open(dir: &Path, window: Duration, rotate: bool) -> Result<FlightRecorder, String> {
+    pub fn open(dir: &Path) -> Result<FlightRecorder, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("create flight dir {}: {e}", dir.display()))?;
-        if !vegen_trace::enabled() {
+        let rotate = !vegen_trace::enabled();
+        if rotate {
             vegen_trace::enable(FLIGHT_CAPACITY);
         }
         Ok(FlightRecorder {
             dir: dir.to_path_buf(),
-            window,
             rotate,
             state: Mutex::new(State {
                 prev: TraceData::default(),
@@ -111,7 +116,7 @@ impl FlightRecorder {
             return;
         }
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.last_rotate.elapsed() < self.window {
+        if st.last_rotate.elapsed() < FLIGHT_WINDOW {
             return;
         }
         st.prev = vegen_trace::drain();
@@ -165,11 +170,15 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    /// The trace session is process-wide; these tests take turns with it.
+    static SESSION: Mutex<()> = Mutex::new(());
+
     #[test]
     fn dump_writes_a_chrome_trace_with_reason_and_events() {
+        let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("vegen-flight-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let rec = FlightRecorder::open(&dir, Duration::from_secs(30), true).unwrap();
+        let rec = FlightRecorder::open(&dir).unwrap();
         {
             let _sp = vegen_trace::span("test", "flight_span");
         }
@@ -183,5 +192,40 @@ mod tests {
         assert!(doc.get("traceEvents").is_some());
         assert_eq!(rec.dumps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether a span recorded before a due rotation is still in the live
+    /// session after it, for a recorder opened with tracing `live` or off.
+    fn survives_a_due_rotation(live: bool, tag: &str) -> bool {
+        let dir = std::env::temp_dir().join(format!("vegen-flight-{tag}-{}", std::process::id()));
+        if live {
+            vegen_trace::enable(vegen_trace::DEFAULT_CAPACITY);
+        } else {
+            vegen_trace::disable();
+        }
+        let rec = FlightRecorder::open(&dir).unwrap();
+        {
+            let _sp = vegen_trace::span("test", "before_rotation");
+        }
+        let due = Instant::now().checked_sub(FLIGHT_WINDOW + Duration::from_secs(1));
+        let due = due.expect("the monotonic clock is older than one window");
+        rec.state.lock().unwrap().last_rotate = due;
+        rec.maybe_rotate();
+        let kept = vegen_trace::drain()
+            .threads
+            .iter()
+            .flat_map(|t| &t.events)
+            .any(|e| e.name == "before_rotation");
+        vegen_trace::disable();
+        let _ = std::fs::remove_dir_all(&dir);
+        kept
+    }
+
+    #[test]
+    fn a_recorder_opened_over_a_live_session_never_resets_it() {
+        let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(survives_a_due_rotation(true, "attached"));
+        // The recorder that started its own session does rotate it.
+        assert!(!survives_a_due_rotation(false, "owned"));
     }
 }

@@ -33,7 +33,7 @@
 //!   hits — memory and disk separately — beam states expanded, packs
 //!   committed, failures, retries, degradations, deadline hits),
 //!   exported as a JSON-serializable [`report::EngineReport`]
-//!   (schema v6);
+//!   (schema v10);
 //! * a [resident compile service](serve): `vegen-engine serve` accepts
 //!   newline-delimited JSON requests over a Unix socket (or stdio),
 //!   with bounded-queue admission control, per-request deadlines, live
@@ -91,7 +91,7 @@ use cache::{
     ContentHash, RequestSource, SourceKind,
 };
 use diskcache::{isa_fingerprint, DiskCache, DiskCacheStats};
-use events::EventLog;
+use events::{EventLog, JobEvent, JobId};
 use flight::FlightRecorder;
 use json::Json;
 use vegen::driver::{
@@ -147,13 +147,6 @@ pub struct EngineConfig {
     /// Flight-recorder dump directory (see [`flight`]). `None` (the
     /// default) disables flight recording.
     pub flight_dir: Option<PathBuf>,
-    /// Flight-recorder rotation window: a dump covers between one and two
-    /// windows of trace history.
-    pub flight_window: Duration,
-    /// Whether the flight recorder may rotate (reset) the trace rings.
-    /// Set false when another subsystem (the suite's `--trace`) owns the
-    /// trace session and will drain it at exit.
-    pub flight_rotate: bool,
 }
 
 impl Default for EngineConfig {
@@ -169,8 +162,6 @@ impl Default for EngineConfig {
             beam_threads: 0,
             event_log: None,
             flight_dir: None,
-            flight_window: Duration::from_secs(30),
-            flight_rotate: true,
         }
     }
 }
@@ -269,6 +260,11 @@ impl Job {
         self.deadline = deadline;
         self
     }
+
+    /// Who this job's events are about.
+    pub(crate) fn id(&self) -> JobId<'_> {
+        JobId { corr: &self.corr, name: &self.name }
+    }
 }
 
 /// Which rung of the degradation ladder a job completed on.
@@ -343,13 +339,14 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// A kernel-less, unhashed result on `rung` with every measurement
-    /// zeroed — the one literal; each outcome (hit, compiled, failed,
-    /// skipped, escaped panic) fills in what it knows.
-    fn new(name: &str, rung: Rung) -> JobResult {
+    /// A kernel-less, unhashed result of `job` on `rung` with every
+    /// measurement zeroed — the one literal; each outcome (hit, compiled,
+    /// failed, skipped, escaped panic, expired in the queue) fills in what
+    /// it knows.
+    fn new(job: JobId<'_>, rung: Rung) -> JobResult {
         JobResult {
-            name: name.to_string(),
-            corr: String::new(),
+            name: job.name.to_string(),
+            corr: job.corr.to_string(),
             hash: None,
             kernel: None,
             rung,
@@ -486,16 +483,6 @@ const LADDER: [RungPlan; 3] = [
     RungPlan { rung: Rung::Scalar, search: Search::Scalar, shared: false },
 ];
 
-/// The event-log line for one failed ladder attempt.
-fn emit_faulted(log: &EventLog, corr: &str, name: &str, fault: &CompileError) {
-    let fields = vec![
-        ("stage", Json::str(fault.stage.name())),
-        ("tag", Json::str(fault.cause.tag())),
-        ("message", Json::str(fault.cause.to_string())),
-    ];
-    log.emit("faulted", corr, name, fields);
-}
-
 impl Engine {
     /// An engine with the given configuration. If
     /// [`EngineConfig::cache_dir`] is set but the directory cannot be
@@ -518,7 +505,7 @@ impl Engine {
             None => (None, None),
         };
         let (flight, flight_open_error) = match &cfg.flight_dir {
-            Some(dir) => match FlightRecorder::open(dir, cfg.flight_window, cfg.flight_rotate) {
+            Some(dir) => match FlightRecorder::open(dir) {
                 Ok(rec) => (Some(Arc::new(rec)), None),
                 Err(e) => (None, Some(e)),
             },
@@ -598,11 +585,79 @@ impl Engine {
         update(&mut self.counters.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
-    /// Record a recoverable cache-I/O failure as a typed fault.
-    fn note_cache_io(&self, name: &str, detail: String, faults: &mut Vec<CompileError>) {
-        self.count(|c| c.cache_io_errors += 1);
-        vegen_trace::instant("engine", "cache_io_error");
-        faults.push(CompileError::new(Stage::Cache, name, ErrorCause::CacheIo { detail }));
+    /// Record one event of `job` — the one place the engine's telemetry is
+    /// written: the event-log line, the metrics registry, the engine
+    /// counters and the trace instant, whichever the event moves. A
+    /// `completed` job's chain gets its `stage_done`, `faulted` and
+    /// `degraded` lines first, and — when the compile path failed it or
+    /// caught a panic on the way down — a flight dump after.
+    pub(crate) fn note(&self, job: JobId<'_>, event: JobEvent<'_>) {
+        match event {
+            JobEvent::Started => {
+                if let Some(flight) = &self.flight {
+                    flight.maybe_rotate();
+                }
+            }
+            JobEvent::Completed { result, compiled } => {
+                if !result.cache_hit {
+                    for (stage, dur) in result.stages.iter().filter(|(_, d)| !d.is_zero()) {
+                        self.note(job, JobEvent::StageDone(stage, dur));
+                    }
+                }
+                for fault in &result.faults {
+                    self.note(job, JobEvent::Faulted(fault));
+                }
+                if matches!(result.rung, Rung::Width1 | Rung::Scalar) {
+                    self.note(job, JobEvent::Degraded(result.rung));
+                }
+                events::count_completed(result, compiled);
+            }
+            JobEvent::Retry => {
+                self.count(|c| c.retries += 1);
+                vegen_trace::instant("engine", "retry_width1");
+            }
+            JobEvent::DiskHit => {
+                self.count(|c| c.disk_hits += 1);
+                vegen_trace::instant("engine", "disk_hit");
+            }
+            JobEvent::AttemptFailed(error) => {
+                self.count(|c| {
+                    c.failures += 1;
+                    c.deadline_hits += u64::from(error.cause.is_timeout());
+                });
+                vegen_trace::instant("engine", "attempt_failed");
+            }
+            JobEvent::CacheIoFault => {
+                self.count(|c| c.cache_io_errors += 1);
+                vegen_trace::instant("engine", "cache_io_error");
+            }
+            JobEvent::Fallback(rung) => {
+                self.count(|c| c.degradations += 1);
+                if vegen_trace::enabled() {
+                    vegen_trace::instant_owned("engine", format!("degraded_{}", rung.name()));
+                }
+            }
+            _ => {}
+        }
+        if let Some(log) = &self.events {
+            if let Some(((name, fields), values)) = event.line() {
+                log.emit(name, job.corr, job.name, fields.iter().copied().zip(values));
+            }
+        }
+        if let (Some(flight), JobEvent::Completed { result, compiled: true }) =
+            (&self.flight, event)
+        {
+            let panicked =
+                result.faults.iter().any(|f| matches!(f.cause, ErrorCause::Panic { .. }));
+            if result.failed() || panicked {
+                let tail = self.events.as_ref().map(|l| l.tail()).unwrap_or_default();
+                let reason = if result.failed() { "job_failed" } else { "panic_recovered" };
+                if let Err(detail) = flight.dump(reason, &tail) {
+                    vegen_trace::metrics::counter("flight_dump_errors_total").inc();
+                    vegen_trace::instant_owned("engine", format!("flight_dump_error:{detail}"));
+                }
+            }
+        }
     }
 
     /// One driver call with panic isolation: a panic anywhere inside
@@ -626,16 +681,6 @@ impl Engine {
             let message = panic_message(payload.as_ref());
             Err(CompileError::new(stage, name, ErrorCause::Panic { message }))
         })
-    }
-
-    /// Record a failed attempt in the counters and fault log.
-    fn note_failure(&self, error: CompileError, faults: &mut Vec<CompileError>) {
-        self.count(|c| {
-            c.failures += 1;
-            c.deadline_hits += u64::from(error.cause.is_timeout());
-        });
-        vegen_trace::instant("engine", "attempt_failed");
-        faults.push(error);
     }
 
     /// Fold one successful compile's search statistics into the counters.
@@ -689,116 +734,31 @@ impl Engine {
         pipeline: &PipelineConfig,
     ) -> JobResult {
         let corr = events::next_corr();
-        if let Some(log) = &self.events {
-            log.emit("admitted", &corr, name, vec![]);
-        }
-        let input = Input::Function(function);
-        self.compile_instrumented(&corr, name, input, pipeline, self.cfg.deadline)
+        let job = JobId { corr: &corr, name };
+        self.note(job, JobEvent::Admitted(None));
+        self.compile_instrumented(job, Input::Function(function), pipeline, self.cfg.deadline)
     }
 
-    /// The telemetry wrapper around one ladder run: `started` →
-    /// [`Engine::compile_one_inner`] under a corr-bearing trace span →
-    /// metrics, `stage_done`/`faulted`/`degraded`/`completed` events, and
-    /// a flight dump when the job failed or any rung panicked. The
-    /// caller has already emitted `admitted`.
+    /// One ladder run between its `started` and `completed` events, under
+    /// a corr-bearing trace span. The caller has already noted `admitted`.
     fn compile_instrumented(
         &self,
-        corr: &str,
-        name: &str,
+        job: JobId<'_>,
         input: Input<'_>,
         pipeline: &PipelineConfig,
         deadline: Option<Duration>,
     ) -> JobResult {
-        use vegen_trace::metrics;
-        if let Some(flight) = &self.flight {
-            flight.maybe_rotate();
-        }
-        if let Some(log) = &self.events {
-            log.emit("started", corr, name, vec![]);
-        }
-        // The job span closes (inner scope) before any flight dump below,
-        // so the dump's trace contains this job's own `job:<name>#<corr>`
-        // span rather than an unfinished hole.
-        let mut result = {
-            let _job_span = vegen_trace::enabled()
-                .then(|| vegen_trace::span_owned("engine", format!("job:{name}#{corr}")));
-            self.compile_one_inner(name, input, pipeline, deadline)
+        self.note(job, JobEvent::Started);
+        // The job span closes (inner scope) before `completed` can dump
+        // the flight recorder, so the dump's trace contains this job's own
+        // `job:<name>#<corr>` span rather than an unfinished hole.
+        let result = {
+            let _job_span = vegen_trace::enabled().then(|| {
+                vegen_trace::span_owned("engine", format!("job:{}#{}", job.name, job.corr))
+            });
+            self.compile_one_inner(job, input, pipeline, deadline)
         };
-        result.corr = corr.to_string();
-
-        metrics::histogram("engine_compile_latency_us").record(result.wall.as_micros() as u64);
-        metrics::counter("engine_jobs_total").inc();
-        match result.cache_source() {
-            "memory" => metrics::counter("engine_cache_memory_hits_total").inc(),
-            "disk" => metrics::counter("engine_cache_disk_hits_total").inc(),
-            _ => metrics::counter("engine_cache_misses_total").inc(),
-        }
-        let mem = metrics::counter("engine_cache_memory_hits_total").get();
-        let disk = metrics::counter("engine_cache_disk_hits_total").get();
-        let miss = metrics::counter("engine_cache_misses_total").get();
-        let total = mem + disk + miss;
-        if total > 0 {
-            metrics::gauge("engine_cache_hit_ratio").set((mem + disk) as f64 / total as f64);
-            metrics::gauge("engine_disk_hit_ratio").set(disk as f64 / total as f64);
-        }
-        if result.failed() {
-            metrics::counter("engine_jobs_failed_total").inc();
-        }
-
-        if let Some(log) = &self.events {
-            if !result.cache_hit {
-                for (stage, dur) in result.stages.iter() {
-                    if !dur.is_zero() {
-                        log.emit(
-                            "stage_done",
-                            corr,
-                            name,
-                            vec![
-                                ("stage", Json::str(stage.name())),
-                                ("dur_us", Json::int(dur.as_micros() as u64)),
-                            ],
-                        );
-                    }
-                }
-            }
-            for fault in &result.faults {
-                emit_faulted(log, corr, name, fault);
-            }
-            if matches!(result.rung, Rung::Width1 | Rung::Scalar) {
-                log.emit("degraded", corr, name, vec![("rung", Json::str(result.rung.name()))]);
-            }
-            log.emit(
-                "completed",
-                corr,
-                name,
-                vec![
-                    ("rung", Json::str(result.rung.name())),
-                    ("cache", Json::str(result.cache_source())),
-                    ("wall_us", Json::int(result.wall.as_micros() as u64)),
-                    (
-                        "stages",
-                        Json::obj(
-                            result.stages.iter().map(|(stage, dur)| {
-                                (stage.name(), Json::int(dur.as_micros() as u64))
-                            }),
-                        ),
-                    ),
-                ],
-            );
-        }
-
-        if let Some(flight) = &self.flight {
-            let panicked =
-                result.faults.iter().any(|f| matches!(f.cause, ErrorCause::Panic { .. }));
-            if result.failed() || panicked {
-                let tail = self.events.as_ref().map(|l| l.tail()).unwrap_or_default();
-                let reason = if result.failed() { "job_failed" } else { "panic_recovered" };
-                if let Err(detail) = flight.dump(reason, &tail) {
-                    metrics::counter("flight_dump_errors_total").inc();
-                    vegen_trace::instant_owned("engine", format!("flight_dump_error:{detail}"));
-                }
-            }
-        }
+        self.note(job, JobEvent::Completed { result: &result, compiled: true });
         result
     }
 
@@ -816,7 +776,7 @@ impl Engine {
     /// hashed path and the alias-resolved path go through.
     fn lookup_tiers(
         &self,
-        name: &str,
+        job: JobId<'_>,
         hash: ContentHash,
         pipeline: &PipelineConfig,
         faults: &mut Vec<CompileError>,
@@ -829,18 +789,17 @@ impl Engine {
             let (disk, fingerprint) = self.disk_tier(pipeline)?;
             match disk.load(hash, &fingerprint) {
                 Ok(Some(found)) => {
-                    self.count(|c| c.disk_hits += 1);
-                    vegen_trace::instant("engine", "disk_hit");
+                    self.note(job, JobEvent::DiskHit);
                     (self.cache.insert(hash, found.value), true)
                 }
                 Ok(None) => return None,
                 Err(detail) => {
-                    self.note_cache_io(name, detail, faults);
+                    faults.push(self.cache_io_fault(job, detail));
                     return None;
                 }
             }
         };
-        let mut hit = JobResult::new(name, Rung::Primary);
+        let mut hit = JobResult::new(job, Rung::Primary);
         hit.hash = Some(hash);
         hit.kernel = Some(value.kernel);
         hit.faults = std::mem::take(faults);
@@ -851,12 +810,18 @@ impl Engine {
         Some(hit)
     }
 
+    /// A recoverable cache-I/O failure, noted and typed.
+    fn cache_io_fault(&self, job: JobId<'_>, detail: String) -> CompileError {
+        self.note(job, JobEvent::CacheIoFault);
+        CompileError::new(Stage::Cache, job.name, ErrorCause::CacheIo { detail })
+    }
+
     /// The degradation-ladder body: cache lookup, then requested config →
-    /// width 1 → scalar → `Failed`. Telemetry-free except trace
-    /// instants; [`Engine::compile_instrumented`] wraps it.
+    /// width 1 → scalar → `Failed`. Only ladder moments are noted here;
+    /// [`Engine::compile_instrumented`] notes the lifecycle around it.
     fn compile_one_inner(
         &self,
-        name: &str,
+        job: JobId<'_>,
         input: Input<'_>,
         pipeline: &PipelineConfig,
         deadline: Option<Duration>,
@@ -872,7 +837,7 @@ impl Engine {
         let (function, resolved) = match input {
             Input::Function(function) => (function, None),
             Input::Resolved(hash, source) => {
-                if let Some(hit) = self.lookup_tiers(name, hash, pipeline, &mut faults, t0) {
+                if let Some(hit) = self.lookup_tiers(job, hash, pipeline, &mut faults, t0) {
                     return hit;
                 }
                 self.aliases.note_fallback();
@@ -887,11 +852,12 @@ impl Engine {
         // Canonicalize. If even that fails there is nothing to hash and
         // nothing the scalar rung could lower.
         let mut ctx = CompileCtx::default();
-        let canonical = match Engine::attempt(name, &mut ctx, |ctx| prepare(function, ctx)) {
+        let canonical = match Engine::attempt(job.name, &mut ctx, |ctx| prepare(function, ctx)) {
             Ok(f) => f,
             Err(e) => {
-                self.note_failure(e, &mut faults);
-                return self.failed_result(name, None, faults, t0);
+                self.note(job, JobEvent::AttemptFailed(&e));
+                faults.push(e);
+                return self.failed_result(job, None, faults, t0);
             }
         };
         // Engine-level beam-thread override: a nonzero
@@ -913,7 +879,7 @@ impl Engine {
 
         // An alias-resolved job already looked this address up.
         if resolved != Some(hash) {
-            if let Some(hit) = self.lookup_tiers(name, hash, pipeline, &mut faults, t0) {
+            if let Some(hit) = self.lookup_tiers(job, hash, pipeline, &mut faults, t0) {
                 return hit;
             }
         }
@@ -924,8 +890,7 @@ impl Engine {
             let driver_plan = match plan.search {
                 Search::Requested => Plan::Full(&pipeline.beam),
                 Search::Width1 => {
-                    self.count(|c| c.retries += 1);
-                    vegen_trace::instant("engine", "retry_width1");
+                    self.note(job, JobEvent::Retry);
                     narrow = BeamConfig {
                         budget: pipeline.beam.budget.clone(),
                         beam_threads: pipeline.beam.beam_threads,
@@ -936,13 +901,14 @@ impl Engine {
                 Search::Scalar => Plan::Scalar,
             };
             ctx.deadline = deadline.map(|d| (Instant::now() + d, d));
-            let attempt = Engine::attempt(name, &mut ctx, |ctx| {
+            let attempt = Engine::attempt(job.name, &mut ctx, |ctx| {
                 compile_prepared(&canonical, pipeline, driver_plan, ctx)
             });
             let (kernel, stages) = match attempt {
                 Ok(compiled) => compiled,
                 Err(e) => {
-                    self.note_failure(e, &mut faults);
+                    self.note(job, JobEvent::AttemptFailed(&e));
+                    faults.push(e);
                     continue;
                 }
             };
@@ -950,10 +916,7 @@ impl Engine {
                 self.note_compilation(&kernel);
             }
             if plan.rung != Rung::Primary {
-                self.count(|c| c.degradations += 1);
-                if vegen_trace::enabled() {
-                    vegen_trace::instant_owned("engine", format!("degraded_{}", plan.rung.name()));
-                }
+                self.note(job, JobEvent::Fallback(plan.rung));
             }
             let (verify_time, verify_error) = self.verify(&kernel);
             let mut value = CachedCompile { kernel: Arc::new(kernel), stages };
@@ -970,12 +933,12 @@ impl Engine {
                         &value.stages,
                     ) {
                         Ok(()) => self.count(|c| c.disk_stores += 1),
-                        Err(detail) => self.note_cache_io(name, detail, &mut faults),
+                        Err(detail) => faults.push(self.cache_io_fault(job, detail)),
                     }
                 }
                 value = self.cache.insert(hash, value);
             }
-            let mut result = JobResult::new(name, plan.rung);
+            let mut result = JobResult::new(job, plan.rung);
             result.hash = Some(hash);
             result.kernel = Some(value.kernel);
             result.faults = faults;
@@ -985,19 +948,19 @@ impl Engine {
             result.wall = t0.elapsed();
             return result;
         }
-        self.failed_result(name, Some(hash), faults, t0)
+        self.failed_result(job, Some(hash), faults, t0)
     }
 
     /// A terminal [`Rung::Failed`] result.
     fn failed_result(
         &self,
-        name: &str,
+        job: JobId<'_>,
         hash: Option<ContentHash>,
         faults: Vec<CompileError>,
         t0: Instant,
     ) -> JobResult {
         vegen_trace::instant("engine", "job_failed");
-        let mut failed = JobResult::new(name, Rung::Failed);
+        let mut failed = JobResult::new(job, Rung::Failed);
         failed.hash = hash;
         failed.faults = faults;
         failed.wall = t0.elapsed();
@@ -1017,41 +980,26 @@ impl Engine {
             self.cfg.threads
         };
         let abort = AtomicBool::new(false);
-        if let Some(log) = &self.events {
-            // Serve admission emits `admitted` at enqueue time (marking
-            // the job pre-admitted); direct batch callers get it here.
-            for job in jobs.iter().filter(|j| !j.pre_admitted) {
-                log.emit("admitted", &job.corr, &job.name, vec![]);
-            }
+        // Serve admission notes `admitted` at enqueue time (marking the
+        // job pre-admitted); direct batch callers get it here.
+        for job in jobs.iter().filter(|j| !j.pre_admitted) {
+            self.note(job.id(), JobEvent::Admitted(None));
         }
         pool::run_batch_recover(
             threads,
             jobs,
             |_, job| {
                 if self.cfg.fail_fast && abort.load(Ordering::Relaxed) {
-                    if let Some(log) = &self.events {
-                        log.emit(
-                            "completed",
-                            &job.corr,
-                            &job.name,
-                            vec![("rung", Json::str(Rung::Skipped.name()))],
-                        );
-                    }
-                    let mut skipped = JobResult::new(&job.name, Rung::Skipped);
-                    skipped.corr = job.corr.clone();
+                    let skipped = JobResult::new(job.id(), Rung::Skipped);
+                    self.note(job.id(), JobEvent::Completed { result: &skipped, compiled: false });
                     return skipped;
                 }
                 let input = match &job.input {
                     JobInput::Function { function, .. } => Input::Function(function),
                     JobInput::Resolved { hash, source } => Input::Resolved(*hash, source),
                 };
-                let result = self.compile_instrumented(
-                    &job.corr,
-                    &job.name,
-                    input,
-                    &job.pipeline,
-                    job.deadline.or(self.cfg.deadline),
-                );
+                let deadline = job.deadline.or(self.cfg.deadline);
+                let result = self.compile_instrumented(job.id(), input, &job.pipeline, deadline);
                 // First sight of these request bytes: remember where they
                 // led, so the next request spelled the same way is looked
                 // up by address.
@@ -1072,25 +1020,16 @@ impl Engine {
             // own isolation (engine bookkeeping, cache code) still only
             // fails its job, not the batch.
             |_, job, message| {
-                self.count(|c| c.failures += 1);
                 let stage = take_panic_stage().unwrap_or(Stage::Canonicalize);
                 let fault = CompileError::new(stage, &job.name, ErrorCause::Panic { message });
-                if let Some(log) = &self.events {
-                    emit_faulted(log, &job.corr, &job.name, &fault);
-                    log.emit(
-                        "completed",
-                        &job.corr,
-                        &job.name,
-                        vec![("rung", Json::str(Rung::Failed.name()))],
-                    );
-                }
+                self.note(job.id(), JobEvent::AttemptFailed(&fault));
+                let mut failed = JobResult::new(job.id(), Rung::Failed);
+                failed.faults = vec![fault];
+                self.note(job.id(), JobEvent::Completed { result: &failed, compiled: false });
                 if let Some(flight) = &self.flight {
                     let tail = self.events.as_ref().map(|l| l.tail()).unwrap_or_default();
                     let _ = flight.dump("escaped_panic", &tail);
                 }
-                let mut failed = JobResult::new(&job.name, Rung::Failed);
-                failed.corr = job.corr.clone();
-                failed.faults = vec![fault];
                 failed
             },
         )

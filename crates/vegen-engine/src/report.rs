@@ -21,9 +21,10 @@ fn micros(d: Duration) -> Json {
 }
 
 /// Snapshot the process-wide metrics registry as JSON, after syncing the
-/// gauges that are only computed at exposition time (currently
+/// gauges that are only computed at exposition time: the engine's cache
+/// and disk hit ratios over every compiled job, and
 /// `trace_dropped_events`, the total events lost to ring-buffer overflow
-/// across all trace sessions).
+/// across all trace sessions.
 pub fn metrics_registry_json() -> Json {
     sync_exposition_gauges();
     vegen_trace::metrics::snapshot().to_json()
@@ -38,7 +39,12 @@ pub fn metrics_prometheus() -> String {
 }
 
 fn sync_exposition_gauges() {
-    vegen_trace::metrics::gauge("trace_dropped_events").set(vegen_trace::dropped_total() as f64);
+    use vegen_trace::metrics::gauge;
+    if let Some((hits, disk)) = crate::events::cache_ratios() {
+        gauge("engine_cache_hit_ratio").set(hits);
+        gauge("engine_disk_hit_ratio").set(disk);
+    }
+    gauge("trace_dropped_events").set(vegen_trace::dropped_total() as f64);
 }
 
 /// JSON rendering of the engine counters (the report's `counters` block;

@@ -53,8 +53,9 @@
 //! tag `"draining"`.
 
 use crate::cache::{RequestSource, SourceKind};
+use crate::events::{fault_json, JobEvent};
 use crate::json::{scan_members, Json};
-use crate::{report, serdes, Engine, Job, JobResult};
+use crate::{report, serdes, Engine, Job, JobResult, Rung};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -114,34 +115,18 @@ fn ok_response(id: &Json, result: Json) -> Json {
     Json::obj([("id", id.clone()), ("ok", Json::Bool(true)), ("result", result)])
 }
 
-fn error_response(id: &Json, e: &CompileError) -> Json {
-    Json::obj([
-        ("id", id.clone()),
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::obj([
-                ("stage", Json::str(e.stage.name())),
-                ("tag", Json::str(e.cause.tag())),
-                ("message", Json::str(e.to_string())),
-            ]),
-        ),
-    ])
+/// A failed request: `error` is a fault as [`fault_json`] spells it.
+fn error_response(id: &Json, error: Json) -> Json {
+    Json::obj([("id", id.clone()), ("ok", Json::Bool(false)), ("error", error)])
+}
+
+/// A request that failed with `e`, described in full.
+fn compile_error(id: &Json, e: &CompileError) -> Json {
+    error_response(id, fault_json(e.stage, e.cause.tag(), e.to_string()))
 }
 
 fn protocol_error(id: &Json, message: impl Into<String>) -> Json {
-    Json::obj([
-        ("id", id.clone()),
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::obj([
-                ("stage", Json::str(Stage::Admission.name())),
-                ("tag", Json::str("protocol")),
-                ("message", Json::str(message.into())),
-            ]),
-        ),
-    ])
+    error_response(id, fault_json(Stage::Admission, "protocol", message.into()))
 }
 
 /// Per-kernel compile response body.
@@ -158,13 +143,7 @@ fn result_json(r: &JobResult) -> Json {
             Json::Arr(
                 r.faults
                     .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("stage", Json::str(f.stage.name())),
-                            ("tag", Json::str(f.cause.tag())),
-                            ("message", Json::str(f.cause.to_string())),
-                        ])
-                    })
+                    .map(|f| fault_json(f.stage, f.cause.tag(), f.cause.to_string()))
                     .collect(),
             ),
         ),
@@ -501,21 +480,14 @@ impl<'e> ServeState<'e> {
             drop(q);
             vegen_trace::instant("serve", "shed");
             vegen_trace::metrics::counter("serve_shed_total").inc();
-            send_line(sink, &error_response(&id, &e));
+            send_line(sink, &compile_error(&id, &e));
             return;
         }
         // Serve jobs are admitted here, at the queue boundary — the event
         // goes out now (with the queue depth at admission) and the flag
-        // stops `compile_batch` from emitting a second `admitted` at
+        // stops `compile_batch` from noting a second `admitted` at
         // dispatch time.
-        if let Some(log) = self.engine.event_log() {
-            log.emit(
-                "admitted",
-                &job.corr,
-                &job.name,
-                vec![("queue_depth", Json::int(q.items.len() as u64))],
-            );
-        }
+        self.engine.note(job.id(), JobEvent::Admitted(Some(q.items.len())));
         job.pre_admitted = true;
         q.items.push_back(QueuedJob { id, job, enqueued: Instant::now(), sink: sink.clone() });
         vegen_trace::metrics::gauge("serve_queue_depth").set(q.items.len() as f64);
@@ -662,32 +634,18 @@ impl<'e> ServeState<'e> {
                 match qj.job.deadline {
                     Some(limit) if qj.enqueued.elapsed() >= limit => {
                         self.expired.fetch_add(1, Ordering::Relaxed);
-                        let e = CompileError::new(
+                        vegen_trace::instant("serve", "expired_in_queue");
+                        vegen_trace::metrics::counter("serve_expired_total").inc();
+                        let mut expired = JobResult::new(qj.job.id(), Rung::Failed);
+                        expired.faults = vec![CompileError::new(
                             Stage::Admission,
                             &qj.job.name,
                             ErrorCause::Deadline { limit },
-                        );
-                        vegen_trace::instant("serve", "expired_in_queue");
-                        vegen_trace::metrics::counter("serve_expired_total").inc();
-                        if let Some(log) = self.engine.event_log() {
-                            log.emit(
-                                "faulted",
-                                &qj.job.corr,
-                                &qj.job.name,
-                                vec![
-                                    ("stage", Json::str(Stage::Admission.name())),
-                                    ("tag", Json::str(e.cause.tag())),
-                                    ("message", Json::str(e.cause.to_string())),
-                                ],
-                            );
-                            log.emit(
-                                "completed",
-                                &qj.job.corr,
-                                &qj.job.name,
-                                vec![("rung", Json::str("failed")), ("cache", Json::str("miss"))],
-                            );
-                        }
-                        send_line(&qj.sink, &error_response(&qj.id, &e));
+                        )];
+                        expired.wall = qj.enqueued.elapsed();
+                        let event = JobEvent::Completed { result: &expired, compiled: false };
+                        self.engine.note(qj.job.id(), event);
+                        send_line(&qj.sink, &compile_error(&qj.id, &expired.faults[0]));
                     }
                     _ => live.push(qj),
                 }

@@ -191,8 +191,18 @@ fn fail_fast_skips_later_jobs_after_a_degradation() {
     // Persistent selection faults on the first kernel; with fail-fast on
     // and one worker, everything after the first sub-primary result is
     // skipped, not compiled.
+    use vegen_engine::json::Json;
     let plan = FaultPlan::parse("pmaddwd:selection:error!").unwrap();
-    let eng = engine(EngineConfig { fail_fast: true, threads: 1, ..EngineConfig::default() });
+    let dir = std::env::temp_dir().join(format!("vegen-fail-fast-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("events.ndjson");
+    let _ = std::fs::remove_file(&log);
+    let eng = engine(EngineConfig {
+        fail_fast: true,
+        threads: 1,
+        event_log: Some(log.clone()),
+        ..EngineConfig::default()
+    });
     let results = with_plan(plan, || eng.compile_batch(&jobs()));
 
     assert_eq!(results[0].name, "pmaddwd");
@@ -202,6 +212,34 @@ fn fail_fast_skips_later_jobs_after_a_degradation() {
         "rungs: {:?}",
         results.iter().map(|r| r.rung).collect::<Vec<_>>()
     );
+
+    // A skipped job's chain is `admitted` then one full `completed`: the
+    // same fields as any other, zeroed where nothing ran.
+    let events: Vec<Json> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    for r in &results[1..] {
+        let chain: Vec<&Json> = events
+            .iter()
+            .filter(|e| e.get("corr").and_then(Json::as_str) == Some(&r.corr))
+            .collect();
+        let kinds: Vec<&str> = chain.iter().filter_map(|e| e.get("event")?.as_str()).collect();
+        assert_eq!(kinds, ["admitted", "completed"], "{}", r.name);
+        let done = chain[1];
+        assert_eq!(done.get("rung").and_then(Json::as_str), Some("skipped"), "{done:?}");
+        assert_eq!(done.get("cache").and_then(Json::as_str), Some("miss"), "{done:?}");
+        assert_eq!(done.get("wall_us").and_then(Json::as_f64), Some(0.0), "{done:?}");
+        let stages = done.get("stages").expect("completed carries stages");
+        assert!(
+            vegen::driver::PIPELINE
+                .iter()
+                .all(|s| stages.get(s.name()).and_then(Json::as_f64) == Some(0.0)),
+            "{done:?}"
+        );
+    }
 }
 
 const PARITY_FIXTURE: &str =

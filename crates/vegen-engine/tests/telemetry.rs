@@ -175,6 +175,41 @@ fn two_pass_serve_session_exposes_latency_histograms_and_cache_ratio() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The registry counts jobs as the event log does: one per `completed`
+/// line, whatever ended the job. The daemon runs in its own process, so
+/// no parallel test shares its registry.
+#[test]
+fn registry_job_counts_equal_the_logs_completed_lines() {
+    let dir = temp_dir("job-counts");
+    let socket = dir.join("daemon.sock");
+    let log = dir.join("events.ndjson");
+    let mut daemon = Daemon::spawn(&socket, &["--event-log", log.to_str().unwrap()]);
+    let request = r#"{"op":"compile","id":1,"kernel":"pmaddwd"}"#;
+    let cold = daemon.request(request);
+    assert_eq!(cold.get("cache").and_then(Json::as_str), Some("miss"), "{cold:?}");
+    let warm = daemon.request(request);
+    assert_eq!(warm.get("cache").and_then(Json::as_str), Some("memory"), "{warm:?}");
+    // A zero deadline has always run out by the time the dispatcher looks.
+    writeln!(daemon.writer, r#"{{"op":"compile","id":3,"kernel":"int32x8","deadline_ms":0}}"#)
+        .unwrap();
+    let mut line = String::new();
+    daemon.reader.read_line(&mut line).unwrap();
+    let expired = Json::parse(&line).unwrap();
+    let tag = expired.get("error").and_then(|e| e.get("tag")).and_then(Json::as_str);
+    assert_eq!(tag, Some("deadline"), "{expired:?}");
+
+    let stats = daemon.request(r#"{"op":"stats","id":"s"}"#);
+    let completed = read_events(&log).iter().filter(|e| field(e, "event") == "completed").count();
+    assert_eq!(completed, 3);
+    assert_eq!(counter(&stats, "engine_jobs_total"), completed as f64, "{stats:?}");
+    assert_eq!(counter(&stats, "engine_jobs_failed_total"), 1.0, "{stats:?}");
+    // Only the two jobs that reached the compile path are timed.
+    let latency = histogram(&stats, "engine_compile_latency_us").expect("latency histogram");
+    assert_eq!(latency.get("count").and_then(Json::as_f64), Some(2.0), "{latency:?}");
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Parse one Prometheus text-format sample line into (name, value).
 fn parse_sample(line: &str) -> (String, f64) {
     let (name_part, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("bad sample {line:?}"));
