@@ -47,7 +47,7 @@
 //! [`ErrorCause::CacheIo`]: vegen::error::ErrorCause::CacheIo
 
 use crate::cache::{fnv128, CachedCompile, ContentHash};
-use crate::json::Json;
+use crate::json::{Doc, Json, Node};
 use crate::serdes;
 use std::collections::HashMap;
 use std::fs;
@@ -235,7 +235,11 @@ impl DiskCache {
                 return Err(format!("reading {}: {e}", path.display()));
             }
         };
-        match self.decode_entry(&path, &text, Some(hash), fingerprint) {
+        let doc = match Doc::parse(&text) {
+            Ok(doc) => doc,
+            Err(e) => return self.corrupt(&path, format!("unparseable entry: {e}")),
+        };
+        match self.decode_entry(&path, doc.root(), Some(hash), fingerprint) {
             Ok(Some(hit)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(hit))
@@ -244,32 +248,28 @@ impl DiskCache {
         }
     }
 
-    /// Validate + decode one entry document. `want_hash` is the hash the
-    /// caller looked up (`None` to trust the embedded one, e.g. during a
-    /// directory scan where the file name supplies it).
+    /// Reject `path` as corrupt: deleted, counted, and reported as `detail`.
+    fn corrupt(&self, path: &Path, detail: String) -> Result<Option<DiskHit>, String> {
+        self.reject(path, &self.corrupt, Err(format!("{}: {detail}", path.display())))
+    }
+
+    /// Validate + decode one tokenized entry document. `want_hash` is the
+    /// hash the caller looked up (`None` to trust the embedded one).
     fn decode_entry(
         &self,
         path: &Path,
-        text: &str,
+        doc: Node<'_>,
         want_hash: Option<ContentHash>,
         fingerprint: &str,
     ) -> Result<Option<DiskHit>, String> {
-        let corrupt = |detail: String| {
-            self.reject(path, &self.corrupt, Err(format!("{}: {detail}", path.display())))
-        };
-        let doc = match Json::parse(text) {
-            Ok(doc) => doc,
-            Err(e) => return corrupt(format!("unparseable entry: {e}")),
-        };
         let header = |key: &str| {
             doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("missing header field {key:?}"))
+                .and_then(Node::as_str)
+                .ok_or_else(|| format!("missing header field {key:?}"))
         };
         let schema = match header("schema") {
             Ok(s) => s,
-            Err(e) => return corrupt(e),
+            Err(e) => return self.corrupt(path, e),
         };
         if schema != ENTRY_SCHEMA {
             // A different (older or newer) format version: stale, not
@@ -278,41 +278,37 @@ impl DiskCache {
         }
         let fp = match header("fingerprint") {
             Ok(s) => s,
-            Err(e) => return corrupt(e),
+            Err(e) => return self.corrupt(path, e),
         };
         if fp != fingerprint {
             return Ok(self.reject(path, &self.invalidated, None));
         }
         let embedded = match header("hash") {
             Ok(s) => s,
-            Err(e) => return corrupt(e),
+            Err(e) => return self.corrupt(path, e),
         };
         if let Some(want) = want_hash {
             if embedded != want.hex() {
-                return corrupt(format!("entry hash {embedded} disagrees with address"));
+                return self.corrupt(path, format!("entry hash {embedded} disagrees with address"));
             }
         }
         let target = match header("target") {
-            Ok(s) => s,
-            Err(e) => return corrupt(e),
+            Ok(s) => s.into_owned(),
+            Err(e) => return self.corrupt(path, e),
         };
-        let canon = match doc.get("canon").and_then(Json::as_bool) {
+        let canon = match doc.get("canon").and_then(Node::as_bool) {
             Some(c) => c,
-            None => return corrupt("missing header field \"canon\"".into()),
+            None => return self.corrupt(path, "missing header field \"canon\"".into()),
         };
-        let stages = match doc.get("stages").ok_or("missing field \"stages\"".to_string()) {
-            Ok(j) => match serdes::stage_times_from_json(j) {
-                Ok(s) => s,
-                Err(e) => return corrupt(e),
-            },
-            Err(e) => return corrupt(e),
+        let stages = match doc.get("stages").map(serdes::stage_times_from_node) {
+            Some(Ok(s)) => s,
+            Some(Err(e)) => return self.corrupt(path, e),
+            None => return self.corrupt(path, "missing field \"stages\"".into()),
         };
-        let kernel = match doc.get("kernel").ok_or("missing field \"kernel\"".to_string()) {
-            Ok(j) => match serdes::kernel_from_json(j) {
-                Ok(k) => k,
-                Err(e) => return corrupt(e),
-            },
-            Err(e) => return corrupt(e),
+        let kernel = match doc.get("kernel").map(serdes::kernel_from_node) {
+            Some(Ok(k)) => k,
+            Some(Err(e)) => return self.corrupt(path, e),
+            None => return self.corrupt(path, "missing field \"kernel\"".into()),
         };
         Ok(Some(DiskHit {
             value: CachedCompile { kernel: Arc::new(kernel), stages },
@@ -364,11 +360,12 @@ impl DiskCache {
         text.push('\n');
         // Round-trip self-check: a document we cannot read back exactly
         // must never be published.
-        let reread = Json::parse(&text).map_err(|e| format!("self-check parse: {e}"))?;
+        let reread = Doc::parse(&text).map_err(|e| format!("self-check parse: {e}"))?;
+        let reread = reread.root();
         let kernel2 =
-            serdes::kernel_from_json(reread.get("kernel").ok_or("self-check: kernel field lost")?)
+            serdes::kernel_from_node(reread.get("kernel").ok_or("self-check: kernel field lost")?)
                 .map_err(|e| format!("self-check decode: {e}"))?;
-        let stages2 = serdes::stage_times_from_json(
+        let stages2 = serdes::stage_times_from_node(
             reread.get("stages").ok_or("self-check: stages field lost")?,
         )
         .map_err(|e| format!("self-check decode: {e}"))?;
@@ -456,18 +453,20 @@ impl DiskCache {
             };
             // Peek the target/canon header to compute the fingerprint this
             // entry must match. A header too broken to peek is corrupt.
-            let expected = Json::parse(&text).ok().and_then(|doc| {
-                let target = doc.get("target")?.as_str()?.to_string();
+            let doc = Doc::parse(&text).ok();
+            let root = doc.as_ref().map(Doc::root);
+            let expected = root.and_then(|doc| {
+                let target = doc.get("target")?.as_str()?;
                 let canon = doc.get("canon")?.as_bool()?;
-                Some((target, canon))
+                Some((doc, target, canon))
             });
-            let Some((target_name, canon)) = expected else {
+            let Some((doc, target_name, canon)) = expected else {
                 self.reject(&path, &self.corrupt, ());
                 continue;
             };
             let Some(target) = TargetIsa::from_name(&target_name) else { continue };
             let fp = isa_fingerprint(&target, canon);
-            if let Ok(Some(hit)) = self.decode_entry(&path, &text, Some(hash), &fp) {
+            if let Ok(Some(hit)) = self.decode_entry(&path, doc, Some(hash), &fp) {
                 out.push((hash, hit.value));
             }
         }

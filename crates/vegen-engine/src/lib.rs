@@ -93,7 +93,7 @@ use cache::{
 use diskcache::{isa_fingerprint, DiskCache, DiskCacheStats};
 use events::{EventLog, JobEvent, JobId};
 use flight::FlightRecorder;
-use json::Json;
+use json::Doc;
 use vegen::driver::{
     compile_prepared, prepare, record_stage, CompileCtx, CompiledKernel, PipelineConfig, Plan,
     StageTimes,
@@ -216,7 +216,9 @@ impl RequestSource {
             SourceKind::Kernel => vegen_kernels::find(&self.text)
                 .map(|k| (k.build)())
                 .ok_or_else(|| format!("unknown kernel {:?}", &*self.text)),
-            SourceKind::Function => serdes::function_from_json(&Json::parse_member(&self.text)?),
+            SourceKind::Function => {
+                serdes::function_from_node(Doc::parse_member(&self.text)?.root())
+            }
         }
     }
 }

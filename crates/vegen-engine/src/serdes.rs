@@ -21,11 +21,18 @@
 //! * enums are tagged objects (`{"k": "bin", ...}`) with the IR printer's
 //!   stable mnemonics.
 //!
+//! Encoders build a [`Json`] tree and render it. Decoders read a
+//! [`Node`] of the tokenized text ([`Doc::parse`]), so a disk hit never
+//! builds a tree: there is one decoder per type, and [`kernel_from_json`]
+//! is only an adapter for a caller that holds a tree already.
+//!
 //! Decoding is total: every malformed document comes back as `Err(String)`
 //! naming the offending field, never a panic — the disk cache treats any
 //! decode error as a corrupt entry, rejects it, and recompiles.
 
-use crate::json::Json;
+use crate::json::{Doc, Items, Json, Node};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::time::Duration;
 use vegen::analysis::{AnalysisReport, Diagnostic, Location, Severity};
 use vegen::driver::{CompiledKernel, StageTimes, PIPELINE};
@@ -42,15 +49,26 @@ use vegen_vm::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
 // Decode helpers
 // ---------------------------------------------------------------------------
 
-fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn field<'a>(j: Node<'a>, key: &str) -> Result<Node<'a>, String> {
     j.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn num(j: &Json, key: &str) -> Result<f64, String> {
+fn num(j: Node<'_>, key: &str) -> Result<f64, String> {
     field(j, key)?.as_f64().ok_or_else(|| format!("field {key:?} is not a number"))
 }
 
-fn uint(j: &Json, key: &str) -> Result<u64, String> {
+/// A member holding an `f64` the encoder can write back: finite, since it
+/// renders a non-finite value as `null` (`1e999` reads as infinity).
+fn finite(j: Node<'_>, key: &str) -> Result<f64, String> {
+    let v = num(j, key)?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("field {key:?} is not a finite number: {v}"))
+    }
+}
+
+fn uint(j: Node<'_>, key: &str) -> Result<u64, String> {
     let v = num(j, key)?;
     if v < 0.0 || v != v.trunc() {
         return Err(format!("field {key:?} is not a non-negative integer: {v}"));
@@ -58,7 +76,7 @@ fn uint(j: &Json, key: &str) -> Result<u64, String> {
     Ok(v as u64)
 }
 
-fn int(j: &Json, key: &str) -> Result<i64, String> {
+fn int(j: Node<'_>, key: &str) -> Result<i64, String> {
     let v = num(j, key)?;
     if v != v.trunc() {
         return Err(format!("field {key:?} is not an integer: {v}"));
@@ -66,24 +84,39 @@ fn int(j: &Json, key: &str) -> Result<i64, String> {
     Ok(v as i64)
 }
 
-fn string<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
+fn string<'a>(j: Node<'a>, key: &str) -> Result<Cow<'a, str>, String> {
     field(j, key)?.as_str().ok_or_else(|| format!("field {key:?} is not a string"))
 }
 
-fn arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    field(j, key)?.as_arr().ok_or_else(|| format!("field {key:?} is not an array"))
+fn arr<'a>(j: Node<'a>, key: &str) -> Result<Items<'a>, String> {
+    field(j, key)?.items().ok_or_else(|| format!("field {key:?} is not an array"))
 }
 
-fn boolean(j: &Json, key: &str) -> Result<bool, String> {
+/// The elements of array member `key`, each through `decode`, into a
+/// vector allocated once.
+fn list<'a, T>(
+    j: Node<'a>,
+    key: &str,
+    mut decode: impl FnMut(Node<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = arr(j, key)?;
+    let mut out = Vec::with_capacity(items.clone().count());
+    for item in items {
+        out.push(decode(item)?);
+    }
+    Ok(out)
+}
+
+fn boolean(j: Node<'_>, key: &str) -> Result<bool, String> {
     field(j, key)?.as_bool().ok_or_else(|| format!("field {key:?} is not a boolean"))
 }
 
-fn hex_u64(j: &Json, key: &str) -> Result<u64, String> {
+fn hex_u64(j: Node<'_>, key: &str) -> Result<u64, String> {
     let s = string(j, key)?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("field {key:?} is not hex: {e}"))
+    u64::from_str_radix(&s, 16).map_err(|e| format!("field {key:?} is not hex: {e}"))
 }
 
-fn nanos(j: &Json, key: &str) -> Result<Duration, String> {
+fn nanos(j: Node<'_>, key: &str) -> Result<Duration, String> {
     Ok(Duration::from_nanos(uint(j, key)?))
 }
 
@@ -97,12 +130,12 @@ fn duration_json(d: Duration) -> Json {
 
 /// A member that names an IR scalar through `vegen_ir`'s one name table;
 /// `what` is the vocabulary, for the error.
-fn named<T>(j: &Json, key: &str, what: &str, find: fn(&str) -> Option<T>) -> Result<T, String> {
+fn named<T>(j: Node<'_>, key: &str, what: &str, find: fn(&str) -> Option<T>) -> Result<T, String> {
     let s = string(j, key)?;
-    find(s).ok_or_else(|| format!("unknown {what} {s:?}"))
+    find(&s).ok_or_else(|| format!("unknown {what} {s:?}"))
 }
 
-fn ty_of(j: &Json, key: &str) -> Result<Type, String> {
+fn ty_of(j: Node<'_>, key: &str) -> Result<Type, String> {
     named(j, key, "type", Type::from_name)
 }
 
@@ -113,7 +146,7 @@ fn constant_json(c: Constant) -> Json {
     ])
 }
 
-fn constant_from(j: &Json) -> Result<Constant, String> {
+fn constant_from(j: Node<'_>) -> Result<Constant, String> {
     let ty = ty_of(j, "ty")?;
     let bits = hex_u64(j, "bits")?;
     Ok(match ty {
@@ -130,7 +163,7 @@ fn value_json(v: ValueId) -> Json {
     Json::int(v.index() as u64)
 }
 
-fn value_from(j: &Json) -> Result<ValueId, String> {
+fn value_from(j: Node<'_>) -> Result<ValueId, String> {
     let v = j.as_f64().ok_or("value id is not a number")?;
     if v < 0.0 || v != v.trunc() {
         return Err(format!("bad value id {v}"));
@@ -142,10 +175,11 @@ fn opt_value_json(v: Option<ValueId>) -> Json {
     v.map_or(Json::Null, value_json)
 }
 
-fn opt_value_from(j: &Json) -> Result<Option<ValueId>, String> {
-    match j {
-        Json::Null => Ok(None),
-        other => value_from(other).map(Some),
+fn opt_value_from(j: Node<'_>) -> Result<Option<ValueId>, String> {
+    if j.is_null() {
+        Ok(None)
+    } else {
+        value_from(j).map(Some)
     }
 }
 
@@ -161,9 +195,9 @@ fn param_json(p: &Param) -> Json {
     ])
 }
 
-fn param_from(j: &Json) -> Result<Param, String> {
+fn param_from(j: Node<'_>) -> Result<Param, String> {
     Ok(Param {
-        name: string(j, "name")?.to_string(),
+        name: string(j, "name")?.into_owned(),
         elem_ty: ty_of(j, "ty")?,
         len: uint(j, "len")? as usize,
     })
@@ -218,10 +252,10 @@ fn inst_json(inst: &Inst) -> Json {
     Json::obj(pairs)
 }
 
-fn inst_from(j: &Json) -> Result<Inst, String> {
+fn inst_from(j: Node<'_>) -> Result<Inst, String> {
     let ty = ty_of(j, "ty")?;
     let value_of = |key: &str| field(j, key).and_then(value_from);
-    let kind = match string(j, "k")? {
+    let kind = match &*string(j, "k")? {
         "const" => InstKind::Const(constant_from(field(j, "c")?)?),
         "bin" => InstKind::Bin {
             op: named(j, "op", "binop", BinOp::from_name)?,
@@ -269,11 +303,11 @@ pub fn function_to_json(f: &Function) -> Json {
 /// # Errors
 ///
 /// Returns a message naming the malformed field.
-pub fn function_from_json(j: &Json) -> Result<Function, String> {
+pub fn function_from_node(j: Node<'_>) -> Result<Function, String> {
     Ok(Function {
-        name: string(j, "name")?.to_string(),
-        params: arr(j, "params")?.iter().map(param_from).collect::<Result<_, _>>()?,
-        insts: arr(j, "insts")?.iter().map(inst_from).collect::<Result<_, _>>()?,
+        name: string(j, "name")?.into_owned(),
+        params: list(j, "params", param_from)?,
+        insts: list(j, "insts", inst_from)?,
     })
 }
 
@@ -285,7 +319,7 @@ fn reg_json(r: Reg) -> Json {
     Json::int(r.0 as u64)
 }
 
-fn reg_of(j: &Json, key: &str) -> Result<Reg, String> {
+fn reg_of(j: Node<'_>, key: &str) -> Result<Reg, String> {
     Ok(Reg(uint(j, key)? as u32))
 }
 
@@ -320,8 +354,8 @@ fn scalar_op_json(op: &ScalarOp) -> Json {
     }
 }
 
-fn scalar_op_from(j: &Json) -> Result<ScalarOp, String> {
-    Ok(match string(j, "k")? {
+fn scalar_op_from(j: Node<'_>) -> Result<ScalarOp, String> {
+    Ok(match &*string(j, "k")? {
         "const" => ScalarOp::Const(constant_from(field(j, "c")?)?),
         "bin" => ScalarOp::Bin {
             op: named(j, "op", "binop", BinOp::from_name)?,
@@ -361,8 +395,8 @@ fn lane_src_json(l: &LaneSrc) -> Json {
     }
 }
 
-fn lane_src_from(j: &Json) -> Result<LaneSrc, String> {
-    Ok(match string(j, "k")? {
+fn lane_src_from(j: Node<'_>) -> Result<LaneSrc, String> {
+    Ok(match &*string(j, "k")? {
         "vec" => LaneSrc::FromVec { src: reg_of(j, "src")?, lane: uint(j, "lane")? as usize },
         "scalar" => LaneSrc::FromScalar(reg_of(j, "reg")?),
         "const" => LaneSrc::Const(constant_from(field(j, "c")?)?),
@@ -425,8 +459,8 @@ fn vm_inst_json(i: &VmInst) -> Json {
     }
 }
 
-fn vm_inst_from(j: &Json) -> Result<VmInst, String> {
-    Ok(match string(j, "k")? {
+fn vm_inst_from(j: Node<'_>) -> Result<VmInst, String> {
+    Ok(match &*string(j, "k")? {
         "scalar" => VmInst::Scalar { dst: reg_of(j, "dst")?, op: scalar_op_from(field(j, "op")?)? },
         "load_scalar" => VmInst::LoadScalar {
             dst: reg_of(j, "dst")?,
@@ -453,15 +487,12 @@ fn vm_inst_from(j: &Json) -> Result<VmInst, String> {
         "vec_op" => VmInst::VecOp {
             dst: reg_of(j, "dst")?,
             sem: uint(j, "sem")? as usize,
-            args: arr(j, "args")?
-                .iter()
-                .map(|r| value_from(r).map(|v| Reg(v.index() as u32)))
-                .collect::<Result<_, _>>()?,
+            args: list(j, "args", |r| value_from(r).map(|v| Reg(v.index() as u32)))?,
         },
         "build" => VmInst::Build {
             dst: reg_of(j, "dst")?,
             elem: ty_of(j, "elem")?,
-            lanes: arr(j, "lanes")?.iter().map(lane_src_from).collect::<Result<_, _>>()?,
+            lanes: list(j, "lanes", lane_src_from)?,
         },
         "extract" => VmInst::Extract {
             dst: reg_of(j, "dst")?,
@@ -495,27 +526,24 @@ pub fn program_to_json(p: &VmProgram) -> Json {
 ///
 /// Returns a message naming the malformed field (VIDL parse errors
 /// included).
-pub fn program_from_json(j: &Json) -> Result<VmProgram, String> {
-    let sems = arr(j, "sems")?
-        .iter()
-        .map(|s| {
-            let text = s.as_str().ok_or("sem is not a string")?;
-            vegen::vidl::parse_inst(text).map_err(|e| format!("sem: {e}"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+pub fn program_from_node(j: Node<'_>) -> Result<VmProgram, String> {
+    let sems = list(j, "sems", |s| {
+        let text = s.as_str().ok_or("sem is not a string")?;
+        vegen::vidl::parse_inst(&text).map_err(|e| format!("sem: {e}"))
+    })?;
     Ok(VmProgram {
-        name: string(j, "name")?.to_string(),
-        params: arr(j, "params")?.iter().map(param_from).collect::<Result<_, _>>()?,
+        name: string(j, "name")?.into_owned(),
+        params: list(j, "params", param_from)?,
         sems,
-        sem_asm: arr(j, "sem_asm")?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string).ok_or("sem_asm is not a string".to_string()))
-            .collect::<Result<_, _>>()?,
-        sem_cost: arr(j, "sem_cost")?
-            .iter()
-            .map(|c| c.as_f64().ok_or("sem_cost is not a number".to_string()))
-            .collect::<Result<_, _>>()?,
-        insts: arr(j, "insts")?.iter().map(vm_inst_from).collect::<Result<_, _>>()?,
+        sem_asm: list(j, "sem_asm", |s| {
+            s.as_str().map(Cow::into_owned).ok_or_else(|| "sem_asm is not a string".to_string())
+        })?,
+        sem_cost: list(j, "sem_cost", |c| {
+            c.as_f64()
+                .filter(|c| c.is_finite())
+                .ok_or_else(|| "sem_cost is not a number".to_string())
+        })?,
+        insts: list(j, "insts", vm_inst_from)?,
         n_regs: uint(j, "n_regs")? as usize,
     })
 }
@@ -533,12 +561,12 @@ fn packed_match_json(m: &PackedMatch) -> Json {
     ])
 }
 
-fn packed_match_from(j: &Json) -> Result<PackedMatch, String> {
+fn packed_match_from(j: Node<'_>) -> Result<PackedMatch, String> {
     Ok(PackedMatch {
         op: vegen::matcher::OpId(uint(j, "op")? as usize),
         root: field(j, "root").and_then(value_from)?,
-        live_ins: arr(j, "live_ins")?.iter().map(opt_value_from).collect::<Result<_, _>>()?,
-        covered: arr(j, "covered")?.iter().map(value_from).collect::<Result<_, _>>()?,
+        live_ins: list(j, "live_ins", opt_value_from)?,
+        covered: list(j, "covered", value_from)?,
     })
 }
 
@@ -575,29 +603,29 @@ fn pack_json(p: &Pack) -> Json {
     }
 }
 
-fn pack_from(j: &Json) -> Result<Pack, String> {
-    Ok(match string(j, "k")? {
+fn pack_from(j: Node<'_>) -> Result<Pack, String> {
+    Ok(match &*string(j, "k")? {
         "compute" => Pack::Compute {
             inst: uint(j, "inst")? as usize,
-            matches: arr(j, "matches")?
-                .iter()
-                .map(|m| match m {
-                    Json::Null => Ok(None),
-                    other => packed_match_from(other).map(Some),
-                })
-                .collect::<Result<_, String>>()?,
+            matches: list(j, "matches", |m| {
+                if m.is_null() {
+                    Ok(None)
+                } else {
+                    packed_match_from(m).map(Some)
+                }
+            })?,
         },
         "load" => Pack::Load {
             base: uint(j, "base")? as usize,
             start: int(j, "start")?,
-            loads: arr(j, "loads")?.iter().map(opt_value_from).collect::<Result<_, _>>()?,
+            loads: list(j, "loads", opt_value_from)?,
             elem: ty_of(j, "elem")?,
         },
         "store" => Pack::Store {
             base: uint(j, "base")? as usize,
             start: int(j, "start")?,
-            stores: arr(j, "stores")?.iter().map(value_from).collect::<Result<_, _>>()?,
-            values: arr(j, "values")?.iter().map(value_from).collect::<Result<_, _>>()?,
+            stores: list(j, "stores", value_from)?,
+            values: list(j, "values", value_from)?,
             elem: ty_of(j, "elem")?,
         },
         other => return Err(format!("unknown pack kind {other:?}")),
@@ -625,7 +653,7 @@ fn beam_stats_json(s: &BeamStats) -> Json {
     ])
 }
 
-fn beam_stats_from(j: &Json) -> Result<BeamStats, String> {
+fn beam_stats_from(j: Node<'_>) -> Result<BeamStats, String> {
     Ok(BeamStats {
         states_expanded: uint(j, "states_expanded")? as usize,
         transitions: uint(j, "transitions")?,
@@ -694,42 +722,33 @@ fn decision_log_json(log: &DecisionLog) -> Json {
     ])
 }
 
-fn decision_log_from(j: &Json) -> Result<DecisionLog, String> {
-    let iterations = arr(j, "iterations")?
-        .iter()
-        .map(|it| {
-            Ok(IterationLog {
-                index: uint(it, "index")? as usize,
-                beam_in: uint(it, "beam_in")? as usize,
-                pool: uint(it, "pool")? as usize,
-                deduped: uint(it, "deduped")? as usize,
-                kept: uint(it, "kept")? as usize,
-                candidates: arr(it, "candidates")?
-                    .iter()
-                    .map(|c| {
-                        Ok(CandidateLog {
-                            action: string(c, "action")?.to_string(),
-                            g: num(c, "g")?,
-                            est: num(c, "est")?,
-                            score: num(c, "score")?,
-                            packs: uint(c, "packs")? as usize,
-                            kept: boolean(c, "kept")?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-            })
+fn decision_log_from(j: Node<'_>) -> Result<DecisionLog, String> {
+    let iterations = list(j, "iterations", |it| {
+        Ok(IterationLog {
+            index: uint(it, "index")? as usize,
+            beam_in: uint(it, "beam_in")? as usize,
+            pool: uint(it, "pool")? as usize,
+            deduped: uint(it, "deduped")? as usize,
+            kept: uint(it, "kept")? as usize,
+            candidates: list(it, "candidates", |c| {
+                Ok(CandidateLog {
+                    action: string(c, "action")?.into_owned(),
+                    g: finite(c, "g")?,
+                    est: finite(c, "est")?,
+                    score: finite(c, "score")?,
+                    packs: uint(c, "packs")? as usize,
+                    kept: boolean(c, "kept")?,
+                })
+            })?,
         })
-        .collect::<Result<_, String>>()?;
-    let committed = arr(j, "committed")?
-        .iter()
-        .map(|c| {
-            Ok(CommittedPack {
-                step: uint(c, "step")? as usize,
-                pack: string(c, "pack")?.to_string(),
-                cost: num(c, "cost")?,
-            })
+    })?;
+    let committed = list(j, "committed", |c| {
+        Ok(CommittedPack {
+            step: uint(c, "step")? as usize,
+            pack: string(c, "pack")?.into_owned(),
+            cost: finite(c, "cost")?,
         })
-        .collect::<Result<_, String>>()?;
+    })?;
     Ok(DecisionLog { iterations, committed })
 }
 
@@ -748,20 +767,20 @@ fn selection_json(s: &SelectionResult) -> Json {
     ])
 }
 
-fn selection_from(j: &Json) -> Result<SelectionResult, String> {
+fn selection_from(j: Node<'_>) -> Result<SelectionResult, String> {
     let mut packs = PackSet::new();
     for p in arr(j, "packs")? {
         packs.insert(pack_from(p)?);
     }
     Ok(SelectionResult {
         packs,
-        vector_cost: num(j, "vector_cost")?,
-        scalar_cost: num(j, "scalar_cost")?,
+        vector_cost: finite(j, "vector_cost")?,
+        scalar_cost: finite(j, "scalar_cost")?,
         states_expanded: uint(j, "states_expanded")? as usize,
         stats: beam_stats_from(field(j, "stats")?)?,
         decisions: match field(j, "decisions")? {
-            Json::Null => None,
-            other => Some(decision_log_from(other)?),
+            log if log.is_null() => None,
+            log => Some(decision_log_from(log)?),
         },
     })
 }
@@ -798,17 +817,17 @@ fn location_json(l: &Location) -> Json {
     }
 }
 
-fn location_from(j: &Json) -> Result<Location, String> {
+fn location_from(j: Node<'_>) -> Result<Location, String> {
     let lane_of = |key: &str| -> Result<Option<usize>, String> {
         match field(j, key)? {
-            Json::Null => Ok(None),
-            other => {
-                let v = other.as_f64().ok_or("lane is not a number")?;
+            lane if lane.is_null() => Ok(None),
+            lane => {
+                let v = lane.as_f64().ok_or("lane is not a number")?;
                 Ok(Some(v as usize))
             }
         }
     };
-    Ok(match string(j, "k")? {
+    Ok(match &*string(j, "k")? {
         "value" => Location::Value(field(j, "v").and_then(value_from)?),
         "pack" => Location::Pack { pack: uint(j, "pack")? as usize, lane: lane_of("lane")? },
         "vm" => Location::VmInst { index: uint(j, "index")? as usize, lane: lane_of("lane")? },
@@ -833,8 +852,8 @@ fn diagnostic_json(d: &Diagnostic) -> Json {
     ])
 }
 
-fn diagnostic_from(j: &Json) -> Result<Diagnostic, String> {
-    let severity = match string(j, "sev")? {
+fn diagnostic_from(j: Node<'_>) -> Result<Diagnostic, String> {
+    let severity = match &*string(j, "sev")? {
         "error" => Severity::Error,
         "warning" => Severity::Warning,
         other => return Err(format!("unknown severity {other:?}")),
@@ -842,7 +861,7 @@ fn diagnostic_from(j: &Json) -> Result<Diagnostic, String> {
     Ok(Diagnostic {
         severity,
         location: location_from(field(j, "loc")?)?,
-        message: string(j, "msg")?.to_string(),
+        message: string(j, "msg")?.into_owned(),
     })
 }
 
@@ -850,8 +869,8 @@ fn diags_json(diags: &[Diagnostic]) -> Json {
     Json::Arr(diags.iter().map(diagnostic_json).collect())
 }
 
-fn diags_from(j: &Json, key: &str) -> Result<Vec<Diagnostic>, String> {
-    arr(j, key)?.iter().map(diagnostic_from).collect()
+fn diags_from(j: Node<'_>, key: &str) -> Result<Vec<Diagnostic>, String> {
+    list(j, key, diagnostic_from)
 }
 
 fn analysis_json(a: &AnalysisReport) -> Json {
@@ -864,7 +883,7 @@ fn analysis_json(a: &AnalysisReport) -> Json {
     ])
 }
 
-fn analysis_from(j: &Json) -> Result<AnalysisReport, String> {
+fn analysis_from(j: Node<'_>) -> Result<AnalysisReport, String> {
     Ok(AnalysisReport {
         legality: diags_from(j, "legality")?,
         provenance: diags_from(j, "provenance")?,
@@ -889,10 +908,12 @@ pub fn stage_times_to_json(t: &StageTimes) -> Json {
 /// # Errors
 ///
 /// Returns a message naming the malformed field.
-pub fn stage_times_from_json(j: &Json) -> Result<StageTimes, String> {
-    let mut t = StageTimes::default();
+pub fn stage_times_from_node(j: Node<'_>) -> Result<StageTimes, String> {
+    let (mut t, mut key) = (StageTimes::default(), String::new());
     for stage in PIPELINE {
-        *t.slot_mut(stage) = nanos(j, &format!("{stage}_ns"))?;
+        key.clear();
+        let _ = write!(key, "{stage}_ns");
+        *t.slot_mut(stage) = nanos(j, &key)?;
     }
     Ok(t)
 }
@@ -917,16 +938,28 @@ pub fn kernel_to_json(k: &CompiledKernel) -> Json {
 /// # Errors
 ///
 /// Returns a message naming the malformed field.
-pub fn kernel_from_json(j: &Json) -> Result<CompiledKernel, String> {
+pub fn kernel_from_node(j: Node<'_>) -> Result<CompiledKernel, String> {
     Ok(CompiledKernel {
-        function: function_from_json(field(j, "function")?)?,
-        scalar: program_from_json(field(j, "scalar")?)?,
-        vegen: program_from_json(field(j, "vegen")?)?,
-        baseline: program_from_json(field(j, "baseline")?)?,
+        function: function_from_node(field(j, "function")?)?,
+        scalar: program_from_node(field(j, "scalar")?)?,
+        vegen: program_from_node(field(j, "vegen")?)?,
+        baseline: program_from_node(field(j, "baseline")?)?,
         selection: selection_from(field(j, "selection")?)?,
         baseline_trees: uint(j, "baseline_trees")? as usize,
         analysis: analysis_from(field(j, "analysis")?)?,
     })
+}
+
+/// [`kernel_from_node`] for a caller that already holds a tree: renders
+/// it and decodes the rendering. The product path never builds the tree
+/// ([`crate::diskcache`] decodes the file's own text).
+///
+/// # Errors
+///
+/// As [`kernel_from_node`].
+pub fn kernel_from_json(j: &Json) -> Result<CompiledKernel, String> {
+    let text = j.render();
+    kernel_from_node(Doc::parse(&text)?.root())
 }
 
 #[cfg(test)]
@@ -957,13 +990,18 @@ mod tests {
         compile(&b.finish(), &cfg)
     }
 
+    /// Render `doc` and run `decode` on the tokenized rendering.
+    fn decode<T>(doc: &Json, decode: fn(Node<'_>) -> Result<T, String>) -> Result<T, String> {
+        let text = doc.render();
+        decode(Doc::parse(&text).expect("rendered JSON parses").root())
+    }
+
     #[test]
     fn kernel_round_trips_byte_for_byte() {
         let kernel = sample();
         let doc = kernel_to_json(&kernel);
         let text = doc.render();
-        let parsed = Json::parse(&text).expect("rendered JSON parses");
-        let decoded = kernel_from_json(&parsed).expect("entry decodes");
+        let decoded = decode(&doc, kernel_from_node).expect("entry decodes");
         // Byte stability: re-encoding the decoded kernel reproduces the
         // original rendering exactly.
         assert_eq!(kernel_to_json(&decoded).render(), text);
@@ -976,6 +1014,9 @@ mod tests {
         assert_eq!(decoded.selection.packs.len(), kernel.selection.packs.len());
         assert_eq!(decoded.function, kernel.function);
         decoded.verify(8).expect("decoded programs still verify");
+        // The tree adapter decodes the same kernel.
+        let adapted = kernel_from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(kernel_to_json(&adapted).render(), text);
     }
 
     #[test]
@@ -988,9 +1029,7 @@ mod tests {
             analysis: Duration::ZERO,
             baseline: Duration::from_nanos(1),
         };
-        let j = stage_times_to_json(&t);
-        let parsed = Json::parse(&j.render()).unwrap();
-        assert_eq!(stage_times_from_json(&parsed).unwrap(), t);
+        assert_eq!(decode(&stage_times_to_json(&t), stage_times_from_node).unwrap(), t);
     }
 
     #[test]
@@ -1003,9 +1042,7 @@ mod tests {
             Constant::f64(f64::NAN),
             Constant::f32(1.5e-7),
         ] {
-            let j = constant_json(c);
-            let parsed = Json::parse(&j.render()).unwrap();
-            let back = constant_from(&parsed).unwrap();
+            let back = decode(&constant_json(c), constant_from).unwrap();
             assert_eq!(back.ty(), c.ty());
             assert_eq!(back.raw_bits(), c.raw_bits());
         }
@@ -1013,12 +1050,18 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_typed_errors() {
-        assert!(function_from_json(&Json::obj([("name", Json::str("x"))]))
+        assert!(decode(&Json::obj([("name", Json::str("x"))]), function_from_node)
             .unwrap_err()
             .contains("params"));
         let bad_kind = Json::obj([("ty", Json::str("i32")), ("k", Json::str("frobnicate"))]);
-        assert!(inst_from(&bad_kind).unwrap_err().contains("frobnicate"));
+        assert!(decode(&bad_kind, inst_from).unwrap_err().contains("frobnicate"));
         let bad_ty = Json::obj([("ty", Json::str("i128"))]);
-        assert_eq!(ty_of(&bad_ty, "ty"), Err("unknown type \"i128\"".to_string()));
+        assert_eq!(decode(&bad_ty, |j| ty_of(j, "ty")), Err("unknown type \"i128\"".to_string()));
+        // A cost the encoder could not write back: it renders infinity as
+        // `null`, which would not decode.
+        let overflow = Doc::parse(r#"{"cost":1e999,"sem_cost":[-1e999]}"#).unwrap();
+        assert!(finite(overflow.root(), "cost").unwrap_err().contains("not a finite number"));
+        let sem_cost = |c: Node<'_>| c.as_f64().filter(|c| c.is_finite()).ok_or("not a number");
+        assert!(list(overflow.root(), "sem_cost", |c| Ok(sem_cost(c)?)).is_err());
     }
 }

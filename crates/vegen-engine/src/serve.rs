@@ -54,7 +54,7 @@
 
 use crate::cache::{RequestSource, SourceKind};
 use crate::events::{fault_json, JobEvent};
-use crate::json::{scan_members, Json};
+use crate::json::{scan_members, Doc, Json, Node};
 use crate::{report, serdes, Engine, Job, JobResult, Rung};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -222,21 +222,23 @@ fn read_line_capped<R: BufRead>(
     }
 }
 
-/// One request line, read once: every top-level member parsed except a
-/// scanned `function`, which stays the client's bytes until something
-/// needs the tree (an alias hit never does).
+/// One request line, read once: every top-level member parsed except
+/// `function`, which stays the client's bytes until something needs it
+/// decoded (an alias hit never does), or a node of the whole line.
 struct Request<'a> {
-    /// The top-level members, parsed: all of them after a whole-line
-    /// parse, all but `function` after a scan.
+    /// The top-level members, parsed (after a scan, all but `function`).
     doc: Json,
-    /// The `function` member's raw text, when the scanner read the line.
-    raw_function: Option<&'a str>,
+    /// A compile request's `function` member, as far as it has been read.
+    function: Option<FunctionMember<'a>>,
 }
 
 /// A request's `function` member, as far as it has been read.
-enum FunctionMember<'r> {
-    Raw(&'r str),
-    Parsed(&'r Json),
+#[derive(Clone, Copy)]
+enum FunctionMember<'a> {
+    /// The client's bytes, unparsed: the scanner read the line.
+    Raw(&'a str),
+    /// Tokenized with the rest of the line by the whole-line parser.
+    Parsed(Node<'a>),
 }
 
 impl<'a> Request<'a> {
@@ -248,30 +250,33 @@ impl<'a> Request<'a> {
         let members = scan_members(line)?;
         // Only a compile request may leave `function` unread: there it is
         // either resolved by alias (bytes that parsed before) or parsed
-        // on the way to a job. Any other op parses it here, so a line is
-        // never answered without all of it having been read by a parser.
+        // on the way to a job. A `function` beside any other spelling of
+        // `op` is the whole-line parser's, so a line is never answered
+        // without all of it having been read by a parser.
         let compile = members.iter().any(|(key, span)| *key == "op" && *span == "\"compile\"");
-        let mut raw_function = None;
+        let mut function = None;
         let mut pairs = Vec::with_capacity(members.len());
         for (key, span) in members {
-            if compile && key == "function" {
-                raw_function = Some(span);
+            if key == "function" {
+                if !compile {
+                    return None;
+                }
+                function = Some(FunctionMember::Raw(span));
             } else {
                 pairs.push((key.to_string(), Json::parse_member(span).ok()?));
             }
         }
-        Some(Request { doc: Json::Obj(pairs), raw_function })
+        Some(Request { doc: Json::Obj(pairs), function })
+    }
+
+    /// The request a line the whole-line parser read spells.
+    fn parse(line: &'a Doc<'a>) -> Request<'a> {
+        let root = line.root();
+        Request { doc: root.to_json(), function: root.get("function").map(FunctionMember::Parsed) }
     }
 
     fn get(&self, key: &str) -> Option<&Json> {
         self.doc.get(key)
-    }
-
-    fn function(&self) -> Option<FunctionMember<'_>> {
-        match self.raw_function {
-            Some(span) => Some(FunctionMember::Raw(span)),
-            None => self.get("function").map(FunctionMember::Parsed),
-        }
     }
 }
 
@@ -282,8 +287,8 @@ type CompileSettings = (vegen::driver::PipelineConfig, Option<Duration>);
 /// checked by the IR verifier. Request bytes are untrusted, and the
 /// compiler assumes what the verifier guarantees — an out-of-bounds load
 /// offset, for one, sends pack enumeration into an unbounded loop.
-fn inline_function(doc: &Json) -> Result<vegen_ir::Function, String> {
-    let function = serdes::function_from_json(doc).map_err(|e| format!("function: {e}"))?;
+fn inline_function(doc: Node<'_>) -> Result<vegen_ir::Function, String> {
+    let function = serdes::function_from_node(doc).map_err(|e| format!("function: {e}"))?;
     vegen_ir::verify::verify(&function).map_err(|e| format!("function: {e}"))?;
     Ok(function)
 }
@@ -426,7 +431,7 @@ impl<'e> ServeState<'e> {
         // Resolved first because the alias probe needs them, reported last
         // because a bad function has always been the first complaint.
         let settings = self.compile_settings(req);
-        let (kind, text) = match (req.get("kernel"), req.function()) {
+        let (kind, text) = match (req.get("kernel"), req.function) {
             (Some(k), None) => match k.as_str() {
                 Some(name) => (SourceKind::Kernel, name),
                 None => return Some(Err("\"kernel\" must be a string".into())),
@@ -440,7 +445,7 @@ impl<'e> ServeState<'e> {
             (_, function) => {
                 // Nothing to compile, but still a line to vouch for.
                 if let Some(FunctionMember::Raw(span)) = function {
-                    Json::parse_member(span).ok()?;
+                    Doc::parse_member(span).ok()?;
                 }
                 return Some(Err("need exactly one of \"kernel\" or \"function\"".into()));
             }
@@ -455,7 +460,7 @@ impl<'e> ServeState<'e> {
         let source = RequestSource { kind, text: text.into() };
         let function = match kind {
             SourceKind::Kernel => source.function(),
-            SourceKind::Function => inline_function(&Json::parse_member(text).ok()?),
+            SourceKind::Function => inline_function(Doc::parse_member(text).ok()?.root()),
         };
         Some(new_job(function, Some(source), settings))
     }
@@ -510,9 +515,9 @@ impl<'e> ServeState<'e> {
         if let Some(shutdown) = self.scan(line).and_then(|req| self.handle_request(&req, sink)) {
             return shutdown;
         }
-        match Json::parse(line) {
+        match Doc::parse(line) {
             Ok(doc) => self
-                .handle_request(&Request { doc, raw_function: None }, sink)
+                .handle_request(&Request::parse(&doc), sink)
                 .expect("a fully parsed request has no raw span left to decline"),
             Err(e) => {
                 self.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -849,7 +854,7 @@ mod tests {
         let state = ServeState::new(&engine, ServeConfig::default());
         let served = |name: &str| {
             let doc = Json::obj([("target", Json::str(name))]);
-            state.compile_settings(&Request { doc, raw_function: None }).map(|(p, _)| p.target.name)
+            state.compile_settings(&Request { doc, function: None }).map(|(p, _)| p.target.name)
         };
         for (names, isa) in [
             (&["avx2", "AVX2"][..], TargetIsa::avx2()),
@@ -1058,6 +1063,23 @@ mod tests {
         assert!(scanned > LINES / 4, "the scanner vouched for only {scanned} of {LINES} lines");
         assert!(resolved_before > LINES as u64 / 20, "only {resolved_before} alias hits");
         assert_eq!(parsing.alias_stats().fallbacks + scanning.alias_stats().fallbacks, 0);
+    }
+
+    /// `"compil\u0065"` is `"compile"`: the scanner leaves that line to
+    /// the whole-line parser, whose `function` is a node of the line, and
+    /// the answer is the plain spelling's.
+    #[test]
+    fn an_escaped_op_compiles_the_same_function() {
+        let f = tiny_function_json();
+        let cfg = ServeConfig::default();
+        let run = |op: &str| {
+            let line = format!(r#"{{"op":"{op}","id":1,"function":{f}}}"#);
+            assert_eq!(Request::scan(&line).is_some(), op == "compile");
+            answer(&engine(), &cfg, &line, false).0
+        };
+        let plain = run("compile");
+        assert_eq!(plain[0].get("ok"), Some(&Json::Bool(true)), "{plain:?}");
+        assert_eq!(run("compil\\u0065"), plain);
     }
 
     /// Identity test (e): a zero deadline, a full queue and a draining

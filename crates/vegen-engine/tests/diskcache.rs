@@ -1,13 +1,19 @@
 //! Durability tests for the persistent on-disk compile cache: restart
 //! replay, corrupt-entry rejection, stale-entry invalidation, concurrent
-//! writers sharing one directory, and byte-identical entry files from
-//! independent engines.
+//! writers sharing one directory, byte-identical entry files from
+//! independent engines, a fuzz of `DiskCache::load` over mutated entries,
+//! and the entry encoding's round trip over the suite and the corpus.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use vegen::driver::PipelineConfig;
 use vegen_core::BeamConfig;
-use vegen_engine::diskcache::ENTRY_SCHEMA;
+use vegen_engine::diskcache::{isa_fingerprint, DiskCache, ENTRY_SCHEMA};
+use vegen_engine::json::{Doc, Json};
+use vegen_engine::serdes::stage_times_to_json;
+use vegen_engine::serdes::{kernel_from_node, kernel_to_json, stage_times_from_node};
 use vegen_engine::{Engine, EngineConfig, Job, Rung};
+use vegen_ir::rng::XorShift;
 use vegen_isa::TargetIsa;
 use vegen_vm::listing;
 
@@ -57,6 +63,17 @@ fn entry_files(dir: &std::path::Path) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// Set the member at `path` to 0 (timing fields, which differ run to run).
+fn zero_field(doc: &mut Json, path: &[&str]) {
+    let Json::Obj(pairs) = doc else { return };
+    let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == path[0]) else { return };
+    if path.len() == 1 {
+        *v = Json::int(0);
+    } else {
+        zero_field(v, &path[1..]);
+    }
 }
 
 #[test]
@@ -237,16 +254,6 @@ fn independent_engines_write_byte_identical_kernels() {
     // Whole files differ only in measurements (stage times and the
     // beam's wall counter); with those normalized, the serialized
     // compilation must render byte-for-byte the same.
-    use vegen_engine::json::Json;
-    fn zero_field(doc: &mut Json, path: &[&str]) {
-        let Json::Obj(pairs) = doc else { return };
-        let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == path[0]) else { return };
-        if path.len() == 1 {
-            *v = Json::int(0);
-        } else {
-            zero_field(v, &path[1..]);
-        }
-    }
     for (a, b) in files_a.iter().zip(&files_b) {
         let kernel = |p: &PathBuf| {
             let doc = Json::parse(&std::fs::read_to_string(p).unwrap())
@@ -266,4 +273,167 @@ fn independent_engines_write_byte_identical_kernels() {
     }
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// One seeded edit of an entry. Byte edits mostly break the JSON; value
+/// edits keep it well-formed and reach the decoder: a digit, a tag, a
+/// character of embedded VIDL, a member dropped.
+fn mutate(rng: &mut XorShift, text: &str) -> String {
+    const BYTES: &[u8] = b"\"\\{}[],: 0123456789-.etfnulx()";
+    const VALUES: [&str; 12] = [
+        "0", "7", "-1", "1.5", "1e400", "99999999", "null", "true", "\"\"", "[]", "{}", "\"i128\"",
+    ];
+    const TAGS: [&str; 9] =
+        ["bin", "const", "vec_op", "build", "frobnicate", "i8", "f64", "sext", "\\u0062in"];
+    const VIDL: &[u8] = b"abxi0123456789(),:[]_- \n";
+    if text.is_empty() {
+        return String::new();
+    }
+    let mut b = text.as_bytes().to_vec();
+    let at =
+        |rng: &mut XorShift, b: &[u8]| rng.below(b.len().max(1)).min(b.len().saturating_sub(1));
+    match rng.below(10) {
+        0 => {
+            let i = at(rng, &b);
+            b[i] = BYTES[rng.below(BYTES.len())];
+        }
+        1 => b.truncate(at(rng, &b)),
+        2 => {
+            let (i, j) = (at(rng, &b), at(rng, &b));
+            b.drain(i.min(j)..i.max(j));
+        }
+        3 | 4 => {
+            // A number becomes another value.
+            let i = at(rng, &b);
+            if let Some(start) = (i..b.len()).find(|&k| b[k].is_ascii_digit()) {
+                let end = (start..b.len()).find(|&k| !b[k].is_ascii_digit()).unwrap_or(b.len());
+                b.splice(start..end, VALUES[rng.below(VALUES.len())].bytes());
+            }
+        }
+        5 | 6 => {
+            // A short string value becomes another tag or name.
+            let i = at(rng, &b);
+            if let Some(open) = (i..b.len()).find(|&k| b[k..].starts_with(b":\"")) {
+                let start = open + 2;
+                if let Some(len) = b[start..].iter().position(|&c| c == b'"').filter(|&n| n < 12) {
+                    b.splice(start..start + len, TAGS[rng.below(TAGS.len())].bytes());
+                }
+            }
+        }
+        7 | 8 => {
+            // A character of text inside a string (embedded VIDL, names).
+            let i = at(rng, &b);
+            if b[i].is_ascii_alphanumeric() || b" ,()[]".contains(&b[i]) {
+                b[i] = VIDL[rng.below(VIDL.len())];
+            }
+        }
+        _ => {
+            // A member or element dropped: from one comma to the next.
+            let i = at(rng, &b);
+            if let Some(c) = (i..b.len()).find(|&k| b[k] == b',') {
+                if let Some(d) = (c + 1..b.len()).find(|&k| b[k] == b',') {
+                    b.drain(c..d);
+                }
+            }
+        }
+    }
+    String::from_utf8(b).expect("entries and edits are ASCII")
+}
+
+/// `DiskCache::load` over seeded mutations of real entries never panics;
+/// an `Err` deletes the file and counts it corrupt, an `Ok(None)` deletes
+/// it as stale, and a hit re-encodes to bytes that decode and re-encode
+/// to themselves.
+#[test]
+fn mutated_entries_are_rejected_or_decode_to_a_stable_encoding() {
+    const CASES: usize = 20_000;
+    let seed = 0xd15c_0026_u64;
+    // Real entries with their clocks zeroed, so that every run mutates
+    // the same bytes.
+    let src = temp_dir("fuzz-src");
+    let hashes: Vec<_> =
+        engine_with(&src).compile_batch(&jobs()).iter().map(|r| r.hash.unwrap()).collect();
+    let entries: Vec<(_, String)> = hashes
+        .iter()
+        .map(|h| {
+            let text = std::fs::read_to_string(src.join(format!("{}.json", h.hex()))).unwrap();
+            let mut entry = Json::parse(&text).unwrap();
+            for wall in ["beam_wall_ns", "merge_wall_ns", "freeze_wall_ns"] {
+                zero_field(&mut entry, &["kernel", "selection", "stats", wall]);
+            }
+            for stage in vegen::driver::PIPELINE {
+                zero_field(&mut entry, &["stages", &format!("{stage}_ns")]);
+            }
+            (*h, entry.render())
+        })
+        .collect();
+    let fingerprint = isa_fingerprint(&TargetIsa::avx2(), true);
+    let dir = temp_dir("fuzz");
+    let cache = DiskCache::open(&dir).unwrap();
+    let mut rng = XorShift::new(seed);
+    let (mut hits, mut corrupt, mut stale) = (0usize, 0usize, 0usize);
+    for n in 0..CASES {
+        let (hash, base) = &entries[rng.below(entries.len())];
+        let mut text = base.clone();
+        for _ in 0..[1, 1, 1, 2, 3][rng.below(5)] {
+            text = mutate(&mut rng, &text);
+        }
+        let context = || format!("seed {seed:#x}, case {n}: {text:?}");
+        let path = dir.join(format!("{}.json", hash.hex()));
+        std::fs::write(&path, &text).unwrap();
+        let before = cache.stats();
+        let loaded = catch_unwind(AssertUnwindSafe(|| cache.load(*hash, &fingerprint)))
+            .unwrap_or_else(|_| panic!("DiskCache::load panicked: {}", context()));
+        let after = cache.stats();
+        match loaded {
+            Err(_) => {
+                assert!(!path.exists(), "a corrupt entry must be deleted: {}", context());
+                assert_eq!(after.corrupt, before.corrupt + 1, "{}", context());
+                corrupt += 1;
+            }
+            Ok(None) => {
+                assert!(!path.exists(), "a stale entry must be deleted: {}", context());
+                assert_eq!(after.invalidated, before.invalidated + 1, "{}", context());
+                stale += 1;
+            }
+            Ok(Some(hit)) => {
+                let kernel = kernel_to_json(&hit.value.kernel).render();
+                let stages = stage_times_to_json(&hit.value.stages).render();
+                let again =
+                    kernel_from_node(Doc::parse(&kernel).unwrap().root()).unwrap_or_else(|e| {
+                        panic!("re-encoded kernel does not decode: {e}: {}", context())
+                    });
+                assert_eq!(kernel_to_json(&again).render(), kernel, "{}", context());
+                let again = stage_times_from_node(Doc::parse(&stages).unwrap().root()).unwrap();
+                assert_eq!(again, hit.value.stages, "{}", context());
+                hits += 1;
+            }
+        }
+    }
+    println!("{CASES} mutated entries: {hits} hits, {corrupt} corrupt, {stale} stale");
+    assert!(hits > CASES / 20 && corrupt > CASES / 4 && stale > 0, "{hits} / {corrupt} / {stale}");
+    std::fs::remove_dir_all(&src).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every suite kernel and 200 corpus kernels: the decoded rendering of an
+/// entry's kernel re-encodes byte for byte.
+#[test]
+fn every_kernel_decodes_and_re_encodes_byte_identically() {
+    let engine = Engine::new(EngineConfig { threads: 2, verify_trials: 1, ..Default::default() });
+    let suite =
+        vegen_kernels::all().into_iter().map(|k| Job::new(k.name, (k.build)(), pipeline(16)));
+    let corpus = (0..200).map(|i| {
+        let f = vegen_kernels::gen::generate(42, i).function;
+        Job::new(f.name.clone(), f, pipeline(16))
+    });
+    let results = engine.compile_batch(&suite.chain(corpus).collect::<Vec<_>>());
+    assert_eq!(results.len(), 233);
+    for r in &results {
+        let kernel = r.kernel.as_deref().unwrap_or_else(|| panic!("{}: no kernel", r.name));
+        let text = kernel_to_json(kernel).render();
+        let decoded = kernel_from_node(Doc::parse(&text).unwrap().root())
+            .unwrap_or_else(|e| panic!("{}: {e}", r.name));
+        assert_eq!(kernel_to_json(&decoded).render(), text, "{}", r.name);
+    }
 }

@@ -431,6 +431,15 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// Held by every test that writes to the process-wide registry and
+    /// then reads it back, so `reset` cannot zero a metric between the
+    /// two (the test harness runs tests on parallel threads).
+    fn registry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn bucket_index_and_bound_are_consistent() {
@@ -485,6 +494,7 @@ mod tests {
 
     #[test]
     fn registry_returns_the_same_metric_and_snapshot_sees_it() {
+        let _registry = registry_lock();
         counter("test_reg_total").add(3);
         counter("test_reg_total").inc();
         gauge("test_reg_depth").set(2.5);
@@ -503,6 +513,7 @@ mod tests {
 
     #[test]
     fn prometheus_text_is_well_formed() {
+        let _registry = registry_lock();
         counter("test_prom_total").inc();
         gauge("test_prom_gauge").set(1.0);
         let h = histogram("test_prom_us");
@@ -542,6 +553,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_registration() {
+        let _registry = registry_lock();
         let c = counter("test_reset_total");
         c.add(7);
         let h = histogram("test_reset_us");

@@ -196,17 +196,24 @@ impl<'a> Lexer<'a> {
 struct Parser {
     toks: Vec<(usize, Tok)>,
     idx: usize,
+    /// Length of the source: the position of the end of input.
+    end: usize,
 }
 
 impl Parser {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        let at = self.toks.get(self.idx).map(|t| t.0).unwrap_or(usize::MAX);
-        Err(ParseError { at, message: message.into() })
+    fn new(src: &str) -> Result<Parser, ParseError> {
+        Ok(Parser { toks: Lexer::new(src).tokens()?, idx: 0, end: src.len() })
     }
 
-    /// Byte position of the token about to be consumed (0 at end of input).
+    /// An error at the token about to be consumed.
+    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        Err(ParseError { at: self.pos(), message: message.into() })
+    }
+
+    /// Byte position of the token about to be consumed (the source length
+    /// at end of input).
     fn pos(&self) -> usize {
-        self.toks.get(self.idx).map(|t| t.0).unwrap_or(0)
+        self.toks.get(self.idx).map_or(self.end, |t| t.0)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -307,7 +314,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 if self.peek() == Some(&Tok::LParen) {
-                    self.call(&name, params)
+                    self.call(&name, self.toks[self.idx - 1].0, params)
                 } else if let Some(i) = params.iter().position(|(n, _)| *n == name) {
                     Ok(Expr::Param(i))
                 } else {
@@ -322,7 +329,13 @@ impl Parser {
         }
     }
 
-    fn call(&mut self, name: &str, params: &[(String, Type)]) -> Result<Expr, ParseError> {
+    /// The call of `name`, spelled at byte `at`; its errors point there.
+    fn call(
+        &mut self,
+        name: &str,
+        at: usize,
+        params: &[(String, Type)],
+    ) -> Result<Expr, ParseError> {
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
         if self.peek() != Some(&Tok::RParen) {
@@ -337,22 +350,22 @@ impl Parser {
         }
         self.expect(Tok::RParen)?;
         if let Some(op) = BinOp::from_name(name) {
-            let [lhs, rhs] = self.args_n(name, args)?;
+            let [lhs, rhs] = Parser::args_n(name, at, args)?;
             return Ok(Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
         }
         if let Some((op, to)) = parse_cast_name(name) {
-            let [arg] = self.args_n(name, args)?;
+            let [arg] = Parser::args_n(name, at, args)?;
             return Ok(Expr::Cast { op, to, arg: Box::new(arg) });
         }
         if let Some(pred_name) = name.strip_prefix("cmp_") {
             if let Some(pred) = CmpPred::from_name(pred_name) {
-                let [lhs, rhs] = self.args_n(name, args)?;
+                let [lhs, rhs] = Parser::args_n(name, at, args)?;
                 return Ok(Expr::Cmp { pred, lhs: Box::new(lhs), rhs: Box::new(rhs) });
             }
         }
         match name {
             "select" => {
-                let [cond, on_true, on_false] = self.args_n(name, args)?;
+                let [cond, on_true, on_false] = Parser::args_n(name, at, args)?;
                 Ok(Expr::Select {
                     cond: Box::new(cond),
                     on_true: Box::new(on_true),
@@ -360,20 +373,25 @@ impl Parser {
                 })
             }
             "fneg" => {
-                let [arg] = self.args_n(name, args)?;
+                let [arg] = Parser::args_n(name, at, args)?;
                 Ok(Expr::FNeg(Box::new(arg)))
             }
-            _ => self.err(format!("unknown function `{name}`")),
+            _ => Err(ParseError { at, message: format!("unknown function `{name}`") }),
         }
     }
 
-    /// Enforce a call's arity and move its arguments into a fixed-size
-    /// array — the typed replacement for `arity(n)` checks followed by
-    /// panicking `it.next().unwrap()` destructuring.
-    fn args_n<const N: usize>(&self, name: &str, args: Vec<Expr>) -> Result<[Expr; N], ParseError> {
+    /// Enforce the arity of the call of `name` at byte `at` and move its
+    /// arguments into a fixed-size array — the typed replacement for
+    /// `arity(n)` checks followed by panicking `it.next().unwrap()`
+    /// destructuring.
+    fn args_n<const N: usize>(
+        name: &str,
+        at: usize,
+        args: Vec<Expr>,
+    ) -> Result<[Expr; N], ParseError> {
         let got = args.len();
         <[Expr; N]>::try_from(args).map_err(|_| ParseError {
-            at: self.toks.get(self.idx.saturating_sub(1)).map(|t| t.0).unwrap_or(0),
+            at,
             message: format!("`{name}` takes {N} arguments, got {got}"),
         })
     }
@@ -508,9 +526,8 @@ impl Parser {
 /// Returns a [`ParseError`] on malformed input; the result is also
 /// type-checked.
 pub fn parse_operation(src: &str) -> Result<Operation, ParseError> {
-    let toks = Lexer::new(src).tokens()?;
-    let decl_pos = toks.first().map(|t| t.0).unwrap_or(0);
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(src)?;
+    let decl_pos = p.toks.first().map(|t| t.0).unwrap_or(0);
     let op = p.operation()?;
     if p.peek().is_some() {
         return p.err("trailing input after operation");
@@ -540,8 +557,7 @@ pub fn parse_inst(src: &str) -> Result<InstSemantics, ParseError> {
 ///
 /// Same contract as [`parse_inst`].
 pub fn parse_inst_with_map(src: &str) -> Result<(InstSemantics, SourceMap), ParseError> {
-    let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(src)?;
     let (inst, map) = p.inst()?;
     if p.peek().is_some() {
         return p.err("trailing input after instruction");
@@ -611,6 +627,21 @@ mod tests {
         let src = "op s (x: i8) -> i8 = frobnicate(x)";
         let e = parse_operation(src).unwrap_err();
         assert!(e.message.contains("unknown function"));
+        // The error points at the function's name, not past its `)`.
+        assert_eq!(e.at, 21);
+        assert_eq!(&src[e.at..e.at + 10], "frobnicate");
+    }
+
+    #[test]
+    fn errors_at_the_end_of_input_point_at_its_length() {
+        for src in ["op s (x: i8) -> i8 =", "op s (x: i8) -> i8 = add(x, "] {
+            let e = parse_operation(src).unwrap_err();
+            assert_eq!((e.at, e.message.as_str()), (src.len(), "unexpected end of input"));
+        }
+        for src in ["inst t (a: 2 x i32)  ", ""] {
+            let e = parse_inst(src).unwrap_err();
+            assert_eq!((e.at, e.message.as_str()), (src.len(), "unexpected end of input"));
+        }
     }
 
     #[test]
@@ -641,6 +672,7 @@ mod tests {
         let src = "op s (x: i8) -> i8 = add(x)";
         let e = parse_operation(src).unwrap_err();
         assert!(e.message.contains("takes 2 arguments"));
+        assert_eq!(e.at, src.find("add").unwrap());
     }
 
     #[test]
