@@ -24,19 +24,31 @@
 //!   successor is one buffer copy; `F` and `S` are bitsets by value index
 //!   — ascending-bit iteration is ascending `ValueId` order — and `prod`
 //!   packs one 32-bit lane per value;
-//! * `V` is a sorted vector of [`OperandId`]s (each paired with its
-//!   resolved operand so iteration order stays the operand-lexicographic
-//!   order the search has always used);
+//! * `V` is a sorted vector of plain `Copy` members, each an
+//!   [`OperandId`] with its content rank (computed once by
+//!   [`FrozenCtx`]), so iteration order stays the operand-lexicographic
+//!   order the search has always used;
 //! * the pack path is a persistent cons list of [`PackId`]s shared between
 //!   a state and its successors, so a transition is O(1) instead of
 //!   cloning the whole path;
 //! * the (F, V, S) identity is maintained as an incrementally-updated
 //!   128-bit XOR hash — applying a transition folds the changed elements
-//!   in and out instead of materializing a key. Deduplication indexes the
-//!   pool by that hash (one map entry per distinct hash, a side chain for
-//!   true collisions) and a full component comparison arbitrates every
-//!   hash match (collisions are counted in
+//!   in and out. Deduplication indexes the pool by that hash (one map
+//!   entry per distinct hash, a side chain for true collisions) and a full
+//!   key comparison arbitrates every hash match (collisions are counted in
 //!   [`BeamStats::hash_collisions`]).
+//!
+//! ## Score every successor, build only the survivors
+//!
+//! Most successors are pruned in the iteration that creates them, so an
+//! iteration has two steps. Expansion applies each transition into one
+//! reused scratch state and records a [`Scored`] successor: its parent's
+//! frontier position, the action, `g`, the hash, the path length, and its
+//! `[F words | S words | V members]` key in one flat per-iteration key
+//! buffer. Dedup, the estimate, the top-k ranking and the decision log all
+//! read those records and keys. Only the `width` survivors become
+//! [`State`]s, each built by re-applying its action to its parent — so a
+//! pruned successor costs no allocation at all.
 //!
 //! ## Parallel search
 //!
@@ -44,16 +56,17 @@
 //! [`crate::frozen`]): freezing enumerates every candidate up front, so
 //! expansion never interns and workers share the snapshot by reference.
 //! Each iteration's frontier is split into contiguous chunks, one per
-//! worker; workers run `expand` + transition scoring into thread-local
-//! buffers, and the main thread concatenates the buffers *in
-//! chunk order* before the (order-preserving) dedup, the total-order
-//! top-k selection, and the truncation — so selections are byte-identical
-//! at any thread count, including every f64 accumulation order. Completion
+//! worker; workers score their chunk's successors into their own record
+//! and key buffers and hand the chunk back with them, and the main thread
+//! concatenates the buffers *in chunk order* before the
+//! (order-preserving) dedup, the total-order top-k selection, and the
+//! build of the survivors — so selections are byte-identical at any
+//! thread count, including every f64 accumulation order. Completion
 //! estimates (`costSLP`) stay on the main thread, memoized per operand in
 //! [`FrozenSlp`], which is reusable across searches via
-//! [`SelectionReuse`]. A state's estimate is a sum of memo reads and is
-//! recomputed every time — there is no per-state estimate table, because
-//! a table lookup costs more than the sum it would save.
+//! [`SelectionReuse`]. A successor's estimate is a sum of memo reads and
+//! is recomputed every time — there is no per-state estimate table,
+//! because a table lookup costs more than the sum it would save.
 
 use crate::bits::{bit, clear_bit, ones, set_bit};
 use crate::ctx::VectorizerCtx;
@@ -346,7 +359,8 @@ pub struct IterationLog {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateLog {
     /// Human-readable transition: `"pack <desc>"`, `"scalar v<n>"`, or
-    /// `"init"` for a carried state.
+    /// `"init"` for the search root. A terminal state carried over from the
+    /// frontier shows the transition that made it.
     pub action: String,
     /// Path cost so far (`g`).
     pub g: f64,
@@ -396,9 +410,10 @@ pub fn describe_pack<'n>(inst_name: impl Fn(usize) -> &'n str, pack: &Pack) -> S
     }
 }
 
-/// The transition that produced a state (for decision logging).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The transition that produced a state. Only the search root is `Init`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Action {
+    #[default]
     Init,
     Pack(PackId),
     Scalar(ValueId),
@@ -444,35 +459,30 @@ impl Prod {
     }
 }
 
-/// A requested vector operand: the interned id plus the resolved operand.
-/// Ordered by the operand's lane values so `vset` iterates in the same
-/// lexicographic order as the pre-interning `BTreeSet<OperandVec>` (the
-/// order of floating-point cost accumulation depends on it); equality is
-/// id equality, which interning makes equivalent.
-#[derive(Clone)]
+/// A requested vector operand: its content rank, then its interned id.
+/// Ordered by rank, so `vset` iterates in the same lexicographic order as
+/// the pre-interning `BTreeSet<OperandVec>` (the order of floating-point
+/// cost accumulation depends on it); ranks are distinct, so equality is
+/// id equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct VOp {
+    rank: u32,
     id: OperandId,
-    vec: Arc<OperandVec>,
 }
 
-impl PartialEq for VOp {
-    fn eq(&self, other: &VOp) -> bool {
-        self.id == other.id
+impl VOp {
+    fn new(fz: &FrozenCtx, id: OperandId) -> VOp {
+        VOp { rank: fz.operand_rank(id), id }
     }
-}
-impl Eq for VOp {}
-impl PartialOrd for VOp {
-    fn partial_cmp(&self, other: &VOp) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    /// The member's word in a successor key: the rank in the high half,
+    /// so comparing words compares members.
+    fn key_word(self) -> u64 {
+        (self.rank as u64) << 32 | self.id.0 as u64
     }
-}
-impl Ord for VOp {
-    fn cmp(&self, other: &VOp) -> Ordering {
-        if self.id == other.id {
-            Ordering::Equal
-        } else {
-            self.vec.cmp(&other.vec)
-        }
+
+    fn id_of_key_word(word: u64) -> OperandId {
+        OperandId(word as u32)
     }
 }
 
@@ -515,10 +525,11 @@ const TAG_V: u64 = 0x8EBC_6AF0_9C88_C6E3;
 /// `F`, `S` and the producer table share one buffer, `[free | S | prod]`:
 /// `words` words of the free bitset, `words` words of the scalar-demand
 /// bitset, then one 32-bit [`Prod`] lane per value, two to a word. Every
-/// transition writes all three, so a successor copies them in one
-/// allocation; the accessors below are the only code that knows the
+/// transition writes all three, so a successor copies them in one `memcpy`
+/// (into a reused scratch state when it is scored, a fresh allocation when
+/// it is built); the accessors below are the only code that knows the
 /// layout.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct State {
     buf: Vec<u64>,
     /// Length of each bitset region of `buf`.
@@ -526,11 +537,13 @@ struct State {
     /// `V`, sorted under [`VOp`]'s order.
     vset: Vec<VOp>,
     g: f64,
+    /// The pack path. A transition applied into a scratch state leaves
+    /// this alone; only [`Search::build`] extends it.
     packs: Option<Arc<PackNode>>,
     /// Incremental 128-bit hash of the (F, V, S) identity.
     hash: u128,
-    /// The transition that created this state (decision logging only; not
-    /// part of the state identity).
+    /// The transition that created this state (not part of the state
+    /// identity).
     action: Action,
 }
 
@@ -573,6 +586,23 @@ impl State {
         &self.buf[..2 * self.words as usize]
     }
 
+    /// Append the state's (F, V, S) key, `[F words | S words | V
+    /// members]`, to `out`.
+    fn push_key(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(self.key_words());
+        out.extend(self.vset.iter().map(|x| x.key_word()));
+    }
+
+    /// Overwrite everything but the pack path and the action with
+    /// `parent`'s, reusing this state's buffers.
+    fn copy_from(&mut self, parent: &State) {
+        self.buf.clone_from(&parent.buf);
+        self.words = parent.words;
+        self.vset.clone_from(&parent.vset);
+        self.g = parent.g;
+        self.hash = parent.hash;
+    }
+
     /// How value `v` was produced.
     fn prod(&self, v: ValueId) -> Prod {
         let i = v.index();
@@ -596,6 +626,7 @@ impl State {
     }
 
     /// `S` in ascending `ValueId` order.
+    #[cfg(test)]
     fn sset_iter(&self) -> impl Iterator<Item = ValueId> + '_ {
         ones(self.sset()).map(|i| ValueId::from_raw(i as u32))
     }
@@ -636,10 +667,10 @@ impl State {
     }
 
     /// Drop every requested vector whose defined lanes are all decided.
-    fn vset_drop_satisfied(&mut self) {
+    fn vset_drop_satisfied(&mut self, fz: &FrozenCtx) {
         let mut at = 0;
         while at < self.vset.len() {
-            if self.vset[at].vec.defined().all(|l| !bit(self.free(), l.index())) {
+            if fz.arena.operand(self.vset[at].id).defined().all(|l| !bit(self.free(), l.index())) {
                 self.vset_remove_at(at);
             } else {
                 at += 1;
@@ -667,20 +698,89 @@ impl State {
     }
 }
 
-/// Full (F, V, S) equality — the collision fallback behind the hash.
-fn same_key(a: &State, b: &State) -> bool {
-    a.key_words() == b.key_words() && a.vset == b.vset
+/// A scored successor: everything dedup, the estimate, ranking and the
+/// decision log read. Its (F, V, S) key is `keys[key..key + key_len]` of
+/// the iteration's [`Pool`]; only the survivors are built into
+/// [`State`]s.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    hash: u128,
+    g: f64,
+    /// The transition that makes the successor (for a carried terminal,
+    /// the one that made it).
+    action: Action,
+    /// The parent's position in the frontier.
+    parent: u32,
+    key: u32,
+    key_len: u32,
+    /// Pack-path length.
+    packs: u16,
+    /// A terminal frontier state, carried over unchanged.
+    carried: bool,
 }
 
-/// The deterministic (F, V, S) tie-break order: free words, then the
-/// requested operands lexicographically, then the scalar demands as
-/// ascending value sequences — exactly the tuple order of the former
-/// materialized state key, compared lazily.
-fn key_cmp(a: &State, b: &State) -> Ordering {
-    a.free()
-        .cmp(b.free())
-        .then_with(|| a.vset.iter().cmp(b.vset.iter()))
-        .then_with(|| a.sset_iter().cmp(b.sset_iter()))
+/// Successors scored in one iteration, in frontier order: one worker's
+/// chunk, or the whole pool once the main thread has appended every
+/// chunk's in chunk order.
+#[derive(Default)]
+struct Pool {
+    recs: Vec<Scored>,
+    /// Every record's key, `[F words | S words | V members]`, back to back.
+    keys: Vec<u64>,
+    /// Frontier states expanded, and the successors they produced.
+    expanded: usize,
+    transitions: u64,
+}
+
+impl Pool {
+    fn clear(&mut self) {
+        self.recs.clear();
+        self.keys.clear();
+        self.expanded = 0;
+        self.transitions = 0;
+    }
+
+    /// Record `st`, the successor of frontier state `parent` by `action`.
+    fn record(&mut self, st: &State, parent: u32, action: Action, packs: u16, carried: bool) {
+        let key = self.keys.len();
+        st.push_key(&mut self.keys);
+        self.recs.push(Scored {
+            hash: st.hash,
+            g: st.g,
+            action,
+            parent,
+            key: key as u32,
+            key_len: (self.keys.len() - key) as u32,
+            packs,
+            carried,
+        });
+    }
+
+    fn key(&self, rec: &Scored) -> &[u64] {
+        &self.keys[rec.key as usize..(rec.key + rec.key_len) as usize]
+    }
+
+    /// Append a chunk's successors after this pool's.
+    fn append(&mut self, chunk: Pool) {
+        let base = self.keys.len() as u32;
+        self.recs.extend(chunk.recs.iter().map(|r| Scored { key: r.key + base, ..*r }));
+        self.keys.extend_from_slice(&chunk.keys);
+        self.expanded += chunk.expanded;
+        self.transitions += chunk.transitions;
+    }
+}
+
+/// The deterministic (F, V, S) tie-break order on two successor keys over
+/// `words`-word bitsets: free words, then the requested operands
+/// lexicographically, then the scalar demands as ascending value
+/// sequences — exactly the tuple order of the former materialized state
+/// key.
+fn key_cmp(words: usize, a: &[u64], b: &[u64]) -> Ordering {
+    let w = words;
+    a[..w]
+        .cmp(&b[..w])
+        .then_with(|| a[2 * w..].cmp(&b[2 * w..]))
+        .then_with(|| ones(&a[w..2 * w]).cmp(ones(&b[w..2 * w])))
 }
 
 /// Hasher for the dedup index: a state hash is already a 128-bit mix, so
@@ -702,52 +802,68 @@ impl Hasher for FoldHasher {
     }
 }
 
-/// End of a collision chain in [`dedup_pool`].
+/// End of a collision chain in [`Dedup`].
 const CHAIN_END: u32 = u32::MAX;
 
-/// Deduplicate identical (F, V, S) states, keeping the cheapest path
-/// (first-seen wins ties). The index maps each incremental hash to the
-/// first output position carrying it; distinct states under one hash (a
-/// true 128-bit collision) are linked through `chain`, and [`same_key`]
-/// arbitrates every hash match. The output preserves first-seen pool
-/// order — a deterministic order, unlike hash-map iteration — so every
-/// downstream consumer (estimate evaluation, ranking) sees a reproducible
-/// sequence.
-fn dedup_pool(pool: Vec<State>, dedup_hits: &mut u64, hash_collisions: &mut u64) -> Vec<State> {
-    let mut index: HashMap<u128, u32, BuildHasherDefault<FoldHasher>> =
-        HashMap::with_capacity_and_hasher(pool.len(), BuildHasherDefault::default());
-    // `chain[i]`: the next output position sharing `out[i]`'s hash.
-    let mut chain: Vec<u32> = Vec::with_capacity(pool.len());
-    let mut out: Vec<State> = Vec::with_capacity(pool.len());
-    for st in pool {
-        let mut at = match index.entry(st.hash) {
-            Entry::Vacant(e) => {
-                e.insert(out.len() as u32);
-                chain.push(CHAIN_END);
-                out.push(st);
-                continue;
-            }
-            Entry::Occupied(e) => *e.get() as usize,
-        };
-        loop {
-            if same_key(&out[at], &st) {
-                *dedup_hits += 1;
-                if st.g < out[at].g {
-                    out[at] = st;
+/// Deduplication of identical (F, V, S) successors. The index maps each
+/// incremental hash to the first output position carrying it; distinct
+/// keys under one hash (a true 128-bit collision) are linked through
+/// `chain`, and a key comparison arbitrates every hash match. Both live
+/// across iterations, so their tables are allocated once per search.
+#[derive(Default)]
+struct Dedup {
+    index: HashMap<u128, u32, BuildHasherDefault<FoldHasher>>,
+    /// `chain[i]`: the next output position sharing `out[i]`'s hash.
+    chain: Vec<u32>,
+}
+
+impl Dedup {
+    /// Leave in `out` one record position per distinct key of `pool`,
+    /// keeping the cheapest path (first-seen wins ties), in first-seen
+    /// order — a deterministic order, unlike hash-map iteration — so every
+    /// downstream consumer (estimate evaluation, ranking) sees a
+    /// reproducible sequence.
+    fn run(
+        &mut self,
+        pool: &Pool,
+        out: &mut Vec<u32>,
+        dedup_hits: &mut u64,
+        hash_collisions: &mut u64,
+    ) {
+        self.index.clear();
+        self.index.reserve(pool.recs.len());
+        self.chain.clear();
+        out.clear();
+        for (i, rec) in pool.recs.iter().enumerate() {
+            let mut at = match self.index.entry(rec.hash) {
+                Entry::Vacant(e) => {
+                    e.insert(out.len() as u32);
+                    self.chain.push(CHAIN_END);
+                    out.push(i as u32);
+                    continue;
                 }
-                break;
+                Entry::Occupied(e) => *e.get() as usize,
+            };
+            loop {
+                let seen = &pool.recs[out[at] as usize];
+                if pool.key(seen) == pool.key(rec) {
+                    *dedup_hits += 1;
+                    if rec.g < seen.g {
+                        out[at] = i as u32;
+                    }
+                    break;
+                }
+                if self.chain[at] == CHAIN_END {
+                    *hash_collisions += 1;
+                    self.chain[at] = out.len() as u32;
+                    self.chain.push(CHAIN_END);
+                    out.push(i as u32);
+                    break;
+                }
+                at = self.chain[at] as usize;
             }
-            if chain[at] == CHAIN_END {
-                *hash_collisions += 1;
-                chain[at] = out.len() as u32;
-                chain.push(CHAIN_END);
-                out.push(st);
-                break;
-            }
-            at = chain[at] as usize;
         }
     }
-    out
 }
 
 /// Cross-search state carried between `select_packs_reusing` calls: the
@@ -798,10 +914,12 @@ impl SelectionReuse {
     }
 }
 
-/// Per-thread scratch buffers of the transition kernel, so a transition
-/// allocates nothing but the successor state itself.
+/// Per-thread scratch buffers of the transition kernel, so scoring a
+/// successor allocates nothing.
 #[derive(Default)]
 struct Scratch {
+    /// The successor each transition is applied into.
+    next: State,
     /// The dead sweep's demanded values (`S` ∪ lanes of `V`).
     demanded: Vec<u64>,
     /// `expand`'s scalar-fix candidates.
@@ -822,18 +940,24 @@ struct Search<'f> {
 }
 
 impl<'f> Search<'f> {
-    /// Charge for operand lanes that were decided before the operand was
-    /// requested: free if a chosen pack produces `x` exactly, otherwise one
-    /// insertion per distinct scalar (or swept-dead) lane plus one shuffle
-    /// per distinct source pack.
-    fn join_cost(&self, st: &State, x: &OperandVec, scratch: &mut Scratch) -> f64 {
+    /// Charge for operand lanes of `next` that were decided before the
+    /// operand was requested: free if a pack on `parent`'s path produces
+    /// `x` exactly, otherwise one insertion per distinct scalar (or
+    /// swept-dead) lane plus one shuffle per distinct source pack.
+    fn join_cost(
+        &self,
+        parent: &State,
+        next: &State,
+        x: &OperandVec,
+        scratch: &mut Scratch,
+    ) -> f64 {
         let fz = self.fz;
-        let decided = |v: ValueId| !st.is_free(v) && !bit(&fz.const_mask, v.index());
+        let decided = |v: ValueId| !next.is_free(v) && !bit(&fz.const_mask, v.index());
         if !x.defined().any(decided) {
             return 0.0;
         }
         // If an existing pack produces x exactly, joining is free.
-        for pid in st.packs_iter() {
+        for pid in parent.packs_iter() {
             if x.produced_by(&fz.arena.pack_data(pid).values) {
                 return 0.0;
             }
@@ -846,7 +970,7 @@ impl<'f> Search<'f> {
             if !decided(v) || x.lanes()[..lane].contains(&Some(v)) {
                 continue;
             }
-            match st.prod(v) {
+            match next.prod(v) {
                 // A swept-dead value revives as a scalar at lowering time
                 // (codegen re-derives scalar demands from the final packs);
                 // estimate it like a scalar insertion.
@@ -908,13 +1032,15 @@ impl<'f> Search<'f> {
         crate::ctx::packs_legal(self.fz.f.insts.len(), &self.fz.deps, &refs)
     }
 
-    /// Transition: apply a pack.
-    fn apply_pack(&self, st: &State, pid: PackId, scratch: &mut Scratch) -> Option<State> {
+    /// Transition: apply a pack to `st`, writing the successor into `next`
+    /// (all of it but the pack path). Returns whether the pack applies;
+    /// `next` is meaningful only if it does.
+    fn apply_pack(&self, st: &State, pid: PackId, next: &mut State, scratch: &mut Scratch) -> bool {
         let fz = self.fz;
         let data = fz.arena.pack_data(pid);
         // All produced values must be free with all users decided.
         if !data.defined.iter().all(|&v| st.is_free(v) && fz.users_decided(st.free(), v)) {
-            return None;
+            return false;
         }
         // Legality: no contracted cycle with already-chosen packs.
         let legal = self.extends_legally(st, pid, scratch);
@@ -930,13 +1056,13 @@ impl<'f> Search<'f> {
             tests::LEGALITY_CHECKS.with(|c| c.set(c.get() + 1));
         }
         if !legal {
-            return None;
+            return false;
         }
-        let operand_ids = fz.arena.pack_operands(pid)?;
+        let Some(operand_ids) = fz.arena.pack_operands(pid) else { return false };
         let is_store = fz.arena.pack(pid).is_store();
-        let mut next = st.clone();
+        next.copy_from(st);
         next.action = Action::Pack(pid);
-        let pidx = next.pack_len();
+        let pidx = st.pack_len();
         next.g += fz.pack_cost_of(pid);
 
         for &v in &data.defined {
@@ -955,7 +1081,7 @@ impl<'f> Search<'f> {
         let ours = |p: Prod| matches!(p, Prod::Pack(i) | Prod::PackX(i) if i == pidx);
         let mut at = 0;
         while at < next.vset.len() {
-            let x = &next.vset[at].vec;
+            let x = fz.arena.operand(next.vset[at].id);
             if !x.defined().any(|l| ours(next.prod(l))) {
                 at += 1;
                 continue;
@@ -987,15 +1113,14 @@ impl<'f> Search<'f> {
             if x.defined().all(|v| bit(&fz.const_mask, v.index())) {
                 continue;
             }
-            next.g += self.join_cost(&next, x, scratch);
+            next.g += self.join_cost(st, next, x, scratch);
             if x.defined().any(|l| bit(next.free(), l.index())) {
-                next.vset_insert(VOp { id: oid, vec: x.clone() });
+                next.vset_insert(VOp::new(fz, oid));
             }
         }
 
-        next.push_pack(pid);
-        self.sweep_dead(&mut next, scratch);
-        Some(next)
+        self.sweep_dead(next, None, scratch);
+        true
     }
 
     /// Sweep undemanded dead code: any free value that is not requested (in
@@ -1003,18 +1128,30 @@ impl<'f> Search<'f> {
     /// emitted — the "intermediate instructions become dead code" effect of
     /// replacing multiple IR instructions with one machine operation.
     ///
-    /// Killing a value can only free up its operands, and operands precede
-    /// their users, so visiting the candidates once in descending index
-    /// reaches the least fixpoint; the state hash is an XOR over members,
-    /// so the visiting order cannot show in it.
-    fn sweep_dead(&self, st: &mut State, scratch: &mut Scratch) {
+    /// `fixed` is `Some(v)` when `st` is a scalar fix of `v` from a state
+    /// that was itself swept; then only `v`'s operands are visited (see
+    /// [`Self::sweep_operands`]). Otherwise every candidate is.
+    fn sweep_dead(&self, st: &mut State, fixed: Option<ValueId>, scratch: &mut Scratch) {
         #[cfg(test)]
         let reference = tests::reference_sweep(self.fz, st);
+        match fixed {
+            Some(v) => self.sweep_operands(st, v),
+            None => self.sweep_all(st, scratch),
+        }
+        #[cfg(test)]
+        tests::assert_same_sweep(&reference, st);
+    }
+
+    /// The full sweep. Killing a value can only free up its operands, and
+    /// operands precede their users, so visiting the candidates once in
+    /// descending index reaches the least fixpoint; the state hash is an
+    /// XOR over members, so the visiting order cannot show in it.
+    fn sweep_all(&self, st: &mut State, scratch: &mut Scratch) {
         let demanded = &mut scratch.demanded;
         demanded.clear();
         demanded.extend_from_slice(st.sset());
         for x in &st.vset {
-            for v in x.vec.defined() {
+            for v in self.fz.arena.operand(x.id).defined() {
                 set_bit(demanded, v.index());
             }
         }
@@ -1030,29 +1167,55 @@ impl<'f> Search<'f> {
                 }
             }
         }
-        #[cfg(test)]
-        tests::assert_same_sweep(&reference, st);
     }
 
-    /// Transition: fix `v` as a scalar instruction.
-    fn apply_scalar(&self, st: &State, v: ValueId, scratch: &mut Scratch) -> Option<State> {
+    /// The sweep after fixing `v` as a scalar in a swept state. There every
+    /// free, undemanded value had a free user. The fix decides only `v`,
+    /// and only drops members of `V` whose lanes are all decided, so a
+    /// value can have lost its last free user only if it is an operand of
+    /// `v`; each free non-constant operand of `v` has just joined `S`. So
+    /// only `v`'s free constant operands can die, and a constant has no
+    /// operands to free up in turn.
+    fn sweep_operands(&self, st: &mut State, v: ValueId) {
+        let fz = self.fz;
+        for o in fz.f.inst(v).operands() {
+            let demanded = || {
+                bit(st.sset(), o.index())
+                    || st.vset.iter().any(|x| fz.arena.operand(x.id).contains(o))
+            };
+            if st.is_free(o) && fz.users_decided(st.free(), o) && !demanded() {
+                st.clear_free(o);
+                st.set_prod(o, Prod::Dead);
+            }
+        }
+    }
+
+    /// Transition: fix `v` as a scalar instruction of `st`, writing the
+    /// successor into `next` as [`Self::apply_pack`] does.
+    fn apply_scalar(
+        &self,
+        st: &State,
+        v: ValueId,
+        next: &mut State,
+        scratch: &mut Scratch,
+    ) -> bool {
         let fz = self.fz;
         if !st.is_free(v) || !fz.users_decided(st.free(), v) {
-            return None;
+            return false;
         }
         let f = &fz.f;
-        let mut next = st.clone();
+        next.copy_from(st);
         next.action = Action::Scalar(v);
         next.g += fz.cost.scalar_inst_cost(f, v);
         // Insertion cost into every requested vector that wants v.
         for x in &next.vset {
-            next.g += fz.cost.insert_one_cost(f, v, &x.vec);
+            next.g += fz.cost.insert_one_cost(f, v, fz.arena.operand(x.id));
         }
         next.clear_free(v);
         next.set_prod(v, Prod::Scalar);
         next.sset_remove(v);
         // Satisfied vectors leave V.
-        next.vset_drop_satisfied();
+        next.vset_drop_satisfied(fz);
         // Operands become scalar demands; pack-produced operands extract.
         for o in f.inst(v).operands() {
             if bit(&fz.const_mask, o.index()) {
@@ -1068,42 +1231,38 @@ impl<'f> Search<'f> {
                 }
             }
         }
-        self.sweep_dead(&mut next, scratch);
-        Some(next)
+        // Every state but the root was swept by the transition that made it.
+        let fixed = (st.action != Action::Init).then_some(v);
+        self.sweep_dead(next, fixed, scratch);
+        true
     }
 
-    fn expand(&self, st: &State, out: &mut Vec<State>, scratch: &mut Scratch) {
+    /// Score every successor of frontier state `st` (at position
+    /// `parent`) into `out`, at most [`BeamConfig::max_transitions`] of
+    /// them.
+    fn expand(&self, st: &State, parent: u32, out: &mut Pool, scratch: &mut Scratch) {
+        let fz = self.fz;
+        let cap = self.cfg.max_transitions;
+        let mut next = std::mem::take(&mut scratch.next);
         let mut n = 0usize;
-        let push = |s: Option<State>, out: &mut Vec<State>, n: &mut usize| {
-            if let Some(s) = s {
-                out.push(s);
-                *n += 1;
-            }
-        };
         // 1. Producers of requested vectors — exact producers plus load
-        //    packs covering jumbled load operands (paid with a shuffle).
-        for x in &st.vset {
-            if n >= self.cfg.max_transitions {
+        //    packs covering jumbled load operands (paid with a shuffle) —
+        //    and of their opcode groups, for mixed-opcode operands (blended
+        //    at a shuffle cost when they meet); 2. seed packs (store chains
+        //    + affinity seeds).
+        let requested = st.vset.iter().flat_map(|x| {
+            let candidates = fz.arena.candidates(x.id);
+            let groups = candidates.groups.iter().flat_map(|&g| &fz.arena.candidates(g).producers);
+            candidates.producers.iter().chain(&candidates.covering).chain(groups)
+        });
+        for &pid in requested.chain(&fz.seed_packs) {
+            if n >= cap {
                 break;
             }
-            let candidates = self.fz.arena.candidates(x.id);
-            for &pid in candidates.producers.iter().chain(&candidates.covering) {
-                push(self.apply_pack(st, pid, scratch), out, &mut n);
+            if self.apply_pack(st, pid, &mut next, scratch) {
+                out.record(&next, parent, Action::Pack(pid), st.pack_len() + 1, false);
+                n += 1;
             }
-            // Mixed-opcode operands: packs producing one opcode group each
-            // (blended at a shuffle cost when they meet).
-            for &g in &candidates.groups {
-                for &pid in &self.fz.arena.candidates(g).producers {
-                    push(self.apply_pack(st, pid, scratch), out, &mut n);
-                }
-            }
-        }
-        // 2. Seed packs (store chains + affinity seeds).
-        for &pid in &self.fz.seed_packs {
-            if n >= self.cfg.max_transitions {
-                break;
-            }
-            push(self.apply_pack(st, pid, scratch), out, &mut n);
         }
         // 3. Scalar fixes: values demanded by S or by requested vectors,
         //    in ascending value order.
@@ -1111,117 +1270,157 @@ impl<'f> Search<'f> {
         fix.clear();
         fix.extend_from_slice(st.sset());
         for x in &st.vset {
-            for v in x.vec.defined() {
+            for v in fz.arena.operand(x.id).defined() {
                 if st.is_free(v) {
                     set_bit(&mut fix, v.index());
                 }
             }
         }
         for i in ones(&fix) {
-            if n >= self.cfg.max_transitions {
+            if n >= cap {
                 break;
             }
-            push(self.apply_scalar(st, ValueId::from_raw(i as u32), scratch), out, &mut n);
+            let v = ValueId::from_raw(i as u32);
+            if self.apply_scalar(st, v, &mut next, scratch) {
+                out.record(&next, parent, Action::Scalar(v), st.pack_len(), false);
+                n += 1;
+            }
         }
+        #[cfg(test)]
+        tests::MOST_SUCCESSORS.with(|m| m.set(m.get().max(n)));
         scratch.fix = fix;
+        scratch.next = next;
+    }
+
+    /// Build the state `rec` scored: re-apply its action to its parent in
+    /// `frontier` and extend the parent's pack path (a carried terminal is
+    /// its parent).
+    fn build(&self, frontier: &[State], rec: &Scored, scratch: &mut Scratch) -> State {
+        let parent = &frontier[rec.parent as usize];
+        if rec.carried {
+            return parent.clone();
+        }
+        #[cfg(test)]
+        tests::BUILDS.with(|c| c.set(c.get() + 1));
+        let mut next = State::default();
+        let applied = match rec.action {
+            Action::Pack(pid) => self.apply_pack(parent, pid, &mut next, scratch),
+            Action::Scalar(v) => self.apply_scalar(parent, v, &mut next, scratch),
+            Action::Init => false,
+        };
+        assert!(applied, "a scored transition must re-apply to its parent");
+        next.packs = parent.packs.clone();
+        if let Action::Pack(pid) = rec.action {
+            next.push_pack(pid);
+        }
+        next
     }
 }
 
-/// Heuristic completion estimate: `Σ costSLP(v) + Σ costscalar(s)` — the
-/// per-value sums of Fig. 9's ordering formula. The scalar term
-/// double-counts shared subtrees, which biases the beam *toward* keeping
-/// partially-vectorized states alive; that bias is what lets the search
-/// carry fft4's butterfly packs past the point where the plain scalar
-/// path looks locally cheaper (and mirrors the paper's own
-/// characterization of costSLP as optimistic, §5.1). Evaluated on the
-/// main thread only, so the `costSLP` memo needs no synchronization and
-/// fills in a reproducible order. Once the memo is warm this is |V| reads
-/// and one add per member of S — less than hashing the state to look the
-/// answer up would cost, so the answer is not cached per state.
-fn estimate(fz: &FrozenCtx, slp: &mut FrozenSlp, st: &State) -> f64 {
+/// Heuristic completion estimate of the successor keyed `key`: `Σ
+/// costSLP(v) + Σ costscalar(s)` — the per-value sums of Fig. 9's
+/// ordering formula. The scalar term double-counts shared subtrees, which
+/// biases the beam *toward* keeping partially-vectorized states alive;
+/// that bias is what lets the search carry fft4's butterfly packs past
+/// the point where the plain scalar path looks locally cheaper (and
+/// mirrors the paper's own characterization of costSLP as optimistic,
+/// §5.1). Evaluated on the main thread only, so the `costSLP` memo needs
+/// no synchronization and fills in a reproducible order. Once the memo is
+/// warm this is |V| reads and one add per member of S — less than hashing
+/// the key to look the answer up would cost, so the answer is not cached
+/// per state.
+fn estimate(fz: &FrozenCtx, slp: &mut FrozenSlp, key: &[u64]) -> f64 {
+    let w = fz.words;
     let mut h = 0.0;
-    for x in &st.vset {
-        h += slp.cost_id(fz, x.id);
+    for &member in &key[2 * w..] {
+        h += slp.cost_id(fz, VOp::id_of_key_word(member));
     }
-    for s in st.sset_iter() {
-        h += fz.scalar_one(s);
+    for s in ones(&key[w..2 * w]) {
+        h += fz.scalar_one(ValueId::from_raw(s as u32));
     }
     h
 }
 
-/// A deduplicated state with its ranking keys: `(score, estimate, state)`.
-type Ranked = (f64, f64, State);
+/// A deduplicated successor with its ranking keys: `(score, estimate,
+/// record position in the pool)`.
+type Ranked = (f64, f64, u32);
 
 /// The beam's ranking order: score; then prefer the more-progressed state
 /// (smaller heuristic remainder — its cost is more certain); then the
 /// (F, V, S) key — a total order on distinct states, so neither pool order
 /// nor thread count can leak into the result.
-fn rank_cmp(a: &Ranked, b: &Ranked) -> Ordering {
-    a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)).then_with(|| key_cmp(&a.2, &b.2))
+fn rank_cmp(pool: &Pool, words: usize, a: &Ranked, b: &Ranked) -> Ordering {
+    let key = |r: &Ranked| pool.key(&pool.recs[r.2 as usize]);
+    a.0.total_cmp(&b.0)
+        .then_with(|| a.1.total_cmp(&b.1))
+        .then_with(|| key_cmp(words, key(a), key(b)))
 }
 
-/// Move the `keep` best-ranked entries to the front of `pool`, in rank
+/// Move the `keep` best-ranked entries to the front of `ranked`, in rank
 /// order; the rest follow in no particular order. [`rank_cmp`] is total on
 /// a deduplicated pool, so the prefix is exactly the first `keep` entries
 /// of a full sort.
-fn rank_prefix(pool: &mut [Ranked], keep: usize) {
-    if pool.len() > keep {
-        pool.select_nth_unstable_by(keep - 1, rank_cmp);
+fn rank_prefix(pool: &Pool, words: usize, ranked: &mut [Ranked], keep: usize) {
+    let cmp = |a: &Ranked, b: &Ranked| rank_cmp(pool, words, a, b);
+    if ranked.len() > keep {
+        ranked.select_nth_unstable_by(keep - 1, cmp);
     }
-    let keep = keep.min(pool.len());
-    pool[..keep].sort_unstable_by(rank_cmp);
+    let keep = keep.min(ranked.len());
+    ranked[..keep].sort_unstable_by(cmp);
 }
 
 /// The candidates around the keep/prune boundary of a ranked pool: the
 /// best kept and the best pruned, [`MAX_LOGGED_CANDIDATES`] of each at
 /// most — which is why [`rank_prefix`] orders that many past `width`.
-fn candidate_logs(fz: &FrozenCtx, ranked: &[Ranked], width: usize) -> Vec<CandidateLog> {
+fn candidate_logs(
+    fz: &FrozenCtx,
+    pool: &Pool,
+    ranked: &[Ranked],
+    width: usize,
+) -> Vec<CandidateLog> {
     let logged = |rank: usize| rank < MAX_LOGGED_CANDIDATES || rank >= width;
     ranked
         .iter()
         .enumerate()
         .take(width + MAX_LOGGED_CANDIDATES)
         .filter(|(rank, _)| logged(*rank))
-        .map(|(rank, (score, h, st))| CandidateLog {
-            action: match st.action {
-                Action::Init => "init".to_string(),
-                Action::Pack(pid) => {
-                    format!("pack {}", describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)))
-                }
-                Action::Scalar(v) => format!("scalar v{}", v.index()),
-            },
-            g: st.g,
-            est: *h,
-            score: *score,
-            packs: st.pack_len() as usize,
-            kept: rank < width,
+        .map(|(rank, &(score, est, at))| {
+            let rec = &pool.recs[at as usize];
+            CandidateLog {
+                action: match rec.action {
+                    Action::Init => "init".to_string(),
+                    Action::Pack(pid) => {
+                        format!("pack {}", describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)))
+                    }
+                    Action::Scalar(v) => format!("scalar v{}", v.index()),
+                },
+                g: rec.g,
+                est,
+                score,
+                packs: rec.packs as usize,
+                kept: rank < width,
+            }
         })
         .collect()
 }
 
-/// One worker's share of an iteration: the successor pool for its chunk
-/// (carried terminals included, in frontier order) plus effort counters.
-#[derive(Default)]
-struct ChunkOut {
-    pool: Vec<State>,
-    expanded: usize,
-    transitions: u64,
-}
-
-/// Expand one contiguous frontier chunk. Runs on the main thread (chunk
-/// 0, and everything when single-threaded) and on workers alike — one
-/// implementation, so the sequential and parallel paths cannot diverge.
-/// Polls wall/cancellation budgets between states so an abort lands
-/// mid-fan-out instead of waiting out the iteration.
+/// Score one contiguous frontier chunk, which starts at frontier position
+/// `start`, into `out` (carried terminals included, in frontier order).
+/// Runs on the main thread (chunk 0, and everything when single-threaded)
+/// and on workers alike — one implementation, so the sequential and
+/// parallel paths cannot diverge. Polls wall/cancellation budgets between
+/// states so an abort lands mid-fan-out instead of waiting out the
+/// iteration.
 fn process_chunk(
     search: &Search<'_>,
     states: &[State],
+    start: u32,
     budget: &SearchBudget,
     t0: Instant,
-) -> Result<ChunkOut, SelectError> {
-    let mut out = ChunkOut::default();
-    let mut scratch = Scratch::default();
-    for st in states {
+    out: &mut Pool,
+    scratch: &mut Scratch,
+) -> Result<(), SelectError> {
+    for (parent, st) in (start..).zip(states) {
         if let Some(w) = budget.wall {
             let elapsed = t0.elapsed();
             if elapsed >= w {
@@ -1234,15 +1433,15 @@ fn process_chunk(
             }
         }
         if st.terminal() {
-            out.pool.push(st.clone());
+            out.record(st, parent, st.action, st.pack_len(), true);
             continue;
         }
         out.expanded += 1;
-        let before = out.pool.len();
-        search.expand(st, &mut out.pool, &mut scratch);
-        out.transitions += (out.pool.len() - before) as u64;
+        let before = out.recs.len();
+        search.expand(st, parent, out, scratch);
+        out.transitions += (out.recs.len() - before) as u64;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Resolve [`BeamConfig::beam_threads`]: `0` means one worker per
@@ -1355,29 +1554,41 @@ fn run_search(
     let mut fanouts = 0u64;
     let mut merge_wall = Duration::ZERO;
     let mut decisions = cfg.log_decisions.then(DecisionLog::default);
+    // The main thread's buffers, reused by every iteration.
+    let mut scratch = Scratch::default();
+    let mut pool = Pool::default();
+    let mut dedup = Dedup::default();
+    let mut deduped: Vec<u32> = Vec::new();
+    let mut ranked: Vec<Ranked> = Vec::new();
 
     // One scoped worker pool for the whole search: workers are spawned
     // once and fed per-iteration chunks over channels (spawning per
     // iteration would dwarf the work being split).
     std::thread::scope(|scope| -> Result<SelectionResult, SelectError> {
-        type WorkerResult = (usize, std::thread::Result<Result<ChunkOut, SelectError>>);
+        type WorkerResult = (usize, Vec<State>, std::thread::Result<Result<Pool, SelectError>>);
         let worker_count = threads.saturating_sub(1);
-        let mut job_txs: Vec<mpsc::Sender<(usize, Vec<State>)>> = Vec::with_capacity(worker_count);
+        let mut job_txs: Vec<mpsc::Sender<(usize, u32, Vec<State>)>> =
+            Vec::with_capacity(worker_count);
         let (res_tx, res_rx) = mpsc::channel::<WorkerResult>();
         for _ in 0..worker_count {
-            let (tx, rx) = mpsc::channel::<(usize, Vec<State>)>();
+            let (tx, rx) = mpsc::channel::<(usize, u32, Vec<State>)>();
             job_txs.push(tx);
             let res_tx = res_tx.clone();
             let search = &search;
             let budget = cfg.budget.clone();
             scope.spawn(move || {
-                while let Ok((idx, states)) = rx.recv() {
+                let mut scratch = Scratch::default();
+                while let Ok((idx, start, states)) = rx.recv() {
                     // Catch panics per job so the main thread never blocks
                     // on a dead worker; the payload is re-thrown there.
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        process_chunk(search, &states, &budget, t0)
+                        let mut out = Pool::default();
+                        process_chunk(search, &states, start, &budget, t0, &mut out, &mut scratch)
+                            .map(|()| out)
                     }));
-                    if res_tx.send((idx, out)).is_err() {
+                    // The chunk goes back with its successors: the main
+                    // thread builds the survivors from their parents.
+                    if res_tx.send((idx, states, out)).is_err() {
                         break;
                     }
                 }
@@ -1417,109 +1628,99 @@ fn run_search(
             }
 
             // Fan the frontier out in contiguous chunks (sizes differing
-            // by at most one); the main thread takes chunk 0.
-            let frontier = std::mem::take(&mut beam);
+            // by at most one): chunks 1.. go to the workers, and the main
+            // thread scores chunk 0 straight into the pool.
+            let mut frontier = std::mem::take(&mut beam);
             let t_eff = threads.min(frontier.len()).max(1);
-            let outs: Vec<ChunkOut> = if t_eff == 1 {
-                vec![process_chunk(&search, &frontier, &cfg.budget, t0)?]
-            } else {
+            if t_eff > 1 {
                 fanouts += 1;
-                let len = frontier.len();
-                let (base, rem) = (len / t_eff, len % t_eff);
-                let mut it = frontier.into_iter();
-                let mut chunks: Vec<Vec<State>> = Vec::with_capacity(t_eff);
-                for i in 0..t_eff {
-                    let sz = base + usize::from(i < rem);
-                    chunks.push(it.by_ref().take(sz).collect());
-                }
-                let mut chunk_iter = chunks.into_iter();
-                let main_chunk = chunk_iter.next().unwrap();
-                for (w, chunk) in chunk_iter.enumerate() {
-                    job_txs[w].send((w + 1, chunk)).expect("beam worker exited early");
-                }
-                let main_out = process_chunk(&search, &main_chunk, &cfg.budget, t0);
-                // Collect into index slots regardless of arrival order,
-                // then read them back in chunk order: the merged pool is
-                // the exact sequential pool at any thread count.
-                let mut slots: Vec<Option<std::thread::Result<Result<ChunkOut, SelectError>>>> =
-                    (0..t_eff).map(|_| None).collect();
-                for _ in 1..t_eff {
-                    let (idx, out) = res_rx.recv().expect("beam worker hung up");
-                    slots[idx] = Some(out);
-                }
-                slots[0] = Some(Ok(main_out));
-                let mut outs = Vec::with_capacity(t_eff);
-                let mut first_err: Option<SelectError> = None;
-                let mut first_panic: Option<Box<dyn Any + Send>> = None;
-                for slot in slots {
-                    match slot.expect("every chunk slot is filled") {
-                        Ok(Ok(o)) => outs.push(o),
-                        Ok(Err(e)) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                        Err(p) => {
-                            if first_panic.is_none() {
-                                first_panic = Some(p);
-                            }
-                        }
+            }
+            let (size, rem) = (frontier.len() / t_eff, frontier.len() % t_eff);
+            for i in (1..t_eff).rev() {
+                let start = i * size + i.min(rem);
+                let chunk = frontier.split_off(start);
+                job_txs[i - 1].send((i, start as u32, chunk)).expect("beam worker exited early");
+            }
+            pool.clear();
+            let main_out =
+                process_chunk(&search, &frontier, 0, &cfg.budget, t0, &mut pool, &mut scratch);
+            // Collect into index slots regardless of arrival order, then
+            // read them back in chunk order: the merged pool (and the
+            // reassembled frontier) is the exact sequential one at any
+            // thread count.
+            let mut slots: Vec<Option<(Vec<State>, _)>> = (1..t_eff).map(|_| None).collect();
+            for _ in 1..t_eff {
+                let (idx, states, out) = res_rx.recv().expect("beam worker hung up");
+                slots[idx - 1] = Some((states, out));
+            }
+            let merge_t = Instant::now();
+            let mut first_err: Option<SelectError> = main_out.err();
+            let mut first_panic: Option<Box<dyn Any + Send>> = None;
+            for slot in slots {
+                let (states, out) = slot.expect("every chunk slot is filled");
+                frontier.extend(states);
+                match out {
+                    Ok(Ok(chunk)) => pool.append(chunk),
+                    Ok(Err(e)) => {
+                        first_err.get_or_insert(e);
+                    }
+                    Err(p) => {
+                        first_panic.get_or_insert(p);
                     }
                 }
-                if let Some(p) = first_panic {
-                    std::panic::resume_unwind(p);
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                outs
-            };
-
-            let merge_t = Instant::now();
-            let mut pool: Vec<State> = Vec::with_capacity(outs.iter().map(|o| o.pool.len()).sum());
-            for o in outs {
-                expanded += o.expanded;
-                transitions += o.transitions;
-                pool.extend(o.pool);
             }
-            let raw_pool = pool.len();
+            if let Some(p) = first_panic {
+                std::panic::resume_unwind(p);
+            }
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+            expanded += pool.expanded;
+            transitions += pool.transitions;
+            let raw_pool = pool.recs.len();
             #[cfg(test)]
-            let reference = tests::reference_dedup(&pool, (dedup_hits, hash_collisions));
-            let deduped = dedup_pool(pool, &mut dedup_hits, &mut hash_collisions);
+            let reference = tests::materialize(
+                &search,
+                &frontier,
+                &pool,
+                &mut scratch,
+                (dedup_hits, hash_collisions),
+            );
+            dedup.run(&pool, &mut deduped, &mut dedup_hits, &mut hash_collisions);
             #[cfg(test)]
-            tests::assert_same_dedup(&reference, &deduped, (dedup_hits, hash_collisions));
+            tests::assert_same_dedup(&reference, &pool, &deduped, (dedup_hits, hash_collisions));
             merge_wall += merge_t.elapsed();
-            let deduped_len = deduped.len();
-            let mut pool: Vec<Ranked> = deduped
-                .into_iter()
-                .map(|st| {
-                    let h = estimate(fz, slp, &st);
-                    (st.g + h, h, st)
-                })
-                .collect();
+
+            ranked.clear();
+            ranked.extend(deduped.iter().map(|&at| {
+                let rec = &pool.recs[at as usize];
+                let h = estimate(fz, slp, pool.key(rec));
+                (rec.g + h, h, at)
+            }));
             let width = cfg.width.max(1);
+            rank_prefix(&pool, fz.words, &mut ranked, width + MAX_LOGGED_CANDIDATES);
             #[cfg(test)]
-            let reference = tests::reference_ranking(&pool);
-            rank_prefix(&mut pool, width + MAX_LOGGED_CANDIDATES);
-            #[cfg(test)]
-            tests::assert_same_ranking(fz, &reference, &pool, width);
+            tests::assert_same_ranking(fz, slp, reference, &pool, &ranked, width);
             if vegen_trace::enabled() {
                 vegen_trace::counter("beam", "pool", raw_pool as f64);
-                vegen_trace::counter("beam", "deduped", deduped_len as f64);
-                vegen_trace::counter("beam", "pruned", pool.len().saturating_sub(width) as f64);
+                vegen_trace::counter("beam", "deduped", deduped.len() as f64);
+                vegen_trace::counter("beam", "pruned", ranked.len().saturating_sub(width) as f64);
             }
             if let Some(log) = decisions.as_mut() {
                 log.iterations.push(IterationLog {
                     index: iter,
                     beam_in,
                     pool: raw_pool,
-                    deduped: deduped_len,
-                    kept: pool.len().min(width),
-                    candidates: candidate_logs(fz, &pool, width),
+                    deduped: deduped.len(),
+                    kept: ranked.len().min(width),
+                    candidates: candidate_logs(fz, &pool, &ranked, width),
                 });
             }
-            pool.truncate(width);
-            beam = pool.into_iter().map(|(_, _, st)| st).collect();
+            ranked.truncate(width);
+            beam = ranked
+                .iter()
+                .map(|&(_, _, at)| search.build(&frontier, &pool.recs[at as usize], &mut scratch))
+                .collect();
             for st in &beam {
                 if st.terminal() {
                     match &best_terminal {
@@ -1612,20 +1813,26 @@ mod tests {
         /// Transitions whose dead sweep was compared with
         /// [`reference_sweep`], on this thread.
         static SWEEP_CHECKS: Cell<u64> = const { Cell::new(0) };
-        /// Iterations whose dedup was compared with [`bucketed_dedup`] and
-        /// whose ranked prefix with a full sort, on this thread.
+        /// Iterations whose record dedup and ranked prefix were compared
+        /// with `dedup_pool` and a full sort of the materialized pool, on
+        /// this thread.
         static POOL_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// States built from a record (not carried), on this thread.
+        pub(super) static BUILDS: Cell<u64> = const { Cell::new(0) };
+        /// The most successors one expansion scored, on this thread.
+        pub(super) static MOST_SUCCESSORS: Cell<usize> = const { Cell::new(0) };
     }
 
     /// The sweep the search used before the bitset kernel: a `BTreeSet` of
     /// demanded values and ascending passes over every instruction until
     /// nothing changes. Kept as the reference `sweep_dead` is compared
-    /// with after every transition any test of this crate makes.
+    /// with after every transition any test of this crate makes, scored
+    /// or built.
     pub(super) fn reference_sweep(fz: &FrozenCtx, st: &State) -> State {
         let mut st = st.clone();
         let mut demanded: BTreeSet<ValueId> = st.sset_iter().collect();
         for x in &st.vset {
-            demanded.extend(x.vec.defined());
+            demanded.extend(fz.arena.operand(x.id).defined());
         }
         loop {
             let mut changed = false;
@@ -1653,88 +1860,175 @@ mod tests {
         SWEEP_CHECKS.with(|c| c.set(c.get() + 1));
     }
 
-    /// The dedup the search used before the hash-indexed one: a bucket of
-    /// output positions per hash. Kept as the reference [`dedup_pool`] is
-    /// compared with on every iteration any test of this crate runs.
-    fn bucketed_dedup(
-        pool: Vec<State>,
-        dedup_hits: &mut u64,
-        hash_collisions: &mut u64,
-    ) -> Vec<State> {
-        let mut index: HashMap<u128, Vec<usize>> = HashMap::new();
+    /// Full (F, V, S) equality of two materialized states.
+    fn same_key(a: &State, b: &State) -> bool {
+        a.key_words() == b.key_words() && a.vset == b.vset
+    }
+
+    /// The (F, V, S) tie-break order on materialized states, compared
+    /// component by component.
+    fn state_key_cmp(a: &State, b: &State) -> Ordering {
+        a.free()
+            .cmp(b.free())
+            .then_with(|| a.vset.iter().cmp(b.vset.iter()))
+            .then_with(|| a.sset_iter().cmp(b.sset_iter()))
+    }
+
+    /// The estimate of a materialized state.
+    fn state_estimate(fz: &FrozenCtx, slp: &mut FrozenSlp, st: &State) -> f64 {
+        let mut h = 0.0;
+        for x in &st.vset {
+            h += slp.cost_id(fz, x.id);
+        }
+        for s in st.sset_iter() {
+            h += fz.scalar_one(s);
+        }
+        h
+    }
+
+    /// The dedup the search ran over materialized states before it scored
+    /// records: an index from hash to the first output position, a chain
+    /// per collision, and [`same_key`] arbitrating every hash match. Kept
+    /// as the reference [`Dedup`] is compared with on every iteration any
+    /// test of this crate runs.
+    fn dedup_pool(pool: Vec<State>, dedup_hits: &mut u64, hash_collisions: &mut u64) -> Vec<State> {
+        let mut index: HashMap<u128, u32, BuildHasherDefault<FoldHasher>> =
+            HashMap::with_capacity_and_hasher(pool.len(), BuildHasherDefault::default());
+        let mut chain: Vec<u32> = Vec::with_capacity(pool.len());
         let mut out: Vec<State> = Vec::with_capacity(pool.len());
         for st in pool {
-            let bucket = index.entry(st.hash).or_default();
-            match bucket.iter().copied().find(|&i| same_key(&out[i], &st)) {
-                Some(i) => {
-                    *dedup_hits += 1;
-                    if st.g < out[i].g {
-                        out[i] = st;
-                    }
-                }
-                None => {
-                    if !bucket.is_empty() {
-                        *hash_collisions += 1;
-                    }
-                    bucket.push(out.len());
+            let mut at = match index.entry(st.hash) {
+                Entry::Vacant(e) => {
+                    e.insert(out.len() as u32);
+                    chain.push(CHAIN_END);
                     out.push(st);
+                    continue;
                 }
+                Entry::Occupied(e) => *e.get() as usize,
+            };
+            loop {
+                if same_key(&out[at], &st) {
+                    *dedup_hits += 1;
+                    if st.g < out[at].g {
+                        out[at] = st;
+                    }
+                    break;
+                }
+                if chain[at] == CHAIN_END {
+                    *hash_collisions += 1;
+                    chain[at] = out.len() as u32;
+                    chain.push(CHAIN_END);
+                    out.push(st);
+                    break;
+                }
+                at = chain[at] as usize;
             }
         }
         out
     }
 
-    /// What two pipelines must agree on about a state: its identity hash,
-    /// its path cost, and the transition that made it.
-    fn fingerprint(st: &State) -> (u128, u64, Action) {
-        (st.hash, st.g.to_bits(), st.action)
+    /// What a record and the state built from it must agree on: the
+    /// identity hash, the path cost, the transition, the path length.
+    type Fingerprint = (u128, u64, Action, u16);
+
+    fn fingerprint(st: &State) -> Fingerprint {
+        (st.hash, st.g.to_bits(), st.action, st.pack_len())
     }
 
-    /// [`bucketed_dedup`]'s output for a pool, and the search's two running
-    /// counters as that dedup leaves them.
-    pub(super) struct DedupReference {
-        out: Vec<(u128, u64, Action)>,
+    fn record_fingerprint(rec: &Scored) -> Fingerprint {
+        (rec.hash, rec.g.to_bits(), rec.action, rec.packs)
+    }
+
+    /// An iteration's pool built state by state and deduplicated by
+    /// [`dedup_pool`], with the search's two running counters as that
+    /// dedup leaves them.
+    pub(super) struct Materialized {
+        deduped: Vec<State>,
         counters: (u64, u64),
     }
 
-    pub(super) fn reference_dedup(pool: &[State], counters: (u64, u64)) -> DedupReference {
+    /// Build every record of `pool` from its parent — checking that each
+    /// state agrees with its record and has its key — and deduplicate the
+    /// built pool the way the search did before it scored records.
+    pub(super) fn materialize(
+        search: &Search<'_>,
+        frontier: &[State],
+        pool: &Pool,
+        scratch: &mut Scratch,
+        counters: (u64, u64),
+    ) -> Materialized {
+        let mut key = Vec::new();
+        let built: Vec<State> = pool
+            .recs
+            .iter()
+            .map(|rec| {
+                let st = search.build(frontier, rec, scratch);
+                assert_eq!(
+                    fingerprint(&st),
+                    record_fingerprint(rec),
+                    "a built state left its record"
+                );
+                key.clear();
+                st.push_key(&mut key);
+                assert_eq!(key, pool.key(rec), "a built state's key is not its record's");
+                st
+            })
+            .collect();
         let (mut hits, mut collisions) = counters;
-        let out = bucketed_dedup(pool.to_vec(), &mut hits, &mut collisions);
-        DedupReference { out: out.iter().map(fingerprint).collect(), counters: (hits, collisions) }
+        let deduped = dedup_pool(built, &mut hits, &mut collisions);
+        Materialized { deduped, counters: (hits, collisions) }
     }
 
     pub(super) fn assert_same_dedup(
-        reference: &DedupReference,
-        deduped: &[State],
+        reference: &Materialized,
+        pool: &Pool,
+        deduped: &[u32],
         counters: (u64, u64),
     ) {
-        let got: Vec<_> = deduped.iter().map(fingerprint).collect();
-        assert_eq!(reference.out, got, "dedup: output sequence diverges from the reference");
+        let want: Vec<Fingerprint> = reference.deduped.iter().map(fingerprint).collect();
+        let got: Vec<Fingerprint> =
+            deduped.iter().map(|&at| record_fingerprint(&pool.recs[at as usize])).collect();
+        assert_eq!(want, got, "dedup: records diverge from the materialized pool");
         assert_eq!(reference.counters, counters, "dedup: hit/collision counts diverge");
     }
 
-    /// `pool` fully sorted under [`rank_cmp`].
-    pub(super) fn reference_ranking(pool: &[Ranked]) -> Vec<Ranked> {
-        let mut sorted = pool.to_vec();
-        sorted.sort_by(rank_cmp);
-        sorted
-    }
-
+    /// Rank the materialized pool by a full sort and compare the prefix the
+    /// search keeps and logs with the records' ranking. The estimates read
+    /// only memo entries the records' estimates already filled.
     pub(super) fn assert_same_ranking(
         fz: &FrozenCtx,
-        sorted: &[Ranked],
-        pool: &[Ranked],
+        slp: &mut FrozenSlp,
+        reference: Materialized,
+        pool: &Pool,
+        ranked: &[Ranked],
         width: usize,
     ) {
+        let mut sorted: Vec<(f64, f64, State)> = reference
+            .deduped
+            .into_iter()
+            .map(|st| {
+                let h = state_estimate(fz, slp, &st);
+                (st.g + h, h, st)
+            })
+            .collect();
+        sorted.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then_with(|| a.1.total_cmp(&b.1))
+                .then_with(|| state_key_cmp(&a.2, &b.2))
+        });
+        assert_eq!(sorted.len(), ranked.len());
         let keep = (width + MAX_LOGGED_CANDIDATES).min(sorted.len());
-        let key = |r: &Ranked| (r.0.to_bits(), r.1.to_bits(), fingerprint(&r.2));
-        assert_eq!(sorted.len(), pool.len());
-        assert_eq!(
-            sorted[..keep].iter().map(key).collect::<Vec<_>>(),
-            pool[..keep].iter().map(key).collect::<Vec<_>>(),
-            "ranking: the selected prefix diverges from a full sort"
-        );
-        assert_eq!(candidate_logs(fz, sorted, width), candidate_logs(fz, pool, width));
+        let want: Vec<_> = sorted[..keep]
+            .iter()
+            .map(|(score, h, st)| (score.to_bits(), h.to_bits(), fingerprint(st)))
+            .collect();
+        let got: Vec<_> = ranked[..keep]
+            .iter()
+            .map(|&(score, h, at)| {
+                (score.to_bits(), h.to_bits(), record_fingerprint(&pool.recs[at as usize]))
+            })
+            .collect();
+        assert_eq!(want, got, "ranking: the selected prefix diverges from a full sort");
         POOL_CHECKS.with(|c| c.set(c.get() + 1));
     }
 
@@ -1889,42 +2183,41 @@ mod tests {
         st
     }
 
+    /// Score `states` as one pool and run the search's dedup over it: the
+    /// positions that survive, in output order, and (hits, collisions).
+    fn dedup_states(states: &[State]) -> (Vec<usize>, (u64, u64)) {
+        let mut pool = Pool::default();
+        for st in states {
+            pool.record(st, 0, st.action, 0, false);
+        }
+        let (mut hits, mut collisions, mut out) = (0u64, 0u64, Vec::new());
+        Dedup::default().run(&pool, &mut out, &mut hits, &mut collisions);
+        (out.into_iter().map(|at| at as usize).collect(), (hits, collisions))
+    }
+
     #[test]
     fn colliding_hashes_keep_distinct_states() {
         // Two states with different (F, V, S) but the same (forced) hash
         // must both survive dedup via the full-key comparison.
-        let pool = vec![tiny_state(0, 1.0, 42), tiny_state(1, 2.0, 42), tiny_state(1, 1.5, 42)];
-        let (mut hits, mut collisions) = (0u64, 0u64);
-        let out = dedup_pool(pool, &mut hits, &mut collisions);
-        assert_eq!(out.len(), 2, "a collision must not merge distinct states");
+        let pool = [tiny_state(0, 1.0, 42), tiny_state(1, 2.0, 42), tiny_state(1, 1.5, 42)];
+        let (out, counters) = dedup_states(&pool);
         // First-seen order, and the duplicate found down the chain merges
         // into its own state, not the chain head.
-        let stores: Vec<usize> =
-            out.iter().map(|st| st.sset_iter().next().unwrap().index()).collect();
-        assert_eq!(stores, vec![0, 1]);
-        assert_eq!((out[0].g, out[1].g), (1.0, 1.5));
-        assert_eq!(collisions, 1);
-        assert_eq!(hits, 1);
+        assert_eq!(out, vec![0, 2], "a collision must not merge distinct states");
+        assert_eq!(counters, (1, 1));
     }
 
     #[test]
     fn dedup_keeps_cheapest_and_first_on_tie() {
-        let pool = vec![tiny_state(0, 2.0, 7), tiny_state(0, 1.0, 7)];
-        let (mut hits, mut collisions) = (0u64, 0u64);
-        let out = dedup_pool(pool, &mut hits, &mut collisions);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].g, 1.0, "cheaper duplicate must win");
-        assert_eq!((hits, collisions), (1, 0));
+        let (out, counters) = dedup_states(&[tiny_state(0, 2.0, 7), tiny_state(0, 1.0, 7)]);
+        assert_eq!(out, vec![1], "cheaper duplicate must win");
+        assert_eq!(counters, (1, 0));
 
         // Equal g: the first-pooled state wins (matching the old map
         // semantics that expansion order decides ties).
-        let mut a = tiny_state(0, 3.0, 9);
-        a.g = 3.0;
-        let b = tiny_state(0, 3.0, 9);
-        let (mut hits, mut collisions) = (0u64, 0u64);
-        let out = dedup_pool(vec![a, b], &mut hits, &mut collisions);
-        assert_eq!(out.len(), 1);
-        assert_eq!((hits, collisions), (1, 0));
+        let (out, counters) = dedup_states(&[tiny_state(0, 3.0, 9), tiny_state(0, 3.0, 9)]);
+        assert_eq!(out, vec![0]);
+        assert_eq!(counters, (1, 0));
     }
 
     #[test]
@@ -1932,12 +2225,8 @@ mod tests {
         // The deduped pool must come out in first-seen order — the
         // deterministic sequence the estimate memo fills in — not in
         // hash-map iteration order.
-        let pool = vec![tiny_state(3, 1.0, 30), tiny_state(1, 1.0, 10), tiny_state(2, 1.0, 20)];
-        let (mut hits, mut collisions) = (0u64, 0u64);
-        let out = dedup_pool(pool, &mut hits, &mut collisions);
-        let order: Vec<u32> =
-            out.iter().map(|st| st.sset_iter().next().unwrap().index() as u32).collect();
-        assert_eq!(order, vec![3, 1, 2]);
+        let pool = [tiny_state(3, 1.0, 30), tiny_state(1, 1.0, 10), tiny_state(2, 1.0, 20)];
+        assert_eq!(dedup_states(&pool).0, vec![0, 1, 2]);
     }
 
     #[test]
@@ -2205,18 +2494,23 @@ mod tests {
     /// Search `f` at `width` on this thread and return how many legality
     /// verdicts, sweeps and pools (dedup + ranking) were compared with
     /// their references on the way (the comparisons themselves are in
-    /// `apply_pack`, `sweep_dead` and `run_search`). The decision log is on
-    /// so every iteration also compares the log a full sort would give.
+    /// `apply_pack`, `sweep_dead` and `run_search`). Every scored
+    /// transition sweeps once, and so does every state built from a
+    /// record: each one once for its iteration's materialized pool, and
+    /// the survivors once more.
     fn checked_search(desc: &TargetDesc, f: &Function, width: usize) -> [u64; 3] {
-        let counts = || [LEGALITY_CHECKS.get(), SWEEP_CHECKS.get(), POOL_CHECKS.get()];
+        let counts =
+            || [LEGALITY_CHECKS.get(), SWEEP_CHECKS.get(), POOL_CHECKS.get(), BUILDS.get()];
         let before = counts();
         let ctx = VectorizerCtx::new(f, desc, CostModel::default());
         let cfg =
             BeamConfig { beam_threads: 1, log_decisions: true, ..BeamConfig::with_width(width) };
         let r = select_packs(&ctx, &cfg).unwrap();
         let after = counts();
-        let [legality, sweeps, pools] = std::array::from_fn(|i| after[i] - before[i]);
-        assert_eq!(sweeps, r.stats.transitions, "{}: every transition sweeps once", f.name);
+        let [legality, sweeps, pools, builds] = std::array::from_fn(|i| after[i] - before[i]);
+        let transitions = r.stats.transitions;
+        assert!(builds >= transitions, "{}: every scored transition is materialized", f.name);
+        assert_eq!(sweeps, transitions + builds, "{}: every transition sweeps once", f.name);
         let iterations = r.decisions.expect("logging is on").iterations.len() as u64;
         assert_eq!(pools, iterations, "{}: every iteration checks its pool", f.name);
         [legality, sweeps, pools]
@@ -2244,14 +2538,29 @@ mod tests {
         // Every candidate pack the search considers on the paper suite gets
         // the incremental verdict compared with `packs_legal`, every
         // transition's sweep with the ascending reference, and every
-        // iteration's dedup and ranked prefix with the bucketed dedup and
-        // a full sort.
+        // iteration's record dedup and ranked prefix with the dedup and a
+        // full sort of the materialized pool.
         assert_pipeline_matches_the_references(&suite_kernels());
     }
 
     #[test]
     fn corpus_and_soak_seed_transitions_match_the_reference_kernel() {
         assert_pipeline_matches_the_references(&corpus_and_soak_seed_kernels());
+    }
+
+    #[test]
+    fn max_transitions_caps_every_expansion() {
+        // The cap binds inside one requested operand's producer, covering
+        // and group lists too, not only between operands.
+        let desc = avx2_desc();
+        let cfg = BeamConfig { max_transitions: 3, beam_threads: 1, ..BeamConfig::with_width(4) };
+        MOST_SUCCESSORS.set(0);
+        for f in suite_kernels() {
+            let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+            select_packs(&ctx, &cfg).unwrap();
+            assert!(MOST_SUCCESSORS.get() <= 3, "{}: {} successors", f.name, MOST_SUCCESSORS.get());
+        }
+        assert_eq!(MOST_SUCCESSORS.get(), 3, "the cap never bound");
     }
 
     /// A pack over arbitrary values (a store pack abused as a value group,
@@ -2392,7 +2701,7 @@ mod tests {
         let mut st = initial_state(&fz);
         // (`sweep_dead` itself compares with the ascending reference,
         // which needs four passes here.)
-        search.sweep_dead(&mut st, &mut Scratch::default());
+        search.sweep_dead(&mut st, None, &mut Scratch::default());
         for v in [x, c1, c2, c3] {
             assert!(!st.is_free(v), "{v} must be swept");
             assert_eq!(st.prod(v), Prod::Dead);

@@ -43,9 +43,10 @@ use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, ValueId};
 
 /// An immutable snapshot of everything `select_packs` reads: the function,
-/// its dependence/use structure, the cost model, the candidate arena,
-/// per-pack costs, the per-value scalar-closure cost table, the resolved
-/// seed packs, and the bit masks of the transition kernel.
+/// its dependence/use structure, the cost model, the candidate arena and
+/// its operands' content ranks, per-pack costs, the per-value
+/// scalar-closure cost table, the resolved seed packs, and the bit masks of
+/// the transition kernel.
 ///
 /// ## Transition-kernel masks
 ///
@@ -106,6 +107,11 @@ pub struct FrozenCtx {
     /// Every operand and pack the search can reach, with their candidate
     /// lists.
     pub(crate) arena: Arena,
+    /// By [`OperandId`] index: the operand's position among all frozen
+    /// operands in content (lane-lexicographic) order. A state's `V` is
+    /// sorted by it, which is the order `V` iterated in when it held the
+    /// operands themselves, so every `f64` sum over `V` adds in that order.
+    operand_rank: Vec<u32>,
     /// `pack_cost` by [`PackId`] index.
     pub(crate) pack_costs: Vec<f64>,
     /// `scalar_closure_cost(f, [v])` by `ValueId` index (bit-identical to
@@ -254,6 +260,15 @@ impl FrozenCtx {
         }
         interior_at.push(interior.len() as u32);
 
+        // Interned operands are distinct, so the content order is total.
+        let mut by_content: Vec<OperandId> =
+            (0..arena.operand_count() as u32).map(OperandId).collect();
+        by_content.sort_unstable_by(|&a, &b| arena.operand(a).cmp(arena.operand(b)));
+        let mut operand_rank = vec![0u32; by_content.len()];
+        for (rank, id) in by_content.into_iter().enumerate() {
+            operand_rank[id.0 as usize] = rank as u32;
+        }
+
         Ok(FrozenCtx {
             #[cfg(any(test, debug_assertions))]
             deps: ctx.deps.clone(),
@@ -269,6 +284,7 @@ impl FrozenCtx {
             cost: ctx.cost,
             inst_names: ctx.desc.insts.iter().map(|i| i.def.name.clone()).collect(),
             arena,
+            operand_rank,
             pack_costs,
             scalar_one,
             scalar_cost,
@@ -303,6 +319,11 @@ impl FrozenCtx {
 
     pub(crate) fn scalar_one(&self, v: ValueId) -> f64 {
         self.scalar_one[v.index()]
+    }
+
+    /// Operand `id`'s position in content order (see `operand_rank`).
+    pub(crate) fn operand_rank(&self, id: OperandId) -> u32 {
+        self.operand_rank[id.0 as usize]
     }
 
     /// Whether every user of `v` is decided (absent from `free`). Users

@@ -60,9 +60,8 @@ pub(crate) struct Candidates {
 
 /// Hash-consed operands and packs plus the candidate lists per id.
 ///
-/// Operands are `Arc`s because beam states hold them (a state's `V` set
-/// orders by operand contents); packs are `Arc`s only so each is stored
-/// once between its arena slot and its id-map key.
+/// Operands and packs are `Arc`s only so each is stored once between its
+/// arena slot and its id-map key; beam states hold plain ids.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     operands: Vec<Arc<OperandVec>>,
@@ -195,7 +194,7 @@ impl Arena {
         self.operand_ids.get(x).copied()
     }
 
-    pub(crate) fn operand(&self, id: OperandId) -> &Arc<OperandVec> {
+    pub(crate) fn operand(&self, id: OperandId) -> &OperandVec {
         &self.operands[id.0 as usize]
     }
 
@@ -255,8 +254,8 @@ mod tests {
         let ib = arena.intern_operand(&b);
         assert_ne!(ia, ib);
         // Round trip: resolve returns the interned operand.
-        assert_eq!(**arena.operand(ia), a);
-        assert_eq!(**arena.operand(ib), b);
+        assert_eq!(*arena.operand(ia), a);
+        assert_eq!(*arena.operand(ib), b);
         // Dedup: the same operand (a fresh allocation) maps to the same id.
         assert_eq!(arena.intern_operand(&OperandVec::from_values([v(1), v(2)])), ia);
         assert_eq!(arena.operand_id(&a), Some(ia));

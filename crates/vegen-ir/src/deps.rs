@@ -59,7 +59,7 @@ impl DepGraph {
 
         for (v, inst) in f.iter() {
             let vi = v.index();
-            let mut direct: Vec<ValueId> = inst.operands();
+            let mut direct: Vec<ValueId> = inst.operands().to_vec();
             match inst.kind {
                 InstKind::Load { loc } => {
                     let key = (loc.base, loc.offset);

@@ -354,19 +354,59 @@ pub struct Inst {
     pub ty: Type,
 }
 
+/// An instruction's value operands, held inline (no instruction has more
+/// than three). Derefs to `&[ValueId]`; iterating by value yields the
+/// operands in order.
+#[derive(Clone, Copy)]
+pub struct Operands {
+    ids: [ValueId; 3],
+    len: u8,
+}
+
+impl Operands {
+    fn new(ops: &[ValueId]) -> Operands {
+        let mut ids = [ValueId::from_raw(0); 3];
+        ids[..ops.len()].copy_from_slice(ops);
+        Operands { ids, len: ops.len() as u8 }
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [ValueId];
+
+    fn deref(&self) -> &[ValueId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = ValueId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<ValueId, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl Inst {
     /// The value operands, in order.
-    pub fn operands(&self) -> Vec<ValueId> {
+    pub fn operands(&self) -> Operands {
         match &self.kind {
-            InstKind::Const(_) | InstKind::Load { .. } => vec![],
+            InstKind::Const(_) | InstKind::Load { .. } => Operands::new(&[]),
             InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                Operands::new(&[*lhs, *rhs])
             }
-            InstKind::FNeg { arg } | InstKind::Cast { arg, .. } => vec![*arg],
+            InstKind::FNeg { arg } | InstKind::Cast { arg, .. } => Operands::new(&[*arg]),
             InstKind::Select { cond, on_true, on_false } => {
-                vec![*cond, *on_true, *on_false]
+                Operands::new(&[*cond, *on_true, *on_false])
             }
-            InstKind::Store { value, .. } => vec![*value],
+            InstKind::Store { value, .. } => Operands::new(&[*value]),
         }
     }
 
@@ -443,7 +483,8 @@ mod tests {
         let v2 = ValueId::from_raw(2);
         let sel =
             Inst { kind: InstKind::Select { cond: v0, on_true: v1, on_false: v2 }, ty: Type::I32 };
-        assert_eq!(sel.operands(), vec![v0, v1, v2]);
+        assert_eq!(*sel.operands(), [v0, v1, v2]);
+        assert_eq!(sel.operands().into_iter().collect::<Vec<_>>(), vec![v0, v1, v2]);
         let ld = Inst { kind: InstKind::Load { loc: MemLoc { base: 0, offset: 3 } }, ty: Type::I8 };
         assert!(ld.operands().is_empty());
         assert!(ld.touches_memory());
@@ -463,6 +504,6 @@ mod tests {
         let mut i =
             Inst { kind: InstKind::Bin { op: BinOp::Add, lhs: v0, rhs: v0 }, ty: Type::I32 };
         i.map_operands(|_| v9);
-        assert_eq!(i.operands(), vec![v9, v9]);
+        assert_eq!(*i.operands(), [v9, v9]);
     }
 }

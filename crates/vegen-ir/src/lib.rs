@@ -64,5 +64,5 @@ pub mod verify;
 pub use builder::FunctionBuilder;
 pub use constant::Constant;
 pub use function::{Function, Param, ValueId};
-pub use inst::{BinOp, CastOp, CmpPred, Inst, InstKind, MemLoc};
+pub use inst::{BinOp, CastOp, CmpPred, Inst, InstKind, MemLoc, Operands};
 pub use types::Type;
