@@ -121,15 +121,15 @@ impl SpecCheckReport {
     }
 }
 
+/// The built-in specs a target's database is built from.
+pub fn target_specs(target: &TargetIsa) -> Vec<Spec> {
+    all_specs().iter().filter(|s| target.has(s.ext) && s.bits <= target.max_bits).cloned().collect()
+}
+
 /// Audit the built-in spec chain for one target configuration.
 pub fn check_target(target: &TargetIsa, canonicalize_patterns: bool) -> SpecCheckReport {
-    let specs: Vec<Spec> = all_specs()
-        .iter()
-        .filter(|s| target.has(s.ext) && s.bits <= target.max_bits)
-        .cloned()
-        .collect();
     let db = InstDb::for_target(target);
-    check_database(&target.name, &specs, &db, canonicalize_patterns)
+    check_database(&target.name, &target_specs(target), &db, canonicalize_patterns)
 }
 
 /// Audit an explicit database against its source specs.

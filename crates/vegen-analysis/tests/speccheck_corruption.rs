@@ -5,20 +5,15 @@
 //! operation, which is display metadata — must additionally be proved
 //! dynamically neutral under the VIDL evaluator at 64 trials.
 
-use vegen_analysis::speccheck::{check_database, corrupt_database};
+use vegen_analysis::speccheck::{check_database, corrupt_database, target_specs};
 use vegen_analysis::{Diagnostic, Location, SpecCheckReport};
 use vegen_ir::{Constant, Type};
-use vegen_isa::specs::{all_specs, Spec};
+use vegen_isa::specs::Spec;
 use vegen_isa::{InstDb, TargetIsa};
 use vegen_vidl::eval_inst;
 
 fn pristine(target: &TargetIsa) -> (Vec<Spec>, InstDb) {
-    let specs: Vec<Spec> = all_specs()
-        .iter()
-        .filter(|s| target.has(s.ext) && s.bits <= target.max_bits)
-        .cloned()
-        .collect();
-    (specs, InstDb::for_target(target))
+    (target_specs(target), InstDb::for_target(target))
 }
 
 /// Corrupt the AVX2 database with `kind` and audit it; returns the report

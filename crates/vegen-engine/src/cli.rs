@@ -20,6 +20,7 @@
 //! Everything lives in the library (the binary is a one-line wrapper) so
 //! tests can drive the exact code paths, including exit codes.
 
+use crate::ledger;
 use crate::report::{EngineReport, RunReport, TraceSummary};
 use crate::serve::{self, ServeConfig};
 use crate::{Engine, EngineConfig, Job, JobResult, Rung};
@@ -124,6 +125,7 @@ const CORRUPT: Flag = text("--corrupt", "KIND", "corrupt the database first; mus
 const NO_CANON: Flag = switch("--no-canon", "audit without pattern canonicalization");
 const MAX_REGRESS: Flag = text("--max-regress", "PCT", "allowed worsening, in percent");
 const STRICT_COUNTERS: Flag = switch("--strict-counters", "gate on search-effort counters too");
+const CHECK: Flag = text("--check", "FILE", "compare with FILE, print the differing rows, exit 1");
 
 /// One subcommand: the syntax `parse` accepts for it, the text `usage`
 /// prints for it, and the function that runs it.
@@ -252,6 +254,13 @@ pub const COMMANDS: &[Command] = &[
         flags: &[MAX_REGRESS, STRICT_COUNTERS],
         epilogue: "",
         run: run_diff,
+    },
+    Command {
+        name: "ledger",
+        positionals: &[],
+        flags: &[CHECK, THREADS],
+        epilogue: "without --check, prints the ledger (`> reports/ledger.tsv` regenerates it)\n",
+        run: run_ledger,
     },
 ];
 
@@ -1027,6 +1036,7 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     for d in compiled.analysis.all() {
         println!("  {d}");
     }
+    print!("{}", vegen_vm::listing(&compiled.vegen));
     Ok(0)
 }
 
@@ -1123,8 +1133,8 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
 /// injects a deliberate corruption first, so CI can assert the gate
 /// rejects a broken database and names the mutated instruction.
 fn run_check_specs(p: &Parsed) -> Result<i32, String> {
-    use vegen_analysis::speccheck::{check_database, corrupt_database};
-    use vegen_isa::{specs::all_specs, InstDb};
+    use vegen_analysis::speccheck::{check_database, corrupt_database, target_specs};
+    use vegen_isa::InstDb;
 
     let targets = match p.text(&TARGET_OR_ALL) {
         Some(one) if !one.eq_ignore_ascii_case("all") => vec![parse_target(one)?],
@@ -1138,11 +1148,6 @@ fn run_check_specs(p: &Parsed) -> Result<i32, String> {
     let mut total_warnings = 0usize;
     let mut rows = Vec::new();
     for target in &targets {
-        let specs: Vec<_> = all_specs()
-            .iter()
-            .filter(|s| target.has(s.ext) && s.bits <= target.max_bits)
-            .cloned()
-            .collect();
         let mut db = InstDb::for_target(target);
         let mut corrupted_inst: Option<String> = None;
         if let Some(kind) = corrupt {
@@ -1155,7 +1160,7 @@ fn run_check_specs(p: &Parsed) -> Result<i32, String> {
             db = bad;
             corrupted_inst = Some(name);
         }
-        let report = check_database(&target.name, &specs, &db, !p.has(&NO_CANON));
+        let report = check_database(&target.name, &target_specs(target), &db, !p.has(&NO_CANON));
         total_errors += report.error_count();
         total_warnings += report.warning_count();
         if !json {
@@ -1384,6 +1389,36 @@ fn run_diff(p: &Parsed) -> Result<i32, String> {
         println!("vegen-engine diff: {} regression(s)", regressions.len());
     }
     Ok(i32::from(!regressions.is_empty()))
+}
+
+// ---------------------------------------------------------------------------
+// ledger
+// ---------------------------------------------------------------------------
+
+/// Print the behaviour ledger, or with `--check FILE` recompute it and
+/// compare: exit 1 on a difference (the first ten differing lines are
+/// printed) or a job that fails verification, 2 when FILE is unreadable.
+fn run_ledger(p: &Parsed) -> Result<i32, String> {
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let want = p.text(&CHECK).map(read).transpose()?;
+    let t0 = Instant::now();
+    let got = match ledger::render(&ledger::SECTIONS, p.num(&THREADS).unwrap_or(0)) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("vegen-engine ledger: {e}");
+            return Ok(1);
+        }
+    };
+    let Some(want) = want else {
+        write_stdout(&got);
+        return Ok(0);
+    };
+    let diffs = ledger::differences(&want, &got);
+    diffs.iter().take(10).for_each(|d| println!("{d}"));
+    let (n, wall) = (diffs.len(), t0.elapsed());
+    eprintln!("vegen-engine ledger: recomputed in {wall:.2?}; {n} line(s) differ from the file");
+    Ok(i32::from(want != got))
 }
 
 #[cfg(test)]

@@ -106,9 +106,9 @@ fn help_wins_wherever_it_stands_and_the_last_occurrence_of_a_flag_wins() {
     assert!(!parsed.has(&WARM_START) && parsed.text(&SOCKET).is_none());
 }
 
-/// The surface is what it was before the table: 40 flags, 69
-/// (subcommand, flag) pairs, eight rows. A change here is a change of
-/// user surface and belongs in the PR text.
+/// The surface: 41 flags, 71 (subcommand, flag) pairs, nine rows — the
+/// eight the table was built with, plus `ledger` and its `--check`. A
+/// change here is a change of user surface and belongs in the PR text.
 #[test]
 fn the_table_declares_the_parent_surface() {
     let pairs: Vec<(&str, &str)> =
@@ -116,7 +116,7 @@ fn the_table_declares_the_parent_surface() {
     let mut distinct: Vec<&str> = pairs.iter().map(|(_, f)| *f).collect();
     distinct.sort_unstable();
     distinct.dedup();
-    assert_eq!((COMMANDS.len(), pairs.len(), distinct.len()), (8, 69, 40));
+    assert_eq!((COMMANDS.len(), pairs.len(), distinct.len()), (9, 71, 41));
     let mut unique = pairs.clone();
     unique.sort_unstable();
     unique.dedup();
@@ -124,6 +124,15 @@ fn the_table_declares_the_parent_surface() {
     let hidden: Vec<&str> =
         COMMANDS.iter().flat_map(|c| c.flags).filter(|f| f.hidden).map(|f| f.name).collect();
     assert_eq!(hidden, ["--inject-miscompile"]);
+}
+
+/// `ledger`'s usage errors end before anything is compiled, with exit 2.
+#[test]
+fn ledger_usage_errors_exit_2() {
+    assert_eq!(main_with_args(&argv(&["ledger", "--bogus"])), 2);
+    assert_eq!(main_with_args(&argv(&["ledger", "--check"])), 2);
+    let missing = std::env::temp_dir().join(format!("vegen-no-ledger-{}", std::process::id()));
+    assert_eq!(main_with_args(&argv(&["ledger", "--check", missing.to_str().unwrap()])), 2);
 }
 
 /// README's command-line listing is pasted from the bare `--help`; it may

@@ -70,6 +70,7 @@ pub mod cli;
 pub mod diskcache;
 pub mod events;
 pub mod flight;
+pub mod ledger;
 pub mod pool;
 pub mod report;
 pub mod serdes;

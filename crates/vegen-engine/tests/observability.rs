@@ -330,6 +330,23 @@ fn explain_subcommand_exits_clean_and_rejects_unknown_kernels() {
     assert_eq!(main_with_args(&args(&["explain"])), 2);
 }
 
+/// `explain` ends with the generated program: idct4 at beam 128 on
+/// AVX512-VNNI prints Fig. 12's shuffle-fed `vpmaddwd` and saturating
+/// `vpackssdw`.
+#[test]
+fn explain_prints_the_generated_program() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_vegen-engine"))
+        .args(["explain", "idct4", "--target", "avx512vnni", "--beam", "128"])
+        .output()
+        .expect("binary must run");
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let program = &stdout[stdout.find("\n; idct4 (").expect("a listing") + 1..];
+    for op in ["vpmaddwd", "vpackssdw"] {
+        assert!(program.lines().any(|l| l.trim_start().starts_with(op)), "{op}:\n{program}");
+    }
+}
+
 #[test]
 fn check_specs_subcommand_gates_on_corruption() {
     let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();

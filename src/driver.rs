@@ -51,7 +51,7 @@ impl PipelineConfig {
 }
 
 /// One compiled kernel: the three programs plus selection statistics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledKernel {
     /// The canonicalized (and constant-augmented) scalar function.
     pub function: Function,
@@ -398,6 +398,13 @@ impl CompiledKernel {
     pub fn speedup_vs_scalar(&self) -> f64 {
         let (sc, _, vg) = self.cycles();
         sc / vg
+    }
+
+    /// Whether the VeGen program is modeled slower than the baseline's: the
+    /// generated vectorizer losing to its own SLP comparator.
+    pub fn lost_to_baseline(&self) -> bool {
+        let (_, bl, vg) = self.cycles();
+        vg > bl
     }
 }
 
