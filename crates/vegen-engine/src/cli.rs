@@ -34,6 +34,7 @@ use vegen_analysis::speccheck::MatchTableStats;
 use vegen_core::{
     describe_pack, select_packs_reusing, BeamConfig, CostModel, SelectionReuse, VectorizerCtx,
 };
+use vegen_ir::canon::canonicalize_with_stats;
 use vegen_isa::TargetIsa;
 use vegen_trace::json::Json;
 
@@ -942,7 +943,8 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
         return Err(message);
     };
 
-    let f = match prepare(&(kernel.build)(), &mut CompileCtx::default()) {
+    let source = (kernel.build)();
+    let f = match prepare(&source, &mut CompileCtx::default()) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("vegen-engine explain: {e}");
@@ -954,6 +956,7 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
 
     println!("explain {} (target {}, beam {beam})", kernel.name, target.name);
     println!("function: {} instructions, {} stores", f.insts.len(), f.stores().len());
+    println!("canon: {}", canonicalize_with_stats(&source).1);
 
     let cfg = BeamConfig {
         log_decisions: true,

@@ -347,6 +347,20 @@ fn explain_prints_the_generated_program() {
     }
 }
 
+/// `explain` says which canonicalizer rows fired: idct4 stores
+/// `trunc(clamp(…))`, so the truncation sinks into the clamp's selects.
+#[test]
+fn explain_names_the_canonicalizer_rows_that_fired() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_vegen-engine"))
+        .args(["explain", "idct4", "--beam", "1"])
+        .output()
+        .expect("binary must run");
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let canon = stdout.lines().find(|l| l.starts_with("canon: ")).expect("a canon line");
+    assert!(canon.contains("trunc_sink ×") && canon.ends_with("passes)"), "{canon}");
+}
+
 #[test]
 fn check_specs_subcommand_gates_on_corruption() {
     let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();

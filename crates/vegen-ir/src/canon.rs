@@ -8,35 +8,141 @@
 //! rewrite — called out explicitly in the paper — is turning non-strict
 //! comparisons against constants into strict ones (`x <= 1` becomes
 //! `x < 2`), which is what makes integer-saturation patterns match.
+//!
+//! Every rewrite is one named row of `RULES`, and one emitter applies
+//! them: each instruction — from the input, or created by a row — runs the
+//! value rows until one fires, else each reshaping row once in table
+//! order, then the value rows again, then CSE. A canonical form is never
+//! required for correctness: every row is an identity on `interp`
+//! semantics, and nothing downstream relies on a row having fired.
 
-use crate::constant::Constant;
+use crate::constant::{mask, sext, Constant};
 use crate::function::{Function, ValueId};
-use crate::inst::{BinOp, CastOp, CmpPred, Inst, InstKind};
+use crate::inst::{BinOp, CastOp, CmpPred, Inst, InstKind, MemLoc};
 use crate::interp::{eval_bin, eval_cast, eval_cmp};
 use crate::types::Type;
 use std::collections::HashMap;
+use std::fmt;
 
-/// Canonicalize `f`: constant-fold, apply identity simplifications,
-/// order commutative operands, rewrite comparisons to strict form, CSE,
-/// and drop dead pure instructions.
-///
-/// The result computes the same memory effects as the input (validated by
-/// the crate's equivalence tests).
+/// One named rewrite.
+struct Rule {
+    name: &'static str,
+    /// The instruction kinds it can fire on (a mask of [`kind_bit`]s).
+    kinds: u8,
+    action: Action,
+}
+
+enum Action {
+    /// Replaces the instruction by a value: an operand, a constant, or
+    /// instructions it emits through the emitter.
+    Value(fn(&mut Emitter, &Inst) -> Option<ValueId>),
+    /// Rewrites the instruction into canonical shape; true if it changed.
+    Reshape(fn(&mut Emitter, &mut Inst) -> bool),
+}
+
+use Action::{Reshape, Value};
+
+const BIN: u8 = 1;
+const CAST: u8 = 2;
+const CMP: u8 = 4;
+const SELECT: u8 = 8;
+const FNEG: u8 = 16;
+
+/// The kind bit rows test; 0 for constants, loads and stores, which no row
+/// rewrites.
+fn kind_bit(kind: &InstKind) -> u8 {
+    match kind {
+        InstKind::Bin { .. } => BIN,
+        InstKind::Cast { .. } => CAST,
+        InstKind::Cmp { .. } => CMP,
+        InstKind::Select { .. } => SELECT,
+        InstKind::FNeg { .. } => FNEG,
+        InstKind::Const(_) | InstKind::Load { .. } | InstKind::Store { .. } => 0,
+    }
+}
+
+/// The rewrites, in the order the emitter tries them (DESIGN §5 states each
+/// row's identity).
+const RULES: [Rule; 13] = [
+    Rule { name: "const_fold", kinds: BIN | CAST | CMP, action: Value(const_fold) },
+    Rule { name: "int_identity", kinds: BIN, action: Value(int_identity) },
+    Rule { name: "same_operands", kinds: BIN, action: Value(same_operands) },
+    Rule { name: "trunc_of_ext", kinds: CAST, action: Value(trunc_of_ext) },
+    Rule { name: "trunc_sink", kinds: CAST, action: Value(trunc_sink) },
+    Rule { name: "ext_compose", kinds: CAST, action: Value(ext_compose) },
+    Rule { name: "fneg_fneg", kinds: FNEG, action: Value(fneg_fneg) },
+    Rule { name: "select_fold", kinds: SELECT, action: Value(select_fold) },
+    Rule { name: "commute", kinds: BIN, action: Reshape(commute) },
+    Rule { name: "cmp_const_right", kinds: CMP, action: Reshape(cmp_const_right) },
+    Rule { name: "cmp_narrow_ext", kinds: CMP, action: Reshape(cmp_narrow_ext) },
+    Rule { name: "cmp_narrow_const", kinds: CMP, action: Reshape(cmp_narrow_const) },
+    Rule { name: "strict_cmp", kinds: CMP, action: Reshape(strict_cmp) },
+];
+
+/// Pass cap. Rows re-emit what they create, so the corpus converges in at
+/// most three passes; the cap only bounds a pathological input, and
+/// [`CanonStats::converged`] reports hitting it.
+const MAX_PASSES: u32 = 16;
+
+/// Nesting bound for emissions a value row starts: past it no value row
+/// fires and the next pass continues the chain, so a hostile chain cannot
+/// exhaust the stack.
+const MAX_NEST: u32 = 256;
+
+/// What one [`canonicalize_with_stats`] call did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CanonStats {
+    /// How often each row fired, over all passes, in table order.
+    fires: [u64; RULES.len()],
+    /// Passes run; when converged, the last one changed nothing.
+    pub passes: u32,
+    /// Whether a pass reproduced its input within the pass cap.
+    pub converged: bool,
+}
+
+impl CanonStats {
+    /// `(row name, fire count)` for each row that fired, in table order.
+    pub fn fired(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        RULES.iter().zip(self.fires).filter(|(_, n)| *n > 0).map(|(r, n)| (r.name, n))
+    }
+}
+
+/// `trunc_sink ×4, commute ×2 (2 passes)`.
+impl fmt::Display for CanonStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<String> = self.fired().map(|(name, n)| format!("{name} ×{n}")).collect();
+        let rows = if rows.is_empty() { "no rewrites".to_string() } else { rows.join(", ") };
+        let plural = if self.passes == 1 { "" } else { "es" };
+        let cap = if self.converged { "" } else { ", not converged" };
+        write!(f, "{rows} ({} pass{plural}{cap})", self.passes)
+    }
+}
+
+/// Canonicalize `f`: apply the `RULES` table to a fixpoint, CSE, and drop
+/// dead pure instructions. The result computes the same memory effects as
+/// the input (gated over the whole kernel corpus by the root crate's
+/// `canon_corpus` test).
 pub fn canonicalize(f: &Function) -> Function {
+    canonicalize_with_stats(f).0
+}
+
+/// [`canonicalize`], also reporting per-row fire counts, the pass count and
+/// whether the fixpoint was reached.
+pub fn canonicalize_with_stats(f: &Function) -> (Function, CanonStats) {
+    let mut stats = CanonStats::default();
     let mut cur = f.clone();
-    // Rewrites cascade within a pass (operands are remapped as we go), but
-    // structural rewrites (trunc sinking, extension composition) emit their
-    // new sub-instructions raw and rely on the next pass to simplify them,
-    // so deep cast chains need one pass per level. Sixteen covers any
-    // realistic nest with margin.
-    for _ in 0..16 {
-        let next = rebalance_adds(&canonicalize_once(&cur));
+    // `rebalance_adds` reshapes whole chains, which no per-instruction row
+    // can, so the emitter and it alternate until neither changes anything.
+    while stats.passes < MAX_PASSES {
+        stats.passes += 1;
+        let next = rebalance_adds(&canonicalize_once(&cur, &mut stats.fires));
         if next == cur {
+            stats.converged = true;
             break;
         }
         cur = next;
     }
-    cur
+    (cur, stats)
 }
 
 /// Rebalance single-use `add`/`fadd` chains into adjacent-pair trees:
@@ -100,8 +206,7 @@ fn rebalance_adds(f: &Function) -> Function {
                 let ty = inst.ty;
                 while level.len() > 1 {
                     let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    let mut it = level.chunks(2);
-                    for pair in &mut it {
+                    for pair in level.chunks(2) {
                         next.push(match pair {
                             [a, b] => {
                                 out.push(Inst { kind: InstKind::Bin { op, lhs: *a, rhs: *b }, ty })
@@ -122,390 +227,346 @@ fn rebalance_adds(f: &Function) -> Function {
     out
 }
 
-fn canonicalize_once(f: &Function) -> Function {
-    let mut out = Function::new(f.name.clone());
-    out.params = f.params.clone();
+fn canonicalize_once(f: &Function, fires: &mut [u64; RULES.len()]) -> Function {
+    let mut e = Emitter {
+        out: Function::new(f.name.clone()),
+        numbering: HashMap::new(),
+        store_epoch: HashMap::new(),
+        fires,
+        nest: 0,
+    };
+    e.out.params = f.params.clone();
     // Map from old value id to new value id.
     let mut remap: Vec<ValueId> = Vec::with_capacity(f.insts.len());
-    // Value numbering for CSE of pure instructions.
-    let mut numbering: HashMap<Inst, ValueId> = HashMap::new();
-    // Memory version per (base, offset): CSE of loads is only sound between
-    // stores to the same location; bump a global store counter per base.
-    let mut store_epoch: HashMap<usize, u64> = HashMap::new();
-
     for (_, inst) in f.iter() {
         let mut inst = inst.clone();
         inst.map_operands(|v| remap[v.index()]);
-        let new_id = simplify_and_emit(&mut out, &mut numbering, &mut store_epoch, inst);
-        remap.push(new_id);
+        remap.push(e.emit(inst));
     }
-    dce(&out)
+    dce(&e.out)
 }
 
-/// Emit `inst` into `out` after simplification, reusing an existing value
-/// when possible. Returns the value the original instruction maps to.
-fn simplify_and_emit(
-    out: &mut Function,
-    numbering: &mut HashMap<Inst, ValueId>,
-    store_epoch: &mut HashMap<usize, u64>,
-    inst: Inst,
-) -> ValueId {
-    // First, structural simplifications that may dissolve the instruction
-    // into an existing value entirely.
-    if let Some(existing) = simplify_to_value(out, &inst) {
-        return existing;
-    }
-    // Then rewrites that produce a (possibly different) instruction.
-    let inst = rewrite(out, inst);
-    if let Some(existing) = simplify_to_value(out, &inst) {
-        return existing;
-    }
-
-    match inst.kind {
-        InstKind::Store { loc, .. } => {
-            *store_epoch.entry(loc.base).or_insert(0) += 1;
-            out.push(inst)
-        }
-        InstKind::Load { loc } => {
-            // Key loads by their memory epoch so CSE cannot cross a store.
-            let epoch = *store_epoch.get(&loc.base).unwrap_or(&0);
-            let key = Inst {
-                kind: InstKind::Const(Constant::int(
-                    Type::I64,
-                    // Synthetic key: (base, offset, epoch) folded into bits.
-                    ((loc.base as i64) << 48) ^ (loc.offset << 16) ^ epoch as i64,
-                )),
-                ty: inst.ty,
-            };
-            if let Some(&v) = numbering.get(&key) {
-                return v;
-            }
-            let v = out.push(inst);
-            numbering.insert(key, v);
-            v
-        }
-        _ => {
-            if let Some(&v) = numbering.get(&inst) {
-                return v;
-            }
-            let v = out.push(inst.clone());
-            numbering.insert(inst, v);
-            v
-        }
-    }
+/// The CSE key of an instruction.
+#[derive(PartialEq, Eq, Hash)]
+enum Key {
+    /// A pure instruction other than a load: equal instructions are equal
+    /// values.
+    Pure(Inst),
+    /// A load, valid until the next store to its buffer (`epoch` counts
+    /// them).
+    Load { loc: MemLoc, epoch: u64, ty: Type },
 }
 
-/// Try to resolve `inst` to an already-available value (constant folding and
-/// identity rules). Returns the value to use instead, if any.
-fn simplify_to_value(out: &mut Function, inst: &Inst) -> Option<ValueId> {
-    let const_of = |out: &Function, v: ValueId| -> Option<Constant> {
-        match out.inst(v).kind {
+/// One pass's output function, with the state every emission shares.
+struct Emitter<'s> {
+    out: Function,
+    /// Value numbering: emitted instructions, and the inputs that became
+    /// them.
+    numbering: HashMap<Key, ValueId>,
+    /// Stores seen per buffer.
+    store_epoch: HashMap<usize, u64>,
+    fires: &'s mut [u64; RULES.len()],
+    /// Value-row lookups currently on the stack.
+    nest: u32,
+}
+
+impl Emitter<'_> {
+    /// Emit `inst`, returning the value it maps to.
+    fn emit(&mut self, inst: Inst) -> ValueId {
+        if let InstKind::Store { loc, .. } = inst.kind {
+            *self.store_epoch.entry(loc.base).or_insert(0) += 1;
+            return self.out.push(inst);
+        }
+        let key = self.key(&inst);
+        if let Some(&v) = self.numbering.get(&key) {
+            return v;
+        }
+        let v = self.apply_rules(inst);
+        self.numbering.insert(key, v);
+        v
+    }
+
+    /// The value rows, else every reshaping row then the value rows again,
+    /// else CSE. An instruction no row touched is new: `emit` found no
+    /// equal one.
+    fn apply_rules(&mut self, mut inst: Inst) -> ValueId {
+        let kind = kind_bit(&inst.kind);
+        if let Some(v) = self.resolve(&inst, kind) {
+            return v;
+        }
+        let mut reshaped = false;
+        for (i, rule) in RULES.iter().enumerate() {
+            match rule.action {
+                Reshape(reshape) if rule.kinds & kind != 0 => {
+                    let fired = reshape(self, &mut inst);
+                    self.fires[i] += u64::from(fired);
+                    reshaped |= fired;
+                }
+                _ => {}
+            }
+        }
+        if !reshaped {
+            return self.out.push(inst);
+        }
+        if let Some(v) = self.resolve(&inst, kind) {
+            return v;
+        }
+        let key = self.key(&inst);
+        *self.numbering.entry(key).or_insert_with(|| self.out.push(inst))
+    }
+
+    /// The value of the first value row for `kind` that fires, if any.
+    fn resolve(&mut self, inst: &Inst, kind: u8) -> Option<ValueId> {
+        if self.nest == MAX_NEST || kind == 0 {
+            return None;
+        }
+        self.nest += 1;
+        let v = RULES.iter().enumerate().find_map(|(i, rule)| match rule.action {
+            Value(value) if rule.kinds & kind != 0 => {
+                value(self, inst).inspect(|_| self.fires[i] += 1)
+            }
+            _ => None,
+        });
+        self.nest -= 1;
+        v
+    }
+
+    fn key(&self, inst: &Inst) -> Key {
+        match inst.kind {
+            InstKind::Load { loc } => {
+                let epoch = self.store_epoch.get(&loc.base).copied().unwrap_or(0);
+                Key::Load { loc, epoch, ty: inst.ty }
+            }
+            _ => Key::Pure(inst.clone()),
+        }
+    }
+
+    fn constant(&mut self, c: Constant) -> ValueId {
+        self.emit(Inst { kind: InstKind::Const(c), ty: c.ty() })
+    }
+
+    fn cast(&mut self, op: CastOp, arg: ValueId, ty: Type) -> ValueId {
+        self.emit(Inst { kind: InstKind::Cast { op, arg }, ty })
+    }
+
+    fn const_of(&self, v: ValueId) -> Option<Constant> {
+        match self.out.inst(v).kind {
             InstKind::Const(c) => Some(c),
             _ => None,
         }
+    }
+
+    /// The extension and source of `v`, if it is a sext or zext.
+    fn ext_of(&self, v: ValueId) -> Option<(CastOp, ValueId)> {
+        match self.out.inst(v).kind {
+            InstKind::Cast { op: op @ (CastOp::SExt | CastOp::ZExt), arg } => Some((op, arg)),
+            _ => None,
+        }
+    }
+}
+
+/// `op(c₁, c₂)` → its value (binary operations, casts, compares).
+fn const_fold(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let c = match inst.kind {
+        InstKind::Bin { op, lhs, rhs } => eval_bin(op, e.const_of(lhs)?, e.const_of(rhs)?).ok()?,
+        InstKind::Cast { op, arg } => eval_cast(op, e.const_of(arg)?, inst.ty),
+        InstKind::Cmp { pred, lhs, rhs } => eval_cmp(pred, e.const_of(lhs)?, e.const_of(rhs)?),
+        _ => return None,
     };
-    match &inst.kind {
-        InstKind::Bin { op, lhs, rhs } => {
-            let lc = const_of(out, *lhs);
-            let rc = const_of(out, *rhs);
-            // Full constant folding.
-            if let (Some(a), Some(b)) = (lc, rc) {
-                if let Ok(c) = eval_bin(*op, a, b) {
-                    return Some(push_const(out, c));
-                }
-            }
-            // Integer identities (float identities are unsafe under NaN).
-            if let Some(b) = rc {
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor if b.is_zero() => {
-                        return Some(*lhs)
-                    }
-                    BinOp::Shl | BinOp::LShr | BinOp::AShr if b.is_zero() => return Some(*lhs),
-                    BinOp::Mul if b.is_one() => return Some(*lhs),
-                    BinOp::Mul if b.is_zero() => {
-                        return Some(push_const(out, Constant::zero(inst.ty)))
-                    }
-                    BinOp::And if b.is_all_ones() => return Some(*lhs),
-                    BinOp::And if b.is_zero() => {
-                        return Some(push_const(out, Constant::zero(inst.ty)))
-                    }
-                    _ => {}
-                }
-            }
-            // x - x = 0, x ^ x = 0 for integers.
-            if lhs == rhs && inst.ty.is_int() {
-                match op {
-                    BinOp::Sub | BinOp::Xor => {
-                        return Some(push_const(out, Constant::zero(inst.ty)))
-                    }
-                    BinOp::And | BinOp::Or => return Some(*lhs),
-                    _ => {}
-                }
-            }
-            None
-        }
-        InstKind::Cast { op, arg } => {
-            if let Some(c) = const_of(out, *arg) {
-                return Some(push_const(out, eval_cast(*op, c, inst.ty)));
-            }
-            if *op == CastOp::Trunc {
-                if let InstKind::Cast { op: inner_op @ (CastOp::SExt | CastOp::ZExt), arg: src } =
-                    out.inst(*arg).kind
-                {
-                    let src_ty = out.ty(src);
-                    // trunc(ext(x)) where the widths return to the source is
-                    // the source itself.
-                    if inst.ty == src_ty {
-                        return Some(src);
-                    }
-                    // Still wider than the source: a narrower extension.
-                    if inst.ty.bits() > src_ty.bits() {
-                        let v = out.push(Inst {
-                            kind: InstKind::Cast { op: inner_op, arg: src },
-                            ty: inst.ty,
-                        });
-                        return Some(v);
-                    }
-                    // Narrower than the source: truncate the source directly.
-                    let v = out.push(Inst {
-                        kind: InstKind::Cast { op: CastOp::Trunc, arg: src },
-                        ty: inst.ty,
-                    });
-                    return Some(v);
-                }
-                // Sink trunc through width-local binops and selects so
-                // narrow computations expressed widely (C integer promotion)
-                // converge with patterns written at the narrow width.
-                match out.inst(*arg).kind.clone() {
-                    InstKind::Bin {
-                        op:
-                            bop @ (BinOp::Add
-                            | BinOp::Sub
-                            | BinOp::Mul
-                            | BinOp::And
-                            | BinOp::Or
-                            | BinOp::Xor),
-                        lhs,
-                        rhs,
-                    } => {
-                        let l = out.push(Inst {
-                            kind: InstKind::Cast { op: CastOp::Trunc, arg: lhs },
-                            ty: inst.ty,
-                        });
-                        let r = out.push(Inst {
-                            kind: InstKind::Cast { op: CastOp::Trunc, arg: rhs },
-                            ty: inst.ty,
-                        });
-                        let v = out.push(Inst {
-                            kind: InstKind::Bin { op: bop, lhs: l, rhs: r },
-                            ty: inst.ty,
-                        });
-                        return Some(v);
-                    }
-                    InstKind::Select { cond, on_true, on_false } => {
-                        let t = out.push(Inst {
-                            kind: InstKind::Cast { op: CastOp::Trunc, arg: on_true },
-                            ty: inst.ty,
-                        });
-                        let e = out.push(Inst {
-                            kind: InstKind::Cast { op: CastOp::Trunc, arg: on_false },
-                            ty: inst.ty,
-                        });
-                        let v = out.push(Inst {
-                            kind: InstKind::Select { cond, on_true: t, on_false: e },
-                            ty: inst.ty,
-                        });
-                        return Some(v);
-                    }
-                    _ => {}
-                }
-            }
-            // ext(ext(x)) composes; sext of a zext is a zext.
-            if let (
-                ext_op @ (CastOp::SExt | CastOp::ZExt),
-                InstKind::Cast { op: inner @ (CastOp::SExt | CastOp::ZExt), arg: src },
-            ) = (*op, out.inst(*arg).kind.clone())
-            {
-                let combined = match (ext_op, inner) {
-                    (_, CastOp::ZExt) => CastOp::ZExt,
-                    (CastOp::ZExt, CastOp::SExt) => return None, // zext(sext) does not compose
-                    _ => CastOp::SExt,
-                };
-                let v =
-                    out.push(Inst { kind: InstKind::Cast { op: combined, arg: src }, ty: inst.ty });
-                return Some(v);
-            }
-            None
-        }
-        InstKind::FNeg { arg } => {
-            if let InstKind::FNeg { arg: inner } = out.inst(*arg).kind {
-                return Some(inner);
-            }
-            None
-        }
-        InstKind::Cmp { pred, lhs, rhs } => {
-            if let (Some(a), Some(b)) = (const_of(out, *lhs), const_of(out, *rhs)) {
-                return Some(push_const(out, eval_cmp(*pred, a, b)));
-            }
-            None
-        }
-        InstKind::Select { cond, on_true, on_false } => {
-            if on_true == on_false {
-                return Some(*on_true);
-            }
-            if let Some(c) = const_of(out, *cond) {
-                return Some(if c.as_bool() { *on_true } else { *on_false });
-            }
-            None
-        }
+    Some(e.constant(c))
+}
+
+/// `x+0 x−0 x|0 x^0 x<<0 x>>0 x·1 x&~0` → `x`; `x·0 x&0` → `0`. Integer
+/// only: the float identities do not hold under NaN.
+fn int_identity(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let InstKind::Bin { op, lhs, rhs } = inst.kind else { return None };
+    let b = e.const_of(rhs)?;
+    match op {
+        BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor if b.is_zero() => Some(lhs),
+        BinOp::Shl | BinOp::LShr | BinOp::AShr if b.is_zero() => Some(lhs),
+        BinOp::Mul if b.is_one() => Some(lhs),
+        BinOp::And if b.is_all_ones() => Some(lhs),
+        BinOp::Mul | BinOp::And if b.is_zero() => Some(e.constant(Constant::zero(inst.ty))),
         _ => None,
     }
 }
 
-/// Rewrites that keep an instruction but in canonical shape.
-fn rewrite(out: &mut Function, mut inst: Inst) -> Inst {
-    let is_const = |out: &Function, v: ValueId| matches!(out.inst(v).kind, InstKind::Const(_));
-    match &mut inst.kind {
-        InstKind::Bin { op, lhs, rhs } if op.is_commutative() && should_swap(out, *lhs, *rhs) => {
-            std::mem::swap(lhs, rhs);
-        }
-        InstKind::Cmp { pred, lhs, rhs } => {
-            // Constant to the right.
-            if is_const(out, *lhs) && !is_const(out, *rhs) {
-                std::mem::swap(lhs, rhs);
-                *pred = pred.swapped();
-            }
-            // Narrow comparisons of matching extensions: LLVM's
-            // `icmp (zext a), (zext b)` -> `icmp.unsigned a, b` and the
-            // sext analogue (both orders are preserved by extension).
-            if let (
-                InstKind::Cast { op: lop @ (CastOp::SExt | CastOp::ZExt), arg: la },
-                InstKind::Cast { op: rop, arg: ra },
-            ) = (out.inst(*lhs).kind.clone(), out.inst(*rhs).kind.clone())
-            {
-                if lop == rop && out.ty(la) == out.ty(ra) && !pred.is_float() {
-                    let narrowed = match (lop, *pred) {
-                        // Equality is extension-agnostic.
-                        (_, CmpPred::Eq) | (_, CmpPred::Ne) => Some(*pred),
-                        // zext turns signed predicates unsigned.
-                        (CastOp::ZExt, CmpPred::Slt) => Some(CmpPred::Ult),
-                        (CastOp::ZExt, CmpPred::Sle) => Some(CmpPred::Ule),
-                        (CastOp::ZExt, CmpPred::Sgt) => Some(CmpPred::Ugt),
-                        (CastOp::ZExt, CmpPred::Sge) => Some(CmpPred::Uge),
-                        (CastOp::ZExt, p) => Some(p), // unsigned stays
-                        // sext preserves both signed and unsigned order.
-                        (CastOp::SExt, p) => Some(p),
-                        _ => None,
-                    };
-                    if let Some(np) = narrowed {
-                        *pred = np;
-                        *lhs = la;
-                        *rhs = ra;
-                    }
-                }
-            }
-            // Narrow `cmp (ext x), C` when C is representable at x's width.
-            if let (
-                InstKind::Cast { op: lop @ (CastOp::SExt | CastOp::ZExt), arg: la },
-                InstKind::Const(c),
-            ) = (out.inst(*lhs).kind.clone(), out.inst(*rhs).kind.clone())
-            {
-                if !pred.is_float() {
-                    let nty = out.ty(la);
-                    let bits = nty.bits();
-                    let fits = match lop {
-                        CastOp::SExt => {
-                            let smax =
-                                crate::constant::sext(crate::constant::mask(bits) >> 1, bits);
-                            c.as_i64() <= smax && c.as_i64() >= -smax - 1
-                        }
-                        _ => c.as_u64() <= crate::constant::mask(bits),
-                    };
-                    // Narrowing is order-preserving for both extension
-                    // kinds once the constant is representable: zext turns
-                    // signed predicates unsigned below; sext images keep
-                    // both signed and unsigned order.
-                    if fits {
-                        let np = if lop == CastOp::ZExt {
-                            match *pred {
-                                CmpPred::Slt => CmpPred::Ult,
-                                CmpPred::Sle => CmpPred::Ule,
-                                CmpPred::Sgt => CmpPred::Ugt,
-                                CmpPred::Sge => CmpPred::Uge,
-                                p => p,
-                            }
-                        } else {
-                            *pred
-                        };
-                        let nc = if lop == CastOp::ZExt {
-                            Constant::int(nty, c.as_u64() as i64)
-                        } else {
-                            Constant::int(nty, c.as_i64())
-                        };
-                        *pred = np;
-                        *lhs = la;
-                        *rhs = push_const(out, nc);
-                    }
-                }
-            }
-            // Non-strict against a constant becomes strict (the rewrite the
-            // paper singles out as crucial for saturation patterns).
-            if let InstKind::Const(c) = out.inst(*rhs).kind {
-                if c.ty().is_int() {
-                    let bits = c.ty().bits();
-                    let smax = crate::constant::sext(crate::constant::mask(bits) >> 1, bits);
-                    let smin = -smax - 1;
-                    let umax = crate::constant::mask(bits);
-                    let replace =
-                        |out: &mut Function, v: i64| push_const_ret(out, Constant::int(c.ty(), v));
-                    match *pred {
-                        CmpPred::Sle if c.as_i64() < smax => {
-                            *pred = CmpPred::Slt;
-                            *rhs = replace(out, c.as_i64() + 1);
-                        }
-                        CmpPred::Sge if c.as_i64() > smin => {
-                            *pred = CmpPred::Sgt;
-                            *rhs = replace(out, c.as_i64() - 1);
-                        }
-                        CmpPred::Ule if c.as_u64() < umax => {
-                            *pred = CmpPred::Ult;
-                            *rhs = replace(out, (c.as_u64() + 1) as i64);
-                        }
-                        CmpPred::Uge if c.as_u64() > 0 => {
-                            *pred = CmpPred::Ugt;
-                            *rhs = replace(out, (c.as_u64() - 1) as i64);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        _ => {}
+/// `x−x x^x` → `0`; `x&x x|x` → `x` (integers).
+fn same_operands(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let InstKind::Bin { op, lhs, rhs } = inst.kind else { return None };
+    match op {
+        _ if lhs != rhs || !inst.ty.is_int() => None,
+        BinOp::Sub | BinOp::Xor => Some(e.constant(Constant::zero(inst.ty))),
+        BinOp::And | BinOp::Or => Some(lhs),
+        _ => None,
     }
-    inst
 }
 
-/// Commutative operand order: constants last; otherwise higher "complexity"
-/// first (LLVM's convention), with value id as the tiebreak.
-fn should_swap(out: &Function, lhs: ValueId, rhs: ValueId) -> bool {
-    let rank = |v: ValueId| -> (u8, u32) {
-        let r = match out.inst(v).kind {
-            InstKind::Const(_) => 0u8,
-            InstKind::Load { .. } => 1,
-            InstKind::Cast { .. } => 2,
-            _ => 3,
-        };
-        (r, v.index() as u32)
+/// `trunc(ext x)` → `x` at x's width, `ext x` wider than x, `trunc x`
+/// narrower.
+fn trunc_of_ext(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let InstKind::Cast { op: CastOp::Trunc, arg } = inst.kind else { return None };
+    let (ext, x) = e.ext_of(arg)?;
+    let x_ty = e.out.ty(x);
+    if inst.ty == x_ty {
+        return Some(x);
+    }
+    let op = if inst.ty.bits() > x_ty.bits() { ext } else { CastOp::Trunc };
+    Some(e.cast(op, x, inst.ty))
+}
+
+/// `trunc(x ∘ y)` → `trunc x ∘ trunc y` for the width-local `+ − · & | ^`;
+/// `trunc(c ? x : y)` → `c ? trunc x : trunc y`. Narrow computations written
+/// widely (C integer promotion) then converge with patterns written narrow.
+fn trunc_sink(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    use BinOp::{Add, And, Mul, Or, Sub, Xor};
+    let InstKind::Cast { op: CastOp::Trunc, arg } = inst.kind else { return None };
+    let ty = inst.ty;
+    let kind = match e.out.inst(arg).kind {
+        InstKind::Bin { op: op @ (Add | Sub | Mul | And | Or | Xor), lhs, rhs } => {
+            let lhs = e.cast(CastOp::Trunc, lhs, ty);
+            InstKind::Bin { op, lhs, rhs: e.cast(CastOp::Trunc, rhs, ty) }
+        }
+        InstKind::Select { cond, on_true, on_false } => {
+            let on_true = e.cast(CastOp::Trunc, on_true, ty);
+            InstKind::Select { cond, on_true, on_false: e.cast(CastOp::Trunc, on_false, ty) }
+        }
+        _ => return None,
     };
-    rank(lhs) < rank(rhs)
+    Some(e.emit(Inst { kind, ty }))
 }
 
-fn push_const(out: &mut Function, c: Constant) -> ValueId {
-    out.push(Inst { kind: InstKind::Const(c), ty: c.ty() })
+/// `ext(zext x)` → `zext x`; `sext(sext x)` → `sext x`. `zext(sext x)`
+/// does not compose.
+fn ext_compose(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    use CastOp::{SExt, ZExt};
+    let InstKind::Cast { op: outer @ (SExt | ZExt), arg } = inst.kind else { return None };
+    let (inner, x) = e.ext_of(arg)?;
+    let op = match (outer, inner) {
+        (_, ZExt) => ZExt,
+        (ZExt, _) => return None,
+        _ => SExt,
+    };
+    Some(e.cast(op, x, inst.ty))
 }
 
-fn push_const_ret(out: &mut Function, c: Constant) -> ValueId {
-    push_const(out, c)
+/// `−(−x)` → `x`.
+fn fneg_fneg(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let InstKind::FNeg { arg } = inst.kind else { return None };
+    match e.out.inst(arg).kind {
+        InstKind::FNeg { arg: x } => Some(x),
+        _ => None,
+    }
+}
+
+/// `c ? x : x` → `x`; `true ? x : y` → `x`; `false ? x : y` → `y`.
+fn select_fold(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
+    let InstKind::Select { cond, on_true, on_false } = inst.kind else { return None };
+    if on_true == on_false {
+        return Some(on_true);
+    }
+    e.const_of(cond).map(|c| if c.as_bool() { on_true } else { on_false })
+}
+
+/// Commutative operands: constants last, otherwise the higher-ranked
+/// operand (LLVM's complexity order, [`rank`]) first.
+fn commute(e: &mut Emitter, inst: &mut Inst) -> bool {
+    let InstKind::Bin { op, lhs, rhs } = &mut inst.kind else { return false };
+    let swap = op.is_commutative() && rank(&e.out, *lhs) < rank(&e.out, *rhs);
+    if swap {
+        std::mem::swap(lhs, rhs);
+    }
+    swap
+}
+
+/// `cmp c, x` → `cmp x, c` with the swapped predicate.
+fn cmp_const_right(e: &mut Emitter, inst: &mut Inst) -> bool {
+    let InstKind::Cmp { pred, lhs, rhs } = &mut inst.kind else { return false };
+    let swap = e.const_of(*lhs).is_some() && e.const_of(*rhs).is_none();
+    if swap {
+        std::mem::swap(lhs, rhs);
+        *pred = pred.swapped();
+    }
+    swap
+}
+
+/// `cmp (ext a), (ext b)` → `cmp a, b` for one extension kind over one
+/// width (LLVM's `icmp (zext a), (zext b)` → unsigned `icmp a, b`).
+fn cmp_narrow_ext(e: &mut Emitter, inst: &mut Inst) -> bool {
+    let InstKind::Cmp { pred, lhs, rhs } = &mut inst.kind else { return false };
+    let (Some((ext, a)), Some((op, b))) = (e.ext_of(*lhs), e.ext_of(*rhs)) else { return false };
+    if ext != op || e.out.ty(a) != e.out.ty(b) || pred.is_float() {
+        return false;
+    }
+    (*pred, *lhs, *rhs) = (narrowed(ext, *pred), a, b);
+    true
+}
+
+/// `cmp (ext x), C` → `cmp x, C` at x's width when C is representable
+/// there.
+fn cmp_narrow_const(e: &mut Emitter, inst: &mut Inst) -> bool {
+    let InstKind::Cmp { pred, lhs, rhs } = &mut inst.kind else { return false };
+    let (Some((ext, x)), Some(c)) = (e.ext_of(*lhs), e.const_of(*rhs)) else { return false };
+    let x_ty = e.out.ty(x);
+    let Some(n) = narrow(c, ext, x_ty.bits()).filter(|_| !pred.is_float()) else { return false };
+    (*pred, *lhs, *rhs) = (narrowed(ext, *pred), x, e.constant(Constant::int(x_ty, n)));
+    true
+}
+
+/// `x ≤ C` → `x < C+1` and `x ≥ C` → `x > C−1`, signed and unsigned, unless
+/// `C±1` leaves the type — the rewrite §6 calls crucial for saturation.
+fn strict_cmp(e: &mut Emitter, inst: &mut Inst) -> bool {
+    let InstKind::Cmp { pred, rhs, .. } = &mut inst.kind else { return false };
+    let Some(c) = e.const_of(*rhs).filter(|c| c.ty().is_int()) else { return false };
+    let (bits, s, u) = (c.ty().bits(), c.as_i64(), c.as_u64());
+    let (strict, bound) = match *pred {
+        CmpPred::Sle if s < smax(bits) => (CmpPred::Slt, s + 1),
+        CmpPred::Sge if s > -smax(bits) - 1 => (CmpPred::Sgt, s - 1),
+        CmpPred::Ule if u < mask(bits) => (CmpPred::Ult, (u + 1) as i64),
+        CmpPred::Uge if u > 0 => (CmpPred::Ugt, (u - 1) as i64),
+        _ => return false,
+    };
+    (*pred, *rhs) = (strict, e.constant(Constant::int(c.ty(), bound)));
+    true
+}
+
+/// A compare's predicate after narrowing both sides past `ext`: both
+/// extensions preserve equality and sext preserves both orders, while zext
+/// makes a signed order unsigned.
+fn narrowed(ext: CastOp, pred: CmpPred) -> CmpPred {
+    match (ext, pred) {
+        (CastOp::ZExt, CmpPred::Slt) => CmpPred::Ult,
+        (CastOp::ZExt, CmpPred::Sle) => CmpPred::Ule,
+        (CastOp::ZExt, CmpPred::Sgt) => CmpPred::Ugt,
+        (CastOp::ZExt, CmpPred::Sge) => CmpPred::Uge,
+        (_, p) => p,
+    }
+}
+
+/// Commutative order key: constants, loads, casts, then everything else,
+/// with the value id as the tiebreak.
+fn rank(out: &Function, v: ValueId) -> (u8, usize) {
+    let r = match out.inst(v).kind {
+        InstKind::Const(_) => 0,
+        InstKind::Load { .. } => 1,
+        InstKind::Cast { .. } => 2,
+        _ => 3,
+    };
+    (r, v.index())
+}
+
+/// The largest signed value of a `bits`-wide integer.
+fn smax(bits: u32) -> i64 {
+    sext(mask(bits) >> 1, bits)
+}
+
+/// `c` narrowed to `bits` wide, if `ext` of that narrow value gives `c`
+/// back.
+fn narrow(c: Constant, ext: CastOp, bits: u32) -> Option<i64> {
+    match ext {
+        CastOp::SExt => (-smax(bits) - 1..=smax(bits)).contains(&c.as_i64()).then_some(c.as_i64()),
+        _ => (c.as_u64() <= mask(bits)).then_some(c.as_u64() as i64),
+    }
 }
 
 /// Append narrowed twins of every integer constant (e.g. `83_i16` next to
@@ -542,17 +603,11 @@ pub fn add_narrow_constants(f: &Function) -> Function {
                 continue;
             }
             let nty = Type::int_with_bits(bits).unwrap();
-            let smax = crate::constant::sext(crate::constant::mask(bits) >> 1, bits);
-            // Signed-narrowing twin (for sext-parameter bindings).
-            if c.as_i64() <= smax && c.as_i64() >= -smax - 1 {
-                let n = Constant::int(nty, c.as_i64());
-                if existing.insert(n) {
-                    out.push(Inst { kind: InstKind::Const(n), ty: nty });
-                }
-            }
-            // Unsigned-narrowing twin (for zext-parameter bindings).
-            if c.as_u64() <= crate::constant::mask(bits) {
-                let n = Constant::int(nty, c.as_u64() as i64);
+            // The signed-narrowing twin (for sext-parameter bindings), then
+            // the unsigned one (for zext-parameter bindings).
+            for n in [CastOp::SExt, CastOp::ZExt].into_iter().filter_map(|ext| narrow(c, ext, bits))
+            {
+                let n = Constant::int(nty, n);
                 if existing.insert(n) {
                     out.push(Inst { kind: InstKind::Const(n), ty: nty });
                 }
@@ -933,6 +988,111 @@ mod tests {
             })
             .collect();
         assert_eq!(casts, vec![CastOp::ZExt], "{g}");
+    }
+
+    #[test]
+    fn load_cse_keeps_i64_constants_apart() {
+        // A load's CSE key once shared the constant key space: `load i64
+        // A[0]` collided with `const 0_i64`, and both stores wrote the load.
+        let mut b = FunctionBuilder::new("t");
+        let a = b.param("A", Type::I64, 1);
+        let o = b.param("O", Type::I64, 2);
+        let x = b.load(a, 0);
+        let zero = b.iconst(Type::I64, 0);
+        b.store(o, 0, x);
+        b.store(o, 1, zero);
+        let f = b.finish();
+        let g = canonicalize(&f);
+        equivalent(&f, &g);
+        assert_eq!(g.insts.len(), 4, "{g}");
+    }
+
+    #[test]
+    fn load_cse_keeps_i64_loads_after_constants() {
+        // ... and `load i64 A[1]` collided with an earlier `const 65536_i64`.
+        let mut b = FunctionBuilder::new("t");
+        let a = b.param("A", Type::I64, 2);
+        let o = b.param("O", Type::I64, 2);
+        let k = b.iconst(Type::I64, 65536);
+        let x = b.load(a, 1);
+        b.store(o, 0, k);
+        b.store(o, 1, x);
+        let f = b.finish();
+        let g = canonicalize(&f);
+        equivalent(&f, &g);
+        assert!(g.insts.iter().any(|i| matches!(i.kind, InstKind::Load { .. })), "{g}");
+    }
+
+    /// `trunc i16` of a left-deep `mul` chain over `depth + 1` i32 loads.
+    fn truncated_mul_chain(depth: usize) -> Function {
+        let mut b = FunctionBuilder::new("t");
+        let a = b.param("A", Type::I32, depth + 1);
+        let o = b.param("O", Type::I16, 1);
+        let mut m = b.load(a, 0);
+        for i in 1..=depth {
+            let x = b.load(a, i as i64);
+            m = b.mul(m, x);
+        }
+        let n = b.trunc(m, Type::I16);
+        b.store(o, 0, n);
+        b.finish()
+    }
+
+    #[test]
+    fn deep_trunc_chains_reach_the_fixpoint() {
+        // Trunc sinking once moved one level per pass, so a chain deeper
+        // than the pass cap came back half-sunk and not idempotent.
+        for depth in [16, 64] {
+            let f = truncated_mul_chain(depth);
+            let (g, stats) = canonicalize_with_stats(&f);
+            equivalent(&f, &g);
+            assert_eq!(canonicalize(&g), g, "depth {depth}: not a fixpoint");
+            assert!(stats.converged && stats.passes <= 2, "depth {depth}: {stats}");
+            assert!(!g
+                .insts
+                .iter()
+                .any(|i| i.ty == Type::I32 && !matches!(i.kind, InstKind::Load { .. })));
+        }
+    }
+
+    #[test]
+    fn chains_past_the_nest_bound_finish_in_later_passes() {
+        let f = truncated_mul_chain(600);
+        let (g, stats) = canonicalize_with_stats(&f);
+        equivalent(&f, &g);
+        assert!(stats.converged && stats.passes <= 5, "{stats}");
+        assert_eq!(canonicalize(&g), g);
+    }
+
+    #[test]
+    fn shared_subtrees_are_rewritten_once() {
+        // `trunc` of x·x squared 40 times: sinking without remembering what
+        // each input became would visit 2⁴⁰ paths.
+        let mut b = FunctionBuilder::new("t");
+        let a = b.param("A", Type::I32, 1);
+        let o = b.param("O", Type::I16, 1);
+        let mut m = b.load(a, 0);
+        for _ in 0..40 {
+            m = b.mul(m, m);
+        }
+        let n = b.trunc(m, Type::I16);
+        b.store(o, 0, n);
+        let f = b.finish();
+        let g = canonicalize(&f);
+        equivalent(&f, &g);
+        assert_eq!(g.insts.len(), 43, "load, trunc, 40 narrow multiplies, store: {g}");
+    }
+
+    #[test]
+    fn stats_name_the_rows_that_fired() {
+        let f = truncated_mul_chain(2);
+        let (_, stats) = canonicalize_with_stats(&f);
+        // Loads order by value id, so both multiplies also swap operands.
+        let fired: Vec<_> = stats.fired().collect();
+        assert_eq!(fired, [("trunc_sink", 2), ("commute", 2)], "{stats}");
+        assert_eq!(stats.to_string(), "trunc_sink ×2, commute ×2 (2 passes)");
+        let (_, quiet) = canonicalize_with_stats(&canonicalize(&f));
+        assert_eq!(quiet.to_string(), "no rewrites (1 pass)");
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Property tests: the canonicalizer preserves semantics on arbitrary
 //! well-typed straight-line programs and is idempotent.
 //!
+//! Programs mix i16, i32 and i64 values; the i64 buffer is parameter 0 and
+//! the i64 constants include 0 and 65536, the values a load's CSE key was
+//! once confused with (`load i64 C[0]` and `C[1]`).
+//!
 //! Cases are generated with the in-tree deterministic [`XorShift`] stream
 //! (this repo builds offline; see `vegen_ir::rng`), so every failure
 //! reproduces from its case index.
@@ -20,17 +24,25 @@ enum Step {
     SelectLike { a: usize, b: usize },
     Cast { kind: usize, a: usize },
     Store { v: usize },
+    Load64 { off: usize },
+    Const64(i64),
+    Bin64 { op: usize, a: usize, b: usize },
+    Store64 { v: usize },
 }
 
 fn gen_step(r: &mut XorShift) -> Step {
-    match r.below(7) {
+    match r.below(11) {
         0 => Step::Load { buf: r.below(2), off: r.below(6) },
         1 => Step::Const(r.range_i64(-70000, 70000)),
         2 => Step::Bin { op: r.below(9), a: r.below(32), b: r.below(32) },
         3 => Step::Cmp { pred: r.below(6), a: r.below(32), b: r.below(32) },
         4 => Step::SelectLike { a: r.below(32), b: r.below(32) },
-        5 => Step::Cast { kind: r.below(3), a: r.below(32) },
-        _ => Step::Store { v: r.below(32) },
+        5 => Step::Cast { kind: r.below(5), a: r.below(32) },
+        6 => Step::Store { v: r.below(32) },
+        7 => Step::Load64 { off: r.below(4) },
+        8 => Step::Const64([0, 65536, 1, -1, r.range_i64(-70000, 70000)][r.below(5)]),
+        9 => Step::Bin64 { op: r.below(9), a: r.below(32), b: r.below(32) },
+        _ => Step::Store64 { v: r.below(32) },
     }
 }
 
@@ -41,12 +53,15 @@ fn gen_steps(r: &mut XorShift, min: usize, max: usize) -> Vec<Step> {
 
 fn build(steps: &[Step]) -> Option<Function> {
     let mut b = FunctionBuilder::new("prop");
+    let buf64 = b.param("C", Type::I64, 4);
     let bufs = [b.param("A", Type::I16, 6), b.param("B", Type::I16, 6)];
     let out32 = b.param("O", Type::I32, 24);
+    let out64 = b.param("P", Type::I64, 8);
     let mut i16s: Vec<ValueId> = Vec::new();
     let mut i32s: Vec<ValueId> = Vec::new();
+    let mut i64s: Vec<ValueId> = Vec::new();
     let mut bools: Vec<ValueId> = Vec::new();
-    let mut next_out = 0usize;
+    let (mut next_out, mut next_out64) = (0usize, 0usize);
     let bin_ops = [
         BinOp::Add,
         BinOp::Sub,
@@ -97,7 +112,7 @@ fn build(steps: &[Step]) -> Option<Function> {
                 let v = b.select(c, x, y);
                 i32s.push(v);
             }
-            Step::Cast { kind, a } => match kind % 3 {
+            Step::Cast { kind, a } => match kind % 5 {
                 0 if !i16s.is_empty() => {
                     let v = b.sext(i16s[a % i16s.len()], Type::I32);
                     i32s.push(v);
@@ -110,6 +125,14 @@ fn build(steps: &[Step]) -> Option<Function> {
                     let v = b.trunc(i32s[a % i32s.len()], Type::I16);
                     i16s.push(v);
                 }
+                3 if !i32s.is_empty() => {
+                    let v = b.sext(i32s[a % i32s.len()], Type::I64);
+                    i64s.push(v);
+                }
+                4 if !i64s.is_empty() => {
+                    let v = b.trunc(i64s[a % i64s.len()], Type::I32);
+                    i32s.push(v);
+                }
                 _ => {}
             },
             Step::Store { v } => {
@@ -118,6 +141,30 @@ fn build(steps: &[Step]) -> Option<Function> {
                 }
                 b.store(out32, next_out as i64, i32s[v % i32s.len()]);
                 next_out += 1;
+            }
+            Step::Load64 { off } => {
+                let v = b.load(buf64, *off as i64);
+                i64s.push(v);
+            }
+            Step::Const64(c) => {
+                let v = b.iconst(Type::I64, *c);
+                i64s.push(v);
+            }
+            Step::Bin64 { op, a, b: rb } => {
+                if i64s.len() < 2 {
+                    continue;
+                }
+                let x = i64s[a % i64s.len()];
+                let y = i64s[rb % i64s.len()];
+                let v = b.bin(bin_ops[op % bin_ops.len()], x, y);
+                i64s.push(v);
+            }
+            Step::Store64 { v } => {
+                if i64s.is_empty() || next_out64 >= 8 {
+                    continue;
+                }
+                b.store(out64, next_out64 as i64, i64s[v % i64s.len()]);
+                next_out64 += 1;
             }
         }
     }

@@ -25,7 +25,7 @@ use vegen_codegen::{check_equivalence, try_lower, try_lower_scalar};
 use vegen_core::{
     select_packs_reusing, BeamConfig, CostModel, SelectionResult, SelectionReuse, VectorizerCtx,
 };
-use vegen_ir::canon::{add_narrow_constants, canonicalize};
+use vegen_ir::canon::{add_narrow_constants, canonicalize_with_stats};
 use vegen_ir::Function;
 use vegen_isa::{InstDb, TargetIsa};
 use vegen_match::TargetDesc;
@@ -254,12 +254,22 @@ fn run_stage<T>(
 /// pipeline, exposed so callers (the engine's content-addressed cache) can
 /// hash the canonical form before deciding whether to compile at all.
 ///
+/// Each canonicalizer row that fired is a `canon` trace counter, and a
+/// result that did not reach its fixpoint moves `canon_unconverged_total`.
+///
 /// # Errors
 ///
 /// Returns an injected canonicalize-stage fault, if one is installed.
 pub fn prepare(f: &Function, ctx: &mut CompileCtx) -> Result<Function, CompileError> {
     run_stage(Stage::Canonicalize, &f.name, ctx, true, |_| {
-        Ok(add_narrow_constants(&canonicalize(f)))
+        let (canonical, stats) = canonicalize_with_stats(f);
+        for (rule, n) in stats.fired() {
+            vegen_trace::counter("canon", rule, n as f64);
+        }
+        if !stats.converged {
+            metrics::counter("canon_unconverged_total").inc();
+        }
+        Ok(add_narrow_constants(&canonical))
     })
 }
 
@@ -427,6 +437,26 @@ mod tests {
         let want: Vec<_> = PIPELINE.into_iter().zip((1..=6).map(ns)).collect();
         assert_eq!(t.iter().collect::<Vec<_>>(), want);
         assert_eq!(t.total(), ns(21));
+    }
+
+    #[test]
+    fn prepare_counts_a_canonical_form_short_of_its_fixpoint() {
+        // A trunc sinks through at most 256 levels per pass and 16 passes
+        // run, so a 5000-deep chain stops short.
+        let mut b = FunctionBuilder::new("deep");
+        let a = b.param("A", Type::I32, 1);
+        let o = b.param("O", Type::I16, 1);
+        let x = b.load(a, 0);
+        let mut m = x;
+        for _ in 0..5000 {
+            m = b.mul(m, x);
+        }
+        let t = b.trunc(m, Type::I16);
+        b.store(o, 0, t);
+        let unconverged = metrics::counter("canon_unconverged_total");
+        let before = unconverged.get();
+        prepare(&b.finish(), &mut CompileCtx::default()).unwrap();
+        assert!(unconverged.get() > before);
     }
 
     #[test]
