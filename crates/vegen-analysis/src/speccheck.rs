@@ -42,7 +42,8 @@ use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp};
 use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Type};
 use vegen_isa::specs::{all_specs, Spec};
 use vegen_isa::{InstDb, InstDef, TargetIsa};
-use vegen_match::{Pattern, TargetDesc};
+use vegen_match::table::RegisteredOp;
+use vegen_match::{OpId, Pattern, TargetDesc};
 use vegen_vidl::{check_inst_all, Expr, InstSemantics, Operation};
 
 /// Structural statistics of a built match table, surfaced in engine
@@ -549,6 +550,22 @@ fn class_key(inst: &vegen_match::DescInst) -> Vec<u8> {
 // 4. Faithfulness: match rule ≡ lane semantics
 // ---------------------------------------------------------------------------
 
+/// How one registered operation settled against one lane operation body.
+enum Settled {
+    /// Equal in the symbolic arena.
+    Proved,
+    /// Equal on the 64-trial dynamic fallback.
+    Validated,
+    /// Not shown equal: every lane using the pair reports this error at
+    /// its own location, after its instruction's name when `named`.
+    Failed { named: bool, message: String },
+}
+
+/// Prove each lane's match pattern equal to its operation body. A proof
+/// depends only on the registered operation and the body, so each
+/// `(OpId, body)` pair is settled once — most lanes of a SIMD instruction,
+/// and the same operation at every register width, share one — while the
+/// counts and diagnostics stay per lane.
 fn audit_faithfulness(
     arena: &mut Arena,
     desc: &TargetDesc,
@@ -556,6 +573,8 @@ fn audit_faithfulness(
 ) -> (usize, usize) {
     let mut proved = 0usize;
     let mut validated = 0usize;
+    let mut settled: Vec<Settled> = Vec::new();
+    let mut by_body: HashMap<(OpId, &Expr), usize> = HashMap::new();
     for (index, inst) in desc.insts.iter().enumerate() {
         for (lane, &op_id) in inst.lane_ops.iter().enumerate() {
             let at = Location::Inst { index, lane: Some(lane) };
@@ -572,52 +591,61 @@ fn audit_faithfulness(
                 ));
                 continue;
             }
-            let params: Vec<_> =
-                vidl_op.params.iter().enumerate().map(|(j, &ty)| arena.mk_init(j, 0, ty)).collect();
-            let sem_side = match expr_to_sym(arena, &vidl_op.expr, &params, at) {
-                Ok(id) => id,
-                Err(d) => {
-                    diags.push(d);
-                    continue;
+            let s = *by_body.entry((op_id, &vidl_op.expr)).or_insert_with(|| {
+                settled.push(settle(arena, reg, vidl_op));
+                settled.len() - 1
+            });
+            match &settled[s] {
+                Settled::Proved => proved += 1,
+                Settled::Validated => validated += 1,
+                Settled::Failed { named: true, message } => {
+                    diags.push(Diagnostic::error(at, format!("{}: {message}", inst.def.name)))
                 }
-            };
-            let pat_side = match eval_pattern(arena, &reg.pattern, &params, at) {
-                Ok(id) => id,
-                Err(d) => {
-                    diags.push(d);
-                    continue;
-                }
-            };
-            if sem_side == pat_side {
-                proved += 1;
-                continue;
-            }
-            // The canonicalizer applies rewrites the arena's normal form
-            // does not model (strict-inequality rewriting, trunc sinking,
-            // extension narrowing); fall back to random trials on the same
-            // NaN-free domain the offline validator uses.
-            match concrete_equiv(vidl_op, &reg.pattern, 64) {
-                Ok(()) => validated += 1,
-                Err(msg) => {
-                    let names: Vec<String> =
-                        (0..vidl_op.params.len()).map(|j| format!("x{j}")).collect();
-                    let names: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-                    diags.push(Diagnostic::error(
-                        at,
-                        format!(
-                            "{}: match pattern diverges from lane semantics ({}): semantics {} \
-                             vs pattern {}",
-                            inst.def.name,
-                            msg,
-                            arena.render_named(&names, sem_side),
-                            arena.render_named(&names, pat_side)
-                        ),
-                    ));
+                Settled::Failed { named: false, message } => {
+                    diags.push(Diagnostic::error(at, message.clone()))
                 }
             }
         }
     }
     (proved, validated)
+}
+
+/// Settle one registered operation against a lane operation body of the
+/// same signature.
+fn settle(arena: &mut Arena, reg: &RegisteredOp, vidl_op: &Operation) -> Settled {
+    // Errors are re-located per lane; the location here is a placeholder.
+    let at = Location::Program;
+    let params: Vec<_> =
+        vidl_op.params.iter().enumerate().map(|(j, &ty)| arena.mk_init(j, 0, ty)).collect();
+    let sides = expr_to_sym(arena, &vidl_op.expr, &params, at)
+        .and_then(|sem| Ok((sem, eval_pattern(arena, &reg.pattern, &params, at)?)));
+    let (sem_side, pat_side) = match sides {
+        Ok(sides) => sides,
+        Err(d) => return Settled::Failed { named: false, message: d.message },
+    };
+    if sem_side == pat_side {
+        return Settled::Proved;
+    }
+    // The canonicalizer applies rewrites the arena's normal form does not
+    // model (strict-inequality rewriting, trunc sinking, extension
+    // narrowing); fall back to random trials on the same NaN-free domain
+    // the offline validator uses.
+    match concrete_equiv(vidl_op, &reg.pattern, 64) {
+        Ok(()) => Settled::Validated,
+        Err(msg) => {
+            let names: Vec<String> = (0..vidl_op.params.len()).map(|j| format!("x{j}")).collect();
+            let names: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+            Settled::Failed {
+                named: true,
+                message: format!(
+                    "match pattern diverges from lane semantics ({}): semantics {} vs pattern {}",
+                    msg,
+                    arena.render_named(&names, sem_side),
+                    arena.render_named(&names, pat_side)
+                ),
+            }
+        }
+    }
 }
 
 /// Evaluate a VIDL operation body into the symbolic arena.
@@ -1049,6 +1077,103 @@ mod tests {
         let r = check_target(&TargetIsa::sse4(), false);
         assert!(r.is_clean(), "{:?}", r.diagnostics);
         assert_eq!(r.lanes_validated, 0, "no lane should need the dynamic fallback");
+    }
+
+    /// A wrong pattern of an operation shared across lanes and
+    /// instructions is settled once but reported at every lane using it,
+    /// under that lane's instruction name.
+    #[test]
+    fn a_wrong_shared_pattern_fails_every_lane_using_it() {
+        use vegen_match::OpRegistry;
+        let db = InstDb::for_target(&TargetIsa::avx2());
+        let mut desc = TargetDesc::build(&db, true);
+        let uses = |desc: &TargetDesc, id: OpId| -> Vec<Location> {
+            let mut at = Vec::new();
+            for (index, inst) in desc.insts.iter().enumerate() {
+                for (lane, _) in inst.lane_ops.iter().enumerate().filter(|(_, &op)| op == id) {
+                    at.push(Location::Inst { index, lane: Some(lane) });
+                }
+            }
+            at
+        };
+        // The integer operation the most lanes use.
+        let (bad, _) = desc
+            .ops
+            .iter()
+            .filter(|(_, op)| op.ret.is_int())
+            .max_by_key(|(id, _)| uses(&desc, *id).len())
+            .unwrap();
+        let expected = uses(&desc, bad);
+        let sharing: std::collections::HashSet<usize> = expected
+            .iter()
+            .map(|l| match l {
+                Location::Inst { index, .. } => *index,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert!(sharing.len() >= 2, "op {bad:?} should be shared across instructions");
+        let mut ops = OpRegistry::default();
+        for (id, op) in desc.ops.iter() {
+            let mut pattern = op.pattern.clone();
+            if id == bad {
+                pattern = Pattern::Bin {
+                    op: BinOp::Xor,
+                    lhs: Box::new(pattern),
+                    rhs: Box::new(Pattern::Const(Constant::int(op.ret, 1))),
+                };
+            }
+            assert_eq!(ops.intern(&op.name, op.param_tys.clone(), op.ret, pattern), id);
+        }
+        desc.ops = ops;
+        let mut diags = Vec::new();
+        let (proved, validated) = audit_faithfulness(&mut Arena::default(), &desc, &mut diags);
+        let lanes: usize = desc.insts.iter().map(|i| i.out_lanes()).sum();
+        assert_eq!(proved + validated + diags.len(), lanes);
+        let located: Vec<Location> = diags.iter().map(|d| d.location).collect();
+        assert_eq!(located, expected, "one error per lane using op {bad:?}");
+        for d in &diags {
+            let Location::Inst { index, .. } = d.location else { unreachable!() };
+            let name = &desc.insts[index].def.name;
+            assert!(d.message.starts_with(&format!("{name}: match pattern diverges")), "{d}");
+        }
+    }
+
+    /// Settlements are shared per `(OpId, body)`, never per `OpId` alone:
+    /// a body that no longer computes its registered pattern fails even
+    /// where the same operation proved for an earlier instruction.
+    #[test]
+    fn each_body_is_settled_against_the_pattern() {
+        let db = InstDb::for_target(&TargetIsa::avx2());
+        let mut desc = TargetDesc::build(&db, true);
+        // The last instruction whose first lane's operation an earlier
+        // instruction also uses.
+        let first_use = |desc: &TargetDesc, id: OpId| {
+            desc.insts.iter().position(|i| i.lane_ops.contains(&id)).unwrap()
+        };
+        let index = (0..desc.insts.len())
+            .rev()
+            .find(|&i| {
+                let id = desc.insts[i].lane_ops[0];
+                first_use(&desc, id) < i && desc.ops.get(id).ret.is_int()
+            })
+            .expect("an operation shared across instructions");
+        let inst = &mut desc.insts[index];
+        let op = inst.def.sem.lanes[0].op;
+        let ret = inst.def.sem.ops[op].ret;
+        let body = std::mem::replace(&mut inst.def.sem.ops[op].expr, Expr::Param(0));
+        inst.def.sem.ops[op].expr = Expr::Bin {
+            op: BinOp::Xor,
+            lhs: Box::new(body),
+            rhs: Box::new(Expr::Const(Constant::int(ret, 1))),
+        };
+        let expected: Vec<Location> = (0..inst.out_lanes())
+            .filter(|&lane| inst.def.sem.lanes[lane].op == op)
+            .map(|lane| Location::Inst { index, lane: Some(lane) })
+            .collect();
+        let mut diags = Vec::new();
+        audit_faithfulness(&mut Arena::default(), &desc, &mut diags);
+        let located: Vec<Location> = diags.iter().map(|d| d.location).collect();
+        assert_eq!(located, expected, "{}", desc.insts[index].def.name);
     }
 
     #[test]

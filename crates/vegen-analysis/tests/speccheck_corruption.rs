@@ -10,7 +10,7 @@ use vegen_analysis::{Diagnostic, Location, SpecCheckReport};
 use vegen_ir::{Constant, Type};
 use vegen_isa::specs::Spec;
 use vegen_isa::{InstDb, TargetIsa};
-use vegen_vidl::eval_inst;
+use vegen_vidl::{eval_inst, Expr};
 
 fn pristine(target: &TargetIsa) -> (Vec<Spec>, InstDb) {
     (target_specs(target), InstDb::for_target(target))
@@ -160,4 +160,77 @@ fn renamed_operation_is_accepted_and_dynamically_neutral() {
             "renamed {name} must be observationally identical"
         );
     }
+}
+
+/// Error counts of every corruption kind, read from the lane-by-lane audit
+/// before faithfulness was settled once per operation: on AVX2 alone, and
+/// summed over SSE4, AVX2 and AVX512-VNNI (each target's own database
+/// corrupted). Per-lane findings must survive the memo one for one.
+const PINNED_ERRORS: [(&str, usize, usize); 6] = [
+    ("lane-swap", 2, 6),
+    ("widen", 18, 54),
+    ("flip-cmp", 16, 48),
+    ("dup-rule", 1, 3),
+    ("neg-cost", 2, 6),
+    ("rename-op", 0, 0),
+];
+
+#[test]
+fn every_corruption_keeps_its_error_count() {
+    let targets = [TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()];
+    let audits: Vec<(TargetIsa, Vec<Spec>, InstDb)> = targets
+        .into_iter()
+        .map(|t| {
+            let (specs, db) = pristine(&t);
+            (t, specs, db)
+        })
+        .collect();
+    for (kind, avx2, all) in PINNED_ERRORS {
+        let mut total = 0;
+        for (target, specs, db) in &audits {
+            let (bad, _) = corrupt_database(db, kind).expect(kind);
+            let errors = check_database(&target.name, specs, &bad, true).error_count();
+            if target.name == "AVX2" {
+                assert_eq!(errors, avx2, "{kind} on AVX2");
+            }
+            total += errors;
+        }
+        assert_eq!(total, all, "{kind} over all targets");
+    }
+}
+
+/// Drift in an operation that N lanes share is reported N times, once at
+/// each lane, however often the audit derives or proves the operation.
+#[test]
+fn a_shared_operation_is_reported_at_every_lane() {
+    let target = TargetIsa::avx2();
+    let (specs, db) = pristine(&target);
+    let mut defs: Vec<_> = db.iter().cloned().collect();
+    // The instruction whose first operation the most lanes share.
+    let (index, def) = defs
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, d)| matches!(d.sem.ops[0].expr, Expr::Bin { .. }))
+        .max_by_key(|(i, d)| (d.sem.lanes.iter().filter(|l| l.op == 0).count(), usize::MAX - i))
+        .expect("an instruction with a binary operation");
+    let lanes: Vec<usize> =
+        def.sem.lanes.iter().enumerate().filter(|(_, l)| l.op == 0).map(|(i, _)| i).collect();
+    assert!(lanes.len() >= 8, "{}: only {} lanes share op 0", def.name, lanes.len());
+    // Swap the operation's operands: still well formed, but no longer what
+    // the pseudocode lifts to.
+    let Expr::Bin { lhs, rhs, .. } = &mut def.sem.ops[0].expr else { unreachable!() };
+    std::mem::swap(lhs, rhs);
+    let name = def.name.clone();
+    let bad = InstDb::from_defs(defs);
+    let report = check_database(&target.name, &specs, &bad, true);
+    let located: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == vegen_analysis::Severity::Error)
+        .map(|d| match d.location {
+            Location::Inst { index: i, lane: Some(lane) } if i == index => lane,
+            _ => panic!("an error away from {name}'s lanes: {d}"),
+        })
+        .collect();
+    assert_eq!(located, lanes, "{name}: one error per lane sharing the operation");
 }

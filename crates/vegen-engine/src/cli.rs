@@ -122,7 +122,7 @@ const QUEUE: Flag = uint("--queue", "N", "admission queue capacity, at least 1")
 const PROMETHEUS: Flag = switch("--prometheus", "print Prometheus text, not the table");
 const JSON: Flag = switch("--json", "print the JSON document, not the table");
 const MAX_ITERS: Flag = uint("--max-iters", "N", "stop the search after N iterations");
-const CORRUPT: Flag = text("--corrupt", "KIND", "corrupt the database first; must be rejected");
+const CORRUPT: Flag = text("--corrupt", "KIND", "corrupt the database first (KIND below)");
 const NO_CANON: Flag = switch("--no-canon", "audit without pattern canonicalization");
 const MAX_REGRESS: Flag = text("--max-regress", "PCT", "allowed worsening, in percent");
 const STRICT_COUNTERS: Flag = switch("--strict-counters", "gate on search-effort counters too");
@@ -246,7 +246,8 @@ pub const COMMANDS: &[Command] = &[
         name: "check-specs",
         positionals: &[],
         flags: &[TARGET_OR_ALL, JSON, OUT, CORRUPT, NO_CANON],
-        epilogue: "corruption KIND is lane-swap|widen|flip-cmp|dup-rule|neg-cost|rename-op\n",
+        epilogue: "corruption KIND is lane-swap|widen|flip-cmp|dup-rule|neg-cost, which must be\n\
+                   rejected, or rename-op (display-only metadata), which must be accepted\n",
         run: run_check_specs,
     },
     Command {

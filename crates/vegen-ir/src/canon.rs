@@ -168,26 +168,21 @@ fn rebalance_adds(f: &Function) -> Function {
             && users[v.index()].len() == 1
             && chain_op(&f.inst(users[v.index()][0]).kind) == chain_op(&f.inst(v).kind)
     };
-    fn flatten(
-        f: &Function,
-        v: ValueId,
-        op: BinOp,
-        is_interior: &dyn Fn(ValueId) -> bool,
-        leaves: &mut Vec<ValueId>,
-    ) {
-        match f.inst(v).kind {
-            InstKind::Bin { op: o, lhs, rhs } if o == op => {
-                for side in [lhs, rhs] {
-                    if is_interior(side) {
-                        flatten(f, side, op, is_interior, leaves);
-                    } else {
-                        leaves.push(side);
-                    }
+    // The chain's leaves, left to right. A chain can be as deep as the
+    // function is long, so the walk keeps its own stack: `true` marks a
+    // node still to expand, and the right side goes on first so the left
+    // comes off first.
+    let flatten = |root: ValueId, leaves: &mut Vec<ValueId>| {
+        let mut stack = vec![(root, true)];
+        while let Some((v, expand)) = stack.pop() {
+            match f.inst(v).kind {
+                InstKind::Bin { lhs, rhs, .. } if expand => {
+                    stack.extend([(rhs, is_interior(rhs)), (lhs, is_interior(lhs))]);
                 }
+                _ => leaves.push(v),
             }
-            _ => leaves.push(v),
         }
-    }
+    };
     let mut out = Function::new(f.name.clone());
     out.params = f.params.clone();
     let mut remap: Vec<ValueId> = Vec::with_capacity(f.insts.len());
@@ -199,7 +194,7 @@ fn rebalance_adds(f: &Function) -> Function {
         let root_op = chain_op(&f.inst(v).kind).filter(|_| !is_interior(v));
         if let Some(op) = root_op {
             let mut leaves = Vec::new();
-            flatten(f, v, op, &is_interior, &mut leaves);
+            flatten(v, &mut leaves);
             if leaves.len() >= 4 {
                 // Pair adjacent terms (in original order) until one remains.
                 let mut level: Vec<ValueId> = leaves.iter().map(|l| remap[l.index()]).collect();
@@ -1053,6 +1048,65 @@ mod tests {
                 .iter()
                 .any(|i| i.ty == Type::I32 && !matches!(i.kind, InstKind::Load { .. })));
         }
+    }
+
+    /// A left-deep `add` chain over `depth + 1` i32 loads, stored once.
+    fn add_chain(depth: usize) -> Function {
+        let mut b = FunctionBuilder::new("t");
+        let a = b.param("A", Type::I32, depth + 1);
+        let o = b.param("O", Type::I32, 1);
+        let mut s = b.load(a, 0);
+        for i in 1..=depth {
+            let x = b.load(a, i as i64);
+            s = b.add(s, x);
+        }
+        b.store(o, 0, s);
+        b.finish()
+    }
+
+    /// The leaves of the `add` tree stored by `f`, left to right.
+    fn add_leaves(f: &Function) -> Vec<ValueId> {
+        let InstKind::Store { value, .. } = f.insts.last().unwrap().kind else { panic!() };
+        let (mut stack, mut leaves) = (vec![value], Vec::new());
+        while let Some(v) = stack.pop() {
+            match f.inst(v).kind {
+                InstKind::Bin { op: BinOp::Add, lhs, rhs } => stack.extend([rhs, lhs]),
+                _ => leaves.push(v),
+            }
+        }
+        leaves
+    }
+
+    #[test]
+    fn deep_add_chains_canonicalize_on_a_small_stack() {
+        // One stack frame per chain level overflowed a 2 MiB thread well
+        // before this depth; a serve request line can carry such a chain.
+        const DEPTH: usize = 200_000;
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            let f = add_chain(DEPTH);
+            let balanced = rebalance_adds(&f);
+            let loads = |g: &Function, leaves: Vec<ValueId>| -> Vec<i64> {
+                leaves
+                    .into_iter()
+                    .map(|v| match g.inst(v).kind {
+                        InstKind::Load { loc } => loc.offset,
+                        ref k => panic!("leaf {k:?}"),
+                    })
+                    .collect()
+            };
+            let order = loads(&balanced, add_leaves(&balanced));
+            assert!(order.iter().copied().eq(0..=DEPTH as i64), "leaf order changed");
+            // Two whole passes: the first reads the deep chain, the second
+            // the dead copy of it the first leaves behind. Later passes
+            // repeat the second.
+            let mut fires = [0; RULES.len()];
+            let mut g = f.clone();
+            for _ in 0..2 {
+                g = rebalance_adds(&canonicalize_once(&g, &mut fires));
+            }
+            assert_eq!(add_leaves(&g).len(), DEPTH + 1);
+        });
+        worker.unwrap().join().expect("canonicalize must not overflow a 2 MiB stack");
     }
 
     #[test]

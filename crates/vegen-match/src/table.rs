@@ -171,7 +171,14 @@ impl TargetDesc {
     pub fn try_build(db: &InstDb, canonicalize_patterns: bool) -> Result<TargetDesc, TableError> {
         let mut ops = OpRegistry::default();
         let mut insts = Vec::new();
+        // An instruction's lanes point at a handful of operations (§6.1),
+        // so each operation is derived once, by the first lane that uses
+        // it: registry order and the lane named by an error are those of
+        // a lane-by-lane derivation.
+        let mut derived: Vec<Option<OpId>> = Vec::new();
         for def in db.iter() {
+            derived.clear();
+            derived.resize(def.sem.ops.len(), None);
             let mut lane_ops: Vec<OpId> = Vec::with_capacity(def.sem.lanes.len());
             for (lane_idx, lane) in def.sem.lanes.iter().enumerate() {
                 let Some(op) = def.sem.ops.get(lane.op) else {
@@ -181,6 +188,10 @@ impl TargetDesc {
                         op: lane.op,
                     });
                 };
+                if let Some(id) = derived[lane.op] {
+                    lane_ops.push(id);
+                    continue;
+                }
                 let pattern = try_pattern_of_operation(op, canonicalize_patterns).map_err(|e| {
                     TableError::BadPattern {
                         inst: def.name.clone(),
@@ -188,7 +199,9 @@ impl TargetDesc {
                         message: e.to_string(),
                     }
                 })?;
-                lane_ops.push(ops.intern(&op.name, op.params.clone(), op.ret, pattern));
+                let id = ops.intern(&op.name, op.params.clone(), op.ret, pattern);
+                derived[lane.op] = Some(id);
+                lane_ops.push(id);
             }
             let bindings: Vec<Vec<Vec<LaneUse>>> =
                 (0..def.sem.inputs.len()).map(|i| def.sem.operand_bindings(i)).collect();

@@ -328,224 +328,550 @@ impl BigBits {
 /// Evaluate a formula concretely with inputs bound by name (a register
 /// file has at most a handful of inputs, so the binding is a slice).
 ///
+/// This is [`Compiled::new`] followed by one [`Compiled::eval`]; a caller
+/// that evaluates one formula many times compiles it once.
+///
 /// # Errors
 ///
 /// Returns [`BvError`] if a referenced input is missing, widths are
 /// inconsistent or outside `1..=`[`BigBits::MAX_WIDTH`], or arithmetic is
-/// attempted at width above 64.
+/// attempted at width above 64 — anywhere in the formula, including an
+/// `Ite` branch the inputs do not select.
 pub fn eval_concrete(e: &Bv, env: &[(&str, BigBits)]) -> Result<BigBits, BvError> {
-    match e {
-        Bv::Const { width, bits } => {
-            if *width == 0 || *width > BigBits::MAX_WIDTH {
-                return Err(BvError(format!("constant of width {width}")));
-            }
-            // `bits` zero-extends: a wide constant (the register-zeroing
-            // idiom) only ever has its low word set.
-            let mut v = BigBits::zero(*width);
-            v.words[0] = bits & mask(*width);
-            Ok(v)
-        }
-        Bv::Input { name, hi, lo } => {
-            let (_, reg) = env
-                .iter()
-                .find(|(n, _)| n == name)
-                .ok_or_else(|| BvError(format!("unbound input `{name}`")))?;
-            if *hi >= reg.width() || hi < lo {
-                return Err(BvError(format!(
-                    "slice {name}[{hi}:{lo}] out of range for width {}",
-                    reg.width()
-                )));
-            }
-            Ok(reg.extract(*hi, *lo))
-        }
-        Bv::Bin { op, lhs, rhs } => {
-            let a = eval_concrete(lhs, env)?;
-            let b = eval_concrete(rhs, env)?;
-            let w = a.width();
-            if b.width() != w {
-                return Err(BvError(format!("width mismatch {w} vs {}", b.width())));
-            }
-            if w > 64 {
-                return Err(BvError(format!("arithmetic at width {w} > 64")));
-            }
-            let x = a.to_u64();
-            let y = b.to_u64();
-            let sx = sext(x, w);
-            let r = match op {
-                BvBinOp::Add => x.wrapping_add(y),
-                BvBinOp::Sub => x.wrapping_sub(y),
-                BvBinOp::Mul => x.wrapping_mul(y),
-                BvBinOp::And => x & y,
-                BvBinOp::Or => x | y,
-                BvBinOp::Xor => x ^ y,
-                BvBinOp::Shl => {
-                    if y >= w as u64 {
-                        0
+    let inputs: Vec<(&str, u32)> = env.iter().map(|(name, reg)| (*name, reg.width())).collect();
+    let regs: Vec<BigBits> = env.iter().map(|(_, reg)| *reg).collect();
+    Ok(Compiled::new(e, &inputs)?.eval(&regs))
+}
+
+/// One step of a [`Compiled`] program. In the variant docs `n[i]` is
+/// narrow (at most 64-bit) slot `i`, `w[i]` wide slot `i` and `reg` an
+/// input register; every narrow slot holds its value zero-extended.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `n[dst] = reg[off + bits - 1 : off]`.
+    RegField {
+        dst: u32,
+        reg: u32,
+        off: u32,
+        bits: u32,
+    },
+    /// `w[dst] = reg[hi:lo]`.
+    RegSlice {
+        dst: u32,
+        reg: u32,
+        hi: u32,
+        lo: u32,
+    },
+    /// `n[dst] = w[src][off + bits - 1 : off]`.
+    WideField {
+        dst: u32,
+        src: u32,
+        off: u32,
+        bits: u32,
+    },
+    /// `w[dst] = w[src][hi:lo]`.
+    WideSlice {
+        dst: u32,
+        src: u32,
+        hi: u32,
+        lo: u32,
+    },
+    /// `n[dst] = (n[src] >> off) & mask(bits)`.
+    Field {
+        dst: u32,
+        src: u32,
+        off: u32,
+        bits: u32,
+    },
+    Bin {
+        op: BvBinOp,
+        width: u32,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+    },
+    FBin {
+        op: FpBinOp,
+        width: u32,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+    },
+    FNeg {
+        width: u32,
+        dst: u32,
+        arg: u32,
+    },
+    SExt {
+        from: u32,
+        to: u32,
+        dst: u32,
+        arg: u32,
+    },
+    Cmp {
+        pred: CmpPred,
+        width: u32,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+    },
+    /// `n[dst] = if n[cond] != 0 { n[on_true] } else { n[on_false] }`.
+    Select {
+        dst: u32,
+        cond: u32,
+        on_true: u32,
+        on_false: u32,
+    },
+    /// [`Step::Select`] over wide arms.
+    WideSelect {
+        dst: u32,
+        cond: u32,
+        on_true: u32,
+        on_false: u32,
+    },
+    /// `n[dst] = n[src]` (the first part of a narrow concat).
+    Move {
+        dst: u32,
+        src: u32,
+    },
+    /// `n[dst] |= n[src] << shift`.
+    OrShl {
+        dst: u32,
+        src: u32,
+        shift: u32,
+    },
+    /// `w[dst] = 0` at `width` bits (the start of a wide concat).
+    WideZero {
+        dst: u32,
+        width: u32,
+    },
+    /// `w[dst] |= n[src] << off`, the part being `bits` wide.
+    WideOrNarrow {
+        dst: u32,
+        src: u32,
+        off: u32,
+        bits: u32,
+    },
+    /// `w[dst] |= w[src] << off`.
+    WideOrWide {
+        dst: u32,
+        src: u32,
+        off: u32,
+    },
+}
+
+/// A formula compiled for repeated evaluation: a flat post-order program
+/// over value slots, inputs resolved to register positions and every
+/// width checked once, at compile time. Values of at most 64 bits — all
+/// arithmetic — live in `u64` slots; only register-wide extracts, concats
+/// and selects use [`BigBits`] slots. Constants are written into their slots
+/// when compiling and never overwritten.
+///
+/// Both arms of an `Ite` are computed and one is selected, so evaluation
+/// cannot fail: the formula was checked as a whole.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    steps: Vec<Step>,
+    narrow: Vec<u64>,
+    wide: Vec<BigBits>,
+    reg_widths: Vec<u32>,
+    out: u32,
+    width: u32,
+}
+
+impl Compiled {
+    /// Compile `e` over the input registers `inputs` (`(name, width in
+    /// bits)`, in the order [`Compiled::eval`] takes them).
+    ///
+    /// # Errors
+    ///
+    /// The [`BvError`]s of [`eval_concrete`], for any node of `e`.
+    pub fn new(e: &Bv, inputs: &[(&str, u32)]) -> Result<Compiled, BvError> {
+        let mut c = Compiled {
+            steps: Vec::new(),
+            narrow: Vec::new(),
+            wide: Vec::new(),
+            reg_widths: inputs.iter().map(|(_, w)| *w).collect(),
+            out: 0,
+            width: 0,
+        };
+        let (out, width) = c.node(e, inputs)?;
+        (c.out, c.width) = (out, width);
+        Ok(c)
+    }
+
+    /// Run the program on one register image per compiled input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the registers' count or widths differ from the inputs the
+    /// formula was compiled over.
+    pub fn eval(&mut self, regs: &[BigBits]) -> BigBits {
+        assert!(
+            regs.len() == self.reg_widths.len()
+                && regs.iter().zip(&self.reg_widths).all(|(r, &w)| r.width() == w),
+            "registers do not match the compiled inputs {:?}",
+            self.reg_widths
+        );
+        let Compiled { steps, narrow: n, wide: w, .. } = self;
+        for step in steps.iter() {
+            match *step {
+                Step::RegField { dst, reg, off, bits } => {
+                    n[dst as usize] = regs[reg as usize].field(off, bits);
+                }
+                Step::RegSlice { dst, reg, hi, lo } => {
+                    w[dst as usize] = regs[reg as usize].extract(hi, lo);
+                }
+                Step::WideField { dst, src, off, bits } => {
+                    n[dst as usize] = w[src as usize].field(off, bits);
+                }
+                Step::WideSlice { dst, src, hi, lo } => {
+                    w[dst as usize] = w[src as usize].extract(hi, lo);
+                }
+                Step::Field { dst, src, off, bits } => {
+                    n[dst as usize] = n[src as usize] >> off & mask(bits);
+                }
+                Step::Bin { op, width, dst, lhs, rhs } => {
+                    n[dst as usize] = bin(op, width, n[lhs as usize], n[rhs as usize]);
+                }
+                Step::FBin { op, width, dst, lhs, rhs } => {
+                    n[dst as usize] = fbin(op, width, n[lhs as usize], n[rhs as usize]);
+                }
+                Step::FNeg { width, dst, arg } => {
+                    let x = n[arg as usize];
+                    n[dst as usize] = if width == 32 {
+                        u64::from((-f32::from_bits(x as u32)).to_bits())
                     } else {
-                        x << y
+                        (-f64::from_bits(x)).to_bits()
+                    };
+                }
+                Step::SExt { from, to, dst, arg } => {
+                    n[dst as usize] = sext(n[arg as usize], from) as u64 & mask(to);
+                }
+                Step::Cmp { pred, width, dst, lhs, rhs } => {
+                    n[dst as usize] = u64::from(cmp(pred, width, n[lhs as usize], n[rhs as usize]));
+                }
+                Step::Select { dst, cond, on_true, on_false } => {
+                    let arm = if n[cond as usize] != 0 { on_true } else { on_false };
+                    n[dst as usize] = n[arm as usize];
+                }
+                Step::WideSelect { dst, cond, on_true, on_false } => {
+                    let arm = if n[cond as usize] != 0 { on_true } else { on_false };
+                    w[dst as usize] = w[arm as usize];
+                }
+                Step::Move { dst, src } => n[dst as usize] = n[src as usize],
+                Step::OrShl { dst, src, shift } => n[dst as usize] |= n[src as usize] << shift,
+                Step::WideZero { dst, width } => w[dst as usize] = BigBits::zero(width),
+                Step::WideOrNarrow { dst, src, off, bits } => {
+                    w[dst as usize].or_field(off, bits, n[src as usize]);
+                }
+                Step::WideOrWide { dst, src, off } => {
+                    let part = w[src as usize];
+                    let out = &mut w[dst as usize];
+                    for (&word, at) in part.words.iter().zip((0..part.width).step_by(64)) {
+                        out.or_field(off + at, (part.width - at).min(64), word);
                     }
                 }
-                BvBinOp::LShr => {
-                    if y >= w as u64 {
-                        0
-                    } else {
-                        x >> y
-                    }
+            }
+        }
+        if self.width <= 64 {
+            BigBits::from_u64(self.width, self.narrow[self.out as usize])
+        } else {
+            self.wide[self.out as usize]
+        }
+    }
+
+    /// A fresh narrow slot holding `v`.
+    fn narrow_slot(&mut self, v: u64) -> u32 {
+        self.narrow.push(v);
+        (self.narrow.len() - 1) as u32
+    }
+
+    /// A fresh wide slot holding `v`.
+    fn wide_slot(&mut self, v: BigBits) -> u32 {
+        self.wide.push(v);
+        (self.wide.len() - 1) as u32
+    }
+
+    /// A fresh slot for a `width`-bit value.
+    fn slot(&mut self, width: u32) -> u32 {
+        if width <= 64 {
+            self.narrow_slot(0)
+        } else {
+            self.wide_slot(BigBits::zero(width))
+        }
+    }
+
+    /// Compile `e` and return its slot and width. Children are compiled
+    /// first, in the order (and with the checks) of a left-to-right walk.
+    fn node(&mut self, e: &Bv, inputs: &[(&str, u32)]) -> Result<(u32, u32), BvError> {
+        Ok(match e {
+            Bv::Const { width, bits } => {
+                let width = *width;
+                if width == 0 || width > BigBits::MAX_WIDTH {
+                    return Err(BvError(format!("constant of width {width}")));
                 }
-                BvBinOp::AShr => {
-                    if y >= w as u64 {
-                        if sx < 0 {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    } else {
-                        (sx >> y) as u64
-                    }
-                }
-            };
-            Ok(BigBits::from_u64(w, r))
-        }
-        Bv::FBin { op, lhs, rhs } => {
-            let a = eval_concrete(lhs, env)?;
-            let b = eval_concrete(rhs, env)?;
-            let w = a.width();
-            if w != b.width() || (w != 32 && w != 64) {
-                return Err(BvError(format!("fp op at widths {w}/{}", b.width())));
-            }
-            let compute = |x: f64, y: f64| -> f64 {
-                match op {
-                    FpBinOp::Add => x + y,
-                    FpBinOp::Sub => x - y,
-                    FpBinOp::Mul => x * y,
-                    FpBinOp::Div => x / y,
-                    // IEEE-style: min/max as the comparison-select form used
-                    // by the x86 MINPD/MAXPD family (second operand returned
-                    // on ties/NaN is not modelled; `validate::draw_elem`
-                    // only draws finite floats, so validation never asks).
-                    FpBinOp::Min => {
-                        if x < y {
-                            x
-                        } else {
-                            y
-                        }
-                    }
-                    FpBinOp::Max => {
-                        if x > y {
-                            x
-                        } else {
-                            y
-                        }
-                    }
-                }
-            };
-            Ok(if w == 32 {
-                let r = compute(
-                    f32::from_bits(a.to_u64() as u32) as f64,
-                    f32::from_bits(b.to_u64() as u32) as f64,
-                ) as f32;
-                BigBits::from_u64(32, r.to_bits() as u64)
-            } else {
-                let r = compute(f64::from_bits(a.to_u64()), f64::from_bits(b.to_u64()));
-                BigBits::from_u64(64, r.to_bits())
-            })
-        }
-        Bv::FNeg(a) => {
-            let v = eval_concrete(a, env)?;
-            Ok(match v.width() {
-                32 => BigBits::from_u64(32, (-f32::from_bits(v.to_u64() as u32)).to_bits() as u64),
-                64 => BigBits::from_u64(64, (-f64::from_bits(v.to_u64())).to_bits()),
-                w => return Err(BvError(format!("fpneg at width {w}"))),
-            })
-        }
-        Bv::SExt { width, arg } => {
-            let v = eval_concrete(arg, env)?;
-            if v.width() > 64 || *width > 64 || *width <= v.width() {
-                return Err(BvError("bad sext".into()));
-            }
-            Ok(BigBits::from_u64(*width, sext(v.to_u64(), v.width()) as u64))
-        }
-        Bv::ZExt { width, arg } => {
-            let v = eval_concrete(arg, env)?;
-            if v.width() > 64 || *width > 64 || *width <= v.width() {
-                return Err(BvError("bad zext".into()));
-            }
-            Ok(BigBits::from_u64(*width, v.to_u64()))
-        }
-        Bv::Extract { hi, lo, arg } => {
-            let v = eval_concrete(arg, env)?;
-            if *hi >= v.width() || hi < lo {
-                return Err(BvError(format!("extract [{hi}:{lo}] of width {}", v.width())));
-            }
-            Ok(v.extract(*hi, *lo))
-        }
-        Bv::Concat(parts) => {
-            if parts.is_empty() {
-                return Err(BvError("empty concat".into()));
-            }
-            let mut acc = BigBits::zero(0);
-            for p in parts {
-                let v = eval_concrete(p, env)?;
-                if acc.width() + v.width() > BigBits::MAX_WIDTH {
-                    return Err(BvError(format!("concat wider than {} bits", BigBits::MAX_WIDTH)));
-                }
-                acc = acc.concat_above(&v);
-            }
-            Ok(acc)
-        }
-        Bv::Ite { cond, on_true, on_false } => {
-            let c = eval_concrete(cond, env)?;
-            if c.width() != 1 {
-                return Err(BvError("ite condition must have width 1".into()));
-            }
-            if c.to_u64() != 0 {
-                eval_concrete(on_true, env)
-            } else {
-                eval_concrete(on_false, env)
-            }
-        }
-        Bv::Cmp { pred, lhs, rhs } => {
-            let a = eval_concrete(lhs, env)?;
-            let b = eval_concrete(rhs, env)?;
-            let w = a.width();
-            if w != b.width() || w > 64 {
-                return Err(BvError("bad cmp widths".into()));
-            }
-            use CmpPred::*;
-            let x = a.to_u64();
-            let y = b.to_u64();
-            let r = if pred.is_float() {
-                let (fx, fy) = if w == 32 {
-                    (f32::from_bits(x as u32) as f64, f32::from_bits(y as u32) as f64)
+                // `bits` zero-extends: a wide constant (the
+                // register-zeroing idiom) only ever has its low word set.
+                if width <= 64 {
+                    (self.narrow_slot(bits & mask(width)), width)
                 } else {
-                    (f64::from_bits(x), f64::from_bits(y))
-                };
-                match pred {
-                    Feq => fx == fy,
-                    Fne => fx != fy,
-                    Flt => fx < fy,
-                    Fle => fx <= fy,
-                    Fgt => fx > fy,
-                    Fge => fx >= fy,
-                    _ => unreachable!(),
+                    let mut v = BigBits::zero(width);
+                    v.words[0] = *bits;
+                    (self.wide_slot(v), width)
+                }
+            }
+            Bv::Input { name, hi, lo } => {
+                let (hi, lo) = (*hi, *lo);
+                let (reg, &(_, reg_width)) = inputs
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (n, _))| n == name)
+                    .ok_or_else(|| BvError(format!("unbound input `{name}`")))?;
+                if hi >= reg_width || hi < lo {
+                    return Err(BvError(format!(
+                        "slice {name}[{hi}:{lo}] out of range for width {reg_width}"
+                    )));
+                }
+                let (width, reg) = (hi - lo + 1, reg as u32);
+                let dst = self.slot(width);
+                self.steps.push(if width <= 64 {
+                    Step::RegField { dst, reg, off: lo, bits: width }
+                } else {
+                    Step::RegSlice { dst, reg, hi, lo }
+                });
+                (dst, width)
+            }
+            Bv::Bin { op, lhs, rhs } => {
+                let (a, w) = self.node(lhs, inputs)?;
+                let (b, bw) = self.node(rhs, inputs)?;
+                if bw != w {
+                    return Err(BvError(format!("width mismatch {w} vs {bw}")));
+                }
+                if w > 64 {
+                    return Err(BvError(format!("arithmetic at width {w} > 64")));
+                }
+                let dst = self.narrow_slot(0);
+                self.steps.push(Step::Bin { op: *op, width: w, dst, lhs: a, rhs: b });
+                (dst, w)
+            }
+            Bv::FBin { op, lhs, rhs } => {
+                let (a, w) = self.node(lhs, inputs)?;
+                let (b, bw) = self.node(rhs, inputs)?;
+                if w != bw || (w != 32 && w != 64) {
+                    return Err(BvError(format!("fp op at widths {w}/{bw}")));
+                }
+                let dst = self.narrow_slot(0);
+                self.steps.push(Step::FBin { op: *op, width: w, dst, lhs: a, rhs: b });
+                (dst, w)
+            }
+            Bv::FNeg(arg) => {
+                let (a, w) = self.node(arg, inputs)?;
+                if w != 32 && w != 64 {
+                    return Err(BvError(format!("fpneg at width {w}")));
+                }
+                let dst = self.narrow_slot(0);
+                self.steps.push(Step::FNeg { width: w, dst, arg: a });
+                (dst, w)
+            }
+            Bv::SExt { width, arg } | Bv::ZExt { width, arg } => {
+                let signed = matches!(e, Bv::SExt { .. });
+                let (a, from) = self.node(arg, inputs)?;
+                if from > 64 || *width > 64 || *width <= from {
+                    return Err(BvError(if signed { "bad sext" } else { "bad zext" }.into()));
+                }
+                if !signed {
+                    // Narrow slots hold their values zero-extended already.
+                    return Ok((a, *width));
+                }
+                let dst = self.narrow_slot(0);
+                self.steps.push(Step::SExt { from, to: *width, dst, arg: a });
+                (dst, *width)
+            }
+            Bv::Extract { hi, lo, arg } => {
+                let (hi, lo) = (*hi, *lo);
+                let (a, w) = self.node(arg, inputs)?;
+                if hi >= w || hi < lo {
+                    return Err(BvError(format!("extract [{hi}:{lo}] of width {w}")));
+                }
+                let width = hi - lo + 1;
+                let dst = self.slot(width);
+                self.steps.push(match (w <= 64, width <= 64) {
+                    (true, _) => Step::Field { dst, src: a, off: lo, bits: width },
+                    (false, true) => Step::WideField { dst, src: a, off: lo, bits: width },
+                    (false, false) => Step::WideSlice { dst, src: a, hi, lo },
+                });
+                (dst, width)
+            }
+            Bv::Concat(parts) => {
+                if parts.is_empty() {
+                    return Err(BvError("empty concat".into()));
+                }
+                let mut compiled = Vec::with_capacity(parts.len());
+                let mut width = 0;
+                for p in parts {
+                    let (s, w) = self.node(p, inputs)?;
+                    if width + w > BigBits::MAX_WIDTH {
+                        return Err(BvError(format!(
+                            "concat wider than {} bits",
+                            BigBits::MAX_WIDTH
+                        )));
+                    }
+                    compiled.push((s, w, width));
+                    width += w;
+                }
+                let dst = self.slot(width);
+                if width <= 64 {
+                    for &(src, _, off) in &compiled {
+                        self.steps.push(if off == 0 {
+                            Step::Move { dst, src }
+                        } else {
+                            Step::OrShl { dst, src, shift: off }
+                        });
+                    }
+                } else {
+                    self.steps.push(Step::WideZero { dst, width });
+                    for &(src, bits, off) in &compiled {
+                        self.steps.push(if bits <= 64 {
+                            Step::WideOrNarrow { dst, src, off, bits }
+                        } else {
+                            Step::WideOrWide { dst, src, off }
+                        });
+                    }
+                }
+                (dst, width)
+            }
+            Bv::Ite { cond, on_true, on_false } => {
+                let (c, cw) = self.node(cond, inputs)?;
+                if cw != 1 {
+                    return Err(BvError("ite condition must have width 1".into()));
+                }
+                let (t, w) = self.node(on_true, inputs)?;
+                let (f, fw) = self.node(on_false, inputs)?;
+                if fw != w {
+                    return Err(BvError(format!("ite arms of widths {w} and {fw}")));
+                }
+                let dst = self.slot(w);
+                self.steps.push(if w <= 64 {
+                    Step::Select { dst, cond: c, on_true: t, on_false: f }
+                } else {
+                    Step::WideSelect { dst, cond: c, on_true: t, on_false: f }
+                });
+                (dst, w)
+            }
+            Bv::Cmp { pred, lhs, rhs } => {
+                let (a, w) = self.node(lhs, inputs)?;
+                let (b, bw) = self.node(rhs, inputs)?;
+                if w != bw || w > 64 {
+                    return Err(BvError("bad cmp widths".into()));
+                }
+                let dst = self.narrow_slot(0);
+                self.steps.push(Step::Cmp { pred: *pred, width: w, dst, lhs: a, rhs: b });
+                (dst, 1)
+            }
+        })
+    }
+}
+
+/// An integer operator on `width`-bit operands (zero-extended in `x`,
+/// `y`); the result is masked to `width`.
+fn bin(op: BvBinOp, width: u32, x: u64, y: u64) -> u64 {
+    let out_of_range = y >= u64::from(width);
+    let r = match op {
+        BvBinOp::Add => x.wrapping_add(y),
+        BvBinOp::Sub => x.wrapping_sub(y),
+        BvBinOp::Mul => x.wrapping_mul(y),
+        BvBinOp::And => x & y,
+        BvBinOp::Or => x | y,
+        BvBinOp::Xor => x ^ y,
+        BvBinOp::Shl if out_of_range => 0,
+        BvBinOp::Shl => x << y,
+        BvBinOp::LShr if out_of_range => 0,
+        BvBinOp::LShr => x >> y,
+        BvBinOp::AShr => {
+            let sx = sext(x, width);
+            if out_of_range {
+                if sx < 0 {
+                    u64::MAX
+                } else {
+                    0
                 }
             } else {
-                let (sx, sy) = (sext(x, w), sext(y, w));
-                match pred {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Slt => sx < sy,
-                    Sle => sx <= sy,
-                    Sgt => sx > sy,
-                    Sge => sx >= sy,
-                    Ult => x < y,
-                    Ule => x <= y,
-                    Ugt => x > y,
-                    Uge => x >= y,
-                    _ => unreachable!(),
+                (sx >> y) as u64
+            }
+        }
+    };
+    r & mask(width)
+}
+
+/// A floating-point operator on two `width`-bit (32 or 64) operands.
+fn fbin(op: FpBinOp, width: u32, x: u64, y: u64) -> u64 {
+    let compute = |x: f64, y: f64| -> f64 {
+        match op {
+            FpBinOp::Add => x + y,
+            FpBinOp::Sub => x - y,
+            FpBinOp::Mul => x * y,
+            FpBinOp::Div => x / y,
+            // IEEE-style: min/max as the comparison-select form used by
+            // the x86 MINPD/MAXPD family (second operand returned on
+            // ties/NaN is not modelled; `validate::draw_elem` only draws
+            // finite floats, so validation never asks).
+            FpBinOp::Min => {
+                if x < y {
+                    x
+                } else {
+                    y
                 }
-            };
-            Ok(BigBits::from_u64(1, r as u64))
+            }
+            FpBinOp::Max => {
+                if x > y {
+                    x
+                } else {
+                    y
+                }
+            }
+        }
+    };
+    if width == 32 {
+        let r = compute(f32::from_bits(x as u32) as f64, f32::from_bits(y as u32) as f64) as f32;
+        u64::from(r.to_bits())
+    } else {
+        compute(f64::from_bits(x), f64::from_bits(y)).to_bits()
+    }
+}
+
+/// A comparison of two `width`-bit operands.
+fn cmp(pred: CmpPred, width: u32, x: u64, y: u64) -> bool {
+    use CmpPred::*;
+    if pred.is_float() {
+        let (fx, fy) = if width == 32 {
+            (f32::from_bits(x as u32) as f64, f32::from_bits(y as u32) as f64)
+        } else {
+            (f64::from_bits(x), f64::from_bits(y))
+        };
+        match pred {
+            Feq => fx == fy,
+            Fne => fx != fy,
+            Flt => fx < fy,
+            Fle => fx <= fy,
+            Fgt => fx > fy,
+            Fge => fx >= fy,
+            _ => unreachable!(),
+        }
+    } else {
+        let (sx, sy) = (sext(x, width), sext(y, width));
+        match pred {
+            Eq => x == y,
+            Ne => x != y,
+            Slt => sx < sy,
+            Sle => sx <= sy,
+            Sgt => sx > sy,
+            Sge => sx >= sy,
+            Ult => x < y,
+            Ule => x <= y,
+            Ugt => x > y,
+            Uge => x >= y,
+            _ => unreachable!(),
         }
     }
 }
@@ -675,6 +1001,40 @@ mod tests {
         assert!(eval_concrete(&Bv::Const { width: 513, bits: 0 }, &[]).is_err());
         let too_wide = Bv::Concat(vec![Bv::Const { width: 512, bits: 0 }; 2]);
         assert!(eval_concrete(&too_wide, &[]).is_err());
+    }
+
+    #[test]
+    fn compiling_checks_both_ite_arms() {
+        let c = |width, bits| Box::new(Bv::Const { width, bits });
+        // A malformed arm is an error even where the condition never
+        // selects it: the program computes both arms.
+        let bad = Bv::Bin { op: BvBinOp::Add, lhs: c(8, 1), rhs: c(16, 1) };
+        let e = Bv::Ite { cond: c(1, 1), on_true: c(8, 3), on_false: Box::new(bad) };
+        assert_eq!(eval_concrete(&e, &[]), Err(BvError("width mismatch 8 vs 16".into())));
+        let e = Bv::Ite { cond: c(1, 0), on_true: c(8, 3), on_false: c(16, 3) };
+        assert_eq!(eval_concrete(&e, &[]), Err(BvError("ite arms of widths 8 and 16".into())));
+        let e = Bv::Ite { cond: c(1, 0), on_true: c(8, 3), on_false: c(8, 5) };
+        assert_eq!(eval_concrete(&e, &[]).unwrap().to_u64(), 5);
+    }
+
+    #[test]
+    fn compiled_inputs_resolve_by_name_and_width() {
+        let e = Bv::Input { name: "b".into(), hi: 71, lo: 60 };
+        let unbound = Compiled::new(&e, &[("a", 128)]).unwrap_err();
+        assert_eq!(unbound, BvError("unbound input `b`".into()));
+        let narrow = Compiled::new(&e, &[("a", 128), ("b", 64)]).unwrap_err();
+        assert!(narrow.0.contains("out of range for width 64"), "{narrow}");
+        // A field straddling a word boundary of the second register.
+        let mut p = Compiled::new(&e, &[("a", 128), ("b", 128)]).unwrap();
+        let b = BigBits::from_elems(64, &[0xabc0_0000_0000_0000, 0xde]);
+        assert_eq!(p.eval(&[BigBits::zero(128), b]).to_u64(), 0xdea);
+    }
+
+    #[test]
+    #[should_panic(expected = "registers do not match")]
+    fn compiled_programs_reject_registers_of_other_widths() {
+        let e = Bv::Input { name: "a".into(), hi: 7, lo: 0 };
+        Compiled::new(&e, &[("a", 64)]).unwrap().eval(&[BigBits::zero(32)]);
     }
 
     #[test]

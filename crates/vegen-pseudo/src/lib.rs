@@ -59,11 +59,11 @@ pub mod lift;
 pub mod simplify;
 pub mod validate;
 
-pub use bv::{BigBits, Bv, BvError};
+pub use bv::{BigBits, Bv, BvError, Compiled};
 pub use eval::{eval_program, FpMode};
 pub use lang::{parse_program, Program};
 pub use lift::{lift_to_vidl, LiftError};
-pub use validate::validate_description;
+pub use validate::{trial_registers, validate_description};
 
 use vegen_vidl::InstSemantics;
 

@@ -8,9 +8,12 @@
 //! formula, and the VIDL evaluator running the lifted description — so a
 //! lifting bug (or an ambiguous helper semantics) shows up as a divergence.
 
-use crate::bv::{eval_concrete, BigBits, Bv};
+use crate::bv::{BigBits, Bv, Compiled};
 use vegen_ir::{Constant, Type};
-use vegen_vidl::{eval_inst, InstSemantics};
+use vegen_vidl::{eval_inst, InstSemantics, VecShape};
+
+/// Seed of the trials' input stream.
+const TRIAL_SEED: u64 = 0x5eed_0001;
 
 /// Deterministic xorshift for reproducible test vectors.
 struct Rng(u64);
@@ -115,26 +118,25 @@ pub fn validate_description(
         ));
     }
     let out_elem_bits = desc.out_elem.bits();
-    // Both evaluators' inputs live in buffers the trials overwrite; names
-    // are bound to register positions here, once.
-    let mut regs: Vec<(&str, BigBits)> =
-        inputs.iter().map(|(name, total)| (*name, BigBits::zero(*total))).collect();
+    // The formula is compiled once; every trial runs the same program.
+    let mut program =
+        Compiled::new(formula, inputs).map_err(|e| format!("formula evaluation failed: {e}"))?;
+    // Both evaluators' inputs live in buffers the trials overwrite.
+    let mut regs: Vec<BigBits> = inputs.iter().map(|(_, total)| BigBits::zero(*total)).collect();
     let mut vidl_inputs: Vec<Vec<Constant>> =
         desc.inputs.iter().map(|shape| Vec::with_capacity(shape.lanes)).collect();
     let mut elems: Vec<u64> = Vec::new();
-    let mut rng = Rng(0x5eed_0001);
+    let mut rng = Rng(TRIAL_SEED);
     for trial in 0..iters {
         // Draw concrete input registers.
         for ((shape, reg), lanes) in desc.inputs.iter().zip(&mut regs).zip(&mut vidl_inputs) {
-            elems.clear();
-            elems.extend((0..shape.lanes).map(|_| draw_elem(&mut rng, shape.elem)));
-            reg.1 = BigBits::from_elems(shape.elem.bits(), &elems);
+            draw_register(&mut rng, shape, &mut elems);
+            *reg = BigBits::from_elems(shape.elem.bits(), &elems);
             lanes.clear();
             lanes.extend(elems.iter().map(|&b| constant_from_bits(shape.elem, b)));
         }
         // Pseudocode side.
-        let expected = eval_concrete(formula, &regs)
-            .map_err(|e| format!("trial {trial}: formula evaluation failed: {e}"))?;
+        let expected = program.eval(&regs);
         // VIDL side.
         let got = eval_inst(desc, &vidl_inputs)
             .map_err(|e| format!("trial {trial}: VIDL evaluation failed: {e}"))?;
@@ -152,6 +154,30 @@ pub fn validate_description(
         }
     }
     Ok(())
+}
+
+/// The input registers [`validate_description`] draws for `desc` over
+/// `iters` trials: per trial, one image per input in operand order.
+pub fn trial_registers(desc: &InstSemantics, iters: usize) -> Vec<Vec<BigBits>> {
+    let mut rng = Rng(TRIAL_SEED);
+    let mut elems = Vec::new();
+    (0..iters)
+        .map(|_| {
+            desc.inputs
+                .iter()
+                .map(|shape| {
+                    draw_register(&mut rng, shape, &mut elems);
+                    BigBits::from_elems(shape.elem.bits(), &elems)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Draw one input register's element values into `elems`.
+fn draw_register(rng: &mut Rng, shape: &VecShape, elems: &mut Vec<u64>) {
+    elems.clear();
+    elems.extend((0..shape.lanes).map(|_| draw_elem(rng, shape.elem)));
 }
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! Formulas are generated with the in-tree deterministic [`XorShift`]
 //! stream (the repo builds offline; see `vegen_ir::rng`).
 
+mod walker;
+
 use vegen_ir::rng::XorShift;
-use vegen_pseudo::bv::{eval_concrete, BigBits, Bv, BvBinOp};
+use vegen_pseudo::bv::{eval_concrete, BigBits, Bv, BvBinOp, Compiled};
 use vegen_pseudo::simplify::simplify;
 
 /// Generate formulas over two 64-bit inputs. Widths are tracked so every
@@ -132,5 +134,30 @@ fn simplify_never_grows() {
             e.size(),
             s.size()
         );
+    }
+}
+
+/// The compiled evaluator against the tree walker it replaced, on the same
+/// generated formulas and on their simplified forms.
+#[test]
+fn compiled_formula_matches_the_tree_walker() {
+    let mut r = XorShift::new(0x51F1_0004);
+    let inputs = [("a", 64), ("b", 64)];
+    for case in 0..512u32 {
+        let width = [1, 8, 16, 32, 64][r.below(5)];
+        let depth = 1 + r.below(4) as u32;
+        let e = formula(&mut r, width, depth);
+        for (form, f) in [("raw", e.clone()), ("simplified", simplify(&e))] {
+            let mut compiled = Compiled::new(&f, &inputs)
+                .unwrap_or_else(|err| panic!("case {case} {form}: {err}\n{f}"));
+            for _ in 0..4 {
+                let (a, b) = (r.next_u64(), r.next_u64());
+                let regs = [BigBits::from_u64(64, a), BigBits::from_u64(64, b)];
+                let env = [("a", regs[0]), ("b", regs[1])];
+                let want = walker::eval_tree(&f, &env).unwrap();
+                assert_eq!(compiled.eval(&regs), want, "case {case} {form}: {f}");
+                assert_eq!(eval_concrete(&f, &env), Ok(want), "case {case} {form}: {f}");
+            }
+        }
     }
 }
