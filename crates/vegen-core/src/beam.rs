@@ -395,11 +395,7 @@ const MAX_LOGGED_CANDIDATES: usize = 8;
 pub fn describe_pack<'n>(inst_name: impl Fn(usize) -> &'n str, pack: &Pack) -> String {
     match pack {
         Pack::Compute { inst, matches } => {
-            let lanes: Vec<String> = matches
-                .iter()
-                .map(|m| m.as_ref().map_or("_".to_string(), |m| format!("v{}", m.root.index())))
-                .collect();
-            format!("{}[{}]", inst_name(*inst), lanes.join(" "))
+            describe_compute(inst_name(*inst), matches.iter().map(|m| m.as_ref().map(|m| m.root)))
         }
         Pack::Load { base, start, loads, .. } => {
             format!("vload p{}[{}..{})", base, start, *start + loads.len() as i64)
@@ -408,6 +404,13 @@ pub fn describe_pack<'n>(inst_name: impl Fn(usize) -> &'n str, pack: &Pack) -> S
             format!("vstore p{}[{}..{})", base, start, *start + stores.len() as i64)
         }
     }
+}
+
+/// [`describe_pack`] of a compute pack: its instruction and lane roots.
+pub(crate) fn describe_compute(name: &str, roots: impl Iterator<Item = Option<ValueId>>) -> String {
+    let lanes: Vec<String> =
+        roots.map(|r| r.map_or("_".to_string(), |r| format!("v{}", r.index()))).collect();
+    format!("{name}[{}]", lanes.join(" "))
 }
 
 /// The transition that produced a state. Only the search root is `Init`.
@@ -958,7 +961,7 @@ impl<'f> Search<'f> {
         }
         // If an existing pack produces x exactly, joining is free.
         for pid in parent.packs_iter() {
-            if x.produced_by(&fz.arena.pack_data(pid).values) {
+            if x.produced_by(fz.arena.values(pid)) {
                 return 0.0;
             }
         }
@@ -1026,10 +1029,11 @@ impl<'f> Search<'f> {
     /// The from-scratch oracle for [`Self::extends_legally`].
     #[cfg(any(test, debug_assertions))]
     fn legal_from_scratch(&self, st: &State, pid: PackId) -> bool {
-        let mut refs: Vec<&Pack> = st.packs_iter().map(|p| self.fz.arena.pack(p)).collect();
-        refs.reverse();
-        refs.push(self.fz.arena.pack(pid));
-        crate::ctx::packs_legal(self.fz.f.insts.len(), &self.fz.deps, &refs)
+        let mut lanes: Vec<&[Option<ValueId>]> =
+            st.packs_iter().map(|p| self.fz.arena.values(p)).collect();
+        lanes.reverse();
+        lanes.push(self.fz.arena.values(pid));
+        crate::ctx::packs_legal(self.fz.f.insts.len(), &self.fz.deps, &lanes)
     }
 
     /// Transition: apply a pack to `st`, writing the successor into `next`
@@ -1037,9 +1041,8 @@ impl<'f> Search<'f> {
     /// `next` is meaningful only if it does.
     fn apply_pack(&self, st: &State, pid: PackId, next: &mut State, scratch: &mut Scratch) -> bool {
         let fz = self.fz;
-        let data = fz.arena.pack_data(pid);
         // All produced values must be free with all users decided.
-        if !data.defined.iter().all(|&v| st.is_free(v) && fz.users_decided(st.free(), v)) {
+        if !fz.arena.defined(pid).all(|v| st.is_free(v) && fz.users_decided(st.free(), v)) {
             return false;
         }
         // Legality: no contracted cycle with already-chosen packs.
@@ -1050,7 +1053,7 @@ impl<'f> Search<'f> {
                 legal,
                 self.legal_from_scratch(st, pid),
                 "incremental legality diverged from packs_legal on {}",
-                describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid))
+                fz.describe_pack(pid)
             );
             #[cfg(test)]
             tests::LEGALITY_CHECKS.with(|c| c.set(c.get() + 1));
@@ -1058,14 +1061,14 @@ impl<'f> Search<'f> {
         if !legal {
             return false;
         }
-        let Some(operand_ids) = fz.arena.pack_operands(pid) else { return false };
-        let is_store = fz.arena.pack(pid).is_store();
+        let operand_ids = fz.arena.pack_operands(pid);
+        let is_store = fz.arena.is_store(pid);
         next.copy_from(st);
         next.action = Action::Pack(pid);
         let pidx = st.pack_len();
         next.g += fz.pack_cost_of(pid);
 
-        for &v in &data.defined {
+        for v in fz.arena.defined(pid) {
             next.clear_free(v);
             // Extraction cost for values some scalar already demanded —
             // store packs are exempt (§5.2).
@@ -1086,7 +1089,7 @@ impl<'f> Search<'f> {
                 at += 1;
                 continue;
             }
-            if !x.produced_by(&data.values) {
+            if !x.produced_by(fz.arena.values(pid)) {
                 next.g += fz.cost.c_shuffle;
             }
             if x.defined().all(|l| !bit(next.free(), l.index())) {
@@ -1252,8 +1255,8 @@ impl<'f> Search<'f> {
         //    + affinity seeds).
         let requested = st.vset.iter().flat_map(|x| {
             let candidates = fz.arena.candidates(x.id);
-            let groups = candidates.groups.iter().flat_map(|&g| &fz.arena.candidates(g).producers);
-            candidates.producers.iter().chain(&candidates.covering).chain(groups)
+            let groups = candidates.groups.iter().flat_map(|&g| fz.arena.candidates(g).producers);
+            candidates.producers.iter().chain(candidates.covering).chain(groups)
         });
         for &pid in requested.chain(&fz.seed_packs) {
             if n >= cap {
@@ -1390,7 +1393,7 @@ fn candidate_logs(
                 action: match rec.action {
                     Action::Init => "init".to_string(),
                     Action::Pack(pid) => {
-                        format!("pack {}", describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)))
+                        format!("pack {}", fz.describe_pack(pid))
                     }
                     Action::Scalar(v) => format!("scalar v{}", v.index()),
                 },
@@ -1764,14 +1767,14 @@ fn run_search(
                     for (step, &pid) in ids.iter().enumerate() {
                         log.committed.push(CommittedPack {
                             step,
-                            pack: describe_pack(|di| fz.inst_name(di), fz.arena.pack(pid)),
+                            pack: fz.describe_pack(pid),
                             cost: fz.pack_cost_of(pid),
                         });
                     }
                 }
                 let mut packs = PackSet::new();
                 for pid in ids {
-                    packs.insert(fz.arena.pack(pid).clone());
+                    packs.insert(fz.pack(pid));
                 }
                 SelectionResult {
                     packs,
@@ -2581,7 +2584,7 @@ mod tests {
         let desc = avx2_desc();
         let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
         let mut arena = Arena::default();
-        let ids: Vec<PackId> = packs.iter().map(|p| arena.intern_pack(p.clone())).collect();
+        let ids: Vec<PackId> = packs.iter().map(|p| arena.intern_memory(p.clone())).collect();
         let cfg = BeamConfig::default();
         let fz = FrozenCtx::freeze_from(arena, &ctx, &cfg, Instant::now()).unwrap();
         let search = Search { fz: &fz, cfg };

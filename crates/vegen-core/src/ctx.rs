@@ -11,7 +11,7 @@ use crate::operand::OperandVec;
 use crate::pack::Pack;
 use std::collections::HashMap;
 use vegen_ir::deps::DepGraph;
-use vegen_ir::{Function, InstKind, Type, ValueId};
+use vegen_ir::{BinOp, CastOp, CmpPred, Function, InstKind, Type, ValueId};
 use vegen_match::{Match, MatchTable, TargetDesc};
 
 /// Everything the pack-selection heuristics need about one function.
@@ -32,11 +32,86 @@ pub struct VectorizerCtx<'a> {
     /// Widest vector register (bits) in the target description.
     pub max_bits: u32,
     /// Load instruction at each `(base, offset)`.
-    loads_at: HashMap<(usize, i64), ValueId>,
+    pub(crate) loads_at: HashMap<(usize, i64), ValueId>,
     /// Indices into `desc.insts` by output shape `(out_lanes, out_elem)`,
     /// each list in description order — Algorithm 1 only ever considers
     /// the instructions whose shape fits the operand.
-    insts_by_shape: HashMap<(usize, Type), Vec<usize>>,
+    pub(crate) insts_by_shape: HashMap<(usize, Type), Vec<usize>>,
+}
+
+/// A pack Algorithm 1 finds for an operand `x`
+/// ([`VectorizerCtx::producers`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Producer {
+    /// Instruction `inst` with lane `i` computing `x[i]` through the
+    /// table's match `(x[i], lane_ops[i])`, so the pair `(inst, x)`
+    /// determines the pack.
+    Compute {
+        /// Index into `TargetDesc::insts`.
+        inst: usize,
+        /// The operands its lane bindings derive.
+        operands: Vec<OperandVec>,
+    },
+    /// A contiguous vector load producing `x`.
+    Load(Pack),
+}
+
+/// A window `base[start .. start + width)` of a buffer, which a load pack
+/// may cover ([`VectorizerCtx::covering_windows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LoadWindow {
+    /// Parameter index of the buffer.
+    pub base: usize,
+    /// First element offset.
+    pub start: i64,
+    /// Number of elements.
+    pub width: i64,
+}
+
+/// Which opcode group of [`VectorizerCtx::opcode_group_subvectors`] a
+/// value falls in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpcodeGroup {
+    Bin(BinOp),
+    /// A cast and its result type.
+    Cast(CastOp, Type),
+    Cmp(CmpPred),
+    Select,
+    FNeg,
+    Load,
+    Const,
+    Store,
+}
+
+impl OpcodeGroup {
+    fn of(f: &Function, v: ValueId) -> OpcodeGroup {
+        match f.inst(v).kind {
+            InstKind::Bin { op, .. } => OpcodeGroup::Bin(op),
+            InstKind::Cast { op, .. } => OpcodeGroup::Cast(op, f.ty(v)),
+            InstKind::Cmp { pred, .. } => OpcodeGroup::Cmp(pred),
+            InstKind::Select { .. } => OpcodeGroup::Select,
+            InstKind::FNeg { .. } => OpcodeGroup::FNeg,
+            InstKind::Load { .. } => OpcodeGroup::Load,
+            InstKind::Const(_) => OpcodeGroup::Const,
+            InstKind::Store { .. } => OpcodeGroup::Store,
+        }
+    }
+
+    /// The group's name `class:op:type` (`bin:add`, `cast:sext:i32`,
+    /// `select`) as its parts, which order as the joined names do: no class
+    /// name is a prefix of another, and the type comes last.
+    fn name(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            OpcodeGroup::Bin(op) => ("bin", op.name(), ""),
+            OpcodeGroup::Cast(op, ty) => ("cast", op.name(), ty.name()),
+            OpcodeGroup::Cmp(pred) => ("cmp", pred.name(), ""),
+            OpcodeGroup::Select => ("select", "", ""),
+            OpcodeGroup::FNeg => ("fneg", "", ""),
+            OpcodeGroup::Load => ("load", "", ""),
+            OpcodeGroup::Const => ("const", "", ""),
+            OpcodeGroup::Store => ("store", "", ""),
+        }
+    }
 }
 
 impl<'a> VectorizerCtx<'a> {
@@ -74,25 +149,32 @@ impl<'a> VectorizerCtx<'a> {
     }
 
     /// Algorithm 1 extended with load packs: all packs that produce the
-    /// vector operand `x`, each with the operands its lane bindings derived
-    /// (feasibility needs them, so the caller gets them for free).
-    pub fn producers(&self, x: &OperandVec) -> Vec<(Pack, Vec<OperandVec>)> {
-        let defined: Vec<ValueId> = x.defined().collect();
-        if defined.is_empty() {
+    /// vector operand `x`, each compute pack with the operands its lane
+    /// bindings derived (feasibility needs them, so the caller gets them
+    /// for free).
+    pub fn producers(&self, x: &OperandVec) -> Vec<Producer> {
+        if x.defined_count() == 0 {
             return Vec::new();
         }
         // Line 1-2: dependent values cannot be packed together.
-        if !self.deps.all_independent(&defined) {
+        let lanes = x.lanes();
+        let dependent = lanes.iter().enumerate().any(|(i, a)| {
+            a.is_some_and(|a| {
+                lanes[i + 1..].iter().flatten().any(|&b| !self.deps.independent(a, b))
+            })
+        });
+        if dependent {
             return Vec::new();
         }
         let Some(ty) = self.operand_type(x) else { return Vec::new() };
         let mut out = Vec::new();
 
         // Compute packs: one candidate per instruction description whose
-        // shape fits (lines 5-17), in description order. Matches are
-        // copied into the pack only once every lane has one.
+        // shape fits (lines 5-17), in description order. The operands are
+        // bound straight from the table's matches; nothing is copied.
         let fitting = self.insts_by_shape.get(&(x.len(), ty)).map_or(&[][..], Vec::as_slice);
-        let mut lane_matches: Vec<Option<&Match>> = Vec::with_capacity(x.len());
+        let mut lane_matches: Vec<Option<&Match>> =
+            Vec::with_capacity(if fitting.is_empty() { 0 } else { x.len() });
         'inst: for &di in fitting {
             let inst = &self.desc.insts[di];
             lane_matches.clear();
@@ -105,18 +187,17 @@ impl<'a> VectorizerCtx<'a> {
                     },
                 }
             }
-            let matches = lane_matches.iter().map(|m| m.map(|m| m.clone().into())).collect();
-            let pack = Pack::Compute { inst: di, matches };
             // The lane bindings must agree on the vector operands.
-            if let Some(operands) = self.pack_operands(&pack) {
-                out.push((pack, operands));
+            let live_ins = |lane: usize| lane_matches[lane].map(|m| m.live_ins.as_slice());
+            if let Some(operands) = self.bind_operands(di, live_ins) {
+                out.push(Producer::Compute { inst: di, operands });
             }
         }
 
         // Load packs: defined lanes must be loads of consecutive elements
         // of one buffer; don't-care lanes extend the run (in bounds).
         if let Some(p) = self.load_pack_for(x, ty) {
-            out.push((p, Vec::new()));
+            out.push(Producer::Load(p));
         }
         out
     }
@@ -149,27 +230,29 @@ impl<'a> VectorizerCtx<'a> {
         Some(Pack::Load { base, start, loads, elem: ty })
     }
 
-    /// Load packs that *cover* the (jumbled) load lanes of `x` without
-    /// producing it exactly. Deciding these loads as vector loads and then
-    /// paying one shuffle is how VeGen forms operands like the interleaved
-    /// `src[4+j], src[12+j]` vector of idct4 (Fig. 12's `vpermi2d` before
-    /// `vpmaddwd`).
-    pub fn covering_load_packs(&self, x: &OperandVec) -> Vec<Pack> {
-        use std::collections::BTreeMap;
-        let mut by_base: BTreeMap<usize, Vec<i64>> = BTreeMap::new();
-        for v in x.defined() {
-            let InstKind::Load { loc } = self.f.inst(v).kind else { return Vec::new() };
-            by_base.entry(loc.base).or_default().push(loc.offset);
-        }
+    /// The load windows that *cover* the (jumbled) load lanes of `x`
+    /// without producing it exactly. Deciding these loads as vector loads
+    /// and then paying one shuffle is how VeGen forms operands like the
+    /// interleaved `src[4+j], src[12+j]` vector of idct4 (Fig. 12's
+    /// `vpermi2d` before `vpmaddwd`). A window is a key: the caller builds
+    /// its pack ([`Self::window_pack`]) only the first time it sees it.
+    pub fn covering_windows(&self, x: &OperandVec) -> Vec<LoadWindow> {
+        let load_at = |v: ValueId| match self.f.inst(v).kind {
+            InstKind::Load { loc } => Some((loc.base, loc.offset)),
+            _ => None,
+        };
+        let Some(mut at) = x.defined().map(load_at).collect::<Option<Vec<_>>>() else {
+            return Vec::new();
+        };
+        at.sort_unstable();
+        at.dedup();
         let mut out = Vec::new();
-        for (base, mut offsets) in by_base {
-            offsets.sort();
-            offsets.dedup();
+        for run in at.chunk_by(|a, b| a.0 == b.0) {
+            let base = run[0].0;
             let elem = self.f.params[base].elem_ty;
             let buf_len = self.f.params[base].len as i64;
             let max_lanes = (self.max_bits / elem.bits()).max(2) as i64;
-            let lo = offsets[0];
-            let hi = *offsets.last().unwrap();
+            let (lo, hi) = (run[0].1, run[run.len() - 1].1);
             let span = hi - lo + 1;
             if span > 2 * max_lanes {
                 continue; // too scattered for a couple of vector loads
@@ -188,15 +271,21 @@ impl<'a> VectorizerCtx<'a> {
             while start <= hi {
                 // Clamp the window into the buffer.
                 let s = start.min(buf_len - width).max(0);
-                let loads: Vec<Option<ValueId>> =
-                    (0..width).map(|i| self.loads_at.get(&(base, s + i)).copied()).collect();
-                if loads.iter().any(|l| l.is_some()) {
-                    out.push(Pack::Load { base, start: s, loads, elem });
-                }
+                out.push(LoadWindow { base, start: s, width });
                 start = s + width;
             }
         }
         out
+    }
+
+    /// The load pack of window `w`: `None` if the program loads nothing
+    /// inside it.
+    pub fn window_pack(&self, w: LoadWindow) -> Option<Pack> {
+        let LoadWindow { base, start, width } = w;
+        let loads: Vec<Option<ValueId>> =
+            (0..width).map(|i| self.loads_at.get(&(base, start + i)).copied()).collect();
+        let elem = self.f.params[base].elem_ty;
+        loads.iter().any(Option::is_some).then_some(Pack::Load { base, start, loads, elem })
     }
 
     /// Split a mixed-opcode operand into per-opcode subvectors (other lanes
@@ -204,36 +293,23 @@ impl<'a> VectorizerCtx<'a> {
     /// stage has no single producer, but each opcode group may — the two
     /// packs are then blended, paying `Cshuffle` (§5's cost formulation
     /// explicitly prices operands produced by several packs).
+    ///
+    /// Groups come out in the order of their names `class:op:type`
+    /// (`bin:add` before `cast:sext:i32` before `select`).
     pub fn opcode_group_subvectors(&self, x: &OperandVec) -> Vec<OperandVec> {
         use std::collections::BTreeMap;
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let group = |v: ValueId| OpcodeGroup::of(self.f, v);
+        let mut groups = x.defined().map(group);
+        let Some(first) = groups.next() else { return Vec::new() };
+        if groups.all(|g| g == first) {
+            return Vec::new(); // one group
+        }
+        let mut by_name: BTreeMap<_, Vec<Option<ValueId>>> = BTreeMap::new();
         for (i, lane) in x.lanes().iter().enumerate() {
-            let Some(v) = lane else { continue };
-            let key = match &self.f.inst(*v).kind {
-                InstKind::Bin { op, .. } => format!("bin:{}", op.name()),
-                InstKind::Cast { op, .. } => format!("cast:{}:{}", op.name(), self.f.ty(*v)),
-                InstKind::Cmp { pred, .. } => format!("cmp:{}", pred.name()),
-                InstKind::Select { .. } => "select".to_string(),
-                InstKind::FNeg { .. } => "fneg".to_string(),
-                InstKind::Load { .. } => "load".to_string(),
-                InstKind::Const(_) => "const".to_string(),
-                InstKind::Store { .. } => "store".to_string(),
-            };
-            groups.entry(key).or_default().push(i);
+            let Some(v) = *lane else { continue };
+            by_name.entry(group(v).name()).or_insert_with(|| vec![None; x.len()])[i] = Some(v);
         }
-        if groups.len() < 2 {
-            return Vec::new();
-        }
-        groups
-            .into_values()
-            .map(|lanes| {
-                OperandVec::new(
-                    (0..x.len())
-                        .map(|i| if lanes.contains(&i) { x.lane(i) } else { None })
-                        .collect(),
-                )
-            })
-            .collect()
+        by_name.into_values().map(OperandVec::new).collect()
     }
 
     /// `operand_i(p)` for every input operand of a pack, derived from the
@@ -244,31 +320,40 @@ impl<'a> VectorizerCtx<'a> {
             Pack::Load { .. } => Some(Vec::new()),
             Pack::Store { values, .. } => Some(vec![OperandVec::from_values(values.clone())]),
             Pack::Compute { inst, matches } => {
-                let di = &self.desc.insts[*inst];
-                let mut operands = Vec::with_capacity(di.operand_count());
-                for input in 0..di.operand_count() {
-                    let bindings = &di.bindings[input];
-                    let mut lanes: Vec<Option<ValueId>> = Vec::with_capacity(bindings.len());
-                    for uses in bindings {
-                        let mut lane_val: Option<ValueId> = None;
-                        for u in uses {
-                            let Some(m) = &matches[u.out_lane] else { continue };
-                            let Some(v) = m.live_ins[u.param] else { continue };
-                            match lane_val {
-                                None => lane_val = Some(v),
-                                Some(prev) if prev == v => {}
-                                // Two operations demand different values in
-                                // the same input lane: infeasible.
-                                Some(_) => return None,
-                            }
-                        }
-                        lanes.push(lane_val);
-                    }
-                    operands.push(OperandVec::new(lanes));
-                }
-                Some(operands)
+                self.bind_operands(*inst, |lane| matches[lane].as_ref().map(|m| &m.live_ins[..]))
             }
         }
+    }
+
+    /// The operands of instruction `di` whose output lane `l` holds a
+    /// match with live-ins `live_ins(l)` (`None` = don't-care lane).
+    fn bind_operands<'m>(
+        &self,
+        di: usize,
+        live_ins: impl Fn(usize) -> Option<&'m [Option<ValueId>]>,
+    ) -> Option<Vec<OperandVec>> {
+        let di = &self.desc.insts[di];
+        let mut operands = Vec::with_capacity(di.operand_count());
+        for bindings in &di.bindings {
+            let mut lanes: Vec<Option<ValueId>> = Vec::with_capacity(bindings.len());
+            for uses in bindings {
+                let mut lane_val: Option<ValueId> = None;
+                for u in uses {
+                    let Some(live_ins) = live_ins(u.out_lane) else { continue };
+                    let Some(v) = live_ins[u.param] else { continue };
+                    match lane_val {
+                        None => lane_val = Some(v),
+                        Some(prev) if prev == v => {}
+                        // Two operations demand different values in the
+                        // same input lane: infeasible.
+                        Some(_) => return None,
+                    }
+                }
+                lanes.push(lane_val);
+            }
+            operands.push(OperandVec::new(lanes));
+        }
+        Some(operands)
     }
 
     /// Cost of executing pack `p` (excluding operand materialization).
@@ -337,22 +422,25 @@ impl<'a> VectorizerCtx<'a> {
     /// dependence graph must stay acyclic — this is also exactly the
     /// condition under which a grouped schedule exists (§4.5).
     pub fn packs_legal(&self, packs: &[&Pack]) -> bool {
-        packs_legal(self.f.insts.len(), &self.deps, packs)
+        let values: Vec<Vec<Option<ValueId>>> = packs.iter().map(|p| p.values()).collect();
+        let lanes: Vec<&[Option<ValueId>]> = values.iter().map(Vec::as_slice).collect();
+        packs_legal(self.f.insts.len(), &self.deps, &lanes)
     }
 }
 
 /// [`VectorizerCtx::packs_legal`] as a free function over the pieces it
-/// actually reads. This is the from-scratch check: it contracts every pack
-/// to one node and searches the whole contracted graph for a cycle. The
-/// beam search decides the same question incrementally from precomputed
-/// masks (see `crate::frozen`) and asserts agreement with this function in
-/// debug builds and in the differential tests, so keep it simple and
-/// obviously right rather than fast.
-pub fn packs_legal(n: usize, deps: &DepGraph, packs: &[&Pack]) -> bool {
+/// actually reads: each pack is its lane values (`values(p)`; a don't-care
+/// lane defines nothing). This is the from-scratch check: it contracts
+/// every pack to one node and searches the whole contracted graph for a
+/// cycle. The beam search decides the same question incrementally from
+/// precomputed masks (see `crate::frozen`) and asserts agreement with this
+/// function in debug builds and in the differential tests, so keep it
+/// simple and obviously right rather than fast.
+pub fn packs_legal(n: usize, deps: &DepGraph, packs: &[&[Option<ValueId>]]) -> bool {
     // group[v] = pack index + 1, or 0 for scalar singleton.
     let mut group = vec![0usize; n];
     for (pi, p) in packs.iter().enumerate() {
-        for v in p.defined() {
+        for v in p.iter().flatten().copied() {
             if group[v.index()] != 0 {
                 return false; // a value in two packs is illegal
             }
@@ -375,7 +463,7 @@ enum Mark {
 /// nodes it depends on; edges inside one pack are dropped.
 struct Contracted<'a> {
     deps: &'a DepGraph,
-    packs: &'a [&'a Pack],
+    packs: &'a [&'a [Option<ValueId>]],
     group: Vec<usize>,
     marks: Vec<Mark>,
 }
@@ -404,7 +492,7 @@ impl Contracted<'_> {
             })
         };
         let ok = if node < packs.len() {
-            packs[node].defined().all(|v| through(self, v))
+            packs[node].iter().flatten().all(|&v| through(self, v))
         } else {
             through(self, ValueId::from_raw((node - packs.len()) as u32))
         };
@@ -422,9 +510,28 @@ mod tests {
     use vegen_ir::canon::canonicalize;
     use vegen_ir::{FunctionBuilder, Type};
 
+    /// The packs of Algorithm 1 for `x`, with their operands: compute
+    /// pack `(inst, x)` holds the table's match `(x[i], lane_ops[i])` in
+    /// lane `i`.
+    fn producers(ctx: &VectorizerCtx<'_>, x: &OperandVec) -> Vec<(Pack, Vec<OperandVec>)> {
+        let lane = |v: Option<ValueId>, op| v.map(|v| ctx.table.lookup(v, op).unwrap().clone());
+        ctx.producers(x)
+            .into_iter()
+            .map(|p| match p {
+                Producer::Compute { inst, operands } => {
+                    let ops = &ctx.desc.insts[inst].lane_ops;
+                    let matches =
+                        x.lanes().iter().zip(ops).map(|(&v, &op)| lane(v, op).map(Into::into));
+                    (Pack::Compute { inst, matches: matches.collect() }, operands)
+                }
+                Producer::Load(p) => (p, Vec::new()),
+            })
+            .collect()
+    }
+
     /// The packs of Algorithm 1 for `x` (operands dropped).
     fn producer_packs(ctx: &VectorizerCtx<'_>, x: &OperandVec) -> Vec<Pack> {
-        ctx.producers(x).into_iter().map(|(p, _)| p).collect()
+        producers(ctx, x).into_iter().map(|(p, _)| p).collect()
     }
 
     #[test]
@@ -530,8 +637,7 @@ mod tests {
         let f = dot_kernel(4);
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
         let x = OperandVec::from_values(stored_values(&f));
-        let (pm, operands) = ctx
-            .producers(&x)
+        let (pm, operands) = producers(&ctx, &x)
             .into_iter()
             .find(|(p, _)| {
                 matches!(p, Pack::Compute { inst, .. }

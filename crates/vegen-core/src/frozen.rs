@@ -29,18 +29,19 @@
 //! on the main thread (see `crate::beam`), so f64 accumulation order never
 //! depends on the worker count.
 
-use crate::beam::{BeamConfig, SearchBudget, SelectError};
+use crate::beam::{describe_compute, describe_pack, BeamConfig, SearchBudget, SelectError};
 use crate::bits::{bit, intersects, set_bit, BitMatrix};
 use crate::cost::CostModel;
 use crate::ctx::VectorizerCtx;
-use crate::intern::{Arena, OperandId, PackId};
+use crate::intern::{Arena, OperandId, PackId, PackRef};
 use crate::operand::OperandVec;
-use crate::pack::Pack;
+use crate::pack::{Pack, PackedMatch};
 use crate::seeds::{enumerate_seeds, AffinityParams};
 use std::time::Instant;
 #[cfg(any(test, debug_assertions))]
 use vegen_ir::deps::DepGraph;
 use vegen_ir::{Function, InstKind, ValueId};
+use vegen_match::OpId;
 
 /// An immutable snapshot of everything `select_packs` reads: the function,
 /// its dependence/use structure, the cost model, the candidate arena and
@@ -58,8 +59,8 @@ use vegen_ir::{Function, InstKind, ValueId};
 /// * per pack `p`: `dep_mask[p]` (OR of the dependence-closure rows of
 ///   the values it defines), a `static_illegal` bit, and its matches'
 ///   interior values in descending index order. The values a pack defines
-///   are not stored as a row: they are the (at most vector-length)
-///   `PackData::defined` list, tested bit by bit against a row — a third
+///   are not stored as a row: they are the (at most vector-length) defined
+///   lanes of `Arena::values`, tested bit by bit against a row — a third
 ///   of the per-pack mask memory for the same answers.
 ///
 /// Pack-set legality (§4.4: the dependence graph with every pack
@@ -76,9 +77,11 @@ use vegen_ir::{Function, InstKind, ValueId};
 /// exact.
 ///
 /// A `FrozenCtx` owns all of its data (the function is cloned out of the
-/// borrowed context), so an `Arc<FrozenCtx>` outlives the `VectorizerCtx`
-/// it was frozen from — that is what lets the engine's degradation ladder
-/// reuse one snapshot across rungs that each build a fresh context.
+/// borrowed context, and the match-table entries its compute packs
+/// reference are kept once each in a `MatchColumn`), so an
+/// `Arc<FrozenCtx>` outlives the `VectorizerCtx` it was frozen from — that
+/// is what lets the engine's degradation ladder reuse one snapshot across
+/// rungs that each build a fresh context.
 #[derive(Debug)]
 pub struct FrozenCtx {
     pub(crate) f: Function,
@@ -100,10 +103,15 @@ pub struct FrozenCtx {
     /// defined), descending, as `interior[interior_at[p]..interior_at[p+1]]`.
     interior: Vec<ValueId>,
     interior_at: Vec<u32>,
+    /// What a compute pack's matches are, for the few places a [`Pack`]
+    /// is materialized.
+    matches: MatchColumn,
     pub(crate) cost: CostModel,
-    /// `desc.insts[i].def.name` — all the target description the search
-    /// output (pack descriptions) needs.
-    pub(crate) inst_names: Vec<String>,
+    /// `desc.insts[i].def.name` as `inst_names[inst_name_at[i]..inst_name_at[i + 1]]`
+    /// — with the lane operations in `matches`, all the target description
+    /// the search output (pack descriptions) needs.
+    inst_names: String,
+    inst_name_at: Vec<u32>,
     /// Every operand and pack the search can reach, with their candidate
     /// lists.
     pub(crate) arena: Arena,
@@ -148,6 +156,17 @@ fn budget_ok(budget: &SearchBudget, t0: Instant) -> Result<(), SelectError> {
 }
 
 impl FrozenCtx {
+    /// Freeze `ctx` the way [`crate::select_packs`] does before it
+    /// searches: a snapshot to inspect, or to measure on its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SelectError`] if a configured wall or cancellation
+    /// budget trips mid-freeze.
+    pub fn new(ctx: &VectorizerCtx<'_>, cfg: &BeamConfig) -> Result<FrozenCtx, SelectError> {
+        FrozenCtx::freeze(ctx, cfg, Instant::now())
+    }
+
     /// Enumerate the candidate closure of `ctx` under `cfg`'s seeds and
     /// derive the search's tables from it.
     ///
@@ -183,10 +202,10 @@ impl FrozenCtx {
         // Seed packs: store chains always; affinity seeds resolved through
         // Algorithm 1 into concrete packs.
         let mut seed_packs: Vec<PackId> =
-            ctx.store_chain_packs().into_iter().map(|p| arena.intern_pack(p)).collect();
+            ctx.store_chain_packs().into_iter().map(|p| arena.intern_memory(p)).collect();
         if cfg.use_affinity_seeds {
             for x in enumerate_seeds(ctx, &cfg.seeds) {
-                seed_packs.extend(arena.seed_producers(ctx, &x));
+                seed_packs.extend(arena.seed_producers(ctx, x));
             }
         }
         seed_packs.dedup();
@@ -202,7 +221,13 @@ impl FrozenCtx {
         })?;
 
         let f = ctx.f.clone();
-        let pack_costs: Vec<f64> = arena.packs().map(|(p, _)| ctx.pack_cost(p)).collect();
+        let n_packs = arena.pack_count();
+        let pack_costs: Vec<f64> = (0..n_packs as u32)
+            .map(|i| match arena.pack(PackId(i)) {
+                PackRef::Compute { inst, .. } => ctx.desc.insts[inst].def.cost,
+                PackRef::Memory(p) => ctx.pack_cost(p),
+            })
+            .collect();
         let scalar_one = ctx.cost.scalar_one_costs(&f);
         let scalar_cost: f64 = f.value_ids().map(|v| ctx.cost.scalar_inst_cost(&f, v)).sum();
 
@@ -220,45 +245,52 @@ impl FrozenCtx {
                 set_bit(&mut const_mask, v.index());
             }
         }
-        let n_packs = arena.pack_count();
         let mut dep_mask = BitMatrix::new(n_packs, words);
         let mut def = vec![0u64; words];
         let mut static_illegal = vec![false; n_packs];
         let mut interior: Vec<ValueId> = Vec::new();
         let mut interior_at: Vec<u32> = Vec::with_capacity(n_packs + 1);
         let mut covered: Vec<ValueId> = Vec::new();
-        for (pi, (pack, data)) in arena.packs().enumerate() {
+        let mut referenced: Vec<(ValueId, OpId)> = Vec::new();
+        for (pi, illegal) in static_illegal.iter_mut().enumerate() {
+            let id = PackId(pi as u32);
             def.fill(0);
-            for &v in &data.defined {
+            for v in arena.defined(id) {
                 // A value defined twice by one pack.
-                static_illegal[pi] |= !set_bit(&mut def, v.index());
+                *illegal |= !set_bit(&mut def, v.index());
                 for (acc, w) in dep_mask.row_mut(pi).iter_mut().zip(ctx.deps.closure_row(v)) {
                     *acc |= w;
                 }
             }
             // A dependence path that leaves the pack and comes back.
-            static_illegal[pi] |= data.defined.iter().any(|&a| {
+            *illegal |= arena.defined(id).any(|a| {
                 ctx.deps
                     .direct_deps(a)
                     .iter()
                     .any(|&d| !bit(&def, d.index()) && intersects(ctx.deps.closure_row(d), &def))
             });
             interior_at.push(interior.len() as u32);
-            if let Pack::Compute { matches, .. } = pack {
+            if let PackRef::Compute { inst, out } = arena.pack(id) {
                 covered.clear();
-                covered.extend(
-                    matches
-                        .iter()
-                        .flatten()
-                        .flat_map(|m| m.covered.iter().copied())
-                        .filter(|v| !bit(&def, v.index())),
-                );
+                for (v, &op) in out.lanes().iter().zip(&ctx.desc.insts[inst].lane_ops) {
+                    let Some(v) = *v else { continue };
+                    referenced.push((v, op));
+                    let m = ctx.table.lookup(v, op).expect("a compute lane has its match");
+                    covered.extend(m.covered.iter().copied().filter(|c| !bit(&def, c.index())));
+                }
                 covered.sort_unstable();
                 covered.dedup();
                 interior.extend(covered.iter().rev());
             }
         }
         interior_at.push(interior.len() as u32);
+        let matches = MatchColumn::new(ctx, referenced);
+        let mut inst_names = String::new();
+        let mut inst_name_at = vec![0];
+        for inst in &ctx.desc.insts {
+            inst_names.push_str(&inst.def.name);
+            inst_name_at.push(inst_names.len() as u32);
+        }
 
         // Interned operands are distinct, so the content order is total.
         let mut by_content: Vec<OperandId> =
@@ -281,8 +313,10 @@ impl FrozenCtx {
             static_illegal,
             interior,
             interior_at,
+            matches,
             cost: ctx.cost,
-            inst_names: ctx.desc.insts.iter().map(|i| i.def.name.clone()).collect(),
+            inst_names,
+            inst_name_at,
             arena,
             operand_rank,
             pack_costs,
@@ -314,7 +348,7 @@ impl FrozenCtx {
     }
 
     pub(crate) fn inst_name(&self, di: usize) -> &str {
-        &self.inst_names[di]
+        &self.inst_names[self.inst_name_at[di] as usize..self.inst_name_at[di + 1] as usize]
     }
 
     pub(crate) fn scalar_one(&self, v: ValueId) -> f64 {
@@ -336,7 +370,28 @@ impl FrozenCtx {
 
     /// Whether pack `id` defines a value in `row`.
     pub(crate) fn defines_any(&self, id: PackId, row: &[u64]) -> bool {
-        self.arena.pack_data(id).defined.iter().any(|v| bit(row, v.index()))
+        self.arena.defined(id).any(|v| bit(row, v.index()))
+    }
+
+    /// Pack `id` as a [`Pack`]: a copy, for the packs that leave the search
+    /// (the committed pack set, the reference tests).
+    pub(crate) fn pack(&self, id: PackId) -> Pack {
+        match self.arena.pack(id) {
+            PackRef::Compute { inst, out } => {
+                Pack::Compute { inst, matches: self.matches.lanes(inst, out) }
+            }
+            PackRef::Memory(p) => p.clone(),
+        }
+    }
+
+    /// [`describe_pack`] of pack `id`, without materializing it.
+    pub(crate) fn describe_pack(&self, id: PackId) -> String {
+        match self.arena.pack(id) {
+            PackRef::Compute { inst, out } => {
+                describe_compute(self.inst_name(inst), out.lanes().iter().copied())
+            }
+            PackRef::Memory(p) => describe_pack(|di| self.inst_name(di), p),
+        }
     }
 
     /// Everything the values pack `id` defines transitively depend on.
@@ -359,6 +414,66 @@ impl FrozenCtx {
     pub(crate) fn insert_arm(&self, x: &OperandVec) -> f64 {
         self.cost.operand_insert_cost(&self.f, x)
             + self.cost.scalar_closure_cost(&self.f, x.defined())
+    }
+}
+
+/// The match-table entries the compute packs of a frozen arena reference,
+/// each once, in flat columns: what materializing a [`Pack::Compute`]
+/// needs after the context and its table are gone. Match `i` is
+/// `keys[i] = (root, op)` with live-ins `live_ins[at[i].0..at[i + 1].0]`
+/// and covered values `covered[at[i].1..at[i + 1].1]`; instruction `di`'s
+/// lane operations are `lane_ops[lane_ops_at[di]..lane_ops_at[di + 1]]`.
+#[derive(Debug)]
+struct MatchColumn {
+    /// Ascending.
+    keys: Vec<(ValueId, OpId)>,
+    at: Vec<(u32, u32)>,
+    live_ins: Vec<Option<ValueId>>,
+    covered: Vec<ValueId>,
+    lane_ops: Vec<OpId>,
+    lane_ops_at: Vec<u32>,
+}
+
+impl MatchColumn {
+    /// Keep the matches `keys` (in any order, repeats allowed) of `ctx`'s
+    /// table.
+    fn new(ctx: &VectorizerCtx<'_>, mut keys: Vec<(ValueId, OpId)>) -> MatchColumn {
+        keys.sort_unstable();
+        keys.dedup();
+        let mut at = Vec::with_capacity(keys.len() + 1);
+        let (mut live_ins, mut covered) = (Vec::new(), Vec::new());
+        for &(root, op) in &keys {
+            at.push((live_ins.len() as u32, covered.len() as u32));
+            let m = ctx.table.lookup(root, op).expect("a referenced match");
+            live_ins.extend_from_slice(&m.live_ins);
+            covered.extend_from_slice(&m.covered);
+        }
+        at.push((live_ins.len() as u32, covered.len() as u32));
+        let mut lane_ops = Vec::new();
+        let mut lane_ops_at = vec![0];
+        for inst in &ctx.desc.insts {
+            lane_ops.extend_from_slice(&inst.lane_ops);
+            lane_ops_at.push(lane_ops.len() as u32);
+        }
+        MatchColumn { keys, at, live_ins, covered, lane_ops, lane_ops_at }
+    }
+
+    /// The matches of compute pack `(inst, out)`, lane by lane.
+    fn lanes(&self, inst: usize, out: &OperandVec) -> Vec<Option<PackedMatch>> {
+        let ops =
+            &self.lane_ops[self.lane_ops_at[inst] as usize..self.lane_ops_at[inst + 1] as usize];
+        out.lanes().iter().zip(ops).map(|(v, &op)| v.map(|root| self.get(root, op))).collect()
+    }
+
+    fn get(&self, root: ValueId, op: OpId) -> PackedMatch {
+        let i = self.keys.binary_search(&(root, op)).expect("a referenced match");
+        let ((l0, c0), (l1, c1)) = (self.at[i], self.at[i + 1]);
+        PackedMatch {
+            op,
+            root,
+            live_ins: self.live_ins[l0 as usize..l1 as usize].to_vec(),
+            covered: self.covered[c0 as usize..c1 as usize].to_vec(),
+        }
     }
 }
 
@@ -409,14 +524,12 @@ impl FrozenSlp {
         if let Some(c) = self.cover_arm_id(fz, id, x) {
             best = best.min(c);
         }
-        for &pid in &fz.arena.candidates(id).producers {
-            if let Some(c) = self.pack_arm_id(fz, pid) {
-                best = best.min(c);
-            }
+        for &pid in fz.arena.candidates(id).producers {
+            best = best.min(self.pack_arm_id(fz, pid));
         }
         // Blend arm: a mixed-opcode operand produced by one pack per
         // opcode group plus shuffles to merge them.
-        let groups = &fz.arena.candidates(id).groups;
+        let groups = fz.arena.candidates(id).groups;
         if !groups.is_empty() {
             let mut c = fz.cost.c_shuffle * (groups.len() - 1) as f64;
             for &g in groups {
@@ -442,13 +555,12 @@ impl FrozenSlp {
         {
             return None;
         }
-        let packs = &fz.arena.candidates(id).covering;
+        let packs = fz.arena.candidates(id).covering;
         if packs.is_empty() {
             return None;
         }
         // Every defined lane must actually be inside some covering pack.
-        let covered =
-            |v| packs.iter().any(|&pid| fz.arena.pack_data(pid).values.contains(&Some(v)));
+        let covered = |v| packs.iter().any(|&pid| fz.arena.values(pid).contains(&Some(v)));
         if !x.defined().all(covered) {
             return None;
         }
@@ -457,16 +569,15 @@ impl FrozenSlp {
     }
 
     /// Cost of producing via a specific pack: `costop + Σ costSLP(operands)`.
-    fn pack_arm_id(&mut self, fz: &FrozenCtx, pid: PackId) -> Option<f64> {
-        let operand_ids = fz.arena.pack_operands(pid)?;
+    fn pack_arm_id(&mut self, fz: &FrozenCtx, pid: PackId) -> f64 {
         let mut c = fz.pack_cost_of(pid);
-        for &oid in operand_ids {
+        for &oid in fz.arena.pack_operands(pid) {
             if fz.arena.operand(oid).defined_count() == 0 {
                 continue;
             }
             c += self.cost_id(fz, oid);
         }
-        Some(c)
+        c
     }
 }
 
@@ -508,11 +619,11 @@ mod tests {
             .iter()
             .copied()
             .find(|&pid| {
-                matches!(fz.arena.pack(pid), Pack::Compute { inst, .. }
-                if fz.inst_name(*inst) == "pmaddwd_128")
+                matches!(fz.arena.pack(pid), PackRef::Compute { inst, .. }
+                if fz.inst_name(inst) == "pmaddwd_128")
             })
             .expect("pmaddwd_128 produces the four dot lanes");
-        assert_eq!(slp.pack_arm_id(&fz, pmaddwd), Some(vector_cost));
+        assert_eq!(slp.pack_arm_id(&fz, pmaddwd), vector_cost);
     }
 
     #[test]

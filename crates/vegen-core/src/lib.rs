@@ -28,6 +28,8 @@ pub mod frozen;
 pub mod intern;
 pub mod operand;
 pub mod pack;
+#[cfg(test)]
+mod reference_arena;
 pub mod seeds;
 #[cfg(test)]
 mod testutil;

@@ -6,8 +6,8 @@
 //! maximizing the summed affinity of adjacent lanes.
 
 use crate::ctx::VectorizerCtx;
+use crate::intern::IdMap;
 use crate::operand::OperandVec;
-use std::collections::HashMap;
 use vegen_ir::{InstKind, ValueId};
 
 /// The `α` parameters of the affinity recurrence (Fig. 8).
@@ -45,7 +45,7 @@ impl Default for AffinityParams {
 
 /// The affinity score between two IR values (Fig. 8). Higher is better.
 pub fn affinity(ctx: &VectorizerCtx<'_>, params: &AffinityParams, v: ValueId, w: ValueId) -> f64 {
-    let mut memo = HashMap::new();
+    let mut memo = IdMap::default();
     affinity_rec(ctx, params, v, w, params.max_depth, &mut memo)
 }
 
@@ -55,7 +55,7 @@ fn affinity_rec(
     v: ValueId,
     w: ValueId,
     depth: usize,
-    memo: &mut HashMap<(ValueId, ValueId), f64>,
+    memo: &mut IdMap<(ValueId, ValueId), f64>,
 ) -> f64 {
     if let Some(&c) = memo.get(&(v, w)) {
         return c;
@@ -71,7 +71,7 @@ fn affinity_uncached(
     v: ValueId,
     w: ValueId,
     depth: usize,
-    memo: &mut HashMap<(ValueId, ValueId), f64>,
+    memo: &mut IdMap<(ValueId, ValueId), f64>,
 ) -> f64 {
     if v == w {
         return -params.broadcast;
@@ -151,7 +151,7 @@ const MAX_SEED_LANES: usize = 16;
 /// the frontier is emitted as seeds each time its length reaches a power
 /// of two.
 pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<OperandVec> {
-    let mut memo = HashMap::new();
+    let mut memo = IdMap::default();
     let (compute, firsts) = lane_candidates(ctx);
     let mut seeds = Vec::new();
     // Extensions of the current frontier: (score, frontier index, new lane).
@@ -284,7 +284,7 @@ mod tests {
         ctx: &VectorizerCtx<'_>,
         params: &AffinityParams,
     ) -> Vec<OperandVec> {
-        let mut memo = HashMap::new();
+        let mut memo = IdMap::default();
         let (compute, firsts) = lane_candidates(ctx);
         let mut seeds = Vec::new();
         for &first in &firsts {

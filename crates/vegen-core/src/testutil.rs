@@ -60,7 +60,7 @@ pub(crate) fn loads_of(f: &Function, base: usize) -> Vec<ValueId> {
     loads.into_iter().map(|l| l.1).collect()
 }
 
-fn prepared(f: &Function) -> Function {
+pub(crate) fn prepared(f: &Function) -> Function {
     add_narrow_constants(&canonicalize(f))
 }
 

@@ -7,16 +7,19 @@
 //! is exact and repeats. This binary installs a counting global allocator
 //! and holds `select_packs` (freeze included) to a budget of allocations
 //! per transition over the generated corpus, where per-state costs
-//! dominate, and over the paper suite, where freeze interning does. A
-//! release build reads 1.05 and 6.91; a debug build 1.23 and 8.12, because
-//! the from-scratch legality oracle it asserts against allocates. Each
-//! budget is its profile's reading plus 10%.
+//! dominate, and over the paper suite, where freeze interning does, and
+//! the freeze alone to a budget of allocations over the suite. A release
+//! build reads 0.44 and 2.20 per transition and 245 708 in one freeze of
+//! each suite kernel; a debug build 0.62, 3.40 and 247 951, because the
+//! from-scratch legality oracle it asserts against allocates (and the
+//! freeze keeps a copy of the dependence graph for it). Each budget is
+//! its profile's reading plus 10%.
 //!
 //! One test only: nothing else may allocate while the count is read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vegen_core::{select_packs, BeamConfig, CostModel, VectorizerCtx};
+use vegen_core::{select_packs, BeamConfig, CostModel, FrozenCtx, VectorizerCtx};
 use vegen_ir::canon::{add_narrow_constants, canonicalize};
 use vegen_ir::Function;
 use vegen_isa::{InstDb, TargetIsa};
@@ -74,6 +77,21 @@ fn allocations_per_transition(desc: &TargetDesc, kernels: &[Function]) -> f64 {
     allocations as f64 / transitions as f64
 }
 
+/// Allocations inside one freeze of each of `kernels` (the same
+/// configuration), summed.
+fn freeze_allocations(desc: &TargetDesc, kernels: &[Function]) -> u64 {
+    let cfg = BeamConfig { beam_threads: 1, ..BeamConfig::with_width(16) };
+    let mut allocations = 0u64;
+    for f in kernels {
+        let ctx = VectorizerCtx::new(f, desc, CostModel::default());
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let fz = FrozenCtx::new(&ctx, &cfg).expect("unlimited budget");
+        allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        drop(fz);
+    }
+    allocations
+}
+
 #[test]
 fn selection_stays_inside_its_allocation_budget() {
     let desc = TargetDesc::build(&InstDb::for_target(&TargetIsa::avx2()), true);
@@ -81,8 +99,8 @@ fn selection_stays_inside_its_allocation_budget() {
 
     let corpus: Vec<Function> =
         (0..200).map(|i| prepared(&vegen_kernels::gen::generate(42, i).function)).collect();
-    let (corpus_budget, suite_budget) =
-        if cfg!(debug_assertions) { (1.35, 8.93) } else { (1.16, 7.60) };
+    let (corpus_budget, suite_budget, freeze_budget) =
+        if cfg!(debug_assertions) { (0.68, 3.74, 272_700) } else { (0.48, 2.42, 270_300) };
     let per = allocations_per_transition(&desc, &corpus);
     println!("corpus: {per:.2} allocations per transition");
     assert!(per <= corpus_budget, "corpus: {per:.2} allocations per transition ({corpus_budget})");
@@ -92,4 +110,11 @@ fn selection_stays_inside_its_allocation_budget() {
     let per = allocations_per_transition(&desc, &suite);
     println!("suite: {per:.2} allocations per transition");
     assert!(per <= suite_budget, "suite: {per:.2} allocations per transition ({suite_budget})");
+
+    let n = freeze_allocations(&desc, &suite);
+    println!("suite: {n} allocations in one freeze per kernel");
+    assert!(
+        n <= freeze_budget,
+        "suite: {n} allocations in one freeze per kernel ({freeze_budget})"
+    );
 }

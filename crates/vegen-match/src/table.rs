@@ -1,7 +1,6 @@
 //! The operation registry, target description, and match table (§4.3).
 
 use crate::pattern::{try_pattern_of_operation, Pattern};
-use std::collections::HashMap;
 use vegen_ir::{Function, InstKind, Type, ValueId};
 use vegen_isa::{InstDb, InstDef};
 use vegen_vidl::ast::LaneUse;
@@ -239,9 +238,12 @@ pub struct Match {
 /// instructions that can produce a given vector."
 #[derive(Debug, Clone)]
 pub struct MatchTable {
-    map: HashMap<(ValueId, OpId), Match>,
-    /// Per value: which operations matched there.
-    at: HashMap<ValueId, Vec<OpId>>,
+    /// Every match, by root and then operation id, ascending.
+    matches: Vec<Match>,
+    /// Value `v`'s matches are `matches[at[v]..at[v + 1]]`.
+    at: Vec<u32>,
+    /// `matches[i].op`, so [`Self::ops_at`] is a slice.
+    ops: Vec<OpId>,
 }
 
 impl MatchTable {
@@ -251,10 +253,11 @@ impl MatchTable {
     /// are packed by the separate memory-pack logic; constants are
     /// materialized directly).
     pub fn build(f: &Function, ops: &OpRegistry) -> MatchTable {
-        let mut map = HashMap::new();
-        let mut at: HashMap<ValueId, Vec<OpId>> = HashMap::new();
+        let mut matches = Vec::new();
+        let mut at = Vec::with_capacity(f.insts.len() + 1);
         let consts = crate::pattern::const_pool(f);
         for (v, inst) in f.iter() {
+            at.push(matches.len() as u32);
             if matches!(
                 inst.kind,
                 InstKind::Load { .. } | InstKind::Store { .. } | InstKind::Const(_)
@@ -268,33 +271,44 @@ impl MatchTable {
                 if let Some((live_ins, covered)) =
                     crate::pattern::match_at_with_covered(f, &consts, &op.pattern, &op.param_tys, v)
                 {
-                    map.insert((v, op_id), Match { op: op_id, root: v, live_ins, covered });
-                    at.entry(v).or_default().push(op_id);
+                    matches.push(Match { op: op_id, root: v, live_ins, covered });
                 }
             }
         }
-        MatchTable { map, at }
+        at.push(matches.len() as u32);
+        let ops = matches.iter().map(|m| m.op).collect();
+        MatchTable { matches, at, ops }
+    }
+
+    /// The matches rooted at `v`, in operation-id order.
+    fn range(&self, v: ValueId) -> std::ops::Range<usize> {
+        match self.at.get(v.index()..v.index() + 2) {
+            Some(&[from, to]) => from as usize..to as usize,
+            _ => 0..0,
+        }
     }
 
     /// Look up the match for `(live_out, op)` — the `M[(x_i, f)]` access of
     /// Algorithm 1.
     pub fn lookup(&self, live_out: ValueId, op: OpId) -> Option<&Match> {
-        self.map.get(&(live_out, op))
+        let range = self.range(live_out);
+        let i = self.ops[range.clone()].binary_search(&op).ok()?;
+        Some(&self.matches[range.start + i])
     }
 
     /// All operations that matched at `v`.
     pub fn ops_at(&self, v: ValueId) -> &[OpId] {
-        self.at.get(&v).map(|v| v.as_slice()).unwrap_or(&[])
+        &self.ops[self.range(v)]
     }
 
     /// Total number of matches recorded.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.matches.len()
     }
 
     /// True if no matches were found.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.matches.is_empty()
     }
 }
 
