@@ -19,11 +19,15 @@
 //!
 //! The hot path works entirely on interned ids (see [`crate::intern`]):
 //!
-//! * `F`, `S` and the per-value producer table live in one flat word
-//!   buffer per state, laid out `[free | S | prod]` (see `State`), so a
-//!   successor is one buffer copy; `F` and `S` are bitsets by value index
-//!   — ascending-bit iteration is ascending `ValueId` order — and `prod`
-//!   packs one 32-bit lane per value;
+//! * `F`, `S`, the ready set `R` and the per-value producer table live in
+//!   one flat word buffer per state, laid out `[free | S | ready | prod]`
+//!   (see `State`), so a successor is one buffer copy; `F`, `S` and `R`
+//!   are bitsets by value index — ascending-bit iteration is ascending
+//!   `ValueId` order — and `prod` packs one 32-bit lane per value;
+//! * `R` is the free values whose users are all decided, kept current by
+//!   [`State::decide`], so every readiness test of a transition is one
+//!   bit and the dead sweep visits only the values a transition made
+//!   ready;
 //! * `V` is a sorted vector of plain `Copy` members, each an
 //!   [`OperandId`] with its content rank (computed once by
 //!   [`FrozenCtx`]), so iteration order stays the operand-lexicographic
@@ -525,13 +529,15 @@ const TAG_V: u64 = 0x8EBC_6AF0_9C88_C6E3;
 
 /// One (V, S, F) search state.
 ///
-/// `F`, `S` and the producer table share one buffer, `[free | S | prod]`:
-/// `words` words of the free bitset, `words` words of the scalar-demand
-/// bitset, then one 32-bit [`Prod`] lane per value, two to a word. Every
-/// transition writes all three, so a successor copies them in one `memcpy`
-/// (into a reused scratch state when it is scored, a fresh allocation when
-/// it is built); the accessors below are the only code that knows the
-/// layout.
+/// `F`, `S`, the ready set `R` and the producer table share one buffer,
+/// `[free | S | ready | prod]`: `words` words each of the free, the
+/// scalar-demand and the ready bitset, then one 32-bit [`Prod`] lane per
+/// value, two to a word. `R` = {v ∈ F : every user of v is decided} is a
+/// function of `F`, so it is not part of the state identity; it is kept
+/// current by [`State::decide`]. Every transition writes all four, so a
+/// successor copies them in one `memcpy` (into a reused scratch state when
+/// it is scored, a fresh allocation when it is built); the accessors below
+/// are the only code that knows the layout.
 #[derive(Clone, Default)]
 struct State {
     buf: Vec<u64>,
@@ -555,7 +561,7 @@ impl State {
     /// all-[`Prod::Free`] producer table.
     fn zeroed(n: usize, words: usize) -> State {
         State {
-            buf: vec![0; 2 * words + n.div_ceil(2)],
+            buf: vec![0; 3 * words + n.div_ceil(2)],
             words: words as u32,
             vset: Vec::new(),
             g: 0.0,
@@ -584,6 +590,18 @@ impl State {
         &mut self.buf[w..2 * w]
     }
 
+    /// `R`, as a bitset by value index: the free values whose users are
+    /// all decided.
+    fn ready(&self) -> &[u64] {
+        let w = self.words as usize;
+        &self.buf[2 * w..3 * w]
+    }
+
+    fn ready_mut(&mut self) -> &mut [u64] {
+        let w = self.words as usize;
+        &mut self.buf[2 * w..3 * w]
+    }
+
     /// The (F, S) words — the buffer-resident part of the state identity.
     fn key_words(&self) -> &[u64] {
         &self.buf[..2 * self.words as usize]
@@ -609,19 +627,24 @@ impl State {
     /// How value `v` was produced.
     fn prod(&self, v: ValueId) -> Prod {
         let i = v.index();
-        let word = self.buf[2 * self.words as usize + i / 2];
+        let word = self.buf[3 * self.words as usize + i / 2];
         Prod::from_lane((word >> (i % 2 * 32)) as u32)
     }
 
     fn set_prod(&mut self, v: ValueId, p: Prod) {
         let i = v.index();
         let shift = i % 2 * 32;
-        let word = &mut self.buf[2 * self.words as usize + i / 2];
+        let word = &mut self.buf[3 * self.words as usize + i / 2];
         *word = *word & !(0xFFFF_FFFF << shift) | (p.to_lane() as u64) << shift;
     }
 
     fn is_free(&self, v: ValueId) -> bool {
         bit(self.free(), v.index())
+    }
+
+    /// Whether `v` is free with every user decided (`v ∈ R`).
+    fn is_ready(&self, v: ValueId) -> bool {
+        bit(self.ready(), v.index())
     }
 
     fn terminal(&self) -> bool {
@@ -637,6 +660,23 @@ impl State {
     fn clear_free(&mut self, v: ValueId) {
         clear_bit(self.free_mut(), v.index());
         self.hash ^= mix128(TAG_FREE, v.index() as u64);
+    }
+
+    /// Decide the free value `v` as produced by `p`: it leaves `F` and
+    /// `R`, and each free operand whose last free user was `v` joins `R`
+    /// and is pushed onto `fresh`, the dead sweep's worklist.
+    fn decide(&mut self, fz: &FrozenCtx, v: ValueId, p: Prod, fresh: &mut Vec<ValueId>) {
+        self.clear_free(v);
+        clear_bit(self.ready_mut(), v.index());
+        self.set_prod(v, p);
+        for o in fz.f.inst(v).operands() {
+            if self.is_free(o)
+                && fz.users_decided(self.free(), o)
+                && set_bit(self.ready_mut(), o.index())
+            {
+                fresh.push(o);
+            }
+        }
     }
 
     fn sset_insert(&mut self, v: ValueId) {
@@ -923,8 +963,12 @@ impl SelectionReuse {
 struct Scratch {
     /// The successor each transition is applied into.
     next: State,
-    /// The dead sweep's demanded values (`S` ∪ lanes of `V`).
-    demanded: Vec<u64>,
+    /// The dead sweep's worklist: values a transition made ready.
+    fresh: Vec<ValueId>,
+    /// The dead sweep's view of the lanes of `V`.
+    lanes: Vec<u64>,
+    /// `expand`'s seed candidates, as positions in `seed_packs`.
+    seeds: Vec<u32>,
     /// `expand`'s scalar-fix candidates.
     fix: Vec<u64>,
     /// The legality check's view of the pack path and its DFS state.
@@ -1042,7 +1086,7 @@ impl<'f> Search<'f> {
     fn apply_pack(&self, st: &State, pid: PackId, next: &mut State, scratch: &mut Scratch) -> bool {
         let fz = self.fz;
         // All produced values must be free with all users decided.
-        if !fz.arena.defined(pid).all(|v| st.is_free(v) && fz.users_decided(st.free(), v)) {
+        if !fz.arena.defined(pid).all(|v| st.is_ready(v)) {
             return false;
         }
         // Legality: no contracted cycle with already-chosen packs.
@@ -1067,17 +1111,19 @@ impl<'f> Search<'f> {
         next.action = Action::Pack(pid);
         let pidx = st.pack_len();
         next.g += fz.pack_cost_of(pid);
+        let mut fresh = std::mem::take(&mut scratch.fresh);
+        fresh.clear();
 
         for v in fz.arena.defined(pid) {
-            next.clear_free(v);
             // Extraction cost for values some scalar already demanded —
             // store packs are exempt (§5.2).
-            if next.sset_remove(v) && !is_store {
+            let prod = if next.sset_remove(v) && !is_store {
                 next.g += fz.cost.c_extract;
-                next.set_prod(v, Prod::PackX(pidx));
+                Prod::PackX(pidx)
             } else {
-                next.set_prod(v, Prod::Pack(pidx));
-            }
+                Prod::Pack(pidx)
+            };
+            next.decide(fz, v, prod, &mut fresh);
         }
         // Shuffle charge: vectors overlapping but not exactly produced.
         // Overlapping vectors whose lanes are now all decided leave V.
@@ -1103,9 +1149,8 @@ impl<'f> Search<'f> {
         // users are all decided. Interiors use each other, and a user
         // follows its operand, so one descending pass is the fixpoint.
         for &v in fz.interior(pid) {
-            if next.is_free(v) && fz.users_decided(next.free(), v) {
-                next.clear_free(v);
-                next.set_prod(v, Prod::Dead);
+            if next.is_ready(v) {
+                next.decide(fz, v, Prod::Dead, &mut fresh);
             }
         }
 
@@ -1122,75 +1167,63 @@ impl<'f> Search<'f> {
             }
         }
 
-        self.sweep_dead(next, None, scratch);
+        self.sweep_dead(next, st.action == Action::Init, &mut fresh, &mut scratch.lanes);
+        scratch.fresh = fresh;
         true
     }
 
-    /// Sweep undemanded dead code: any free value that is not requested (in
-    /// S or a lane of V) and whose users are all decided will never be
-    /// emitted — the "intermediate instructions become dead code" effect of
-    /// replacing multiple IR instructions with one machine operation.
+    /// Sweep undemanded dead code: any ready value that is not requested
+    /// (in S or a lane of V) will never be emitted — the "intermediate
+    /// instructions become dead code" effect of replacing multiple IR
+    /// instructions with one machine operation.
     ///
-    /// `fixed` is `Some(v)` when `st` is a scalar fix of `v` from a state
-    /// that was itself swept; then only `v`'s operands are visited (see
-    /// [`Self::sweep_operands`]). Otherwise every candidate is.
-    fn sweep_dead(&self, st: &mut State, fixed: Option<ValueId>, scratch: &mut Scratch) {
+    /// `fresh` holds the values the transition that made `st` added to
+    /// `R`, and the sweep visits only those and what killing them makes
+    /// ready. That is exact: in a swept state every ready value is
+    /// demanded, and a transition takes demand away from no free value
+    /// (it drops from `S` and `V` only values and vectors it decides), so
+    /// a ready, undemanded value of `st` is one the transition made ready.
+    /// The root was never swept, so a transition from it (`from_root`)
+    /// visits all of `R`. Killing is monotone, so the worklist order cannot
+    /// change the least fixpoint, and the state hash is an XOR over
+    /// members, so it cannot show in the hash either.
+    fn sweep_dead(
+        &self,
+        st: &mut State,
+        from_root: bool,
+        fresh: &mut Vec<ValueId>,
+        lanes: &mut Vec<u64>,
+    ) {
+        let fz = self.fz;
         #[cfg(test)]
-        let reference = tests::reference_sweep(self.fz, st);
-        match fixed {
-            Some(v) => self.sweep_operands(st, v),
-            None => self.sweep_all(st, scratch),
+        let reference = tests::reference_sweep(fz, st);
+        if from_root {
+            fresh.clear();
+            fresh.extend(ones(st.ready()).map(|i| ValueId::from_raw(i as u32)));
+        }
+        // The lanes of `V`, gathered at the first value that needs them
+        // (the sweep changes neither `V` nor `S`).
+        let mut lanes_built = false;
+        while let Some(v) = fresh.pop() {
+            if !st.is_ready(v) || bit(st.sset(), v.index()) {
+                continue;
+            }
+            if !lanes_built {
+                lanes.clear();
+                lanes.resize(fz.words, 0);
+                for x in &st.vset {
+                    for l in fz.arena.operand(x.id).defined() {
+                        set_bit(lanes, l.index());
+                    }
+                }
+                lanes_built = true;
+            }
+            if !bit(lanes, v.index()) {
+                st.decide(fz, v, Prod::Dead, fresh);
+            }
         }
         #[cfg(test)]
         tests::assert_same_sweep(&reference, st);
-    }
-
-    /// The full sweep. Killing a value can only free up its operands, and
-    /// operands precede their users, so visiting the candidates once in
-    /// descending index reaches the least fixpoint; the state hash is an
-    /// XOR over members, so the visiting order cannot show in it.
-    fn sweep_all(&self, st: &mut State, scratch: &mut Scratch) {
-        let demanded = &mut scratch.demanded;
-        demanded.clear();
-        demanded.extend_from_slice(st.sset());
-        for x in &st.vset {
-            for v in self.fz.arena.operand(x.id).defined() {
-                set_bit(demanded, v.index());
-            }
-        }
-        for w in (0..self.fz.words).rev() {
-            let mut candidates = st.free()[w] & !demanded[w];
-            while candidates != 0 {
-                let b = 63 - candidates.leading_zeros() as usize;
-                candidates &= !(1u64 << b);
-                let v = ValueId::from_raw((w * 64 + b) as u32);
-                if self.fz.users_decided(st.free(), v) {
-                    st.clear_free(v);
-                    st.set_prod(v, Prod::Dead);
-                }
-            }
-        }
-    }
-
-    /// The sweep after fixing `v` as a scalar in a swept state. There every
-    /// free, undemanded value had a free user. The fix decides only `v`,
-    /// and only drops members of `V` whose lanes are all decided, so a
-    /// value can have lost its last free user only if it is an operand of
-    /// `v`; each free non-constant operand of `v` has just joined `S`. So
-    /// only `v`'s free constant operands can die, and a constant has no
-    /// operands to free up in turn.
-    fn sweep_operands(&self, st: &mut State, v: ValueId) {
-        let fz = self.fz;
-        for o in fz.f.inst(v).operands() {
-            let demanded = || {
-                bit(st.sset(), o.index())
-                    || st.vset.iter().any(|x| fz.arena.operand(x.id).contains(o))
-            };
-            if st.is_free(o) && fz.users_decided(st.free(), o) && !demanded() {
-                st.clear_free(o);
-                st.set_prod(o, Prod::Dead);
-            }
-        }
     }
 
     /// Transition: fix `v` as a scalar instruction of `st`, writing the
@@ -1203,7 +1236,7 @@ impl<'f> Search<'f> {
         scratch: &mut Scratch,
     ) -> bool {
         let fz = self.fz;
-        if !st.is_free(v) || !fz.users_decided(st.free(), v) {
+        if !st.is_ready(v) {
             return false;
         }
         let f = &fz.f;
@@ -1214,8 +1247,9 @@ impl<'f> Search<'f> {
         for x in &next.vset {
             next.g += fz.cost.insert_one_cost(f, v, fz.arena.operand(x.id));
         }
-        next.clear_free(v);
-        next.set_prod(v, Prod::Scalar);
+        let mut fresh = std::mem::take(&mut scratch.fresh);
+        fresh.clear();
+        next.decide(fz, v, Prod::Scalar, &mut fresh);
         next.sset_remove(v);
         // Satisfied vectors leave V.
         next.vset_drop_satisfied(fz);
@@ -1234,9 +1268,8 @@ impl<'f> Search<'f> {
                 }
             }
         }
-        // Every state but the root was swept by the transition that made it.
-        let fixed = (st.action != Action::Init).then_some(v);
-        self.sweep_dead(next, fixed, scratch);
+        self.sweep_dead(next, st.action == Action::Init, &mut fresh, &mut scratch.lanes);
+        scratch.fresh = fresh;
         true
     }
 
@@ -1252,13 +1285,25 @@ impl<'f> Search<'f> {
         //    packs covering jumbled load operands (paid with a shuffle) —
         //    and of their opcode groups, for mixed-opcode operands (blended
         //    at a shuffle cost when they meet); 2. seed packs (store chains
-        //    + affinity seeds).
+        //    + affinity seeds) whose first defined lane is ready, in
+        //    `seed_packs` order — no other seed pack can apply, and `n`
+        //    counts successes only, so skipping them records the same
+        //    successors.
         let requested = st.vset.iter().flat_map(|x| {
             let candidates = fz.arena.candidates(x.id);
             let groups = candidates.groups.iter().flat_map(|&g| fz.arena.candidates(g).producers);
             candidates.producers.iter().chain(candidates.covering).chain(groups)
         });
-        for &pid in requested.chain(&fz.seed_packs) {
+        let mut seeds = std::mem::take(&mut scratch.seeds);
+        seeds.clear();
+        for v in ones(st.ready()) {
+            seeds.extend_from_slice(fz.seeds_first_at(v));
+        }
+        seeds.sort_unstable();
+        #[cfg(test)]
+        tests::assert_same_seed_candidates(fz, st, &seeds);
+        let seed_packs = seeds.iter().map(|&at| &fz.seed_packs[at as usize]);
+        for &pid in requested.chain(seed_packs) {
             if n >= cap {
                 break;
             }
@@ -1267,17 +1312,19 @@ impl<'f> Search<'f> {
                 n += 1;
             }
         }
-        // 3. Scalar fixes: values demanded by S or by requested vectors,
-        //    in ascending value order.
+        scratch.seeds = seeds;
+        // 3. Scalar fixes: ready values demanded by S or by requested
+        //    vectors, in ascending value order.
         let mut fix = std::mem::take(&mut scratch.fix);
         fix.clear();
         fix.extend_from_slice(st.sset());
         for x in &st.vset {
             for v in fz.arena.operand(x.id).defined() {
-                if st.is_free(v) {
-                    set_bit(&mut fix, v.index());
-                }
+                set_bit(&mut fix, v.index());
             }
+        }
+        for (f, r) in fix.iter_mut().zip(st.ready()) {
+            *f &= r;
         }
         for i in ones(&fix) {
             if n >= cap {
@@ -1520,13 +1567,19 @@ pub fn select_packs_reusing(
     result
 }
 
-/// The search root: everything free, nothing requested, `S` = the stores.
+/// The search root: everything free, nothing requested, `S` = the stores,
+/// `R` = the values nothing uses.
 fn initial_state(fz: &FrozenCtx) -> State {
     let n = fz.f.insts.len();
     let mut init = State::zeroed(n, fz.words);
     let free = init.free_mut();
     for i in 0..n {
         set_bit(free, i);
+    }
+    for v in fz.f.value_ids() {
+        if fz.users_decided(init.free(), v) {
+            set_bit(init.ready_mut(), v.index());
+        }
     }
     for s in fz.f.stores() {
         init.sset_insert(s);
@@ -1820,6 +1873,9 @@ mod tests {
         /// with `dedup_pool` and a full sort of the materialized pool, on
         /// this thread.
         static POOL_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Expansions whose indexed seed candidates were compared with a
+        /// full pass over `seed_packs`, on this thread.
+        static SEED_CHECKS: Cell<u64> = const { Cell::new(0) };
         /// States built from a record (not carried), on this thread.
         pub(super) static BUILDS: Cell<u64> = const { Cell::new(0) };
         /// The most successors one expansion scored, on this thread.
@@ -1828,22 +1884,23 @@ mod tests {
 
     /// The sweep the search used before the bitset kernel: a `BTreeSet` of
     /// demanded values and ascending passes over every instruction until
-    /// nothing changes. Kept as the reference `sweep_dead` is compared
-    /// with after every transition any test of this crate makes, scored
-    /// or built.
+    /// nothing changes, readiness read from the use lists; then `R`
+    /// recomputed from scratch. Kept as the reference `sweep_dead` is
+    /// compared with after every transition any test of this crate makes,
+    /// scored or built.
     pub(super) fn reference_sweep(fz: &FrozenCtx, st: &State) -> State {
         let mut st = st.clone();
         let mut demanded: BTreeSet<ValueId> = st.sset_iter().collect();
         for x in &st.vset {
             demanded.extend(fz.arena.operand(x.id).defined());
         }
+        let ready = |st: &State, v: ValueId| {
+            st.is_free(v) && fz.users[v.index()].iter().all(|u| !st.is_free(*u))
+        };
         loop {
             let mut changed = false;
             for v in fz.f.value_ids() {
-                if !st.is_free(v) || demanded.contains(&v) {
-                    continue;
-                }
-                if fz.users[v.index()].iter().all(|u| !st.is_free(*u)) {
+                if !demanded.contains(&v) && ready(&st, v) {
                     st.clear_free(v);
                     st.set_prod(v, Prod::Dead);
                     changed = true;
@@ -1853,11 +1910,34 @@ mod tests {
                 break;
             }
         }
+        // `R` from scratch, from the use lists.
+        st.ready_mut().fill(0);
+        for v in fz.f.value_ids() {
+            if ready(&st, v) {
+                set_bit(st.ready_mut(), v.index());
+            }
+        }
         st
+    }
+
+    /// The seed packs a full pass over `seed_packs` would find ready, by
+    /// the use-list test, in order, must be the ready ones among the
+    /// indexed candidates `seeds` (positions in `seed_packs`) — which must
+    /// ascend.
+    pub(super) fn assert_same_seed_candidates(fz: &FrozenCtx, st: &State, seeds: &[u32]) {
+        let ready =
+            |v: ValueId| st.is_free(v) && fz.users[v.index()].iter().all(|u| !st.is_free(*u));
+        let applicable = |at: &u32| fz.arena.defined(fz.seed_packs[*at as usize]).all(ready);
+        let want: Vec<u32> = (0..fz.seed_packs.len() as u32).filter(applicable).collect();
+        let got: Vec<u32> = seeds.iter().copied().filter(applicable).collect();
+        assert_eq!(want, got, "seed candidates: the index misses or misorders a ready seed pack");
+        assert!(seeds.is_sorted(), "seed candidates: positions out of seed order");
+        SEED_CHECKS.with(|c| c.set(c.get() + 1));
     }
 
     pub(super) fn assert_same_sweep(reference: &State, st: &State) {
         assert_eq!(reference.free(), st.free(), "sweep: free words diverge from the reference");
+        assert_eq!(reference.ready(), st.ready(), "sweep: R diverges from the reference");
         assert!(reference.buf == st.buf, "sweep: S or prod table diverges from the reference");
         assert_eq!(reference.hash, st.hash, "sweep: state hash diverges from the reference");
         SWEEP_CHECKS.with(|c| c.set(c.get() + 1));
@@ -2497,23 +2577,34 @@ mod tests {
     /// Search `f` at `width` on this thread and return how many legality
     /// verdicts, sweeps and pools (dedup + ranking) were compared with
     /// their references on the way (the comparisons themselves are in
-    /// `apply_pack`, `sweep_dead` and `run_search`). Every scored
+    /// `apply_pack`, `sweep_dead`, `expand` and `run_search`); every
+    /// expansion also compares its indexed seed candidates. Every scored
     /// transition sweeps once, and so does every state built from a
     /// record: each one once for its iteration's materialized pool, and
     /// the survivors once more.
     fn checked_search(desc: &TargetDesc, f: &Function, width: usize) -> [u64; 3] {
-        let counts =
-            || [LEGALITY_CHECKS.get(), SWEEP_CHECKS.get(), POOL_CHECKS.get(), BUILDS.get()];
+        let counts = || {
+            [
+                LEGALITY_CHECKS.get(),
+                SWEEP_CHECKS.get(),
+                POOL_CHECKS.get(),
+                BUILDS.get(),
+                SEED_CHECKS.get(),
+            ]
+        };
         let before = counts();
         let ctx = VectorizerCtx::new(f, desc, CostModel::default());
         let cfg =
             BeamConfig { beam_threads: 1, log_decisions: true, ..BeamConfig::with_width(width) };
         let r = select_packs(&ctx, &cfg).unwrap();
         let after = counts();
-        let [legality, sweeps, pools, builds] = std::array::from_fn(|i| after[i] - before[i]);
+        let [legality, sweeps, pools, builds, seeds] =
+            std::array::from_fn(|i| after[i] - before[i]);
         let transitions = r.stats.transitions;
         assert!(builds >= transitions, "{}: every scored transition is materialized", f.name);
         assert_eq!(sweeps, transitions + builds, "{}: every transition sweeps once", f.name);
+        let expanded = r.stats.states_expanded as u64;
+        assert_eq!(seeds, expanded, "{}: every expansion checks its seed candidates", f.name);
         let iterations = r.decisions.expect("logging is on").iterations.len() as u64;
         assert_eq!(pools, iterations, "{}: every iteration checks its pool", f.name);
         [legality, sweeps, pools]
@@ -2686,7 +2777,7 @@ mod tests {
     }
 
     #[test]
-    fn one_descending_pass_sweeps_a_three_deep_dead_chain() {
+    fn the_root_sweep_kills_a_three_deep_dead_chain() {
         let mut b = FunctionBuilder::new("t");
         let p = b.param("A", Type::I32, 4);
         let x = b.load(p, 0);
@@ -2704,7 +2795,7 @@ mod tests {
         let mut st = initial_state(&fz);
         // (`sweep_dead` itself compares with the ascending reference,
         // which needs four passes here.)
-        search.sweep_dead(&mut st, None, &mut Scratch::default());
+        search.sweep_dead(&mut st, true, &mut Vec::new(), &mut Vec::new());
         for v in [x, c1, c2, c3] {
             assert!(!st.is_free(v), "{v} must be swept");
             assert_eq!(st.prod(v), Prod::Dead);

@@ -129,6 +129,12 @@ pub struct FrozenCtx {
     pub(crate) scalar_cost: f64,
     /// Resolved seed packs (store chains + affinity), in seed order.
     pub(crate) seed_packs: Vec<PackId>,
+    /// The seed packs by their first defined lane: value `v`'s are the
+    /// ascending `seed_packs` positions `seed_first[seed_first_at[v]..
+    /// seed_first_at[v + 1]]`. A pack applies only if that lane is ready,
+    /// so expansion visits only the lists of ready values.
+    seed_first: Vec<u32>,
+    seed_first_at: Vec<u32>,
     /// Reuse-compatibility fingerprint: the seed parameters the snapshot
     /// was frozen under (seed resolution is part of the closure).
     seeds: AffinityParams,
@@ -198,27 +204,30 @@ impl FrozenCtx {
     ) -> Result<FrozenCtx, SelectError> {
         let _sp = vegen_trace::span("beam", "freeze");
         budget_ok(&cfg.budget, t0)?;
+        // Polled once per first lane of the seed enumeration and once per
+        // id of the closure sweep.
+        let mut stride = 0u32;
+        let mut poll = || {
+            stride += 1;
+            if stride.is_multiple_of(FREEZE_BUDGET_STRIDE) {
+                budget_ok(&cfg.budget, t0)?;
+            }
+            Ok(())
+        };
 
         // Seed packs: store chains always; affinity seeds resolved through
         // Algorithm 1 into concrete packs.
         let mut seed_packs: Vec<PackId> =
             ctx.store_chain_packs().into_iter().map(|p| arena.intern_memory(p)).collect();
         if cfg.use_affinity_seeds {
-            for x in enumerate_seeds(ctx, &cfg.seeds) {
+            for x in enumerate_seeds(ctx, &cfg.seeds, &mut poll)? {
                 seed_packs.extend(arena.seed_producers(ctx, x));
             }
         }
         seed_packs.dedup();
 
         // Closure fixpoint over the arenas.
-        let mut stride = 0u32;
-        arena.close(ctx, || {
-            stride += 1;
-            if stride.is_multiple_of(FREEZE_BUDGET_STRIDE) {
-                budget_ok(&cfg.budget, t0)?;
-            }
-            Ok(())
-        })?;
+        arena.close(ctx, poll)?;
 
         let f = ctx.f.clone();
         let n_packs = arena.pack_count();
@@ -233,6 +242,23 @@ impl FrozenCtx {
 
         let n = f.insts.len();
         let words = n.div_ceil(64).max(1);
+        // A counting sort of the seed positions by first defined lane.
+        let first_lane =
+            |pid: PackId| arena.defined(pid).next().expect("a seed pack defines a lane").index();
+        let mut seed_first_at = vec![0u32; n + 1];
+        for &pid in &seed_packs {
+            seed_first_at[first_lane(pid) + 1] += 1;
+        }
+        for v in 0..n {
+            seed_first_at[v + 1] += seed_first_at[v];
+        }
+        let mut seed_first = vec![0u32; seed_packs.len()];
+        let mut fill = seed_first_at.clone();
+        for (at, &pid) in seed_packs.iter().enumerate() {
+            let v = first_lane(pid);
+            seed_first[fill[v] as usize] = at as u32;
+            fill[v] += 1;
+        }
         let mut users_mask = BitMatrix::new(n, words);
         for (v, users) in ctx.users.iter().enumerate() {
             for u in users {
@@ -323,6 +349,8 @@ impl FrozenCtx {
             scalar_one,
             scalar_cost,
             seed_packs,
+            seed_first,
+            seed_first_at,
             seeds: cfg.seeds,
             use_affinity_seeds: cfg.use_affinity_seeds,
             f,
@@ -366,6 +394,12 @@ impl FrozenCtx {
     pub(crate) fn users_decided(&self, free: &[u64], v: ValueId) -> bool {
         let w0 = v.index() / 64;
         !intersects(&self.users_mask.row(v.index())[w0..], &free[w0..])
+    }
+
+    /// The `seed_packs` positions of the seed packs whose first defined
+    /// lane is `v`, ascending.
+    pub(crate) fn seeds_first_at(&self, v: usize) -> &[u32] {
+        &self.seed_first[self.seed_first_at[v] as usize..self.seed_first_at[v + 1] as usize]
     }
 
     /// Whether pack `id` defines a value in `row`.

@@ -5,6 +5,7 @@
 //! and every target vector length, it enumerates the top-k lane sequences
 //! maximizing the summed affinity of adjacent lanes.
 
+use crate::bits::{clear_bit, ones, set_bit, BitMatrix};
 use crate::ctx::VectorizerCtx;
 use crate::intern::IdMap;
 use crate::operand::OperandVec;
@@ -150,64 +151,128 @@ const MAX_SEED_LANES: usize = 16;
 /// heading for, so one run to the longest length serves every shorter one:
 /// the frontier is emitted as seeds each time its length reaches a power
 /// of two.
-pub fn enumerate_seeds(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<OperandVec> {
+///
+/// Each frontier sequence carries the bitset of values that may extend
+/// it: the compute values of its type, less its lanes, their ancestors and
+/// their descendants (the dependence closure and its transpose). The set
+/// is walked in ascending index — program order — so the affinity memo is
+/// filled in the order a scan of every compute value would fill it (the
+/// memo ignores the remaining depth, so that order decides scores).
+///
+/// `poll` runs once per first lane, before its sequences are extended.
+///
+/// # Errors
+///
+/// Returns the first error `poll` returns, at once.
+pub fn enumerate_seeds<E>(
+    ctx: &VectorizerCtx<'_>,
+    params: &AffinityParams,
+    mut poll: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<OperandVec>, E> {
     let mut memo = IdMap::default();
     let (compute, firsts) = lane_candidates(ctx);
+    let words = ctx.f.insts.len().div_ceil(64).max(1);
+    // `below.row(v)`: the compute values that depend on `v`.
+    let mut below = BitMatrix::new(ctx.f.insts.len(), words);
+    for &u in &compute {
+        for v in ones(ctx.deps.closure_row(u)) {
+            set_bit(below.row_mut(v), u.index());
+        }
+    }
+    // The frontier: scores, then the sequences (`len - 1` lanes each) and
+    // their extension sets (`words` each) back to back; the next frontier
+    // is built beside it and swapped in.
+    let mut scores: Vec<f64> = Vec::new();
+    let (mut seqs, mut next_seqs) = (Vec::new(), Vec::new());
+    let (mut masks, mut next_masks) = (Vec::new(), Vec::new());
+    // The best extensions of the frontier: (score, frontier index, lane).
+    let mut best: Vec<(f64, usize, ValueId)> = Vec::with_capacity(params.top_k + 1);
     let mut seeds = Vec::new();
-    // Extensions of the current frontier: (score, frontier index, new lane).
-    let mut scored: Vec<(f64, usize, ValueId)> = Vec::new();
     for &first in &firsts {
+        poll()?;
         let ty = ctx.f.ty(first);
         let lane_budget = (ctx.max_bits / ty.bits().max(1)).max(2) as usize;
-        let mut frontier: Vec<(f64, Vec<ValueId>)> = vec![(0.0, vec![first])];
+        scores.clear();
+        scores.push(0.0);
+        seqs.clear();
+        seqs.push(first);
+        masks.clear();
+        masks.resize(words, 0);
+        for &c in compute.iter().filter(|&&c| ctx.f.ty(c) == ty) {
+            set_bit(&mut masks, c.index());
+        }
+        exclude(&mut masks, ctx, &below, first);
         for len in 2..=MAX_SEED_LANES.min(lane_budget) {
-            scored.clear();
-            for (at, (score, seq)) in frontier.iter().enumerate() {
-                let last = *seq.last().unwrap();
-                for &cand in &compute {
-                    if seq.contains(&cand) || ctx.f.ty(cand) != ty {
-                        continue;
-                    }
-                    if !seq.iter().all(|&s| ctx.deps.independent(s, cand)) {
-                        continue;
-                    }
+            best.clear();
+            for (at, &score) in scores.iter().enumerate() {
+                let last = seqs[at * (len - 1) + len - 2];
+                for c in ones(&masks[at * words..(at + 1) * words]) {
+                    let cand = ValueId::from_raw(c as u32);
                     let a = affinity_rec(ctx, params, last, cand, params.max_depth, &mut memo);
-                    scored.push((score + a, at, cand));
+                    keep_best(&mut best, params.top_k, (score + a, at, cand));
                 }
             }
-            // Stable, so equal scores keep (frontier, candidate) order.
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-            scored.truncate(params.top_k);
-            if scored.is_empty() {
+            if best.is_empty() {
                 break;
             }
-            frontier = scored
-                .iter()
-                .map(|&(score, at, cand)| {
-                    let mut seq = Vec::with_capacity(len);
-                    seq.extend_from_slice(&frontier[at].1);
-                    seq.push(cand);
-                    (score, seq)
-                })
-                .collect();
+            scores.clear();
+            next_seqs.clear();
+            next_masks.clear();
+            for &(score, at, cand) in &best {
+                scores.push(score);
+                next_seqs.extend_from_slice(&seqs[at * (len - 1)..(at + 1) * (len - 1)]);
+                next_seqs.push(cand);
+                let from = next_masks.len();
+                next_masks.extend_from_slice(&masks[at * words..(at + 1) * words]);
+                exclude(&mut next_masks[from..], ctx, &below, cand);
+            }
+            std::mem::swap(&mut seqs, &mut next_seqs);
+            std::mem::swap(&mut masks, &mut next_masks);
             if len.is_power_of_two() {
-                seeds.extend(frontier.iter().map(|(_, seq)| OperandVec::from_values(seq.clone())));
+                seeds.extend(seqs.chunks(len).map(|seq| OperandVec::from_values(seq.to_vec())));
             }
         }
     }
     seeds.sort();
     seeds.dedup();
-    seeds
+    Ok(seeds)
+}
+
+/// Remove lane `v`, its ancestors and its descendants from `mask`.
+fn exclude(mask: &mut [u64], ctx: &VectorizerCtx<'_>, below: &BitMatrix, v: ValueId) {
+    let (up, down) = (ctx.deps.closure_row(v), below.row(v.index()));
+    for ((m, u), d) in mask.iter_mut().zip(up).zip(down) {
+        *m &= !(u | d);
+    }
+    clear_bit(mask, v.index());
+}
+
+/// Insert `x` into `best`, the `k` highest scores seen so far in
+/// descending order, after every entry it ties with: the prefix a stable
+/// descending sort of everything seen would keep.
+fn keep_best(best: &mut Vec<(f64, usize, ValueId)>, k: usize, x: (f64, usize, ValueId)) {
+    let at = best.iter().position(|b| b.0.total_cmp(&x.0).is_lt()).unwrap_or(best.len());
+    if at < k {
+        best.insert(at, x);
+        best.truncate(k);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::testutil::avx2_desc;
+    use crate::testutil::{avx2_desc, corpus, corpus_and_soak_seed_kernels, suite_kernels};
+    use std::convert::Infallible;
     use vegen_ir::canon::canonicalize;
     use vegen_ir::{FunctionBuilder, Type};
+    use vegen_isa::{InstDb, TargetIsa};
     use vegen_match::TargetDesc;
+
+    /// [`enumerate_seeds`] without a budget.
+    fn seeds_of(ctx: &VectorizerCtx<'_>, params: &AffinityParams) -> Vec<OperandVec> {
+        enumerate_seeds(ctx, params, || Ok::<(), Infallible>(())).unwrap_or_else(|e| match e {})
+    }
 
     fn setup() -> (vegen_ir::Function, TargetDesc) {
         let mut b = FunctionBuilder::new("axpy4");
@@ -267,7 +332,7 @@ mod tests {
     fn seeds_include_the_natural_mul_vector() {
         let (f, desc) = setup();
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let seeds = enumerate_seeds(&ctx, &AffinityParams::default());
+        let seeds = seeds_of(&ctx, &AffinityParams::default());
         let muls: Vec<ValueId> = f
             .iter()
             .filter(|(_, i)| matches!(i.kind, InstKind::Bin { op: vegen_ir::BinOp::FMul, .. }))
@@ -275,6 +340,112 @@ mod tests {
             .collect();
         let want = OperandVec::from_values(muls);
         assert!(seeds.contains(&want), "expected in-order mul seed among {} seeds", seeds.len());
+    }
+
+    /// The one-pass enumeration this module used before the bitset walk:
+    /// every compute value tested against every lane of every frontier
+    /// sequence, all extensions scored into one list, then a stable sort
+    /// and a truncation. Kept as the reference.
+    fn one_pass_enumerate_seeds(
+        ctx: &VectorizerCtx<'_>,
+        params: &AffinityParams,
+    ) -> Vec<OperandVec> {
+        let mut memo = IdMap::default();
+        let (compute, firsts) = lane_candidates(ctx);
+        let mut seeds = Vec::new();
+        let mut scored: Vec<(f64, usize, ValueId)> = Vec::new();
+        for &first in &firsts {
+            let ty = ctx.f.ty(first);
+            let lane_budget = (ctx.max_bits / ty.bits().max(1)).max(2) as usize;
+            let mut frontier: Vec<(f64, Vec<ValueId>)> = vec![(0.0, vec![first])];
+            for len in 2..=MAX_SEED_LANES.min(lane_budget) {
+                scored.clear();
+                for (at, (score, seq)) in frontier.iter().enumerate() {
+                    let last = *seq.last().unwrap();
+                    for &cand in &compute {
+                        if seq.contains(&cand) || ctx.f.ty(cand) != ty {
+                            continue;
+                        }
+                        if !seq.iter().all(|&s| ctx.deps.independent(s, cand)) {
+                            continue;
+                        }
+                        let a = affinity_rec(ctx, params, last, cand, params.max_depth, &mut memo);
+                        scored.push((score + a, at, cand));
+                    }
+                }
+                // Stable, so equal scores keep (frontier, candidate) order.
+                scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+                scored.truncate(params.top_k);
+                if scored.is_empty() {
+                    break;
+                }
+                frontier = scored
+                    .iter()
+                    .map(|&(score, at, cand)| {
+                        let mut seq = frontier[at].1.clone();
+                        seq.push(cand);
+                        (score, seq)
+                    })
+                    .collect();
+                if len.is_power_of_two() {
+                    seeds.extend(
+                        frontier.iter().map(|(_, seq)| OperandVec::from_values(seq.clone())),
+                    );
+                }
+            }
+        }
+        seeds.sort();
+        seeds.dedup();
+        seeds
+    }
+
+    #[test]
+    fn bitset_walk_matches_the_one_pass_reference_on_three_targets() {
+        let params = AffinityParams::default();
+        let mut kernels = suite_kernels();
+        kernels.extend(corpus_and_soak_seed_kernels());
+        kernels.extend(corpus(1337));
+        let mut total = 0;
+        for target in [TargetIsa::sse4(), TargetIsa::avx2(), TargetIsa::avx512vnni()] {
+            let desc = TargetDesc::build(&InstDb::for_target(&target), true);
+            for f in &kernels {
+                let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
+                let seeds = seeds_of(&ctx, &params);
+                assert_eq!(seeds, one_pass_enumerate_seeds(&ctx, &params), "{}", f.name);
+                total += seeds.len();
+            }
+        }
+        assert!(total > 10_000, "only {total} seeds compared");
+    }
+
+    #[test]
+    fn a_failing_poll_stops_the_enumeration_at_once() {
+        let desc = avx2_desc();
+        let f = suite_kernels().into_iter().find(|f| f.name == "idct8").expect("idct8");
+        let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
+        let firsts = lane_candidates(&ctx).1.len();
+        assert!(firsts > 4, "idct8 has {firsts} first lanes");
+        for k in [1, 2, firsts] {
+            let mut calls = 0;
+            let r = enumerate_seeds(&ctx, &AffinityParams::default(), || {
+                calls += 1;
+                if calls == k {
+                    Err(calls)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(r, Err(k), "the k-th poll's error comes back");
+            assert_eq!(calls, k, "no poll after the failing one");
+        }
+        // One poll per first lane.
+        let mut calls = 0;
+        enumerate_seeds(&ctx, &AffinityParams::default(), || {
+            calls += 1;
+            Ok::<(), Infallible>(())
+        })
+        .unwrap_or_else(|e| match e {});
+        assert_eq!(calls, firsts);
     }
 
     /// The enumeration this module used before the one-pass version: the
@@ -337,12 +508,12 @@ mod tests {
     fn one_pass_enumeration_matches_the_restarting_reference() {
         let desc = avx2_desc();
         let params = AffinityParams::default();
-        let mut kernels = crate::testutil::suite_kernels();
-        kernels.extend(crate::testutil::corpus_and_soak_seed_kernels());
+        let mut kernels = suite_kernels();
+        kernels.extend(corpus_and_soak_seed_kernels());
         let mut total = 0;
         for f in &kernels {
             let ctx = VectorizerCtx::new(f, &desc, CostModel::default());
-            let seeds = enumerate_seeds(&ctx, &params);
+            let seeds = seeds_of(&ctx, &params);
             assert_eq!(seeds, restarting_enumerate_seeds(&ctx, &params), "{}", f.name);
             total += seeds.len();
         }
@@ -362,7 +533,7 @@ mod tests {
         let f = canonicalize(&b.finish());
         let desc = avx2_desc();
         let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
-        let seeds = enumerate_seeds(&ctx, &AffinityParams::default());
+        let seeds = seeds_of(&ctx, &AffinityParams::default());
         for seed in &seeds {
             let vals: Vec<ValueId> = seed.defined().collect();
             assert!(ctx.deps.all_independent(&vals), "dependent seed {seed}");

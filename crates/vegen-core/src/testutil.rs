@@ -69,6 +69,11 @@ pub(crate) fn suite_kernels() -> Vec<Function> {
     vegen_kernels::all().into_iter().map(|k| prepared(&(k.build)())).collect()
 }
 
+/// The 200 generated kernels of corpus `seed`, prepared.
+pub(crate) fn corpus(seed: u64) -> Vec<Function> {
+    (0..200).map(|i| prepared(&vegen_kernels::gen::generate(seed, i).function)).collect()
+}
+
 /// 200 generated corpus kernels plus the six committed soak regression
 /// seeds (read by their two integers).
 pub(crate) fn corpus_and_soak_seed_kernels() -> Vec<Function> {
