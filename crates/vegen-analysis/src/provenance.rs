@@ -15,10 +15,10 @@
 //! operands are sorted, comparisons are oriented by operand order with
 //! [`CmpPred::swapped`], selects over non-canonical predicates are rewritten
 //! through [`CmpPred::inverse`] with swapped arms, and constant subtrees are
-//! folded with the interpreter's own [`eval_bin`]/[`eval_cmp`]/[`eval_cast`]
-//! (which absorbs the matcher's narrow-constant liberty: the VM computes
-//! `sext(83:i16)` where the IR had `83:i32`, and folding makes them the
-//! same node). Because the normalization at each node is a function of the
+//! folded with the interpreter's own [`eval_bin`]/[`eval_fneg`]/
+//! [`eval_cmp`]/[`eval_cast`] (which absorbs the matcher's narrow-constant
+//! liberty: the VM computes `sext(83:i16)` where the IR had `83:i32`, and
+//! folding makes them the same node). Because the normalization at each node is a function of the
 //! already-interned children, equal programs reach equal `SymId`s no matter
 //! which side interned first.
 //!
@@ -30,9 +30,10 @@
 
 use crate::diag::{Diagnostic, Location};
 use std::collections::HashMap;
-use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp};
+use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, eval_fneg};
 use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Function, InstKind, Param, Type};
-use vegen_match::{pattern_of_operation, Pattern};
+use vegen_match::pattern_of_operation;
+use vegen_vidl::Expr;
 use vegen_vm::{LaneSrc, ScalarOp, VmInst, VmProgram};
 
 /// Outcome of validating one program against its scalar reference.
@@ -242,12 +243,8 @@ impl Arena {
     }
 
     pub(crate) fn mk_fneg(&mut self, arg: SymId) -> SymId {
-        if let Some(c) = self.as_const(arg) {
-            match c.ty() {
-                Type::F32 => return self.mk_const(Constant::f32(-c.as_f32())),
-                Type::F64 => return self.mk_const(Constant::f64(-c.as_f64())),
-                _ => {}
-            }
+        if let Some(Ok(c)) = self.as_const(arg).map(eval_fneg) {
+            return self.mk_const(c);
         }
         self.intern(SymExpr::FNeg { arg })
     }
@@ -443,7 +440,7 @@ fn eval_vm(
     let mut mem = SymMemory::default();
     let mut regs: Vec<Option<RegVal>> = vec![None; prog.n_regs];
     // Patterns replayed for VecOp lanes, cached per (semantics, operation).
-    let mut patterns: HashMap<(usize, usize), Pattern> = HashMap::new();
+    let mut patterns: HashMap<(usize, usize), Expr> = HashMap::new();
 
     for (idx, inst) in prog.insts.iter().enumerate() {
         let at = Location::VmInst { index: idx, lane: None };
@@ -551,7 +548,12 @@ fn eval_vm(
                             })?;
                         psyms.push(lane);
                     }
-                    out.push(eval_pattern(arena, pat, &psyms, lane_at)?);
+                    out.push(eval_pattern(arena, pat, &psyms, &|i| {
+                        Diagnostic::error(
+                            lane_at,
+                            format!("pattern parameter {i} has no lane binding"),
+                        )
+                    })?);
                 }
                 regs[dst.0 as usize] = Some(RegVal::Vector(out));
             }
@@ -592,40 +594,40 @@ fn eval_vm(
     Ok(mem)
 }
 
-/// Evaluate a matcher pattern over symbolic parameter bindings.
+/// Evaluate a VIDL expression — a matcher pattern or a lane operation
+/// body — over symbolic parameter bindings; `unbound(i)` is the error for
+/// a parameter `i` with no binding.
 pub(crate) fn eval_pattern(
     arena: &mut Arena,
-    pat: &Pattern,
+    e: &Expr,
     params: &[SymId],
-    at: Location,
+    unbound: &dyn Fn(usize) -> Diagnostic,
 ) -> Result<SymId, Diagnostic> {
-    match pat {
-        Pattern::Param(i) => params.get(*i).copied().ok_or_else(|| {
-            Diagnostic::error(at, format!("pattern parameter {i} has no lane binding"))
-        }),
-        Pattern::Const(c) => Ok(arena.mk_const(*c)),
-        Pattern::Bin { op, lhs, rhs } => {
-            let l = eval_pattern(arena, lhs, params, at)?;
-            let r = eval_pattern(arena, rhs, params, at)?;
+    match e {
+        Expr::Param(i) => params.get(*i).copied().ok_or_else(|| unbound(*i)),
+        Expr::Const(c) => Ok(arena.mk_const(*c)),
+        Expr::Bin { op, lhs, rhs } => {
+            let l = eval_pattern(arena, lhs, params, unbound)?;
+            let r = eval_pattern(arena, rhs, params, unbound)?;
             Ok(arena.mk_bin(*op, l, r))
         }
-        Pattern::FNeg(a) => {
-            let a = eval_pattern(arena, a, params, at)?;
+        Expr::FNeg(a) => {
+            let a = eval_pattern(arena, a, params, unbound)?;
             Ok(arena.mk_fneg(a))
         }
-        Pattern::Cast { op, to, arg } => {
-            let a = eval_pattern(arena, arg, params, at)?;
+        Expr::Cast { op, to, arg } => {
+            let a = eval_pattern(arena, arg, params, unbound)?;
             Ok(arena.mk_cast(*op, *to, a))
         }
-        Pattern::Cmp { pred, lhs, rhs } => {
-            let l = eval_pattern(arena, lhs, params, at)?;
-            let r = eval_pattern(arena, rhs, params, at)?;
+        Expr::Cmp { pred, lhs, rhs } => {
+            let l = eval_pattern(arena, lhs, params, unbound)?;
+            let r = eval_pattern(arena, rhs, params, unbound)?;
             Ok(arena.mk_cmp(*pred, l, r))
         }
-        Pattern::Select { cond, on_true, on_false } => {
-            let c = eval_pattern(arena, cond, params, at)?;
-            let t = eval_pattern(arena, on_true, params, at)?;
-            let e = eval_pattern(arena, on_false, params, at)?;
+        Expr::Select { cond, on_true, on_false } => {
+            let c = eval_pattern(arena, cond, params, unbound)?;
+            let t = eval_pattern(arena, on_true, params, unbound)?;
+            let e = eval_pattern(arena, on_false, params, unbound)?;
             Ok(arena.mk_select(c, t, e))
         }
     }

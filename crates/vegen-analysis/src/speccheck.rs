@@ -26,9 +26,10 @@
 //!    equal to its lane's operation semantics over the hash-consed
 //!    [`crate::provenance`] expression arena; lanes the canonicalizer
 //!    rewrote beyond the arena's normal form fall back to 64 random
-//!    trials. The matcher's liberties — commutative operand swapping and
-//!    cmp/select inversion — are verified against the concrete evaluator
-//!    on the same NaN-free domain the offline validator samples.
+//!    trials of [`vegen_vidl::eval_expr`] on both trees. The matcher's
+//!    liberties — commutative operand swapping and cmp/select inversion —
+//!    are verified against the concrete evaluator on the same NaN-free
+//!    domain the offline validator samples.
 //!
 //! All findings use the shared [`Diagnostic`] type with
 //! [`Location::Inst`] instruction/lane locations, so `vegen-engine
@@ -38,13 +39,14 @@
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::provenance::{canonical_pred, eval_pattern, Arena};
 use std::collections::HashMap;
-use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp};
+use vegen_ir::interp::{eval_bin, eval_cmp};
+use vegen_ir::rng::TrialRng;
 use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Type};
 use vegen_isa::specs::{all_specs, Spec};
 use vegen_isa::{InstDb, InstDef, TargetIsa};
 use vegen_match::table::RegisteredOp;
-use vegen_match::{OpId, Pattern, TargetDesc};
-use vegen_vidl::{check_inst_all, Expr, InstSemantics, Operation};
+use vegen_match::{OpId, TargetDesc};
+use vegen_vidl::{check_inst_all, eval_expr, Expr, InstSemantics, Operation};
 
 /// Structural statistics of a built match table, surfaced in engine
 /// reports independently of the full audit.
@@ -466,7 +468,7 @@ fn audit_match_table(desc: &TargetDesc, diags: &mut Vec<Diagnostic>) -> MatchTab
         let mut dead = false;
         for (lane, &op_id) in inst.lane_ops.iter().enumerate() {
             match &desc.ops.get(op_id).pattern {
-                Pattern::Const(c) => {
+                Expr::Const(c) => {
                     dead = true;
                     diags.push(Diagnostic::warning(
                         Location::Inst { index: i, lane: Some(lane) },
@@ -477,7 +479,7 @@ fn audit_match_table(desc: &TargetDesc, diags: &mut Vec<Diagnostic>) -> MatchTab
                         ),
                     ));
                 }
-                Pattern::Param(_) => {
+                Expr::Param(_) => {
                     diags.push(Diagnostic::warning(
                         Location::Inst { index: i, lane: Some(lane) },
                         format!(
@@ -617,8 +619,11 @@ fn settle(arena: &mut Arena, reg: &RegisteredOp, vidl_op: &Operation) -> Settled
     let at = Location::Program;
     let params: Vec<_> =
         vidl_op.params.iter().enumerate().map(|(j, &ty)| arena.mk_init(j, 0, ty)).collect();
-    let sides = expr_to_sym(arena, &vidl_op.expr, &params, at)
-        .and_then(|sem| Ok((sem, eval_pattern(arena, &reg.pattern, &params, at)?)));
+    let sem_unbound = |i| Diagnostic::error(at, format!("operation parameter {i} is out of range"));
+    let pat_unbound =
+        |i| Diagnostic::error(at, format!("pattern parameter {i} has no lane binding"));
+    let sides = eval_pattern(arena, &vidl_op.expr, &params, &sem_unbound)
+        .and_then(|sem| Ok((sem, eval_pattern(arena, &reg.pattern, &params, &pat_unbound)?)));
     let (sem_side, pat_side) = match sides {
         Ok(sides) => sides,
         Err(d) => return Settled::Failed { named: false, message: d.message },
@@ -648,155 +653,14 @@ fn settle(arena: &mut Arena, reg: &RegisteredOp, vidl_op: &Operation) -> Settled
     }
 }
 
-/// Evaluate a VIDL operation body into the symbolic arena.
-fn expr_to_sym(
-    arena: &mut Arena,
-    e: &Expr,
-    params: &[crate::provenance::SymId],
-    at: Location,
-) -> Result<crate::provenance::SymId, Diagnostic> {
-    match e {
-        Expr::Param(i) => params.get(*i).copied().ok_or_else(|| {
-            Diagnostic::error(at, format!("operation parameter {i} is out of range"))
-        }),
-        Expr::Const(c) => Ok(arena.mk_const(*c)),
-        Expr::Bin { op, lhs, rhs } => {
-            let l = expr_to_sym(arena, lhs, params, at)?;
-            let r = expr_to_sym(arena, rhs, params, at)?;
-            Ok(arena.mk_bin(*op, l, r))
-        }
-        Expr::FNeg(a) => {
-            let a = expr_to_sym(arena, a, params, at)?;
-            Ok(arena.mk_fneg(a))
-        }
-        Expr::Cast { op, to, arg } => {
-            let a = expr_to_sym(arena, arg, params, at)?;
-            Ok(arena.mk_cast(*op, *to, a))
-        }
-        Expr::Cmp { pred, lhs, rhs } => {
-            let l = expr_to_sym(arena, lhs, params, at)?;
-            let r = expr_to_sym(arena, rhs, params, at)?;
-            Ok(arena.mk_cmp(*pred, l, r))
-        }
-        Expr::Select { cond, on_true, on_false } => {
-            let c = expr_to_sym(arena, cond, params, at)?;
-            let t = expr_to_sym(arena, on_true, params, at)?;
-            let f = expr_to_sym(arena, on_false, params, at)?;
-            Ok(arena.mk_select(c, t, f))
-        }
-    }
-}
-
-/// Deterministic xorshift mirroring the offline validator's generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0 = self.0.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(0x9e3779b9);
-        self.0
-    }
-}
-
-/// Draw a value on the offline validator's domain: extremes-biased
-/// integers and small NaN-free floats (float predicate inversion is only
-/// sound without NaN, so the audit samples the same domain the dynamic
-/// validator pins).
-fn draw(rng: &mut Rng, ty: Type) -> Constant {
-    match ty {
-        Type::F32 => Constant::f32(((rng.next() % 4096) as f32 - 2048.0) / 32.0),
-        Type::F64 => Constant::f64(((rng.next() % 4096) as f64 - 2048.0) / 32.0),
-        _ => {
-            let bits = ty.bits();
-            let r = rng.next();
-            let v = match r % 8 {
-                0 => vegen_ir::constant::mask(bits),
-                1 => vegen_ir::constant::mask(bits) >> 1,
-                2 => 1u64 << (bits - 1),
-                3 => 0,
-                _ => r & vegen_ir::constant::mask(bits),
-            };
-            Constant::int(ty, vegen_ir::constant::sext(v, bits))
-        }
-    }
-}
-
-fn pattern_to_expr(p: &Pattern) -> Expr {
-    match p {
-        Pattern::Param(i) => Expr::Param(*i),
-        Pattern::Const(c) => Expr::Const(*c),
-        Pattern::Bin { op, lhs, rhs } => Expr::Bin {
-            op: *op,
-            lhs: Box::new(pattern_to_expr(lhs)),
-            rhs: Box::new(pattern_to_expr(rhs)),
-        },
-        Pattern::FNeg(a) => Expr::FNeg(Box::new(pattern_to_expr(a))),
-        Pattern::Cast { op, to, arg } => {
-            Expr::Cast { op: *op, to: *to, arg: Box::new(pattern_to_expr(arg)) }
-        }
-        Pattern::Cmp { pred, lhs, rhs } => Expr::Cmp {
-            pred: *pred,
-            lhs: Box::new(pattern_to_expr(lhs)),
-            rhs: Box::new(pattern_to_expr(rhs)),
-        },
-        Pattern::Select { cond, on_true, on_false } => Expr::Select {
-            cond: Box::new(pattern_to_expr(cond)),
-            on_true: Box::new(pattern_to_expr(on_true)),
-            on_false: Box::new(pattern_to_expr(on_false)),
-        },
-    }
-}
-
-fn eval_expr_concrete(e: &Expr, params: &[Constant]) -> Result<Constant, String> {
-    match e {
-        Expr::Param(i) => {
-            params.get(*i).copied().ok_or_else(|| format!("parameter {i} out of range"))
-        }
-        Expr::Const(c) => Ok(*c),
-        Expr::Bin { op, lhs, rhs } => {
-            let l = eval_expr_concrete(lhs, params)?;
-            let r = eval_expr_concrete(rhs, params)?;
-            eval_bin(*op, l, r).map_err(|e| e.to_string())
-        }
-        Expr::FNeg(a) => {
-            let v = eval_expr_concrete(a, params)?;
-            match v.ty() {
-                Type::F32 => Ok(Constant::f32(-v.as_f32())),
-                Type::F64 => Ok(Constant::f64(-v.as_f64())),
-                ty => Err(format!("fneg of {ty}")),
-            }
-        }
-        Expr::Cast { op, to, arg } => {
-            let v = eval_expr_concrete(arg, params)?;
-            Ok(eval_cast(*op, v, *to))
-        }
-        Expr::Cmp { pred, lhs, rhs } => {
-            let l = eval_expr_concrete(lhs, params)?;
-            let r = eval_expr_concrete(rhs, params)?;
-            Ok(eval_cmp(*pred, l, r))
-        }
-        Expr::Select { cond, on_true, on_false } => {
-            let c = eval_expr_concrete(cond, params)?;
-            if c.as_u64() != 0 {
-                eval_expr_concrete(on_true, params)
-            } else {
-                eval_expr_concrete(on_false, params)
-            }
-        }
-    }
-}
-
 /// 64-trial concrete equivalence of an operation body and its
 /// canonicalized pattern.
-fn concrete_equiv(op: &Operation, pat: &Pattern, trials: usize) -> Result<(), String> {
-    let pat_expr = pattern_to_expr(pat);
-    let mut rng = Rng(0x5eed_0002);
+fn concrete_equiv(op: &Operation, pat: &Expr, trials: usize) -> Result<(), String> {
+    let mut rng = TrialRng::new(0x5eed_0002);
     for trial in 0..trials {
-        let vals: Vec<Constant> = op.params.iter().map(|&ty| draw(&mut rng, ty)).collect();
-        let sem = eval_expr_concrete(&op.expr, &vals);
-        let got = eval_expr_concrete(&pat_expr, &vals);
+        let vals: Vec<Constant> = op.params.iter().map(|&ty| rng.draw(ty)).collect();
+        let sem = eval_expr(&op.expr, &vals).map_err(|e| e.to_string());
+        let got = eval_expr(pat, &vals).map_err(|e| e.to_string());
         match (&sem, &got) {
             (Ok(a), Ok(b)) if a == b => {}
             (Err(_), Err(_)) => {}
@@ -827,7 +691,7 @@ fn audit_liberties(arena: &mut Arena, desc: &TargetDesc, diags: &mut Vec<Diagnos
         }
     }
     for (_, reg) in desc.ops.iter() {
-        collect_ops(&pattern_to_expr(&reg.pattern), &mut bin_ops, &mut preds);
+        collect_ops(&reg.pattern, &mut bin_ops, &mut preds);
     }
     bin_ops.sort();
     bin_ops.dedup();
@@ -836,13 +700,13 @@ fn audit_liberties(arena: &mut Arena, desc: &TargetDesc, diags: &mut Vec<Diagnos
 
     let int_tys = [Type::I8, Type::I16, Type::I32, Type::I64];
     let float_tys = [Type::F32, Type::F64];
-    let mut rng = Rng(0x5eed_0003);
+    let mut rng = TrialRng::new(0x5eed_0003);
 
     for &op in bin_ops.iter().filter(|o| o.is_commutative()) {
         let tys: &[Type] = if op.is_float() { &float_tys } else { &int_tys };
         for &ty in tys {
             for _ in 0..64 {
-                let (a, b) = (draw(&mut rng, ty), draw(&mut rng, ty));
+                let (a, b) = (rng.draw(ty), rng.draw(ty));
                 let fwd = eval_bin(op, a, b);
                 let rev = eval_bin(op, b, a);
                 let agree = matches!((&fwd, &rev), (Ok(x), Ok(y)) if x == y)
@@ -876,7 +740,7 @@ fn audit_liberties(arena: &mut Arena, desc: &TargetDesc, diags: &mut Vec<Diagnos
         let tys: &[Type] = if pred.is_float() { &float_tys } else { &int_tys };
         for &ty in tys {
             for _ in 0..64 {
-                let (a, b) = (draw(&mut rng, ty), draw(&mut rng, ty));
+                let (a, b) = (rng.draw(ty), rng.draw(ty));
                 let base = eval_cmp(pred, a, b).as_u64();
                 if eval_cmp(pred.swapped(), b, a).as_u64() != base {
                     diags.push(Diagnostic::error(
@@ -1116,10 +980,10 @@ mod tests {
         for (id, op) in desc.ops.iter() {
             let mut pattern = op.pattern.clone();
             if id == bad {
-                pattern = Pattern::Bin {
+                pattern = Expr::Bin {
                     op: BinOp::Xor,
                     lhs: Box::new(pattern),
-                    rhs: Box::new(Pattern::Const(Constant::int(op.ret, 1))),
+                    rhs: Box::new(Expr::Const(Constant::int(op.ret, 1))),
                 };
             }
             assert_eq!(ops.intern(&op.name, op.param_tys.clone(), op.ret, pattern), id);

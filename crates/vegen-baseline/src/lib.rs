@@ -172,11 +172,6 @@ pub fn try_vectorize_baseline(
     Ok(BaselineResult { program, trees_vectorized })
 }
 
-/// Convenience: does the baseline vectorize anything in `f`?
-pub fn baseline_vectorizes(f: &Function, cfg: &BaselineConfig) -> bool {
-    vectorize_baseline(f, cfg).trees_vectorized > 0
-}
-
 pub use tree::synth_simd_sem;
 
 #[cfg(test)]

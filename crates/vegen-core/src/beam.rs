@@ -145,12 +145,6 @@ impl SearchBudget {
     pub fn unlimited() -> SearchBudget {
         SearchBudget::default()
     }
-
-    /// True when no step, wall, or cancellation budget is configured —
-    /// a search under this budget can never return a [`SelectError`].
-    pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.wall.is_none() && self.cancel.is_none()
-    }
 }
 
 /// Why a budgeted search stopped before reaching a terminal state.

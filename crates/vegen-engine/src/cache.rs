@@ -210,11 +210,6 @@ impl CompileCache {
             capacity: self.capacity,
         }
     }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&self) {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
 }
 
 /// Which member of a serve request named the thing to compile.
@@ -445,13 +440,6 @@ impl AliasTable {
             budget: self.budget,
         }
     }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.map.clear();
-        inner.bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -579,8 +567,6 @@ mod tests {
         table.record(&huge, &cfg, "f", ContentHash(7));
         assert!(table.lookup(huge.kind, &huge.text, &cfg).is_none());
         assert_eq!(table.stats().entries, fit);
-        table.clear();
-        assert_eq!((table.stats().entries, table.stats().bytes), (0, 0));
     }
 
     #[test]

@@ -424,11 +424,24 @@ fn parse(cmd: &Command, args: &[String]) -> Result<Option<Parsed>, String> {
     }
 }
 
-/// Write to stdout without panicking when it is a closed pipe (`stats |
-/// head` and `--help | less` must exit cleanly).
+/// The one writer of subcommand output. A closed stdout (`explain | grep
+/// -q`, `stats | head`) ends the output quietly: the first failed write
+/// drops it and every later one, and the run keeps the exit code it would
+/// have had.
 fn write_stdout(text: &str) {
     use std::io::Write as _;
-    let _ = std::io::stdout().write_all(text.as_bytes());
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if !CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_all(text.as_bytes()).is_err() {
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// Run the CLI with pre-split arguments (everything after the program
@@ -573,7 +586,7 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
 fn write_artifact(who: &str, p: &Parsed, doc: &Json, print: bool) -> Result<(), String> {
     let text = if p.has(&COMPACT) { doc.render() } else { doc.render_pretty() };
     if print {
-        println!("{text}");
+        out!("{text}");
     }
     if let Some(path) = p.text(&OUT) {
         write_file(path, &text)?;
@@ -955,9 +968,9 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     let desc = target_desc(&target, true);
     let ctx = VectorizerCtx::new(&f, &desc, CostModel::default());
 
-    println!("explain {} (target {}, beam {beam})", kernel.name, target.name);
-    println!("function: {} instructions, {} stores", f.insts.len(), f.stores().len());
-    println!("canon: {}", canonicalize_with_stats(&source).1);
+    out!("explain {} (target {}, beam {beam})", kernel.name, target.name);
+    out!("function: {} instructions, {} stores", f.insts.len(), f.stores().len());
+    out!("canon: {}", canonicalize_with_stats(&source).1);
 
     let cfg = BeamConfig {
         log_decisions: true,
@@ -980,11 +993,11 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
         if let Some(x) = chain.store_operand() {
             let cost = reuse.cost_slp(&x).expect("store-chain operands are frozen candidates");
             let chain = describe_pack(|di| desc.insts[di].def.name.as_str(), &chain);
-            println!("costSLP({chain}) = {cost:.1}");
+            out!("costSLP({chain}) = {cost:.1}");
         }
     }
 
-    println!(
+    out!(
         "selection: scalar {:.1} → vector {:.1} ({:.2}x estimated), {} states expanded in {wall:.2?}",
         r.scalar_cost,
         r.vector_cost,
@@ -993,18 +1006,22 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     );
 
     let log = r.decisions.as_ref().expect("log_decisions was set");
-    println!("committed packs ({}):", log.committed.len());
+    out!("committed packs ({}):", log.committed.len());
     for c in &log.committed {
-        println!("  {:>3}. {:<40} costop {:.1}", c.step, c.pack, c.cost);
+        out!("  {:>3}. {:<40} costop {:.1}", c.step, c.pack, c.cost);
     }
-    println!("iterations ({}):", log.iterations.len());
+    out!("iterations ({}):", log.iterations.len());
     for it in &log.iterations {
-        println!(
+        out!(
             "  iter {:>3}: beam {} → pool {} → dedup {} → kept {}",
-            it.index, it.beam_in, it.pool, it.deduped, it.kept
+            it.index,
+            it.beam_in,
+            it.pool,
+            it.deduped,
+            it.kept
         );
         for c in &it.candidates {
-            println!(
+            out!(
                 "    {} {:<44} g={:<8.1} est={:<8.1} score={:<8.1} packs={}",
                 if c.kept { "KEEP " } else { "PRUNE" },
                 c.action,
@@ -1023,12 +1040,7 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
     let engine = Engine::new(EngineConfig { threads: 1, verify_trials: 0, ..Default::default() });
     let pipeline = PipelineConfig::new(target, beam);
     let result = engine.compile_one(kernel.name, &(kernel.build)(), &pipeline);
-    println!(
-        "job: corr {} rung {} cache {}",
-        result.corr,
-        result.rung.name(),
-        result.cache_source()
-    );
+    out!("job: corr {} rung {} cache {}", result.corr, result.rung.name(), result.cache_source());
     let Some(compiled) = result.kernel.as_deref() else {
         eprintln!("vegen-engine explain: compilation produced no program:");
         for fault in &result.faults {
@@ -1036,11 +1048,11 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
         }
         return Ok(1);
     };
-    println!("static validation: {}", compiled.analysis.verdict());
+    out!("static validation: {}", compiled.analysis.verdict());
     for d in compiled.analysis.all() {
-        println!("  {d}");
+        out!("  {d}");
     }
-    print!("{}", vegen_vm::listing(&compiled.vegen));
+    write_stdout(&vegen_vm::listing(&compiled.vegen));
     Ok(0)
 }
 
@@ -1078,14 +1090,14 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
             None => {
                 let fault =
                     r.faults.first().map(|e| e.to_string()).unwrap_or_else(|| "no program".into());
-                println!("{head} {} — {fault}", r.rung.name());
+                out!("{head} {} — {fault}", r.rung.name());
                 (1, 0, 0, 0, r.faults.iter().map(|e| Json::str(e.to_string())).collect())
             }
             Some(kernel) => {
                 let a = &kernel.analysis;
-                println!("{head} {}", a.verdict());
+                out!("{head} {}", a.verdict());
                 for d in a.all() {
-                    println!("    {d}");
+                    out!("    {d}");
                 }
                 let diagnostics = a.all().map(|d| Json::str(d.to_string())).collect();
                 (a.error_count(), a.warning_count(), a.packs_checked, a.lanes_proved, diagnostics)
@@ -1106,7 +1118,7 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
         ]));
     }
     print_failure_table(&results);
-    println!(
+    out!(
         "vegen-engine lint: {} kernels in {wall:.2?} (target {}, beam {beam}) — {} error(s), \
          {} warning(s)",
         results.len(),
@@ -1168,9 +1180,9 @@ fn run_check_specs(p: &Parsed) -> Result<i32, String> {
         total_errors += report.error_count();
         total_warnings += report.warning_count();
         if !json {
-            println!("{}", report.verdict());
+            out!("{}", report.verdict());
             for d in &report.diagnostics {
-                println!("    {d}");
+                out!("    {d}");
             }
         }
         publish_match_table_stats(&report.stats);
@@ -1201,7 +1213,7 @@ fn run_check_specs(p: &Parsed) -> Result<i32, String> {
     ]);
     write_artifact("vegen-engine check-specs", p, &doc, json)?;
     if !json {
-        println!(
+        out!(
             "vegen-engine check-specs: {} target(s) in {:.2?} — {} error(s), {} warning(s)",
             targets.len(),
             t0.elapsed(),
@@ -1382,15 +1394,15 @@ fn run_diff(p: &Parsed) -> Result<i32, String> {
     let (old, new) = (load(&p.positionals[0])?, load(&p.positionals[1])?);
     let (regressions, info) = diff_reports(&old, &new, &cfg)?;
     for line in &info {
-        println!("info: {line}");
+        out!("info: {line}");
     }
     for r in &regressions {
-        println!("REGRESSION {}: {}", r.kernel, r.what);
+        out!("REGRESSION {}: {}", r.kernel, r.what);
     }
     if regressions.is_empty() {
-        println!("vegen-engine diff: no regressions (threshold {:.1}%)", cfg.max_regress_pct);
+        out!("vegen-engine diff: no regressions (threshold {:.1}%)", cfg.max_regress_pct);
     } else {
-        println!("vegen-engine diff: {} regression(s)", regressions.len());
+        out!("vegen-engine diff: {} regression(s)", regressions.len());
     }
     Ok(i32::from(!regressions.is_empty()))
 }
@@ -1419,7 +1431,7 @@ fn run_ledger(p: &Parsed) -> Result<i32, String> {
         return Ok(0);
     };
     let diffs = ledger::differences(&want, &got);
-    diffs.iter().take(10).for_each(|d| println!("{d}"));
+    diffs.iter().take(10).for_each(|d| out!("{d}"));
     let (n, wall) = (diffs.len(), t0.elapsed());
     eprintln!("vegen-engine ledger: recomputed in {wall:.2?}; {n} line(s) differ from the file");
     Ok(i32::from(want != got))

@@ -1052,13 +1052,6 @@ impl Engine {
     pub fn counters(&self) -> EngineCounters {
         *self.counters.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Drop every cache entry (counters are kept; useful for cold-run
-    /// measurements).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.aliases.clear();
-    }
 }
 
 impl Default for Engine {

@@ -11,14 +11,12 @@
 //!
 //! Every job runs under `catch_unwind`, so one poisoned job can never take
 //! down the worker (and with it, every job still queued on that worker's
-//! deque). [`run_batch`] preserves the historical contract — the first
-//! panic resurfaces on the caller *after* the whole batch completes —
-//! while [`run_batch_recover`] maps each panic through a recovery closure
-//! into an ordinary result, which is how the engine turns a crashed
-//! compilation into a `Failed` job instead of an aborted batch.
+//! deque). [`run_batch_recover`] maps each panic through a recovery
+//! closure into an ordinary result, which is how the engine turns a
+//! crashed compilation into a `Failed` job instead of an aborted batch.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 use vegen_trace::metrics;
@@ -124,32 +122,10 @@ where
 }
 
 /// Run `work(index, &item)` over every item on `threads` workers and
-/// return the results in input order.
-///
-/// `work` runs exactly once per item. A panicking job does **not** abort
-/// the batch — every remaining job still runs — but the first panic (in
-/// input order) resurfaces on the caller once the batch completes. Use
-/// [`run_batch_recover`] to convert panics into results instead.
-pub fn run_batch<T, R, F>(threads: usize, items: &[T], work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for r in run_core(threads, items, work) {
-        match r {
-            Ok(v) => out.push(v),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Like [`run_batch`], but a panicking job is mapped through
-/// `recover(index, &item, panic_message)` into an ordinary result, so the
-/// returned vector is always complete and input-ordered no matter how
-/// many jobs crashed.
+/// return the results in input order. `work` runs exactly once per item;
+/// a panicking job is mapped through `recover(index, &item,
+/// panic_message)` into an ordinary result, so the returned vector is
+/// always complete and input-ordered no matter how many jobs crashed.
 pub fn run_batch_recover<T, R, F, G>(threads: usize, items: &[T], work: F, recover: G) -> Vec<R>
 where
     T: Sync,
@@ -172,11 +148,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// [`run_batch_recover`] over jobs that must not panic.
+    fn run_all<T: Sync, R: Send>(
+        threads: usize,
+        items: &[T],
+        work: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        run_batch_recover(threads, items, work, |i, _, msg| panic!("job {i} panicked: {msg}"))
+    }
+
     #[test]
     fn results_are_input_ordered_and_complete() {
         let items: Vec<usize> = (0..137).collect();
         for threads in [1, 2, 7, 32] {
-            let out = run_batch(threads, &items, |i, &x| {
+            let out = run_all(threads, &items, |i, &x| {
                 assert_eq!(i, x);
                 x * 3
             });
@@ -187,7 +172,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        run_batch(8, &(0..64).collect::<Vec<usize>>(), |_, &x| {
+        run_all(8, &(0..64).collect::<Vec<usize>>(), |_, &x| {
             counters[x].fetch_add(1, Ordering::SeqCst);
         });
         assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
@@ -197,7 +182,7 @@ mod tests {
     fn uneven_jobs_still_finish() {
         // One expensive job at the front exercises the stealing path.
         let items: Vec<u64> = (0..24).map(|i| if i == 0 { 2_000_000 } else { 10 }).collect();
-        let out = run_batch(4, &items, |_, &spins| {
+        let out = run_all(4, &items, |_, &spins| {
             let mut acc = 0u64;
             for i in 0..spins {
                 acc = acc.wrapping_add(i);
@@ -210,7 +195,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<()> = run_batch(8, &Vec::<u8>::new(), |_, _| ());
+        let out: Vec<()> = run_all(8, &Vec::<u8>::new(), |_, _| ());
         assert!(out.is_empty());
     }
 
@@ -242,22 +227,5 @@ mod tests {
             assert_eq!(out, want, "threads={threads}");
             assert!(ran.iter().all(|c| c.load(Ordering::SeqCst) == 1), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_batch_still_propagates_the_first_panic_after_completion() {
-        let ran = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..16).collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_batch(4, &items, |_, &x| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if x == 5 {
-                    panic!("legacy contract");
-                }
-                x
-            })
-        }));
-        assert!(caught.is_err(), "panic must resurface");
-        assert_eq!(ran.load(Ordering::SeqCst), 16, "but only after every job ran");
     }
 }

@@ -99,12 +99,6 @@ impl Function {
             .collect()
     }
 
-    /// Number of non-constant, non-store instructions (a proxy for the
-    /// amount of scalar compute, used in reports).
-    pub fn compute_inst_count(&self) -> usize {
-        self.insts.iter().filter(|i| !matches!(i.kind, InstKind::Const(_))).count()
-    }
-
     /// For each value, the list of instructions that use it.
     pub fn users(&self) -> Vec<Vec<ValueId>> {
         let mut users = vec![Vec::new(); self.insts.len()];

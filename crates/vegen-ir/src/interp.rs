@@ -2,13 +2,14 @@
 //!
 //! The interpreter is the ground truth every vectorization is validated
 //! against (scalar run vs. vector-program run on the same memory image).
-//! Its scalar evaluation helpers ([`eval_bin`], [`eval_cmp`], [`eval_cast`])
-//! are shared with the VIDL evaluator and the vector VM so all three layers
-//! agree bit-for-bit on arithmetic.
+//! Its scalar evaluation helpers ([`eval_bin`], [`eval_fneg`], [`eval_cmp`],
+//! [`eval_cast`]) are shared with the VIDL evaluator and the vector VM so all
+//! three layers agree bit-for-bit on arithmetic.
 
 use crate::constant::{mask, sext, Constant};
 use crate::function::{Function, ValueId};
 use crate::inst::{BinOp, CastOp, CmpPred, InstKind};
+use crate::rng::XorShift;
 use crate::types::Type;
 use std::error::Error;
 use std::fmt;
@@ -66,7 +67,8 @@ impl Memory {
     }
 }
 
-/// An evaluation failure (division by zero is the only runtime trap).
+/// An evaluation failure: division by zero (the only trap of well-typed
+/// code) or an operand of the wrong type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError(pub String);
 
@@ -169,6 +171,19 @@ pub fn eval_bin(op: BinOp, a: Constant, b: Constant) -> Result<Constant, EvalErr
     Ok(out_u(r))
 }
 
+/// Negate a float constant.
+///
+/// # Errors
+///
+/// Returns an error if `a` is not a float.
+pub fn eval_fneg(a: Constant) -> Result<Constant, EvalError> {
+    match a.ty() {
+        Type::F32 => Ok(Constant::f32(-a.as_f32())),
+        Type::F64 => Ok(Constant::f64(-a.as_f64())),
+        ty => Err(EvalError(format!("fneg of {ty}"))),
+    }
+}
+
 /// Evaluate a comparison, producing an `i1` constant.
 pub fn eval_cmp(pred: CmpPred, a: Constant, b: Constant) -> Constant {
     use CmpPred::*;
@@ -262,10 +277,7 @@ pub fn run(f: &Function, mem: &mut Memory) -> Result<Vec<Constant>, EvalError> {
         let out = match &inst.kind {
             InstKind::Const(c) => *c,
             InstKind::Bin { op, lhs, rhs } => eval_bin(*op, get(*lhs), get(*rhs))?,
-            InstKind::FNeg { arg } => match inst.ty {
-                Type::F32 => Constant::f32(-get(*arg).as_f32()),
-                _ => Constant::f64(-get(*arg).as_f64()),
-            },
+            InstKind::FNeg { arg } => eval_fneg(get(*arg))?,
             InstKind::Cast { op, arg } => eval_cast(*op, get(*arg), inst.ty),
             InstKind::Cmp { pred, lhs, rhs } => eval_cmp(*pred, get(*lhs), get(*rhs)),
             InstKind::Select { cond, on_true, on_false } => {
@@ -289,36 +301,17 @@ pub fn run(f: &Function, mem: &mut Memory) -> Result<Vec<Constant>, EvalError> {
 /// Fill a memory image with deterministic pseudo-random values derived from
 /// `seed` (used by equivalence tests and validation harnesses).
 pub fn random_memory(f: &Function, seed: u64) -> Memory {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545f4914f6cdd1d)
-    };
-    Memory::from_fn(f, |_, _| Constant::zero(Type::I8)).bufs_filled(f, &mut next)
-}
-
-impl Memory {
-    fn bufs_filled(mut self, f: &Function, next: &mut impl FnMut() -> u64) -> Memory {
-        for (pi, p) in f.params.iter().enumerate() {
-            for ei in 0..p.len {
-                let r = next();
-                let c = match p.elem_ty {
-                    Type::F32 => {
-                        // Small-magnitude floats keep fast-math style
-                        // reassociation differences out of the comparison.
-                        Constant::f32(((r % 2048) as f32 - 1024.0) / 64.0)
-                    }
-                    Type::F64 => Constant::f64(((r % 2048) as f64 - 1024.0) / 64.0),
-                    ty => Constant::int(ty, sext(r, ty.bits())),
-                };
-                self.bufs[pi][ei] = c;
-            }
+    let mut rng = XorShift::new(seed);
+    Memory::from_fn(f, |pi, _| {
+        let r = rng.next_u64();
+        match f.params[pi].elem_ty {
+            // Small-magnitude floats keep fast-math style reassociation
+            // differences out of the comparison.
+            Type::F32 => Constant::f32(((r % 2048) as f32 - 1024.0) / 64.0),
+            Type::F64 => Constant::f64(((r % 2048) as f64 - 1024.0) / 64.0),
+            ty => Constant::int(ty, sext(r, ty.bits())),
         }
-        self
-    }
+    })
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //! Here the "generated" matchers are data: each VIDL operation is
 //! translated to a tiny IR function, pushed through the *same*
 //! canonicalizer as input programs (the `instcombine` trick of §6), and the
-//! resulting expression tree becomes a [`Pattern`] interpreted by a
-//! backtracking structural matcher that understands commutativity
-//! (`m_c_Add`-style) and select/cmp inversion — the two robustness measures
-//! §6 calls out.
+//! resulting tree — the canonicalized VIDL [`Expr`](vegen_vidl::Expr), the
+//! only expression type there is — is walked by a backtracking structural
+//! matcher that understands commutativity (`m_c_Add`-style) and select/cmp
+//! inversion — the two robustness measures §6 calls out.
 //!
 //! [`TargetDesc`] bundles the deduplicated operation registry, the per-lane
 //! operation ids of every target instruction, and the static lane-binding
@@ -23,5 +23,5 @@
 pub mod pattern;
 pub mod table;
 
-pub use pattern::{pattern_of_operation, try_pattern_of_operation, Pattern, PatternError};
+pub use pattern::{pattern_of_operation, try_pattern_of_operation, PatternError};
 pub use table::{DescInst, Match, MatchTable, OpId, OpRegistry, TableError, TargetDesc};

@@ -1,65 +1,14 @@
 //! Pattern generation from VIDL operations and the structural matcher.
+//!
+//! A pattern is a VIDL [`Expr`]: the operation body after the scaffold
+//! function built from it has gone through the shared canonicalizer
+//! (§6's `instcombine` trick). Matching a pattern against an IR value
+//! either fails or binds the pattern's parameters (the operation's
+//! live-ins) to IR values.
 
 use vegen_ir::canon::canonicalize;
-use vegen_ir::{
-    BinOp, CastOp, CmpPred, Constant, Function, FunctionBuilder, InstKind, Type, ValueId,
-};
+use vegen_ir::{CastOp, Constant, Function, FunctionBuilder, InstKind, Type, ValueId};
 use vegen_vidl::{Expr, Operation};
-
-/// A pattern tree derived from a VIDL operation.
-///
-/// Matching a pattern against an IR value either fails or produces a
-/// binding of pattern parameters (the operation's live-ins) to IR values.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variant and field names are the documentation
-pub enum Pattern {
-    /// Operation parameter `i` — matches any value of the parameter's type.
-    Param(usize),
-    /// Matches exactly this constant.
-    Const(Constant),
-    /// Matches a binary instruction with the same opcode.
-    Bin { op: BinOp, lhs: Box<Pattern>, rhs: Box<Pattern> },
-    /// Matches an `fneg`.
-    FNeg(Box<Pattern>),
-    /// Matches a cast to `to`.
-    Cast { op: CastOp, to: Type, arg: Box<Pattern> },
-    /// Matches a comparison (also in operand-swapped form).
-    Cmp { pred: CmpPred, lhs: Box<Pattern>, rhs: Box<Pattern> },
-    /// Matches a select (also with inverted comparison + swapped arms).
-    Select { cond: Box<Pattern>, on_true: Box<Pattern>, on_false: Box<Pattern> },
-}
-
-impl Pattern {
-    /// Number of pattern nodes.
-    pub fn size(&self) -> usize {
-        1 + match self {
-            Pattern::Param(_) | Pattern::Const(_) => 0,
-            Pattern::FNeg(a) | Pattern::Cast { arg: a, .. } => a.size(),
-            Pattern::Bin { lhs, rhs, .. } | Pattern::Cmp { lhs, rhs, .. } => {
-                lhs.size() + rhs.size()
-            }
-            Pattern::Select { cond, on_true, on_false } => {
-                cond.size() + on_true.size() + on_false.size()
-            }
-        }
-    }
-
-    /// Highest parameter index referenced, plus one (0 if none).
-    pub fn param_count_lower_bound(&self) -> usize {
-        match self {
-            Pattern::Param(i) => i + 1,
-            Pattern::Const(_) => 0,
-            Pattern::FNeg(a) | Pattern::Cast { arg: a, .. } => a.param_count_lower_bound(),
-            Pattern::Bin { lhs, rhs, .. } | Pattern::Cmp { lhs, rhs, .. } => {
-                lhs.param_count_lower_bound().max(rhs.param_count_lower_bound())
-            }
-            Pattern::Select { cond, on_true, on_false } => cond
-                .param_count_lower_bound()
-                .max(on_true.param_count_lower_bound())
-                .max(on_false.param_count_lower_bound()),
-        }
-    }
-}
 
 /// Build the scaffold IR function for an operation: one single-element
 /// buffer per parameter, the body built over loads, the result stored.
@@ -110,28 +59,28 @@ fn build_expr(b: &mut FunctionBuilder, e: &Expr, loads: &[ValueId]) -> ValueId {
 
 /// Extract the pattern tree rooted at `v` from a (canonicalized) scaffold
 /// function. Loads from parameter buffer `i` become `Param(i)`.
-fn extract(f: &Function, v: ValueId, n_params: usize) -> Pattern {
+fn extract(f: &Function, v: ValueId, n_params: usize) -> Expr {
     match &f.inst(v).kind {
         InstKind::Load { loc } => {
             debug_assert!(loc.base < n_params);
-            Pattern::Param(loc.base)
+            Expr::Param(loc.base)
         }
-        InstKind::Const(c) => Pattern::Const(*c),
-        InstKind::Bin { op, lhs, rhs } => Pattern::Bin {
+        InstKind::Const(c) => Expr::Const(*c),
+        InstKind::Bin { op, lhs, rhs } => Expr::Bin {
             op: *op,
             lhs: Box::new(extract(f, *lhs, n_params)),
             rhs: Box::new(extract(f, *rhs, n_params)),
         },
-        InstKind::FNeg { arg } => Pattern::FNeg(Box::new(extract(f, *arg, n_params))),
+        InstKind::FNeg { arg } => Expr::FNeg(Box::new(extract(f, *arg, n_params))),
         InstKind::Cast { op, arg } => {
-            Pattern::Cast { op: *op, to: f.ty(v), arg: Box::new(extract(f, *arg, n_params)) }
+            Expr::Cast { op: *op, to: f.ty(v), arg: Box::new(extract(f, *arg, n_params)) }
         }
-        InstKind::Cmp { pred, lhs, rhs } => Pattern::Cmp {
+        InstKind::Cmp { pred, lhs, rhs } => Expr::Cmp {
             pred: *pred,
             lhs: Box::new(extract(f, *lhs, n_params)),
             rhs: Box::new(extract(f, *rhs, n_params)),
         },
-        InstKind::Select { cond, on_true, on_false } => Pattern::Select {
+        InstKind::Select { cond, on_true, on_false } => Expr::Select {
             cond: Box::new(extract(f, *cond, n_params)),
             on_true: Box::new(extract(f, *on_true, n_params)),
             on_false: Box::new(extract(f, *on_false, n_params)),
@@ -152,21 +101,6 @@ impl std::fmt::Display for PatternError {
 
 impl std::error::Error for PatternError {}
 
-/// Highest parameter index referenced by an expression, if any.
-fn max_param(e: &Expr) -> Option<usize> {
-    match e {
-        Expr::Param(i) => Some(*i),
-        Expr::Const(_) => None,
-        Expr::FNeg(a) | Expr::Cast { arg: a, .. } => max_param(a),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            max_param(lhs).max(max_param(rhs))
-        }
-        Expr::Select { cond, on_true, on_false } => {
-            max_param(cond).max(max_param(on_true)).max(max_param(on_false))
-        }
-    }
-}
-
 /// Derive the matcher pattern for an operation.
 ///
 /// With `canonicalize_pattern` set (the default configuration), the
@@ -178,7 +112,7 @@ fn max_param(e: &Expr) -> Option<usize> {
 /// Panics if the operation body references an out-of-range parameter; use
 /// [`try_pattern_of_operation`] for descriptions that have not been
 /// validated.
-pub fn pattern_of_operation(op: &Operation, canonicalize_pattern: bool) -> Pattern {
+pub fn pattern_of_operation(op: &Operation, canonicalize_pattern: bool) -> Expr {
     try_pattern_of_operation(op, canonicalize_pattern)
         .unwrap_or_else(|e| panic!("malformed operation {}: {e}", op.name))
 }
@@ -193,8 +127,8 @@ pub fn pattern_of_operation(op: &Operation, canonicalize_pattern: bool) -> Patte
 pub fn try_pattern_of_operation(
     op: &Operation,
     canonicalize_pattern: bool,
-) -> Result<Pattern, PatternError> {
-    if let Some(i) = max_param(&op.expr) {
+) -> Result<Expr, PatternError> {
+    if let Some(i) = op.expr.params_used().into_iter().max() {
         if i >= op.params.len() {
             return Err(PatternError(format!(
                 "operation {} references parameter x{i} but declares only {} parameters",
@@ -221,7 +155,7 @@ pub fn try_pattern_of_operation(
 /// come back as `None` (don't-care).
 pub fn match_at(
     f: &Function,
-    pat: &Pattern,
+    pat: &Expr,
     param_tys: &[Type],
     v: ValueId,
 ) -> Option<Vec<Option<ValueId>>> {
@@ -251,7 +185,7 @@ pub fn const_pool(f: &Function) -> std::collections::HashMap<Constant, ValueId> 
 pub fn match_at_with_covered(
     f: &Function,
     consts: &std::collections::HashMap<Constant, ValueId>,
-    pat: &Pattern,
+    pat: &Expr,
     param_tys: &[Type],
     v: ValueId,
 ) -> Option<(Vec<Option<ValueId>>, Vec<ValueId>)> {
@@ -274,7 +208,7 @@ struct MCtx<'f> {
 
 fn go(
     m: &MCtx<'_>,
-    pat: &Pattern,
+    pat: &Expr,
     param_tys: &[Type],
     v: ValueId,
     bind: &mut Vec<Option<ValueId>>,
@@ -282,7 +216,7 @@ fn go(
 ) -> bool {
     let f = m.f;
     match pat {
-        Pattern::Param(i) => {
+        Expr::Param(i) => {
             if f.ty(v) != param_tys[*i] {
                 return false;
             }
@@ -294,15 +228,15 @@ fn go(
                 Some(prev) => prev == v,
             }
         }
-        Pattern::Const(c) => matches!(f.inst(v).kind, InstKind::Const(c2) if c2 == *c),
-        Pattern::FNeg(a) => match f.inst(v).kind {
+        Expr::Const(c) => matches!(f.inst(v).kind, InstKind::Const(c2) if c2 == *c),
+        Expr::FNeg(a) => match f.inst(v).kind {
             InstKind::FNeg { arg } => {
                 covered.push(v);
                 go(m, a, param_tys, arg, bind, covered)
             }
             _ => false,
         },
-        Pattern::Cast { op, to, arg } => match f.inst(v).kind {
+        Expr::Cast { op, to, arg } => match f.inst(v).kind {
             InstKind::Cast { op: iop, arg: iarg } if iop == *op && f.ty(v) == *to => {
                 covered.push(v);
                 go(m, arg, param_tys, iarg, bind, covered)
@@ -314,9 +248,9 @@ fn go(
             InstKind::Const(c)
                 if c.ty() == *to
                     && matches!(op, CastOp::SExt | CastOp::ZExt)
-                    && matches!(&**arg, Pattern::Param(_)) =>
+                    && matches!(&**arg, Expr::Param(_)) =>
             {
-                let Pattern::Param(i) = &**arg else { unreachable!() };
+                let Expr::Param(i) = &**arg else { unreachable!() };
                 let nty = param_tys[*i];
                 if !nty.is_int() {
                     return false;
@@ -350,7 +284,7 @@ fn go(
             }
             _ => false,
         },
-        Pattern::Bin { op, lhs, rhs } => {
+        Expr::Bin { op, lhs, rhs } => {
             let InstKind::Bin { op: iop, lhs: il, rhs: ir } = f.inst(v).kind else {
                 return false;
             };
@@ -368,7 +302,7 @@ fn go(
             covered.pop();
             false
         }
-        Pattern::Cmp { pred, lhs, rhs } => {
+        Expr::Cmp { pred, lhs, rhs } => {
             let InstKind::Cmp { pred: ipred, lhs: il, rhs: ir } = f.inst(v).kind else {
                 return false;
             };
@@ -385,7 +319,7 @@ fn go(
             covered.pop();
             false
         }
-        Pattern::Select { cond, on_true, on_false } => {
+        Expr::Select { cond, on_true, on_false } => {
             let InstKind::Select { cond: ic, on_true: it, on_false: ie } = f.inst(v).kind else {
                 return false;
             };
@@ -395,8 +329,8 @@ fn go(
             }
             // Inverted form (§6): select(cmp(p, ...), x, y) also matches
             // select(cmp(!p, ...), y, x).
-            if let Pattern::Cmp { pred, lhs, rhs } = &**cond {
-                let inv = Pattern::Cmp { pred: pred.inverse(), lhs: lhs.clone(), rhs: rhs.clone() };
+            if let Expr::Cmp { pred, lhs, rhs } = &**cond {
+                let inv = Expr::Cmp { pred: pred.inverse(), lhs: lhs.clone(), rhs: rhs.clone() };
                 if attempt(
                     m,
                     &[(&inv, ic), (on_false, it), (on_true, ie)],
@@ -417,7 +351,7 @@ fn go(
 /// the binding (and covered list) is rolled back.
 fn attempt(
     m: &MCtx<'_>,
-    pairs: &[(&Pattern, ValueId)],
+    pairs: &[(&Expr, ValueId)],
     param_tys: &[Type],
     bind: &mut Vec<Option<ValueId>>,
     covered: &mut Vec<ValueId>,
@@ -437,6 +371,7 @@ fn attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vegen_ir::CmpPred;
     use vegen_vidl::parse_operation;
 
     fn op(src: &str) -> Operation {
@@ -657,6 +592,6 @@ mod tests {
         let o = madd();
         let pat = pattern_of_operation(&o, true);
         assert_eq!(pat.size(), 11);
-        assert_eq!(pat.param_count_lower_bound(), 4);
+        assert_eq!(pat.params_used().len(), 4);
     }
 }

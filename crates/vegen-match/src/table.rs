@@ -1,9 +1,10 @@
 //! The operation registry, target description, and match table (§4.3).
 
-use crate::pattern::{try_pattern_of_operation, Pattern};
+use crate::pattern::try_pattern_of_operation;
 use vegen_ir::{Function, InstKind, Type, ValueId};
 use vegen_isa::{InstDb, InstDef};
 use vegen_vidl::ast::LaneUse;
+use vegen_vidl::Expr;
 
 /// Identifier of a deduplicated operation in an [`OpRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,7 +20,7 @@ pub struct RegisteredOp {
     /// Result type.
     pub ret: Type,
     /// The (canonicalized) matcher pattern.
-    pub pattern: Pattern,
+    pub pattern: Expr,
 }
 
 /// Deduplicated set of operations collected from all target instructions.
@@ -30,13 +31,7 @@ pub struct OpRegistry {
 
 impl OpRegistry {
     /// Register (or find) an operation, returning its id.
-    pub fn intern(
-        &mut self,
-        name: &str,
-        param_tys: Vec<Type>,
-        ret: Type,
-        pattern: Pattern,
-    ) -> OpId {
+    pub fn intern(&mut self, name: &str, param_tys: Vec<Type>, ret: Type, pattern: Expr) -> OpId {
         if let Some(i) = self
             .ops
             .iter()
@@ -334,7 +329,6 @@ mod tests {
 
     #[test]
     fn try_build_reports_out_of_range_pattern_param() {
-        use vegen_vidl::Expr;
         let db = InstDb::for_target(&TargetIsa::avx2());
         let mut defs: Vec<_> = db.iter().cloned().collect();
         let name = defs[0].name.clone();
@@ -357,8 +351,8 @@ mod tests {
             .ops
             .iter()
             .filter(|(_, o)| {
-                matches!(&o.pattern, Pattern::Bin { op: vegen_ir::BinOp::Add, lhs, rhs }
-                    if matches!(**lhs, Pattern::Param(_)) && matches!(**rhs, Pattern::Param(_)))
+                matches!(&o.pattern, Expr::Bin { op: vegen_ir::BinOp::Add, lhs, rhs }
+                    if matches!(**lhs, Expr::Param(_)) && matches!(**rhs, Expr::Param(_)))
                     && o.param_tys == vec![Type::I32, Type::I32]
             })
             .count();

@@ -9,63 +9,12 @@
 //! lifting bug (or an ambiguous helper semantics) shows up as a divergence.
 
 use crate::bv::{BigBits, Bv, Compiled};
-use vegen_ir::{Constant, Type};
+use vegen_ir::rng::TrialRng;
+use vegen_ir::Constant;
 use vegen_vidl::{eval_inst, InstSemantics, VecShape};
 
 /// Seed of the trials' input stream.
 const TRIAL_SEED: u64 = 0x5eed_0001;
-
-/// Deterministic xorshift for reproducible test vectors.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0 = self.0.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(0x9e3779b9);
-        self.0
-    }
-}
-
-fn constant_from_bits(ty: Type, bits: u64) -> Constant {
-    match ty {
-        Type::F32 => Constant::f32(f32::from_bits(bits as u32)),
-        Type::F64 => Constant::f64(f64::from_bits(bits)),
-        _ => Constant::int(ty, vegen_ir::constant::sext(bits, ty.bits())),
-    }
-}
-
-fn bits_from_constant(c: Constant) -> u64 {
-    c.raw_bits()
-}
-
-/// Draw an element value biased toward interesting cases (saturation
-/// boundaries, sign flips, small floats).
-fn draw_elem(rng: &mut Rng, ty: Type) -> u64 {
-    let r = rng.next();
-    match ty {
-        Type::F32 => {
-            let v = ((r % 4096) as f32 - 2048.0) / 32.0;
-            v.to_bits() as u64
-        }
-        Type::F64 => {
-            let v = ((r % 4096) as f64 - 2048.0) / 32.0;
-            v.to_bits()
-        }
-        _ => {
-            let bits = ty.bits();
-            match r % 8 {
-                // Extremes exercise saturation and overflow paths.
-                0 => vegen_ir::constant::mask(bits), // all ones (-1)
-                1 => vegen_ir::constant::mask(bits) >> 1, // max positive
-                2 => 1u64 << (bits - 1),             // min negative
-                3 => 0,
-                _ => r & vegen_ir::constant::mask(bits),
-            }
-        }
-    }
-}
 
 /// Run `iters` random trials comparing the pseudocode formula against the
 /// lifted description.
@@ -126,14 +75,12 @@ pub fn validate_description(
     let mut vidl_inputs: Vec<Vec<Constant>> =
         desc.inputs.iter().map(|shape| Vec::with_capacity(shape.lanes)).collect();
     let mut elems: Vec<u64> = Vec::new();
-    let mut rng = Rng(TRIAL_SEED);
+    let mut rng = TrialRng::new(TRIAL_SEED);
     for trial in 0..iters {
         // Draw concrete input registers.
         for ((shape, reg), lanes) in desc.inputs.iter().zip(&mut regs).zip(&mut vidl_inputs) {
-            draw_register(&mut rng, shape, &mut elems);
+            draw_register(&mut rng, shape, lanes, &mut elems);
             *reg = BigBits::from_elems(shape.elem.bits(), &elems);
-            lanes.clear();
-            lanes.extend(elems.iter().map(|&b| constant_from_bits(shape.elem, b)));
         }
         // Pseudocode side.
         let expected = program.eval(&regs);
@@ -141,7 +88,7 @@ pub fn validate_description(
         let got = eval_inst(desc, &vidl_inputs)
             .map_err(|e| format!("trial {trial}: VIDL evaluation failed: {e}"))?;
         elems.clear();
-        elems.extend(got.iter().map(|c| bits_from_constant(*c)));
+        elems.extend(got.iter().map(|c| c.raw_bits()));
         let got_bits = BigBits::from_elems(out_elem_bits, &elems);
         if expected != got_bits {
             return Err(format!(
@@ -159,14 +106,14 @@ pub fn validate_description(
 /// The input registers [`validate_description`] draws for `desc` over
 /// `iters` trials: per trial, one image per input in operand order.
 pub fn trial_registers(desc: &InstSemantics, iters: usize) -> Vec<Vec<BigBits>> {
-    let mut rng = Rng(TRIAL_SEED);
-    let mut elems = Vec::new();
+    let mut rng = TrialRng::new(TRIAL_SEED);
+    let (mut lanes, mut elems) = (Vec::new(), Vec::new());
     (0..iters)
         .map(|_| {
             desc.inputs
                 .iter()
                 .map(|shape| {
-                    draw_register(&mut rng, shape, &mut elems);
+                    draw_register(&mut rng, shape, &mut lanes, &mut elems);
                     BigBits::from_elems(shape.elem.bits(), &elems)
                 })
                 .collect()
@@ -174,10 +121,18 @@ pub fn trial_registers(desc: &InstSemantics, iters: usize) -> Vec<Vec<BigBits>> 
         .collect()
 }
 
-/// Draw one input register's element values into `elems`.
-fn draw_register(rng: &mut Rng, shape: &VecShape, elems: &mut Vec<u64>) {
+/// Draw one input register: its lanes into `lanes`, their bit images into
+/// `elems`.
+fn draw_register(
+    rng: &mut TrialRng,
+    shape: &VecShape,
+    lanes: &mut Vec<Constant>,
+    elems: &mut Vec<u64>,
+) {
+    lanes.clear();
+    lanes.extend((0..shape.lanes).map(|_| rng.draw(shape.elem)));
     elems.clear();
-    elems.extend((0..shape.lanes).map(|_| draw_elem(rng, shape.elem)));
+    elems.extend(lanes.iter().map(|c| c.raw_bits()));
 }
 
 #[cfg(test)]

@@ -6,36 +6,33 @@
 //! (reproducing the validation methodology of §6.1).
 
 use crate::ast::{Expr, InstSemantics, Operation};
-use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, EvalError};
+use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, eval_fneg, EvalError};
 use vegen_ir::{Constant, Type};
 
 /// Evaluate an expression with the given parameter values.
 ///
 /// # Errors
 ///
-/// Returns an error on division by zero.
+/// Returns an error on division by zero, a parameter index past `args`,
+/// an `fneg` of a non-float and a `select` on a non-`i1` condition.
 pub fn eval_expr(e: &Expr, args: &[Constant]) -> Result<Constant, EvalError> {
     match e {
-        Expr::Param(i) => Ok(args[*i]),
+        Expr::Param(i) => {
+            args.get(*i).copied().ok_or_else(|| EvalError(format!("parameter {i} out of range")))
+        }
         Expr::Const(c) => Ok(*c),
         Expr::Bin { op, lhs, rhs } => eval_bin(*op, eval_expr(lhs, args)?, eval_expr(rhs, args)?),
-        Expr::FNeg(a) => {
-            let v = eval_expr(a, args)?;
-            Ok(match v.ty() {
-                Type::F32 => Constant::f32(-v.as_f32()),
-                _ => Constant::f64(-v.as_f64()),
-            })
-        }
+        Expr::FNeg(a) => eval_fneg(eval_expr(a, args)?),
         Expr::Cast { op, to, arg } => Ok(eval_cast(*op, eval_expr(arg, args)?, *to)),
         Expr::Cmp { pred, lhs, rhs } => {
             Ok(eval_cmp(*pred, eval_expr(lhs, args)?, eval_expr(rhs, args)?))
         }
         Expr::Select { cond, on_true, on_false } => {
-            if eval_expr(cond, args)?.as_bool() {
-                eval_expr(on_true, args)
-            } else {
-                eval_expr(on_false, args)
+            let c = eval_expr(cond, args)?;
+            if c.ty() != Type::I1 {
+                return Err(EvalError(format!("select on a {} condition", c.ty())));
             }
+            eval_expr(if c.as_bool() { on_true } else { on_false }, args)
         }
     }
 }
@@ -175,6 +172,38 @@ mod tests {
             expr: Expr::FNeg(Box::new(Expr::Param(0))),
         };
         assert_eq!(eval_operation(&op, &[Constant::f64(2.5)]).unwrap().as_f64(), -2.5);
+    }
+
+    #[test]
+    fn eval_expr_is_total() {
+        let i32c = |v| Constant::int(Type::I32, v);
+        let bad = [
+            // A parameter past the argument list.
+            (Expr::Param(3), vec![i32c(1)]),
+            // `fneg` of an integer.
+            (Expr::FNeg(Box::new(Expr::Param(0))), vec![i32c(1)]),
+            // `select` on an `i32` condition.
+            (
+                Expr::Select {
+                    cond: Box::new(Expr::Param(0)),
+                    on_true: Box::new(Expr::Param(0)),
+                    on_false: Box::new(Expr::Param(0)),
+                },
+                vec![i32c(1)],
+            ),
+            // Integer division by zero.
+            (
+                Expr::Bin {
+                    op: BinOp::SDiv,
+                    lhs: Box::new(Expr::Param(0)),
+                    rhs: Box::new(Expr::Const(i32c(0))),
+                },
+                vec![i32c(1)],
+            ),
+        ];
+        for (e, args) in bad {
+            assert!(eval_expr(&e, &args).is_err(), "{e:?} must be an error");
+        }
     }
 
     #[test]

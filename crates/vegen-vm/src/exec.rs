@@ -1,8 +1,8 @@
 //! Execution of vector programs against a memory image.
 
 use crate::program::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
-use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, EvalError, Memory};
-use vegen_ir::{Constant, Type};
+use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, eval_fneg, EvalError, Memory};
+use vegen_ir::Constant;
 use vegen_vidl::eval_inst;
 
 /// A register value at run time.
@@ -41,13 +41,7 @@ pub fn run_program(prog: &VmProgram, mem: &mut Memory) -> Result<(), EvalError> 
                     ScalarOp::Bin { op, lhs, rhs } => {
                         eval_bin(*op, scalar(&regs, *lhs)?, scalar(&regs, *rhs)?)?
                     }
-                    ScalarOp::FNeg { arg } => {
-                        let v = scalar(&regs, *arg)?;
-                        match v.ty() {
-                            Type::F32 => Constant::f32(-v.as_f32()),
-                            _ => Constant::f64(-v.as_f64()),
-                        }
-                    }
+                    ScalarOp::FNeg { arg } => eval_fneg(scalar(&regs, *arg)?)?,
                     ScalarOp::Cast { op, to, arg } => eval_cast(*op, scalar(&regs, *arg)?, *to),
                     ScalarOp::Cmp { pred, lhs, rhs } => {
                         eval_cmp(*pred, scalar(&regs, *lhs)?, scalar(&regs, *rhs)?)
@@ -121,7 +115,7 @@ pub fn run_program(prog: &VmProgram, mem: &mut Memory) -> Result<(), EvalError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegen_ir::Param;
+    use vegen_ir::{Param, Type};
     use vegen_vidl::parse_inst;
 
     fn pmaddwd_sem() -> vegen_vidl::InstSemantics {
