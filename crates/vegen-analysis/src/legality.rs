@@ -9,6 +9,8 @@
 //! tricolor DFS — and checks the *output* of selection. A bug anywhere in
 //! the matcher, the candidate arena, or the search that lets an illegal pack
 //! through is caught here instead of surfacing as miscompiled code.
+//!
+//! [`InstSemantics::operand_bindings`]: vegen_vidl::InstSemantics::operand_bindings
 
 use crate::diag::{Diagnostic, Location};
 use std::collections::HashMap;

@@ -11,7 +11,7 @@
 
 use crate::diag::{Diagnostic, Location};
 use vegen_ir::Type;
-use vegen_vm::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
+use vegen_vm::{LaneSrc, Reg, VmInst, VmProgram};
 
 /// What a register holds, as tracked in program order.
 #[derive(Clone, Copy, PartialEq)]
@@ -121,30 +121,16 @@ fn lint_inst(
         };
 
     match inst {
-        VmInst::Scalar { dst, op } => {
-            match op {
-                ScalarOp::Const(_) => {}
-                ScalarOp::FNeg { arg } => use_scalar(*arg, defined, diags),
-                ScalarOp::Cast { arg, .. } => use_scalar(*arg, defined, diags),
-                ScalarOp::Bin { lhs, rhs, .. } | ScalarOp::Cmp { lhs, rhs, .. } => {
-                    use_scalar(*lhs, defined, diags);
-                    use_scalar(*rhs, defined, diags);
-                }
-                ScalarOp::Select { cond, on_true, on_false } => {
-                    use_scalar(*cond, defined, diags);
-                    use_scalar(*on_true, defined, diags);
-                    use_scalar(*on_false, defined, diags);
-                }
+        VmInst::Scalar { dst, inst: scalar } => {
+            if let Some(loc) = scalar.mem_loc() {
+                check_bounds(loc.base, loc.offset, 1, diags);
             }
-            define(*dst, RegKind::Scalar, defined, diags);
-        }
-        VmInst::LoadScalar { dst, base, offset } => {
-            check_bounds(*base, *offset, 1, diags);
-            define(*dst, RegKind::Scalar, defined, diags);
-        }
-        VmInst::StoreScalar { base, offset, src } => {
-            check_bounds(*base, *offset, 1, diags);
-            use_scalar(*src, defined, diags);
+            for r in inst.uses() {
+                use_scalar(r, defined, diags);
+            }
+            if let Some(dst) = dst {
+                define(*dst, RegKind::Scalar, defined, diags);
+            }
         }
         VmInst::VecLoad { dst, base, start, lanes, elem } => {
             if *lanes == 0 {
@@ -327,7 +313,19 @@ fn mark_dead_code(prog: &VmProgram, diags: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use vegen_ir::{Constant, Param};
+    use vegen_ir::{Constant, Inst, InstKind, MemLoc, Param};
+
+    /// `r{dst} = value` as an `i32` constant.
+    fn iconst(dst: u32, value: i64) -> VmInst {
+        let kind = InstKind::Const(Constant::int(Type::I32, value));
+        VmInst::Scalar { dst: Some(Reg(dst)), inst: Inst { kind, ty: Type::I32 } }
+    }
+
+    /// `arg{base}[offset] = r{src}`.
+    fn store(base: usize, offset: i64, src: u32) -> VmInst {
+        let kind = InstKind::Store { loc: MemLoc { base, offset }, value: Reg(src) };
+        VmInst::Scalar { dst: None, inst: Inst { kind, ty: Type::Void } }
+    }
 
     fn prog(params: Vec<Param>, insts: Vec<VmInst>, n_regs: usize) -> VmProgram {
         VmProgram {
@@ -347,11 +345,7 @@ mod tests {
 
     #[test]
     fn undefined_register_is_an_error() {
-        let pr = prog(
-            vec![p("A", Type::I32, 1)],
-            vec![VmInst::StoreScalar { base: 0, offset: 0, src: Reg(0) }],
-            1,
-        );
+        let pr = prog(vec![p("A", Type::I32, 1)], vec![store(0, 0, 0)], 1);
         let diags = lint_program(&pr);
         assert!(
             diags
@@ -394,8 +388,8 @@ mod tests {
             vec![p("A", Type::I32, 4)],
             vec![
                 VmInst::VecLoad { dst: Reg(0), base: 0, start: 0, lanes: 4, elem: Type::I32 },
-                VmInst::Scalar { dst: Reg(1), op: ScalarOp::Const(Constant::int(Type::I32, 0)) },
-                VmInst::StoreScalar { base: 0, offset: 0, src: Reg(1) },
+                iconst(1, 0),
+                store(0, 0, 1),
             ],
             2,
         );
@@ -434,15 +428,8 @@ mod tests {
 
     #[test]
     fn register_redefinition_is_a_warning() {
-        let pr = prog(
-            vec![p("A", Type::I32, 1)],
-            vec![
-                VmInst::Scalar { dst: Reg(0), op: ScalarOp::Const(Constant::int(Type::I32, 1)) },
-                VmInst::Scalar { dst: Reg(0), op: ScalarOp::Const(Constant::int(Type::I32, 2)) },
-                VmInst::StoreScalar { base: 0, offset: 0, src: Reg(0) },
-            ],
-            1,
-        );
+        let pr =
+            prog(vec![p("A", Type::I32, 1)], vec![iconst(0, 1), iconst(0, 2), store(0, 0, 0)], 1);
         let diags = lint_program(&pr);
         assert!(
             diags
@@ -459,7 +446,7 @@ mod tests {
             vec![
                 VmInst::VecLoad { dst: Reg(0), base: 0, start: 0, lanes: 2, elem: Type::I32 },
                 // A vector register used as a scalar store source.
-                VmInst::StoreScalar { base: 0, offset: 9, src: Reg(0) },
+                store(0, 9, 0),
             ],
             1,
         );

@@ -31,10 +31,10 @@
 use crate::diag::{Diagnostic, Location};
 use std::collections::HashMap;
 use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, eval_fneg};
-use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Function, InstKind, Param, Type};
+use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Function, Inst, InstKind, Param, Type};
 use vegen_match::pattern_of_operation;
 use vegen_vidl::Expr;
-use vegen_vm::{LaneSrc, ScalarOp, VmInst, VmProgram};
+use vegen_vm::{LaneSrc, VmInst, VmProgram};
 
 /// Outcome of validating one program against its scalar reference.
 #[derive(Debug, Clone, Default)]
@@ -250,15 +250,17 @@ impl Arena {
     }
 
     pub(crate) fn mk_cast(&mut self, op: CastOp, to: Type, arg: SymId) -> SymId {
-        if let Some(c) = self.as_const(arg) {
-            return self.mk_const(eval_cast(op, c, to));
+        if let Some(Ok(c)) = self.as_const(arg).map(|c| eval_cast(op, c, to)) {
+            return self.mk_const(c);
         }
         self.intern(SymExpr::Cast { op, to, arg })
     }
 
     pub(crate) fn mk_cmp(&mut self, pred: CmpPred, lhs: SymId, rhs: SymId) -> SymId {
         if let (Some(a), Some(b)) = (self.as_const(lhs), self.as_const(rhs)) {
-            return self.mk_const(eval_cmp(pred, a, b));
+            if let Ok(c) = eval_cmp(pred, a, b) {
+                return self.mk_const(c);
+            }
         }
         let (pred, lhs, rhs) =
             if lhs > rhs { (pred.swapped(), rhs, lhs) } else { (pred, lhs, rhs) };
@@ -267,7 +269,7 @@ impl Arena {
 
     pub(crate) fn mk_select(&mut self, cond: SymId, on_true: SymId, on_false: SymId) -> SymId {
         if let Some(c) = self.as_const(cond) {
-            return if c.as_u64() != 0 { on_true } else { on_false };
+            return if c.is_zero() { on_false } else { on_true };
         }
         if let SymExpr::Cmp { pred, lhs, rhs } = *self.node(cond) {
             if !canonical_pred(pred) {
@@ -390,36 +392,45 @@ fn param_elem(params: &[Param], base: usize, at: Location) -> Result<Type, Diagn
         .ok_or_else(|| Diagnostic::error(at, format!("unknown parameter arg{base}")))
 }
 
+/// Symbolically execute one scalar instruction whose operands are already
+/// symbolic: the step both the scalar function and the VM's scalar code
+/// take. A store writes `mem` (recording `writer`) and yields a `Void`
+/// undef.
+fn step(
+    arena: &mut Arena,
+    mem: &mut SymMemory,
+    params: &[Param],
+    inst: &Inst<SymId>,
+    writer: (usize, Option<usize>),
+    at: Location,
+) -> Result<SymId, Diagnostic> {
+    Ok(match inst.kind {
+        InstKind::Const(c) => arena.mk_const(c),
+        InstKind::Bin { op, lhs, rhs } => arena.mk_bin(op, lhs, rhs),
+        InstKind::FNeg { arg } => arena.mk_fneg(arg),
+        InstKind::Cast { op, arg } => arena.mk_cast(op, inst.ty, arg),
+        InstKind::Cmp { pred, lhs, rhs } => arena.mk_cmp(pred, lhs, rhs),
+        InstKind::Select { cond, on_true, on_false } => arena.mk_select(cond, on_true, on_false),
+        InstKind::Load { loc } => {
+            let ty = param_elem(params, loc.base, at)?;
+            mem.read(arena, loc.base, loc.offset, ty)
+        }
+        InstKind::Store { loc, value } => {
+            param_elem(params, loc.base, at)?;
+            mem.write(loc.base, loc.offset, value, writer);
+            arena.mk_undef(Type::Void)
+        }
+    })
+}
+
 /// Symbolically execute the scalar function; return its final memory.
 fn eval_function(arena: &mut Arena, f: &Function) -> Result<SymMemory, Diagnostic> {
     let mut mem = SymMemory::default();
     let mut vals: Vec<SymId> = Vec::with_capacity(f.insts.len());
     for (v, inst) in f.iter() {
-        let at = Location::Value(v);
-        let get = |vals: &[SymId], id: vegen_ir::ValueId| vals[id.index()];
-        let sym = match &inst.kind {
-            InstKind::Const(c) => arena.mk_const(*c),
-            InstKind::Bin { op, lhs, rhs } => arena.mk_bin(*op, get(&vals, *lhs), get(&vals, *rhs)),
-            InstKind::FNeg { arg } => arena.mk_fneg(get(&vals, *arg)),
-            InstKind::Cast { op, arg } => arena.mk_cast(*op, inst.ty, get(&vals, *arg)),
-            InstKind::Cmp { pred, lhs, rhs } => {
-                arena.mk_cmp(*pred, get(&vals, *lhs), get(&vals, *rhs))
-            }
-            InstKind::Select { cond, on_true, on_false } => {
-                arena.mk_select(get(&vals, *cond), get(&vals, *on_true), get(&vals, *on_false))
-            }
-            InstKind::Load { loc } => {
-                let ty = param_elem(&f.params, loc.base, at)?;
-                mem.read(arena, loc.base, loc.offset, ty)
-            }
-            InstKind::Store { loc, value } => {
-                param_elem(&f.params, loc.base, at)?;
-                mem.write(loc.base, loc.offset, get(&vals, *value), (v.index(), None));
-                // Stores define no value; keep the slot aligned.
-                arena.mk_undef(Type::Void)
-            }
-        };
-        vals.push(sym);
+        let inst = inst.map(|id| vals[id.index()]);
+        // Stores define no value; their undef keeps the slots aligned.
+        vals.push(step(arena, &mut mem, &f.params, &inst, (v.index(), None), Location::Value(v))?);
     }
     Ok(mem)
 }
@@ -467,43 +478,12 @@ fn eval_vm(
             }
         };
         match inst {
-            VmInst::Scalar { dst, op } => {
-                let sym = match op {
-                    ScalarOp::Const(c) => arena.mk_const(*c),
-                    ScalarOp::Bin { op, lhs, rhs } => {
-                        let (l, r) = (scalar(&regs, *lhs)?, scalar(&regs, *rhs)?);
-                        arena.mk_bin(*op, l, r)
-                    }
-                    ScalarOp::FNeg { arg } => {
-                        let a = scalar(&regs, *arg)?;
-                        arena.mk_fneg(a)
-                    }
-                    ScalarOp::Cast { op, to, arg } => {
-                        let a = scalar(&regs, *arg)?;
-                        arena.mk_cast(*op, *to, a)
-                    }
-                    ScalarOp::Cmp { pred, lhs, rhs } => {
-                        let (l, r) = (scalar(&regs, *lhs)?, scalar(&regs, *rhs)?);
-                        arena.mk_cmp(*pred, l, r)
-                    }
-                    ScalarOp::Select { cond, on_true, on_false } => {
-                        let c = scalar(&regs, *cond)?;
-                        let t = scalar(&regs, *on_true)?;
-                        let e = scalar(&regs, *on_false)?;
-                        arena.mk_select(c, t, e)
-                    }
-                };
-                regs[dst.0 as usize] = Some(RegVal::Scalar(sym));
-            }
-            VmInst::LoadScalar { dst, base, offset } => {
-                let ty = param_elem(&prog.params, *base, at)?;
-                let sym = mem.read(arena, *base, *offset, ty);
-                regs[dst.0 as usize] = Some(RegVal::Scalar(sym));
-            }
-            VmInst::StoreScalar { base, offset, src } => {
-                param_elem(&prog.params, *base, at)?;
-                let sym = scalar(&regs, *src)?;
-                mem.write(*base, *offset, sym, (idx, None));
+            VmInst::Scalar { dst, inst } => {
+                let inst = inst.try_map(|r| scalar(&regs, r))?;
+                let sym = step(arena, &mut mem, &prog.params, &inst, (idx, None), at)?;
+                if let Some(dst) = dst {
+                    regs[dst.0 as usize] = Some(RegVal::Scalar(sym));
+                }
             }
             VmInst::VecLoad { dst, base, start, lanes, elem } => {
                 param_elem(&prog.params, *base, at)?;
@@ -637,8 +617,24 @@ pub(crate) fn eval_pattern(
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use vegen_ir::{CmpPred, FunctionBuilder, Type};
+    use vegen_ir::{CmpPred, FunctionBuilder, MemLoc, Type};
     use vegen_vm::Reg;
+
+    /// A scalar VM instruction defining register `dst`.
+    fn scalar(dst: u32, kind: InstKind<Reg>, ty: Type) -> VmInst {
+        VmInst::Scalar { dst: Some(Reg(dst)), inst: Inst { kind, ty } }
+    }
+
+    /// `r{dst} = arg{base}[offset]` over an `i32` buffer.
+    fn load(dst: u32, base: usize, offset: i64) -> VmInst {
+        scalar(dst, InstKind::Load { loc: MemLoc { base, offset } }, Type::I32)
+    }
+
+    /// `arg{base}[offset] = r{src}`.
+    fn store(base: usize, offset: i64, src: u32) -> VmInst {
+        let kind = InstKind::Store { loc: MemLoc { base, offset }, value: Reg(src) };
+        VmInst::Scalar { dst: None, inst: Inst { kind, ty: Type::Void } }
+    }
 
     /// `A[0] = B[1]; A[1] = B[0]` as scalar IR.
     fn swap_function() -> Function {
@@ -733,15 +729,12 @@ mod tests {
         let f = b.finish();
 
         let good = vec![
-            VmInst::LoadScalar { dst: Reg(0), base: 0, offset: 1 },
-            VmInst::Scalar { dst: Reg(1), op: ScalarOp::Const(Constant::int(Type::I32, 1)) },
-            VmInst::Scalar {
-                dst: Reg(2),
-                op: ScalarOp::Bin { op: BinOp::Add, lhs: Reg(0), rhs: Reg(1) },
-            },
-            VmInst::StoreScalar { base: 0, offset: 0, src: Reg(2) },
-            VmInst::Scalar { dst: Reg(3), op: ScalarOp::Const(Constant::int(Type::I32, 7)) },
-            VmInst::StoreScalar { base: 0, offset: 1, src: Reg(3) },
+            load(0, 0, 1),
+            scalar(1, InstKind::Const(Constant::int(Type::I32, 1)), Type::I32),
+            scalar(2, InstKind::Bin { op: BinOp::Add, lhs: Reg(0), rhs: Reg(1) }, Type::I32),
+            store(0, 0, 2),
+            scalar(3, InstKind::Const(Constant::int(Type::I32, 7)), Type::I32),
+            store(0, 1, 3),
         ];
         let mut prog = VmProgram {
             name: "reorder".into(),
@@ -789,17 +782,15 @@ mod tests {
             sem_asm: vec![],
             sem_cost: vec![],
             insts: vec![
-                VmInst::LoadScalar { dst: Reg(0), base: 0, offset: 0 },
-                VmInst::LoadScalar { dst: Reg(1), base: 0, offset: 1 },
-                VmInst::Scalar {
-                    dst: Reg(2),
-                    op: ScalarOp::Cmp { pred: CmpPred::Sle, lhs: Reg(0), rhs: Reg(1) },
-                },
-                VmInst::Scalar {
-                    dst: Reg(3),
-                    op: ScalarOp::Select { cond: Reg(2), on_true: Reg(1), on_false: Reg(0) },
-                },
-                VmInst::StoreScalar { base: 1, offset: 0, src: Reg(3) },
+                load(0, 0, 0),
+                load(1, 0, 1),
+                scalar(2, InstKind::Cmp { pred: CmpPred::Sle, lhs: Reg(0), rhs: Reg(1) }, Type::I1),
+                scalar(
+                    3,
+                    InstKind::Select { cond: Reg(2), on_true: Reg(1), on_false: Reg(0) },
+                    Type::I32,
+                ),
+                store(1, 0, 3),
             ],
             n_regs: 4,
         };
@@ -828,17 +819,11 @@ mod tests {
             sem_asm: vec![],
             sem_cost: vec![],
             insts: vec![
-                VmInst::LoadScalar { dst: Reg(0), base: 0, offset: 0 },
-                VmInst::Scalar { dst: Reg(1), op: ScalarOp::Const(Constant::int(Type::I16, 83)) },
-                VmInst::Scalar {
-                    dst: Reg(2),
-                    op: ScalarOp::Cast { op: CastOp::SExt, to: Type::I32, arg: Reg(1) },
-                },
-                VmInst::Scalar {
-                    dst: Reg(3),
-                    op: ScalarOp::Bin { op: BinOp::Mul, lhs: Reg(0), rhs: Reg(2) },
-                },
-                VmInst::StoreScalar { base: 1, offset: 0, src: Reg(3) },
+                load(0, 0, 0),
+                scalar(1, InstKind::Const(Constant::int(Type::I16, 83)), Type::I16),
+                scalar(2, InstKind::Cast { op: CastOp::SExt, arg: Reg(1) }, Type::I32),
+                scalar(3, InstKind::Bin { op: BinOp::Mul, lhs: Reg(0), rhs: Reg(2) }, Type::I32),
+                store(1, 0, 3),
             ],
             n_regs: 4,
         };
@@ -856,11 +841,7 @@ mod tests {
             sems: vec![],
             sem_asm: vec![],
             sem_cost: vec![],
-            insts: vec![
-                VmInst::LoadScalar { dst: Reg(0), base: 0, offset: 1 },
-                VmInst::StoreScalar { base: 1, offset: 0, src: Reg(0) },
-                VmInst::StoreScalar { base: 0, offset: 0, src: Reg(0) },
-            ],
+            insts: vec![load(0, 0, 1), store(1, 0, 0), store(0, 0, 0)],
             n_regs: 1,
         };
         let r = validate(&f, &prog, true);

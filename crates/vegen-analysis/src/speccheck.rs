@@ -741,8 +741,9 @@ fn audit_liberties(arena: &mut Arena, desc: &TargetDesc, diags: &mut Vec<Diagnos
         for &ty in tys {
             for _ in 0..64 {
                 let (a, b) = (rng.draw(ty), rng.draw(ty));
-                let base = eval_cmp(pred, a, b).as_u64();
-                if eval_cmp(pred.swapped(), b, a).as_u64() != base {
+                let cmp = |p, x, y| eval_cmp(p, x, y).map(Constant::as_u64);
+                let base = cmp(pred, a, b);
+                if cmp(pred.swapped(), b, a) != base {
                     diags.push(Diagnostic::error(
                         Location::Program,
                         format!(
@@ -752,7 +753,7 @@ fn audit_liberties(arena: &mut Arena, desc: &TargetDesc, diags: &mut Vec<Diagnos
                     ));
                     break;
                 }
-                if eval_cmp(pred.inverse(), a, b).as_u64() != 1 - base {
+                if cmp(pred.inverse(), a, b) != base.clone().map(|v| 1 - v) {
                     diags.push(Diagnostic::error(
                         Location::Program,
                         format!(

@@ -28,47 +28,8 @@ pub fn fuse(prog: &mut VmProgram) {
 
 fn use_counts(prog: &VmProgram) -> HashMap<Reg, usize> {
     let mut counts: HashMap<Reg, usize> = HashMap::new();
-    let bump = |r: Reg, counts: &mut HashMap<Reg, usize>| {
+    for r in prog.insts.iter().flat_map(VmInst::uses) {
         *counts.entry(r).or_insert(0) += 1;
-    };
-    for inst in &prog.insts {
-        match inst {
-            VmInst::Scalar { op, .. } => {
-                use vegen_vm::ScalarOp::*;
-                match op {
-                    Const(_) => {}
-                    Bin { lhs, rhs, .. } | Cmp { lhs, rhs, .. } => {
-                        bump(*lhs, &mut counts);
-                        bump(*rhs, &mut counts);
-                    }
-                    FNeg { arg } | Cast { arg, .. } => bump(*arg, &mut counts),
-                    Select { cond, on_true, on_false } => {
-                        bump(*cond, &mut counts);
-                        bump(*on_true, &mut counts);
-                        bump(*on_false, &mut counts);
-                    }
-                }
-            }
-            VmInst::StoreScalar { src, .. } | VmInst::VecStore { src, .. } => {
-                bump(*src, &mut counts)
-            }
-            VmInst::VecOp { args, .. } => {
-                for a in args {
-                    bump(*a, &mut counts);
-                }
-            }
-            VmInst::Build { lanes, .. } => {
-                for l in lanes {
-                    match l {
-                        LaneSrc::FromVec { src, .. } => bump(*src, &mut counts),
-                        LaneSrc::FromScalar(r) => bump(*r, &mut counts),
-                        _ => {}
-                    }
-                }
-            }
-            VmInst::Extract { src, .. } => bump(*src, &mut counts),
-            VmInst::LoadScalar { .. } | VmInst::VecLoad { .. } => {}
-        }
     }
     counts
 }
@@ -287,15 +248,8 @@ fn drop_dead(prog: &mut VmProgram) {
     loop {
         let counts = use_counts(prog);
         let before = prog.insts.len();
-        prog.insts.retain(|inst| match inst {
-            VmInst::Scalar { dst, .. }
-            | VmInst::LoadScalar { dst, .. }
-            | VmInst::VecLoad { dst, .. }
-            | VmInst::VecOp { dst, .. }
-            | VmInst::Build { dst, .. }
-            | VmInst::Extract { dst, .. } => counts.get(dst).copied().unwrap_or(0) > 0,
-            VmInst::StoreScalar { .. } | VmInst::VecStore { .. } => true,
-        });
+        // Stores define nothing and always stay.
+        prog.insts.retain(|inst| inst.def().is_none_or(|dst| counts.contains_key(&dst)));
         if prog.insts.len() == before {
             break;
         }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use vegen_ir::deps::DepGraph;
 use vegen_ir::{BinOp, CastOp, CmpPred, Function, InstKind, Type, ValueId};
 use vegen_vidl::{Expr, InstSemantics, LaneBinding, LaneRef, Operation, VecShape};
-use vegen_vm::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
+use vegen_vm::{LaneSrc, Reg, VmInst, VmProgram};
 
 /// The isomorphic shape of a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,7 +123,7 @@ impl<'a> SlpForest<'a> {
             if !matches!(b.kind, BundleKind::Gather) {
                 for &v in &b.vals {
                     covered.push(v);
-                    scalar_cost += self.scalar_cost(v);
+                    scalar_cost += vegen_ir::cost::scalar_cost(&self.f.inst(v).kind);
                 }
             }
         }
@@ -347,18 +347,6 @@ impl<'a> SlpForest<'a> {
         (lhs, rhs)
     }
 
-    fn scalar_cost(&self, v: ValueId) -> f64 {
-        match &self.f.inst(v).kind {
-            InstKind::Const(_) | InstKind::Cast { .. } => 0.0,
-            InstKind::Bin {
-                op: BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem | BinOp::FDiv,
-                ..
-            } => 8.0,
-            InstKind::Bin { .. } => 1.0,
-            _ => 1.0,
-        }
-    }
-
     fn bundle_vec_cost(&self, b: &Bundle) -> f64 {
         match &b.kind {
             BundleKind::Op(shape) => match shape {
@@ -516,12 +504,7 @@ impl<'a> SlpForest<'a> {
         if let Some(&r) = scalar_reg.get(&v) {
             return r;
         }
-        if let InstKind::Const(c) = self.f.inst(v).kind {
-            let dst = prog.fresh_reg();
-            prog.push(VmInst::Scalar { dst, op: ScalarOp::Const(c) });
-            scalar_reg.insert(v, dst);
-            return dst;
-        }
+        // A constant is never claimed: a bundle holding one is a gather.
         if let Some(&(t, b, lane)) = self.claimed.get(&v) {
             if let Some(&r) = extract_reg.get(&(t, b, lane)) {
                 return r;
@@ -536,84 +519,13 @@ impl<'a> SlpForest<'a> {
             // value redundantly as a scalar (operands have strictly smaller
             // indices, so the recursion terminates).
         }
-        self.emit_scalar_value(v, prog, scalar_reg, bundle_reg, extract_reg)
+        self.emit_scalar(v, prog, scalar_reg, bundle_reg, extract_reg)
+            .expect("baseline: a store is never a scalar operand")
     }
 
-    /// Emit `v`'s defining instruction as scalar code and return its
-    /// register (operands resolved recursively through
-    /// [`Self::scalar_value_reg`]).
-    fn emit_scalar_value(
-        &self,
-        v: ValueId,
-        prog: &mut VmProgram,
-        scalar_reg: &mut HashMap<ValueId, Reg>,
-        bundle_reg: &HashMap<(usize, usize), Reg>,
-        extract_reg: &mut HashMap<(usize, usize, usize), Reg>,
-    ) -> Reg {
-        let inst = self.f.inst(v).clone();
-        let mut get = |x: ValueId, prog: &mut VmProgram| {
-            self.scalar_value_reg(x, prog, scalar_reg, bundle_reg, extract_reg)
-        };
-        let dst = match &inst.kind {
-            InstKind::Load { loc } => {
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::LoadScalar { dst, base: loc.base, offset: loc.offset });
-                dst
-            }
-            InstKind::Const(c) => {
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::Const(*c) });
-                dst
-            }
-            InstKind::Bin { op, lhs, rhs } => {
-                let l = get(*lhs, prog);
-                let r = get(*rhs, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::Bin { op: *op, lhs: l, rhs: r } });
-                dst
-            }
-            InstKind::FNeg { arg } => {
-                let a = get(*arg, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::FNeg { arg: a } });
-                dst
-            }
-            InstKind::Cast { op, arg } => {
-                let a = get(*arg, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Cast { op: *op, to: inst.ty, arg: a },
-                });
-                dst
-            }
-            InstKind::Cmp { pred, lhs, rhs } => {
-                let l = get(*lhs, prog);
-                let r = get(*rhs, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Cmp { pred: *pred, lhs: l, rhs: r },
-                });
-                dst
-            }
-            InstKind::Select { cond, on_true, on_false } => {
-                let c = get(*cond, prog);
-                let t = get(*on_true, prog);
-                let e = get(*on_false, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Select { cond: c, on_true: t, on_false: e },
-                });
-                dst
-            }
-            InstKind::Store { .. } => panic!("baseline: a store is never a scalar operand"),
-        };
-        scalar_reg.insert(v, dst);
-        dst
-    }
-
+    /// Emit `v`'s instruction as scalar code, its operands resolved in
+    /// order through [`Self::scalar_value_reg`], and return its register
+    /// (none for a store).
     fn emit_scalar(
         &self,
         v: ValueId,
@@ -621,71 +533,14 @@ impl<'a> SlpForest<'a> {
         scalar_reg: &mut HashMap<ValueId, Reg>,
         bundle_reg: &HashMap<(usize, usize), Reg>,
         extract_reg: &mut HashMap<(usize, usize, usize), Reg>,
-    ) {
-        let f = self.f;
-        let mut get = |v: ValueId, prog: &mut VmProgram| {
-            self.scalar_value_reg(v, prog, scalar_reg, bundle_reg, extract_reg)
-        };
-        let inst = f.inst(v).clone();
-        match &inst.kind {
-            InstKind::Load { loc } => {
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::LoadScalar { dst, base: loc.base, offset: loc.offset });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::Store { loc, value } => {
-                let src = get(*value, prog);
-                prog.push(VmInst::StoreScalar { base: loc.base, offset: loc.offset, src });
-            }
-            InstKind::Const(c) => {
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::Const(*c) });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::Bin { op, lhs, rhs } => {
-                let l = get(*lhs, prog);
-                let r = get(*rhs, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::Bin { op: *op, lhs: l, rhs: r } });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::FNeg { arg } => {
-                let a = get(*arg, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op: ScalarOp::FNeg { arg: a } });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::Cast { op, arg } => {
-                let a = get(*arg, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Cast { op: *op, to: inst.ty, arg: a },
-                });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::Cmp { pred, lhs, rhs } => {
-                let l = get(*lhs, prog);
-                let r = get(*rhs, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Cmp { pred: *pred, lhs: l, rhs: r },
-                });
-                scalar_reg.insert(v, dst);
-            }
-            InstKind::Select { cond, on_true, on_false } => {
-                let c = get(*cond, prog);
-                let t = get(*on_true, prog);
-                let e = get(*on_false, prog);
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar {
-                    dst,
-                    op: ScalarOp::Select { cond: c, on_true: t, on_false: e },
-                });
-                scalar_reg.insert(v, dst);
-            }
-        }
+    ) -> Option<Reg> {
+        let inst = self
+            .f
+            .inst(v)
+            .map(|x| self.scalar_value_reg(x, prog, scalar_reg, bundle_reg, extract_reg));
+        let dst = prog.push_scalar(inst)?;
+        scalar_reg.insert(v, dst);
+        Some(dst)
     }
 
     fn emit_tree(

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vegen_core::{Pack, PackSet, SetPackId, VectorizerCtx};
 use vegen_ir::{Function, InstKind, ValueId};
-use vegen_vm::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
+use vegen_vm::{LaneSrc, Reg, VmInst, VmProgram};
 
 /// Why lowering a pack set (or scalar function) to a VM program failed.
 ///
@@ -252,11 +252,9 @@ impl<'c, 'a> Lowering<'c, 'a> {
         if let Some(&r) = self.scalar_reg.get(&v) {
             return Ok(r);
         }
-        if let InstKind::Const(c) = self.ctx.f.inst(v).kind {
-            let dst = self.prog.fresh_reg();
-            self.prog.push(VmInst::Scalar { dst, op: ScalarOp::Const(c) });
-            self.scalar_reg.insert(v, dst);
-            return Ok(dst);
+        if let InstKind::Const(_) = self.ctx.f.inst(v).kind {
+            let reg = self.emit_scalar(v)?;
+            return reg.ok_or_else(|| LowerError::ValueNotEmitted { value: v.to_string() });
         }
         if let Some(&(p, lane)) = self.vector_home.get(&v) {
             if let Some(&r) = self.extract_reg.get(&(p, lane)) {
@@ -321,51 +319,22 @@ impl<'c, 'a> Lowering<'c, 'a> {
 
     fn emit_unit(&mut self, u: Unit) -> Result<(), LowerError> {
         match u {
-            Unit::Scalar(v) => self.emit_scalar(v),
+            Unit::Scalar(v) => self.emit_scalar(v).map(drop),
             Unit::Pack(id) => self.emit_pack(id),
         }
     }
 
-    fn emit_scalar(&mut self, v: ValueId) -> Result<(), LowerError> {
+    /// Emit `v`'s instruction as scalar code, its operands resolved in
+    /// order through [`Self::scalar_value_reg`]; returns its register (none
+    /// for a store).
+    fn emit_scalar(&mut self, v: ValueId) -> Result<Option<Reg>, LowerError> {
         let f = self.ctx.f;
-        let inst = f.inst(v).clone();
-        let op = match &inst.kind {
-            InstKind::Const(c) => ScalarOp::Const(*c),
-            InstKind::Bin { op, lhs, rhs } => ScalarOp::Bin {
-                op: *op,
-                lhs: self.scalar_value_reg(*lhs)?,
-                rhs: self.scalar_value_reg(*rhs)?,
-            },
-            InstKind::FNeg { arg } => ScalarOp::FNeg { arg: self.scalar_value_reg(*arg)? },
-            InstKind::Cast { op, arg } => {
-                ScalarOp::Cast { op: *op, to: inst.ty, arg: self.scalar_value_reg(*arg)? }
-            }
-            InstKind::Cmp { pred, lhs, rhs } => ScalarOp::Cmp {
-                pred: *pred,
-                lhs: self.scalar_value_reg(*lhs)?,
-                rhs: self.scalar_value_reg(*rhs)?,
-            },
-            InstKind::Select { cond, on_true, on_false } => ScalarOp::Select {
-                cond: self.scalar_value_reg(*cond)?,
-                on_true: self.scalar_value_reg(*on_true)?,
-                on_false: self.scalar_value_reg(*on_false)?,
-            },
-            InstKind::Load { loc } => {
-                let dst = self.prog.fresh_reg();
-                self.prog.push(VmInst::LoadScalar { dst, base: loc.base, offset: loc.offset });
-                self.scalar_reg.insert(v, dst);
-                return Ok(());
-            }
-            InstKind::Store { loc, value } => {
-                let src = self.scalar_value_reg(*value)?;
-                self.prog.push(VmInst::StoreScalar { base: loc.base, offset: loc.offset, src });
-                return Ok(());
-            }
-        };
-        let dst = self.prog.fresh_reg();
-        self.prog.push(VmInst::Scalar { dst, op });
-        self.scalar_reg.insert(v, dst);
-        Ok(())
+        let inst = f.inst(v).try_map(|x| self.scalar_value_reg(x))?;
+        let dst = self.prog.push_scalar(inst);
+        if let Some(dst) = dst {
+            self.scalar_reg.insert(v, dst);
+        }
+        Ok(dst)
     }
 
     fn emit_pack(&mut self, id: SetPackId) -> Result<(), LowerError> {
@@ -437,46 +406,11 @@ pub fn try_lower_scalar(f: &Function) -> Result<VmProgram, LowerError> {
     let mut prog = VmProgram::new(f.name.clone(), f.params.clone());
     let mut regs: HashMap<ValueId, Reg> = HashMap::new();
     for (v, inst) in f.iter() {
-        let r = |regs: &HashMap<ValueId, Reg>, x: ValueId| -> Result<Reg, LowerError> {
+        let inst = inst.try_map(|x| {
             regs.get(&x).copied().ok_or_else(|| LowerError::MissingOperand { value: x.to_string() })
-        };
-        match &inst.kind {
-            InstKind::Load { loc } => {
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::LoadScalar { dst, base: loc.base, offset: loc.offset });
-                regs.insert(v, dst);
-            }
-            InstKind::Store { loc, value } => {
-                prog.push(VmInst::StoreScalar {
-                    base: loc.base,
-                    offset: loc.offset,
-                    src: r(&regs, *value)?,
-                });
-            }
-            other => {
-                let op = match other {
-                    InstKind::Const(c) => ScalarOp::Const(*c),
-                    InstKind::Bin { op, lhs, rhs } => {
-                        ScalarOp::Bin { op: *op, lhs: r(&regs, *lhs)?, rhs: r(&regs, *rhs)? }
-                    }
-                    InstKind::FNeg { arg } => ScalarOp::FNeg { arg: r(&regs, *arg)? },
-                    InstKind::Cast { op, arg } => {
-                        ScalarOp::Cast { op: *op, to: inst.ty, arg: r(&regs, *arg)? }
-                    }
-                    InstKind::Cmp { pred, lhs, rhs } => {
-                        ScalarOp::Cmp { pred: *pred, lhs: r(&regs, *lhs)?, rhs: r(&regs, *rhs)? }
-                    }
-                    InstKind::Select { cond, on_true, on_false } => ScalarOp::Select {
-                        cond: r(&regs, *cond)?,
-                        on_true: r(&regs, *on_true)?,
-                        on_false: r(&regs, *on_false)?,
-                    },
-                    InstKind::Load { .. } | InstKind::Store { .. } => unreachable!(),
-                };
-                let dst = prog.fresh_reg();
-                prog.push(VmInst::Scalar { dst, op });
-                regs.insert(v, dst);
-            }
+        })?;
+        if let Some(dst) = prog.push_scalar(inst) {
+            regs.insert(v, dst);
         }
     }
     Ok(prog)

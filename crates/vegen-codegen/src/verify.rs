@@ -74,8 +74,10 @@ mod tests {
         let f = b.finish();
         let mut prog = lower_scalar(&f);
         for inst in &mut prog.insts {
-            if let vegen_vm::VmInst::Scalar { op: vegen_vm::ScalarOp::Const(c), .. } = inst {
-                *c = vegen_ir::Constant::int(Type::I32, 2);
+            if let vegen_vm::VmInst::Scalar { inst, .. } = inst {
+                if let vegen_ir::InstKind::Const(c) = &mut inst.kind {
+                    *c = vegen_ir::Constant::int(Type::I32, 2);
+                }
             }
         }
         let first = check_equivalence(&f, &prog, 4).unwrap_err();

@@ -25,7 +25,7 @@
 //!   are bitsets by value index — ascending-bit iteration is ascending
 //!   `ValueId` order — and `prod` packs one 32-bit lane per value;
 //! * `R` is the free values whose users are all decided, kept current by
-//!   [`State::decide`], so every readiness test of a transition is one
+//!   `State::decide`, so every readiness test of a transition is one
 //!   bit and the dead sweep visits only the values a transition made
 //!   ready;
 //! * `V` is a sorted vector of plain `Copy` members, each an
@@ -46,12 +46,12 @@
 //!
 //! Most successors are pruned in the iteration that creates them, so an
 //! iteration has two steps. Expansion applies each transition into one
-//! reused scratch state and records a [`Scored`] successor: its parent's
+//! reused scratch state and records a `Scored` successor: its parent's
 //! frontier position, the action, `g`, the hash, the path length, and its
 //! `[F words | S words | V members]` key in one flat per-iteration key
 //! buffer. Dedup, the estimate, the top-k ranking and the decision log all
 //! read those records and keys. Only the `width` survivors become
-//! [`State`]s, each built by re-applying its action to its parent — so a
+//! `State`s, each built by re-applying its action to its parent — so a
 //! pruned successor costs no allocation at all.
 //!
 //! ## Parallel search

@@ -2,14 +2,14 @@
 //!
 //! Vector instruction costs come from the instruction database (twice the
 //! inverse throughput, as the paper scales Intrinsics Guide data). Scalar
-//! costs follow LLVM's default x86 TTI flavour: most operations cost 1,
-//! casts are free (they fold into loads/uses on x86), division is
-//! expensive. `Cinsert`/`Cextract` are LLVM-like per-element costs and
-//! `Cshuffle = 2` exactly as the paper sets it, with the special cases
-//! (constant vectors, broadcasts) the paper says it detects and overrides.
+//! costs and the defaults of the data-movement constants are
+//! [`vegen_ir::cost`]'s, the table the VM's static estimate reads too;
+//! this model adds the special cases (constant vectors, broadcasts) the
+//! paper says it detects and overrides.
 
 use crate::operand::OperandVec;
-use vegen_ir::{BinOp, Function, InstKind, ValueId};
+use vegen_ir::cost::{scalar_cost, BROADCAST, EXTRACT, INSERT, SHUFFLE, VECTOR_MEM};
+use vegen_ir::{Function, InstKind, ValueId};
 
 /// Cost-model parameters (the `C` constants of §5 / §6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,30 +31,20 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> CostModel {
         CostModel {
-            c_insert: 1.0,
-            c_extract: 1.0,
-            c_shuffle: 2.0,
-            c_vload: 1.0,
-            c_vstore: 1.0,
-            c_broadcast: 1.0,
+            c_insert: INSERT,
+            c_extract: EXTRACT,
+            c_shuffle: SHUFFLE,
+            c_vload: VECTOR_MEM,
+            c_vstore: VECTOR_MEM,
+            c_broadcast: BROADCAST,
         }
     }
 }
 
 impl CostModel {
-    /// Cost of executing one scalar instruction.
+    /// Cost of executing one scalar instruction ([`scalar_cost`]).
     pub fn scalar_inst_cost(&self, f: &Function, v: ValueId) -> f64 {
-        match &f.inst(v).kind {
-            InstKind::Const(_) => 0.0,
-            // Extensions and truncations are typically folded on x86.
-            InstKind::Cast { .. } => 0.0,
-            InstKind::Bin { op, .. } => match op {
-                BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem | BinOp::FDiv => 8.0,
-                _ => 1.0,
-            },
-            InstKind::Load { .. } | InstKind::Store { .. } => 1.0,
-            InstKind::FNeg { .. } | InstKind::Cmp { .. } | InstKind::Select { .. } => 1.0,
-        }
+        scalar_cost(&f.inst(v).kind)
     }
 
     /// `costscalar(v)`: the total cost of producing every value in `vals`
@@ -136,7 +126,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegen_ir::{FunctionBuilder, Type};
+    use vegen_ir::{BinOp, FunctionBuilder, Type};
 
     #[test]
     fn closure_cost_counts_each_value_once() {

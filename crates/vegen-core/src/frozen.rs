@@ -1,7 +1,7 @@
 //! Frozen, thread-shareable selection context.
 //!
 //! Pack selection starts with a *freeze*: every candidate the search could
-//! reach is enumerated once, into a candidate [`Arena`], and the result is
+//! reach is enumerated once, into a candidate `Arena`, and the result is
 //! an immutable [`FrozenCtx`] that beam workers share by reference — no
 //! locks, no interior mutability, and byte-identical data on every thread.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The beam search (Fig. 9) and the `costSLP` DP (Fig. 7) revisit the same
 //! vector operands and candidate packs thousands of times per kernel, so
-//! both work on handles into one [`Arena`]:
+//! both work on handles into one `Arena`:
 //!
 //! * [`OperandId`] / [`PackId`] — operands and packs are hash-consed, then
 //!   compared, hashed, and stored as `u32`s instead of heap-allocated
@@ -20,7 +20,7 @@
 //!
 //! An arena is filled once, by `FrozenCtx::freeze` — seed operands first,
 //! then a packs-then-operands ascending sweep to the fixpoint
-//! ([`Arena::close`]) — and only read afterwards. The sweep *pushes* the
+//! (`Arena::close`) — and only read afterwards. The sweep *pushes* the
 //! candidate lists of the operand it passes, so the list index is exactly
 //! as long as the swept prefix of the operands and a finished arena has no
 //! unpopulated entry to check for.

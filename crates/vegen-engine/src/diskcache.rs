@@ -5,7 +5,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "vegen-cache-entry/v2",
+//!   "schema": "vegen-cache-entry/v3",
 //!   "fingerprint": "<32 hex chars>",
 //!   "hash": "<32 hex chars>",
 //!   "target": "AVX2",
@@ -60,7 +60,7 @@ use vegen_isa::TargetIsa;
 /// Version string of the on-disk entry format. Bump on any change to the
 /// serialization layout *or* to the selection/lowering algorithms whose
 /// outputs the entries embalm.
-pub const ENTRY_SCHEMA: &str = "vegen-cache-entry/v2";
+pub const ENTRY_SCHEMA: &str = "vegen-cache-entry/v3";
 
 /// Fingerprint of everything target-side that can change a compilation
 /// result: the entry-schema version, the target name, the

@@ -5,7 +5,7 @@
 //! Every job — batch or serve — is assigned a process-unique correlation
 //! id (`c000001`, `c000002`, …) at creation. [`LIFECYCLE`] declares the
 //! events a job goes through and the fields each line carries;
-//! [`JobEvent`] is everything the engine reports about a job, and
+//! `JobEvent` is everything the engine reports about a job, and
 //! `Engine::note` is the one place any of it is recorded — the log line,
 //! the metrics registry, the engine counters and the trace instant.
 //!

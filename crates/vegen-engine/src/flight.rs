@@ -71,7 +71,7 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// Create the dump directory and start recording: enables tracing at
-    /// [`FLIGHT_CAPACITY`] unless a session is already running, which is
+    /// `FLIGHT_CAPACITY` unless a session is already running, which is
     /// left untouched — this recorder then never resets it.
     ///
     /// # Errors

@@ -5,7 +5,7 @@
 //! speedups, per-stage wall times, search statistics) plus engine-level
 //! cache and pipeline counters. The shapes are plain data and would
 //! `#[derive(serde::Serialize)]` verbatim; this workspace builds offline
-//! without serde, so rendering goes through the in-tree [`json`] writer
+//! without serde, so rendering goes through the in-tree [`json`](crate::json) writer
 //! instead.
 
 use crate::cache::CacheStats;
@@ -330,7 +330,7 @@ pub struct AnalysisSummary {
     pub packs_checked: usize,
     /// Stored lanes the provenance pass proved equal to scalar.
     pub lanes_proved: usize,
-    /// Rendered diagnostics ("severity [location]: message").
+    /// Rendered diagnostics (`"severity [location]: message"`).
     pub diagnostics: Vec<String>,
 }
 

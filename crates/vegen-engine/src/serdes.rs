@@ -14,7 +14,7 @@
 //! * durations are integer nanoseconds;
 //! * costs stay `f64`: Rust's shortest-roundtrip `Display` guarantees
 //!   render → parse → render stability;
-//! * [`InstSemantics`] are embedded as VIDL concrete syntax
+//! * [`InstSemantics`](vegen::vidl::InstSemantics) are embedded as VIDL concrete syntax
 //!   ([`vegen::vidl::print::inst_text`] / [`vegen::vidl::parse_inst`]),
 //!   so cached programs are self-contained — decoding never consults the
 //!   instruction database;
@@ -43,7 +43,7 @@ use vegen_core::pack::{Pack, PackSet, PackedMatch};
 use vegen_ir::{
     BinOp, CastOp, CmpPred, Constant, Function, Inst, InstKind, MemLoc, Param, Type, ValueId,
 };
-use vegen_vm::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
+use vegen_vm::{LaneSrc, Reg, VmInst, VmProgram};
 
 // ---------------------------------------------------------------------------
 // Decode helpers
@@ -203,39 +203,47 @@ fn param_from(j: Node<'_>) -> Result<Param, String> {
     })
 }
 
-fn inst_json(inst: &Inst) -> Json {
-    let mut pairs: Vec<(&'static str, Json)> = vec![("ty", Json::str(inst.ty.name()))];
-    match &inst.kind {
+/// An instruction over any operand handle, each operand through
+/// `handle`: IR values in a function, registers in a VM program, where
+/// the instruction also names the register it defines (`dst`; a store
+/// defines none).
+fn inst_json<V: Copy>(inst: &Inst<V>, dst: Option<V>, handle: impl Fn(V) -> Json) -> Json {
+    let mut pairs: Vec<(&'static str, Json)> = Vec::with_capacity(7);
+    if let Some(dst) = dst {
+        pairs.push(("dst", handle(dst)));
+    }
+    pairs.push(("ty", Json::str(inst.ty.name())));
+    match inst.kind {
         InstKind::Const(c) => {
             pairs.push(("k", Json::str("const")));
-            pairs.push(("c", constant_json(*c)));
+            pairs.push(("c", constant_json(c)));
         }
         InstKind::Bin { op, lhs, rhs } => {
             pairs.push(("k", Json::str("bin")));
             pairs.push(("op", Json::str(op.name())));
-            pairs.push(("lhs", value_json(*lhs)));
-            pairs.push(("rhs", value_json(*rhs)));
+            pairs.push(("lhs", handle(lhs)));
+            pairs.push(("rhs", handle(rhs)));
         }
         InstKind::FNeg { arg } => {
             pairs.push(("k", Json::str("fneg")));
-            pairs.push(("arg", value_json(*arg)));
+            pairs.push(("arg", handle(arg)));
         }
         InstKind::Cast { op, arg } => {
             pairs.push(("k", Json::str("cast")));
             pairs.push(("op", Json::str(op.name())));
-            pairs.push(("arg", value_json(*arg)));
+            pairs.push(("arg", handle(arg)));
         }
         InstKind::Cmp { pred, lhs, rhs } => {
             pairs.push(("k", Json::str("cmp")));
             pairs.push(("pred", Json::str(pred.name())));
-            pairs.push(("lhs", value_json(*lhs)));
-            pairs.push(("rhs", value_json(*rhs)));
+            pairs.push(("lhs", handle(lhs)));
+            pairs.push(("rhs", handle(rhs)));
         }
         InstKind::Select { cond, on_true, on_false } => {
             pairs.push(("k", Json::str("select")));
-            pairs.push(("cond", value_json(*cond)));
-            pairs.push(("t", value_json(*on_true)));
-            pairs.push(("f", value_json(*on_false)));
+            pairs.push(("cond", handle(cond)));
+            pairs.push(("t", handle(on_true)));
+            pairs.push(("f", handle(on_false)));
         }
         InstKind::Load { loc } => {
             pairs.push(("k", Json::str("load")));
@@ -246,15 +254,19 @@ fn inst_json(inst: &Inst) -> Json {
             pairs.push(("k", Json::str("store")));
             pairs.push(("base", Json::int(loc.base as u64)));
             pairs.push(("offset", Json::Num(loc.offset as f64)));
-            pairs.push(("value", value_json(*value)));
+            pairs.push(("value", handle(value)));
         }
     }
     Json::obj(pairs)
 }
 
-fn inst_from(j: Node<'_>) -> Result<Inst, String> {
+/// The inverse of [`inst_json`]; `handle` decodes one operand.
+fn inst_from<'a, V>(
+    j: Node<'a>,
+    handle: impl Fn(Node<'a>) -> Result<V, String>,
+) -> Result<Inst<V>, String> {
     let ty = ty_of(j, "ty")?;
-    let value_of = |key: &str| field(j, key).and_then(value_from);
+    let value_of = |key: &str| field(j, key).and_then(&handle);
     let kind = match &*string(j, "k")? {
         "const" => InstKind::Const(constant_from(field(j, "c")?)?),
         "bin" => InstKind::Bin {
@@ -294,7 +306,7 @@ pub fn function_to_json(f: &Function) -> Json {
     Json::obj([
         ("name", Json::str(&f.name)),
         ("params", Json::Arr(f.params.iter().map(param_json).collect())),
-        ("insts", Json::Arr(f.insts.iter().map(inst_json).collect())),
+        ("insts", Json::Arr(f.insts.iter().map(|i| inst_json(i, None, value_json)).collect())),
     ])
 }
 
@@ -307,7 +319,7 @@ pub fn function_from_node(j: Node<'_>) -> Result<Function, String> {
     Ok(Function {
         name: string(j, "name")?.into_owned(),
         params: list(j, "params", param_from)?,
-        insts: list(j, "insts", inst_from)?,
+        insts: list(j, "insts", |i| inst_from(i, value_from))?,
     })
 }
 
@@ -323,63 +335,8 @@ fn reg_of(j: Node<'_>, key: &str) -> Result<Reg, String> {
     Ok(Reg(uint(j, key)? as u32))
 }
 
-fn scalar_op_json(op: &ScalarOp) -> Json {
-    match op {
-        ScalarOp::Const(c) => Json::obj([("k", Json::str("const")), ("c", constant_json(*c))]),
-        ScalarOp::Bin { op, lhs, rhs } => Json::obj([
-            ("k", Json::str("bin")),
-            ("op", Json::str(op.name())),
-            ("lhs", reg_json(*lhs)),
-            ("rhs", reg_json(*rhs)),
-        ]),
-        ScalarOp::FNeg { arg } => Json::obj([("k", Json::str("fneg")), ("arg", reg_json(*arg))]),
-        ScalarOp::Cast { op, to, arg } => Json::obj([
-            ("k", Json::str("cast")),
-            ("op", Json::str(op.name())),
-            ("to", Json::str(to.name())),
-            ("arg", reg_json(*arg)),
-        ]),
-        ScalarOp::Cmp { pred, lhs, rhs } => Json::obj([
-            ("k", Json::str("cmp")),
-            ("pred", Json::str(pred.name())),
-            ("lhs", reg_json(*lhs)),
-            ("rhs", reg_json(*rhs)),
-        ]),
-        ScalarOp::Select { cond, on_true, on_false } => Json::obj([
-            ("k", Json::str("select")),
-            ("cond", reg_json(*cond)),
-            ("t", reg_json(*on_true)),
-            ("f", reg_json(*on_false)),
-        ]),
-    }
-}
-
-fn scalar_op_from(j: Node<'_>) -> Result<ScalarOp, String> {
-    Ok(match &*string(j, "k")? {
-        "const" => ScalarOp::Const(constant_from(field(j, "c")?)?),
-        "bin" => ScalarOp::Bin {
-            op: named(j, "op", "binop", BinOp::from_name)?,
-            lhs: reg_of(j, "lhs")?,
-            rhs: reg_of(j, "rhs")?,
-        },
-        "fneg" => ScalarOp::FNeg { arg: reg_of(j, "arg")? },
-        "cast" => ScalarOp::Cast {
-            op: named(j, "op", "cast op", CastOp::from_name)?,
-            to: ty_of(j, "to")?,
-            arg: reg_of(j, "arg")?,
-        },
-        "cmp" => ScalarOp::Cmp {
-            pred: named(j, "pred", "predicate", CmpPred::from_name)?,
-            lhs: reg_of(j, "lhs")?,
-            rhs: reg_of(j, "rhs")?,
-        },
-        "select" => ScalarOp::Select {
-            cond: reg_of(j, "cond")?,
-            on_true: reg_of(j, "t")?,
-            on_false: reg_of(j, "f")?,
-        },
-        other => return Err(format!("unknown scalar op {other:?}")),
-    })
+fn reg_from(j: Node<'_>) -> Result<Reg, String> {
+    value_from(j).map(|v| Reg(v.index() as u32))
 }
 
 fn lane_src_json(l: &LaneSrc) -> Json {
@@ -407,23 +364,7 @@ fn lane_src_from(j: Node<'_>) -> Result<LaneSrc, String> {
 
 fn vm_inst_json(i: &VmInst) -> Json {
     match i {
-        VmInst::Scalar { dst, op } => Json::obj([
-            ("k", Json::str("scalar")),
-            ("dst", reg_json(*dst)),
-            ("op", scalar_op_json(op)),
-        ]),
-        VmInst::LoadScalar { dst, base, offset } => Json::obj([
-            ("k", Json::str("load_scalar")),
-            ("dst", reg_json(*dst)),
-            ("base", Json::int(*base as u64)),
-            ("offset", Json::Num(*offset as f64)),
-        ]),
-        VmInst::StoreScalar { base, offset, src } => Json::obj([
-            ("k", Json::str("store_scalar")),
-            ("base", Json::int(*base as u64)),
-            ("offset", Json::Num(*offset as f64)),
-            ("src", reg_json(*src)),
-        ]),
+        VmInst::Scalar { dst, inst } => inst_json(inst, *dst, reg_json),
         VmInst::VecLoad { dst, base, start, lanes, elem } => Json::obj([
             ("k", Json::str("vec_load")),
             ("dst", reg_json(*dst)),
@@ -461,17 +402,6 @@ fn vm_inst_json(i: &VmInst) -> Json {
 
 fn vm_inst_from(j: Node<'_>) -> Result<VmInst, String> {
     Ok(match &*string(j, "k")? {
-        "scalar" => VmInst::Scalar { dst: reg_of(j, "dst")?, op: scalar_op_from(field(j, "op")?)? },
-        "load_scalar" => VmInst::LoadScalar {
-            dst: reg_of(j, "dst")?,
-            base: uint(j, "base")? as usize,
-            offset: int(j, "offset")?,
-        },
-        "store_scalar" => VmInst::StoreScalar {
-            base: uint(j, "base")? as usize,
-            offset: int(j, "offset")?,
-            src: reg_of(j, "src")?,
-        },
         "vec_load" => VmInst::VecLoad {
             dst: reg_of(j, "dst")?,
             base: uint(j, "base")? as usize,
@@ -487,7 +417,7 @@ fn vm_inst_from(j: Node<'_>) -> Result<VmInst, String> {
         "vec_op" => VmInst::VecOp {
             dst: reg_of(j, "dst")?,
             sem: uint(j, "sem")? as usize,
-            args: list(j, "args", |r| value_from(r).map(|v| Reg(v.index() as u32)))?,
+            args: list(j, "args", reg_from)?,
         },
         "build" => VmInst::Build {
             dst: reg_of(j, "dst")?,
@@ -499,7 +429,17 @@ fn vm_inst_from(j: Node<'_>) -> Result<VmInst, String> {
             src: reg_of(j, "src")?,
             lane: uint(j, "lane")? as usize,
         },
-        other => return Err(format!("unknown vm inst {other:?}")),
+        // Any other kind is a scalar IR instruction over registers; it
+        // names a `dst` exactly when it is not a store.
+        _ => {
+            let inst = inst_from(j, reg_from)?;
+            let dst = match (inst.is_pure(), j.get("dst")) {
+                (true, Some(dst)) => Some(reg_from(dst)?),
+                (false, None) => None,
+                _ => return Err("scalar \"dst\" does not fit its instruction".into()),
+            };
+            VmInst::Scalar { dst, inst }
+        }
     })
 }
 
@@ -1054,7 +994,25 @@ mod tests {
             .unwrap_err()
             .contains("params"));
         let bad_kind = Json::obj([("ty", Json::str("i32")), ("k", Json::str("frobnicate"))]);
-        assert!(decode(&bad_kind, inst_from).unwrap_err().contains("frobnicate"));
+        assert!(decode(&bad_kind, |j| inst_from(j, value_from))
+            .unwrap_err()
+            .contains("frobnicate"));
+        // A VM scalar instruction names a `dst` exactly when it is not a
+        // store.
+        let load = r#""ty":"i32","k":"load","base":0,"offset":1"#;
+        let store = r#""ty":"void","k":"store","base":0,"offset":1,"value":0"#;
+        for (dst, inst, ok) in [
+            (r#""dst":0,"#, load, true),
+            ("", load, false),
+            ("", store, true),
+            (r#""dst":1,"#, store, false),
+        ] {
+            let text = format!("{{{dst}{inst}}}");
+            let doc = Doc::parse(&text).unwrap();
+            assert_eq!(vm_inst_from(doc.root()).is_ok(), ok, "{text}");
+        }
+        let bad_vm_kind = Doc::parse(r#"{"ty":"i32","k":"frobnicate"}"#).unwrap();
+        assert!(vm_inst_from(bad_vm_kind.root()).unwrap_err().contains("frobnicate"));
         let bad_ty = Json::obj([("ty", Json::str("i128"))]);
         assert_eq!(decode(&bad_ty, |j| ty_of(j, "ty")), Err("unknown type \"i128\"".to_string()));
         // A cost the encoder could not write back: it renders infinity as

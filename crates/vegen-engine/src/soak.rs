@@ -52,7 +52,7 @@ use vegen_ir::Function;
 use vegen_isa::TargetIsa;
 use vegen_kernels::gen;
 use vegen_trace::metrics;
-use vegen_vm::{VmInst, VmProgram};
+use vegen_vm::VmProgram;
 
 /// Soak-run parameters.
 #[derive(Debug, Clone)]
@@ -308,16 +308,12 @@ enum FailCheck {
     Provenance,
 }
 
-/// Deterministically corrupt a compiled program: drop one store, chosen
-/// by the seeded stream. A program with no stores is left untouched.
+/// Deterministically corrupt a compiled program: drop one store (the
+/// instructions that define no register), chosen by the seeded stream. A
+/// program with no stores is left untouched.
 fn corrupt_program(prog: &mut VmProgram, seed: u64) {
-    let stores: Vec<usize> = prog
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| matches!(i, VmInst::StoreScalar { .. } | VmInst::VecStore { .. }))
-        .map(|(i, _)| i)
-        .collect();
+    let stores: Vec<usize> =
+        prog.insts.iter().enumerate().filter(|(_, i)| i.def().is_none()).map(|(i, _)| i).collect();
     if stores.is_empty() {
         return;
     }

@@ -178,6 +178,35 @@ fn corrupt_entries_are_rejected_deleted_and_recompiled() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A whole entry as the last `vegen-cache-entry/v2` build wrote it
+/// (`max_pd`, AVX2, beam 4). Its scalar VM code is spelled
+/// `load_scalar`/`scalar`/`store_scalar`, which this build no longer
+/// decodes; the schema check comes first, so the entry is stale rather than
+/// corrupt: deleted silently and recompiled into the same address.
+#[test]
+fn v2_entry_is_invalidated_silently_and_recompiled() {
+    let v2 = include_str!("fixtures/v2_entry_max_pd.json");
+    let doc = Doc::parse(v2).unwrap();
+    assert!(kernel_from_node(doc.root().get("kernel").unwrap()).is_err(), "v2 layout");
+    let hash = doc.root().get("hash").and_then(|h| h.as_str()).unwrap().into_owned();
+    let dir = temp_dir("v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{hash}.json"));
+    std::fs::write(&path, v2).unwrap();
+
+    let engine = engine_with(&dir);
+    let k = vegen_kernels::find("max_pd").unwrap();
+    let results = engine.compile_batch(&[Job::new(k.name, (k.build)(), pipeline(4))]);
+    assert!(results[0].rung == Rung::Primary && results[0].faults.is_empty());
+    let counters = engine.counters();
+    assert_eq!((counters.compilations, counters.disk_hits, counters.cache_io_errors), (1, 0, 0));
+    let stats = engine.disk_stats().unwrap();
+    assert_eq!((stats.invalidated, stats.corrupt), (1, 0));
+    let rewritten = std::fs::read_to_string(&path).unwrap();
+    assert!(rewritten.contains(ENTRY_SCHEMA), "the recompile is stored at the same address");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stale_schema_or_fingerprint_invalidates_silently() {
     let dir = temp_dir("stale");

@@ -181,15 +181,7 @@ impl FunctionBuilder {
     /// Panics on nonsensical casts (e.g. `sext` to a narrower type).
     pub fn cast(&mut self, op: CastOp, a: ValueId, to: Type) -> ValueId {
         let from = self.ty(a);
-        let ok = match op {
-            CastOp::SExt | CastOp::ZExt => from.is_int() && to.is_int() && to.bits() > from.bits(),
-            CastOp::Trunc => from.is_int() && to.is_int() && to.bits() < from.bits(),
-            CastOp::FPExt => from == Type::F32 && to == Type::F64,
-            CastOp::FPTrunc => from == Type::F64 && to == Type::F32,
-            CastOp::SIToFP | CastOp::UIToFP => from.is_int() && to.is_float(),
-            CastOp::FPToSI => from.is_float() && to.is_int(),
-        };
-        assert!(ok, "invalid cast {op:?} from {from} to {to}");
+        assert!(op.fits(from, to), "invalid cast {op:?} from {from} to {to}");
         self.f.push(Inst { kind: InstKind::Cast { op, arg: a }, ty: to })
     }
 

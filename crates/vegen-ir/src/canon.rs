@@ -364,8 +364,10 @@ impl Emitter<'_> {
 fn const_fold(e: &mut Emitter, inst: &Inst) -> Option<ValueId> {
     let c = match inst.kind {
         InstKind::Bin { op, lhs, rhs } => eval_bin(op, e.const_of(lhs)?, e.const_of(rhs)?).ok()?,
-        InstKind::Cast { op, arg } => eval_cast(op, e.const_of(arg)?, inst.ty),
-        InstKind::Cmp { pred, lhs, rhs } => eval_cmp(pred, e.const_of(lhs)?, e.const_of(rhs)?),
+        InstKind::Cast { op, arg } => eval_cast(op, e.const_of(arg)?, inst.ty).ok()?,
+        InstKind::Cmp { pred, lhs, rhs } => {
+            eval_cmp(pred, e.const_of(lhs)?, e.const_of(rhs)?).ok()?
+        }
         _ => return None,
     };
     Some(e.constant(c))

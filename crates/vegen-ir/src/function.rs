@@ -8,7 +8,7 @@ use std::fmt;
 ///
 /// Values are indices into [`Function::insts`]; program order is index
 /// order, and the verifier enforces defs-before-uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(u32);
 
 impl ValueId {

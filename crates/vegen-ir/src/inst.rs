@@ -156,6 +156,22 @@ impl CastOp {
         })
     }
 
+    /// True if the cast converts `from` to `to`: extensions widen and
+    /// truncations narrow an integer, `fpext`/`fptrunc` go between `f32`
+    /// and `f64`, and the int↔float casts cross between the classes. The
+    /// builder, the verifier, the VIDL checker and
+    /// [`eval_cast`](crate::interp::eval_cast) all apply this rule.
+    pub fn fits(self, from: Type, to: Type) -> bool {
+        match self {
+            CastOp::SExt | CastOp::ZExt => from.is_int() && to.is_int() && to.bits() > from.bits(),
+            CastOp::Trunc => from.is_int() && to.is_int() && to.bits() < from.bits(),
+            CastOp::FPExt => from == Type::F32 && to == Type::F64,
+            CastOp::FPTrunc => from == Type::F64 && to == Type::F32,
+            CastOp::SIToFP | CastOp::UIToFP => from.is_int() && to.is_float(),
+            CastOp::FPToSI => from.is_float() && to.is_int(),
+        }
+    }
+
     /// Mnemonic used by the printer.
     pub fn name(self) -> &'static str {
         match self {
@@ -323,95 +339,131 @@ impl fmt::Display for MemLoc {
     }
 }
 
-/// The operation an instruction performs.
+/// The operation an instruction performs, over operand handles `V`:
+/// [`ValueId`]s in a [`Function`](crate::Function), registers in a lowered
+/// program. [`Inst::try_map`] moves an instruction from one handle type to
+/// another; nothing else about it changes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant and field names are the documentation
-pub enum InstKind {
+pub enum InstKind<V = ValueId> {
     /// A typed constant.
     Const(Constant),
     /// Binary operation.
-    Bin { op: BinOp, lhs: ValueId, rhs: ValueId },
+    Bin { op: BinOp, lhs: V, rhs: V },
     /// Floating-point negation.
-    FNeg { arg: ValueId },
+    FNeg { arg: V },
     /// Conversion.
-    Cast { op: CastOp, arg: ValueId },
+    Cast { op: CastOp, arg: V },
     /// Comparison producing `i1`.
-    Cmp { pred: CmpPred, lhs: ValueId, rhs: ValueId },
+    Cmp { pred: CmpPred, lhs: V, rhs: V },
     /// `cond ? on_true : on_false`.
-    Select { cond: ValueId, on_true: ValueId, on_false: ValueId },
+    Select { cond: V, on_true: V, on_false: V },
     /// Load from a buffer.
     Load { loc: MemLoc },
     /// Store to a buffer.
-    Store { loc: MemLoc, value: ValueId },
+    Store { loc: MemLoc, value: V },
 }
 
 /// An instruction: an [`InstKind`] plus its result type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Inst {
+pub struct Inst<V = ValueId> {
     /// What the instruction does.
-    pub kind: InstKind,
+    pub kind: InstKind<V>,
     /// Result type (`Void` for stores).
     pub ty: Type,
 }
 
-/// An instruction's value operands, held inline (no instruction has more
-/// than three). Derefs to `&[ValueId]`; iterating by value yields the
-/// operands in order.
+/// An instruction's operands, held inline (no instruction has more than
+/// three). Derefs to `&[V]`; iterating by value yields the operands in
+/// order.
 #[derive(Clone, Copy)]
-pub struct Operands {
-    ids: [ValueId; 3],
+pub struct Operands<V = ValueId> {
+    ids: [V; 3],
     len: u8,
 }
 
-impl Operands {
-    fn new(ops: &[ValueId]) -> Operands {
-        let mut ids = [ValueId::from_raw(0); 3];
+impl<V: Copy + Default> Operands<V> {
+    fn new(ops: &[V]) -> Operands<V> {
+        let mut ids = [V::default(); 3];
         ids[..ops.len()].copy_from_slice(ops);
         Operands { ids, len: ops.len() as u8 }
     }
 }
 
-impl std::ops::Deref for Operands {
-    type Target = [ValueId];
+impl<V> std::ops::Deref for Operands<V> {
+    type Target = [V];
 
-    fn deref(&self) -> &[ValueId] {
+    fn deref(&self) -> &[V] {
         &self.ids[..self.len as usize]
     }
 }
 
-impl IntoIterator for Operands {
-    type Item = ValueId;
-    type IntoIter = std::iter::Take<std::array::IntoIter<ValueId, 3>>;
+impl<V> IntoIterator for Operands<V> {
+    type Item = V;
+    type IntoIter = std::iter::Take<std::array::IntoIter<V, 3>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.ids.into_iter().take(self.len as usize)
     }
 }
 
-impl fmt::Debug for Operands {
+impl<V: fmt::Debug> fmt::Debug for Operands<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl Inst {
-    /// The value operands, in order.
-    pub fn operands(&self) -> Operands {
-        match &self.kind {
+impl<V: Copy + Default> Inst<V> {
+    /// The operands, in order.
+    pub fn operands(&self) -> Operands<V> {
+        match self.kind {
             InstKind::Const(_) | InstKind::Load { .. } => Operands::new(&[]),
             InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                Operands::new(&[*lhs, *rhs])
+                Operands::new(&[lhs, rhs])
             }
-            InstKind::FNeg { arg } | InstKind::Cast { arg, .. } => Operands::new(&[*arg]),
+            InstKind::FNeg { arg } | InstKind::Cast { arg, .. } => Operands::new(&[arg]),
             InstKind::Select { cond, on_true, on_false } => {
-                Operands::new(&[*cond, *on_true, *on_false])
+                Operands::new(&[cond, on_true, on_false])
             }
-            InstKind::Store { value, .. } => Operands::new(&[*value]),
+            InstKind::Store { value, .. } => Operands::new(&[value]),
+        }
+    }
+}
+
+impl<V: Copy> Inst<V> {
+    /// The same instruction over other operand handles: each operand goes
+    /// through `f` once, in [`Inst::operands`] order, and the first error
+    /// stops the walk.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `f` returns.
+    pub fn try_map<W, E>(&self, mut f: impl FnMut(V) -> Result<W, E>) -> Result<Inst<W>, E> {
+        let kind = match self.kind {
+            InstKind::Const(c) => InstKind::Const(c),
+            InstKind::Bin { op, lhs, rhs } => InstKind::Bin { op, lhs: f(lhs)?, rhs: f(rhs)? },
+            InstKind::FNeg { arg } => InstKind::FNeg { arg: f(arg)? },
+            InstKind::Cast { op, arg } => InstKind::Cast { op, arg: f(arg)? },
+            InstKind::Cmp { pred, lhs, rhs } => InstKind::Cmp { pred, lhs: f(lhs)?, rhs: f(rhs)? },
+            InstKind::Select { cond, on_true, on_false } => {
+                InstKind::Select { cond: f(cond)?, on_true: f(on_true)?, on_false: f(on_false)? }
+            }
+            InstKind::Load { loc } => InstKind::Load { loc },
+            InstKind::Store { loc, value } => InstKind::Store { loc, value: f(value)? },
+        };
+        Ok(Inst { kind, ty: self.ty })
+    }
+
+    /// [`Inst::try_map`] with an infallible `f`.
+    pub fn map<W>(&self, mut f: impl FnMut(V) -> W) -> Inst<W> {
+        match self.try_map(|v| Ok::<W, std::convert::Infallible>(f(v))) {
+            Ok(inst) => inst,
+            Err(never) => match never {},
         }
     }
 
     /// Rewrite each operand through `f` in place.
-    pub fn map_operands(&mut self, mut f: impl FnMut(ValueId) -> ValueId) {
+    pub fn map_operands(&mut self, mut f: impl FnMut(V) -> V) {
         match &mut self.kind {
             InstKind::Const(_) | InstKind::Load { .. } => {}
             InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
@@ -427,7 +479,9 @@ impl Inst {
             InstKind::Store { value, .. } => *value = f(*value),
         }
     }
+}
 
+impl<V> Inst<V> {
     /// True for instructions with no side effects (everything but stores).
     pub fn is_pure(&self) -> bool {
         !matches!(self.kind, InstKind::Store { .. })
@@ -485,7 +539,8 @@ mod tests {
             Inst { kind: InstKind::Select { cond: v0, on_true: v1, on_false: v2 }, ty: Type::I32 };
         assert_eq!(*sel.operands(), [v0, v1, v2]);
         assert_eq!(sel.operands().into_iter().collect::<Vec<_>>(), vec![v0, v1, v2]);
-        let ld = Inst { kind: InstKind::Load { loc: MemLoc { base: 0, offset: 3 } }, ty: Type::I8 };
+        let ld: Inst =
+            Inst { kind: InstKind::Load { loc: MemLoc { base: 0, offset: 3 } }, ty: Type::I8 };
         assert!(ld.operands().is_empty());
         assert!(ld.touches_memory());
         assert!(ld.is_pure());

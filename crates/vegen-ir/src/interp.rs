@@ -7,8 +7,8 @@
 //! three layers agree bit-for-bit on arithmetic.
 
 use crate::constant::{mask, sext, Constant};
-use crate::function::{Function, ValueId};
-use crate::inst::{BinOp, CastOp, CmpPred, InstKind};
+use crate::function::Function;
+use crate::inst::{BinOp, CastOp, CmpPred, Inst, InstKind};
 use crate::rng::XorShift;
 use crate::types::Type;
 use std::error::Error;
@@ -84,10 +84,13 @@ impl Error for EvalError {}
 ///
 /// # Errors
 ///
-/// Returns an error on integer division/remainder by zero.
+/// Returns an error on integer division/remainder by zero, on operands of
+/// different types, and on an opcode applied to the wrong type class.
 pub fn eval_bin(op: BinOp, a: Constant, b: Constant) -> Result<Constant, EvalError> {
     let ty = a.ty();
-    debug_assert_eq!(ty, b.ty());
+    if ty != b.ty() {
+        return Err(EvalError(format!("{} of {ty} and {}", op.name(), b.ty())));
+    }
     if op.is_float() {
         let r64 = |x: f64, y: f64| -> f64 {
             match op {
@@ -103,6 +106,9 @@ pub fn eval_bin(op: BinOp, a: Constant, b: Constant) -> Result<Constant, EvalErr
             Type::F64 => Constant::f64(r64(a.as_f64(), b.as_f64())),
             _ => return Err(EvalError(format!("float op {op:?} on {ty}"))),
         });
+    }
+    if !ty.is_int() {
+        return Err(EvalError(format!("int op {op:?} on {ty}")));
     }
     let bits = ty.bits();
     let ua = a.as_u64();
@@ -166,7 +172,7 @@ pub fn eval_bin(op: BinOp, a: Constant, b: Constant) -> Result<Constant, EvalErr
                 (sa >> ub) as u64
             }
         }
-        _ => return Err(EvalError(format!("int op {op:?} on {ty}"))),
+        BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => unreachable!(),
     };
     Ok(out_u(r))
 }
@@ -185,10 +191,19 @@ pub fn eval_fneg(a: Constant) -> Result<Constant, EvalError> {
 }
 
 /// Evaluate a comparison, producing an `i1` constant.
-pub fn eval_cmp(pred: CmpPred, a: Constant, b: Constant) -> Constant {
+///
+/// # Errors
+///
+/// Returns an error on operands of different types, or of a type class
+/// (integer, float) the predicate does not compare.
+pub fn eval_cmp(pred: CmpPred, a: Constant, b: Constant) -> Result<Constant, EvalError> {
     use CmpPred::*;
+    let ty = a.ty();
+    if ty != b.ty() || pred.is_float() != ty.is_float() || !(ty.is_int() || ty.is_float()) {
+        return Err(EvalError(format!("{} of {ty} and {}", pred.name(), b.ty())));
+    }
     let r = if pred.is_float() {
-        let (x, y) = match a.ty() {
+        let (x, y) = match ty {
             Type::F32 => (a.as_f32() as f64, b.as_f32() as f64),
             _ => (a.as_f64(), b.as_f64()),
         };
@@ -216,15 +231,23 @@ pub fn eval_cmp(pred: CmpPred, a: Constant, b: Constant) -> Constant {
             _ => unreachable!(),
         }
     };
-    Constant::bool(r)
+    Ok(Constant::bool(r))
 }
 
 /// Evaluate a cast of `a` to `to`.
-pub fn eval_cast(op: CastOp, a: Constant, to: Type) -> Constant {
-    match op {
+///
+/// # Errors
+///
+/// Returns an error when the cast does not convert `a`'s type to `to`
+/// ([`CastOp::fits`]: a `sext` of a float, an `fpext` of an `f64`).
+pub fn eval_cast(op: CastOp, a: Constant, to: Type) -> Result<Constant, EvalError> {
+    let from = a.ty();
+    if !op.fits(from, to) {
+        return Err(EvalError(format!("{} from {from} to {to}", op.name())));
+    }
+    Ok(match op {
         CastOp::SExt => Constant::int(to, a.as_i64()),
-        CastOp::ZExt => Constant::int(to, a.as_u64() as i64),
-        CastOp::Trunc => Constant::int(to, a.as_u64() as i64),
+        CastOp::ZExt | CastOp::Trunc => Constant::int(to, a.as_u64() as i64),
         CastOp::FPExt => Constant::f64(a.as_f32() as f64),
         CastOp::FPTrunc => Constant::f32(a.as_f64() as f32),
         CastOp::SIToFP => {
@@ -242,7 +265,7 @@ pub fn eval_cast(op: CastOp, a: Constant, to: Type) -> Constant {
             }
         }
         CastOp::FPToSI => {
-            let v = match a.ty() {
+            let v = match from {
                 Type::F32 => a.as_f32() as f64,
                 _ => a.as_f64(),
             };
@@ -261,38 +284,56 @@ pub fn eval_cast(op: CastOp, a: Constant, to: Type) -> Constant {
             };
             Constant::int(to, clamped)
         }
-    }
+    })
 }
 
-/// Run `f` on `mem`, mutating it through stores, and return every
-/// instruction's value (stores yield a `Void`-typed placeholder zero).
+/// Execute one scalar instruction, reading each operand through `get`
+/// (a `select` reads its condition, then only the arm it picks): the
+/// scalar semantics [`run`] and the vector VM both step through. A store
+/// writes `mem` and yields a placeholder `false`.
 ///
 /// # Errors
 ///
-/// Returns an error on division by zero.
+/// Returns the first error of `get`, and an error on division by zero and
+/// on ill-typed operands (see [`eval_bin`], [`eval_fneg`], [`eval_cmp`],
+/// [`eval_cast`]; a `select` needs an `i1` condition).
+#[inline]
+pub fn step<V: Copy>(
+    inst: &Inst<V>,
+    mut get: impl FnMut(V) -> Result<Constant, EvalError>,
+    mem: &mut Memory,
+) -> Result<Constant, EvalError> {
+    Ok(match inst.kind {
+        InstKind::Const(c) => c,
+        InstKind::Bin { op, lhs, rhs } => eval_bin(op, get(lhs)?, get(rhs)?)?,
+        InstKind::FNeg { arg } => eval_fneg(get(arg)?)?,
+        InstKind::Cast { op, arg } => eval_cast(op, get(arg)?, inst.ty)?,
+        InstKind::Cmp { pred, lhs, rhs } => eval_cmp(pred, get(lhs)?, get(rhs)?)?,
+        InstKind::Select { cond, on_true, on_false } => {
+            let cond = get(cond)?;
+            if cond.ty() != Type::I1 {
+                return Err(EvalError(format!("select on a {} condition", cond.ty())));
+            }
+            get(if cond.as_bool() { on_true } else { on_false })?
+        }
+        InstKind::Load { loc } => mem.read(loc.base, loc.offset),
+        InstKind::Store { loc, value } => {
+            mem.write(loc.base, loc.offset, get(value)?);
+            Constant::bool(false)
+        }
+    })
+}
+
+/// Run `f` on `mem`, mutating it through stores, and return every
+/// instruction's value (stores yield a placeholder `false`).
+///
+/// # Errors
+///
+/// Returns an error on division by zero or an ill-typed instruction.
 pub fn run(f: &Function, mem: &mut Memory) -> Result<Vec<Constant>, EvalError> {
     let mut vals: Vec<Constant> = Vec::with_capacity(f.insts.len());
     for (_, inst) in f.iter() {
-        let get = |v: ValueId| vals[v.index()];
-        let out = match &inst.kind {
-            InstKind::Const(c) => *c,
-            InstKind::Bin { op, lhs, rhs } => eval_bin(*op, get(*lhs), get(*rhs))?,
-            InstKind::FNeg { arg } => eval_fneg(get(*arg))?,
-            InstKind::Cast { op, arg } => eval_cast(*op, get(*arg), inst.ty),
-            InstKind::Cmp { pred, lhs, rhs } => eval_cmp(*pred, get(*lhs), get(*rhs)),
-            InstKind::Select { cond, on_true, on_false } => {
-                if get(*cond).as_bool() {
-                    get(*on_true)
-                } else {
-                    get(*on_false)
-                }
-            }
-            InstKind::Load { loc } => mem.read(loc.base, loc.offset),
-            InstKind::Store { loc, value } => {
-                mem.write(loc.base, loc.offset, get(*value));
-                Constant::bool(false)
-            }
-        };
+        let out = step(inst, |v| Ok(vals[v.index()]), mem)?;
         vals.push(out);
     }
     Ok(vals)
@@ -379,22 +420,60 @@ mod tests {
     #[test]
     fn casts() {
         let x = Constant::int(Type::I8, -1);
-        assert_eq!(eval_cast(CastOp::SExt, x, Type::I32).as_i64(), -1);
-        assert_eq!(eval_cast(CastOp::ZExt, x, Type::I32).as_i64(), 255);
+        let cast = |op, c, to| eval_cast(op, c, to).unwrap().as_i64();
+        assert_eq!(cast(CastOp::SExt, x, Type::I32), -1);
+        assert_eq!(cast(CastOp::ZExt, x, Type::I32), 255);
         let y = Constant::int(Type::I32, 0x1_ff);
-        assert_eq!(eval_cast(CastOp::Trunc, y, Type::I8).as_i64(), -1);
+        assert_eq!(cast(CastOp::Trunc, y, Type::I8), -1);
         let f = Constant::f64(1e30);
-        assert_eq!(eval_cast(CastOp::FPToSI, f, Type::I32).as_i64(), i32::MAX as i64);
+        assert_eq!(cast(CastOp::FPToSI, f, Type::I32), i32::MAX as i64);
         let nan = Constant::f64(f64::NAN);
-        assert_eq!(eval_cast(CastOp::FPToSI, nan, Type::I32).as_i64(), 0);
+        assert_eq!(cast(CastOp::FPToSI, nan, Type::I32), 0);
     }
 
     #[test]
     fn unsigned_comparisons() {
         let a = Constant::int(Type::I8, -1); // 0xff
         let b = Constant::int(Type::I8, 1);
-        assert!(eval_cmp(CmpPred::Ugt, a, b).as_bool());
-        assert!(eval_cmp(CmpPred::Slt, a, b).as_bool());
+        assert!(eval_cmp(CmpPred::Ugt, a, b).unwrap().as_bool());
+        assert!(eval_cmp(CmpPred::Slt, a, b).unwrap().as_bool());
+    }
+
+    /// Three instructions the verifier rejects, each over two constants:
+    /// an integer `add` of `f32`s, a float compare of `i32`s and an
+    /// `fpext` of an `i32`. `run` returns an error for each; it panicked
+    /// in `Constant`'s accessors before.
+    fn ill_typed() -> Vec<Function> {
+        let kinds = [
+            (Constant::f32(1.5), InstKind::Bin { op: BinOp::Add, lhs: 0, rhs: 1 }, Type::F32),
+            (
+                Constant::int(Type::I32, 3),
+                InstKind::Cmp { pred: CmpPred::Flt, lhs: 0, rhs: 1 },
+                Type::I1,
+            ),
+            (Constant::int(Type::I32, 3), InstKind::Cast { op: CastOp::FPExt, arg: 0 }, Type::F64),
+        ];
+        kinds
+            .into_iter()
+            .map(|(c, kind, ty)| {
+                let mut f = Function::new("ill_typed");
+                let ids = [
+                    f.push(Inst { kind: InstKind::Const(c), ty: c.ty() }),
+                    f.push(Inst { kind: InstKind::Const(c), ty: c.ty() }),
+                ];
+                f.push(Inst { kind, ty }.map(|i: usize| ids[i]));
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ill_typed_instructions_are_errors() {
+        for f in ill_typed() {
+            let mut mem = Memory::zeroed(&f);
+            let err = run(&f, &mut mem).expect_err("an ill-typed instruction must not evaluate");
+            assert!(!err.0.is_empty());
+        }
     }
 
     #[test]

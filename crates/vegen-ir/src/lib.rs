@@ -12,12 +12,16 @@
 //! The crate provides:
 //!
 //! * the IR itself ([`Function`], [`Inst`], [`InstKind`], [`Type`],
-//!   [`Constant`]),
+//!   [`Constant`]); an [`Inst<V>`](Inst) is generic over its operand handle,
+//!   so the vector VM's scalar code is the same instruction over registers
+//!   ([`Inst::try_map`] moves between the two),
+//! * the one scalar [cost table](cost) every cost model reads,
 //! * a builder ([`FunctionBuilder`]) used by the kernel library and by the
 //!   pattern generator,
 //! * a structural [verifier](verify::verify) enforcing SSA and type rules,
 //! * a reference [interpreter](interp) that gives the IR an executable
-//!   semantics (used to validate every vectorization end to end),
+//!   semantics (used to validate every vectorization end to end); its
+//!   [`step`](interp::step) runs the VM's scalar code too,
 //! * [dependence analysis](deps) (use-def plus memory order), and
 //! * an `instcombine`-style [canonicalizer](canon) shared between input
 //!   programs and generated patterns, mirroring §6 of the paper.
@@ -51,6 +55,7 @@
 pub mod builder;
 pub mod canon;
 pub mod constant;
+pub mod cost;
 pub mod deps;
 pub mod function;
 pub mod inst;

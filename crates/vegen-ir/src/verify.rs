@@ -111,21 +111,9 @@ pub fn verify_all(f: &Function) -> Vec<VerifyError> {
             InstKind::Cast { op, arg } => {
                 let from = f.ty(*arg);
                 let to = inst.ty;
-                let ok = match op {
-                    CastOp::SExt | CastOp::ZExt => {
-                        from.is_int() && to.is_int() && to.bits() > from.bits()
-                    }
-                    // Truncation to i1 is forbidden: booleans come from
-                    // comparisons, not from chopping an integer.
-                    CastOp::Trunc => {
-                        from.is_int() && to.is_int() && to != Type::I1 && to.bits() < from.bits()
-                    }
-                    CastOp::FPExt => from == Type::F32 && to == Type::F64,
-                    CastOp::FPTrunc => from == Type::F64 && to == Type::F32,
-                    CastOp::SIToFP | CastOp::UIToFP => from.is_int() && to.is_float(),
-                    CastOp::FPToSI => from.is_float() && to.is_int(),
-                };
-                if !ok {
+                // Truncation to i1 is forbidden: booleans come from
+                // comparisons, not from chopping an integer.
+                if !op.fits(from, to) || (*op == CastOp::Trunc && to == Type::I1) {
                     err(format!("invalid cast {op:?} {from} -> {to}"));
                 }
             }

@@ -17,7 +17,7 @@
 //!    allocate. Instrumentation can therefore live permanently in hot
 //!    paths (the beam-search inner loop, the work-stealing pool).
 //! 2. **Lock-free append.** Each thread owns a single-writer buffer
-//!    ([`ring`]): an append publishes one slot with a release store — no
+//!    (`ring`): an append publishes one slot with a release store — no
 //!    mutex, no CAS loop, no cross-thread contention. Buffers are bounded;
 //!    overflow drops the event and bumps a counter rather than blocking.
 //! 3. **Observation only.** Recording has no feedback into what is being

@@ -11,7 +11,7 @@
 use crate::ast::{Expr, InstSemantics, Operation};
 use std::error::Error;
 use std::fmt;
-use vegen_ir::{CastOp, Type};
+use vegen_ir::Type;
 
 /// A well-formedness violation (first-error form).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,17 +96,7 @@ fn type_of(e: &Expr, params: &[Type]) -> Result<Type, CheckError> {
         }
         Expr::Cast { op, to, arg } => {
             let from = type_of(arg, params)?;
-            let ok = match op {
-                CastOp::SExt | CastOp::ZExt => {
-                    from.is_int() && to.is_int() && to.bits() > from.bits()
-                }
-                CastOp::Trunc => from.is_int() && to.is_int() && to.bits() < from.bits(),
-                CastOp::FPExt => from == Type::F32 && *to == Type::F64,
-                CastOp::FPTrunc => from == Type::F64 && *to == Type::F32,
-                CastOp::SIToFP | CastOp::UIToFP => from.is_int() && to.is_float(),
-                CastOp::FPToSI => from.is_float() && to.is_int(),
-            };
-            if !ok {
+            if !op.fits(from, *to) {
                 return Err(CheckError(format!("invalid cast {op:?} {from} -> {to}")));
             }
             Ok(*to)

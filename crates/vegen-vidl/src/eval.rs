@@ -14,7 +14,9 @@ use vegen_ir::{Constant, Type};
 /// # Errors
 ///
 /// Returns an error on division by zero, a parameter index past `args`,
-/// an `fneg` of a non-float and a `select` on a non-`i1` condition.
+/// and an ill-typed node: an `fneg` of a non-float, a `select` on a
+/// non-`i1` condition, an integer op on floats, a float predicate on
+/// integers or a cast from a type its op does not convert.
 pub fn eval_expr(e: &Expr, args: &[Constant]) -> Result<Constant, EvalError> {
     match e {
         Expr::Param(i) => {
@@ -23,9 +25,9 @@ pub fn eval_expr(e: &Expr, args: &[Constant]) -> Result<Constant, EvalError> {
         Expr::Const(c) => Ok(*c),
         Expr::Bin { op, lhs, rhs } => eval_bin(*op, eval_expr(lhs, args)?, eval_expr(rhs, args)?),
         Expr::FNeg(a) => eval_fneg(eval_expr(a, args)?),
-        Expr::Cast { op, to, arg } => Ok(eval_cast(*op, eval_expr(arg, args)?, *to)),
+        Expr::Cast { op, to, arg } => eval_cast(*op, eval_expr(arg, args)?, *to),
         Expr::Cmp { pred, lhs, rhs } => {
-            Ok(eval_cmp(*pred, eval_expr(lhs, args)?, eval_expr(rhs, args)?))
+            eval_cmp(*pred, eval_expr(lhs, args)?, eval_expr(rhs, args)?)
         }
         Expr::Select { cond, on_true, on_false } => {
             let c = eval_expr(cond, args)?;
@@ -89,7 +91,7 @@ pub fn eval_inst(
 mod tests {
     use super::*;
     use crate::ast::{LaneBinding, LaneRef, VecShape};
-    use vegen_ir::{BinOp, CastOp};
+    use vegen_ir::{BinOp, CastOp, CmpPred};
 
     fn pmaddwd() -> InstSemantics {
         let p = |i| Box::new(Expr::Param(i));
@@ -198,6 +200,29 @@ mod tests {
                     lhs: Box::new(Expr::Param(0)),
                     rhs: Box::new(Expr::Const(i32c(0))),
                 },
+                vec![i32c(1)],
+            ),
+            // An integer `add` of two `f32`s.
+            (
+                Expr::Bin {
+                    op: BinOp::Add,
+                    lhs: Box::new(Expr::Param(0)),
+                    rhs: Box::new(Expr::Param(0)),
+                },
+                vec![Constant::f32(1.5)],
+            ),
+            // A float predicate on two `i32`s.
+            (
+                Expr::Cmp {
+                    pred: CmpPred::Flt,
+                    lhs: Box::new(Expr::Param(0)),
+                    rhs: Box::new(Expr::Param(0)),
+                },
+                vec![i32c(1)],
+            ),
+            // An `fpext` of an `i32`.
+            (
+                Expr::Cast { op: CastOp::FPExt, to: Type::F64, arg: Box::new(Expr::Param(0)) },
                 vec![i32c(1)],
             ),
         ];

@@ -4,85 +4,31 @@
 //! twice their inverse throughput (from the database), data movement is
 //! classified (broadcast / permute / two-source shuffle / insertion chain)
 //! and costed like the special cases the paper adds on top of LLVM's
-//! model, and scalar operations cost what the pack-selection cost model
-//! charges them — so the VM's estimate and the vectorizer's objective
-//! agree.
+//! model, and scalar instructions cost what the pack-selection cost model
+//! charges them — both read `vegen_ir::cost`, the one table — so the VM's
+//! estimate and the vectorizer's objective agree.
 
-use crate::program::{classify_build, BuildKind, ScalarOp, VmInst, VmProgram};
-use vegen_ir::BinOp;
-
-/// Per-class cost parameters for [`static_cycles`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VmCostParams {
-    /// Vector load / store.
-    pub vmem: f64,
-    /// Scalar load / store.
-    pub smem: f64,
-    /// Broadcast.
-    pub broadcast: f64,
-    /// Single-source permute.
-    pub permute: f64,
-    /// Two-source shuffle.
-    pub shuffle2: f64,
-    /// Per scalar insertion.
-    pub insert: f64,
-    /// Lane extraction.
-    pub extract: f64,
-}
-
-impl Default for VmCostParams {
-    fn default() -> VmCostParams {
-        VmCostParams {
-            vmem: 1.0,
-            smem: 1.0,
-            broadcast: 1.0,
-            permute: 2.0,
-            shuffle2: 2.0,
-            insert: 1.0,
-            extract: 1.0,
-        }
-    }
-}
-
-/// Cost of one scalar ALU op (matches the vectorizer's scalar costs).
-fn scalar_cost(op: &ScalarOp) -> f64 {
-    match op {
-        ScalarOp::Const(_) => 0.0,
-        ScalarOp::Cast { .. } => 0.0,
-        ScalarOp::Bin {
-            op: BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem | BinOp::FDiv,
-            ..
-        } => 8.0,
-        ScalarOp::Bin { .. } => 1.0,
-        _ => 1.0,
-    }
-}
+use crate::program::{classify_build, BuildKind, VmInst, VmProgram};
+use vegen_ir::cost::{scalar_cost, BROADCAST, EXTRACT, INSERT, PERMUTE, SHUFFLE, VECTOR_MEM};
 
 /// Estimate the program's cost in cycles under the throughput model.
 pub fn static_cycles(prog: &VmProgram) -> f64 {
-    static_cycles_with(prog, &VmCostParams::default())
-}
-
-/// [`static_cycles`] with explicit parameters (used by ablation benches).
-pub fn static_cycles_with(prog: &VmProgram, p: &VmCostParams) -> f64 {
     let mut total = 0.0;
     for inst in &prog.insts {
         total += match inst {
-            VmInst::Scalar { op, .. } => scalar_cost(op),
-            VmInst::LoadScalar { .. } | VmInst::StoreScalar { .. } => p.smem,
-            VmInst::VecLoad { .. } | VmInst::VecStore { .. } => p.vmem,
+            VmInst::Scalar { inst, .. } => scalar_cost(&inst.kind),
+            VmInst::VecLoad { .. } | VmInst::VecStore { .. } => VECTOR_MEM,
             VmInst::VecOp { sem, .. } => prog.sem_cost[*sem],
             VmInst::Build { lanes, .. } => match classify_build(lanes) {
                 BuildKind::ConstantVector => 0.0,
-                BuildKind::Broadcast => p.broadcast,
-                BuildKind::Permute => p.permute,
-                BuildKind::TwoSourceShuffle => p.shuffle2,
+                BuildKind::Broadcast => BROADCAST,
+                BuildKind::Permute => PERMUTE,
+                BuildKind::TwoSourceShuffle => SHUFFLE,
                 BuildKind::Insert { scalar_lanes, vec_sources } => {
-                    p.insert * scalar_lanes as f64
-                        + p.shuffle2 * vec_sources.saturating_sub(1) as f64
+                    INSERT * scalar_lanes as f64 + SHUFFLE * vec_sources.saturating_sub(1) as f64
                 }
             },
-            VmInst::Extract { .. } => p.extract,
+            VmInst::Extract { .. } => EXTRACT,
         };
     }
     total
@@ -92,7 +38,7 @@ pub fn static_cycles_with(prog: &VmProgram, p: &VmCostParams) -> f64 {
 mod tests {
     use super::*;
     use crate::program::{LaneSrc, Reg, VmProgram};
-    use vegen_ir::{Constant, Param, Type};
+    use vegen_ir::{BinOp, Constant, Inst, InstKind, Param, Type};
 
     #[test]
     fn costs_accumulate() {
@@ -126,15 +72,11 @@ mod tests {
     #[test]
     fn scalar_div_is_expensive() {
         let mut p = VmProgram::new("t", vec![]);
-        let a = p.fresh_reg();
-        let b = p.fresh_reg();
-        let c = p.fresh_reg();
-        p.push(VmInst::Scalar { dst: a, op: ScalarOp::Const(Constant::int(Type::I32, 8)) });
-        p.push(VmInst::Scalar { dst: b, op: ScalarOp::Const(Constant::int(Type::I32, 2)) });
-        p.push(VmInst::Scalar {
-            dst: c,
-            op: ScalarOp::Bin { op: BinOp::SDiv, lhs: Reg(0), rhs: Reg(1) },
-        });
+        let c = |v| Inst { kind: InstKind::Const(Constant::int(Type::I32, v)), ty: Type::I32 };
+        p.push_scalar(c(8));
+        p.push_scalar(c(2));
+        let div = InstKind::Bin { op: BinOp::SDiv, lhs: Reg(0), rhs: Reg(1) };
+        p.push_scalar(Inst { kind: div, ty: Type::I32 });
         assert_eq!(static_cycles(&p), 8.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Execution of vector programs against a memory image.
 
-use crate::program::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
-use vegen_ir::interp::{eval_bin, eval_cast, eval_cmp, eval_fneg, EvalError, Memory};
+use crate::program::{LaneSrc, Reg, VmInst, VmProgram};
+use vegen_ir::interp::{step, EvalError, Memory};
 use vegen_ir::Constant;
 use vegen_vidl::eval_inst;
 
@@ -17,8 +17,9 @@ enum Val {
 ///
 /// # Errors
 ///
-/// Returns an error on division by zero, use of an unset register, or
-/// shape mismatches (which indicate codegen bugs).
+/// Returns an error on division by zero, use of an unset register, an
+/// ill-typed scalar instruction, or shape mismatches (which indicate
+/// codegen bugs).
 pub fn run_program(prog: &VmProgram, mem: &mut Memory) -> Result<(), EvalError> {
     let mut regs: Vec<Val> = vec![Val::Unset; prog.n_regs];
     let scalar = |regs: &[Val], r: Reg| -> Result<Constant, EvalError> {
@@ -35,33 +36,11 @@ pub fn run_program(prog: &VmProgram, mem: &mut Memory) -> Result<(), EvalError> 
     };
     for inst in &prog.insts {
         match inst {
-            VmInst::Scalar { dst, op } => {
-                let out = match op {
-                    ScalarOp::Const(c) => *c,
-                    ScalarOp::Bin { op, lhs, rhs } => {
-                        eval_bin(*op, scalar(&regs, *lhs)?, scalar(&regs, *rhs)?)?
-                    }
-                    ScalarOp::FNeg { arg } => eval_fneg(scalar(&regs, *arg)?)?,
-                    ScalarOp::Cast { op, to, arg } => eval_cast(*op, scalar(&regs, *arg)?, *to),
-                    ScalarOp::Cmp { pred, lhs, rhs } => {
-                        eval_cmp(*pred, scalar(&regs, *lhs)?, scalar(&regs, *rhs)?)
-                    }
-                    ScalarOp::Select { cond, on_true, on_false } => {
-                        if scalar(&regs, *cond)?.as_bool() {
-                            scalar(&regs, *on_true)?
-                        } else {
-                            scalar(&regs, *on_false)?
-                        }
-                    }
-                };
-                regs[dst.0 as usize] = Val::Scalar(out);
-            }
-            VmInst::LoadScalar { dst, base, offset } => {
-                regs[dst.0 as usize] = Val::Scalar(mem.read(*base, *offset));
-            }
-            VmInst::StoreScalar { base, offset, src } => {
-                let v = scalar(&regs, *src)?;
-                mem.write(*base, *offset, v);
+            VmInst::Scalar { dst, inst } => {
+                let out = step(inst, |r| scalar(&regs, r), mem)?;
+                if let Some(dst) = dst {
+                    regs[dst.0 as usize] = Val::Scalar(out);
+                }
             }
             VmInst::VecLoad { dst, base, start, lanes, elem: _ } => {
                 let v: Vec<Constant> =
@@ -115,7 +94,7 @@ pub fn run_program(prog: &VmProgram, mem: &mut Memory) -> Result<(), EvalError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegen_ir::{Param, Type};
+    use vegen_ir::{BinOp, CastOp, CmpPred, Inst, InstKind, MemLoc, Param, Type};
     use vegen_vidl::parse_inst;
 
     fn pmaddwd_sem() -> vegen_vidl::InstSemantics {
@@ -200,10 +179,37 @@ mod tests {
         let mut p =
             VmProgram::new("t", vec![Param { name: "A".into(), elem_ty: Type::I32, len: 1 }]);
         let r = p.fresh_reg();
-        p.push(VmInst::StoreScalar { base: 0, offset: 0, src: r });
+        let loc = MemLoc { base: 0, offset: 0 };
+        p.push_scalar(Inst { kind: InstKind::Store { loc, value: r }, ty: Type::Void });
         let mut f = vegen_ir::Function::new("dummy");
         f.params = p.params.clone();
         let mut mem = Memory::zeroed(&f);
         assert!(run_program(&p, &mut mem).is_err());
+    }
+
+    /// An integer `add` of `f32`s, a float compare of `i32`s and an
+    /// `fpext` of an `i32` are errors, as under `interp::run`; each
+    /// panicked in `Constant`'s accessors before.
+    #[test]
+    fn ill_typed_scalar_instructions_are_errors() {
+        let cases = [
+            (Constant::f32(1.5), InstKind::Bin { op: BinOp::Add, lhs: 0, rhs: 1 }, Type::F32),
+            (
+                Constant::int(Type::I32, 3),
+                InstKind::Cmp { pred: CmpPred::Flt, lhs: 0, rhs: 1 },
+                Type::I1,
+            ),
+            (Constant::int(Type::I32, 3), InstKind::Cast { op: CastOp::FPExt, arg: 0 }, Type::F64),
+        ];
+        for (c, kind, ty) in cases {
+            let mut p = VmProgram::new("ill_typed", vec![]);
+            let regs = [
+                p.push_scalar(Inst { kind: InstKind::Const(c), ty: c.ty() }).unwrap(),
+                p.push_scalar(Inst { kind: InstKind::Const(c), ty: c.ty() }).unwrap(),
+            ];
+            p.push_scalar(Inst { kind, ty }.map(|i: usize| regs[i]));
+            let mut mem = Memory::zeroed(&vegen_ir::Function::new("ill_typed"));
+            assert!(run_program(&p, &mut mem).is_err(), "{:?} must be an error", p.insts[2]);
+        }
     }
 }

@@ -13,7 +13,11 @@
 //!
 //! Vector compute instructions execute through their VIDL semantics — the
 //! very descriptions the offline phase validated — so the instruction
-//! database is the single source of truth for behaviour.
+//! database is the single source of truth for behaviour. Scalar code is not
+//! a second instruction set: a [`VmInst::Scalar`] carries a
+//! [`vegen_ir::Inst`] over registers, which executes through
+//! [`vegen_ir::interp::step`] and costs `vegen_ir::cost`'s table, exactly
+//! as the scalar function it was lowered from.
 
 pub mod cost;
 pub mod exec;
@@ -23,4 +27,4 @@ pub mod program;
 pub use cost::static_cycles;
 pub use exec::run_program;
 pub use printer::listing;
-pub use program::{LaneSrc, Reg, ScalarOp, VmInst, VmProgram};
+pub use program::{LaneSrc, Reg, VmInst, VmProgram};

@@ -1,8 +1,35 @@
 //! Assembly-flavoured listing of vector programs (for the Fig. 12 / 14
 //! style code snippets in the experiment reports).
 
-use crate::program::{classify_build, BuildKind, ScalarOp, VmInst, VmProgram};
+use crate::program::{classify_build, BuildKind, Reg, VmInst, VmProgram};
 use std::fmt::Write as _;
+use vegen_ir::{Inst, InstKind};
+
+/// One scalar instruction's line (a store, the one without `dst`, prints
+/// none).
+fn scalar_line(s: &mut String, prog: &VmProgram, dst: Option<Reg>, inst: &Inst<Reg>) {
+    let dst = dst.unwrap_or_default();
+    let _ = match inst.kind {
+        InstKind::Const(c) => writeln!(s, "  mov    {dst}, {c}"),
+        InstKind::Bin { op, lhs, rhs } => writeln!(s, "  {:<6} {dst}, {lhs}, {rhs}", op.name()),
+        InstKind::FNeg { arg } => writeln!(s, "  fneg   {dst}, {arg}"),
+        InstKind::Cast { op, arg } => {
+            writeln!(s, "  {:<6} {dst}, {arg} ; -> {}", op.name(), inst.ty)
+        }
+        InstKind::Cmp { pred, lhs, rhs } => {
+            writeln!(s, "  cmp{:<3} {dst}, {lhs}, {rhs}", pred.name())
+        }
+        InstKind::Select { cond, on_true, on_false } => {
+            writeln!(s, "  csel   {dst}, {cond}, {on_true}, {on_false}")
+        }
+        InstKind::Load { loc } => {
+            writeln!(s, "  mov    {dst}, [{}+{}]", prog.params[loc.base].name, loc.offset)
+        }
+        InstKind::Store { loc, value } => {
+            writeln!(s, "  mov    [{}+{}], {value}", prog.params[loc.base].name, loc.offset)
+        }
+    };
+}
 
 /// Render the program as an assembly-like listing.
 pub fn listing(prog: &VmProgram) -> String {
@@ -10,32 +37,7 @@ pub fn listing(prog: &VmProgram) -> String {
     let _ = writeln!(s, "; {} ({} instructions)", prog.name, prog.instruction_count());
     for inst in &prog.insts {
         match inst {
-            VmInst::Scalar { dst, op } => match op {
-                ScalarOp::Const(c) => {
-                    let _ = writeln!(s, "  mov    {dst}, {c}");
-                }
-                ScalarOp::Bin { op, lhs, rhs } => {
-                    let _ = writeln!(s, "  {:<6} {dst}, {lhs}, {rhs}", op.name());
-                }
-                ScalarOp::FNeg { arg } => {
-                    let _ = writeln!(s, "  fneg   {dst}, {arg}");
-                }
-                ScalarOp::Cast { op, to, arg } => {
-                    let _ = writeln!(s, "  {:<6} {dst}, {arg} ; -> {to}", op.name());
-                }
-                ScalarOp::Cmp { pred, lhs, rhs } => {
-                    let _ = writeln!(s, "  cmp{:<3} {dst}, {lhs}, {rhs}", pred.name());
-                }
-                ScalarOp::Select { cond, on_true, on_false } => {
-                    let _ = writeln!(s, "  csel   {dst}, {cond}, {on_true}, {on_false}");
-                }
-            },
-            VmInst::LoadScalar { dst, base, offset } => {
-                let _ = writeln!(s, "  mov    {dst}, [{}+{offset}]", prog.params[*base].name);
-            }
-            VmInst::StoreScalar { base, offset, src } => {
-                let _ = writeln!(s, "  mov    [{}+{offset}], {src}", prog.params[*base].name);
-            }
+            VmInst::Scalar { dst, inst } => scalar_line(&mut s, prog, *dst, inst),
             VmInst::VecLoad { dst, base, start, lanes, .. } => {
                 let _ = writeln!(
                     s,
@@ -108,7 +110,8 @@ mod tests {
             lanes: vec![LaneSrc::FromVec { src: a, lane: 3 }; 4],
         });
         p.push(VmInst::Extract { dst: x, src: b, lane: 0 });
-        p.push(VmInst::StoreScalar { base: 0, offset: 7, src: x });
+        let loc = vegen_ir::MemLoc { base: 0, offset: 7 };
+        p.push_scalar(Inst { kind: InstKind::Store { loc, value: x }, ty: Type::Void });
         let text = listing(&p);
         assert!(text.contains("vmovdqu v0, [A+0]"));
         assert!(text.contains("vpshuf"));

@@ -1,35 +1,17 @@
 //! Vector program representation.
 
-use vegen_ir::{BinOp, CastOp, CmpPred, Constant, Param, Type};
+use vegen_ir::{Constant, Inst, InstKind, Param, Type};
 use vegen_vidl::InstSemantics;
 
 /// A virtual register (scalar or vector, decided by its defining
 /// instruction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 impl std::fmt::Display for Reg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "v{}", self.0)
     }
-}
-
-/// A scalar ALU operation (mirrors the IR op set).
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant and field names are the documentation
-pub enum ScalarOp {
-    /// Constant materialization.
-    Const(Constant),
-    /// Binary op.
-    Bin { op: BinOp, lhs: Reg, rhs: Reg },
-    /// Float negation.
-    FNeg { arg: Reg },
-    /// Cast.
-    Cast { op: CastOp, to: Type, arg: Reg },
-    /// Comparison.
-    Cmp { pred: CmpPred, lhs: Reg, rhs: Reg },
-    /// Select.
-    Select { cond: Reg, on_true: Reg, on_false: Reg },
 }
 
 /// One lane of a [`VmInst::Build`] data-movement instruction.
@@ -50,12 +32,9 @@ pub enum LaneSrc {
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant and field names are the documentation
 pub enum VmInst {
-    /// Scalar computation into a scalar register.
-    Scalar { dst: Reg, op: ScalarOp },
-    /// Scalar load `dst = base[offset]`.
-    LoadScalar { dst: Reg, base: usize, offset: i64 },
-    /// Scalar store `base[offset] = src`.
-    StoreScalar { base: usize, offset: i64, src: Reg },
+    /// A scalar IR instruction over registers, into scalar register `dst`;
+    /// `dst` is `None` exactly when `inst` is a store.
+    Scalar { dst: Option<Reg>, inst: Inst<Reg> },
     /// Contiguous vector load of `lanes` elements starting at `start`.
     VecLoad { dst: Reg, base: usize, start: i64, lanes: usize, elem: Type },
     /// Contiguous vector store.
@@ -75,13 +54,12 @@ impl VmInst {
     /// The register this instruction defines, if any (stores define none).
     pub fn def(&self) -> Option<Reg> {
         match self {
-            VmInst::Scalar { dst, .. }
-            | VmInst::LoadScalar { dst, .. }
-            | VmInst::VecLoad { dst, .. }
+            VmInst::Scalar { dst, .. } => *dst,
+            VmInst::VecLoad { dst, .. }
             | VmInst::VecOp { dst, .. }
             | VmInst::Build { dst, .. }
             | VmInst::Extract { dst, .. } => Some(*dst),
-            VmInst::StoreScalar { .. } | VmInst::VecStore { .. } => None,
+            VmInst::VecStore { .. } => None,
         }
     }
 
@@ -90,16 +68,9 @@ impl VmInst {
     /// only its `FromVec`/`FromScalar` lanes.
     pub fn uses(&self) -> Vec<Reg> {
         match self {
-            VmInst::Scalar { op, .. } => match op {
-                ScalarOp::Const(_) => vec![],
-                ScalarOp::FNeg { arg } | ScalarOp::Cast { arg, .. } => vec![*arg],
-                ScalarOp::Bin { lhs, rhs, .. } | ScalarOp::Cmp { lhs, rhs, .. } => {
-                    vec![*lhs, *rhs]
-                }
-                ScalarOp::Select { cond, on_true, on_false } => vec![*cond, *on_true, *on_false],
-            },
-            VmInst::LoadScalar { .. } | VmInst::VecLoad { .. } => vec![],
-            VmInst::StoreScalar { src, .. } | VmInst::VecStore { src, .. } => vec![*src],
+            VmInst::Scalar { inst, .. } => inst.operands().to_vec(),
+            VmInst::VecLoad { .. } => vec![],
+            VmInst::VecStore { src, .. } => vec![*src],
             VmInst::VecOp { args, .. } => args.clone(),
             VmInst::Build { lanes, .. } => lanes
                 .iter()
@@ -170,13 +141,23 @@ impl VmProgram {
         self.insts.push(inst);
     }
 
+    /// Append a scalar instruction, giving it a fresh destination register
+    /// unless it is a store; returns that register.
+    pub fn push_scalar(&mut self, inst: Inst<Reg>) -> Option<Reg> {
+        let dst = inst.is_pure().then(|| self.fresh_reg());
+        self.push(VmInst::Scalar { dst, inst });
+        dst
+    }
+
     /// Number of "real" instructions — the metric Fig. 2 reports. Constant
     /// materializations and `Undef` handling don't count (they fold into
     /// immediates / constant-pool operands in real assembly).
     pub fn instruction_count(&self) -> usize {
         self.insts
             .iter()
-            .filter(|i| !matches!(i, VmInst::Scalar { op: ScalarOp::Const(_), .. }))
+            .filter(|i| {
+                !matches!(i, VmInst::Scalar { inst: Inst { kind: InstKind::Const(_), .. }, .. })
+            })
             .count()
     }
 
@@ -268,6 +249,21 @@ mod tests {
 
     #[test]
     fn def_use_covers_every_instruction_kind() {
+        let loc = vegen_ir::MemLoc { base: 0, offset: 0 };
+        let mut p = VmProgram::new("t", vec![]);
+        let x = p.push_scalar(Inst { kind: InstKind::Load { loc }, ty: Type::I32 });
+        assert_eq!(x, Some(Reg(0)));
+        let x = Reg(0);
+        let sum = Inst {
+            kind: InstKind::Bin { op: vegen_ir::BinOp::Add, lhs: x, rhs: x },
+            ty: Type::I32,
+        };
+        assert_eq!(p.push_scalar(sum), Some(Reg(1)));
+        let st = Inst { kind: InstKind::Store { loc, value: Reg(1) }, ty: Type::Void };
+        assert_eq!(p.push_scalar(st), None, "a store defines no register");
+        let uses: Vec<Vec<Reg>> = p.insts.iter().map(VmInst::uses).collect();
+        assert_eq!(uses, [vec![], vec![x, x], vec![Reg(1)]]);
+        assert_eq!(p.insts[2].def(), None);
         let store = VmInst::VecStore { base: 0, start: 0, src: Reg(1) };
         assert_eq!(store.def(), None);
         assert_eq!(store.uses(), vec![Reg(1)]);
@@ -330,10 +326,10 @@ mod tests {
     #[test]
     fn instruction_counting_skips_consts() {
         let mut p = VmProgram::new("t", vec![]);
-        let r0 = p.fresh_reg();
-        let r1 = p.fresh_reg();
-        p.push(VmInst::Scalar { dst: r0, op: ScalarOp::Const(Constant::int(Type::I32, 1)) });
-        p.push(VmInst::LoadScalar { dst: r1, base: 0, offset: 0 });
+        let one = Constant::int(Type::I32, 1);
+        p.push_scalar(Inst { kind: InstKind::Const(one), ty: Type::I32 });
+        let loc = vegen_ir::MemLoc { base: 0, offset: 0 };
+        p.push_scalar(Inst { kind: InstKind::Load { loc }, ty: Type::I32 });
         assert_eq!(p.instruction_count(), 1);
     }
 }

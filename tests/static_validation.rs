@@ -7,8 +7,9 @@ use vegen::codegen::check_equivalence;
 use vegen::core::BeamConfig;
 use vegen::driver::{compile, PipelineConfig};
 use vegen::ir::CmpPred;
+use vegen::ir::{Inst, InstKind};
 use vegen::isa::TargetIsa;
-use vegen::vm::{LaneSrc, ScalarOp, VmInst, VmProgram};
+use vegen::vm::{LaneSrc, VmInst, VmProgram};
 
 fn cfg(target: TargetIsa, width: usize, canon: bool) -> PipelineConfig {
     PipelineConfig { target, beam: BeamConfig::with_width(width), canonicalize_patterns: canon }
@@ -135,7 +136,7 @@ fn predicate_corruption_caught_statically_missed_dynamically() {
     let mut corrupted = ck.scalar.clone();
     let mut hit = None;
     for (idx, inst) in corrupted.insts.iter_mut().enumerate() {
-        if let VmInst::Scalar { op: ScalarOp::Cmp { pred, .. }, .. } = inst {
+        if let VmInst::Scalar { inst: Inst { kind: InstKind::Cmp { pred, .. }, .. }, .. } = inst {
             if *pred == CmpPred::Sle {
                 *pred = CmpPred::Slt;
                 hit = Some(idx);
@@ -168,7 +169,7 @@ fn predicate_corruption_caught_statically_missed_dynamically() {
 /// the provenance diagnostic names.
 fn locate_store(prog: &VmProgram, from: usize) -> usize {
     for (idx, inst) in prog.insts.iter().enumerate().skip(from) {
-        if matches!(inst, VmInst::StoreScalar { .. } | VmInst::VecStore { .. }) {
+        if matches!(inst, VmInst::Scalar { dst: None, .. } | VmInst::VecStore { .. }) {
             return idx;
         }
     }
@@ -186,7 +187,10 @@ fn commutative_operand_swap_accepted() {
         let mut swapped = ck.scalar.clone();
         let mut did_swap = false;
         for inst in swapped.insts.iter_mut() {
-            if let VmInst::Scalar { op: ScalarOp::Bin { op, lhs, rhs }, .. } = inst {
+            if let VmInst::Scalar {
+                inst: Inst { kind: InstKind::Bin { op, lhs, rhs }, .. }, ..
+            } = inst
+            {
                 if op.is_commutative() && lhs != rhs {
                     std::mem::swap(lhs, rhs);
                     did_swap = true;
