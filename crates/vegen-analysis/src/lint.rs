@@ -128,8 +128,8 @@ fn lint_inst(
             for r in inst.uses() {
                 use_scalar(r, defined, diags);
             }
-            if let Some(dst) = dst {
-                define(*dst, RegKind::Scalar, defined, diags);
+            if let Some(dst) = dst.get() {
+                define(dst, RegKind::Scalar, defined, diags);
             }
         }
         VmInst::VecLoad { dst, base, start, lanes, elem } => {
@@ -314,17 +314,18 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use vegen_ir::{Constant, Inst, InstKind, MemLoc, Param};
+    use vegen_vm::Dst;
 
     /// `r{dst} = value` as an `i32` constant.
     fn iconst(dst: u32, value: i64) -> VmInst {
         let kind = InstKind::Const(Constant::int(Type::I32, value));
-        VmInst::Scalar { dst: Some(Reg(dst)), inst: Inst { kind, ty: Type::I32 } }
+        VmInst::Scalar { dst: Dst::new(Reg(dst)).unwrap(), inst: Inst { kind, ty: Type::I32 } }
     }
 
     /// `arg{base}[offset] = r{src}`.
     fn store(base: usize, offset: i64, src: u32) -> VmInst {
         let kind = InstKind::Store { loc: MemLoc { base, offset }, value: Reg(src) };
-        VmInst::Scalar { dst: None, inst: Inst { kind, ty: Type::Void } }
+        VmInst::Scalar { dst: Dst::NONE, inst: Inst { kind, ty: Type::Void } }
     }
 
     fn prog(params: Vec<Param>, insts: Vec<VmInst>, n_regs: usize) -> VmProgram {

@@ -481,7 +481,7 @@ fn eval_vm(
             VmInst::Scalar { dst, inst } => {
                 let inst = inst.try_map(|r| scalar(&regs, r))?;
                 let sym = step(arena, &mut mem, &prog.params, &inst, (idx, None), at)?;
-                if let Some(dst) = dst {
+                if let Some(dst) = dst.get() {
                     regs[dst.0 as usize] = Some(RegVal::Scalar(sym));
                 }
             }
@@ -618,11 +618,11 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use vegen_ir::{CmpPred, FunctionBuilder, MemLoc, Type};
-    use vegen_vm::Reg;
+    use vegen_vm::{Dst, Reg};
 
     /// A scalar VM instruction defining register `dst`.
     fn scalar(dst: u32, kind: InstKind<Reg>, ty: Type) -> VmInst {
-        VmInst::Scalar { dst: Some(Reg(dst)), inst: Inst { kind, ty } }
+        VmInst::Scalar { dst: Dst::new(Reg(dst)).unwrap(), inst: Inst { kind, ty } }
     }
 
     /// `r{dst} = arg{base}[offset]` over an `i32` buffer.
@@ -633,7 +633,7 @@ mod tests {
     /// `arg{base}[offset] = r{src}`.
     fn store(base: usize, offset: i64, src: u32) -> VmInst {
         let kind = InstKind::Store { loc: MemLoc { base, offset }, value: Reg(src) };
-        VmInst::Scalar { dst: None, inst: Inst { kind, ty: Type::Void } }
+        VmInst::Scalar { dst: Dst::NONE, inst: Inst { kind, ty: Type::Void } }
     }
 
     /// `A[0] = B[1]; A[1] = B[0]` as scalar IR.

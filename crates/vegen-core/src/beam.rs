@@ -275,7 +275,7 @@ pub struct BeamStats {
     pub fanouts: u64,
     /// Always 0: the search keeps no per-state estimate table (an estimate
     /// is a sum of `costSLP` memo reads, cheaper than any lookup). The
-    /// field remains because reports and cache entries carry it.
+    /// field remains because cache entries and the perf harness carry it.
     pub tt_hits: u64,
     /// Always 0; see [`BeamStats::tt_hits`].
     pub tt_misses: u64,

@@ -21,7 +21,7 @@
 //! tests can drive the exact code paths, including exit codes.
 
 use crate::ledger;
-use crate::report::{EngineReport, RunReport, TraceSummary};
+use crate::report;
 use crate::serve::{self, ServeConfig};
 use crate::{Engine, EngineConfig, Job, JobResult, Rung};
 use std::fmt::Write as _;
@@ -619,10 +619,7 @@ fn run_suite(p: &Parsed) -> Result<i32, String> {
         eprintln!("vegen-engine: fault injection active — {}", targets.join(", "));
         vegen::fault::install(plan);
     }
-    let resolved_threads = match cfg.threads {
-        0 => crate::pool::default_threads(kernel_names.len()),
-        n => n,
-    };
+    let resolved_threads = engine.batch_threads(kernel_names.len());
 
     let mut runs = Vec::new();
     let mut failed = false;
@@ -660,31 +657,26 @@ fn run_suite(p: &Parsed) -> Result<i32, String> {
         if cfg.fail_fast && results.iter().any(|r| r.rung != Rung::Primary) {
             hard_failures += 1;
         }
-        runs.push(RunReport::new(label, wall, &results));
+        runs.push(report::run_json(&label, wall, &results));
     }
     vegen::fault::clear();
 
-    let mut trace_summary = TraceSummary::default();
-    if tracing {
+    let data = tracing.then(|| {
         let data = vegen_trace::drain();
         vegen_trace::disable();
-        trace_summary = TraceSummary {
-            enabled: true,
-            events: data.event_count(),
-            dropped: data.dropped(),
-            threads: data.threads.len(),
-            file: trace.map(str::to_string),
-            folded_file: folded.map(str::to_string),
-        };
+        data
+    });
+    if let Some(data) = &data {
         if let Some(path) = trace {
-            write_file(path, &vegen_trace::export::chrome_trace(&data).render())?;
+            write_file(path, &vegen_trace::export::chrome_trace(data).render())?;
             eprintln!(
                 "vegen-engine: trace written to {path} ({} events, {} dropped)",
-                trace_summary.events, trace_summary.dropped
+                data.event_count(),
+                data.dropped()
             );
         }
         if let Some(path) = folded {
-            write_file(path, &vegen_trace::export::folded_stacks(&data))?;
+            write_file(path, &vegen_trace::export::folded_stacks(data))?;
             eprintln!("vegen-engine: folded stacks written to {path}");
         }
     }
@@ -692,24 +684,18 @@ fn run_suite(p: &Parsed) -> Result<i32, String> {
     // Structural match-table statistics (cheap: the table is already
     // cached process-wide after the first compile). The full speccheck
     // audit stays out of the suite path — that is `check-specs`' job.
-    let table = vegen_analysis::match_table_stats(&target_desc(&target, true));
-    publish_match_table_stats(&table);
+    publish_match_table_stats(&vegen_analysis::match_table_stats(&target_desc(&target, true)));
 
-    let report = EngineReport {
-        target: target.name.clone(),
-        beam_width: beam,
-        threads: resolved_threads,
-        beam_threads: cfg.beam_threads,
-        verify_trials: cfg.verify_trials,
+    let doc = report::report_json(
+        &engine,
+        &target,
+        beam,
+        cfg.verify_trials,
         runs,
-        cache: engine.cache_stats(),
-        disk: engine.disk_stats(),
-        counters: engine.counters(),
-        trace: trace_summary,
-        match_table: table,
-        soak: None,
-    };
-    write_artifact("vegen-engine", p, &report.to_json(), p.text(&OUT).is_none())?;
+        data.as_ref().map(|d| report::trace_json(Some(d), trace, folded)),
+        None,
+    );
+    write_artifact("vegen-engine", p, &doc, p.text(&OUT).is_none())?;
     Ok(i32::from(failed || hard_failures > 0))
 }
 
@@ -783,22 +769,15 @@ fn run_soak_cmd(p: &Parsed) -> Result<i32, String> {
         }
     }
 
-    let table = vegen_analysis::match_table_stats(&target_desc(&cfg.target, true));
-    let doc = EngineReport {
-        target: cfg.target.name.clone(),
-        beam_width: cfg.beam,
-        threads: 1,
-        beam_threads: cfg.beam_threads,
-        verify_trials: cfg.trials,
-        runs: Vec::new(),
-        cache: report.cache,
-        disk: report.disk,
-        counters: report.counters,
-        trace: TraceSummary::default(),
-        match_table: table,
-        soak: Some(report.soak_json()),
-    }
-    .to_json();
+    let doc = report::report_json(
+        &report.engine,
+        &cfg.target,
+        cfg.beam,
+        cfg.trials,
+        Vec::new(),
+        None,
+        Some(report.soak_json()),
+    );
     write_artifact("vegen-engine soak", p, &doc, p.text(&OUT).is_none())?;
     Ok(i32::from(report.unexplained_failures() > 0))
 }
@@ -1062,7 +1041,8 @@ fn run_explain(p: &Parsed) -> Result<i32, String> {
 
 /// Run the static validators over the whole suite. Exit code 1 when any
 /// kernel has an error-severity finding; warnings are reported but do not
-/// gate. `--out` writes the diagnostics as a JSON artifact.
+/// gate. `--out` writes the run as a report, whose rows carry the
+/// diagnostics under `detail.analysis`.
 fn run_lint(p: &Parsed) -> Result<i32, String> {
     let target = p.target().unwrap_or_else(TargetIsa::avx2);
     let beam = p.num(&BEAM).unwrap_or(16);
@@ -1073,25 +1053,25 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
         verify_trials: 0,
         ..EngineConfig::default()
     });
-    let jobs = suite_jobs(&PipelineConfig::new(target.clone(), beam));
+    let pipeline = PipelineConfig::new(target.clone(), beam);
+    let jobs = suite_jobs(&pipeline);
     let t0 = Instant::now();
     let results = engine.compile_batch(&jobs);
     let wall = t0.elapsed();
 
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
-    let mut rows = Vec::new();
     for r in &results {
         let head = format!("{:<24} {:<8} {:<6}", r.name, r.corr, r.cache_source());
         // A job that produced no program at all is an error-severity
         // finding in its own right; degraded rungs still carry a real
         // analysis (or an empty one for the scalar rung) and lint it.
-        let (errors, warnings, packs_checked, lanes_proved, diagnostics) = match &r.kernel {
+        match &r.kernel {
             None => {
                 let fault =
                     r.faults.first().map(|e| e.to_string()).unwrap_or_else(|| "no program".into());
                 out!("{head} {} — {fault}", r.rung.name());
-                (1, 0, 0, 0, r.faults.iter().map(|e| Json::str(e.to_string())).collect())
+                total_errors += 1;
             }
             Some(kernel) => {
                 let a = &kernel.analysis;
@@ -1099,23 +1079,10 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
                 for d in a.all() {
                     out!("    {d}");
                 }
-                let diagnostics = a.all().map(|d| Json::str(d.to_string())).collect();
-                (a.error_count(), a.warning_count(), a.packs_checked, a.lanes_proved, diagnostics)
+                total_errors += a.error_count();
+                total_warnings += a.warning_count();
             }
-        };
-        total_errors += errors;
-        total_warnings += warnings;
-        rows.push(Json::obj([
-            ("name", Json::str(&r.name)),
-            ("corr", Json::str(&r.corr)),
-            ("cache", Json::str(r.cache_source())),
-            ("rung", Json::str(r.rung.name())),
-            ("errors", Json::int(errors as u64)),
-            ("warnings", Json::int(warnings as u64)),
-            ("packs_checked", Json::int(packs_checked as u64)),
-            ("lanes_proved", Json::int(lanes_proved as u64)),
-            ("diagnostics", Json::Arr(diagnostics)),
-        ]));
+        }
     }
     print_failure_table(&results);
     out!(
@@ -1127,15 +1094,18 @@ fn run_lint(p: &Parsed) -> Result<i32, String> {
         total_warnings
     );
 
-    let doc = Json::obj([
-        ("schema", Json::str("vegen-engine-lint/v1")),
-        ("target", Json::str(&target.name)),
-        ("beam_width", Json::int(beam as u64)),
-        ("errors", Json::int(total_errors as u64)),
-        ("warnings", Json::int(total_warnings as u64)),
-        ("kernels", Json::Arr(rows)),
-    ]);
-    write_artifact("vegen-engine lint", p, &doc, false)?;
+    if p.text(&OUT).is_some() {
+        let doc = report::report_json(
+            &engine,
+            &target,
+            beam,
+            0,
+            vec![report::run_json("cold", wall, &results)],
+            None,
+            None,
+        );
+        write_artifact("vegen-engine lint", p, &doc, false)?;
+    }
     Ok(i32::from(total_errors > 0))
 }
 
@@ -1228,9 +1198,13 @@ fn run_check_specs(p: &Parsed) -> Result<i32, String> {
 // diff
 // ---------------------------------------------------------------------------
 
+/// The numbers `diff` compares in one report row. `compiled` is false for
+/// a job that produced no kernel: its row is `failed` and has no `cycles`
+/// or speedups, which read as NaN here.
 struct KernelRow {
+    compiled: bool,
     vegen_cycles: f64,
-    speedup_vs_baseline: f64,
+    speedup_baseline: f64,
     states_expanded: f64,
     transitions: f64,
 }
@@ -1282,17 +1256,20 @@ fn kernel_rows(run: &Json) -> Result<Vec<(String, KernelRow)>, String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| "kernel without a name".to_string())?;
-        let num = |key: &str| k.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let beam_num = |key: &str| {
-            k.get("beam").and_then(|b| b.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-        };
+        let num = |v: Option<&Json>| v.and_then(Json::as_f64);
+        let detail = k.get("detail");
+        let vegen_cycles = num(k.get("cycles").and_then(|c| c.get("vegen")));
+        let failed = k.get("failed").and_then(Json::as_bool).unwrap_or(false);
         rows.push((
             name.to_string(),
             KernelRow {
-                vegen_cycles: num("vegen_cycles"),
-                speedup_vs_baseline: num("speedup_vs_baseline"),
-                states_expanded: num("states_expanded"),
-                transitions: beam_num("transitions"),
+                compiled: !failed && vegen_cycles.is_some(),
+                vegen_cycles: vegen_cycles.unwrap_or(f64::NAN),
+                speedup_baseline: num(k.get("speedup_baseline")).unwrap_or(f64::NAN),
+                states_expanded: num(detail.and_then(|d| d.get("states_expanded")))
+                    .unwrap_or(f64::NAN),
+                transitions: num(detail.and_then(|d| d.get("beam")?.get("transitions")))
+                    .unwrap_or(0.0),
             },
         ));
     }
@@ -1304,14 +1281,19 @@ fn check_schema(report: &Json, which: &str) -> Result<(), String> {
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| format!("{which}: missing schema field"))?;
-    if !schema.starts_with("vegen-engine-report/") {
-        return Err(format!("{which}: unrecognized schema {schema:?}"));
+    if schema != report::SCHEMA {
+        return Err(format!(
+            "{which}: unrecognized schema {schema:?} (diff reads {})",
+            report::SCHEMA
+        ));
     }
     Ok(())
 }
 
 /// Compare two parsed engine reports. Returns the regressions (empty =
-/// gate passes) and informational lines describing non-gating changes.
+/// gate passes) and informational lines describing non-gating changes. A
+/// kernel that compiled in `old` regresses when `new` drops its row or
+/// reports it `failed`.
 ///
 /// # Errors
 ///
@@ -1337,23 +1319,30 @@ pub fn diff_reports(
             });
             continue;
         };
+        if o.compiled && !n.compiled {
+            regressions.push(Regression {
+                kernel: name.clone(),
+                what: "kernel failed in new report".to_string(),
+            });
+            continue;
+        }
         if n.vegen_cycles > o.vegen_cycles * factor {
             regressions.push(Regression {
                 kernel: name.clone(),
                 what: format!(
-                    "vegen_cycles {:.1} → {:.1} (+{:.1}%)",
+                    "cycles.vegen {:.1} → {:.1} (+{:.1}%)",
                     o.vegen_cycles,
                     n.vegen_cycles,
                     (n.vegen_cycles / o.vegen_cycles - 1.0) * 100.0
                 ),
             });
         }
-        if n.speedup_vs_baseline * factor < o.speedup_vs_baseline {
+        if n.speedup_baseline * factor < o.speedup_baseline {
             regressions.push(Regression {
                 kernel: name.clone(),
                 what: format!(
-                    "speedup_vs_baseline {:.3} → {:.3}",
-                    o.speedup_vs_baseline, n.speedup_vs_baseline
+                    "speedup_baseline {:.3} → {:.3}",
+                    o.speedup_baseline, n.speedup_baseline
                 ),
             });
         }

@@ -32,8 +32,9 @@
 //!   [`vegen::driver::StageTimes`] plus engine-level counters (cache
 //!   hits — memory and disk separately — beam states expanded, packs
 //!   committed, failures, retries, degradations, deadline hits),
-//!   exported as a JSON-serializable [`report::EngineReport`]
-//!   (schema v10);
+//!   rendered by [`report`] into one JSON document (schema v11), whose
+//!   kernel rows are the serve protocol's compile results plus a `detail`
+//!   block;
 //! * a [resident compile service](serve): `vegen-engine serve` accepts
 //!   newline-delimited JSON requests over a Unix socket (or stdio),
 //!   with bounded-queue admission control, per-request deadlines, live
@@ -424,11 +425,6 @@ pub struct EngineCounters {
     /// Typed `CacheIo` faults recorded (corrupt entries, I/O failures,
     /// failed self-checks). The jobs themselves still succeeded.
     pub cache_io_errors: u64,
-    /// Always 0: the beam search no longer keeps a per-state estimate
-    /// table. Kept because the report schema carries the field.
-    pub tt_hits: u64,
-    /// Always 0; see [`EngineCounters::tt_hits`].
-    pub tt_misses: u64,
     /// Compiles that reused a frozen interned context instead of running
     /// the freeze pre-pass — nonzero exactly when the degradation
     /// ladder's width-1 retry recycled the primary attempt's snapshot.
@@ -696,8 +692,6 @@ impl Engine {
             c.producer_cache_hits += stats.producer_cache_hits;
             c.producer_cache_misses += stats.producer_cache_misses;
             c.packs_committed += selection.packs.len() as u64;
-            c.tt_hits += stats.tt_hits;
-            c.tt_misses += stats.tt_misses;
             c.frozen_reuses += u64::from(stats.frozen_reused);
             c.compilations += 1;
             c.analyses += 1;
@@ -970,6 +964,16 @@ impl Engine {
         failed
     }
 
+    /// Worker threads a batch of `jobs` jobs runs on:
+    /// [`EngineConfig::threads`], with `0` resolved by
+    /// [`pool::default_threads`].
+    pub fn batch_threads(&self, jobs: usize) -> usize {
+        match self.cfg.threads {
+            0 => pool::default_threads(jobs),
+            n => n,
+        }
+    }
+
     /// Compile a batch in parallel. Results are input-ordered and
     /// deterministic: the programs produced never depend on thread count
     /// or scheduling, only the timing fields do. One job's failure (even
@@ -977,11 +981,7 @@ impl Engine {
     /// [`EngineConfig::fail_fast`] jobs *started after* the first
     /// sub-primary result come back [`Rung::Skipped`].
     pub fn compile_batch(&self, jobs: &[Job]) -> Vec<JobResult> {
-        let threads = if self.cfg.threads == 0 {
-            pool::default_threads(jobs.len())
-        } else {
-            self.cfg.threads
-        };
+        let threads = self.batch_threads(jobs.len());
         let abort = AtomicBool::new(false);
         // Serve admission notes `admitted` at enqueue time (marking the
         // job pre-admitted); direct batch callers get it here.

@@ -1,23 +1,41 @@
-//! Telemetry report types and their JSON rendering.
+//! The engine's one JSON rendering of compile results.
 //!
-//! An [`EngineReport`] is the engine's external instrumentation surface:
-//! one entry per kernel (cycles under the paper's throughput model,
-//! speedups, per-stage wall times, search statistics) plus engine-level
-//! cache and pipeline counters. The shapes are plain data and would
-//! `#[derive(serde::Serialize)]` verbatim; this workspace builds offline
-//! without serde, so rendering goes through the in-tree [`json`](crate::json) writer
-//! instead.
+//! [`result_json`] is a [`JobResult`] as the serve protocol answers a
+//! `compile` request. [`row_json`] is that object plus one `detail` block
+//! (search statistics, stage times, static analysis, decision summary):
+//! a kernel row of the `vegen-engine-report/v11` document that
+//! [`report_json`] assembles for `vegen-engine`'s suite, `soak` and
+//! `lint` subcommands. DESIGN §10 lists every member with its source. The
+//! workspace builds offline without serde, so rendering goes through the
+//! in-tree [`json`](crate::json) writer.
 
 use crate::cache::CacheStats;
 use crate::diskcache::DiskCacheStats;
+use crate::events::fault_json;
 use crate::json::Json;
-use crate::{EngineCounters, JobResult};
+use crate::{Engine, EngineCounters, JobResult};
 use std::time::Duration;
-use vegen::driver::StageTimes;
+use vegen::analysis::AnalysisReport;
+use vegen::driver::target_desc;
 use vegen::error::Stage;
+use vegen_core::beam::BeamStats;
+use vegen_core::DecisionLog;
+use vegen_isa::TargetIsa;
+use vegen_trace::TraceData;
+
+/// The `schema` member of every engine report.
+pub const SCHEMA: &str = "vegen-engine-report/v11";
 
 fn micros(d: Duration) -> Json {
     Json::Num(d.as_secs_f64() * 1e6)
+}
+
+fn count(n: usize) -> Json {
+    Json::int(n as u64)
+}
+
+fn strings(items: impl IntoIterator<Item = String>) -> Json {
+    Json::Arr(items.into_iter().map(Json::str).collect())
 }
 
 /// Snapshot the process-wide metrics registry as JSON, after syncing the
@@ -67,8 +85,6 @@ pub fn counters_json(c: &EngineCounters) -> Json {
         ("disk_hits", Json::int(c.disk_hits)),
         ("disk_stores", Json::int(c.disk_stores)),
         ("cache_io_errors", Json::int(c.cache_io_errors)),
-        ("tt_hits", Json::int(c.tt_hits)),
-        ("tt_misses", Json::int(c.tt_misses)),
         ("frozen_reuses", Json::int(c.frozen_reuses)),
     ])
 }
@@ -79,8 +95,8 @@ pub fn cache_json(c: &CacheStats) -> Json {
         ("hits", Json::int(c.hits)),
         ("misses", Json::int(c.misses)),
         ("evictions", Json::int(c.evictions)),
-        ("entries", Json::int(c.entries as u64)),
-        ("capacity", Json::int(c.capacity as u64)),
+        ("entries", count(c.entries)),
+        ("capacity", count(c.capacity)),
         ("hit_rate", Json::Num(c.hit_rate())),
     ])
 }
@@ -89,7 +105,7 @@ pub fn cache_json(c: &CacheStats) -> Json {
 /// block when a cache directory is configured).
 pub fn disk_json(d: &DiskCacheStats) -> Json {
     Json::obj([
-        ("entries", Json::int(d.entries as u64)),
+        ("entries", count(d.entries)),
         ("hits", Json::int(d.hits)),
         ("misses", Json::int(d.misses)),
         ("stores", Json::int(d.stores)),
@@ -100,400 +116,196 @@ pub fn disk_json(d: &DiskCacheStats) -> Json {
     ])
 }
 
-/// Per-stage wall times in microseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageReport {
-    /// The stage times being reported.
-    pub stages: StageTimes,
-    /// Verification time (the engine's own stage, not the driver's).
-    pub verify: Duration,
-}
-
-impl StageReport {
-    /// One `<stage>_us` member per pipeline stage, then verify and the total.
-    fn to_json(self) -> Json {
-        let mut pairs: Vec<(String, Json)> = self
-            .stages
-            .iter()
-            .chain([(Stage::Verify, self.verify)])
-            .map(|(stage, d)| (format!("{stage}_us"), micros(d)))
-            .collect();
-        pairs.push(("total_us".to_string(), micros(self.stages.total() + self.verify)));
-        Json::Obj(pairs)
-    }
-}
-
-/// One kernel's row in the report.
-#[derive(Debug, Clone)]
-pub struct KernelReport {
-    /// Kernel name.
-    pub name: String,
-    /// Content address (hex; empty when preparation failed before
-    /// anything could be hashed).
-    pub content_hash: String,
-    /// Whether the cache served it.
-    pub cache_hit: bool,
-    /// Which cache level served it: `"disk"`, `"memory"`, or `"miss"`
-    /// (since schema v6).
-    pub cache: &'static str,
-    /// Degradation rung the job completed on ("primary", "width1",
-    /// "scalar", "failed", "skipped").
-    pub rung: &'static str,
-    /// Whether the job produced no program at all.
-    pub failed: bool,
-    /// Rendered faults collected down the ladder (empty on a clean run).
-    pub faults: Vec<String>,
-    /// Estimated cycles: scalar / baseline-SLP / VeGen.
-    pub scalar_cycles: f64,
-    /// Baseline cycles.
-    pub baseline_cycles: f64,
-    /// VeGen cycles.
-    pub vegen_cycles: f64,
-    /// VeGen speedup over the baseline (the paper's headline metric).
-    pub speedup_vs_baseline: f64,
-    /// VeGen speedup over scalar.
-    pub speedup_vs_scalar: f64,
-    /// Beam states expanded selecting this kernel's packs.
-    pub states_expanded: usize,
-    /// Beam search-effort and cache statistics for this kernel.
-    pub beam: vegen_core::beam::BeamStats,
-    /// Packs the selection committed.
-    pub packs_committed: usize,
-    /// Distinct vector instructions VeGen used.
-    pub vegen_ops: Vec<String>,
-    /// Stage timings (cold-compile attribution; see [`JobResult::stages`]).
-    pub stage_times: StageReport,
-    /// Wall time this job cost in this run.
-    pub wall: Duration,
-    /// Verification failure, if any.
-    pub verify_error: Option<String>,
-    /// Static-validation outcome (legality + provenance + lint).
-    pub analysis: AnalysisSummary,
-    /// Decision-log summary (present only when the batch ran with
-    /// `BeamConfig::log_decisions`).
-    pub decisions: Option<DecisionSummary>,
-}
-
-/// A compact rendering of a kernel's [`vegen_core::DecisionLog`] for the
-/// report (the full per-candidate log stays in `vegen-engine explain`).
-#[derive(Debug, Clone)]
-pub struct DecisionSummary {
-    /// Beam iterations run.
-    pub iterations: usize,
-    /// Candidates recorded across all iterations.
-    pub candidates: usize,
-    /// The committed pack sequence: `(description, costop)`.
-    pub committed_packs: Vec<(String, f64)>,
-}
-
-impl DecisionSummary {
-    /// Summarize a selection's decision log, if it kept one.
-    pub fn from_log(log: &vegen_core::DecisionLog) -> DecisionSummary {
-        DecisionSummary {
-            iterations: log.iterations.len(),
-            candidates: log.iterations.iter().map(|it| it.candidates.len()).sum(),
-            committed_packs: log.committed.iter().map(|c| (c.pack.clone(), c.cost)).collect(),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("iterations", Json::int(self.iterations as u64)),
-            ("candidates", Json::int(self.candidates as u64)),
-            (
-                "committed_packs",
-                Json::Arr(
-                    self.committed_packs
-                        .iter()
-                        .map(|(pack, cost)| {
-                            Json::obj([("pack", Json::str(pack)), ("cost", Json::Num(*cost))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl KernelReport {
-    /// Build a row from an engine result. A failed/skipped job (no
-    /// kernel) yields a row with zeroed metrics and its faults rendered.
-    pub fn from_result(r: &JobResult) -> KernelReport {
-        let faults = r.faults.iter().map(|e| e.to_string()).collect();
-        let base = KernelReport {
-            name: r.name.clone(),
-            content_hash: r.hash.map(|h| h.hex()).unwrap_or_default(),
-            cache_hit: r.cache_hit,
-            cache: r.cache_source(),
-            rung: r.rung.name(),
-            failed: r.failed(),
-            faults,
-            scalar_cycles: 0.0,
-            baseline_cycles: 0.0,
-            vegen_cycles: 0.0,
-            speedup_vs_baseline: 0.0,
-            speedup_vs_scalar: 0.0,
-            states_expanded: 0,
-            beam: Default::default(),
-            packs_committed: 0,
-            vegen_ops: Vec::new(),
-            stage_times: StageReport { stages: r.stages, verify: r.verify_time },
-            wall: r.wall,
-            verify_error: r.verify_error.clone(),
-            analysis: AnalysisSummary::default(),
-            decisions: None,
-        };
-        let Some(kernel) = r.kernel.as_deref() else { return base };
+/// The members of [`result_json`], in order. A job that produced a kernel
+/// also carries its modeled cycles and speedups, from one
+/// [`cycles`](vegen::driver::CompiledKernel::cycles) call.
+fn result_members(r: &JobResult) -> Vec<(&'static str, Json)> {
+    let faults = r.faults.iter().map(|f| fault_json(f.stage, f.cause.tag(), f.cause.to_string()));
+    let mut members = vec![
+        ("name", Json::str(&r.name)),
+        ("corr", Json::str(&r.corr)),
+        ("rung", Json::str(r.rung.name())),
+        ("cache", Json::str(r.cache_source())),
+        ("hash", r.hash.map_or(Json::Null, |h| Json::str(h.hex()))),
+        ("failed", Json::Bool(r.failed())),
+        ("faults", Json::Arr(faults.collect())),
+        ("wall_us", Json::int(r.wall.as_micros() as u64)),
+        ("verify_error", r.verify_error.as_deref().map_or(Json::Null, Json::str)),
+    ];
+    if let Some(kernel) = &r.kernel {
         let (scalar, baseline, vegen) = kernel.cycles();
-        KernelReport {
-            scalar_cycles: scalar,
-            baseline_cycles: baseline,
-            vegen_cycles: vegen,
-            speedup_vs_baseline: kernel.speedup_vs_baseline(),
-            speedup_vs_scalar: kernel.speedup_vs_scalar(),
-            states_expanded: kernel.selection.states_expanded,
-            beam: kernel.selection.stats,
-            packs_committed: kernel.selection.packs.len(),
-            vegen_ops: kernel.vegen.vector_ops_used(),
-            analysis: AnalysisSummary::from_report(&kernel.analysis),
-            decisions: kernel.selection.decisions.as_ref().map(DecisionSummary::from_log),
-            ..base
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("content_hash", Json::str(&self.content_hash)),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("cache", Json::str(self.cache)),
-            ("rung", Json::str(self.rung)),
-            ("failed", Json::Bool(self.failed)),
-            ("faults", Json::Arr(self.faults.iter().map(Json::str).collect())),
-            ("scalar_cycles", Json::Num(self.scalar_cycles)),
-            ("baseline_cycles", Json::Num(self.baseline_cycles)),
-            ("vegen_cycles", Json::Num(self.vegen_cycles)),
-            ("speedup_vs_baseline", Json::Num(self.speedup_vs_baseline)),
-            ("speedup_vs_scalar", Json::Num(self.speedup_vs_scalar)),
-            ("states_expanded", Json::int(self.states_expanded as u64)),
+        members.extend([
             (
-                "beam",
+                "cycles",
                 Json::obj([
-                    ("transitions", Json::int(self.beam.transitions)),
-                    ("dedup_hits", Json::int(self.beam.dedup_hits)),
-                    ("hash_collisions", Json::int(self.beam.hash_collisions)),
-                    ("producer_cache_hits", Json::int(self.beam.producer_cache_hits)),
-                    ("producer_cache_misses", Json::int(self.beam.producer_cache_misses)),
-                    ("interned_operands", Json::int(self.beam.interned_operands as u64)),
-                    ("interned_packs", Json::int(self.beam.interned_packs as u64)),
-                    ("beam_wall_us", micros(self.beam.beam_wall)),
-                    ("workers", Json::int(self.beam.workers as u64)),
-                    ("fanouts", Json::int(self.beam.fanouts)),
-                    ("tt_hits", Json::int(self.beam.tt_hits)),
-                    ("tt_misses", Json::int(self.beam.tt_misses)),
-                    ("merge_wall_us", micros(self.beam.merge_wall)),
-                    ("freeze_wall_us", micros(self.beam.freeze_wall)),
-                    ("frozen_reused", Json::Bool(self.beam.frozen_reused)),
+                    ("scalar", Json::Num(scalar)),
+                    ("baseline", Json::Num(baseline)),
+                    ("vegen", Json::Num(vegen)),
                 ]),
             ),
-            ("packs_committed", Json::int(self.packs_committed as u64)),
-            ("vegen_ops", Json::Arr(self.vegen_ops.iter().map(Json::str).collect())),
-            ("stage_times", self.stage_times.to_json()),
-            ("wall_us", micros(self.wall)),
-            (
-                "verify_error",
-                match &self.verify_error {
-                    Some(e) => Json::str(e),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "decisions",
-                match &self.decisions {
-                    Some(d) => d.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("analysis", self.analysis.to_json()),
-        ])
+            ("speedup_baseline", Json::Num(baseline / vegen)),
+            ("speedup_scalar", Json::Num(scalar / vegen)),
+        ]);
     }
+    members
 }
 
-/// The static-validation block of a kernel row (since schema v4).
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisSummary {
-    /// Error-severity findings across all three passes.
-    pub errors: usize,
-    /// Warning-severity findings.
-    pub warnings: usize,
-    /// Packs the legality pass examined.
-    pub packs_checked: usize,
-    /// Stored lanes the provenance pass proved equal to scalar.
-    pub lanes_proved: usize,
-    /// Rendered diagnostics (`"severity [location]: message"`).
-    pub diagnostics: Vec<String>,
+/// A job's result as the serve protocol answers a `compile` request.
+pub fn result_json(r: &JobResult) -> Json {
+    Json::obj(result_members(r))
 }
 
-impl AnalysisSummary {
-    /// Summarize a driver analysis report.
-    pub fn from_report(a: &vegen::analysis::AnalysisReport) -> AnalysisSummary {
-        AnalysisSummary {
-            errors: a.error_count(),
-            warnings: a.warning_count(),
-            packs_checked: a.packs_checked,
-            lanes_proved: a.lanes_proved,
-            diagnostics: a.all().map(|d| d.to_string()).collect(),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("errors", Json::int(self.errors as u64)),
-            ("warnings", Json::int(self.warnings as u64)),
-            ("packs_checked", Json::int(self.packs_checked as u64)),
-            ("lanes_proved", Json::int(self.lanes_proved as u64)),
-            ("diagnostics", Json::Arr(self.diagnostics.iter().map(Json::str).collect())),
-        ])
-    }
+/// A job's row in a report: [`result_json`] plus its `detail` block. A
+/// job without a kernel reports zeroed search statistics and an empty
+/// analysis there.
+pub fn row_json(r: &JobResult) -> Json {
+    let mut members = result_members(r);
+    members.push(("detail", detail_json(r)));
+    Json::obj(members)
 }
 
-/// One pass of a batch through the engine.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Run label ("cold", "warm", …).
-    pub label: String,
-    /// Total batch wall time.
-    pub wall: Duration,
-    /// Cache hits within this run.
-    pub cache_hits: usize,
-    /// How many of those hits came from the disk cache (since v6).
-    pub disk_hits: usize,
-    /// Kernel rows, in input order.
-    pub kernels: Vec<KernelReport>,
+fn detail_json(r: &JobResult) -> Json {
+    let kernel = r.kernel.as_deref();
+    let selection = kernel.map(|k| &k.selection);
+    let vegen_ops = kernel.map(|k| k.vegen.vector_ops_used()).unwrap_or_default();
+    Json::obj([
+        ("states_expanded", count(selection.map_or(0, |s| s.states_expanded))),
+        ("beam", beam_json(&selection.map(|s| s.stats).unwrap_or_default())),
+        ("packs_committed", count(selection.map_or(0, |s| s.packs.len()))),
+        ("vegen_ops", strings(vegen_ops)),
+        ("stage_times", stage_times_json(r)),
+        ("analysis", analysis_json(kernel.map(|k| &k.analysis))),
+        (
+            "decisions",
+            selection.and_then(|s| s.decisions.as_ref()).map_or(Json::Null, decisions_json),
+        ),
+    ])
 }
 
-impl RunReport {
-    /// Build a run row from a labeled batch result.
-    pub fn new(label: impl Into<String>, wall: Duration, results: &[JobResult]) -> RunReport {
-        RunReport {
-            label: label.into(),
-            wall,
-            cache_hits: results.iter().filter(|r| r.cache_hit).count(),
-            disk_hits: results.iter().filter(|r| r.disk_hit).count(),
-            kernels: results.iter().map(KernelReport::from_result).collect(),
-        }
-    }
-
-    /// Render as a JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", Json::str(&self.label)),
-            ("wall_us", micros(self.wall)),
-            ("cache_hits", Json::int(self.cache_hits as u64)),
-            ("disk_hits", Json::int(self.disk_hits as u64)),
-            ("kernels_total", Json::int(self.kernels.len() as u64)),
-            ("kernels", Json::Arr(self.kernels.iter().map(|k| k.to_json()).collect())),
-        ])
-    }
+fn beam_json(b: &BeamStats) -> Json {
+    Json::obj([
+        ("transitions", Json::int(b.transitions)),
+        ("dedup_hits", Json::int(b.dedup_hits)),
+        ("hash_collisions", Json::int(b.hash_collisions)),
+        ("producer_cache_hits", Json::int(b.producer_cache_hits)),
+        ("producer_cache_misses", Json::int(b.producer_cache_misses)),
+        ("interned_operands", count(b.interned_operands)),
+        ("interned_packs", count(b.interned_packs)),
+        ("beam_wall_us", micros(b.beam_wall)),
+        ("workers", count(b.workers)),
+        ("fanouts", Json::int(b.fanouts)),
+        ("merge_wall_us", micros(b.merge_wall)),
+        ("freeze_wall_us", micros(b.freeze_wall)),
+        ("frozen_reused", Json::Bool(b.frozen_reused)),
+    ])
 }
 
-/// The full instrumentation report of an engine session.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Target ISA name.
-    pub target: String,
-    /// Beam width used.
-    pub beam_width: usize,
-    /// Worker threads (resolved, not the `0` sentinel).
-    pub threads: usize,
-    /// Intra-kernel beam-search worker threads (`0` = per-search auto;
-    /// since schema v7).
-    pub beam_threads: usize,
-    /// Verification trials per cache entry.
-    pub verify_trials: u64,
-    /// Runs, in execution order.
-    pub runs: Vec<RunReport>,
-    /// Cache counters at report time.
-    pub cache: CacheStats,
-    /// On-disk cache counters (`None` when no cache directory is
-    /// configured; since schema v6).
-    pub disk: Option<DiskCacheStats>,
-    /// Engine-lifetime pipeline counters.
-    pub counters: EngineCounters,
-    /// Trace-session metadata for the run.
-    pub trace: TraceSummary,
-    /// Structural statistics of the match table the session compiled
-    /// against (since schema v9).
-    pub match_table: vegen_analysis::MatchTableStats,
-    /// Soak-harness summary (pre-rendered by [`crate::soak`]; `None` for
-    /// plain suite runs; since schema v10).
-    pub soak: Option<Json>,
+/// One `<stage>_us` member per pipeline stage, then verify (the engine's
+/// own stage) and the total.
+fn stage_times_json(r: &JobResult) -> Json {
+    let mut members: Vec<(String, Json)> = r
+        .stages
+        .iter()
+        .chain([(Stage::Verify, r.verify_time)])
+        .map(|(stage, d)| (format!("{stage}_us"), micros(d)))
+        .collect();
+    members.push(("total_us".to_string(), micros(r.stages.total() + r.verify_time)));
+    Json::Obj(members)
 }
 
-/// Metadata about the trace session that accompanied a report (since
-/// schema v3).
-#[derive(Debug, Clone, Default)]
-pub struct TraceSummary {
-    /// Whether tracing was enabled for the session.
-    pub enabled: bool,
-    /// Events recorded across all threads.
-    pub events: u64,
-    /// Events dropped to buffer overflow.
-    pub dropped: u64,
-    /// Threads that recorded at least one event.
-    pub threads: usize,
-    /// Where the Chrome trace was written, if anywhere.
-    pub file: Option<String>,
-    /// Where the folded stacks were written, if anywhere.
-    pub folded_file: Option<String>,
+/// The static-validation outcome (legality + provenance + lint); all zero
+/// for a job without a kernel.
+fn analysis_json(a: Option<&AnalysisReport>) -> Json {
+    let empty = AnalysisReport::default();
+    let a = a.unwrap_or(&empty);
+    Json::obj([
+        ("errors", count(a.error_count())),
+        ("warnings", count(a.warning_count())),
+        ("packs_checked", count(a.packs_checked)),
+        ("lanes_proved", count(a.lanes_proved)),
+        ("diagnostics", strings(a.all().map(|d| d.to_string()))),
+    ])
 }
 
-impl TraceSummary {
-    fn to_json(&self) -> Json {
-        let opt = |v: &Option<String>| v.as_ref().map_or(Json::Null, Json::str);
-        Json::obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("events", Json::int(self.events)),
-            ("dropped", Json::int(self.dropped)),
-            ("threads", Json::int(self.threads as u64)),
-            ("file", opt(&self.file)),
-            ("folded_file", opt(&self.folded_file)),
-        ])
-    }
+/// A compact rendering of a selection's decision log (the full
+/// per-candidate log stays in `vegen-engine explain`).
+fn decisions_json(log: &DecisionLog) -> Json {
+    let committed = log
+        .committed
+        .iter()
+        .map(|c| Json::obj([("pack", Json::str(&c.pack)), ("cost", Json::Num(c.cost))]));
+    Json::obj([
+        ("iterations", count(log.iterations.len())),
+        ("candidates", count(log.iterations.iter().map(|it| it.candidates.len()).sum())),
+        ("committed_packs", Json::Arr(committed.collect())),
+    ])
 }
 
-impl EngineReport {
-    /// Render as a JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::str("vegen-engine-report/v10")),
-            ("target", Json::str(&self.target)),
-            ("beam_width", Json::int(self.beam_width as u64)),
-            ("threads", Json::int(self.threads as u64)),
-            ("beam_threads", Json::int(self.beam_threads as u64)),
-            ("verify_trials", Json::int(self.verify_trials)),
-            ("runs", Json::Arr(self.runs.iter().map(|r| r.to_json()).collect())),
-            ("cache", cache_json(&self.cache)),
-            ("disk", self.disk.as_ref().map_or(Json::Null, disk_json)),
-            ("counters", counters_json(&self.counters)),
-            ("trace", self.trace.to_json()),
-            // Since schema v8: the process-wide metrics registry
-            // (latency histograms with percentiles, counters, gauges).
-            ("metrics", metrics_registry_json()),
-            // Since schema v9: the match table's structural statistics,
-            // as audited by `vegen_analysis::speccheck`.
-            (
-                "match_table",
-                Json::obj([
-                    ("rules", Json::int(self.match_table.rules as u64)),
-                    ("ops", Json::int(self.match_table.ops as u64)),
-                    ("dead_rules", Json::int(self.match_table.dead_rules as u64)),
-                    ("max_overlap_class", Json::int(self.match_table.max_overlap_class as u64)),
-                ]),
-            ),
-            // Since schema v10: the soak-harness summary (generated-corpus
-            // runs only; `null` for plain suite reports).
-            ("soak", self.soak.clone().unwrap_or(Json::Null)),
-        ])
-    }
+/// One pass of a batch through the engine: its label (`cold`, `warm`,
+/// …), wall time and one [`row_json`] per result, in input order.
+pub fn run_json(label: &str, wall: Duration, results: &[JobResult]) -> Json {
+    Json::obj([
+        ("label", Json::str(label)),
+        ("wall_us", micros(wall)),
+        ("kernels", Json::Arr(results.iter().map(row_json).collect())),
+    ])
+}
+
+/// The report's `trace` block: what the drained session `data` recorded
+/// (`None` when tracing was off) and where its Chrome trace and folded
+/// stacks were written.
+pub fn trace_json(data: Option<&TraceData>, file: Option<&str>, folded_file: Option<&str>) -> Json {
+    let path = |p: Option<&str>| p.map_or(Json::Null, Json::str);
+    Json::obj([
+        ("enabled", Json::Bool(data.is_some())),
+        ("events", Json::int(data.map_or(0, TraceData::event_count))),
+        ("dropped", Json::int(data.map_or(0, TraceData::dropped))),
+        ("threads", count(data.map_or(0, |d| d.threads.len()))),
+        ("file", path(file)),
+        ("folded_file", path(folded_file)),
+    ])
+}
+
+/// The `vegen-engine-report/v11` document of a session on `engine`
+/// compiling for `target` at `beam_width`: the [`run_json`] rows, run
+/// with `verify_trials` verification trials per kernel, around the
+/// engine's cache, disk and pipeline counters, the metrics registry and
+/// the target's match-table statistics. `threads` is what the engine
+/// resolves for a batch the size of the kernel suite. `trace` is the
+/// [`trace_json`] block of a traced session and `soak` the soak summary;
+/// `None` renders tracing off and `null`.
+pub fn report_json(
+    engine: &Engine,
+    target: &TargetIsa,
+    beam_width: usize,
+    verify_trials: u64,
+    runs: Vec<Json>,
+    trace: Option<Json>,
+    soak: Option<Json>,
+) -> Json {
+    let table = vegen_analysis::match_table_stats(&target_desc(target, true));
+    Json::obj([
+        ("schema", Json::str(SCHEMA)),
+        ("target", Json::str(&target.name)),
+        ("beam_width", count(beam_width)),
+        ("threads", count(engine.batch_threads(vegen_kernels::all().len()))),
+        ("beam_threads", count(engine.config().beam_threads)),
+        ("verify_trials", Json::int(verify_trials)),
+        ("runs", Json::Arr(runs)),
+        ("cache", cache_json(&engine.cache_stats())),
+        ("disk", engine.disk_stats().as_ref().map_or(Json::Null, disk_json)),
+        ("counters", counters_json(&engine.counters())),
+        ("trace", trace.unwrap_or_else(|| trace_json(None, None, None))),
+        ("metrics", metrics_registry_json()),
+        (
+            "match_table",
+            Json::obj([
+                ("rules", count(table.rules)),
+                ("ops", count(table.ops)),
+                ("dead_rules", count(table.dead_rules)),
+                ("max_overlap_class", count(table.max_overlap_class)),
+            ]),
+        ),
+        ("soak", soak.unwrap_or(Json::Null)),
+    ])
 }

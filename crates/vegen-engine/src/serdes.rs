@@ -43,7 +43,7 @@ use vegen_core::pack::{Pack, PackSet, PackedMatch};
 use vegen_ir::{
     BinOp, CastOp, CmpPred, Constant, Function, Inst, InstKind, MemLoc, Param, Type, ValueId,
 };
-use vegen_vm::{LaneSrc, Reg, VmInst, VmProgram};
+use vegen_vm::{Dst, LaneSrc, Reg, VmInst, VmProgram};
 
 // ---------------------------------------------------------------------------
 // Decode helpers
@@ -364,7 +364,7 @@ fn lane_src_from(j: Node<'_>) -> Result<LaneSrc, String> {
 
 fn vm_inst_json(i: &VmInst) -> Json {
     match i {
-        VmInst::Scalar { dst, inst } => inst_json(inst, *dst, reg_json),
+        VmInst::Scalar { dst, inst } => inst_json(inst, dst.get(), reg_json),
         VmInst::VecLoad { dst, base, start, lanes, elem } => Json::obj([
             ("k", Json::str("vec_load")),
             ("dst", reg_json(*dst)),
@@ -434,8 +434,10 @@ fn vm_inst_from(j: Node<'_>) -> Result<VmInst, String> {
         _ => {
             let inst = inst_from(j, reg_from)?;
             let dst = match (inst.is_pure(), j.get("dst")) {
-                (true, Some(dst)) => Some(reg_from(dst)?),
-                (false, None) => None,
+                (true, Some(dst)) => {
+                    Dst::new(reg_from(dst)?).ok_or("scalar \"dst\" is not a register")?
+                }
+                (false, None) => Dst::NONE,
                 _ => return Err("scalar \"dst\" does not fit its instruction".into()),
             };
             VmInst::Scalar { dst, inst }

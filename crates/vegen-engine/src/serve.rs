@@ -21,11 +21,13 @@
 //! ```
 //!
 //! `metrics` answers with engine counters, cache/disk stats, queue depth,
-//! and (since report schema v8) the full metrics registry snapshot under
-//! `registry` — latency histograms with exact p50/p90/p99. `stats` is the
-//! exposition-only subset: just the registry, or the Prometheus text
-//! format when `"format":"prometheus"` is given (the text lands in the
-//! response as `{"prometheus": "<text>"}` so the framing stays NDJSON).
+//! and the full metrics registry snapshot under `registry` — latency
+//! histograms with exact p50/p90/p99. `stats` is the exposition-only
+//! subset: just the registry, or the Prometheus text format when
+//! `"format":"prometheus"` is given (the text lands in the response as
+//! `{"prometheus": "<text>"}` so the framing stays NDJSON). A `compile`
+//! result is [`report::result_json`]: a report's kernel row without its
+//! `detail` block.
 //!
 //! Request identity: a request is read by a borrowing scanner that leaves
 //! the `function` member as raw text; if the engine's alias tier has seen
@@ -127,43 +129,6 @@ fn compile_error(id: &Json, e: &CompileError) -> Json {
 
 fn protocol_error(id: &Json, message: impl Into<String>) -> Json {
     error_response(id, fault_json(Stage::Admission, "protocol", message.into()))
-}
-
-/// Per-kernel compile response body.
-fn result_json(r: &JobResult) -> Json {
-    let mut pairs: Vec<(&'static str, Json)> = vec![
-        ("name", Json::str(&r.name)),
-        ("corr", Json::str(&r.corr)),
-        ("rung", Json::str(r.rung.name())),
-        ("cache", Json::str(r.cache_source())),
-        ("hash", r.hash.map_or(Json::Null, |h| Json::str(h.hex()))),
-        ("failed", Json::Bool(r.failed())),
-        (
-            "faults",
-            Json::Arr(
-                r.faults
-                    .iter()
-                    .map(|f| fault_json(f.stage, f.cause.tag(), f.cause.to_string()))
-                    .collect(),
-            ),
-        ),
-        ("wall_us", Json::int(r.wall.as_micros() as u64)),
-        ("verify_error", r.verify_error.as_deref().map_or(Json::Null, Json::str)),
-    ];
-    if let Some(kernel) = &r.kernel {
-        let (scalar, baseline, vegen) = kernel.cycles();
-        pairs.push((
-            "cycles",
-            Json::obj([
-                ("scalar", Json::Num(scalar)),
-                ("baseline", Json::Num(baseline)),
-                ("vegen", Json::Num(vegen)),
-            ]),
-        ));
-        pairs.push(("speedup_baseline", Json::Num(kernel.speedup_vs_baseline())));
-        pairs.push(("speedup_scalar", Json::Num(kernel.speedup_vs_scalar())));
-    }
-    Json::obj(pairs)
 }
 
 /// Longest request line a client may send. `BufRead::lines` would buffer
@@ -662,7 +627,7 @@ impl<'e> ServeState<'e> {
             let results = self.engine.compile_batch(&jobs);
             for (qj, result) in live.iter().zip(&results) {
                 self.compiles.fetch_add(1, Ordering::Relaxed);
-                send_line(&qj.sink, &ok_response(&qj.id, result_json(result)));
+                send_line(&qj.sink, &ok_response(&qj.id, report::result_json(result)));
             }
         }
     }

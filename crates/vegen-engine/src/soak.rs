@@ -36,10 +36,8 @@
 //! differential check, proving end-to-end that the check catches real
 //! miscompiles and that the minimizer shrinks them.
 
-use crate::cache::CacheStats;
-use crate::diskcache::DiskCacheStats;
 use crate::json::Json;
-use crate::{Engine, EngineConfig, EngineCounters, Rung};
+use crate::{Engine, EngineConfig, Rung};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -222,7 +220,6 @@ impl SoakResult {
 }
 
 /// The full outcome of a soak run.
-#[derive(Debug, Clone)]
 pub struct SoakReport {
     /// The configuration the run used.
     pub config: SoakConfig,
@@ -230,12 +227,9 @@ pub struct SoakReport {
     pub results: Vec<SoakResult>,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// In-memory cache counters at the end of the run.
-    pub cache: CacheStats,
-    /// Disk cache counters (when a cache directory was configured).
-    pub disk: Option<DiskCacheStats>,
-    /// Engine pipeline counters.
-    pub counters: EngineCounters,
+    /// The engine the corpus compiled on: its cache, disk and pipeline
+    /// counters are the report's.
+    pub engine: Engine,
 }
 
 impl SoakReport {
@@ -265,7 +259,7 @@ impl SoakReport {
         Json::Arr(self.results.iter().map(SoakResult::to_json).collect())
     }
 
-    /// The report's `soak` block (schema v10).
+    /// The report's `soak` block (since schema v10).
     pub fn soak_json(&self) -> Json {
         let mut shapes: BTreeMap<&str, u64> = BTreeMap::new();
         let mut widths: BTreeMap<String, u64> = BTreeMap::new();
@@ -574,14 +568,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         vegen::fault::clear();
     }
 
-    let report = SoakReport {
-        config: cfg.clone(),
-        results,
-        wall: t0.elapsed(),
-        cache: engine.cache_stats(),
-        disk: engine.disk_stats(),
-        counters: engine.counters(),
-    };
+    let report = SoakReport { config: cfg.clone(), results, wall: t0.elapsed(), engine };
     metrics::gauge("soak_vectorization_rate").set(report.vectorization_rate());
     Ok(report)
 }

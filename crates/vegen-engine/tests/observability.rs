@@ -1,5 +1,5 @@
 //! Observability integration tests: verification-failure reporting, the
-//! v4 report round-trip, trace capture across the engine's layers, the
+//! v11 report shape, trace capture across the engine's layers, the
 //! decision log, and the `diff`/`explain`/`lint` subcommands (library and
 //! binary).
 
@@ -8,7 +8,7 @@ use vegen::driver::{compile, PipelineConfig};
 use vegen_core::BeamConfig;
 use vegen_engine::cli::{diff_reports, failing_kernels, main_with_args, DiffConfig};
 use vegen_engine::json::Json;
-use vegen_engine::report::EngineReport;
+use vegen_engine::report;
 use vegen_engine::{Engine, EngineConfig, Job};
 use vegen_isa::TargetIsa;
 use vegen_vm::listing;
@@ -31,27 +31,22 @@ fn jobs_for(names: &[&str], pipeline: &PipelineConfig) -> Vec<Job> {
         .collect()
 }
 
-fn small_report(decisions: bool) -> EngineReport {
+fn small_report(decisions: bool) -> Json {
     let engine = Engine::new(EngineConfig { threads: 2, verify_trials: 4, ..Default::default() });
     let mut pipeline = pipeline(4);
     pipeline.beam.log_decisions = decisions;
     let jobs = jobs_for(&["pmaddwd", "int32x8", "hadd_i16"], &pipeline);
     let t0 = std::time::Instant::now();
     let results = engine.compile_batch(&jobs);
-    EngineReport {
-        target: "avx2".to_string(),
-        beam_width: 4,
-        threads: 2,
-        beam_threads: 0,
-        verify_trials: 4,
-        runs: vec![vegen_engine::report::RunReport::new("cold", t0.elapsed(), &results)],
-        cache: engine.cache_stats(),
-        disk: engine.disk_stats(),
-        counters: engine.counters(),
-        trace: Default::default(),
-        match_table: Default::default(),
-        soak: None,
-    }
+    report::report_json(
+        &engine,
+        &pipeline.target,
+        pipeline.beam.width,
+        4,
+        vec![report::run_json("cold", t0.elapsed(), &results)],
+        None,
+        None,
+    )
 }
 
 /// Two functions with identical buffer layouts but different semantics
@@ -93,84 +88,177 @@ fn verification_failure_is_surfaced_with_kernel_name() {
     assert_eq!(failing_kernels(&results), vec!["int32x8".to_string()]);
 }
 
+/// The member names of a JSON object, in order.
+fn members(j: &Json) -> Vec<&str> {
+    let Json::Obj(pairs) = j else { panic!("not an object: {j:?}") };
+    pairs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+fn run_binary(args: &[&str], stdin: &str) -> String {
+    use std::io::Write;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_vegen-engine"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary must run");
+    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert_eq!(output.status.code(), Some(0), "{args:?}");
+    String::from_utf8(output.stdout).unwrap()
+}
+
+/// One rendering of a compile result: the serve `compile` response is the
+/// report's kernel row without `detail`, and the suite report and the
+/// `lint` artifact are one document. Every member name is pinned here, so
+/// a new member is a reviewed one-line diff.
 #[test]
-fn engine_report_v6_round_trips_through_the_parser() {
-    let report = small_report(true);
-    let doc = report.to_json();
-    // Render pretty, hand-parse, and walk the fields back out.
-    let parsed = Json::parse(&doc.render_pretty()).expect("report must be valid JSON");
-    assert_eq!(parsed, doc, "render → parse must be lossless");
-    assert_eq!(parsed.get("schema").unwrap().as_str(), Some("vegen-engine-report/v10"));
-    // The v10 soak block: absent (null) in a plain suite report.
-    assert_eq!(parsed.get("soak"), Some(&Json::Null));
-    // The v8 metrics-registry block: the process-wide registry snapshot.
-    let metrics = parsed.get("metrics").expect("v8 report embeds the metrics registry");
-    assert!(metrics.get("histograms").is_some() && metrics.get("counters").is_some());
-    // The v9 match-table block: structural statistics of the audited table.
-    let table = parsed.get("match_table").expect("v9 report embeds match-table stats");
-    assert!(table.get("rules").is_some() && table.get("max_overlap_class").is_some());
-    let trace = parsed.get("trace").expect("report has trace metadata");
-    assert_eq!(trace.get("enabled").unwrap().as_bool(), Some(false));
-    assert_eq!(trace.get("file"), Some(&Json::Null));
-    let run = &parsed.get("runs").unwrap().as_arr().unwrap()[0];
-    let kernel = &run.get("kernels").unwrap().as_arr().unwrap()[0];
-    assert_eq!(kernel.get("name").unwrap().as_str(), Some("pmaddwd"));
-    assert!(kernel.get("vegen_cycles").unwrap().as_f64().unwrap() > 0.0);
-    let decisions = kernel.get("decisions").expect("log_decisions run has summaries");
-    assert!(decisions.get("iterations").unwrap().as_f64().unwrap() >= 1.0);
-    assert!(!decisions.get("committed_packs").unwrap().as_arr().unwrap().is_empty());
-    // The v4 static-validation block: clean suite kernels prove all lanes.
-    let analysis = kernel.get("analysis").expect("v4 has an analysis block");
-    assert_eq!(analysis.get("errors").unwrap().as_f64(), Some(0.0));
-    assert!(analysis.get("lanes_proved").unwrap().as_f64().unwrap() > 0.0);
-    // The v5 fault-tolerance fields: a clean run is all primary-rung,
-    // fault-free, with zeroed failure counters.
-    assert_eq!(kernel.get("rung").unwrap().as_str(), Some("primary"));
-    assert_eq!(kernel.get("failed").unwrap().as_bool(), Some(false));
-    assert!(kernel.get("faults").unwrap().as_arr().unwrap().is_empty());
-    let counters = parsed.get("counters").unwrap();
-    assert!(counters.get("analyses").unwrap().as_f64().unwrap() >= 3.0);
-    assert_eq!(counters.get("analysis_errors").unwrap().as_f64(), Some(0.0));
-    for c in ["failures", "retries", "degradations", "deadline_hits"] {
-        assert_eq!(counters.get(c).unwrap().as_f64(), Some(0.0), "{c}");
-    }
-    // The v6 persistent-cache fields: no --cache-dir here, so every kernel
-    // is a memory-or-miss compile, the run counts zero disk hits, and the
-    // disk block is null.
-    assert_eq!(kernel.get("cache").unwrap().as_str(), Some("miss"));
-    assert_eq!(run.get("disk_hits").unwrap().as_f64(), Some(0.0));
-    for c in ["disk_hits", "disk_stores", "cache_io_errors"] {
-        assert_eq!(counters.get(c).unwrap().as_f64(), Some(0.0), "{c}");
-    }
-    assert_eq!(parsed.get("disk"), Some(&Json::Null));
-    let stage = kernel.get("stage_times").unwrap();
-    assert!(stage.get("analysis_us").unwrap().as_f64().unwrap() >= 0.0);
-    // And the compact rendering parses to the same tree.
+fn report_v11_shape_is_pinned() {
+    const TOP: [&str; 14] = [
+        "schema",
+        "target",
+        "beam_width",
+        "threads",
+        "beam_threads",
+        "verify_trials",
+        "runs",
+        "cache",
+        "disk",
+        "counters",
+        "trace",
+        "metrics",
+        "match_table",
+        "soak",
+    ];
+    const RUN: [&str; 3] = ["label", "wall_us", "kernels"];
+    const RESULT: [&str; 12] = [
+        "name",
+        "corr",
+        "rung",
+        "cache",
+        "hash",
+        "failed",
+        "faults",
+        "wall_us",
+        "verify_error",
+        "cycles",
+        "speedup_baseline",
+        "speedup_scalar",
+    ];
+    const DETAIL: [&str; 7] = [
+        "states_expanded",
+        "beam",
+        "packs_committed",
+        "vegen_ops",
+        "stage_times",
+        "analysis",
+        "decisions",
+    ];
+    const BEAM: [&str; 13] = [
+        "transitions",
+        "dedup_hits",
+        "hash_collisions",
+        "producer_cache_hits",
+        "producer_cache_misses",
+        "interned_operands",
+        "interned_packs",
+        "beam_wall_us",
+        "workers",
+        "fanouts",
+        "merge_wall_us",
+        "freeze_wall_us",
+        "frozen_reused",
+    ];
+    const COUNTERS: [&str; 17] = [
+        "states_expanded",
+        "transitions",
+        "dedup_hits",
+        "producer_cache_hits",
+        "producer_cache_misses",
+        "packs_committed",
+        "compilations",
+        "analyses",
+        "analysis_errors",
+        "failures",
+        "retries",
+        "degradations",
+        "deadline_hits",
+        "disk_hits",
+        "disk_stores",
+        "cache_io_errors",
+        "frozen_reuses",
+    ];
+    let row: Vec<&str> = RESULT.iter().chain(&["detail"]).copied().collect();
+    let pmaddwd_row = |doc: &Json| -> Json {
+        assert_eq!(members(doc), TOP);
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(report::SCHEMA));
+        assert_eq!(members(doc.get("counters").unwrap()), COUNTERS);
+        let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+        assert_eq!(members(run), RUN);
+        let kernels = run.get("kernels").unwrap().as_arr().unwrap();
+        let pmaddwd = |k: &&Json| k.get("name").and_then(Json::as_str) == Some("pmaddwd");
+        let kernel = kernels.iter().find(pmaddwd).expect("a pmaddwd row").clone();
+        assert_eq!(members(&kernel), row);
+        let detail = kernel.get("detail").unwrap();
+        assert_eq!(members(detail), DETAIL);
+        assert_eq!(members(detail.get("beam").unwrap()), BEAM);
+        kernel
+    };
+
+    // The suite report (render → parse is lossless, pretty or compact).
+    let doc = small_report(true);
+    assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
     assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    let suite_row = pmaddwd_row(&doc);
+
+    // The lint artifact.
+    let dir = std::env::temp_dir().join(format!("vegen-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("lint.json");
+    run_binary(&["lint", "--beam", "1", "--out", out.to_str().unwrap()], "");
+    pmaddwd_row(&Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The serve response: the row without `detail`, value for value.
+    let stdout = run_binary(
+        &["serve", "--stdio", "--beam", "4"],
+        "{\"op\":\"compile\",\"id\":1,\"kernel\":\"pmaddwd\"}\n",
+    );
+    let response = Json::parse(stdout.trim()).unwrap();
+    let result = response.get("result").unwrap();
+    assert_eq!(members(result), RESULT);
+    // Beside `detail`, only what is particular to one compile differs (the
+    // suite's run logged decisions, which keys it to another address).
+    let shared = |j: &Json| {
+        let Json::Obj(pairs) = j else { unreachable!() };
+        let own = |k: &str| matches!(k, "corr" | "wall_us" | "cache" | "hash" | "detail");
+        pairs.iter().filter(|(k, _)| !own(k)).cloned().collect::<Vec<_>>()
+    };
+    assert_eq!(shared(result), shared(&suite_row));
 }
 
 #[test]
 fn decision_summaries_are_absent_without_the_flag() {
-    let report = small_report(false);
-    let doc = report.to_json();
+    let doc = small_report(false);
     let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
     for kernel in run.get("kernels").unwrap().as_arr().unwrap() {
-        assert_eq!(kernel.get("decisions"), Some(&Json::Null));
+        assert_eq!(kernel.get("detail").unwrap().get("decisions"), Some(&Json::Null));
     }
 }
 
 #[test]
 fn diff_of_identical_reports_is_clean_and_regressions_are_caught() {
-    let doc = small_report(false).to_json();
+    let doc = small_report(false);
     let (regressions, _) = diff_reports(&doc, &doc, &DiffConfig::default()).unwrap();
     assert!(regressions.is_empty(), "a report must not regress against itself: {regressions:?}");
 
     // Worsen one kernel's cycles by 10% — past the 2% default threshold.
     let mut worse = doc.clone();
-    bump_first_kernel_field(&mut worse, "vegen_cycles", 1.10);
+    bump_first_kernel_cycles(&mut worse, 1.10);
     let (regressions, _) = diff_reports(&doc, &worse, &DiffConfig::default()).unwrap();
     assert_eq!(regressions.len(), 1, "{regressions:?}");
-    assert!(regressions[0].what.contains("vegen_cycles"));
+    assert!(regressions[0].what.contains("cycles.vegen"));
 
     // The same delta passes under a looser threshold.
     let cfg = DiffConfig { max_regress_pct: 15.0, ..Default::default() };
@@ -179,7 +267,7 @@ fn diff_of_identical_reports_is_clean_and_regressions_are_caught() {
 
     // Counter growth is informational by default, gating under strict.
     let mut churn = doc.clone();
-    bump_first_kernel_field(&mut churn, "states_expanded", 3.0);
+    bump_first_kernel_states(&mut churn, 3.0);
     let (regressions, info) = diff_reports(&doc, &churn, &DiffConfig::default()).unwrap();
     assert!(regressions.is_empty());
     assert!(info.iter().any(|l| l.contains("states_expanded")), "{info:?}");
@@ -192,6 +280,20 @@ fn diff_of_identical_reports_is_clean_and_regressions_are_caught() {
     drop_first_kernel(&mut missing);
     let (regressions, _) = diff_reports(&doc, &missing, &DiffConfig::default()).unwrap();
     assert!(regressions.iter().any(|r| r.what.contains("missing")), "{regressions:?}");
+
+    // So is a kernel that compiled before and fails now: its row has no
+    // cycles or speedups to compare.
+    let mut failing = doc.clone();
+    with_first_kernel(&mut failing, |kernels| {
+        let Json::Obj(row) = &mut kernels[0] else { panic!() };
+        row.retain(|(k, _)| {
+            !matches!(k.as_str(), "cycles" | "speedup_baseline" | "speedup_scalar")
+        });
+        row.iter_mut().find(|(k, _)| k == "failed").unwrap().1 = Json::Bool(true);
+    });
+    let (regressions, _) = diff_reports(&doc, &failing, &DiffConfig::default()).unwrap();
+    assert_eq!(regressions.len(), 1, "{regressions:?}");
+    assert!(regressions[0].what.contains("failed"), "{regressions:?}");
 
     // Only engine reports diff: the retired suite-bench schema is refused.
     let mut foreign = doc.clone();
@@ -211,13 +313,26 @@ fn with_first_kernel(doc: &mut Json, f: impl FnOnce(&mut Vec<Json>)) {
     f(kernels);
 }
 
-fn bump_first_kernel_field(doc: &mut Json, field: &str, factor: f64) {
+/// Scale the number at `path` (member names from the row down) in the
+/// first kernel row.
+fn bump_first_kernel(doc: &mut Json, path: &[&str], factor: f64) {
     with_first_kernel(doc, |kernels| {
-        let Json::Obj(kernel) = &mut kernels[0] else { panic!() };
-        let v = &mut kernel.iter_mut().find(|(k, _)| k == field).unwrap().1;
+        let mut v = &mut kernels[0];
+        for key in path {
+            let Json::Obj(pairs) = v else { panic!("{key}: not an object") };
+            v = &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
         let Json::Num(n) = v else { panic!() };
         *n *= factor;
     });
+}
+
+fn bump_first_kernel_cycles(doc: &mut Json, factor: f64) {
+    bump_first_kernel(doc, &["cycles", "vegen"], factor);
+}
+
+fn bump_first_kernel_states(doc: &mut Json, factor: f64) {
+    bump_first_kernel(doc, &["detail", "states_expanded"], factor);
 }
 
 fn drop_first_kernel(doc: &mut Json) {
@@ -378,11 +493,11 @@ fn check_specs_subcommand_gates_on_corruption() {
 fn diff_binary_reports_exit_codes() {
     let dir = std::env::temp_dir().join(format!("vegen-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let doc = small_report(false).to_json();
+    let doc = small_report(false);
     let old = dir.join("old.json");
     std::fs::write(&old, doc.render_pretty()).unwrap();
     let mut worse_doc = doc.clone();
-    bump_first_kernel_field(&mut worse_doc, "vegen_cycles", 1.5);
+    bump_first_kernel_cycles(&mut worse_doc, 1.5);
     let worse = dir.join("worse.json");
     std::fs::write(&worse, worse_doc.render_pretty()).unwrap();
 
@@ -437,12 +552,14 @@ fn lint_subcommand_gates_and_writes_artifact() {
     assert_eq!(output.status.code(), Some(0), "lint must pass on the suite:\n{stdout}");
     assert!(stdout.contains("0 error(s)"), "{stdout}");
     let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("vegen-engine-lint/v1"));
-    assert_eq!(doc.get("errors").unwrap().as_f64(), Some(0.0));
-    let kernels = doc.get("kernels").unwrap().as_arr().unwrap();
+    assert_eq!(doc.get("schema").unwrap().as_str(), Some(report::SCHEMA));
+    let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+    let kernels = run.get("kernels").unwrap().as_arr().unwrap();
     assert_eq!(kernels.len(), vegen_kernels::all().len());
     for k in kernels {
-        assert_eq!(k.get("errors").unwrap().as_f64(), Some(0.0), "{k:?}");
+        assert_eq!(k.get("failed"), Some(&Json::Bool(false)), "{k:?}");
+        let errors = k.get("detail").and_then(|d| d.get("analysis")?.get("errors"));
+        assert_eq!(errors.and_then(Json::as_f64), Some(0.0), "{k:?}");
     }
     // Bad usage still exits 2.
     let bad = std::process::Command::new(env!("CARGO_BIN_EXE_vegen-engine"))

@@ -40,20 +40,37 @@ impl Memory {
 
     /// Read element `offset` of buffer `base`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if out of bounds.
-    pub fn read(&self, base: usize, offset: i64) -> Constant {
-        self.bufs[base][offset as usize]
+    /// Returns an error if there is no such buffer or element.
+    pub fn read(&self, base: usize, offset: i64) -> Result<Constant, EvalError> {
+        let i = self.index(base, offset)?;
+        Ok(self.bufs[base][i])
     }
 
     /// Write element `offset` of buffer `base`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if out of bounds.
-    pub fn write(&mut self, base: usize, offset: i64, v: Constant) {
-        self.bufs[base][offset as usize] = v;
+    /// Returns an error if there is no such buffer or element.
+    pub fn write(&mut self, base: usize, offset: i64, v: Constant) -> Result<(), EvalError> {
+        let i = self.index(base, offset)?;
+        self.bufs[base][i] = v;
+        Ok(())
+    }
+
+    /// `offset` as an index into buffer `base`, if both exist.
+    fn index(&self, base: usize, offset: i64) -> Result<usize, EvalError> {
+        let Some(buf) = self.bufs.get(base) else {
+            return Err(EvalError(format!("buffer {base} out of range of {}", self.bufs.len())));
+        };
+        match usize::try_from(offset) {
+            Ok(i) if i < buf.len() => Ok(i),
+            _ => Err(EvalError(format!(
+                "element {offset} out of range of buffer {base} ({} elements)",
+                buf.len()
+            ))),
+        }
     }
 
     /// Borrow a whole buffer.
@@ -68,7 +85,8 @@ impl Memory {
 }
 
 /// An evaluation failure: division by zero (the only trap of well-typed
-/// code) or an operand of the wrong type.
+/// code), an operand of the wrong type or shape, or a memory access out of
+/// bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError(pub String);
 
@@ -294,9 +312,10 @@ pub fn eval_cast(op: CastOp, a: Constant, to: Type) -> Result<Constant, EvalErro
 ///
 /// # Errors
 ///
-/// Returns the first error of `get`, and an error on division by zero and
-/// on ill-typed operands (see [`eval_bin`], [`eval_fneg`], [`eval_cmp`],
-/// [`eval_cast`]; a `select` needs an `i1` condition).
+/// Returns the first error of `get`, and an error on division by zero, on
+/// ill-typed operands (see [`eval_bin`], [`eval_fneg`], [`eval_cmp`],
+/// [`eval_cast`]; a `select` needs an `i1` condition) and on a memory
+/// access out of bounds.
 #[inline]
 pub fn step<V: Copy>(
     inst: &Inst<V>,
@@ -316,9 +335,9 @@ pub fn step<V: Copy>(
             }
             get(if cond.as_bool() { on_true } else { on_false })?
         }
-        InstKind::Load { loc } => mem.read(loc.base, loc.offset),
+        InstKind::Load { loc } => mem.read(loc.base, loc.offset)?,
         InstKind::Store { loc, value } => {
-            mem.write(loc.base, loc.offset, get(value)?);
+            mem.write(loc.base, loc.offset, get(value)?)?;
             Constant::bool(false)
         }
     })
@@ -329,7 +348,8 @@ pub fn step<V: Copy>(
 ///
 /// # Errors
 ///
-/// Returns an error on division by zero or an ill-typed instruction.
+/// Returns an error on division by zero, an ill-typed instruction or a
+/// memory access out of bounds.
 pub fn run(f: &Function, mem: &mut Memory) -> Result<Vec<Constant>, EvalError> {
     let mut vals: Vec<Constant> = Vec::with_capacity(f.insts.len());
     for (_, inst) in f.iter() {
@@ -380,12 +400,36 @@ mod tests {
         b.store(c, 0, s);
         let f = b.finish();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::int(Type::I16, 3));
-        mem.write(0, 1, Constant::int(Type::I16, -4));
-        mem.write(1, 0, Constant::int(Type::I16, 10));
-        mem.write(1, 1, Constant::int(Type::I16, 100));
+        mem.write(0, 0, Constant::int(Type::I16, 3)).unwrap();
+        mem.write(0, 1, Constant::int(Type::I16, -4)).unwrap();
+        mem.write(1, 0, Constant::int(Type::I16, 10)).unwrap();
+        mem.write(1, 1, Constant::int(Type::I16, 100)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_i64(), 3 * 10 + (-4) * 100);
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), 3 * 10 + (-4) * 100);
+    }
+
+    /// A load or store past its buffer is an error, as is one to a buffer
+    /// the image does not have; each panicked before.
+    #[test]
+    fn out_of_bounds_accesses_are_errors() {
+        let mut b = FunctionBuilder::new("oob");
+        let a = b.param("A", Type::I16, 2);
+        let x = b.load(a, 5);
+        b.store(a, 0, x);
+        let f = b.finish();
+        let mut mem = Memory::zeroed(&f);
+        assert!(run(&f, &mut mem).is_err(), "load of A[5]");
+
+        let mut b = FunctionBuilder::new("oob_store");
+        let a = b.param("A", Type::I16, 2);
+        let x = b.load(a, 0);
+        b.store(a, 2, x);
+        let f = b.finish();
+        assert!(run(&f, &mut mem).is_err(), "store to A[2]");
+        assert_eq!(mem, Memory::zeroed(&f));
+
+        assert!(mem.read(0, -1).is_err() && mem.read(1, 0).is_err());
+        assert!(mem.write(1, 0, Constant::int(Type::I16, 1)).is_err());
     }
 
     #[test]
@@ -502,9 +546,9 @@ mod tests {
         b.store(o, 0, s);
         let f = b.finish();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::f64(5.0));
-        mem.write(0, 1, Constant::f64(2.0));
+        mem.write(0, 0, Constant::f64(5.0)).unwrap();
+        mem.write(0, 1, Constant::f64(2.0)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(1, 0).as_f64(), -2.0);
+        assert_eq!(mem.read(1, 0).unwrap().as_f64(), -2.0);
     }
 }

@@ -46,12 +46,12 @@ mod tests {
         // (1 + 2i) * (3 + 4i) = -5 + 10i
         let f = build();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::f64(1.0));
-        mem.write(0, 1, Constant::f64(2.0));
-        mem.write(1, 0, Constant::f64(3.0));
-        mem.write(1, 1, Constant::f64(4.0));
+        mem.write(0, 0, Constant::f64(1.0)).unwrap();
+        mem.write(0, 1, Constant::f64(2.0)).unwrap();
+        mem.write(1, 0, Constant::f64(3.0)).unwrap();
+        mem.write(1, 1, Constant::f64(4.0)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_f64(), -5.0);
-        assert_eq!(mem.read(2, 1).as_f64(), 10.0);
+        assert_eq!(mem.read(2, 0).unwrap().as_f64(), -5.0);
+        assert_eq!(mem.read(2, 1).unwrap().as_f64(), 10.0);
     }
 }

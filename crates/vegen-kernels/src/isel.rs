@@ -248,13 +248,13 @@ mod tests {
     fn hadd_pd_semantics() {
         let f = hadd_pd();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::f64(1.0));
-        mem.write(0, 1, Constant::f64(2.0));
-        mem.write(1, 0, Constant::f64(10.0));
-        mem.write(1, 1, Constant::f64(20.0));
+        mem.write(0, 0, Constant::f64(1.0)).unwrap();
+        mem.write(0, 1, Constant::f64(2.0)).unwrap();
+        mem.write(1, 0, Constant::f64(10.0)).unwrap();
+        mem.write(1, 1, Constant::f64(20.0)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_f64(), 3.0);
-        assert_eq!(mem.read(2, 1).as_f64(), 30.0);
+        assert_eq!(mem.read(2, 0).unwrap().as_f64(), 3.0);
+        assert_eq!(mem.read(2, 1).unwrap().as_f64(), 30.0);
     }
 
     #[test]
@@ -262,10 +262,10 @@ mod tests {
         // hsubpd: dst[0] = a[0] - a[1].
         let f = hsub_pd();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::f64(5.0));
-        mem.write(0, 1, Constant::f64(2.0));
+        mem.write(0, 0, Constant::f64(5.0)).unwrap();
+        mem.write(0, 1, Constant::f64(2.0)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_f64(), 3.0);
+        assert_eq!(mem.read(2, 0).unwrap().as_f64(), 3.0);
     }
 
     #[test]
@@ -274,31 +274,31 @@ mod tests {
         let mut mem = Memory::zeroed(&f);
         // 255 * 127 * 2 = 64770 > 32767: saturates.
         for k in 0..2 {
-            mem.write(0, k, Constant::int(Type::I8, -1)); // 0xff = 255 unsigned
-            mem.write(1, k, Constant::int(Type::I8, 127));
+            mem.write(0, k, Constant::int(Type::I8, -1)).unwrap(); // 0xff = 255 unsigned
+            mem.write(1, k, Constant::int(Type::I8, 127)).unwrap();
         }
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_i64(), 32767);
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), 32767);
     }
 
     #[test]
     fn abs_i32_semantics() {
         let f = abs_i32();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::int(Type::I32, -7));
-        mem.write(0, 1, Constant::int(Type::I32, 7));
+        mem.write(0, 0, Constant::int(Type::I32, -7)).unwrap();
+        mem.write(0, 1, Constant::int(Type::I32, 7)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(1, 0).as_i64(), 7);
-        assert_eq!(mem.read(1, 1).as_i64(), 7);
+        assert_eq!(mem.read(1, 0).unwrap().as_i64(), 7);
+        assert_eq!(mem.read(1, 1).unwrap().as_i64(), 7);
     }
 
     #[test]
     fn minmax_semantics() {
         let f = max_pd();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::f64(1.5));
-        mem.write(1, 0, Constant::f64(-2.0));
+        mem.write(0, 0, Constant::f64(1.5)).unwrap();
+        mem.write(1, 0, Constant::f64(-2.0)).unwrap();
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_f64(), 1.5);
+        assert_eq!(mem.read(2, 0).unwrap().as_f64(), 1.5);
     }
 }

@@ -85,13 +85,13 @@ mod tests {
         let f = int16x16();
         let mut mem = Memory::zeroed(&f);
         for i in 0..16 {
-            mem.write(0, i, Constant::int(Type::I16, i + 1));
-            mem.write(1, i, Constant::int(Type::I16, 2));
+            mem.write(0, i, Constant::int(Type::I16, i + 1)).unwrap();
+            mem.write(1, i, Constant::int(Type::I16, 2)).unwrap();
         }
         run(&f, &mut mem).unwrap();
         // out[i] = 2*(2i+1) + 2*(2i+2)
         for i in 0..8 {
-            assert_eq!(mem.read(2, i).as_i64(), 2 * (2 * i + 1) + 2 * (2 * i + 2));
+            assert_eq!(mem.read(2, i).unwrap().as_i64(), 2 * (2 * i + 1) + 2 * (2 * i + 2));
         }
     }
 
@@ -99,26 +99,26 @@ mod tests {
     fn int32x8_widens_to_64_bits() {
         let f = int32x8();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::int(Type::I32, i32::MAX as i64));
-        mem.write(1, 0, Constant::int(Type::I32, i32::MAX as i64));
+        mem.write(0, 0, Constant::int(Type::I32, i32::MAX as i64)).unwrap();
+        mem.write(1, 0, Constant::int(Type::I32, i32::MAX as i64)).unwrap();
         run(&f, &mut mem).unwrap();
         // The product exceeds i32: must be computed at 64 bits.
-        assert_eq!(mem.read(2, 0).as_i64(), (i32::MAX as i64) * (i32::MAX as i64));
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), (i32::MAX as i64) * (i32::MAX as i64));
     }
 
     #[test]
     fn uint8_is_unsigned_on_the_data_side() {
         let f = uint8x32();
         let mut mem = Memory::zeroed(&f);
-        mem.write(0, 0, Constant::int(Type::I8, -1)); // 255 as unsigned data
-        mem.write(1, 0, Constant::int(Type::I8, -1)); // -1 as signed coeff
+        mem.write(0, 0, Constant::int(Type::I8, -1)).unwrap(); // 255 as unsigned data
+        mem.write(1, 0, Constant::int(Type::I8, -1)).unwrap(); // -1 as signed coeff
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_i64(), -255);
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), -255);
         let g = int8x32();
         let mut mem = Memory::zeroed(&g);
-        mem.write(0, 0, Constant::int(Type::I8, -1));
-        mem.write(1, 0, Constant::int(Type::I8, -1));
+        mem.write(0, 0, Constant::int(Type::I8, -1)).unwrap();
+        mem.write(1, 0, Constant::int(Type::I8, -1)).unwrap();
         run(&g, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_i64(), 1, "int8 variant is signed x signed");
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), 1, "int8 variant is signed x signed");
     }
 }

@@ -56,22 +56,22 @@ mod tests {
         let mut mem = Memory::zeroed(&f);
         // data = [200, 1, 2, 3] (200 is unsigned).
         for (k, v) in [200i64, 1, 2, 3].into_iter().enumerate() {
-            mem.write(0, k as i64, Constant::int(Type::I8, v));
+            mem.write(0, k as i64, Constant::int(Type::I8, v)).unwrap();
         }
         // kernel row 0 = [-1, 10, 20, 30]; row 5 = [1, 1, 1, 1].
         for (k, v) in [-1i64, 10, 20, 30].into_iter().enumerate() {
-            mem.write(1, k as i64, Constant::int(Type::I8, v));
+            mem.write(1, k as i64, Constant::int(Type::I8, v)).unwrap();
         }
         for k in 0..4 {
-            mem.write(1, 5 * 4 + k, Constant::int(Type::I8, 1));
+            mem.write(1, 5 * 4 + k, Constant::int(Type::I8, 1)).unwrap();
         }
         // output starts at 7 everywhere (+= semantics).
         for i in 0..16 {
-            mem.write(2, i, Constant::int(Type::I32, 7));
+            mem.write(2, i, Constant::int(Type::I32, 7)).unwrap();
         }
         run(&f, &mut mem).unwrap();
-        assert_eq!(mem.read(2, 0).as_i64(), 7 + (-200 + 10 + 40 + 90));
-        assert_eq!(mem.read(2, 5).as_i64(), 7 + (200 + 1 + 2 + 3));
-        assert_eq!(mem.read(2, 9).as_i64(), 7, "untouched kernel rows are zero");
+        assert_eq!(mem.read(2, 0).unwrap().as_i64(), 7 + (-200 + 10 + 40 + 90));
+        assert_eq!(mem.read(2, 5).unwrap().as_i64(), 7 + (200 + 1 + 2 + 3));
+        assert_eq!(mem.read(2, 9).unwrap().as_i64(), 7, "untouched kernel rows are zero");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline, so `serde`/`serde_json` are not
 //! available; this module is the serialization layer for trace exports,
-//! the engine's `EngineReport` and its disk-cache entries. The writer
+//! the engine's reports and its disk-cache entries. The writer
 //! emits RFC 8259-conformant text (escaped strings, `null` for non-finite
 //! numbers). Numbers are `f64` throughout (exact for |v| < 2^53, which
 //! covers every counter the pipeline emits).

@@ -41,18 +41,15 @@ pub fn eval_expr(e: &Expr, args: &[Constant]) -> Result<Constant, EvalError> {
 
 /// Apply an operation to arguments.
 ///
-/// # Panics
-///
-/// Panics if the argument count or types don't match the declaration (the
-/// checker enforces these for descriptions that passed it).
-///
 /// # Errors
 ///
-/// Returns an error on division by zero.
+/// Returns an error on division by zero, and when the argument count or
+/// types don't match the declaration (the checker enforces these for
+/// descriptions that passed it).
 pub fn eval_operation(op: &Operation, args: &[Constant]) -> Result<Constant, EvalError> {
-    assert_eq!(args.len(), op.params.len(), "operation {} arity", op.name);
-    for (a, p) in args.iter().zip(&op.params) {
-        assert_eq!(a.ty(), *p, "operation {} argument type", op.name);
+    let types = args.iter().map(|a| a.ty());
+    if args.len() != op.params.len() || !types.eq(op.params.iter().copied()) {
+        return Err(EvalError(format!("operation {} applied to {args:?}", op.name)));
     }
     eval_expr(&op.expr, args)
 }
@@ -60,22 +57,28 @@ pub fn eval_operation(op: &Operation, args: &[Constant]) -> Result<Constant, Eva
 /// Execute a whole instruction on concrete input registers, producing the
 /// output register lane by lane.
 ///
-/// # Panics
-///
-/// Panics if input shapes don't match the description.
-///
 /// # Errors
 ///
-/// Returns an error on division by zero.
+/// Returns an error on division by zero, and when the input registers'
+/// count, lane counts or element types don't match the description.
 pub fn eval_inst(
     inst: &InstSemantics,
     inputs: &[Vec<Constant>],
 ) -> Result<Vec<Constant>, EvalError> {
-    assert_eq!(inputs.len(), inst.inputs.len(), "{}: input register count", inst.name);
-    for (reg, shape) in inputs.iter().zip(&inst.inputs) {
-        assert_eq!(reg.len(), shape.lanes, "{}: lane count", inst.name);
-        for v in reg {
-            assert_eq!(v.ty(), shape.elem, "{}: element type", inst.name);
+    if inputs.len() != inst.inputs.len() {
+        let n = inputs.len();
+        return Err(EvalError(format!(
+            "{}: {n} input registers for {}",
+            inst.name,
+            inst.inputs.len()
+        )));
+    }
+    for (i, (reg, shape)) in inputs.iter().zip(&inst.inputs).enumerate() {
+        if reg.len() != shape.lanes || reg.iter().any(|v| v.ty() != shape.elem) {
+            return Err(EvalError(format!(
+                "{}: input {i} is not a {} x {} register",
+                inst.name, shape.lanes, shape.elem
+            )));
         }
     }
     let mut out = Vec::with_capacity(inst.lanes.len());
@@ -232,11 +235,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lane count")]
-    fn wrong_shape_panics() {
+    fn wrong_shapes_are_errors() {
         let inst = pmaddwd();
-        let a = vec![Constant::int(Type::I16, 0); 3];
-        let b = vec![Constant::int(Type::I16, 0); 4];
-        let _ = eval_inst(&inst, &[a, b]);
+        let i16s = |n| vec![Constant::int(Type::I16, 0); n];
+        let bad = [
+            vec![i16s(3), i16s(4)],
+            vec![i16s(4)],
+            vec![i16s(4), vec![Constant::int(Type::I32, 0); 4]],
+        ];
+        for inputs in bad {
+            assert!(eval_inst(&inst, &inputs).is_err(), "{inputs:?} must be an error");
+        }
+        let madd = &inst.ops[0];
+        assert!(eval_operation(madd, &i16s(3)).is_err());
+        assert!(eval_operation(madd, &[Constant::int(Type::I32, 0); 4]).is_err());
     }
 }

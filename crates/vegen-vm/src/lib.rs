@@ -27,4 +27,4 @@ pub mod program;
 pub use cost::static_cycles;
 pub use exec::run_program;
 pub use printer::listing;
-pub use program::{LaneSrc, Reg, VmInst, VmProgram};
+pub use program::{Dst, LaneSrc, Reg, VmInst, VmProgram};

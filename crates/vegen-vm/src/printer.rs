@@ -37,7 +37,7 @@ pub fn listing(prog: &VmProgram) -> String {
     let _ = writeln!(s, "; {} ({} instructions)", prog.name, prog.instruction_count());
     for inst in &prog.insts {
         match inst {
-            VmInst::Scalar { dst, inst } => scalar_line(&mut s, prog, *dst, inst),
+            VmInst::Scalar { dst, inst } => scalar_line(&mut s, prog, dst.get(), inst),
             VmInst::VecLoad { dst, base, start, lanes, .. } => {
                 let _ = writeln!(
                     s,

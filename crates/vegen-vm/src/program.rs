@@ -1,5 +1,6 @@
 //! Vector program representation.
 
+use std::num::NonZeroU32;
 use vegen_ir::{Constant, Inst, InstKind, Param, Type};
 use vegen_vidl::InstSemantics;
 
@@ -11,6 +12,34 @@ pub struct Reg(pub u32);
 impl std::fmt::Display for Reg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "v{}", self.0)
+    }
+}
+
+/// The destination of a [`VmInst::Scalar`]: a register, or none for a
+/// store. It is an `Option<Reg>` in the four bytes of a `Reg` (the
+/// register `u32::MAX` cannot be a destination), so a [`VmInst`] stays 40
+/// bytes beside its 32-byte scalar instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Dst(Option<NonZeroU32>);
+
+impl Dst {
+    /// No destination: the instruction is a store.
+    pub const NONE: Dst = Dst(None);
+
+    /// `reg` as a destination; `None` for `Reg(u32::MAX)`.
+    pub fn new(reg: Reg) -> Option<Dst> {
+        NonZeroU32::new(!reg.0).map(|n| Dst(Some(n)))
+    }
+
+    /// The destination register, if any.
+    pub fn get(self) -> Option<Reg> {
+        self.0.map(|n| Reg(!n.get()))
+    }
+}
+
+impl std::fmt::Debug for Dst {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
     }
 }
 
@@ -33,8 +62,8 @@ pub enum LaneSrc {
 #[allow(missing_docs)] // variant and field names are the documentation
 pub enum VmInst {
     /// A scalar IR instruction over registers, into scalar register `dst`;
-    /// `dst` is `None` exactly when `inst` is a store.
-    Scalar { dst: Option<Reg>, inst: Inst<Reg> },
+    /// `dst` is [`Dst::NONE`] exactly when `inst` is a store.
+    Scalar { dst: Dst, inst: Inst<Reg> },
     /// Contiguous vector load of `lanes` elements starting at `start`.
     VecLoad { dst: Reg, base: usize, start: i64, lanes: usize, elem: Type },
     /// Contiguous vector store.
@@ -54,7 +83,7 @@ impl VmInst {
     /// The register this instruction defines, if any (stores define none).
     pub fn def(&self) -> Option<Reg> {
         match self {
-            VmInst::Scalar { dst, .. } => *dst,
+            VmInst::Scalar { dst, .. } => dst.get(),
             VmInst::VecLoad { dst, .. }
             | VmInst::VecOp { dst, .. }
             | VmInst::Build { dst, .. }
@@ -145,7 +174,8 @@ impl VmProgram {
     /// unless it is a store; returns that register.
     pub fn push_scalar(&mut self, inst: Inst<Reg>) -> Option<Reg> {
         let dst = inst.is_pure().then(|| self.fresh_reg());
-        self.push(VmInst::Scalar { dst, inst });
+        let slot = dst.map_or(Dst::NONE, |r| Dst::new(r).expect("fewer than u32::MAX registers"));
+        self.push(VmInst::Scalar { dst: slot, inst });
         dst
     }
 
@@ -246,6 +276,18 @@ pub fn classify_build(lanes: &[LaneSrc]) -> BuildKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A scalar instruction's destination has a niche, so the enum stays
+    /// as small as its vector variants allow.
+    #[test]
+    fn vm_inst_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Dst>(), 4);
+        assert_eq!(std::mem::size_of::<VmInst>(), 40);
+        assert_eq!(Dst::new(Reg(7)).and_then(Dst::get), Some(Reg(7)));
+        assert_eq!(Dst::new(Reg(0)).and_then(Dst::get), Some(Reg(0)));
+        assert_eq!(Dst::new(Reg(u32::MAX)), None);
+        assert_eq!(Dst::NONE.get(), None);
+    }
 
     #[test]
     fn def_use_covers_every_instruction_kind() {

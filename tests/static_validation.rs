@@ -9,7 +9,7 @@ use vegen::driver::{compile, PipelineConfig};
 use vegen::ir::CmpPred;
 use vegen::ir::{Inst, InstKind};
 use vegen::isa::TargetIsa;
-use vegen::vm::{LaneSrc, VmInst, VmProgram};
+use vegen::vm::{Dst, LaneSrc, VmInst, VmProgram};
 
 fn cfg(target: TargetIsa, width: usize, canon: bool) -> PipelineConfig {
     PipelineConfig { target, beam: BeamConfig::with_width(width), canonicalize_patterns: canon }
@@ -169,7 +169,7 @@ fn predicate_corruption_caught_statically_missed_dynamically() {
 /// the provenance diagnostic names.
 fn locate_store(prog: &VmProgram, from: usize) -> usize {
     for (idx, inst) in prog.insts.iter().enumerate().skip(from) {
-        if matches!(inst, VmInst::Scalar { dst: None, .. } | VmInst::VecStore { .. }) {
+        if matches!(inst, VmInst::Scalar { dst: Dst::NONE, .. } | VmInst::VecStore { .. }) {
             return idx;
         }
     }
